@@ -1,0 +1,5 @@
+"""The repository's benchmark: workloads, tracing and metric catalogue.
+
+Entry point: ``python3 perfbench/run.py --workload <name> --seed <n>
+--seconds <s> --trace <0|1>``; see ``perfbench/README.md``.
+"""
