@@ -9,15 +9,31 @@ representation network itself to discard predictive information (the
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ...metrics.ipm import weighted_ipm
+from ...metrics.ipm import mmd_rbf_from_kernels, rbf_kernel_blocks, weighted_ipm
 from ...metrics.subsampling import subsample_indices
 from ...nn.tensor import Tensor, as_tensor
 
-__all__ = ["BalancingRegularizer"]
+__all__ = ["BalancingRegularizer", "BalanceGroups"]
+
+
+@dataclass
+class BalanceGroups:
+    """The weight-independent half of ``L_B`` for one representation.
+
+    ``control`` / ``treated`` index the rows of each group (anchors when
+    subsampling applies); ``inputs`` holds the three RBF kernel blocks for
+    ``mmd_rbf`` and the two groups' representation rows otherwise.  Both
+    are ``None`` when a treatment arm is empty.
+    """
+
+    control: Optional[np.ndarray]
+    treated: Optional[np.ndarray]
+    inputs: Optional[Tuple[Tensor, ...]]
 
 
 class BalancingRegularizer:
@@ -47,31 +63,59 @@ class BalancingRegularizer:
         self.num_anchors = num_anchors
         self._rng = np.random.default_rng(seed)
 
-    def loss(
-        self, representation: Tensor, treatment: np.ndarray, sample_weights: Tensor
-    ) -> Tensor:
-        """Return ``alpha * L_B`` for the given representation and weights."""
-        if self.alpha == 0.0:
-            return as_tensor(0.0)
+    def prepare(self, representation: Tensor, treatment: np.ndarray) -> BalanceGroups:
+        """Index the treatment groups and build their IPM inputs.
+
+        Above ``subsample_threshold`` rows this draws a fresh set of
+        anchors, so it runs once per loss evaluation there; otherwise the
+        result can be reused for any number of weight vectors.
+        """
         treatment = np.asarray(treatment, dtype=np.float64).ravel()
         treated_idx = np.where(treatment == 1.0)[0]
         control_idx = np.where(treatment == 0.0)[0]
         if len(treated_idx) == 0 or len(control_idx) == 0:
-            return as_tensor(0.0)
+            return BalanceGroups(None, None, None)
         if (
             self.subsample_threshold is not None
             and len(treatment) > self.subsample_threshold
         ):
             treated_idx = self._anchors(treated_idx)
             control_idx = self._anchors(control_idx)
+        rep_control = representation[control_idx]
+        rep_treated = representation[treated_idx]
+        if self.kind == "mmd_rbf":
+            inputs = rbf_kernel_blocks(rep_control, rep_treated)
+        else:
+            inputs = (rep_control, rep_treated)
+        return BalanceGroups(control_idx, treated_idx, inputs)
+
+    def loss(
+        self,
+        representation: Tensor,
+        treatment: np.ndarray,
+        sample_weights: Tensor,
+        groups: Optional[BalanceGroups] = None,
+    ) -> Tensor:
+        """Return ``alpha * L_B`` for the given representation and weights.
+
+        ``groups`` is :meth:`prepare`'s result for the same representation
+        and treatment; without it the groups are prepared here.
+        """
+        if self.alpha == 0.0:
+            return as_tensor(0.0)
+        if groups is None:
+            groups = self.prepare(representation, treatment)
+        if groups.inputs is None:
+            return as_tensor(0.0)
         weights = as_tensor(sample_weights).reshape(-1)
-        distance = weighted_ipm(
-            representation[control_idx],
-            representation[treated_idx],
-            weights_control=weights[control_idx],
-            weights_treated=weights[treated_idx],
-            kind=self.kind,
-        )
+        weights_control = weights[groups.control]
+        weights_treated = weights[groups.treated]
+        if self.kind == "mmd_rbf":
+            distance = mmd_rbf_from_kernels(groups.inputs, weights_control, weights_treated)
+        else:
+            distance = weighted_ipm(
+                *groups.inputs, weights_control, weights_treated, kind=self.kind
+            )
         return distance * self.alpha
 
     def _anchors(self, group_indices: np.ndarray) -> np.ndarray:
@@ -79,5 +123,11 @@ class BalancingRegularizer:
         keep = subsample_indices(len(group_indices), self.num_anchors, self._rng)
         return group_indices if keep is None else group_indices[keep]
 
-    def __call__(self, representation: Tensor, treatment: np.ndarray, sample_weights: Tensor) -> Tensor:
-        return self.loss(representation, treatment, sample_weights)
+    def __call__(
+        self,
+        representation: Tensor,
+        treatment: np.ndarray,
+        sample_weights: Tensor,
+        groups: Optional[BalanceGroups] = None,
+    ) -> Tensor:
+        return self.loss(representation, treatment, sample_weights, groups)

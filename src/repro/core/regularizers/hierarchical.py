@@ -16,18 +16,18 @@ anchor ``R_w = mean((w - 1)^2)``, this yields the full weight objective
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ...nn.tensor import Tensor, as_tensor
 from ..backbones.base import BackboneForward
 from ..config import RegularizerConfig
-from .balancing import BalancingRegularizer
+from .balancing import BalanceGroups, BalancingRegularizer
 from .independence import IndependenceRegularizer
 
-__all__ = ["HierarchicalAttentionLoss", "WeightLossBreakdown"]
+__all__ = ["HierarchicalAttentionLoss", "PreparedForward", "WeightLossBreakdown"]
 
 
 @dataclass
@@ -52,6 +52,22 @@ class WeightLossBreakdown:
         )
 
 
+@dataclass
+class PreparedForward:
+    """A frozen forward pass plus the weight-independent parts of ``L_w``.
+
+    Built by :meth:`HierarchicalAttentionLoss.prepare`.  ``groups`` (the
+    treatment groups and their IPM inputs) and ``features`` (each
+    decorrelated layer's RFF features, by layer key) are filled only when
+    no subsampling applies; otherwise the rows change on every evaluation
+    and each call computes them itself.
+    """
+
+    forward: BackboneForward
+    groups: Optional[BalanceGroups] = None
+    features: Dict[str, Tensor] = field(default_factory=dict)
+
+
 class HierarchicalAttentionLoss:
     """Assembles ``L_w`` from a backbone forward pass and the sample weights.
 
@@ -63,6 +79,11 @@ class HierarchicalAttentionLoss:
     Individual terms can also be disabled explicitly (``use_balance``,
     ``use_independence``, ``use_hierarchy``) to support the paper's Table II
     ablation study.
+
+    The sample-weight step evaluates ``L_w`` several times on one frozen
+    forward pass.  :meth:`prepare` computes what depends only on those
+    activations once; the loss accepts its result or a raw
+    :class:`BackboneForward`, which it prepares on the fly.
     """
 
     def __init__(
@@ -97,9 +118,43 @@ class HierarchicalAttentionLoss:
         )
         self.last_breakdown: Optional[WeightLossBreakdown] = None
 
+    def _decorrelated_layers(self, forward: BackboneForward) -> List[Tuple[str, Tensor]]:
+        """``(key, activations)`` of every layer with an active ``L_D`` term, in order."""
+        cfg = self.config
+        layers: List[Tuple[str, Tensor]] = []
+        if self.use_independence and cfg.gamma1 > 0:
+            layers.append(("Zp", forward.last_layer))
+        if self.use_hierarchy:
+            if cfg.gamma2 > 0:
+                layers.append(("Zr", forward.representation))
+            if cfg.gamma3 > 0:
+                layers.extend((f"Zo{i}", layer) for i, layer in enumerate(forward.other_layers))
+        return layers
+
+    def prepare(self, forward: BackboneForward, treatment: np.ndarray) -> PreparedForward:
+        """Compute the parts of ``L_w`` that depend only on the activations.
+
+        These are the treatment groups with their IPM inputs (the three RBF
+        kernel blocks for ``mmd_rbf``) and every decorrelated layer's RFF
+        features.  Above ``subsample_threshold`` rows the anchors and rows
+        are redrawn on every evaluation, so nothing is hoisted.  Fresh RFF
+        draws happen here, in layer order, exactly as a first loss call
+        would make them.
+        """
+        prepared = PreparedForward(forward)
+        threshold = self.config.subsample_threshold
+        if threshold is not None and len(np.ravel(treatment)) > threshold:
+            return prepared
+        if self.use_balance and self.config.alpha > 0:
+            prepared.groups = self.balancing.prepare(forward.representation, treatment)
+        for key, layer in self._decorrelated_layers(forward):
+            if layer.ndim == 2 and layer.shape[1] >= 2:
+                prepared.features[key] = self.independence.features(layer, key)
+        return prepared
+
     def loss(
         self,
-        forward: BackboneForward,
+        forward: Union[BackboneForward, PreparedForward],
         treatment: np.ndarray,
         sample_weights: Tensor,
     ) -> Tensor:
@@ -108,46 +163,52 @@ class HierarchicalAttentionLoss:
         The anchor ``R_w`` is added by the sample-weight model itself (it
         depends only on the weights), so this method returns the data-dependent
         part: ``alpha*L_B + gamma1*L_I + gamma2*L_D(Z_r) + gamma3*sum L_D(Z_o)``.
+        ``forward`` may be :meth:`prepare`'s result for the same
+        ``treatment``.
         """
+        prepared = forward
+        if not isinstance(prepared, PreparedForward):
+            prepared = self.prepare(forward, treatment)
+        forward = prepared.forward
         cfg = self.config
         weights = as_tensor(sample_weights).reshape(-1)
         total: Tensor = as_tensor(0.0)
         balance_value = 0.0
-        independence_last_value = 0.0
-        independence_rep_value = 0.0
-        independence_other_value = 0.0
 
         if self.use_balance and cfg.alpha > 0:
-            balance = self.balancing(forward.representation, treatment, weights) * cfg.alpha
+            balance = (
+                self.balancing(forward.representation, treatment, weights, groups=prepared.groups)
+                * cfg.alpha
+            )
             total = total + balance
             balance_value = balance.item()
 
-        if self.use_independence and cfg.gamma1 > 0:
-            term = self.independence(forward.last_layer, weights, key="Zp") * cfg.gamma1
-            total = total + term
-            independence_last_value = term.item()
-
-        if self.use_hierarchy:
-            if cfg.gamma2 > 0:
-                term = self.independence(forward.representation, weights, key="Zr") * cfg.gamma2
+        # L_D per priority: Zp (gamma1), Zr (gamma2) and the sum over Zo* (gamma3).
+        sums: Dict[str, Tensor] = {}
+        for key, layer in self._decorrelated_layers(forward):
+            term = self.independence(layer, weights, key=key, features=prepared.features.get(key))
+            priority = key[:2]
+            sums[priority] = term if priority not in sums else sums[priority] + term
+        values = {"Zp": 0.0, "Zr": 0.0, "Zo": 0.0}
+        for priority, coefficient in (("Zp", cfg.gamma1), ("Zr", cfg.gamma2), ("Zo", cfg.gamma3)):
+            if priority in sums:
+                term = sums[priority] * coefficient
                 total = total + term
-                independence_rep_value = term.item()
-            if cfg.gamma3 > 0 and forward.other_layers:
-                other_total: Tensor = as_tensor(0.0)
-                for index, layer in enumerate(forward.other_layers):
-                    other_total = other_total + self.independence(layer, weights, key=f"Zo{index}")
-                term = other_total * cfg.gamma3
-                total = total + term
-                independence_other_value = term.item()
+                values[priority] = term.item()
 
         self.last_breakdown = WeightLossBreakdown(
             balance=balance_value,
-            independence_last=independence_last_value,
-            independence_representation=independence_rep_value,
-            independence_other=independence_other_value,
+            independence_last=values["Zp"],
+            independence_representation=values["Zr"],
+            independence_other=values["Zo"],
             anchor=0.0,
         )
         return total
 
-    def __call__(self, forward: BackboneForward, treatment: np.ndarray, sample_weights: Tensor) -> Tensor:
+    def __call__(
+        self,
+        forward: Union[BackboneForward, PreparedForward],
+        treatment: np.ndarray,
+        sample_weights: Tensor,
+    ) -> Tensor:
         return self.loss(forward, treatment, sample_weights)

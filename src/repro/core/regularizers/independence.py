@@ -8,7 +8,10 @@ the mechanism by which stable learning survives distribution shift.
 
 The random Fourier feature draws are created lazily, one per column index,
 and cached so that the loss is a deterministic function of (features,
-weights) across training iterations.
+weights) across training iterations.  The RFF features of a layer depend
+only on its activations, so a caller that evaluates the loss of frozen
+activations under changing weights computes them once (:meth:`features`)
+and passes them back in.
 """
 
 from __future__ import annotations
@@ -17,7 +20,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ...metrics.hsic import RandomFourierFeatures, pairwise_decorrelation_loss
+from ...metrics.hsic import (
+    RandomFourierFeatures,
+    column_rff_features,
+    draw_pairs,
+    weighted_pairs_hsic_rff,
+)
 from ...metrics.subsampling import subsample_indices
 from ...nn.tensor import Tensor, as_tensor
 
@@ -54,7 +62,7 @@ class IndependenceRegularizer:
         self._row_rng = np.random.default_rng(seed + 2)
         self._feature_cache: Dict[str, List[RandomFourierFeatures]] = {}
 
-    def _features_for(self, key: str, num_columns: int) -> List[RandomFourierFeatures]:
+    def _draws_for(self, key: str, num_columns: int) -> List[RandomFourierFeatures]:
         """Return (and cache) one RFF draw per column of the named layer."""
         cached = self._feature_cache.get(key, [])
         while len(cached) < num_columns:
@@ -62,27 +70,46 @@ class IndependenceRegularizer:
         self._feature_cache[key] = cached
         return cached
 
-    def loss(self, layer: Tensor, sample_weights: Tensor, key: str = "Zp") -> Tensor:
-        """Return ``L_D(layer, w)`` (Eq. 10) for one activation matrix."""
+    def features(self, layer: Tensor, key: str = "Zp") -> Tensor:
+        """``(c, k, n)`` RFF features of every column of ``layer`` under the key's draws."""
+        layer = as_tensor(layer)
+        return column_rff_features(layer, self._draws_for(key, layer.shape[1]))
+
+    def loss(
+        self,
+        layer: Tensor,
+        sample_weights: Tensor,
+        key: str = "Zp",
+        features: Optional[Tensor] = None,
+    ) -> Tensor:
+        """Return ``L_D(layer, w)`` (Eq. 10) for one activation matrix.
+
+        ``features`` is :meth:`features` of the same ``layer``; passing it
+        skips both the RFF transform and the row subsampling, so it is only
+        valid where no subsampling applies.
+        """
         layer = as_tensor(layer)
         if layer.ndim != 2:
             raise ValueError("layer must be a 2-D activation matrix")
         num_columns = layer.shape[1]
         if num_columns < 2:
             return as_tensor(0.0)
-        if self.subsample_threshold is not None and layer.shape[0] > self.subsample_threshold:
-            keep = subsample_indices(layer.shape[0], self.num_anchors, self._row_rng)
-            if keep is not None:
-                layer = layer[keep]
-                sample_weights = as_tensor(sample_weights).reshape(-1)[keep]
-        features = self._features_for(key, num_columns)
-        return pairwise_decorrelation_loss(
-            layer,
-            sample_weights,
-            features,
-            max_pairs=self.max_pairs,
-            rng=self._pair_rng,
-        )
+        weights = as_tensor(sample_weights).reshape(-1)
+        if features is None:
+            if self.subsample_threshold is not None and layer.shape[0] > self.subsample_threshold:
+                keep = subsample_indices(layer.shape[0], self.num_anchors, self._row_rng)
+                if keep is not None:
+                    layer = layer[keep]
+                    weights = weights[keep]
+            features = self.features(layer, key)
+        left, right = draw_pairs(num_columns, self.max_pairs, self._pair_rng)
+        return weighted_pairs_hsic_rff(features, weights, left, right)
 
-    def __call__(self, layer: Tensor, sample_weights: Tensor, key: str = "Zp") -> Tensor:
-        return self.loss(layer, sample_weights, key=key)
+    def __call__(
+        self,
+        layer: Tensor,
+        sample_weights: Tensor,
+        key: str = "Zp",
+        features: Optional[Tensor] = None,
+    ) -> Tensor:
+        return self.loss(layer, sample_weights, key=key, features=features)

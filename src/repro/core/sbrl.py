@@ -394,6 +394,12 @@ class SBRLTrainer:
             other_layers=[layer.detach() for layer in forward.other_layers],
             extra={key: value.detach() for key, value in forward.extra.items()},
         )
+        # Everything that depends only on the frozen activations (kernel
+        # blocks, RFF features) is computed once for all inner steps.
+        prepare = getattr(self.weight_objective, "prepare", None)
+        objective_input = (
+            constant_forward if prepare is None else prepare(constant_forward, treatment)
+        )
         last_value = float("nan")
         for _ in range(cfg.weight_steps_per_iteration):
             weights = (
@@ -402,7 +408,7 @@ class SBRLTrainer:
                 else self.sample_weights.tensor[indices]
             )
             weight_loss = (
-                self.weight_objective(constant_forward, treatment, weights)
+                self.weight_objective(objective_input, treatment, weights)
                 + self.sample_weights.anchor_penalty(indices)
             )
             self.sample_weights.zero_grad()

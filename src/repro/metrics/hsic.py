@@ -20,24 +20,30 @@ Two flavours are provided:
   Independence Regularizer and Hierarchical-Attention Paradigm losses,
   where the weighted covariance follows the StableNet construction
   ``Cov_w(f, g) = E_w[f g] - E_w[f] E_w[g]`` with ``E_w`` the
-  weight-normalised expectation.
+  weight-normalised expectation.  It is built from three pieces the
+  regularizer also uses separately: `column_rff_features` (all columns of
+  a layer in one node), `draw_pairs` and `weighted_pairs_hsic_rff` (every
+  selected pair in one node).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.tensor import Tensor, as_tensor
+from ..nn.tensor import Tensor, as_tensor, stack
 
 __all__ = [
     "RandomFourierFeatures",
     "hsic",
     "hsic_subsampled",
     "hsic_rff",
+    "column_rff_features",
+    "draw_pairs",
+    "weighted_pairs_hsic_rff",
     "weighted_hsic_rff",
     "pairwise_decorrelation_loss",
     "mean_pairwise_hsic_rff",
@@ -210,6 +216,49 @@ def mean_pairwise_hsic_rff(
 # --------------------------------------------------------------------------- #
 # Differentiable, sample-weighted HSIC-RFF (training)
 # --------------------------------------------------------------------------- #
+def column_rff_features(matrix: Tensor, draws: Sequence[RandomFourierFeatures]) -> Tensor:
+    """``(c, k, n)`` RFF features of every column of ``matrix``, column ``j`` under ``draws[j]``.
+
+    One fused node.  Every draw must have the same number of features.
+    """
+    matrix = as_tensor(matrix)
+    draws = draws[: matrix.shape[1]]
+    if len({draw.num_features for draw in draws}) > 1:
+        raise ValueError("every column's RandomFourierFeatures draw must have the same size")
+    frequencies = np.stack([draw.frequencies for draw in draws])
+    phases = np.stack([draw.phases for draw in draws])
+    return F.rff_features(matrix, frequencies, phases)
+
+
+def draw_pairs(
+    num_columns: int, max_pairs: Optional[int] = None, rng: Optional[np.random.Generator] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Left and right column indices of all pairs ``i < j``, or of ``max_pairs`` of them.
+
+    Pairs run in row-major order; above ``max_pairs`` a draw without
+    replacement from ``rng`` picks the subset (and its order).
+    """
+    left, right = np.triu_indices(num_columns, k=1)
+    if max_pairs is not None and len(left) > max_pairs:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        chosen = rng.choice(len(left), size=max_pairs, replace=False)
+        left, right = left[chosen], right[chosen]
+    return left, right
+
+
+def weighted_pairs_hsic_rff(
+    features: Tensor, weights: Tensor, left: np.ndarray, right: np.ndarray
+) -> Tensor:
+    """Sum of weighted HSIC-RFF over the column pairs ``(left[p], right[p])``.
+
+    ``features`` is a :func:`column_rff_features` block; the weights are
+    normalised to a distribution and the whole sum is one fused node.
+    """
+    weights = as_tensor(weights).reshape(-1)
+    probs = weights / (weights.sum() + 1e-12)
+    return F.weighted_pair_sq_cross_cov(features, probs, left, right)
+
+
 def weighted_hsic_rff(
     col_a: Tensor,
     col_b: Tensor,
@@ -221,25 +270,19 @@ def weighted_hsic_rff(
     The sample weights define a reweighted empirical distribution; the loss
     is the squared Frobenius norm of the weighted cross-covariance of the
     RFF-transformed columns, and is differentiable with respect to both the
-    weights and the columns.
+    weights and the columns.  It is the one-pair case of
+    :func:`weighted_pairs_hsic_rff`.
     """
-    col_a = as_tensor(col_a).reshape(-1)
-    col_b = as_tensor(col_b).reshape(-1)
-    weights = as_tensor(weights).reshape(-1, 1)
-    feat_a, feat_b = features
-
-    normaliser = weights.sum() + 1e-12
-    probs = weights / normaliser
-
-    u = feat_a.transform_tensor(col_a)
-    v = feat_b.transform_tensor(col_b)
-    return F.weighted_sq_cross_cov(u, v, probs)
+    matrix = stack([as_tensor(col_a).reshape(-1), as_tensor(col_b).reshape(-1)], axis=1)
+    return weighted_pairs_hsic_rff(
+        column_rff_features(matrix, features), weights, np.array([0]), np.array([1])
+    )
 
 
 def pairwise_decorrelation_loss(
     matrix: Tensor,
     weights: Tensor,
-    features_per_dim,
+    features_per_dim: Sequence[RandomFourierFeatures],
     max_pairs: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
@@ -249,31 +292,14 @@ def pairwise_decorrelation_loss(
     a sequence of :class:`RandomFourierFeatures`, one per column of
     ``matrix``; using a fixed draw per column keeps the loss deterministic
     across training iterations.  For wide layers the quadratic number of
-    pairs can be subsampled via ``max_pairs``.
+    pairs can be subsampled via ``max_pairs`` (see :func:`draw_pairs`).
     """
     matrix = as_tensor(matrix)
     n_cols = matrix.shape[1]
     if len(features_per_dim) < n_cols:
         raise ValueError("need one RandomFourierFeatures draw per column")
-    pairs = [(i, j) for i in range(n_cols) for j in range(i + 1, n_cols)]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        chosen = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[k] for k in chosen]
-    if not pairs:
+    left, right = draw_pairs(n_cols, max_pairs, rng)
+    if not len(left):
         return as_tensor(0.0)
-    # Shared sub-expressions are hoisted out of the pair loop: the normalised
-    # weight column is one graph branch reused by every pair, and each column
-    # is sliced + RFF-transformed exactly once instead of once per pair.
-    weights_column = as_tensor(weights).reshape(-1, 1)
-    probs = weights_column / (weights_column.sum() + 1e-12)
-    transformed: dict = {}
-    for i, j in pairs:
-        for index in (i, j):
-            if index not in transformed:
-                transformed[index] = features_per_dim[index].transform_tensor(matrix[:, index])
-    total: Optional[Tensor] = None
-    for i, j in pairs:
-        term = F.weighted_sq_cross_cov(transformed[i], transformed[j], probs)
-        total = term if total is None else total + term
-    return total
+    features = column_rff_features(matrix, features_per_dim)
+    return weighted_pairs_hsic_rff(features, weights, left, right)

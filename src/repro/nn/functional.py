@@ -7,13 +7,24 @@ evaluation code.
 
 The fused kernels (:func:`linear`, :func:`pairwise_sq_dists`,
 :func:`rbf_kernel`, :func:`bce_with_logits`, the weighted losses,
-:func:`rff_features`, :func:`weighted_sq_cross_cov`,
+:func:`rff_features`, :func:`weighted_pair_sq_cross_cov`,
 :func:`bilinear_weighted_sum`) record a *single* graph node with a
 closed-form vector-Jacobian product instead of composing dozens of broadcast
 primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
 regularizer graphs by an order of magnitude (see
-``benchmarks/bench_autodiff.py``) while computing bit-identical forward
-values, so the golden-regression suite pins them to the unfused history.
+``benchmarks/bench_autodiff.py``).
+
+Numeric contract:
+
+* eager == replay == stacked, bit for bit: each fused node and its tape
+  kernel (:mod:`repro.nn.tape`) run the same array code;
+* the batched HSIC pair node and the mat-vec bilinear form sum in a
+  different order than the per-pair / elementwise compositions they
+  replaced, so they match those within a relative 1e-12, not bitwise
+  (``tests/test_weight_objective.py`` keeps the old compositions as the
+  reference);
+* end to end, the golden-regression suite pins fitted metrics at a
+  relative 1e-5.
 """
 
 from __future__ import annotations
@@ -41,7 +52,7 @@ __all__ = [
     "l2_penalty",
     "normalize_rows",
     "rff_features",
-    "weighted_sq_cross_cov",
+    "weighted_pair_sq_cross_cov",
     "bilinear_weighted_sum",
 ]
 
@@ -107,7 +118,12 @@ def linear(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None) -> Tenso
 
 
 def _pairwise_sq_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    """``|a_i|² + |b_j|² - 2 a_i·b_j``, with one ``n × m`` temporary."""
+    cross = a @ b.T
+    cross *= 2.0
+    out = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    out -= cross
+    return out
 
 
 def _pairwise_sq_vjp(
@@ -151,7 +167,9 @@ def rbf_kernel(a: ArrayLike, b: ArrayLike, sigma: float = 1.0) -> Tensor:
     if a_t.ndim != 2 or b_t.ndim != 2:
         raise ValueError("rbf_kernel expects 2-D (rows, features) inputs")
     scale = -1.0 / (2.0 * sigma ** 2)
-    out_data = np.exp(_pairwise_sq_data(a_t.data, b_t.data) * scale)
+    out_data = _pairwise_sq_data(a_t.data, b_t.data)
+    out_data *= scale
+    np.exp(out_data, out=out_data)
 
     def backward(grad: np.ndarray, at=a_t, bt=b_t, s=scale) -> None:
         grad_sq = grad * out.data * s
@@ -333,26 +351,45 @@ def normalize_rows(x: ArrayLike, eps: float = 1e-8) -> Tensor:
 # --------------------------------------------------------------------------- #
 # Fused HSIC-RFF building blocks
 # --------------------------------------------------------------------------- #
+def _rff_inner(values: np.ndarray, freqs: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """``v * w + phi`` as ``(n, k)`` (one draw) or ``(c, k, n)`` (a draw per column)."""
+    if freqs.ndim == 1:
+        return values.reshape(-1, 1) * freqs + phis
+    columns = values.reshape(values.shape[0], -1).T[:, None, :]
+    return columns * freqs[:, :, None] + phis[:, :, None]
+
+
+def _rff_values_grad(d_inner: np.ndarray, freqs: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient wrt the values from the gradient wrt :func:`_rff_inner`'s output."""
+    if freqs.ndim == 1:
+        return (d_inner * freqs).sum(axis=-1).reshape(shape)
+    return (d_inner * freqs[:, :, None]).sum(axis=1).T.reshape(shape)
+
+
 def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray) -> Tensor:
     """Random-Fourier-feature map ``sqrt(2) * cos(v * w + phi)`` (fused).
 
-    ``values`` is a column of ``n`` samples (any shape that ravels to ``n``);
-    the output is ``(n, num_features)``.  ``frequencies`` / ``phases`` are
-    constants of the draw and receive no gradient.
+    With 1-D ``frequencies`` / ``phases`` of length ``k``, ``values`` is a
+    column of ``n`` samples (any shape that ravels to ``n``) and the output
+    is ``(n, k)``.  With ``(c, k)`` draws, ``values`` is an ``(n, c)``
+    matrix, column ``j`` uses draw ``j``, and the output is ``(c, k, n)``:
+    per column, its ``k`` features over the ``n`` samples (samples last, so
+    the per-sample weighting downstream runs along contiguous memory).  The
+    draws are constants and receive no gradient.
     """
     v_t = as_tensor(values)
-    freqs = np.asarray(frequencies, dtype=v_t.data.dtype).reshape(1, -1)
-    phis = np.asarray(phases, dtype=v_t.data.dtype).reshape(1, -1)
-    column = v_t.data.reshape(-1, 1)
-    inner = column * freqs + phis
+    freqs = np.asarray(frequencies, dtype=v_t.data.dtype)
+    phis = np.asarray(phases, dtype=v_t.data.dtype)
+    inner = _rff_inner(v_t.data, freqs, phis)
     # Python-float sqrt(2): a NumPy float64 scalar would promote float32
     # inputs to float64 under NEP 50, defeating the dtype policy here.
     sqrt2 = 2.0 ** 0.5
-    out_data = np.cos(inner) * sqrt2
+    out_data = np.cos(inner)
+    out_data *= sqrt2
 
     def backward(grad: np.ndarray, vt=v_t, inner=inner, freqs=freqs, sqrt2=sqrt2) -> None:
         d_inner = grad * (-np.sin(inner)) * sqrt2
-        out._send(vt, (d_inner * freqs).sum(axis=1).reshape(vt.data.shape))
+        out._send(vt, _rff_values_grad(d_inner, freqs, vt.data.shape))
 
     out = Tensor._make(out_data, (v_t,), backward)
     return _tape_record(
@@ -360,58 +397,120 @@ def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray)
     )
 
 
-def weighted_sq_cross_cov(u: ArrayLike, v: ArrayLike, probs: ArrayLike) -> Tensor:
-    """Squared Frobenius norm of the weighted cross-covariance ``||C_w(u, v)||²``.
+def _pair_cov_forward(features: np.ndarray, probs: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """``(value, saved)`` of :func:`weighted_pair_sq_cross_cov` on arrays.
 
-    ``u`` / ``v`` are ``(n, k)`` / ``(n, m)`` feature matrices and ``probs``
-    a normalised ``(n, 1)`` weight column.  This one node replaces the ~20
-    broadcast ops of the StableNet weighted-covariance construction
-    ``C_w = (p ⊙ (u - E_p u))ᵀ (v - E_p v)`` and is the inner loop of the
-    Independence Regularizer (Eq. 9).
+    Works on the selected pairs only: their left/right ``(k, n)`` blocks are
+    gathered into ``(P, k, n)`` arrays, centred in place, and every
+    cross-covariance comes out of one batched matmul.  Shared by the eager
+    node and its tape kernel, so the two are bitwise equal.
     """
-    u_t = as_tensor(u)
-    v_t = as_tensor(v)
-    p_t = as_tensor(probs)
-    u_data, v_data, p_data = u_t.data, v_t.data, p_t.data
-    mean_u = (p_data * u_data).sum(axis=0, keepdims=True)
-    mean_v = (p_data * v_data).sum(axis=0, keepdims=True)
-    u_centred = u_data - mean_u
-    v_centred = v_data - mean_v
-    weighted_u = p_data * u_centred
-    cross_cov = weighted_u.T @ v_centred
+    p = probs.reshape(-1)
+    uc = features[left]
+    vc = features[right]
+    mean_u = np.matmul(uc, p)[:, :, None]
+    mean_v = np.matmul(vc, p)[:, :, None]
+    uc -= mean_u
+    vc -= mean_v
+    pu = uc * p
+    cross_cov = np.matmul(pu, vc.transpose(0, 2, 1))
     value = (cross_cov * cross_cov).sum()
+    return value, (uc, vc, pu, mean_u, mean_v, cross_cov)
 
-    def backward(
-        grad: np.ndarray,
-        ut=u_t,
-        vt=v_t,
-        pt=p_t,
-        uc=u_centred,
-        vc=v_centred,
-        pu=weighted_u,
-        cc=cross_cov,
-    ) -> None:
-        d_cc = (2.0 * grad) * cc
-        d_pu = vc @ d_cc.T
-        d_vc = pu @ d_cc
-        p_data = pt.data
-        # pu = p * uc
-        d_uc = p_data * d_pu
-        d_p = (d_pu * uc).sum(axis=1, keepdims=True)
-        # uc = u - mean_u ; mean_u = sum_i p_i u_i
-        d_mean_u = -d_uc.sum(axis=0, keepdims=True)
-        d_u = d_uc + p_data * d_mean_u
-        d_p = d_p + (ut.data * d_mean_u).sum(axis=1, keepdims=True)
-        # vc = v - mean_v ; mean_v = sum_i p_i v_i
-        d_mean_v = -d_vc.sum(axis=0, keepdims=True)
-        d_v = d_vc + p_data * d_mean_v
-        d_p = d_p + (vt.data * d_mean_v).sum(axis=1, keepdims=True)
-        out._send(ut, d_u)
-        out._send(vt, d_v)
-        out._send(pt, d_p.reshape(pt.data.shape))
 
-    out = Tensor._make(np.asarray(value), (u_t, v_t, p_t), backward)
-    return _tape_record(out, "weighted_sq_cross_cov", (u_t, v_t, p_t))
+def _pair_cov_vjp(
+    grad: np.ndarray,
+    features: np.ndarray,
+    probs: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    saved: tuple,
+    needs: tuple,
+) -> tuple:
+    """Closed-form VJP of :func:`weighted_pair_sq_cross_cov` wrt (features, probs).
+
+    Per pair, with ``pu = (u - E_p u) ⊙ p`` and ``C = pu (v - E_p v)ᵀ``
+    (``k × n`` blocks): ``dC = 2 g C``, ``d pu = dC vc``, ``d vc = dCᵀ pu``,
+    and the mean terms ``d E_p u = -dC (vc p)``, ``d E_p v = -dCᵀ (pu 1)``.
+    Only the selected pairs' ``(P, k, n)`` blocks are touched; the feature
+    gradient is formed only when the features need one.
+    """
+    uc, vc, pu, mean_u, mean_v, cross_cov = saved
+    p = probs.reshape(-1)
+    d_cc = (2.0 * grad) * cross_cov
+    d_cc_t = d_cc.transpose(0, 2, 1)
+    d_mean_u = -np.matmul(d_cc, np.matmul(vc, p)[:, :, None])
+    d_mean_v = -np.matmul(d_cc_t, pu.sum(axis=2, keepdims=True))
+    # d u = (d pu + d E_p u) ⊙ p: accumulate the mean term into d pu.
+    d_pu_u = np.matmul(d_cc, vc)
+    d_pu_u += d_mean_u
+    d_features = d_probs = None
+    if needs[0]:
+        d_features = np.zeros_like(features)
+        np.add.at(d_features, left, d_pu_u * p)
+        np.add.at(d_features, right, np.matmul(d_cc_t, pu) + d_mean_v * p)
+    if needs[1]:
+        # d p_n = Σ (d pu ⊙ uc) + Σ u ⊙ d E_p u + Σ v ⊙ d E_p v, with u = uc + E_p u.
+        d_p = np.einsum("pkn,pkn->n", d_pu_u, uc)
+        d_p += np.matmul(d_mean_v.transpose(0, 2, 1), vc).sum(axis=(0, 1))
+        d_p += (mean_u * d_mean_u).sum() + (mean_v * d_mean_v).sum()
+        d_probs = d_p.reshape(probs.shape)
+    return d_features, d_probs
+
+
+def weighted_pair_sq_cross_cov(
+    features: ArrayLike, probs: ArrayLike, left: np.ndarray, right: np.ndarray
+) -> Tensor:
+    """``Σ_p ||C_w(u_{left[p]}, u_{right[p]})||²`` over the selected column pairs, fused.
+
+    ``features`` is a ``(c, k, n)`` stack of per-column RFF blocks (see
+    :func:`rff_features`), ``probs`` a normalised weight vector of ``n``
+    entries, and ``left`` / ``right`` the ``P`` column indices of each
+    pair.  ``C_w(u, v) = (p ⊙ (u - E_p u))ᵀ (v - E_p v)`` is the StableNet
+    weighted cross-covariance, so one node is the whole Independence
+    Regularizer sum of one layer (Eq. 10).
+    """
+    f_t = as_tensor(features)
+    p_t = as_tensor(probs)
+    left = np.asarray(left, dtype=np.intp)
+    right = np.asarray(right, dtype=np.intp)
+    if f_t.ndim != 3:
+        raise ValueError("features must be a (columns, k, n) stack of RFF blocks")
+    value, saved = _pair_cov_forward(f_t.data, p_t.data, left, right)
+
+    def backward(grad: np.ndarray, ft=f_t, pt=p_t, saved=saved) -> None:
+        needs = (ft.requires_grad, pt.requires_grad)
+        d_features, d_probs = _pair_cov_vjp(grad, ft.data, pt.data, left, right, saved, needs)
+        if d_features is not None:
+            out._send(ft, d_features)
+        if d_probs is not None:
+            out._send(pt, d_probs)
+
+    out = Tensor._make(np.asarray(value), (f_t, p_t), backward)
+    attrs = {"left": left, "right": right}
+    return _tape_record(out, "weighted_pair_sq_cross_cov", (f_t, p_t), attrs)
+
+
+def _bilinear_forward(a: np.ndarray, kernel: np.ndarray, b: np.ndarray):
+    """``(a · (K b), K b)`` by gemv; shared by the eager node and its tape kernel."""
+    kb = kernel @ b.reshape(-1)
+    return a.reshape(-1) @ kb, kb
+
+
+def _bilinear_vjp(grad, a, kernel, b, kb, needs, kernel_grad=None) -> tuple:
+    """VJP of ``a · (K b)``: ``g K b``, ``g a bᵀ`` (only when needed), ``g a K``.
+
+    ``kernel_grad`` is an optional preallocated buffer for the ``n × m``
+    kernel gradient (the tape kernel reuses one across runs).
+    """
+    a_vec = a.reshape(-1)
+    ga = (grad * kb).reshape(a.shape) if needs[0] else None
+    gk = None
+    if needs[1]:
+        gk = np.multiply(a_vec[:, None], b.reshape(1, -1), out=kernel_grad)
+        gk = np.multiply(gk, grad, out=gk)
+    gb = (grad * (a_vec @ kernel)).reshape(b.shape) if needs[2] else None
+    return ga, gk, gb
 
 
 def bilinear_weighted_sum(
@@ -419,21 +518,24 @@ def bilinear_weighted_sum(
 ) -> Tensor:
     """Weighted bilinear form ``Σ_ij a_i K_ij b_j`` as one fused node.
 
-    The three kernel expectations of a weighted MMD are exactly this shape;
-    the forward matches ``(a[:, None] * K * b[None, :]).sum()`` bit-for-bit.
+    The three kernel expectations of a weighted MMD are exactly this shape.
+    The forward is two mat-vecs, ``a · (K b)``; the VJP reuses ``K b`` for
+    ``a``, takes ``a K`` by gemv for ``b``, and forms the ``n × m`` kernel
+    gradient ``a bᵀ`` only when the kernel needs one.  The value equals the
+    elementwise ``(a[:, None] * K * b[None, :]).sum()`` within a relative
+    1e-12 (a different summation order), and the tape kernel bit for bit.
     """
     a_t = as_tensor(weights_a)
     k_t = as_tensor(kernel)
     b_t = as_tensor(weights_b)
-    col = a_t.data.reshape(-1, 1)
-    row = b_t.data.reshape(1, -1)
-    weighted = col * k_t.data
-    value = (weighted * row).sum()
+    value, kb = _bilinear_forward(a_t.data, k_t.data, b_t.data)
 
-    def backward(grad: np.ndarray, at=a_t, kt=k_t, bt=b_t, col=col, row=row, weighted=weighted) -> None:
-        out._send(at, (grad * (kt.data * row).sum(axis=1)).reshape(at.data.shape))
-        out._send(kt, grad * (col * row))
-        out._send(bt, (grad * weighted.sum(axis=0)).reshape(bt.data.shape))
+    def backward(grad: np.ndarray, at=a_t, kt=k_t, bt=b_t, kb=kb) -> None:
+        needs = (at.requires_grad, kt.requires_grad, bt.requires_grad)
+        grads = _bilinear_vjp(grad, at.data, kt.data, bt.data, kb, needs)
+        for parent, g in zip((at, kt, bt), grads):
+            if g is not None:
+                out._send(parent, g)
 
     out = Tensor._make(np.asarray(value), (a_t, k_t, b_t), backward)
     return _tape_record(out, "bilinear_weighted_sum", (a_t, k_t, b_t))

@@ -33,8 +33,9 @@ Bit-identity
 ------------
 Replay reproduces eager results bit for bit, not merely approximately:
 
-* forward kernels re-express each op's NumPy formula as in-place ufunc
-  sequences that are IEEE-identical to the eager expression;
+* forward kernels either call the same array helper as the eager op (the
+  fused regularizer kernels) or re-express its NumPy formula as in-place
+  ufunc sequences that are IEEE-identical to the eager expression;
 * the backward schedule is the exact reversed DFS topological order the
   eager engine produces (including the parents-order tie-breaking), with
   the same ``_unbroadcast`` reductions and the same fan-in accumulation
@@ -797,89 +798,45 @@ def _k_normalize_rows():
 
 @_kernel("rff_features")
 def _k_rff():
+    from .functional import _rff_inner, _rff_values_grad
+
     def fwd(out, ins, attrs, ctx):
-        column = ins[0].reshape(-1, 1)
-        inner = _scratch(ctx, "inner", out.shape, out.dtype)
-        np.multiply(column, attrs["frequencies"], out=inner)
-        np.add(inner, attrs["phis"], out=inner)
+        inner = ctx["inner"] = _rff_inner(ins[0], attrs["frequencies"], attrs["phis"])
         np.cos(inner, out=out)
         np.multiply(out, attrs["sqrt2"], out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        inner = ctx["inner"]
-        d_inner = grad * (-np.sin(inner)) * attrs["sqrt2"]
-        return ((d_inner * attrs["frequencies"]).sum(axis=1).reshape(ins[0].shape),)
+        d_inner = grad * (-np.sin(ctx["inner"])) * attrs["sqrt2"]
+        return (_rff_values_grad(d_inner, attrs["frequencies"], ins[0].shape),)
 
     return fwd, vjp
 
 
-@_kernel("weighted_sq_cross_cov")
-def _k_weighted_sq_cross_cov():
+@_kernel("weighted_pair_sq_cross_cov")
+def _k_weighted_pair_sq_cross_cov():
+    from .functional import _pair_cov_forward, _pair_cov_vjp
+
     def fwd(out, ins, attrs, ctx):
-        u, v, p = ins
-        mean_u = (p * u).sum(axis=0, keepdims=True)
-        mean_v = (p * v).sum(axis=0, keepdims=True)
-        uc = u - mean_u
-        vc = v - mean_v
-        pu = p * uc
-        cc = pu.T @ vc
-        ctx["uc"], ctx["vc"], ctx["pu"], ctx["cc"] = uc, vc, pu, cc
-        out[...] = (cc * cc).sum()
+        out[...], ctx["saved"] = _pair_cov_forward(ins[0], ins[1], attrs["left"], attrs["right"])
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        u, v, p = ins
-        uc, vc, pu, cc = ctx["uc"], ctx["vc"], ctx["pu"], ctx["cc"]
-        d_cc = (2.0 * grad) * cc
-        d_pu = vc @ d_cc.T
-        d_vc = pu @ d_cc
-        d_uc = p * d_pu
-        d_p = (d_pu * uc).sum(axis=1, keepdims=True)
-        d_mean_u = -d_uc.sum(axis=0, keepdims=True)
-        d_u = d_uc + p * d_mean_u
-        d_p = d_p + (u * d_mean_u).sum(axis=1, keepdims=True)
-        d_mean_v = -d_vc.sum(axis=0, keepdims=True)
-        d_v = d_vc + p * d_mean_v
-        d_p = d_p + (v * d_mean_v).sum(axis=1, keepdims=True)
-        return (
-            d_u if needs[0] else None,
-            d_v if needs[1] else None,
-            d_p.reshape(p.shape) if needs[2] else None,
-        )
+        left, right = attrs["left"], attrs["right"]
+        return _pair_cov_vjp(grad, ins[0], ins[1], left, right, ctx["saved"], needs)
 
     return fwd, vjp
 
 
 @_kernel("bilinear_weighted_sum")
 def _k_bilinear():
+    from .functional import _bilinear_forward, _bilinear_vjp
+
     def fwd(out, ins, attrs, ctx):
-        a, kernel, b = ins
-        col = a.reshape(-1, 1)
-        row = b.reshape(1, -1)
-        weighted = _scratch(ctx, "weighted", kernel.shape, kernel.dtype)
-        np.multiply(col, kernel, out=weighted)
-        wr = _scratch(ctx, "wr", kernel.shape, kernel.dtype)
-        np.multiply(weighted, row, out=wr)
-        out[...] = wr.sum()
+        out[...], ctx["kb"] = _bilinear_forward(*ins)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         a, kernel, b = ins
-        col = a.reshape(-1, 1)
-        row = b.reshape(1, -1)
-        weighted = ctx["weighted"]
-        t = _scratch(ctx, "t", kernel.shape, kernel.dtype)
-        ga = gk = gb = None
-        if needs[0]:
-            # eager: grad * (kernel * row).sum(axis=1)
-            np.multiply(kernel, row, out=t)
-            ga = (grad * t.sum(axis=1)).reshape(a.shape)
-        if needs[1]:
-            # eager: grad * (col * row); a*b == b*a bitwise, so the scalar
-            # grad folds in-place after the outer product.
-            np.multiply(col, row, out=t)
-            gk = np.multiply(t, grad, out=t)
-        if needs[2]:
-            gb = (grad * weighted.sum(axis=0)).reshape(b.shape)
-        return (ga, gk, gb)
+        scratch = _scratch(ctx, "gk", kernel.shape, kernel.dtype) if needs[1] else None
+        return _bilinear_vjp(grad, a, kernel, b, ctx["kb"], needs, kernel_grad=scratch)
 
     return fwd, vjp
 

@@ -28,7 +28,8 @@ The pieces:
   :class:`~repro.serve.server.ServingFrontend`, and on a drift trigger
   warm-refits the estimator on the recent labelled window
   (:meth:`HTEEstimator.refit(window, init="fitted", epochs=k)
-  <repro.core.estimator.HTEEstimator.refit>`), hot-swaps it through the
+  <repro.core.estimator.HTEEstimator.refit>`), rejects the candidate if its
+  predictions on that window are not finite, hot-swaps it through the
   registry, and **rolls back automatically** if the post-swap drift score is
   worse than the score that triggered the refit.
 
@@ -475,7 +476,7 @@ class OnlineStepRecord:
     status: str
     domain_auc: float
     moment_score: float
-    action: str  # "none" | "refit" | "rollback"
+    action: str  # "none" | "refit" | "rollback" | "rejected"
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly view of the record."""
@@ -496,7 +497,7 @@ class OnlineStepRecord:
 
 @dataclass(frozen=True)
 class OnlineEvent:
-    """One lifecycle event (drift trigger, refit deploy, rollback)."""
+    """One lifecycle event (drift trigger, refit deploy, rollback, rejected refit)."""
 
     step: int
     kind: str
@@ -530,12 +531,18 @@ class OnlineRunReport:
         return sum(1 for event in self.events if event.kind == "rollback")
 
     @property
+    def rejections(self) -> int:
+        """Number of refit candidates never deployed (non-finite predictions)."""
+        return sum(1 for event in self.events if event.kind == "refit-rejected")
+
+    @property
     def refit_seconds(self) -> List[float]:
-        """Wall-clock of every refit attempt (kept or rolled back)."""
+        """Wall-clock of every refit attempt (kept, rolled back or rejected)."""
         return [
             float(event.details["refit_seconds"])
             for event in self.events
-            if event.kind in ("refit", "rollback") and "refit_seconds" in event.details
+            if event.kind in ("refit", "rollback", "refit-rejected")
+            and "refit_seconds" in event.details
         ]
 
     def first_trigger_step(self, after: int = 0) -> Optional[int]:
@@ -557,6 +564,7 @@ class OnlineRunReport:
             "failed_requests": self.failed_requests,
             "refits": self.refits,
             "rollbacks": self.rollbacks,
+            "rejections": self.rejections,
             "refit_seconds": self.refit_seconds,
         }
 
@@ -584,8 +592,11 @@ class OnlineServingLoop:
     refit_window_batches:
         How many of the most recent labelled batches form the refit window.
     cooldown_steps:
-        Steps to ignore further triggers after a refit or rollback, so a
-        rolled-back (still drifted) monitor does not re-fire every step.
+        Steps to ignore further triggers after a refit, rollback or
+        rejected candidate, so a still-drifted monitor does not re-fire
+        every step.  A candidate whose ``mu0``/``mu1`` on the refit window
+        are not all finite is rejected before deploy (``refit-rejected``
+        event); the live version keeps serving.
     request_rows:
         Rows per submitted request; each stream batch is split into
         ``ceil(batch_rows / request_rows)`` concurrent requests so the
@@ -710,17 +721,21 @@ class OnlineServingLoop:
         )
         started = time.perf_counter()
         candidate = self._refit_estimator(window)
-        refit_seconds = time.perf_counter() - started
-        version = self.frontend.deploy(self.model, candidate)
-        post_auc = self._post_swap_score(window)
         details: Dict[str, object] = {
-            "refit_seconds": refit_seconds,
+            "refit_seconds": time.perf_counter() - started,
             "refit_rows": len(window),
-            "version": version.version,
             "trigger_auc": check.domain_auc,
-            "post_swap_auc": post_auc,
         }
         self._cooldown = self.cooldown_steps
+        predictions = candidate.predict_potential_outcomes(window.covariates)
+        if not all(np.isfinite(predictions[key]).all() for key in ("mu0", "mu1")):
+            # Never deploy a candidate that answers NaN/inf: the live
+            # version keeps serving and the cooldown spaces the next try.
+            report.events.append(OnlineEvent(step=step, kind="refit-rejected", details=details))
+            return "rejected"
+        version = self.frontend.deploy(self.model, candidate)
+        post_auc = self._post_swap_score(window)
+        details.update(version=version.version, post_swap_auc=post_auc)
         if not math.isnan(post_auc) and post_auc > check.domain_auc + self.rollback_margin:
             restored = self.frontend.rollback(self.model)
             details["restored_version"] = restored.version

@@ -91,6 +91,32 @@ class TestDtypePolicy:
         assert np.isfinite(m32["pehe"])
         assert m32["pehe"] == pytest.approx(m64["pehe"], rel=0.05)
 
+    @pytest.mark.parametrize("ipm_kind", ["mmd_rbf", "mmd_linear"])
+    def test_float32_fit_keeps_sample_weights_float32(self, ipm_kind):
+        """The weight step's fused kernels must not promote float32 (NEP 50)."""
+        generator = SyntheticGenerator(
+            SyntheticConfig(num_instruments=3, num_confounders=3, num_adjustments=3, seed=9)
+        )
+        protocol = generator.generate_train_test_protocol(num_samples=120, seed=9)
+        config = SBRLConfig(
+            backbone=BackboneConfig(rep_layers=2, rep_units=8, head_layers=2, head_units=6),
+            regularizers=RegularizerConfig(
+                ipm_kind=ipm_kind, max_pairs_per_layer=4, subsample_threshold=None
+            ),
+            training=TrainingConfig(
+                iterations=3,
+                weight_update_every=1,
+                early_stopping_patience=None,
+                seed=9,
+                dtype="float32",
+            ),
+        )
+        estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=config, seed=9)
+        estimator.fit(protocol["train"])
+        weights = estimator.trainer.sample_weights.values
+        assert weights.data.dtype == np.float32
+        assert weights.grad is not None and weights.grad.dtype == np.float32
+
     def test_training_config_rejects_bad_dtype(self):
         with pytest.raises(ValueError, match="dtype"):
             TrainingConfig(dtype="float16")

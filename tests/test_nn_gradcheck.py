@@ -376,15 +376,41 @@ def test_rff_features_gradients(seed, n, features):
     check_gradients(lambda v: F.rff_features(v, frequencies, phases), values, seed=seed)
 
 
-@given(seed=seeds, n=st.integers(min_value=2, max_value=5), k=dims, m=dims)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=6), cols=dims, features=dims)
 @settings(**GRADCHECK_SETTINGS)
-def test_weighted_sq_cross_cov_gradients(seed, n, k, m):
+def test_rff_features_matrix_gradients(seed, n, cols, features):
     rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n, k))
-    v = rng.normal(size=(n, m))
-    probs = (np.abs(rng.normal(size=(n, 1))) + 0.1)
-    probs = probs / probs.sum()
-    check_gradients(F.weighted_sq_cross_cov, u, v, probs, seed=seed)
+    values = rng.normal(size=(n, cols))
+    frequencies = rng.normal(size=(cols, features))
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=(cols, features))
+    check_gradients(lambda v: F.rff_features(v, frequencies, phases), values, seed=seed)
+
+
+#: (columns, left, right) of the batched pair node: a column shared by
+#: several pairs, a single pair among three columns, and a 2-column layer.
+PAIR_LAYOUTS = {
+    "repeated-columns": (3, [0, 0, 1, 2], [1, 2, 2, 0]),
+    "single-pair": (3, [1], [2]),
+    "two-columns": (2, [0], [1]),
+}
+
+
+@pytest.mark.parametrize("layout", sorted(PAIR_LAYOUTS))
+@given(seed=seeds, n=st.integers(min_value=2, max_value=5), k=dims)
+@settings(**GRADCHECK_SETTINGS)
+def test_weighted_pair_sq_cross_cov_gradients(layout, seed, n, k):
+    cols, left, right = PAIR_LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(cols, k, n))
+    # Unnormalised on purpose: at sum(probs) == 1 the gradient paths through
+    # the weighted means vanish, and the check could not see them.
+    probs = np.abs(rng.normal(size=n)) + 0.1
+    check_gradients(
+        lambda f, p: F.weighted_pair_sq_cross_cov(f, p, np.array(left), np.array(right)),
+        features,
+        probs,
+        seed=seed,
+    )
 
 
 @given(seed=seeds, n=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=4))

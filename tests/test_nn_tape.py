@@ -12,7 +12,10 @@ Covers the contract of ``TrainingConfig.graph_replay``:
 * the in-place optimisers allocate zero tensors per step and keep parameter
   buffer identity (the property replay pins);
 * stacked multi-seed replay (``repro.core.stacked`` and
-  ``run_replications(stacked_replay=True)``) equals serial fits exactly.
+  ``run_replications(stacked_replay=True)``) equals serial fits exactly;
+* the fused regularizer kernels (``bilinear_weighted_sum`` with a constant
+  or a differentiable kernel, the batched HSIC pair node, matrix
+  ``rff_features``) give eager == replay == stacked, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from repro.core.loop import Callback
 from repro.core.stacked import fit_stacked
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.experiments.runner import MethodSpec, run_replications
+from repro.nn import functional as F
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
-from repro.nn.tape import GraphReplayError, TapeRecorder
+from repro.nn.tape import GraphReplayError, StackedProgram, TapeRecorder
 from repro.nn.tensor import Tensor, dtype_scope, tensor_alloc_count
 
 
@@ -125,6 +129,86 @@ class TestReplayBitIdentity:
             assert isinstance(record.graph_nodes, int) and record.graph_nodes > 0
             # Replayed vanilla full-batch iterations build no graph at all.
             assert record.tensor_allocs == 0
+
+
+def _record(build, arrays):
+    """Record ``build(*leaves)`` and its backward; returns (program, leaves)."""
+    leaves = [Tensor(array.copy(), requires_grad=True) for array in arrays]
+    with TapeRecorder() as recorder:
+        loss = build(*leaves)
+        loss.backward()
+    program = recorder.finalize(loss)
+    assert program is not None, recorder.aborted
+    return program, leaves
+
+
+def _eager(build, arrays):
+    leaves = [Tensor(array.copy(), requires_grad=True) for array in arrays]
+    loss = build(*leaves)
+    loss.backward()
+    return loss.item(), [leaf.grad for leaf in leaves]
+
+
+def _fused_kernel_cases():
+    rng = np.random.default_rng(7)
+    n, m, cols, k = 9, 7, 4, 3
+    kernel = np.exp(-rng.uniform(size=(n, m)))
+    freqs, phases = rng.normal(size=(cols, k)), rng.uniform(0.0, 6.0, size=(cols, k))
+    left, right = np.array([0, 0, 2, 1]), np.array([1, 3, 3, 3])
+    projection = rng.normal(size=(cols, k, n))
+
+    def positive(size):
+        return lambda r: np.abs(r.normal(size=size)) + 0.1
+
+    return {
+        "bilinear-constant-kernel": (
+            lambda a, b: F.bilinear_weighted_sum(a, kernel, b),
+            [positive(n), positive(m)],
+        ),
+        "bilinear-differentiable-kernel": (
+            F.bilinear_weighted_sum,
+            [positive(n), lambda r: np.exp(-r.uniform(size=(n, m))), positive(m)],
+        ),
+        "pair-node": (
+            lambda f, p: F.weighted_pair_sq_cross_cov(f, p / p.sum(), left, right),
+            [lambda r: r.normal(size=(cols, k, n)), positive(n)],
+        ),
+        "rff-matrix": (
+            lambda v: (F.rff_features(v, freqs, phases) * projection).sum(),
+            [lambda r: r.normal(size=(n, cols))],
+        ),
+    }
+
+
+class TestFusedKernelReplay:
+    @pytest.mark.parametrize("case", sorted(_fused_kernel_cases()))
+    def test_replay_and_stacked_equal_eager(self, case):
+        build, makers = _fused_kernel_cases()[case]
+        rng = np.random.default_rng(3)
+        recorded = [[make(rng) for make in makers] for _ in range(2)]
+        refreshed = [make(rng) for make in makers]
+
+        # Replay after an in-place parameter update equals eager at the new values.
+        program, leaves = _record(build, recorded[0])
+        for leaf, values in zip(leaves, refreshed):
+            leaf.data[...] = values
+        value = program.run()
+        eager_value, eager_grads = _eager(build, refreshed)
+        assert value == eager_value
+        for leaf, grad in zip(leaves, eager_grads):
+            np.testing.assert_array_equal(leaf.grad, grad)
+
+        # Two recordings stacked along a leading axis equal their eager runs.
+        records = [_record(build, arrays) for arrays in recorded]
+        stacked = StackedProgram([program for program, _ in records])
+        values = stacked.run()
+        first_leaves = [id(leaf) for leaf in records[0][1]]
+        for index, arrays in enumerate(recorded):
+            eager_value, eager_grads = _eager(build, arrays)
+            assert values[index] == eager_value
+            for param, sources in zip(stacked.params, stacked.param_sources):
+                grad = eager_grads[first_leaves.index(id(sources[0]))]
+                np.testing.assert_array_equal(param.grad[index], grad)
 
 
 class TestInvalidation:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -322,6 +323,35 @@ class TestOnlineServingLoop:
         finally:
             frontend.stop()
         assert calls and all(rows == 128 for rows in calls)
+
+    def test_non_finite_refit_is_rejected_before_deploy(self, online_stream, online_estimator):
+        """Fault injection: a refit yielding a NaN parameter never goes live."""
+
+        def refit_fn(estimator, window):
+            candidate = copy.deepcopy(estimator)
+            next(iter(candidate.trainer.backbone.parameters())).data.flat[0] = np.nan
+            return candidate
+
+        probe = online_stream.train.covariates[:32]
+        expected = online_estimator.predict_potential_outcomes(probe)
+        loop, frontend = _make_loop(online_stream, online_estimator, refit_fn=refit_fn)
+        try:
+            report = loop.run(online_stream)
+            served = frontend.submit(probe, model="m").result()
+        finally:
+            frontend.stop()
+        assert report.rejections >= 1
+        assert report.refits == 0 and report.rollbacks == 0
+        assert frontend.registry.live("m").version == 1
+        assert loop.estimator is online_estimator
+        assert report.failed_requests == 0
+        assert all(np.isfinite(record.pehe) for record in report.steps)
+        for key in ("mu0", "mu1", "ite"):
+            np.testing.assert_array_equal(served[key], expected[key])
+        rejected = next(event for event in report.events if event.kind == "refit-rejected")
+        assert rejected.details["refit_seconds"] > 0
+        assert "version" not in rejected.details
+        assert any(record.action == "rejected" for record in report.steps)
 
     def test_report_is_json_serialisable(self, online_stream, online_estimator):
         loop, frontend = _make_loop(online_stream, online_estimator)
