@@ -41,7 +41,8 @@ class BackboneForward:
         The balanced representation layer ``Z_r`` (``Φ(x)``), shape ``(n, d_r)``.
     last_layer:
         The last predictive hidden layer ``Z_p`` selected per unit from the
-        factual head, shape ``(n, d_p)``.
+        factual head, shape ``(n, d_p)``.  A constant with no autodiff
+        graph: only the sample-weight objective reads it.
     other_layers:
         Every other hidden activation ``Z_o`` (intermediate representation
         layers and intermediate head layers).
@@ -107,6 +108,19 @@ def select_factual_rows(treated: Tensor, control: Tensor, treatment: np.ndarray)
     """
     mask = as_tensor(np.asarray(treatment, dtype=np.float64).reshape(-1, 1))
     return treated * mask + control * (1.0 - mask)
+
+
+def constant_factual_rows(treated: Tensor, control: Tensor, treatment: np.ndarray) -> Tensor:
+    """:func:`select_factual_rows` on the values alone, as a graph-free constant.
+
+    ``Z_p`` feeds only the sample-weight objective, which holds it
+    constant.  Built from graph nodes it would leave nodes the network
+    loss never reaches (closure/tensor reference cycles) behind every
+    step, and replay would re-run them.  Same arithmetic, so the values
+    are bitwise those of :func:`select_factual_rows`.
+    """
+    mask = as_tensor(np.asarray(treatment, dtype=np.float64).reshape(-1, 1)).data
+    return Tensor(treated.data * mask + control.data * (1.0 - mask))
 
 
 class BaseBackbone(Module):

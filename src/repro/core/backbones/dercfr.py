@@ -30,7 +30,7 @@ from ...nn import functional as F
 from ...nn.modules import MLP, RepresentationNetwork
 from ...nn.tensor import Tensor, as_tensor, concatenate
 from ..config import BackboneConfig, RegularizerConfig
-from .base import BackboneForward, BaseBackbone, TwoHeadPredictor, select_factual_rows
+from .base import BackboneForward, BaseBackbone, TwoHeadPredictor, constant_factual_rows
 
 __all__ = ["DeRCFR", "DeRCFRPenalties"]
 
@@ -125,7 +125,7 @@ class DeRCFR(BaseBackbone):
 
         outcome_input = concatenate([rep_c, rep_a], axis=1)
         mu0, mu1, last0, last1, head_hidden = self.predictor(outcome_input)
-        last_layer = select_factual_rows(last1, last0, treatment)
+        last_layer = constant_factual_rows(last1, last0, treatment)
 
         treatment_input = concatenate([rep_i, rep_c], axis=1)
         treatment_logits = self.treatment_net(treatment_input).reshape(-1)

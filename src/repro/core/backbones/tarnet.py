@@ -15,7 +15,7 @@ import numpy as np
 from ...nn.modules import RepresentationNetwork
 from ...nn.tensor import Tensor, as_tensor
 from ..config import BackboneConfig, RegularizerConfig
-from .base import BackboneForward, BaseBackbone, TwoHeadPredictor, select_factual_rows
+from .base import BackboneForward, BaseBackbone, TwoHeadPredictor, constant_factual_rows
 
 __all__ = ["TARNet"]
 
@@ -55,7 +55,7 @@ class TARNet(BaseBackbone):
         covariates = as_tensor(covariates)
         representation, rep_hidden = self.representation.forward_with_hidden(covariates)
         mu0, mu1, last0, last1, head_hidden = self.predictor(representation)
-        last_layer = select_factual_rows(last1, last0, treatment)
+        last_layer = constant_factual_rows(last1, last0, treatment)
         return BackboneForward(
             mu0=mu0,
             mu1=mu1,

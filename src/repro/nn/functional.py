@@ -8,16 +8,24 @@ evaluation code.
 The fused kernels (:func:`linear`, :func:`pairwise_sq_dists`,
 :func:`rbf_kernel`, :func:`bce_with_logits`, the weighted losses,
 :func:`rff_features`, :func:`weighted_pair_sq_cross_cov`,
-:func:`bilinear_weighted_sum`) record a *single* graph node with a
-closed-form vector-Jacobian product instead of composing dozens of broadcast
-primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
-regularizer graphs by an order of magnitude (see
+:func:`bilinear_weighted_sum`, :func:`weighted_rbf_mmd`) record a *single*
+graph node with a closed-form vector-Jacobian product instead of composing
+dozens of broadcast primitives.  That collapses the per-step node count of
+the RBF-MMD / HSIC regularizer graphs by an order of magnitude (see
 ``benchmarks/bench_autodiff.py``).
 
 Numeric contract:
 
 * eager == replay == stacked, bit for bit: each fused node and its tape
   kernel (:mod:`repro.nn.tape`) run the same array code;
+* every RBF kernel block comes from one helper (an augmented gemm and an
+  in-place ``exp``), which matches the ``|a|² + |b|² - 2 a·b`` expansion it
+  replaced within a relative 1e-12;
+* the :func:`weighted_rbf_mmd` value is bitwise the kernel-block
+  composition's (:func:`rbf_kernel` blocks reduced by
+  :func:`bilinear_weighted_sum`), and its gradients match that
+  composition's within a relative 1e-12
+  (``tests/test_network_step_mmd.py``);
 * the batched HSIC pair node and the mat-vec bilinear form sum in a
   different order than the per-pair / elementwise compositions they
   replaced, so they match those within a relative 1e-12, not bitwise
@@ -54,6 +62,7 @@ __all__ = [
     "rff_features",
     "weighted_pair_sq_cross_cov",
     "bilinear_weighted_sum",
+    "weighted_rbf_mmd",
 ]
 
 
@@ -155,21 +164,44 @@ def pairwise_sq_dists(a: ArrayLike, b: ArrayLike) -> Tensor:
     return _tape_record(out, "pairwise_sq_dists", (a_t, b_t))
 
 
+def _rbf_block(
+    a: np.ndarray, b: np.ndarray, scale: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``exp(scale · ||a_i - b_j||²)`` from one augmented gemm and an in-place ``exp``.
+
+    ``[-2s·a, s·|a|², 1] @ [b, 1, s·|b|²]ᵀ`` writes ``s·D`` straight into
+    the ``n × m`` output (``out`` when given), so a block costs one gemm and
+    one ``exp`` pass instead of a gemm and five elementwise passes.  Every
+    RBF kernel block is built here (eager :func:`rbf_kernel`, its tape
+    kernel and :func:`weighted_rbf_mmd`), so they agree bitwise.
+    """
+    d = a.shape[1]
+    left = np.empty((a.shape[0], d + 2), dtype=a.dtype)
+    np.multiply(a, -2.0 * scale, out=left[:, :d])
+    left[:, d] = scale * np.einsum("ij,ij->i", a, a)
+    left[:, d + 1] = 1.0
+    right = np.empty((b.shape[0], d + 2), dtype=b.dtype)
+    right[:, :d] = b
+    right[:, d] = 1.0
+    right[:, d + 1] = scale * np.einsum("ij,ij->i", b, b)
+    out = np.matmul(left, right.T, out=out)
+    np.exp(out, out=out)
+    return out
+
+
 def rbf_kernel(a: ArrayLike, b: ArrayLike, sigma: float = 1.0) -> Tensor:
     """RBF (Gaussian) kernel matrix ``exp(-||a_i - b_j||² / (2σ²))``, fused.
 
     The pairwise distances and the exponential are one graph node with an
-    analytic VJP, so an RBF-MMD term contributes three nodes to the graph
-    instead of ~36.
+    analytic VJP.  The forward is one augmented gemm and an in-place
+    ``exp`` (:func:`_rbf_block`).
     """
     a_t = as_tensor(a)
     b_t = as_tensor(b)
     if a_t.ndim != 2 or b_t.ndim != 2:
         raise ValueError("rbf_kernel expects 2-D (rows, features) inputs")
     scale = -1.0 / (2.0 * sigma ** 2)
-    out_data = _pairwise_sq_data(a_t.data, b_t.data)
-    out_data *= scale
-    np.exp(out_data, out=out_data)
+    out_data = _rbf_block(a_t.data, b_t.data, scale)
 
     def backward(grad: np.ndarray, at=a_t, bt=b_t, s=scale) -> None:
         grad_sq = grad * out.data * s
@@ -497,18 +529,14 @@ def _bilinear_forward(a: np.ndarray, kernel: np.ndarray, b: np.ndarray):
     return a.reshape(-1) @ kb, kb
 
 
-def _bilinear_vjp(grad, a, kernel, b, kb, needs, kernel_grad=None) -> tuple:
-    """VJP of ``a · (K b)``: ``g K b``, ``g a bᵀ`` (only when needed), ``g a K``.
-
-    ``kernel_grad`` is an optional preallocated buffer for the ``n × m``
-    kernel gradient (the tape kernel reuses one across runs).
-    """
+def _bilinear_vjp(grad, a, kernel, b, kb, needs) -> tuple:
+    """VJP of ``a · (K b)``: ``g K b``, ``g a bᵀ`` (only when needed), ``g a K``."""
     a_vec = a.reshape(-1)
     ga = (grad * kb).reshape(a.shape) if needs[0] else None
     gk = None
     if needs[1]:
-        gk = np.multiply(a_vec[:, None], b.reshape(1, -1), out=kernel_grad)
-        gk = np.multiply(gk, grad, out=gk)
+        gk = np.outer(a_vec, b)
+        gk *= grad
     gb = (grad * (a_vec @ kernel)).reshape(b.shape) if needs[2] else None
     return ga, gk, gb
 
@@ -539,3 +567,109 @@ def bilinear_weighted_sum(
 
     out = Tensor._make(np.asarray(value), (a_t, k_t, b_t), backward)
     return _tape_record(out, "bilinear_weighted_sum", (a_t, k_t, b_t))
+
+
+# --------------------------------------------------------------------------- #
+# Fused weighted RBF-MMD (the network step's Balancing Regularizer, Eq. 4)
+# --------------------------------------------------------------------------- #
+def _rbf_mmd_forward(rep_c, rep_t, w_c, w_t, scale, blocks=(None, None, None)):
+    """``(value, saved)`` of :func:`weighted_rbf_mmd` on arrays.
+
+    ``blocks`` are optional ``n_c × n_c``, ``n_t × n_t`` and ``n_c × n_t``
+    output buffers for the kernel blocks (the tape kernel reuses its own
+    across runs).  The value is reduced exactly as
+    ``mmd_rbf_from_kernels`` reduces the same blocks, so the two are
+    bitwise equal.  Shared by the eager node and its tape kernel.
+    """
+    k_cc = _rbf_block(rep_c, rep_c, scale, blocks[0])
+    k_tt = _rbf_block(rep_t, rep_t, scale, blocks[1])
+    k_ct = _rbf_block(rep_c, rep_t, scale, blocks[2])
+    v_cc, kw_cc = _bilinear_forward(w_c, k_cc, w_c)
+    v_tt, kw_tt = _bilinear_forward(w_t, k_tt, w_t)
+    v_ct, kw_ct = _bilinear_forward(w_c, k_ct, w_t)
+    return (v_cc + v_tt) - 2.0 * v_ct, (k_cc, k_tt, k_ct, kw_cc, kw_tt, kw_ct)
+
+
+def _rbf_mmd_rep_grad(rep, diff, w, self_term, cross_term, coef):
+    """``coef · w ⊙ [R ⊙ diff - K_self (w ⊙ R) + K_cross (w' ⊙ R')]``.
+
+    ``self_term`` and ``cross_term`` are the two kernel products in the
+    transposed ``(d, n)`` layout the gemms produce; the result is returned
+    as an ``(n, d)`` view.
+    """
+    acc = cross_term
+    acc -= self_term
+    acc += rep.T * diff
+    acc *= w
+    acc *= coef
+    return acc.T
+
+
+def _rbf_mmd_vjp(grad, rep_c, rep_t, w_c, w_t, scale, saved, needs) -> tuple:
+    """Closed-form VJP of :func:`weighted_rbf_mmd` wrt ``(R_c, R_t, w_c, w_t)``.
+
+    With ``s = -1/(2σ²)`` and upstream gradient ``g``::
+
+        ∂R_c = 4sg · w_c ⊙ [R_c ⊙ (K_cc w_c - K_ct w_t) - K_cc(w_c⊙R_c) + K_ct(w_t⊙R_t)]
+        ∂R_t = 4sg · w_t ⊙ [R_t ⊙ (K_tt w_t - K_ctᵀw_c) - K_tt(w_t⊙R_t) + K_ctᵀ(w_c⊙R_c)]
+        ∂w_c = 2g (K_cc w_c - K_ct w_t),   ∂w_t = 2g (K_tt w_t - K_ctᵀ w_c)
+
+    The ``K w`` vectors come from the forward and ``K_ctᵀ w_c`` is one gemv;
+    the representation gradients take four thin gemms of ``(w ⊙ R)ᵀ``
+    against the kernel blocks (``Bᵀ K`` with a C-contiguous ``Bᵀ`` was the
+    fastest orientation on a 2-CPU host with single-threaded OpenBLAS) and
+    no ``n × m`` gradient is formed.
+    """
+    k_cc, k_tt, k_ct, kw_cc, kw_tt, kw_ct = saved
+    wc = w_c.reshape(-1)
+    wt = w_t.reshape(-1)
+    diff_c = kw_cc - kw_ct
+    diff_t = kw_tt - wc @ k_ct
+    g_rc = g_rt = None
+    if needs[0] or needs[1]:
+        bc = np.multiply(rep_c.T, wc, out=np.empty(rep_c.shape[::-1], dtype=rep_c.dtype))
+        bt = np.multiply(rep_t.T, wt, out=np.empty(rep_t.shape[::-1], dtype=rep_t.dtype))
+        coef = (4.0 * scale) * grad
+        if needs[0]:
+            g_rc = _rbf_mmd_rep_grad(rep_c, diff_c, wc, bc @ k_cc, bt @ k_ct.T, coef)
+        if needs[1]:
+            g_rt = _rbf_mmd_rep_grad(rep_t, diff_t, wt, bt @ k_tt, bc @ k_ct, coef)
+    g_wc = ((2.0 * grad) * diff_c).reshape(w_c.shape) if needs[2] else None
+    g_wt = ((2.0 * grad) * diff_t).reshape(w_t.shape) if needs[3] else None
+    return g_rc, g_rt, g_wc, g_wt
+
+
+def weighted_rbf_mmd(
+    rep_control: ArrayLike,
+    rep_treated: ArrayLike,
+    weights_control: ArrayLike,
+    weights_treated: ArrayLike,
+    sigma: float = 1.0,
+) -> Tensor:
+    """Weighted RBF-MMD ``w_cᵀK_cc w_c + w_tᵀK_tt w_t - 2 w_cᵀK_ct w_t``, one node.
+
+    ``weights_control`` / ``weights_treated`` are used as given (callers
+    pass weights normalised to sum one).  The forward builds the three
+    kernel blocks with :func:`_rbf_block` and reduces them by mat-vec; the
+    VJP is closed-form (:func:`_rbf_mmd_vjp`) and never forms an ``n × m``
+    gradient.  The value is bitwise that of the :func:`rbf_kernel` /
+    :func:`bilinear_weighted_sum` composition; the gradients match it
+    within a relative 1e-12.
+    """
+    parents = tuple(
+        as_tensor(x) for x in (rep_control, rep_treated, weights_control, weights_treated)
+    )
+    if parents[0].ndim != 2 or parents[1].ndim != 2:
+        raise ValueError("weighted_rbf_mmd expects 2-D (rows, features) representations")
+    scale = -1.0 / (2.0 * sigma ** 2)
+    value, saved = _rbf_mmd_forward(*(p.data for p in parents), scale)
+
+    def backward(grad: np.ndarray, parents=parents, saved=saved) -> None:
+        needs = tuple(p.requires_grad for p in parents)
+        grads = _rbf_mmd_vjp(grad, *(p.data for p in parents), scale, saved, needs)
+        for parent, g in zip(parents, grads):
+            if g is not None:
+                out._send(parent, g)
+
+    out = Tensor._make(np.asarray(value), parents, backward)
+    return _tape_record(out, "weighted_rbf_mmd", parents, {"scale": scale})

@@ -548,18 +548,18 @@ def _k_stack():
     return fwd, vjp
 
 
-def _pairwise_into(out, a, b, ctx, prefix):
+def _pairwise_into(out, a, b, ctx):
     """out <- ||a_i - b_j||^2, bitwise equal to the eager fused kernel."""
     d = out.dtype
-    ta = _scratch(ctx, prefix + "aa", a.shape, a.dtype)
+    ta = _scratch(ctx, "aa", a.shape, a.dtype)
     np.multiply(a, a, out=ta)
-    ra = _scratch(ctx, prefix + "ra", (a.shape[0],), a.dtype)
+    ra = _scratch(ctx, "ra", (a.shape[0],), a.dtype)
     ta.sum(axis=1, out=ra)
-    tb = _scratch(ctx, prefix + "bb", b.shape, b.dtype)
+    tb = _scratch(ctx, "bb", b.shape, b.dtype)
     np.multiply(b, b, out=tb)
-    rb = _scratch(ctx, prefix + "rb", (b.shape[0],), b.dtype)
+    rb = _scratch(ctx, "rb", (b.shape[0],), b.dtype)
     tb.sum(axis=1, out=rb)
-    ab = _scratch(ctx, prefix + "ab", (a.shape[0], b.shape[0]), d)
+    ab = _scratch(ctx, "ab", (a.shape[0], b.shape[0]), d)
     np.matmul(a, b.T, out=ab)
     np.add(ra[:, None], rb[None, :], out=out)
     np.multiply(ab, 2.0, out=ab)
@@ -576,7 +576,7 @@ def _pairwise_vjp_literal(grad, a, b, needs):
 @_kernel("pairwise_sq_dists")
 def _k_pairwise():
     def fwd(out, ins, attrs, ctx):
-        _pairwise_into(out, ins[0], ins[1], ctx, "")
+        _pairwise_into(out, ins[0], ins[1], ctx)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         return _pairwise_vjp_literal(grad, ins[0], ins[1], needs)
@@ -586,11 +586,10 @@ def _k_pairwise():
 
 @_kernel("rbf_kernel")
 def _k_rbf():
+    from .functional import _rbf_block
+
     def fwd(out, ins, attrs, ctx):
-        sq = _scratch(ctx, "sq", out.shape, out.dtype)
-        _pairwise_into(sq, ins[0], ins[1], ctx, "p_")
-        np.multiply(sq, attrs["scale"], out=out)
-        np.exp(out, out=out)
+        _rbf_block(ins[0], ins[1], attrs["scale"], out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         # eager: grad_sq = grad * out * scale, evaluated left to right
@@ -834,9 +833,27 @@ def _k_bilinear():
         out[...], ctx["kb"] = _bilinear_forward(*ins)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        a, kernel, b = ins
-        scratch = _scratch(ctx, "gk", kernel.shape, kernel.dtype) if needs[1] else None
-        return _bilinear_vjp(grad, a, kernel, b, ctx["kb"], needs, kernel_grad=scratch)
+        return _bilinear_vjp(grad, *ins, ctx["kb"], needs)
+
+    return fwd, vjp
+
+
+@_kernel("weighted_rbf_mmd")
+def _k_weighted_rbf_mmd():
+    from .functional import _rbf_mmd_forward, _rbf_mmd_vjp
+
+    def fwd(out, ins, attrs, ctx):
+        n_c, n_t = ins[0].shape[0], ins[1].shape[0]
+        dtype = np.result_type(ins[0], ins[1])
+        blocks = (
+            _scratch(ctx, "k_cc", (n_c, n_c), dtype),
+            _scratch(ctx, "k_tt", (n_t, n_t), dtype),
+            _scratch(ctx, "k_ct", (n_c, n_t), dtype),
+        )
+        out[...], ctx["saved"] = _rbf_mmd_forward(*ins, attrs["scale"], blocks)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return _rbf_mmd_vjp(grad, *ins, attrs["scale"], ctx["saved"], needs)
 
     return fwd, vjp
 

@@ -1,0 +1,224 @@
+"""The network step's fused weighted RBF-MMD against the composition it replaced.
+
+``mmd_rbf_weighted`` is one ``weighted_rbf_mmd`` node whose kernel blocks
+come from one augmented gemm.  This file keeps the previous formulation
+verbatim as the reference:
+
+* the ``|a|² + |b|² - 2 a·b`` → scale → ``exp`` kernel node with its
+  ``_pairwise_sq_vjp``-style backward;
+* three such blocks with a differentiable kernel, each reduced by the
+  elementwise bilinear form ``Σ_ij a_i K_ij b_j``.
+
+It also pins the hot path itself: a recorded full-batch CFR + ``mmd_rbf``
+network step holds one fused instruction and keeps no ``n × m`` arrays
+besides the three kernel blocks, and a float32 step stays in float32.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
+from repro.core.estimator import HTEEstimator
+from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
+from repro.metrics.ipm import mmd_rbf_from_kernels, mmd_rbf_weighted, rbf_kernel_blocks
+from repro.nn import functional as F
+from repro.nn.tape import TapeRecorder
+from repro.nn.tensor import Tensor, as_tensor, dtype_scope
+
+RTOL = 1e-12
+SIGMA = 1.7
+
+
+# --------------------------------------------------------------------------- #
+# Reference: the kernel-block composition, kept verbatim
+# --------------------------------------------------------------------------- #
+def reference_rbf_kernel(a, b, sigma: float) -> Tensor:
+    """The expansion → scale → ``exp`` kernel node the augmented gemm replaced."""
+    a_t, b_t = as_tensor(a), as_tensor(b)
+    scale = -1.0 / (2.0 * sigma ** 2)
+    cross = a_t.data @ b_t.data.T
+    cross *= 2.0
+    out_data = np.sum(a_t.data * a_t.data, axis=1)[:, None] + np.sum(b_t.data * b_t.data, axis=1)[None, :]
+    out_data -= cross
+    out_data *= scale
+    np.exp(out_data, out=out_data)
+
+    def backward(grad, at=a_t, bt=b_t, s=scale):
+        grad_sq = grad * out.data * s
+        a_data, b_data = at.data, bt.data
+        out._send(at, 2.0 * a_data * grad_sq.sum(axis=1, keepdims=True) - 2.0 * (grad_sq @ b_data))
+        out._send(bt, 2.0 * b_data * grad_sq.sum(axis=0)[:, None] - 2.0 * (grad_sq.T @ a_data))
+
+    out = Tensor._make(out_data, (a_t, b_t), backward)
+    return out
+
+
+def reference_bilinear(weights_a: Tensor, kernel: Tensor, weights_b: Tensor) -> Tensor:
+    """The elementwise ``Σ_ij a_i K_ij b_j`` node."""
+    a_t, k_t, b_t = as_tensor(weights_a), as_tensor(kernel), as_tensor(weights_b)
+    col = a_t.data.reshape(-1, 1)
+    row = b_t.data.reshape(1, -1)
+    weighted = col * k_t.data
+    value = (weighted * row).sum()
+
+    def backward(grad, at=a_t, kt=k_t, bt=b_t, col=col, row=row, weighted=weighted):
+        out._send(at, (grad * (kt.data * row).sum(axis=1)).reshape(at.data.shape))
+        out._send(kt, grad * (col * row))
+        out._send(bt, (grad * weighted.sum(axis=0)).reshape(bt.data.shape))
+
+    out = Tensor._make(np.asarray(value), (a_t, k_t, b_t), backward)
+    return out
+
+
+def reference_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weights_treated, sigma):
+    """Differentiable kernel blocks reduced through the elementwise bilinear form."""
+
+    def normalised(weights):
+        weights = as_tensor(weights)
+        return weights / (weights.sum() + 1e-12)
+
+    w_c = normalised(weights_control)
+    w_t = normalised(weights_treated)
+    k_cc = reference_bilinear(w_c, reference_rbf_kernel(rep_control, rep_control, sigma), w_c)
+    k_tt = reference_bilinear(w_t, reference_rbf_kernel(rep_treated, rep_treated, sigma), w_t)
+    k_ct = reference_bilinear(w_c, reference_rbf_kernel(rep_control, rep_treated, sigma), w_t)
+    return k_cc + k_tt - 2.0 * k_ct
+
+
+def _relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    """Largest absolute difference relative to the largest reference entry."""
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+def _groups(n_control: int, n_treated: int):
+    rng = np.random.default_rng(n_control * 100 + n_treated)
+    return (
+        rng.normal(size=(n_control, 5)),
+        rng.normal(size=(n_treated, 5)) + 0.3,
+        rng.uniform(0.2, 2.0, size=n_control),
+        rng.uniform(0.2, 2.0, size=n_treated),
+    )
+
+
+def _value_and_grads(fn, arrays):
+    leaves = [Tensor(array.copy(), requires_grad=True) for array in arrays]
+    loss = fn(*leaves)
+    loss.backward()
+    return loss.item(), [leaf.grad for leaf in leaves]
+
+
+ARMS = [(40, 40), (37, 23)]
+
+
+# --------------------------------------------------------------------------- #
+# Tests
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("n_control, n_treated", ARMS)
+def test_kernel_block_matches_the_expansion(n_control, n_treated):
+    control, treated, _, _ = _groups(n_control, n_treated)
+    for a, b in ((control, control), (treated, treated), (control, treated)):
+        new = F.rbf_kernel(a, b, SIGMA).numpy()
+        old = reference_rbf_kernel(a, b, SIGMA).numpy()
+        np.testing.assert_allclose(new, old, rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("n_control, n_treated", ARMS)
+def test_fused_value_is_bitwise_the_kernel_block_composition(n_control, n_treated):
+    arrays = _groups(n_control, n_treated)
+    fused = mmd_rbf_weighted(*arrays, sigma=SIGMA).item()
+    rep_control, rep_treated, w_control, w_treated = (Tensor(a) for a in arrays)
+    blocks = rbf_kernel_blocks(rep_control, rep_treated, SIGMA)
+    assert fused == mmd_rbf_from_kernels(blocks, w_control, w_treated).item()
+
+
+@pytest.mark.parametrize("n_control, n_treated", ARMS)
+def test_fused_gradients_match_the_reference_composition(n_control, n_treated):
+    arrays = _groups(n_control, n_treated)
+    value, grads = _value_and_grads(
+        lambda c, t, wc, wt: mmd_rbf_weighted(c, t, wc, wt, sigma=SIGMA), arrays
+    )
+    ref_value, ref_grads = _value_and_grads(
+        lambda c, t, wc, wt: reference_mmd_rbf_weighted(c, t, wc, wt, SIGMA), arrays
+    )
+    assert value == pytest.approx(ref_value, rel=RTOL, abs=0.0)
+    for grad, ref_grad in zip(grads, ref_grads):
+        assert grad.shape == ref_grad.shape
+        assert _relative_error(grad, ref_grad) <= RTOL
+
+
+def test_float32_network_step_node_keeps_its_gradients_float32():
+    """No NumPy float64 scalar may promote the fused kernels (NEP 50).
+
+    The arms are leaves here: behind CFR's row gathers a float64 gradient
+    would be cast back to float32 silently, so only the node's own outputs
+    can show a promotion.
+    """
+    arrays = _groups(23, 17)
+    with dtype_scope("float32"):
+
+        def step():
+            leaves = [Tensor(array, requires_grad=True) for array in arrays]
+            loss = F.weighted_rbf_mmd(*leaves, SIGMA)
+            loss.backward()
+            return leaves, loss
+
+        leaves, loss = step()
+        assert loss.data.dtype == np.float32
+        assert [leaf.grad.dtype for leaf in leaves] == [np.float32] * 4
+        with TapeRecorder() as recorder:
+            leaves, loss = step()
+        program = recorder.finalize(loss)
+        assert program is not None, recorder.aborted
+        program.run()
+        assert [leaf.grad.dtype for leaf in leaves] == [np.float32] * 4
+
+
+def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
+    generator = SyntheticGenerator(
+        SyntheticConfig(num_instruments=3, num_confounders=3, num_adjustments=3, seed=2)
+    )
+    train = generator.generate_train_test_protocol(num_samples=200, seed=2)["train"]
+    config = SBRLConfig(
+        backbone=BackboneConfig(rep_layers=2, rep_units=8, head_layers=2, head_units=6),
+        regularizers=RegularizerConfig(
+            alpha=0.1, ipm_kind="mmd_rbf", max_pairs_per_layer=4, subsample_threshold=None
+        ),
+        training=TrainingConfig(
+            iterations=3, early_stopping_patience=None, seed=2, graph_replay="auto"
+        ),
+    )
+    estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=config, seed=2)
+    estimator.fit(train)
+    replay = estimator.trainer._replay
+    assert replay.stats["hits"] >= 1, replay.stats
+    [(program, _, _)] = replay._cache.values()
+
+    ops = [instr.op for instr in program.instructions]
+    assert ops.count("weighted_rbf_mmd") == 1
+    assert "rbf_kernel" not in ops and "bilinear_weighted_sum" not in ops
+
+    # After a replay, the only arrays of n_c·n_t elements or more in any
+    # instruction's scratch are the fused node's three kernel blocks.
+    [fused] = [instr for instr in program.instructions if instr.op == "weighted_rbf_mmd"]
+    rep_c, rep_t = fused.ins[0], fused.ins[1]
+    blocks = [F.rbf_kernel(a, b).numpy() for a, b in ((rep_c, rep_c), (rep_t, rep_t), (rep_c, rep_t))]
+    n_treated = int(train.treatment.sum())
+    limit = (len(train) - n_treated) * n_treated
+    large = {}
+    for instr in program.instructions:
+        stack = list(instr.ctx.values())
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (tuple, list)):
+                stack.extend(item)
+            elif isinstance(item, np.ndarray) and item.size >= limit:
+                large[id(item)] = (instr, item)
+    matched = []
+    for instr, item in large.values():
+        assert instr is fused, instr.op
+        matched.append(
+            next(i for i, block in enumerate(blocks) if block.shape == item.shape and np.array_equal(block, item))
+        )
+    assert 2 in matched and len(set(matched)) == len(matched)

@@ -13,6 +13,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.core.backbones import build_backbone
 from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
 from repro.core.estimator import HTEEstimator
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
@@ -151,6 +152,38 @@ class TestGraphRetention:
         gc.collect()
         assert ref() is None, "backward() must drop parent links so the graph is freed"
         np.testing.assert_allclose(x.grad, 3.0 * (1.0 - np.tanh(3.0) ** 2) * np.ones((5, 5)))
+
+    @pytest.mark.parametrize("backbone", ["tarnet", "cfr", "dercfr"])
+    def test_eager_network_step_leaves_no_cyclic_last_layer(self, backbone):
+        """``Z_p`` is not built from graph nodes the network loss never reaches.
+
+        Such nodes keep a closure <-> tensor cycle alive until the cyclic
+        collector runs, so with the collector off they would outlive the step.
+        """
+        rng = np.random.default_rng(0)
+        covariates = rng.normal(size=(40, 5))
+        treatment = (np.arange(40) % 2).astype(np.float64)
+        outcome = rng.normal(size=40)
+        model = build_backbone(
+            backbone,
+            num_features=5,
+            config=BackboneConfig(rep_layers=2, rep_units=6, head_layers=2, head_units=4),
+            regularizers=RegularizerConfig(ipm_kind="mmd_rbf", subsample_threshold=None),
+            binary_outcome=False,
+            rng=np.random.default_rng(1),
+        )
+        weights = Tensor(rng.uniform(0.5, 1.5, size=40))
+        gc.disable()
+        try:
+            forward = model.forward(covariates, treatment)
+            loss = model.network_loss(forward, treatment, outcome, weights)
+            model.zero_grad()
+            loss.backward()
+            ref = weakref.ref(forward.last_layer)
+            del forward, loss
+            assert ref() is None, "last_layer outlived its network step without gc.collect()"
+        finally:
+            gc.enable()
 
     def test_second_backward_through_released_graph_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)

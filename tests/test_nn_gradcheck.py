@@ -443,6 +443,26 @@ def test_mmd_rbf_weighted_gradients(seed, n_control, n_treated, features):
     )
 
 
+@pytest.mark.parametrize("n_control, n_treated", [(1, 3), (4, 1), (3, 2)])
+@given(seed=seeds, features=dims)
+@settings(**GRADCHECK_SETTINGS)
+def test_weighted_rbf_mmd_gradients(n_control, n_treated, seed, features):
+    rng = np.random.default_rng(seed)
+    control = rng.normal(size=(n_control, features))
+    treated = rng.normal(size=(n_treated, features))
+    # Unnormalised weights: the node uses them as given.
+    w_control = np.abs(rng.normal(size=(n_control,))) + 0.2
+    w_treated = np.abs(rng.normal(size=(n_treated,))) + 0.2
+    check_gradients(
+        lambda c, t, wc, wt: F.weighted_rbf_mmd(c, t, wc, wt, sigma=0.8),
+        control,
+        treated,
+        w_control,
+        w_treated,
+        seed=seed,
+    )
+
+
 @given(seed=seeds, n=st.integers(min_value=3, max_value=6))
 @settings(max_examples=5, deadline=None)
 def test_weighted_hsic_rff_gradients(seed, n):

@@ -15,7 +15,8 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   ``run_replications(stacked_replay=True)``) equals serial fits exactly;
 * the fused regularizer kernels (``bilinear_weighted_sum`` with a constant
   or a differentiable kernel, the batched HSIC pair node, matrix
-  ``rff_features``) give eager == replay == stacked, bit for bit.
+  ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
+  weights) give eager == replay == stacked, bit for bit.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ def _fused_kernel_cases():
     freqs, phases = rng.normal(size=(cols, k)), rng.uniform(0.0, 6.0, size=(cols, k))
     left, right = np.array([0, 0, 2, 1]), np.array([1, 3, 3, 3])
     projection = rng.normal(size=(cols, k, n))
+    w_n, w_m = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
 
     def positive(size):
         return lambda r: np.abs(r.normal(size=size)) + 0.1
@@ -176,6 +178,20 @@ def _fused_kernel_cases():
         "rff-matrix": (
             lambda v: (F.rff_features(v, freqs, phases) * projection).sum(),
             [lambda r: r.normal(size=(n, cols))],
+        ),
+        # The network step: differentiable representations, constant weights.
+        "rbf-mmd-constant-weights": (
+            lambda rc, rt: F.weighted_rbf_mmd(rc, rt, w_n, w_m, 1.3),
+            [lambda r: r.normal(size=(n, cols)), lambda r: r.normal(size=(m, cols))],
+        ),
+        "rbf-mmd-differentiable-weights": (
+            lambda rc, rt, wc, wt: F.weighted_rbf_mmd(rc, rt, wc, wt, 1.3),
+            [
+                lambda r: r.normal(size=(n, cols)),
+                lambda r: r.normal(size=(m, cols)),
+                positive(n),
+                positive(m),
+            ],
         ),
     }
 
