@@ -45,8 +45,7 @@ _THRASH_LIMIT = 4
 class NetworkStepReplay:
     """Record-once / replay-many execution of the trainer's network step."""
 
-    def __init__(self, trainer) -> None:
-        self.trainer = trainer
+    def __init__(self) -> None:
         self.enabled = True
         self._cache: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._consecutive_misses = 0
@@ -62,22 +61,27 @@ class NetworkStepReplay:
     # ------------------------------------------------------------------ #
     def step(
         self,
+        trainer,
         covariates: np.ndarray,
         treatment: np.ndarray,
         outcome: np.ndarray,
         indices: Optional[np.ndarray],
     ) -> float:
-        """Execute one training step through the record/replay cache."""
-        trainer = self.trainer
-        if not self.enabled or _TAPE.recorder is not None:
-            return self._eager_step(covariates, treatment, outcome, indices)
+        """Execute one training step of ``trainer`` through the record/replay cache.
 
-        signature = self._signature(covariates, treatment, outcome, indices)
+        The trainer is passed per call, not stored: the trainer owns this
+        engine, and a back-reference would make the pair a cycle that only
+        the cyclic garbage collector frees.
+        """
+        if not self.enabled or _TAPE.recorder is not None:
+            return self._eager_step(trainer, covariates, treatment, outcome, indices)
+
+        signature = self._signature(trainer, covariates, treatment, outcome, indices)
         entry = self._cache.get(signature)
         if entry is not None:
             program, weight_buffer, _pins = entry
             try:
-                self._refresh_weights(weight_buffer, indices)
+                self._refresh_weights(trainer, weight_buffer, indices)
                 loss = program.run()
             except TapeStale:
                 # A parameter or dynamic-input assumption broke (e.g. a
@@ -102,7 +106,7 @@ class NetworkStepReplay:
                 "batch identities never repeat (minibatch mode); replay "
                 "cannot amortise the recording"
             )
-            return self._eager_step(covariates, treatment, outcome, indices)
+            return self._eager_step(trainer, covariates, treatment, outcome, indices)
 
         weight_buffer = None
         recorder_inputs = ()
@@ -110,7 +114,7 @@ class NetworkStepReplay:
             values = trainer.sample_weights.numpy()
             size = len(values) if indices is None else len(indices)
             weight_buffer = np.empty(size, dtype=get_default_dtype())
-            self._refresh_weights(weight_buffer, indices)
+            self._refresh_weights(trainer, weight_buffer, indices)
             recorder_inputs = (weight_buffer,)
 
         recorder = TapeRecorder(inputs=recorder_inputs)
@@ -137,24 +141,25 @@ class NetworkStepReplay:
         return loss_tensor.item()
 
     # ------------------------------------------------------------------ #
-    def _eager_step(self, covariates, treatment, outcome, indices) -> float:
-        trainer = self.trainer
+    def _eager_step(self, trainer, covariates, treatment, outcome, indices) -> float:
         loss = trainer._network_forward_backward(covariates, treatment, outcome, indices)
         trainer._optimizer.step()
         trainer.last_step_stats = {"replay_hit": False, "graph_nodes": None}
         return loss.item()
 
-    def _refresh_weights(self, weight_buffer, indices) -> None:
+    @staticmethod
+    def _refresh_weights(trainer, weight_buffer, indices) -> None:
         if weight_buffer is None:
             return
-        values = self.trainer.sample_weights.numpy()
+        values = trainer.sample_weights.numpy()
         if indices is None:
             np.copyto(weight_buffer, values)
         else:
             # Same float64 -> policy-dtype cast as the eager as_tensor path.
             weight_buffer[...] = values[indices]
 
-    def _signature(self, covariates, treatment, outcome, indices) -> tuple:
+    @staticmethod
+    def _signature(trainer, covariates, treatment, outcome, indices) -> tuple:
         # The treatment bytes are cheap insurance against an aliased buffer
         # being rewritten in place between steps (ids alone would match).
         return (
@@ -169,7 +174,7 @@ class NetworkStepReplay:
             indices is None,
             id(indices),
             str(get_default_dtype()),
-            repr(self.trainer.config),
+            repr(trainer.config),
         )
 
     def _disable(self, reason: str) -> None:

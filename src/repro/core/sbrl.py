@@ -292,7 +292,7 @@ class SBRLTrainer:
                 )
 
         self._optimizer = build_training_optimizer(self.backbone.parameters(), cfg)
-        self._replay = NetworkStepReplay(self) if cfg.graph_replay == "auto" else None
+        self._replay = NetworkStepReplay() if cfg.graph_replay == "auto" else None
 
         if self.uses_weights:
             self.sample_weights = SampleWeights(
@@ -360,7 +360,7 @@ class SBRLTrainer:
     ) -> float:
         """One gradient step on the network parameters, weights held fixed."""
         if self._replay is not None:
-            return self._replay.step(covariates, treatment, outcome, indices)
+            return self._replay.step(self, covariates, treatment, outcome, indices)
         loss = self._network_forward_backward(covariates, treatment, outcome, indices)
         self._optimizer.step()
         self.last_step_stats = {"replay_hit": False, "graph_nodes": None}

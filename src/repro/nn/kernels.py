@@ -1,0 +1,1039 @@
+"""The op table: one forward and one VJP kernel per autodiff op (NumPy only).
+
+Every differentiable op of :mod:`repro.nn` is defined here once, as a
+``fwd``/``vjp`` pair in :data:`KERNELS`.  Eager autodiff
+(:func:`repro.nn.tensor._apply` and :meth:`Tensor.backward
+<repro.nn.tensor.Tensor.backward>`), :class:`~repro.nn.tape.ReplayProgram`
+and :class:`~repro.nn.tape.StackedProgram` all run these kernels, so an
+eager step and its replay compute the same array expressions by
+construction.  This module imports nothing from the rest of the package.
+
+Kernel signature::
+
+    fwd(out, ins, attrs, ctx)               -> the op result
+    vjp(grad, ins, out, attrs, ctx, needs)  -> one gradient per parent
+                                               (None where needs is False)
+
+* ``ins`` are the parents' arrays and ``attrs`` the op's constant
+  arguments (``None`` for eager ops that take none).
+* ``out`` is ``None`` in eager mode, where ``fwd`` returns a fresh array.
+  Replay passes its preallocated buffer, and ``fwd`` writes the result
+  into it and returns it.
+* ``ctx`` is a per-node dict in eager mode (dropped when the graph is
+  released) and a per-instruction dict that persists across runs in
+  replay.  Values the VJP reads are kept there with :func:`_scratch`;
+  forward-only scratch comes from :func:`_tmp`, which is a plain
+  temporary in eager mode so an eager node holds no more than its VJP
+  needs.
+* ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+__all__ = ["Kernel", "KERNELS", "TapeStale"]
+
+
+class TapeStale(RuntimeError):
+    """A replayed program's assumptions no longer hold; re-record the step."""
+
+
+class Kernel(NamedTuple):
+    """One op of the table: its name and its forward / VJP functions."""
+
+    name: str
+    fwd: Callable
+    vjp: Callable
+
+
+KERNELS: Dict[str, Kernel] = {}
+
+
+def _kernel(name: str):
+    def deco(pair):
+        KERNELS[name] = Kernel(name, *pair())
+        return pair
+
+    return deco
+
+
+def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
+    """A buffer kept in ``ctx``: reused across replays, saved for the eager VJP."""
+    buf = ctx.get(key)
+    if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
+        buf = ctx[key] = np.empty(shape, dtype=dtype)
+    return buf
+
+
+def _tmp(out, ctx: dict, key, shape, dtype) -> np.ndarray:
+    """Forward-only scratch: a temporary in eager mode, reused across replays."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    return _scratch(ctx, key, shape, dtype)
+
+
+def _assign(out, value):
+    """Return ``value`` in eager mode; copy it into the replay buffer otherwise."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """Sum ``grad`` over broadcast dimensions so it matches ``shape``."""
+    if grad.shape == shape:
+        return grad
+    # Sum over leading dimensions added by broadcasting.
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    # Sum over dimensions that were of size 1 in the original shape.
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+# --------------------------------------------------------------------------- #
+# Arithmetic
+# --------------------------------------------------------------------------- #
+@_kernel("add")
+def _k_add():
+    def fwd(out, ins, attrs, ctx):
+        return np.add(ins[0], ins[1], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return (grad, grad)
+
+    return fwd, vjp
+
+
+@_kernel("neg")
+def _k_neg():
+    def fwd(out, ins, attrs, ctx):
+        return np.negative(ins[0], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return (-grad,)
+
+    return fwd, vjp
+
+
+@_kernel("mul")
+def _k_mul():
+    def fwd(out, ins, attrs, ctx):
+        return np.multiply(ins[0], ins[1], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        a, b = ins
+        return (grad * b if needs[0] else None, grad * a if needs[1] else None)
+
+    return fwd, vjp
+
+
+@_kernel("div")
+def _k_div():
+    def fwd(out, ins, attrs, ctx):
+        return np.divide(ins[0], ins[1], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        a, b = ins
+        ga = grad / b if needs[0] else None
+        gb = -grad * a / (b ** 2) if needs[1] else None
+        return (ga, gb)
+
+    return fwd, vjp
+
+
+@_kernel("pow")
+def _k_pow():
+    def fwd(out, ins, attrs, ctx):
+        return np.power(ins[0], attrs["exponent"], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        p = attrs["exponent"]
+        base = ins[0]
+        if p < 1.0:
+            # x**(p-1) diverges at x == 0 for p < 1; use the zero
+            # subgradient there instead of emitting inf/nan.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                local = p * base ** (p - 1.0)
+            local = np.where(base == 0.0, 0.0, local)
+        else:
+            local = p * (base ** (p - 1.0))
+        return (grad * local,)
+
+    return fwd, vjp
+
+
+def _matmul_forward(out, a, b):
+    if out is not None and a.ndim == 2 and b.ndim == 2:
+        return np.matmul(a, b, out=out)
+    return _assign(out, a @ b)
+
+
+def _matmul_vjp(
+    grad: np.ndarray, a_data: np.ndarray, b_data: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """VJP of ``a @ b`` for 1-D/2-D operands."""
+    if a_data.ndim == 1 and b_data.ndim == 1:
+        return grad * b_data, grad * a_data
+    a2 = a_data if a_data.ndim > 1 else a_data[None, :]
+    b2 = b_data if b_data.ndim > 1 else b_data[:, None]
+    g2 = grad
+    if a_data.ndim == 1:
+        g2 = g2[None, ...]
+    if b_data.ndim == 1:
+        g2 = g2[..., None]
+    grad_a = g2 @ np.swapaxes(b2, -1, -2)
+    grad_b = np.swapaxes(a2, -1, -2) @ g2
+    if a_data.ndim == 1:
+        grad_a = grad_a.reshape(a_data.shape)
+    if b_data.ndim == 1:
+        grad_b = grad_b.reshape(b_data.shape)
+    return grad_a, grad_b
+
+
+def _matmul_vjp_buffers(grad, a, b, ctx, needs):
+    """2-D fast path into ``ctx`` buffers; rank-promoting cases use :func:`_matmul_vjp`."""
+    if a.ndim == 2 and b.ndim == 2 and grad.ndim == 2:
+        ga = gw = None
+        if needs[0]:
+            ga = _scratch(ctx, "ga", a.shape, a.dtype)
+            np.matmul(grad, b.T, out=ga)
+        if needs[1]:
+            gw = _scratch(ctx, "gw", b.shape, b.dtype)
+            np.matmul(a.T, grad, out=gw)
+        return ga, gw
+    return _matmul_vjp(grad, a, b)
+
+
+@_kernel("matmul")
+def _k_matmul():
+    def fwd(out, ins, attrs, ctx):
+        return _matmul_forward(out, ins[0], ins[1])
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return _matmul_vjp_buffers(grad, ins[0], ins[1], ctx, needs)
+
+    return fwd, vjp
+
+
+@_kernel("linear")
+def _k_linear():
+    def fwd(out, ins, attrs, ctx):
+        if len(ins) == 2:
+            return _matmul_forward(out, ins[0], ins[1])
+        x, w, b = ins
+        if out is not None and x.ndim == 2 and w.ndim == 2:
+            np.matmul(x, w, out=out)
+            return np.add(out, b, out=out)
+        return _assign(out, (x @ w) + b)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        ga, gw = _matmul_vjp_buffers(grad, ins[0], ins[1], ctx, needs)
+        if len(ins) == 2:
+            return (ga, gw)
+        return (ga, gw, grad if needs[2] else None)
+
+    return fwd, vjp
+
+
+@_kernel("sum")
+def _k_sum():
+    def fwd(out, ins, attrs, ctx):
+        return ins[0].sum(axis=attrs["axis"], keepdims=attrs["keepdims"], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        ax = attrs["axis"]
+        if ax is not None and not attrs["keepdims"]:
+            grad = np.expand_dims(grad, ax)
+        return (np.broadcast_to(grad, ins[0].shape),)
+
+    return fwd, vjp
+
+
+# --------------------------------------------------------------------------- #
+# Elementwise non-linearities
+# --------------------------------------------------------------------------- #
+def _unary(name: str, ufunc, vjp) -> None:
+    def fwd(out, ins, attrs, ctx):
+        return ufunc(ins[0], out=out)
+
+    KERNELS[name] = Kernel(name, fwd, vjp)
+
+
+def _vjp_exp(grad, ins, out, attrs, ctx, needs):
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    np.multiply(grad, out, out=g)
+    return (g,)
+
+
+def _vjp_log(grad, ins, out, attrs, ctx, needs):
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    np.divide(grad, ins[0], out=g)
+    return (g,)
+
+
+def _vjp_sqrt(grad, ins, out, attrs, ctx, needs):
+    # grad * 0.5 / np.maximum(out, 1e-12), evaluated left to right
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    t = _scratch(ctx, "t", out.shape, out.dtype)
+    np.maximum(out, 1e-12, out=t)
+    np.multiply(grad, 0.5, out=g)
+    np.divide(g, t, out=g)
+    return (g,)
+
+
+def _vjp_abs(grad, ins, out, attrs, ctx, needs):
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    np.sign(ins[0], out=g)
+    np.multiply(grad, g, out=g)
+    return (g,)
+
+
+def _vjp_tanh(grad, ins, out, attrs, ctx, needs):
+    # grad * (1.0 - out ** 2)
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    t = _scratch(ctx, "t", out.shape, out.dtype)
+    t[...] = out ** 2
+    np.subtract(1.0, t, out=t)
+    np.multiply(grad, t, out=g)
+    return (g,)
+
+
+def _vjp_relu(grad, ins, out, attrs, ctx, needs):
+    m = _scratch(ctx, "m", out.shape, np.dtype(bool))
+    np.greater(ins[0], 0.0, out=m)
+    return (grad * m,)
+
+
+def _vjp_cos(grad, ins, out, attrs, ctx, needs):
+    # -grad * np.sin(x) == -(grad * np.sin(x)) bitwise (sign flip)
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    np.sin(ins[0], out=g)
+    np.multiply(grad, g, out=g)
+    np.negative(g, out=g)
+    return (g,)
+
+
+def _vjp_sin(grad, ins, out, attrs, ctx, needs):
+    g = _scratch(ctx, "g", out.shape, out.dtype)
+    np.cos(ins[0], out=g)
+    np.multiply(grad, g, out=g)
+    return (g,)
+
+
+_unary("exp", np.exp, _vjp_exp)
+_unary("log", np.log, _vjp_log)
+_unary("sqrt", np.sqrt, _vjp_sqrt)
+_unary("abs", np.absolute, _vjp_abs)
+_unary("tanh", np.tanh, _vjp_tanh)
+_unary("cos", np.cos, _vjp_cos)
+_unary("sin", np.sin, _vjp_sin)
+
+
+@_kernel("relu")
+def _k_relu():
+    def fwd(out, ins, attrs, ctx):
+        return np.maximum(ins[0], 0.0, out=out)
+
+    return fwd, _vjp_relu
+
+
+def _sigmoid_into(t, x):
+    """t <- 1 / (1 + exp(-clip(x, -60, 60))).
+
+    minimum(maximum(x, lo), hi) is np.clip's definition (the bounds are
+    nonzero, so no signed-zero case differs) with none of the np.clip
+    wrapper's Python dispatch overhead.
+    """
+    np.maximum(x, -60.0, out=t)
+    np.minimum(t, 60.0, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.add(t, 1.0, out=t)
+    np.divide(1.0, t, out=t)
+    return t
+
+
+@_kernel("sigmoid")
+def _k_sigmoid():
+    def fwd(out, ins, attrs, ctx):
+        x = ins[0]
+        return _sigmoid_into(np.empty_like(x) if out is None else out, x)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        # grad * out * (1 - out), evaluated left to right
+        g = _scratch(ctx, "g", out.shape, out.dtype)
+        t = _scratch(ctx, "t", out.shape, out.dtype)
+        np.subtract(1.0, out, out=t)
+        np.multiply(grad, out, out=g)
+        np.multiply(g, t, out=g)
+        return (g,)
+
+    return fwd, vjp
+
+
+@_kernel("elu")
+def _k_elu():
+    def fwd(out, ins, attrs, ctx):
+        x, alpha = ins[0], attrs["alpha"]
+        if out is None:
+            # Eager: the expression's temporaries are freed on return and
+            # the node keeps only the mask.  An n×d forward buffer instead
+            # (kept in ctx, or one in-place temporary) cost the eager weight
+            # step measurable time in extra page faults.
+            pos = ctx["pos"] = x > 0.0
+            return np.where(pos, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+        # Replay: the same values in place into buffers reused across runs.
+        pos = _scratch(ctx, "pos", x.shape, np.dtype(bool))
+        np.greater(x, 0.0, out=pos)
+        t = _scratch(ctx, "t", x.shape, x.dtype)
+        np.minimum(x, 0.0, out=t)
+        np.exp(t, out=t)
+        np.subtract(t, 1.0, out=t)
+        if alpha != 1.0:  # x * 1.0 is a bitwise no-op
+            np.multiply(t, alpha, out=t)
+        # np.where picks values untouched (bitwise), and beats a masked
+        # copyto by ~1.4x at training shapes.
+        out[...] = np.where(pos, x, t)
+        return out
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        # local = where(pos, 1.0, out + alpha); grad * local
+        l = _scratch(ctx, "l", out.shape, out.dtype)
+        np.add(out, attrs["alpha"], out=l)
+        l = np.where(ctx["pos"], 1.0, l)
+        g = _scratch(ctx, "g", out.shape, out.dtype)
+        np.multiply(grad, l, out=g)
+        return (g,)
+
+    return fwd, vjp
+
+
+@_kernel("softplus")
+def _k_softplus():
+    def fwd(out, ins, attrs, ctx):
+        return np.logaddexp(0.0, ins[0], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        t = _scratch(ctx, "t", out.shape, out.dtype)
+        _sigmoid_into(t, ins[0])
+        g = _scratch(ctx, "g", out.shape, out.dtype)
+        np.multiply(grad, t, out=g)
+        return (g,)
+
+    return fwd, vjp
+
+
+@_kernel("clip")
+def _k_clip():
+    # Either bound may be None (one-sided clip).
+    def fwd(out, ins, attrs, ctx):
+        return np.clip(ins[0], attrs["low"], attrs["high"], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        x, low, high = ins[0], attrs["low"], attrs["high"]
+        mask = True
+        if low is not None:
+            mask = x >= low
+        if high is not None:
+            mask = mask & (x <= high)
+        return (grad * mask,)
+
+    return fwd, vjp
+
+
+@_kernel("maximum")
+def _k_maximum():
+    def fwd(out, ins, attrs, ctx):
+        return np.maximum(ins[0], ins[1], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        mask = ins[0] >= ins[1]
+        ga = grad * mask if needs[0] else None
+        gb = grad * (~mask) if needs[1] else None
+        return (ga, gb)
+
+    return fwd, vjp
+
+
+# --------------------------------------------------------------------------- #
+# Shape manipulation
+# --------------------------------------------------------------------------- #
+@_kernel("reshape")
+def _k_reshape():
+    def fwd(out, ins, attrs, ctx):
+        return _assign(out, ins[0].reshape(attrs["shape"]))
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return (grad.reshape(ins[0].shape),)
+
+    return fwd, vjp
+
+
+@_kernel("transpose")
+def _k_transpose():
+    def fwd(out, ins, attrs, ctx):
+        return _assign(out, ins[0].transpose(attrs["axes"]))
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        ax = attrs["axes"]
+        if ax is None:
+            return (grad.transpose(),)
+        return (grad.transpose(np.argsort(ax)),)
+
+    return fwd, vjp
+
+
+@_kernel("getitem")
+def _k_getitem():
+    def fwd(out, ins, attrs, ctx):
+        result = ins[0][attrs["index"]]
+        if out is None:
+            return result
+        if result.shape != out.shape:
+            raise TapeStale("getitem result changed shape since recording")
+        np.copyto(out, result)
+        return out
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        full = _scratch(ctx, "full", ins[0].shape, ins[0].dtype)
+        full.fill(0.0)
+        np.add.at(full, attrs["index"], grad)
+        return (full,)
+
+    return fwd, vjp
+
+
+@_kernel("concatenate")
+def _k_concatenate():
+    def fwd(out, ins, attrs, ctx):
+        return np.concatenate(ins, axis=attrs["axis"], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        axis = attrs["axis"]
+        grads = []
+        start = 0
+        for piece in ins:
+            stop = start + piece.shape[axis]
+            slicer = [slice(None)] * grad.ndim
+            slicer[axis] = slice(start, stop)
+            grads.append(grad[tuple(slicer)])
+            start = stop
+        return grads
+
+    return fwd, vjp
+
+
+@_kernel("stack")
+def _k_stack():
+    def fwd(out, ins, attrs, ctx):
+        return _assign(out, np.stack(ins, axis=attrs["axis"]))
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return tuple(np.moveaxis(grad, attrs["axis"], 0))
+
+    return fwd, vjp
+
+
+# --------------------------------------------------------------------------- #
+# Fused kernel primitives
+# --------------------------------------------------------------------------- #
+def _pairwise_sq_vjp(grad: np.ndarray, a: np.ndarray, b: np.ndarray, needs) -> tuple:
+    """VJP of ``D[i, j] = ||a_i - b_j||²`` wrt ``(a, b)``."""
+    ga = 2.0 * a * grad.sum(axis=1, keepdims=True) - 2.0 * (grad @ b) if needs[0] else None
+    gb = 2.0 * b * grad.sum(axis=0)[:, None] - 2.0 * (grad.T @ a) if needs[1] else None
+    return ga, gb
+
+
+@_kernel("pairwise_sq_dists")
+def _k_pairwise():
+    def fwd(out, ins, attrs, ctx):
+        # |a_i|² + |b_j|² - 2 a_i·b_j
+        a, b = ins
+        ta = _tmp(out, ctx, "aa", a.shape, a.dtype)
+        np.multiply(a, a, out=ta)
+        ra = _tmp(out, ctx, "ra", (a.shape[0],), a.dtype)
+        ta.sum(axis=1, out=ra)
+        tb = _tmp(out, ctx, "bb", b.shape, b.dtype)
+        np.multiply(b, b, out=tb)
+        rb = _tmp(out, ctx, "rb", (b.shape[0],), b.dtype)
+        tb.sum(axis=1, out=rb)
+        ab = _tmp(out, ctx, "ab", (a.shape[0], b.shape[0]), np.result_type(a, b))
+        np.matmul(a, b.T, out=ab)
+        out = np.add(ra[:, None], rb[None, :], out=out)
+        np.multiply(ab, 2.0, out=ab)
+        return np.subtract(out, ab, out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return _pairwise_sq_vjp(grad, ins[0], ins[1], needs)
+
+    return fwd, vjp
+
+
+def _rbf_block(
+    a: np.ndarray, b: np.ndarray, scale: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``exp(scale · ||a_i - b_j||²)`` from one augmented gemm and an in-place ``exp``.
+
+    ``[-2s·a, s·|a|², 1] @ [b, 1, s·|b|²]ᵀ`` writes ``s·D`` straight into
+    the ``n × m`` output (``out`` when given), so a block costs one gemm and
+    one ``exp`` pass instead of a gemm and five elementwise passes.  Every
+    RBF kernel block is built here (the ``rbf_kernel`` and
+    ``weighted_rbf_mmd`` kernels), so they agree bitwise.
+    """
+    d = a.shape[1]
+    left = np.empty((a.shape[0], d + 2), dtype=a.dtype)
+    np.multiply(a, -2.0 * scale, out=left[:, :d])
+    left[:, d] = scale * np.einsum("ij,ij->i", a, a)
+    left[:, d + 1] = 1.0
+    right = np.empty((b.shape[0], d + 2), dtype=b.dtype)
+    right[:, :d] = b
+    right[:, d] = 1.0
+    right[:, d + 1] = scale * np.einsum("ij,ij->i", b, b)
+    out = np.matmul(left, right.T, out=out)
+    np.exp(out, out=out)
+    return out
+
+
+@_kernel("rbf_kernel")
+def _k_rbf():
+    def fwd(out, ins, attrs, ctx):
+        return _rbf_block(ins[0], ins[1], attrs["scale"], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        # grad_sq = grad * out * scale, evaluated left to right
+        g = _scratch(ctx, "g", out.shape, out.dtype)
+        np.multiply(grad, out, out=g)
+        np.multiply(g, attrs["scale"], out=g)
+        return _pairwise_sq_vjp(g, ins[0], ins[1], needs)
+
+    return fwd, vjp
+
+
+# --------------------------------------------------------------------------- #
+# Fused losses
+# --------------------------------------------------------------------------- #
+def _broadcast_shapes(ctx: dict, ins) -> tuple:
+    """``(shape of the first two ins, shape with the third)``, cached in ``ctx``."""
+    shapes = ctx.get("shapes")
+    if shapes is None:
+        shape = np.broadcast_shapes(ins[0].shape, ins[1].shape)
+        full = np.broadcast_shapes(shape, ins[2].shape) if len(ins) == 3 else shape
+        shapes = ctx["shapes"] = (shape, full)
+    return shapes
+
+
+@_kernel("bce_with_logits")
+def _k_bce_logits():
+    # mean(w * (softplus(z) - t * z)), gradient w * (sigmoid(z) - t) / n
+    def fwd(out, ins, attrs, ctx):
+        z, t = ins[0], ins[1]
+        shape, full = _broadcast_shapes(ctx, ins)
+        losses = _scratch(ctx, "losses", shape, z.dtype)
+        np.logaddexp(0.0, z, out=losses)
+        tz = _tmp(out, ctx, "tz", shape, z.dtype)
+        np.multiply(t, z, out=tz)
+        np.subtract(losses, tz, out=losses)
+        if len(ins) == 3:
+            arr = _tmp(out, ctx, "arr", full, z.dtype)
+            np.multiply(ins[2], losses, out=arr)
+        else:
+            arr = losses
+        ctx["n"] = arr.size
+        return _assign(out, arr.mean())
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        z, t = ins[0], ins[1]
+        w = ins[2] if len(ins) == 3 else None
+        scale = grad / ctx["n"]
+        sig = _sigmoid_into(_scratch(ctx, "sig", z.shape, z.dtype), z)
+        weighted_scale = scale if w is None else scale * w
+        gz = weighted_scale * (sig - t) if needs[0] else None
+        gt = -weighted_scale * z if needs[1] else None
+        if w is None:
+            return (gz, gt)
+        gw = scale * ctx["losses"] if needs[2] else None
+        return (gz, gt, gw)
+
+    return fwd, vjp
+
+
+@_kernel("mse_loss")
+def _k_mse():
+    def fwd(out, ins, attrs, ctx):
+        p, t = ins
+        shape = _broadcast_shapes(ctx, ins)[0]
+        diff = _scratch(ctx, "diff", shape, p.dtype)
+        np.subtract(p, t, out=diff)
+        arr = _tmp(out, ctx, "arr", shape, p.dtype)
+        np.multiply(diff, diff, out=arr)
+        ctx["n"] = arr.size
+        return _assign(out, arr.mean())
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        grad_p = (2.0 * (grad / ctx["n"])) * ctx["diff"]
+        return (grad_p if needs[0] else None, -grad_p if needs[1] else None)
+
+    return fwd, vjp
+
+
+@_kernel("weighted_mse_loss")
+def _k_weighted_mse():
+    # mean(w * diff * diff): Eq. (13)'s sample-weighted factual loss
+    def fwd(out, ins, attrs, ctx):
+        p, t, w = ins
+        shape, full = _broadcast_shapes(ctx, ins)
+        diff = _scratch(ctx, "diff", shape, p.dtype)
+        np.subtract(p, t, out=diff)
+        wd = _scratch(ctx, "wd", full, p.dtype)
+        np.multiply(w, diff, out=wd)
+        arr = _tmp(out, ctx, "arr", full, p.dtype)
+        np.multiply(wd, diff, out=arr)
+        ctx["n"] = arr.size
+        return _assign(out, arr.mean())
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        diff = ctx["diff"]
+        scale = grad / ctx["n"]
+        # (2.0 * scale) * (w * diff); ctx["wd"] holds w * diff
+        grad_p = (2.0 * scale) * ctx["wd"] if (needs[0] or needs[1]) else None
+        gw = scale * (diff * diff) if needs[2] else None
+        return (
+            grad_p if needs[0] else None,
+            -grad_p if needs[1] else None,
+            gw,
+        )
+
+    return fwd, vjp
+
+
+@_kernel("bce")
+def _k_bce():
+    # mean(w * -(t log p + (1 - t) log(1 - p))) with p clipped to [eps, 1 - eps]
+    def fwd(out, ins, attrs, ctx):
+        p, t = ins[0], ins[1]
+        eps = attrs["eps"]
+        shape, full = _broadcast_shapes(ctx, ins)
+        pc = _scratch(ctx, "pc", p.shape, p.dtype)
+        np.maximum(p, eps, out=pc)
+        np.minimum(pc, 1.0 - eps, out=pc)
+        log_p = _scratch(ctx, "log_p", p.shape, p.dtype)
+        np.log(pc, out=log_p)
+        log_1m = _scratch(ctx, "log_1m", p.shape, p.dtype)
+        np.subtract(1.0, pc, out=log_1m)
+        np.log(log_1m, out=log_1m)
+        losses = _scratch(ctx, "losses", shape, p.dtype)
+        np.multiply(t, log_p, out=losses)
+        omt = _tmp(out, ctx, "omt", shape, p.dtype)
+        np.subtract(1.0, t, out=omt)
+        np.multiply(omt, log_1m, out=omt)
+        np.add(losses, omt, out=losses)
+        np.negative(losses, out=losses)
+        if len(ins) == 3:
+            arr = _tmp(out, ctx, "arr", full, p.dtype)
+            np.multiply(ins[2], losses, out=arr)
+        else:
+            arr = losses
+        ctx["n"] = arr.size
+        return _assign(out, arr.mean())
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        p, t = ins[0], ins[1]
+        w = ins[2] if len(ins) == 3 else None
+        eps = attrs["eps"]
+        pc = ctx["pc"]
+        scale = grad / ctx["n"]
+        weighted_scale = scale if w is None else scale * w
+        in_band = (p >= eps) & (p <= 1.0 - eps)
+        local = (1.0 - t) / (1.0 - pc) - t / pc
+        gp = weighted_scale * local * in_band if needs[0] else None
+        gt = weighted_scale * (ctx["log_1m"] - ctx["log_p"]) if needs[1] else None
+        if w is None:
+            return (gp, gt)
+        gw = scale * ctx["losses"] if needs[2] else None
+        return (gp, gt, gw)
+
+    return fwd, vjp
+
+
+@_kernel("l2_penalty")
+def _k_l2():
+    def fwd(out, ins, attrs, ctx):
+        total = np.asarray(0.0, dtype=attrs["dtype"])
+        for i, param in enumerate(ins):
+            sq = _tmp(out, ctx, ("sq", i), param.shape, param.dtype)
+            np.multiply(param, param, out=sq)
+            total = total + sq.sum()
+        return _assign(out, total)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        g2 = 2.0 * grad
+        grads = []
+        for i, param in enumerate(ins):
+            if not needs[i]:
+                grads.append(None)
+                continue
+            g = _scratch(ctx, ("g", i), param.shape, param.dtype)
+            np.multiply(param, g2, out=g)
+            grads.append(g)
+        return grads
+
+    return fwd, vjp
+
+
+@_kernel("normalize_rows")
+def _k_normalize_rows():
+    # x / (||x||_2 + eps) per row, with the sum/sqrt/divide chain's VJP
+    # (including its 1e-12 guard on the square root)
+    def fwd(out, ins, attrs, ctx):
+        x = ins[0]
+        sq = _tmp(out, ctx, "sq", x.shape, x.dtype)
+        np.multiply(x, x, out=sq)
+        sums = _tmp(out, ctx, "sums", (x.shape[0], 1), x.dtype)
+        sq.sum(axis=1, keepdims=True, out=sums)
+        roots = _scratch(ctx, "roots", sums.shape, x.dtype)
+        np.sqrt(sums, out=roots)
+        norms = _scratch(ctx, "norms", sums.shape, x.dtype)
+        np.add(roots, attrs["eps"], out=norms)
+        return np.divide(x, norms, out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        x = ins[0]
+        roots, norms = ctx["roots"], ctx["norms"]
+        grad_norm = (-grad * x / (norms ** 2)).sum(axis=1, keepdims=True)
+        grad_sq = grad_norm * (0.5 / np.maximum(roots, 1e-12))
+        return (grad / norms + (2.0 * grad_sq) * x,)
+
+    return fwd, vjp
+
+
+# --------------------------------------------------------------------------- #
+# Fused HSIC-RFF building blocks
+# --------------------------------------------------------------------------- #
+def _rff_inner(values: np.ndarray, freqs: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """``v * w + phi`` as ``(n, k)`` (one draw) or ``(c, k, n)`` (a draw per column)."""
+    if freqs.ndim == 1:
+        return values.reshape(-1, 1) * freqs + phis
+    columns = values.reshape(values.shape[0], -1).T[:, None, :]
+    return columns * freqs[:, :, None] + phis[:, :, None]
+
+
+def _rff_values_grad(d_inner: np.ndarray, freqs: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient wrt the values from the gradient wrt :func:`_rff_inner`'s output."""
+    if freqs.ndim == 1:
+        return (d_inner * freqs).sum(axis=-1).reshape(shape)
+    return (d_inner * freqs[:, :, None]).sum(axis=1).T.reshape(shape)
+
+
+@_kernel("rff_features")
+def _k_rff():
+    # sqrt(2) * cos(v * w + phi); the draws are constants
+    def fwd(out, ins, attrs, ctx):
+        inner = ctx["inner"] = _rff_inner(ins[0], attrs["frequencies"], attrs["phis"])
+        out = np.cos(inner, out=out)
+        return np.multiply(out, attrs["sqrt2"], out=out)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        d_inner = grad * (-np.sin(ctx["inner"])) * attrs["sqrt2"]
+        return (_rff_values_grad(d_inner, attrs["frequencies"], ins[0].shape),)
+
+    return fwd, vjp
+
+
+def _pair_cov_forward(features: np.ndarray, probs: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """``(value, saved)`` of ``weighted_pair_sq_cross_cov`` on arrays.
+
+    Works on the selected pairs only: their left/right ``(k, n)`` blocks are
+    gathered into ``(P, k, n)`` arrays, centred in place, and every
+    cross-covariance comes out of one batched matmul.
+    """
+    p = probs.reshape(-1)
+    uc = features[left]
+    vc = features[right]
+    mean_u = np.matmul(uc, p)[:, :, None]
+    mean_v = np.matmul(vc, p)[:, :, None]
+    uc -= mean_u
+    vc -= mean_v
+    pu = uc * p
+    cross_cov = np.matmul(pu, vc.transpose(0, 2, 1))
+    value = (cross_cov * cross_cov).sum()
+    return value, (uc, vc, pu, mean_u, mean_v, cross_cov)
+
+
+def _pair_cov_vjp(
+    grad: np.ndarray,
+    features: np.ndarray,
+    probs: np.ndarray,
+    left: np.ndarray,
+    right: np.ndarray,
+    saved: tuple,
+    needs,
+) -> tuple:
+    """Closed-form VJP of ``weighted_pair_sq_cross_cov`` wrt (features, probs).
+
+    Per pair, with ``pu = (u - E_p u) ⊙ p`` and ``C = pu (v - E_p v)ᵀ``
+    (``k × n`` blocks): ``dC = 2 g C``, ``d pu = dC vc``, ``d vc = dCᵀ pu``,
+    and the mean terms ``d E_p u = -dC (vc p)``, ``d E_p v = -dCᵀ (pu 1)``.
+    Only the selected pairs' ``(P, k, n)`` blocks are touched; the feature
+    gradient is formed only when the features need one.
+    """
+    uc, vc, pu, mean_u, mean_v, cross_cov = saved
+    p = probs.reshape(-1)
+    d_cc = (2.0 * grad) * cross_cov
+    d_cc_t = d_cc.transpose(0, 2, 1)
+    d_mean_u = -np.matmul(d_cc, np.matmul(vc, p)[:, :, None])
+    d_mean_v = -np.matmul(d_cc_t, pu.sum(axis=2, keepdims=True))
+    # d u = (d pu + d E_p u) ⊙ p: accumulate the mean term into d pu.
+    d_pu_u = np.matmul(d_cc, vc)
+    d_pu_u += d_mean_u
+    d_features = d_probs = None
+    if needs[0]:
+        d_features = np.zeros_like(features)
+        np.add.at(d_features, left, d_pu_u * p)
+        np.add.at(d_features, right, np.matmul(d_cc_t, pu) + d_mean_v * p)
+    if needs[1]:
+        # d p_n = Σ (d pu ⊙ uc) + Σ u ⊙ d E_p u + Σ v ⊙ d E_p v, with u = uc + E_p u.
+        d_p = np.einsum("pkn,pkn->n", d_pu_u, uc)
+        d_p += np.matmul(d_mean_v.transpose(0, 2, 1), vc).sum(axis=(0, 1))
+        d_p += (mean_u * d_mean_u).sum() + (mean_v * d_mean_v).sum()
+        d_probs = d_p.reshape(probs.shape)
+    return d_features, d_probs
+
+
+@_kernel("weighted_pair_sq_cross_cov")
+def _k_weighted_pair_sq_cross_cov():
+    def fwd(out, ins, attrs, ctx):
+        value, ctx["saved"] = _pair_cov_forward(ins[0], ins[1], attrs["left"], attrs["right"])
+        return _assign(out, value)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        left, right = attrs["left"], attrs["right"]
+        return _pair_cov_vjp(grad, ins[0], ins[1], left, right, ctx["saved"], needs)
+
+    return fwd, vjp
+
+
+def _bilinear_forward(a: np.ndarray, kernel: np.ndarray, b: np.ndarray):
+    """``(a · (K b), K b)`` by gemv."""
+    kb = kernel @ b.reshape(-1)
+    return a.reshape(-1) @ kb, kb
+
+
+def _bilinear_vjp(grad, a, kernel, b, kb, needs) -> tuple:
+    """VJP of ``a · (K b)``: ``g K b``, ``g a bᵀ`` (only when needed), ``g a K``."""
+    a_vec = a.reshape(-1)
+    ga = (grad * kb).reshape(a.shape) if needs[0] else None
+    gk = None
+    if needs[1]:
+        gk = np.outer(a_vec, b)
+        gk *= grad
+    gb = (grad * (a_vec @ kernel)).reshape(b.shape) if needs[2] else None
+    return ga, gk, gb
+
+
+@_kernel("bilinear_weighted_sum")
+def _k_bilinear():
+    def fwd(out, ins, attrs, ctx):
+        value, ctx["kb"] = _bilinear_forward(*ins)
+        return _assign(out, value)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return _bilinear_vjp(grad, *ins, ctx["kb"], needs)
+
+    return fwd, vjp
+
+
+# --------------------------------------------------------------------------- #
+# Fused weighted RBF-MMD (the network step's Balancing Regularizer, Eq. 4)
+# --------------------------------------------------------------------------- #
+def _rbf_mmd_forward(rep_c, rep_t, w_c, w_t, scale, blocks=(None, None, None)):
+    """``(value, saved)`` of ``weighted_rbf_mmd`` on arrays.
+
+    ``blocks`` are optional ``n_c × n_c``, ``n_t × n_t`` and ``n_c × n_t``
+    output buffers for the kernel blocks (replay reuses its own across
+    runs).  The value is reduced exactly as ``mmd_rbf_from_kernels``
+    reduces the same blocks, so the two are bitwise equal.
+    """
+    k_cc = _rbf_block(rep_c, rep_c, scale, blocks[0])
+    k_tt = _rbf_block(rep_t, rep_t, scale, blocks[1])
+    k_ct = _rbf_block(rep_c, rep_t, scale, blocks[2])
+    v_cc, kw_cc = _bilinear_forward(w_c, k_cc, w_c)
+    v_tt, kw_tt = _bilinear_forward(w_t, k_tt, w_t)
+    v_ct, kw_ct = _bilinear_forward(w_c, k_ct, w_t)
+    return (v_cc + v_tt) - 2.0 * v_ct, (k_cc, k_tt, k_ct, kw_cc, kw_tt, kw_ct)
+
+
+def _rbf_mmd_rep_grad(rep, diff, w, self_term, cross_term, coef):
+    """``coef · w ⊙ [R ⊙ diff - K_self (w ⊙ R) + K_cross (w' ⊙ R')]``.
+
+    ``self_term`` and ``cross_term`` are the two kernel products in the
+    transposed ``(d, n)`` layout the gemms produce; the result is returned
+    as an ``(n, d)`` view.
+    """
+    acc = cross_term
+    acc -= self_term
+    acc += rep.T * diff
+    acc *= w
+    acc *= coef
+    return acc.T
+
+
+def _rbf_mmd_vjp(grad, rep_c, rep_t, w_c, w_t, scale, saved, needs) -> tuple:
+    """Closed-form VJP of ``weighted_rbf_mmd`` wrt ``(R_c, R_t, w_c, w_t)``.
+
+    With ``s = -1/(2σ²)`` and upstream gradient ``g``::
+
+        ∂R_c = 4sg · w_c ⊙ [R_c ⊙ (K_cc w_c - K_ct w_t) - K_cc(w_c⊙R_c) + K_ct(w_t⊙R_t)]
+        ∂R_t = 4sg · w_t ⊙ [R_t ⊙ (K_tt w_t - K_ctᵀw_c) - K_tt(w_t⊙R_t) + K_ctᵀ(w_c⊙R_c)]
+        ∂w_c = 2g (K_cc w_c - K_ct w_t),   ∂w_t = 2g (K_tt w_t - K_ctᵀ w_c)
+
+    The ``K w`` vectors come from the forward and ``K_ctᵀ w_c`` is one gemv;
+    the representation gradients take four thin gemms of ``(w ⊙ R)ᵀ``
+    against the kernel blocks (``Bᵀ K`` with a C-contiguous ``Bᵀ`` was the
+    fastest orientation on a 2-CPU host with single-threaded OpenBLAS) and
+    no ``n × m`` gradient is formed.
+    """
+    k_cc, k_tt, k_ct, kw_cc, kw_tt, kw_ct = saved
+    wc = w_c.reshape(-1)
+    wt = w_t.reshape(-1)
+    diff_c = kw_cc - kw_ct
+    diff_t = kw_tt - wc @ k_ct
+    g_rc = g_rt = None
+    if needs[0] or needs[1]:
+        bc = np.multiply(rep_c.T, wc, out=np.empty(rep_c.shape[::-1], dtype=rep_c.dtype))
+        bt = np.multiply(rep_t.T, wt, out=np.empty(rep_t.shape[::-1], dtype=rep_t.dtype))
+        coef = (4.0 * scale) * grad
+        if needs[0]:
+            g_rc = _rbf_mmd_rep_grad(rep_c, diff_c, wc, bc @ k_cc, bt @ k_ct.T, coef)
+        if needs[1]:
+            g_rt = _rbf_mmd_rep_grad(rep_t, diff_t, wt, bt @ k_tt, bc @ k_ct, coef)
+    g_wc = ((2.0 * grad) * diff_c).reshape(w_c.shape) if needs[2] else None
+    g_wt = ((2.0 * grad) * diff_t).reshape(w_t.shape) if needs[3] else None
+    return g_rc, g_rt, g_wc, g_wt
+
+
+@_kernel("weighted_rbf_mmd")
+def _k_weighted_rbf_mmd():
+    def fwd(out, ins, attrs, ctx):
+        blocks = (None, None, None)
+        if out is not None:
+            n_c, n_t = ins[0].shape[0], ins[1].shape[0]
+            dtype = np.result_type(ins[0], ins[1])
+            blocks = (
+                _scratch(ctx, "k_cc", (n_c, n_c), dtype),
+                _scratch(ctx, "k_tt", (n_t, n_t), dtype),
+                _scratch(ctx, "k_ct", (n_c, n_t), dtype),
+            )
+        value, ctx["saved"] = _rbf_mmd_forward(*ins, attrs["scale"], blocks)
+        return _assign(out, value)
+
+    def vjp(grad, ins, out, attrs, ctx, needs):
+        return _rbf_mmd_vjp(grad, *ins, attrs["scale"], ctx["saved"], needs)
+
+    return fwd, vjp

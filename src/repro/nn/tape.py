@@ -1,19 +1,20 @@
 """Graph-replay (tape-reuse) engine: record one training step, replay many.
 
-After PR 4's fused VJP kernels, the dominant per-step cost is *rebuilding*
-the autodiff graph in Python: every op allocates a Tensor node, a backward
-closure, and fresh gradient buffers, even though the graph is structurally
-identical across steps at fixed (shapes, dtype, config).  This module turns
-one eagerly-executed step into a :class:`ReplayProgram` — an ordered list of
-kernel calls over preallocated buffers — that subsequent steps execute with
-zero graph construction, bit-identical to eager.
+Eager autodiff rebuilds the graph in Python every step: each op allocates
+a Tensor node and fresh gradient buffers, even though the graph is
+structurally identical across steps at fixed (shapes, dtype, config).  This
+module turns one eagerly-executed step into a :class:`ReplayProgram` — an
+ordered list of kernel calls over preallocated buffers — that subsequent
+steps execute with zero graph construction, bit-identical to eager.
 
 How a recording works
 ---------------------
-:class:`TapeRecorder` installs itself into the thread-local hook that every
-``Tensor`` op calls on its return path (``repro.nn.tensor._tape_record``).
-Each recorded op appends an instruction naming its kernel, its output slot
-and its parent slots.  Unseen operands are classified lazily:
+Every eager op goes through one dispatch function,
+``repro.nn.tensor._apply``, which runs the op's kernel from the table in
+:mod:`repro.nn.kernels` and then notifies the :class:`TapeRecorder`
+installed in the thread-local hook (``_TAPE.recorder``).  Each recorded op
+appends an instruction holding that kernel, its output slot and its parent
+slots.  Unseen operands are classified lazily:
 
 * ``param``   — ``requires_grad`` leaves (network parameters).  Their data
   buffer is pinned; replay verifies the buffer identity each run and raises
@@ -26,16 +27,18 @@ and its parent slots.  Unseen operands are classified lazily:
   replay engine keys its program cache on the identity of the step's batch
   arrays (and pins them), so a const can only be replayed against the exact
   arrays it was recorded with.
-* a leaf with a live backward closure means an op *without* a replay hook
-  produced it — the recording aborts and the caller falls back to eager.
+* an op node the recording did not capture (built before it started, or by
+  a ``Tensor._make`` closure outside the table) aborts the recording, and
+  the caller falls back to eager.
 
 Bit-identity
 ------------
-Replay reproduces eager results bit for bit, not merely approximately:
+Replay reproduces eager results bit for bit, by construction:
 
-* forward kernels either call the same array helper as the eager op (the
-  fused regularizer kernels) or re-express its NumPy formula as in-place
-  ufunc sequences that are IEEE-identical to the eager expression;
+* eager and replay run the same ``fwd``/``vjp`` kernel per op; eager passes
+  ``out=None`` and gets a fresh array, replay passes its fixed buffer (where
+  a kernel's two routes differ, as ELU's forward does, both evaluate the
+  same IEEE operations in the same order);
 * the backward schedule is the exact reversed DFS topological order the
   eager engine produces (including the parents-order tie-breaking), with
   the same ``_unbroadcast`` reductions and the same fan-in accumulation
@@ -43,7 +46,8 @@ Replay reproduces eager results bit for bit, not merely approximately:
 * per-step randomness is replayed through :func:`dynamic` providers so the
   RNG streams advance exactly as they would eagerly.
 
-The seed-11 golden suite and ``--check-against`` CI gates pin this.
+Replay skips instructions whose inputs never change (constant folding) and
+instructions the loss does not depend on.
 
 :class:`StackedProgram` extends replay across *replications*: K recorded
 programs with identical structure are fused into one program whose buffers
@@ -58,7 +62,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensor import Tensor, _TAPE, _unbroadcast
+from .kernels import Kernel, TapeStale, _scratch, _unbroadcast
+from .tensor import Tensor, _TAPE
 
 __all__ = [
     "GraphReplayError",
@@ -76,10 +81,6 @@ class GraphReplayError(RuntimeError):
     """An autodiff feature incompatible with ``graph_replay`` was requested."""
 
 
-class TapeStale(RuntimeError):
-    """A replayed program's assumptions no longer hold; re-record the step."""
-
-
 class StackError(RuntimeError):
     """K per-seed programs are not structurally identical; fall back to serial."""
 
@@ -91,771 +92,6 @@ class _Unrecordable(RuntimeError):
 def recording_active() -> bool:
     """Whether a tape recording is active on the current thread."""
     return _TAPE.recorder is not None
-
-
-# --------------------------------------------------------------------------- #
-# Kernel registry
-# --------------------------------------------------------------------------- #
-# forward(out, ins, attrs, ctx)            -> writes the op result into ``out``
-# vjp(grad, ins, out, attrs, ctx, needs)   -> per-parent gradients (None where
-#                                             ``needs`` is False); must never
-#                                             mutate ``grad`` (the root seed
-#                                             buffer is reused across runs).
-# ``ctx`` is a per-instruction dict that persists across runs; kernels keep
-# scratch buffers and saved intermediates (the eager closures' captures) there.
-_FORWARD: Dict[str, Callable] = {}
-_VJP: Dict[str, Callable] = {}
-
-
-def _kernel(name: str):
-    def deco(pair):
-        fwd, vjp = pair()
-        _FORWARD[name] = fwd
-        _VJP[name] = vjp
-        return pair
-
-    return deco
-
-
-def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
-    buf = ctx.get(key)
-    if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-        buf = ctx[key] = np.empty(shape, dtype=dtype)
-    return buf
-
-
-@_kernel("add")
-def _k_add():
-    def fwd(out, ins, attrs, ctx):
-        np.add(ins[0], ins[1], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return (grad, grad)
-
-    return fwd, vjp
-
-
-@_kernel("neg")
-def _k_neg():
-    def fwd(out, ins, attrs, ctx):
-        np.negative(ins[0], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return (-grad,)
-
-    return fwd, vjp
-
-
-@_kernel("mul")
-def _k_mul():
-    def fwd(out, ins, attrs, ctx):
-        np.multiply(ins[0], ins[1], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        a, b = ins
-        return (grad * b if needs[0] else None, grad * a if needs[1] else None)
-
-    return fwd, vjp
-
-
-@_kernel("div")
-def _k_div():
-    def fwd(out, ins, attrs, ctx):
-        np.divide(ins[0], ins[1], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        a, b = ins
-        ga = grad / b if needs[0] else None
-        gb = -grad * a / (b ** 2) if needs[1] else None
-        return (ga, gb)
-
-    return fwd, vjp
-
-
-@_kernel("pow")
-def _k_pow():
-    def fwd(out, ins, attrs, ctx):
-        np.power(ins[0], attrs["exponent"], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        p = attrs["exponent"]
-        base = ins[0]
-        if p < 1.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                local = p * base ** (p - 1.0)
-            local = np.where(base == 0.0, 0.0, local)
-        else:
-            local = p * (base ** (p - 1.0))
-        return (grad * local,)
-
-    return fwd, vjp
-
-
-def _matmul_forward(out, a, b):
-    if a.ndim == 2 and b.ndim == 2:
-        np.matmul(a, b, out=out)
-    else:
-        out[...] = a @ b
-
-
-def _matmul_vjp_buffers(grad, a, b, ctx, needs):
-    """In-place 2-D fast path; rank-promoting cases use the shared helper."""
-    from .tensor import _matmul_vjp
-
-    if a.ndim == 2 and b.ndim == 2 and grad.ndim == 2:
-        ga = gw = None
-        if needs[0]:
-            ga = _scratch(ctx, "ga", a.shape, a.dtype)
-            np.matmul(grad, b.T, out=ga)
-        if needs[1]:
-            gw = _scratch(ctx, "gw", b.shape, b.dtype)
-            np.matmul(a.T, grad, out=gw)
-        return ga, gw
-    return _matmul_vjp(grad, a, b)
-
-
-@_kernel("matmul")
-def _k_matmul():
-    def fwd(out, ins, attrs, ctx):
-        _matmul_forward(out, ins[0], ins[1])
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return _matmul_vjp_buffers(grad, ins[0], ins[1], ctx, needs)
-
-    return fwd, vjp
-
-
-@_kernel("linear")
-def _k_linear():
-    def fwd(out, ins, attrs, ctx):
-        if len(ins) == 2:
-            _matmul_forward(out, ins[0], ins[1])
-        else:
-            x, w, b = ins
-            if x.ndim == 2 and w.ndim == 2:
-                np.matmul(x, w, out=out)
-                np.add(out, b, out=out)
-            else:
-                out[...] = (x @ w) + b
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        ga, gw = _matmul_vjp_buffers(grad, ins[0], ins[1], ctx, needs)
-        if len(ins) == 2:
-            return (ga, gw)
-        return (ga, gw, grad if needs[2] else None)
-
-    return fwd, vjp
-
-
-@_kernel("sum")
-def _k_sum():
-    def fwd(out, ins, attrs, ctx):
-        ins[0].sum(axis=attrs["axis"], keepdims=attrs["keepdims"], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        ax = attrs["axis"]
-        if ax is not None and not attrs["keepdims"]:
-            grad = np.expand_dims(grad, ax)
-        return (np.broadcast_to(grad, ins[0].shape),)
-
-    return fwd, vjp
-
-
-def _unary(name: str, ufunc):
-    @_kernel(name)
-    def _k():
-        def fwd(out, ins, attrs, ctx):
-            ufunc(ins[0], out=out)
-
-        return fwd, _UNARY_VJPS[name]
-
-    return _k
-
-
-def _vjp_exp(grad, ins, out, attrs, ctx, needs):
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    np.multiply(grad, out, out=g)
-    return (g,)
-
-
-def _vjp_log(grad, ins, out, attrs, ctx, needs):
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    np.divide(grad, ins[0], out=g)
-    return (g,)
-
-
-def _vjp_sqrt(grad, ins, out, attrs, ctx, needs):
-    # eager: grad * 0.5 / np.maximum(out, 1e-12)
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    t = _scratch(ctx, "t", out.shape, out.dtype)
-    np.maximum(out, 1e-12, out=t)
-    np.multiply(grad, 0.5, out=g)
-    np.divide(g, t, out=g)
-    return (g,)
-
-
-def _vjp_abs(grad, ins, out, attrs, ctx, needs):
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    np.sign(ins[0], out=g)
-    np.multiply(grad, g, out=g)
-    return (g,)
-
-
-def _vjp_tanh(grad, ins, out, attrs, ctx, needs):
-    # eager: grad * (1.0 - out ** 2)
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    t = _scratch(ctx, "t", out.shape, out.dtype)
-    t[...] = out ** 2
-    np.subtract(1.0, t, out=t)
-    np.multiply(grad, t, out=g)
-    return (g,)
-
-
-def _vjp_relu(grad, ins, out, attrs, ctx, needs):
-    m = _scratch(ctx, "m", out.shape, np.dtype(bool))
-    np.greater(ins[0], 0.0, out=m)
-    return (grad * m,)
-
-
-def _vjp_cos(grad, ins, out, attrs, ctx, needs):
-    # eager: -grad * np.sin(x) == -(grad * np.sin(x)) bitwise (sign flip)
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    np.sin(ins[0], out=g)
-    np.multiply(grad, g, out=g)
-    np.negative(g, out=g)
-    return (g,)
-
-
-def _vjp_sin(grad, ins, out, attrs, ctx, needs):
-    g = _scratch(ctx, "g", out.shape, out.dtype)
-    np.cos(ins[0], out=g)
-    np.multiply(grad, g, out=g)
-    return (g,)
-
-
-_UNARY_VJPS = {
-    "exp": _vjp_exp,
-    "log": _vjp_log,
-    "sqrt": _vjp_sqrt,
-    "abs": _vjp_abs,
-    "tanh": _vjp_tanh,
-    "relu": _vjp_relu,
-    "cos": _vjp_cos,
-    "sin": _vjp_sin,
-}
-
-_unary("exp", np.exp)
-_unary("log", np.log)
-_unary("sqrt", np.sqrt)
-_unary("abs", np.absolute)
-_unary("tanh", np.tanh)
-_unary("cos", np.cos)
-_unary("sin", np.sin)
-
-
-@_kernel("relu")
-def _k_relu():
-    def fwd(out, ins, attrs, ctx):
-        np.maximum(ins[0], 0.0, out=out)
-
-    return fwd, _vjp_relu
-
-
-def _sigmoid_into(t, x):
-    """t <- 1 / (1 + exp(-clip(x, -60, 60))), bitwise equal to the eager form.
-
-    minimum(maximum(x, lo), hi) is np.clip's definition — same values with
-    none of the np.clip wrapper's Python dispatch overhead.
-    """
-    np.maximum(x, -60.0, out=t)
-    np.minimum(t, 60.0, out=t)
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.add(t, 1.0, out=t)
-    np.divide(1.0, t, out=t)
-    return t
-
-
-@_kernel("sigmoid")
-def _k_sigmoid():
-    def fwd(out, ins, attrs, ctx):
-        _sigmoid_into(out, ins[0])
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        # eager: grad * out * (1 - out), evaluated left to right
-        g = _scratch(ctx, "g", out.shape, out.dtype)
-        t = _scratch(ctx, "t", out.shape, out.dtype)
-        np.subtract(1.0, out, out=t)
-        np.multiply(grad, out, out=g)
-        np.multiply(g, t, out=g)
-        return (g,)
-
-    return fwd, vjp
-
-
-@_kernel("elu")
-def _k_elu():
-    def fwd(out, ins, attrs, ctx):
-        x = ins[0]
-        pos = _scratch(ctx, "pos", x.shape, np.dtype(bool))
-        np.greater(x, 0.0, out=pos)
-        t = _scratch(ctx, "t", x.shape, x.dtype)
-        np.minimum(x, 0.0, out=t)
-        np.exp(t, out=t)
-        np.subtract(t, 1.0, out=t)
-        if attrs["alpha"] != 1.0:  # x * 1.0 is a bitwise no-op
-            np.multiply(t, attrs["alpha"], out=t)
-        # np.where picks values untouched (bitwise), and beats a masked
-        # copyto by ~1.4x at training shapes.
-        out[...] = np.where(pos, x, t)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        # eager: local = where(pos, 1.0, out + alpha); grad * local
-        pos = ctx["pos"]
-        l = _scratch(ctx, "l", out.shape, out.dtype)
-        np.add(out, attrs["alpha"], out=l)
-        l = np.where(pos, 1.0, l)
-        g = _scratch(ctx, "g", out.shape, out.dtype)
-        np.multiply(grad, l, out=g)
-        return (g,)
-
-    return fwd, vjp
-
-
-@_kernel("softplus")
-def _k_softplus():
-    def fwd(out, ins, attrs, ctx):
-        np.logaddexp(0.0, ins[0], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        t = _scratch(ctx, "t", out.shape, out.dtype)
-        _sigmoid_into(t, ins[0])
-        g = _scratch(ctx, "g", out.shape, out.dtype)
-        np.multiply(grad, t, out=g)
-        return (g,)
-
-    return fwd, vjp
-
-
-@_kernel("clip")
-def _k_clip():
-    def fwd(out, ins, attrs, ctx):
-        # minimum(maximum(x, lo), hi): np.clip's definition without its
-        # Python wrapper overhead (either bound may be absent).
-        low, high = attrs["low"], attrs["high"]
-        if low is not None:
-            np.maximum(ins[0], low, out=out)
-            if high is not None:
-                np.minimum(out, high, out=out)
-        elif high is not None:
-            np.minimum(ins[0], high, out=out)
-        else:
-            np.copyto(out, ins[0])
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        x = ins[0]
-        mask = (x >= attrs["low"]) & (x <= attrs["high"])
-        return (grad * mask,)
-
-    return fwd, vjp
-
-
-@_kernel("maximum")
-def _k_maximum():
-    def fwd(out, ins, attrs, ctx):
-        np.maximum(ins[0], ins[1], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        mask = ins[0] >= ins[1]
-        ga = grad * mask if needs[0] else None
-        gb = grad * (~mask) if needs[1] else None
-        return (ga, gb)
-
-    return fwd, vjp
-
-
-@_kernel("reshape")
-def _k_reshape():
-    def fwd(out, ins, attrs, ctx):
-        out[...] = ins[0].reshape(out.shape)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return (grad.reshape(ins[0].shape),)
-
-    return fwd, vjp
-
-
-@_kernel("transpose")
-def _k_transpose():
-    def fwd(out, ins, attrs, ctx):
-        out[...] = ins[0].transpose(attrs["axes"])
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        ax = attrs["axes"]
-        if ax is None:
-            return (grad.transpose(),)
-        return (grad.transpose(np.argsort(ax)),)
-
-    return fwd, vjp
-
-
-@_kernel("getitem")
-def _k_getitem():
-    def fwd(out, ins, attrs, ctx):
-        result = ins[0][attrs["index"]]
-        if result.shape != out.shape:
-            raise TapeStale("getitem result changed shape since recording")
-        np.copyto(out, result)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        full = _scratch(ctx, "full", ins[0].shape, ins[0].dtype)
-        full.fill(0.0)
-        np.add.at(full, attrs["index"], grad)
-        return (full,)
-
-    return fwd, vjp
-
-
-@_kernel("concatenate")
-def _k_concatenate():
-    def fwd(out, ins, attrs, ctx):
-        np.concatenate(ins, axis=attrs["axis"], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        axis = attrs["axis"]
-        grads = []
-        start = 0
-        for piece in ins:
-            stop = start + piece.shape[axis]
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(start, stop)
-            grads.append(grad[tuple(slicer)])
-            start = stop
-        return tuple(grads)
-
-    return fwd, vjp
-
-
-@_kernel("stack")
-def _k_stack():
-    def fwd(out, ins, attrs, ctx):
-        out[...] = np.stack(ins, axis=attrs["axis"])
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        split = np.moveaxis(grad, attrs["axis"], 0)
-        return tuple(split[i] for i in range(len(ins)))
-
-    return fwd, vjp
-
-
-def _pairwise_into(out, a, b, ctx):
-    """out <- ||a_i - b_j||^2, bitwise equal to the eager fused kernel."""
-    d = out.dtype
-    ta = _scratch(ctx, "aa", a.shape, a.dtype)
-    np.multiply(a, a, out=ta)
-    ra = _scratch(ctx, "ra", (a.shape[0],), a.dtype)
-    ta.sum(axis=1, out=ra)
-    tb = _scratch(ctx, "bb", b.shape, b.dtype)
-    np.multiply(b, b, out=tb)
-    rb = _scratch(ctx, "rb", (b.shape[0],), b.dtype)
-    tb.sum(axis=1, out=rb)
-    ab = _scratch(ctx, "ab", (a.shape[0], b.shape[0]), d)
-    np.matmul(a, b.T, out=ab)
-    np.add(ra[:, None], rb[None, :], out=out)
-    np.multiply(ab, 2.0, out=ab)
-    np.subtract(out, ab, out=out)
-
-
-def _pairwise_vjp_literal(grad, a, b, needs):
-    from .functional import _pairwise_sq_vjp
-
-    ga, gb = _pairwise_sq_vjp(grad, a, b)
-    return (ga if needs[0] else None, gb if needs[1] else None)
-
-
-@_kernel("pairwise_sq_dists")
-def _k_pairwise():
-    def fwd(out, ins, attrs, ctx):
-        _pairwise_into(out, ins[0], ins[1], ctx)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return _pairwise_vjp_literal(grad, ins[0], ins[1], needs)
-
-    return fwd, vjp
-
-
-@_kernel("rbf_kernel")
-def _k_rbf():
-    from .functional import _rbf_block
-
-    def fwd(out, ins, attrs, ctx):
-        _rbf_block(ins[0], ins[1], attrs["scale"], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        # eager: grad_sq = grad * out * scale, evaluated left to right
-        g = _scratch(ctx, "g", out.shape, out.dtype)
-        np.multiply(grad, out, out=g)
-        np.multiply(g, attrs["scale"], out=g)
-        return _pairwise_vjp_literal(g, ins[0], ins[1], needs)
-
-    return fwd, vjp
-
-
-@_kernel("bce_with_logits")
-def _k_bce_logits():
-    def fwd(out, ins, attrs, ctx):
-        z, t = ins[0], ins[1]
-        shape = ctx.get("shape")
-        if shape is None:
-            shape = ctx["shape"] = np.broadcast_shapes(z.shape, t.shape)
-            if len(ins) == 3:
-                ctx["wshape"] = np.broadcast_shapes(shape, ins[2].shape)
-        losses = _scratch(ctx, "losses", shape, z.dtype)
-        np.logaddexp(0.0, z, out=losses)
-        tz = _scratch(ctx, "tz", shape, z.dtype)
-        np.multiply(t, z, out=tz)
-        np.subtract(losses, tz, out=losses)
-        if len(ins) == 3:
-            arr = _scratch(ctx, "arr", ctx["wshape"], z.dtype)
-            np.multiply(ins[2], losses, out=arr)
-        else:
-            arr = losses
-        ctx["n"] = arr.size
-        out[...] = arr.mean()
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        z, t = ins[0], ins[1]
-        w = ins[2] if len(ins) == 3 else None
-        scale = grad / ctx["n"]
-        sig = _sigmoid_into(_scratch(ctx, "sig", z.shape, z.dtype), z)
-        weighted_scale = scale if w is None else scale * w
-        gz = weighted_scale * (sig - t) if needs[0] else None
-        gt = -weighted_scale * z if needs[1] else None
-        if w is None:
-            return (gz, gt)
-        gw = scale * ctx["losses"] if needs[2] else None
-        return (gz, gt, gw)
-
-    return fwd, vjp
-
-
-@_kernel("mse_loss")
-def _k_mse():
-    def fwd(out, ins, attrs, ctx):
-        p, t = ins
-        shape = ctx.get("shape")
-        if shape is None:
-            shape = ctx["shape"] = np.broadcast_shapes(p.shape, t.shape)
-        diff = _scratch(ctx, "diff", shape, p.dtype)
-        np.subtract(p, t, out=diff)
-        arr = _scratch(ctx, "arr", shape, p.dtype)
-        np.multiply(diff, diff, out=arr)
-        ctx["n"] = arr.size
-        out[...] = arr.mean()
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        grad_p = (2.0 * (grad / ctx["n"])) * ctx["diff"]
-        return (grad_p if needs[0] else None, -grad_p if needs[1] else None)
-
-    return fwd, vjp
-
-
-@_kernel("weighted_mse_loss")
-def _k_weighted_mse():
-    def fwd(out, ins, attrs, ctx):
-        p, t, w = ins
-        shape = ctx.get("shape")
-        if shape is None:
-            shape = ctx["shape"] = np.broadcast_shapes(p.shape, t.shape)
-            ctx["full"] = np.broadcast_shapes(shape, w.shape)
-        full = ctx["full"]
-        diff = _scratch(ctx, "diff", shape, p.dtype)
-        np.subtract(p, t, out=diff)
-        wd = _scratch(ctx, "wd", full, p.dtype)
-        np.multiply(w, diff, out=wd)
-        arr = _scratch(ctx, "arr", full, p.dtype)
-        np.multiply(wd, diff, out=arr)
-        ctx["n"] = arr.size
-        out[...] = arr.mean()
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        diff = ctx["diff"]
-        scale = grad / ctx["n"]
-        # eager: (2.0 * scale) * (w * diff); ctx["wd"] holds w * diff
-        grad_p = (2.0 * scale) * ctx["wd"] if (needs[0] or needs[1]) else None
-        gw = scale * (diff * diff) if needs[2] else None
-        return (
-            grad_p if needs[0] else None,
-            -grad_p if needs[1] else None,
-            gw,
-        )
-
-    return fwd, vjp
-
-
-@_kernel("bce")
-def _k_bce():
-    def fwd(out, ins, attrs, ctx):
-        p, t = ins[0], ins[1]
-        eps = attrs["eps"]
-        shape = ctx.get("shape")
-        if shape is None:
-            shape = ctx["shape"] = np.broadcast_shapes(p.shape, t.shape)
-            if len(ins) == 3:
-                ctx["wshape"] = np.broadcast_shapes(shape, ins[2].shape)
-        pc = _scratch(ctx, "pc", p.shape, p.dtype)
-        np.maximum(p, eps, out=pc)
-        np.minimum(pc, 1.0 - eps, out=pc)
-        log_p = _scratch(ctx, "log_p", p.shape, p.dtype)
-        np.log(pc, out=log_p)
-        log_1m = _scratch(ctx, "log_1m", p.shape, p.dtype)
-        np.subtract(1.0, pc, out=log_1m)
-        np.log(log_1m, out=log_1m)
-        losses = _scratch(ctx, "losses", shape, p.dtype)
-        np.multiply(t, log_p, out=losses)
-        omt = _scratch(ctx, "omt", shape, p.dtype)
-        np.subtract(1.0, t, out=omt)
-        np.multiply(omt, log_1m, out=omt)
-        np.add(losses, omt, out=losses)
-        np.negative(losses, out=losses)
-        if len(ins) == 3:
-            arr = _scratch(ctx, "arr", ctx["wshape"], p.dtype)
-            np.multiply(ins[2], losses, out=arr)
-        else:
-            arr = losses
-        ctx["n"] = arr.size
-        out[...] = arr.mean()
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        p, t = ins[0], ins[1]
-        w = ins[2] if len(ins) == 3 else None
-        eps = attrs["eps"]
-        lo, hi = eps, 1.0 - eps
-        pc = ctx["pc"]
-        scale = grad / ctx["n"]
-        weighted_scale = scale if w is None else scale * w
-        in_band = (p >= lo) & (p <= hi)
-        local = (1.0 - t) / (1.0 - pc) - t / pc
-        gp = weighted_scale * local * in_band if needs[0] else None
-        gt = weighted_scale * (ctx["log_1m"] - ctx["log_p"]) if needs[1] else None
-        if w is None:
-            return (gp, gt)
-        gw = scale * ctx["losses"] if needs[2] else None
-        return (gp, gt, gw)
-
-    return fwd, vjp
-
-
-@_kernel("l2_penalty")
-def _k_l2():
-    def fwd(out, ins, attrs, ctx):
-        total = np.asarray(0.0, dtype=attrs["dtype"])
-        for i, param in enumerate(ins):
-            sq = _scratch(ctx, ("sq", i), param.shape, param.dtype)
-            np.multiply(param, param, out=sq)
-            total = total + sq.sum()
-        out[...] = total
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        g2 = 2.0 * grad
-        grads = []
-        for i, param in enumerate(ins):
-            if not needs[i]:
-                grads.append(None)
-                continue
-            g = _scratch(ctx, ("g", i), param.shape, param.dtype)
-            np.multiply(param, g2, out=g)
-            grads.append(g)
-        return tuple(grads)
-
-    return fwd, vjp
-
-
-@_kernel("normalize_rows")
-def _k_normalize_rows():
-    def fwd(out, ins, attrs, ctx):
-        x = ins[0]
-        sq = _scratch(ctx, "sq", x.shape, x.dtype)
-        np.multiply(x, x, out=sq)
-        sums = _scratch(ctx, "sums", (x.shape[0], 1), x.dtype)
-        sq.sum(axis=1, keepdims=True, out=sums)
-        roots = _scratch(ctx, "roots", sums.shape, x.dtype)
-        np.sqrt(sums, out=roots)
-        norms = _scratch(ctx, "norms", sums.shape, x.dtype)
-        np.add(roots, attrs["eps"], out=norms)
-        np.divide(x, norms, out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        x = ins[0]
-        roots, norms = ctx["roots"], ctx["norms"]
-        grad_norm = (-grad * x / (norms ** 2)).sum(axis=1, keepdims=True)
-        grad_sq = grad_norm * (0.5 / np.maximum(roots, 1e-12))
-        return (grad / norms + (2.0 * grad_sq) * x,)
-
-    return fwd, vjp
-
-
-@_kernel("rff_features")
-def _k_rff():
-    from .functional import _rff_inner, _rff_values_grad
-
-    def fwd(out, ins, attrs, ctx):
-        inner = ctx["inner"] = _rff_inner(ins[0], attrs["frequencies"], attrs["phis"])
-        np.cos(inner, out=out)
-        np.multiply(out, attrs["sqrt2"], out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        d_inner = grad * (-np.sin(ctx["inner"])) * attrs["sqrt2"]
-        return (_rff_values_grad(d_inner, attrs["frequencies"], ins[0].shape),)
-
-    return fwd, vjp
-
-
-@_kernel("weighted_pair_sq_cross_cov")
-def _k_weighted_pair_sq_cross_cov():
-    from .functional import _pair_cov_forward, _pair_cov_vjp
-
-    def fwd(out, ins, attrs, ctx):
-        out[...], ctx["saved"] = _pair_cov_forward(ins[0], ins[1], attrs["left"], attrs["right"])
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        left, right = attrs["left"], attrs["right"]
-        return _pair_cov_vjp(grad, ins[0], ins[1], left, right, ctx["saved"], needs)
-
-    return fwd, vjp
-
-
-@_kernel("bilinear_weighted_sum")
-def _k_bilinear():
-    from .functional import _bilinear_forward, _bilinear_vjp
-
-    def fwd(out, ins, attrs, ctx):
-        out[...], ctx["kb"] = _bilinear_forward(*ins)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return _bilinear_vjp(grad, *ins, ctx["kb"], needs)
-
-    return fwd, vjp
-
-
-@_kernel("weighted_rbf_mmd")
-def _k_weighted_rbf_mmd():
-    from .functional import _rbf_mmd_forward, _rbf_mmd_vjp
-
-    def fwd(out, ins, attrs, ctx):
-        n_c, n_t = ins[0].shape[0], ins[1].shape[0]
-        dtype = np.result_type(ins[0], ins[1])
-        blocks = (
-            _scratch(ctx, "k_cc", (n_c, n_c), dtype),
-            _scratch(ctx, "k_tt", (n_t, n_t), dtype),
-            _scratch(ctx, "k_ct", (n_c, n_t), dtype),
-        )
-        out[...], ctx["saved"] = _rbf_mmd_forward(*ins, attrs["scale"], blocks)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return _rbf_mmd_vjp(grad, *ins, attrs["scale"], ctx["saved"], needs)
-
-    return fwd, vjp
 
 
 # --------------------------------------------------------------------------- #
@@ -961,14 +197,11 @@ class TapeRecorder:
         _TAPE.recorder = None
 
     # -- hooks called from repro.nn.tensor ----------------------------------
-    def record(self, out: Tensor, op: str, parents: Tuple[Tensor, ...], attrs=None) -> None:
-        """Hook: record one eager op into the program."""
+    def record(self, out: Tensor, kernel: Kernel, parents: Tuple[Tensor, ...], attrs=None) -> None:
+        """Hook: record one eager op (a kernel-table entry) into the program."""
         if self.aborted is not None:
             return
-        fwd = _FORWARD.get(op)
-        if fwd is None:
-            self._abort(f"op {op!r} has no replay kernel")
-            return
+        op = kernel.name
         try:
             parent_ids = tuple(self._slot_of(p) for p in parents)
         except _Unrecordable as exc:
@@ -990,7 +223,10 @@ class TapeRecorder:
         needs = tuple(self.slots[p].requires_grad for p in parent_ids)
         grad_parents = parent_ids if out.requires_grad else ()
         self.instructions.append(
-            _Instr(op, sid, parent_ids, grad_parents, attrs, tuple(dyn_attrs), fwd, _VJP[op], view_skip, needs)
+            _Instr(
+                op, sid, parent_ids, grad_parents, attrs, tuple(dyn_attrs),
+                kernel.fwd, kernel.vjp, view_skip, needs,
+            )
         )
 
     def on_backward(self, tensor: Tensor, retain_graph: bool) -> None:
@@ -1037,7 +273,12 @@ class TapeRecorder:
         if sid is not None:
             return sid
         if tensor._backward is not None:
-            raise _Unrecordable("an operand was produced by an op without a replay hook")
+            # An op node this recording did not capture: built before it
+            # started, or by a Tensor._make closure outside the kernel table.
+            raise _Unrecordable(
+                "an operand was produced outside this recording or by a "
+                "closure-built op, which has no replay kernel"
+            )
         if tensor.requires_grad:
             return self._new_slot(tensor, "param")
         arr = tensor.data
@@ -1103,12 +344,12 @@ class ReplayProgram:
         self.extra_params: List[Tensor] = []
 
         instr_by_out = {instr.out: instr for instr in self.instructions}
-        self._fold(instr_by_out)
+        self._fold()
         for instr in self.instructions:
             instr.ins = tuple(self._bufs[p] for p in instr.parents)
         # Hot-loop prefilters: instructions needing per-run attr rebinding
         # (provider-drawn index arrays) and instructions actually executed
-        # forward (folded and view-aliased ones are skipped wholesale).
+        # forward (folded, dead and view-aliased ones are skipped wholesale).
         self._dyn_instrs = [i for i in self.instructions if i.dyn_attrs and not i.folded]
         self._fwd_instrs = [
             (i, self._bufs[i.out])
@@ -1189,12 +430,14 @@ class ReplayProgram:
             )
         self._received = bytearray(len(self.slots))
 
-    def _fold(self, instr_by_out) -> None:
-        """Mark instructions whose inputs can never change between runs.
+    def _fold(self) -> None:
+        """Mark the instructions replay never re-executes.
 
-        Their recorded output buffers already hold the correct values, so
-        replay skips re-executing them (e.g. the ``1 - mask`` factual-split
-        arithmetic over baked batch constants).
+        Constant-folded: their inputs can never change between runs, so the
+        recorded output buffers already hold the correct values (e.g. the
+        ``1 - mask`` factual-split arithmetic over baked batch constants).
+        Dead: the loss does not depend on them through any parent edge
+        (e.g. DeR-CFR's propensity head outside the network loss).
         """
         foldable = [slot.kind == "const" for slot in self.slots]
         for instr in self.instructions:
@@ -1205,6 +448,12 @@ class ReplayProgram:
             )
             instr.folded = fold
             foldable[instr.out] = fold
+        live = {self.root}
+        for instr in reversed(self.instructions):
+            if instr.out in live:
+                live.update(instr.parents)
+            else:
+                instr.folded = True
 
     @property
     def graph_nodes(self) -> int:

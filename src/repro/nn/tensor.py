@@ -13,6 +13,16 @@ training procedure needs:
 * shape manipulation (reshape, transpose, concatenation, slicing),
 * gradient accumulation through arbitrary DAGs via topological ordering.
 
+Every op is one entry of the kernel table (:mod:`repro.nn.kernels`).  An
+op method checks its inputs and calls :func:`_apply`, which runs the
+kernel's forward, keeps ``(kernel, attrs, ctx)`` on the output node when a
+parent needs a gradient, and notifies an active tape recorder;
+:meth:`Tensor.backward` then calls the same kernel's VJP.  Graph replay
+(:mod:`repro.nn.tape`) runs the same kernels, so eager and replayed steps
+agree by construction.  :meth:`Tensor._make` remains for ops built from a
+backward closure outside the table (reference compositions in tests);
+replay cannot record those.
+
 The engine is tuned for the training hot path:
 
 * **dtype policy** — tensors are created in the process-wide default dtype
@@ -24,8 +34,8 @@ The engine is tuned for the training hot path:
   edge fan-in and then accumulated in place (``np.add(..., out=...)``)
   whenever the buffer is owned by the backward pass; no defensive
   ``asarray``/``copy`` per hop.
-* **graph release** — after :meth:`Tensor.backward` the node closures and
-  parent links are dropped (unless ``retain_graph=True``), so step N's
+* **graph release** — after :meth:`Tensor.backward` the nodes' op state
+  and parent links are dropped (unless ``retain_graph=True``), so step N's
   activations are freed before step N+1 allocates.
 
 Gradients are validated against central finite differences in
@@ -35,9 +45,11 @@ Gradients are validated against central finite differences in
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .kernels import KERNELS, _unbroadcast
 
 ArrayLike = Union[np.ndarray, float, int, Sequence[float], "Tensor"]
 
@@ -56,27 +68,35 @@ __all__ = [
 ]
 
 
-class _GradMode:
-    """Process-wide switch used by :func:`no_grad`."""
+class _GradMode(threading.local):
+    """Per-thread switch used by :func:`no_grad`.
 
-    enabled = True
+    Thread-local like the tape hook: one thread's ``no_grad()`` block does
+    not stop another thread from building a graph.
+    """
+
+    def __init__(self) -> None:
+        self.enabled = True
+
+
+_GRAD = _GradMode()
 
 
 class no_grad:
-    """Context manager disabling graph construction (inference mode)."""
+    """Context manager disabling graph construction (inference mode) on this thread."""
 
     def __enter__(self) -> "no_grad":
-        self._previous = _GradMode.enabled
-        _GradMode.enabled = False
+        self._previous = _GRAD.enabled
+        _GRAD.enabled = False
         return self
 
     def __exit__(self, *exc_info) -> None:
-        _GradMode.enabled = self._previous
+        _GRAD.enabled = self._previous
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations are recorded onto the autodiff graph."""
-    return _GradMode.enabled
+    """Return whether new operations on this thread are recorded onto the autodiff graph."""
+    return _GRAD.enabled
 
 
 # --------------------------------------------------------------------------- #
@@ -169,20 +189,6 @@ def graph_node_count(root: "Tensor") -> int:
     return len(seen)
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over broadcast dimensions so it matches ``shape``."""
-    if grad.shape == shape:
-        return grad
-    # Sum over leading dimensions added by broadcasting.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # Sum over dimensions that were of size 1 in the original shape.
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
-
-
 class _BackwardState:
     """Per-``backward()`` scratch: pending gradients and buffer ownership.
 
@@ -190,8 +196,9 @@ class _BackwardState:
     ``owned`` holds the ids whose buffer was freshly allocated *by this
     backward pass* (an unbroadcast reduction or a fan-in addition) and is
     therefore safe to accumulate into in place.  Buffers received verbatim
-    from an op's backward closure are never owned — the same array may have
-    been sent to a sibling parent or be a read-only broadcast view.
+    from an op's VJP are never owned — the same array may have been sent
+    to a sibling parent, be a read-only broadcast view, or be a kernel's
+    scratch buffer.
     """
 
     __slots__ = ("grads", "owned")
@@ -199,6 +206,29 @@ class _BackwardState:
     def __init__(self) -> None:
         self.grads: dict = {}
         self.owned: set = set()
+
+
+def _send(state: _BackwardState, parent: "Tensor", grad: np.ndarray) -> None:
+    """Accumulate ``grad`` for ``parent`` during backprop (zero-copy).
+
+    The first gradient reaching a parent is stored as-is; fan-in
+    accumulation allocates once and every further contribution is added
+    in place into that owned buffer.
+    """
+    if not parent.requires_grad and parent._backward is None:
+        return  # constants never route gradients further
+    unbroadcast = _unbroadcast(grad, parent.data.shape)
+    key = id(parent)
+    existing = state.grads.get(key)
+    if existing is None:
+        state.grads[key] = unbroadcast
+        if unbroadcast is not grad:
+            state.owned.add(key)  # the reduction allocated a fresh buffer
+    elif key in state.owned:
+        np.add(existing, unbroadcast, out=existing)
+    else:
+        state.grads[key] = existing + unbroadcast
+        state.owned.add(key)
 
 
 def _released_backward(grad: np.ndarray) -> None:
@@ -227,11 +257,28 @@ class _TapeHookLocal(threading.local):
 _TAPE = _TapeHookLocal()
 
 
-def _tape_record(out: "Tensor", op: str, parents: Tuple["Tensor", ...], attrs=None) -> "Tensor":
-    """Notify an active tape recorder that ``op`` produced ``out``."""
+def _apply(op: str, parents: Tuple["Tensor", ...], attrs: Optional[dict] = None) -> "Tensor":
+    """Run op ``op`` of the kernel table eagerly; every op goes through here.
+
+    The kernel's forward returns a fresh array, wrapped in the output
+    tensor.  When grad mode is on and a parent requires a gradient, the
+    node keeps its parents and ``(kernel, attrs, ctx)`` for
+    :meth:`Tensor.backward`; under :class:`no_grad` it keeps nothing.  This
+    is the one place an active tape recorder is notified.
+    """
+    kernel = KERNELS[op]
+    ctx: dict = {}
+    out = Tensor(kernel.fwd(None, [p.data for p in parents], attrs, ctx))
+    if _GRAD.enabled:
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = (kernel, attrs, ctx)
+                break
     rec = _TAPE.recorder
     if rec is not None:
-        rec.record(out, op, parents, attrs)
+        rec.record(out, kernel, parents, attrs)
     return out
 
 
@@ -254,6 +301,8 @@ class Tensor:
     # is bumped by in-place parameter updates (repro.nn.optim) so callers
     # that key caches by buffer identity can detect mutation; it is left
     # unset until the first in-place write to keep construction cheap.
+    # ``_backward`` is ``None`` on leaves, ``(kernel, attrs, ctx)`` on op
+    # nodes, and a closure on nodes built by :meth:`_make`.
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_route", "_version", "__weakref__")
 
     def __init__(
@@ -266,9 +315,9 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=_DtypePolicy.dtype)
-        self.requires_grad = bool(requires_grad) and is_grad_enabled()
+        self.requires_grad = bool(requires_grad) and _GRAD.enabled
         self.grad: Optional[np.ndarray] = None
-        self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self._backward = None
         # Retaining parents on a grad-free tensor would keep whole subgraphs
         # alive under no_grad(); only record them when gradients can flow.
         self._parents: Tuple[Tensor, ...] = _parents if self.requires_grad else ()
@@ -326,12 +375,22 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+        """A node whose VJP is the closure ``backward(grad)``, outside the kernel table.
+
+        The closure routes gradients with ``out._send(parent, grad)``.  A
+        tape recording never captures such a node, so a step that uses one
+        aborts its recording and trains eagerly.
+        """
+        requires = _GRAD.enabled and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = parents
             out._backward = backward
         return out
+
+    def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
+        """Route ``grad`` to ``parent`` from a :meth:`_make` closure."""
+        _send(self._route, parent, grad)  # type: ignore[attr-defined]
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
         """Fold ``grad`` into :attr:`grad`, taking ownership when allowed."""
@@ -353,8 +412,8 @@ class Tensor:
         ``requires_grad=True``.
 
         Unless ``retain_graph`` is set, the traversed graph is *released*
-        afterwards: backward closures and parent links are dropped so the
-        forward activations they captured can be freed immediately.  A second
+        afterwards: op state and parent links are dropped so the forward
+        activations they hold can be freed immediately.  A second
         ``backward()`` through a released graph raises ``RuntimeError``.
         """
         if not self.requires_grad:
@@ -401,49 +460,34 @@ class Tensor:
                     continue
                 owned = key in state.owned
                 state.owned.discard(key)
-                if node.requires_grad and node._backward is None:
-                    # Leaf (or explicitly retained parameter-like node).
-                    node._accumulate(node_grad, owned=owned)
-                if node._backward is not None:
-                    node._backward_dispatch(node_grad, state)
+                step = node._backward
+                if step is None:
+                    if node.requires_grad:
+                        # Leaf (or explicitly retained parameter-like node).
+                        node._accumulate(node_grad, owned=owned)
+                    continue
+                if type(step) is tuple:
+                    kernel, attrs, ctx = step
+                    parents = node._parents
+                    grads = kernel.vjp(
+                        node_grad, [p.data for p in parents], node.data, attrs, ctx,
+                        [p.requires_grad for p in parents],
+                    )
+                    for parent, parent_grad in zip(parents, grads):
+                        if parent_grad is not None:
+                            _send(state, parent, parent_grad)
+                else:
+                    node._route = state
+                    try:
+                        step(node_grad)
+                    finally:
+                        del node._route
         finally:
             if not retain_graph:
                 for node in topo:
                     if node._backward is not None:
                         node._backward = _released_backward
                         node._parents = ()
-
-    def _backward_dispatch(self, grad: np.ndarray, state: _BackwardState) -> None:
-        """Invoke the stored backward closure, routing into ``state``."""
-        assert self._backward is not None
-        self._route = state  # type: ignore[attr-defined]
-        try:
-            self._backward(grad)
-        finally:
-            del self._route  # type: ignore[attr-defined]
-
-    def _send(self, parent: "Tensor", grad: np.ndarray) -> None:
-        """Accumulate ``grad`` for ``parent`` during backprop (zero-copy).
-
-        The first gradient reaching a parent is stored as-is; fan-in
-        accumulation allocates once and every further contribution is added
-        in place into that owned buffer.
-        """
-        if not parent.requires_grad and parent._backward is None:
-            return  # constants never route gradients further
-        state: _BackwardState = self._route  # type: ignore[attr-defined]
-        unbroadcast = _unbroadcast(grad, parent.data.shape)
-        key = id(parent)
-        existing = state.grads.get(key)
-        if existing is None:
-            state.grads[key] = unbroadcast
-            if unbroadcast is not grad:
-                state.owned.add(key)  # the reduction allocated a fresh buffer
-        elif key in state.owned:
-            np.add(existing, unbroadcast, out=existing)
-        else:
-            state.grads[key] = existing + unbroadcast
-            state.owned.add(key)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -453,24 +497,12 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data + other_t.data
-
-        def backward(grad: np.ndarray, self_t=self, oth=other_t) -> None:
-            out._send(self_t, grad)
-            out._send(oth, grad)
-
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return _tape_record(out, "add", (self, other_t))
+        return _apply("add", (self, as_tensor(other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: np.ndarray, self_t=None) -> None:
-            out._send(self, -grad)
-
-        out = Tensor._make(-self.data, (self,), backward)
-        return _tape_record(out, "neg", (self,))
+        return _apply("neg", (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (-as_tensor(other))
@@ -479,28 +511,12 @@ class Tensor:
         return as_tensor(other) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data * other_t.data
-
-        def backward(grad: np.ndarray, self_t=self, oth=other_t) -> None:
-            out._send(self_t, grad * oth.data)
-            out._send(oth, grad * self_t.data)
-
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return _tape_record(out, "mul", (self, other_t))
+        return _apply("mul", (self, as_tensor(other)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        other_t = as_tensor(other)
-        out_data = self.data / other_t.data
-
-        def backward(grad: np.ndarray, self_t=self, oth=other_t) -> None:
-            out._send(self_t, grad / oth.data)
-            out._send(oth, -grad * self_t.data / (oth.data ** 2))
-
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return _tape_record(out, "div", (self, other_t))
+        return _apply("div", (self, as_tensor(other)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) / self
@@ -508,57 +524,21 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor.__pow__ only supports scalar exponents")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray, self_t=self, p=float(exponent)) -> None:
-            if p < 1.0:
-                # x**(p-1) diverges at x == 0 for p < 1; use the zero
-                # subgradient there instead of emitting inf/nan.
-                base = self_t.data
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    local = p * base ** (p - 1.0)
-                local = np.where(base == 0.0, 0.0, local)
-            else:
-                local = p * (self_t.data ** (p - 1.0))
-            out._send(self_t, grad * local)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "pow", (self,), {"exponent": float(exponent)})
+        return _apply("pow", (self,), {"exponent": float(exponent)})
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         return self.matmul(other)
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix multiplication with gradient support for 1-D and 2-D operands."""
-        other_t = as_tensor(other)
-        out_data = self.data @ other_t.data
-
-        def backward(grad: np.ndarray, a=self, b=other_t) -> None:
-            grad_a, grad_b = _matmul_vjp(grad, a.data, b.data)
-            out._send(a, grad_a)
-            out._send(b, grad_b)
-
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return _tape_record(out, "matmul", (self, other_t))
+        return _apply("matmul", (self, as_tensor(other)))
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         """Sum over ``axis`` (all elements when ``None``)."""
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray, self_t=self, ax=axis, keep=keepdims) -> None:
-            if ax is None:
-                expanded = np.broadcast_to(grad, self_t.data.shape)
-            else:
-                if not keep:
-                    grad = np.expand_dims(grad, ax)
-                expanded = np.broadcast_to(grad, self_t.data.shape)
-            out._send(self_t, expanded)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "sum", (self,), {"axis": axis, "keepdims": keepdims})
+        return _apply("sum", (self,), {"axis": axis, "keepdims": keepdims})
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
         """Mean over ``axis``."""
@@ -580,140 +560,58 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
         """Elementwise ``e**x``."""
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * out.data)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "exp", (self,))
+        return _apply("exp", (self,))
 
     def log(self) -> "Tensor":
         """Elementwise natural logarithm."""
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad / self_t.data)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "log", (self,))
+        return _apply("log", (self,))
 
     def sqrt(self) -> "Tensor":
         """Elementwise square root."""
-        out_data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * 0.5 / np.maximum(out.data, 1e-12))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "sqrt", (self,))
+        return _apply("sqrt", (self,))
 
     def abs(self) -> "Tensor":
         """Elementwise absolute value."""
-        out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * np.sign(self_t.data))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "abs", (self,))
+        return _apply("abs", (self,))
 
     def tanh(self) -> "Tensor":
         """Elementwise hyperbolic tangent."""
-        out_data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * (1.0 - out.data ** 2))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "tanh", (self,))
+        return _apply("tanh", (self,))
 
     def sigmoid(self) -> "Tensor":
         """Elementwise logistic sigmoid (input clipped to +/-60)."""
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * out.data * (1.0 - out.data))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "sigmoid", (self,))
+        return _apply("sigmoid", (self,))
 
     def relu(self) -> "Tensor":
         """Elementwise ``max(x, 0)``."""
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * (self_t.data > 0.0))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "relu", (self,))
+        return _apply("relu", (self,))
 
     def elu(self, alpha: float = 1.0) -> "Tensor":
         """Elementwise ELU with slope ``alpha`` on the negative side."""
-        positive = self.data > 0.0
-        out_data = np.where(positive, self.data, alpha * (np.exp(np.minimum(self.data, 0.0)) - 1.0))
-
-        def backward(grad: np.ndarray, self_t=self, a=alpha, pos=positive) -> None:
-            local = np.where(pos, 1.0, out.data + a)
-            out._send(self_t, grad * local)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "elu", (self,), {"alpha": float(alpha)})
+        return _apply("elu", (self,), {"alpha": float(alpha)})
 
     def softplus(self) -> "Tensor":
         """Elementwise ``log(1 + e**x)``."""
-        out_data = np.logaddexp(0.0, self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            sig = 1.0 / (1.0 + np.exp(-np.clip(self_t.data, -60.0, 60.0)))
-            out._send(self_t, grad * sig)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "softplus", (self,))
+        return _apply("softplus", (self,))
 
     def cos(self) -> "Tensor":
         """Elementwise cosine."""
-        out_data = np.cos(self.data)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, -grad * np.sin(self_t.data))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "cos", (self,))
+        return _apply("cos", (self,))
 
     def sin(self) -> "Tensor":
         """Elementwise sine."""
-        out_data = np.sin(self.data)
+        return _apply("sin", (self,))
 
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad * np.cos(self_t.data))
+    def clip(self, low: Optional[float], high: Optional[float]) -> "Tensor":
+        """Clamp values to ``[low, high]`` (gradient is zero outside).
 
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "sin", (self,))
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        """Clamp values to ``[low, high]`` (gradient is zero outside)."""
-        out_data = np.clip(self.data, low, high)
-
-        def backward(grad: np.ndarray, self_t=self, lo=low, hi=high) -> None:
-            mask = (self_t.data >= lo) & (self_t.data <= hi)
-            out._send(self_t, grad * mask)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "clip", (self,), {"low": low, "high": high})
+        Either bound may be ``None`` for a one-sided clip.
+        """
+        return _apply("clip", (self,), {"low": low, "high": high})
 
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Elementwise maximum with ``other``."""
-        other_t = as_tensor(other)
-        out_data = np.maximum(self.data, other_t.data)
-
-        def backward(grad: np.ndarray, a=self, b=other_t) -> None:
-            mask = a.data >= b.data
-            out._send(a, grad * mask)
-            out._send(b, grad * (~mask))
-
-        out = Tensor._make(out_data, (self, other_t), backward)
-        return _tape_record(out, "maximum", (self, other_t))
+        return _apply("maximum", (self, as_tensor(other)))
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -722,60 +620,14 @@ class Tensor:
         """Reshaped tensor over the same data."""
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(grad: np.ndarray, self_t=self) -> None:
-            out._send(self_t, grad.reshape(self_t.data.shape))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "reshape", (self,))
+        return _apply("reshape", (self,), {"shape": shape})
 
     def transpose(self, axes: Optional[Tuple[int, ...]] = None) -> "Tensor":
         """Axes-permuted tensor (axes reversed when ``None``)."""
-        out_data = self.data.transpose(axes)
-
-        def backward(grad: np.ndarray, self_t=self, ax=axes) -> None:
-            if ax is None:
-                out._send(self_t, grad.transpose())
-            else:
-                inverse = np.argsort(ax)
-                out._send(self_t, grad.transpose(inverse))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "transpose", (self,), {"axes": axes})
+        return _apply("transpose", (self,), {"axes": axes})
 
     def __getitem__(self, index) -> "Tensor":
-        out_data = self.data[index]
-
-        def backward(grad: np.ndarray, self_t=self, idx=index) -> None:
-            full = np.zeros_like(self_t.data)
-            np.add.at(full, idx, grad)
-            out._send(self_t, full)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return _tape_record(out, "getitem", (self,), {"index": index})
-
-
-def _matmul_vjp(
-    grad: np.ndarray, a_data: np.ndarray, b_data: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """VJP of ``a @ b`` for 1-D/2-D operands (shared with the fused ops)."""
-    if a_data.ndim == 1 and b_data.ndim == 1:
-        return grad * b_data, grad * a_data
-    a2 = a_data if a_data.ndim > 1 else a_data[None, :]
-    b2 = b_data if b_data.ndim > 1 else b_data[:, None]
-    g2 = grad
-    if a_data.ndim == 1:
-        g2 = g2[None, ...]
-    if b_data.ndim == 1:
-        g2 = g2[..., None]
-    grad_a = g2 @ np.swapaxes(b2, -1, -2)
-    grad_b = np.swapaxes(a2, -1, -2) @ g2
-    if a_data.ndim == 1:
-        grad_a = grad_a.reshape(a_data.shape)
-    if b_data.ndim == 1:
-        grad_b = grad_b.reshape(b_data.shape)
-    return grad_a, grad_b
+        return _apply("getitem", (self,), {"index": index})
 
 
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
@@ -787,30 +639,9 @@ def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing to each input."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            slicer = [slice(None)] * grad.ndim
-            slicer[axis] = slice(start, stop)
-            out._send(tensor, grad[tuple(slicer)])
-
-    out = Tensor._make(out_data, tuple(tensors), backward)
-    return _tape_record(out, "concatenate", tuple(tensors), {"axis": axis})
+    return _apply("concatenate", tuple([as_tensor(t) for t in tensors]), {"axis": axis})
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis."""
-    tensors = [as_tensor(t) for t in tensors]
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        split = np.moveaxis(grad, axis, 0)
-        for tensor, piece in zip(tensors, split):
-            out._send(tensor, piece)
-
-    out = Tensor._make(out_data, tuple(tensors), backward)
-    return _tape_record(out, "stack", tuple(tensors), {"axis": axis})
+    return _apply("stack", tuple([as_tensor(t) for t in tensors]), {"axis": axis})

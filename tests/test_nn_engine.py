@@ -1,13 +1,14 @@
 """Engine-level tests for the autodiff hot-path overhaul.
 
 Covers the process-wide dtype policy, zero-copy gradient accumulation,
-graph retention/release semantics, the ``no_grad`` parent-retention fix
-and the ``__pow__`` zero-gradient guard.
+graph retention/release semantics, the ``no_grad`` parent-retention fix,
+the per-thread ``no_grad`` switch and the ``__pow__`` zero-gradient guard.
 """
 
 from __future__ import annotations
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.nn.tensor import (
     dtype_scope,
     get_default_dtype,
     graph_node_count,
+    is_grad_enabled,
     no_grad,
     set_default_dtype,
     tensor_alloc_count,
@@ -204,6 +206,33 @@ class TestGraphRetention:
         (x * 2.0).sum().backward()
         (x * 3.0).sum().backward()
         np.testing.assert_allclose(x.grad, [5.0, 5.0])
+
+
+class TestGradModeThreads:
+    def test_no_grad_on_one_thread_leaves_another_building_graphs(self):
+        entered, release = threading.Event(), threading.Event()
+        seen = {}
+
+        def hold_no_grad():
+            with no_grad():
+                seen["worker"] = is_grad_enabled()
+                entered.set()
+                release.wait(10)
+
+        worker = threading.Thread(target=hold_no_grad)
+        worker.start()
+        try:
+            assert entered.wait(10)
+            assert is_grad_enabled()
+            x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+            assert x.requires_grad
+            (x * x).sum().backward()
+            np.testing.assert_allclose(x.grad, [2.0, 4.0, 6.0])
+        finally:
+            release.set()
+            worker.join(10)
+        assert not worker.is_alive()
+        assert seen["worker"] is False
 
 
 class TestZeroCopyAccumulation:

@@ -107,6 +107,8 @@ UNARY_OPS = {
     "sin": (lambda t: t.sin(), lambda x: x),
     "cos": (lambda t: t.cos(), lambda x: x),
     "clip": (lambda t: t.clip(-0.5, 0.5), lambda x: _away_from(x, [-0.5, 0.5])),
+    "clip_low_only": (lambda t: t.clip(-0.5, None), lambda x: _away_from(x, [-0.5])),
+    "clip_high_only": (lambda t: t.clip(None, 0.5), lambda x: _away_from(x, [0.5])),
     "pow2": (lambda t: t ** 2, lambda x: x),
     "pow3": (lambda t: t ** 3, lambda x: x),
     "pow1.5": (lambda t: t ** 1.5, lambda x: np.abs(x) + 0.5),

@@ -16,13 +16,20 @@ Covers the contract of ``TrainingConfig.graph_replay``:
 * the fused regularizer kernels (``bilinear_weighted_sum`` with a constant
   or a differentiable kernel, the batched HSIC pair node, matrix
   ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
-  weights) give eager == replay == stacked, bit for bit.
+  weights) and one-sided ``clip`` give eager == replay == stacked, bit for
+  bit;
+* replay skips instructions the loss does not read (DeR-CFR's propensity);
+* a fitted trainer is freed by reference counting (no trainer <-> replay
+  cycle), and a fitted estimator still deep-copies and refits.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -34,6 +41,7 @@ from repro.core.stacked import fit_stacked
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.experiments.runner import MethodSpec, run_replications
 from repro.nn import functional as F
+from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
 from repro.nn.tape import GraphReplayError, StackedProgram, TapeRecorder
 from repro.nn.tensor import Tensor, dtype_scope, tensor_alloc_count
@@ -158,6 +166,7 @@ def _fused_kernel_cases():
     left, right = np.array([0, 0, 2, 1]), np.array([1, 3, 3, 3])
     projection = rng.normal(size=(cols, k, n))
     w_n, w_m = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    weights_2d = rng.normal(size=(n, cols))
 
     def positive(size):
         return lambda r: np.abs(r.normal(size=size)) + 0.1
@@ -183,6 +192,15 @@ def _fused_kernel_cases():
         "rbf-mmd-constant-weights": (
             lambda rc, rt: F.weighted_rbf_mmd(rc, rt, w_n, w_m, 1.3),
             [lambda r: r.normal(size=(n, cols)), lambda r: r.normal(size=(m, cols))],
+        ),
+        # One-sided clips: either bound may be None.
+        "clip-high-only": (
+            lambda x: (x.clip(None, 0.3) * weights_2d).sum(),
+            [lambda r: r.normal(size=(n, cols))],
+        ),
+        "clip-low-only": (
+            lambda x: (x.clip(-0.3, None) * weights_2d).sum(),
+            [lambda r: r.normal(size=(n, cols))],
         ),
         "rbf-mmd-differentiable-weights": (
             lambda rc, rt, wc, wt: F.weighted_rbf_mmd(rc, rt, wc, wt, 1.3),
@@ -285,12 +303,85 @@ class TestInvalidation:
             assert trainer.last_step_stats["replay_hit"] is True
 
 
+class TestDeadInstructions:
+    def test_dercfr_replay_skips_the_unread_propensity(self, protocol, monkeypatch):
+        """DeR-CFR's propensity sigmoid feeds no loss: replay runs 2 of its 3 sigmoids."""
+        kernel = KERNELS["sigmoid"]
+        calls = []
+
+        def fwd(*args):
+            calls.append(args[0] is None)
+            return kernel.fwd(*args)
+
+        monkeypatch.setitem(KERNELS, "sigmoid", Kernel("sigmoid", fwd, kernel.vjp))
+        estimator = _fit(protocol, _config(iterations=3), backbone="dercfr", framework="vanilla")
+        trainer = estimator.trainer
+        train_std = protocol["train"].standardize()[0]
+        arrays = (train_std.covariates, train_std.treatment, train_std.outcome)
+        with dtype_scope("float64"):
+            trainer._network_step(*arrays, None)  # records these arrays
+            del calls[:]
+            trainer._network_step(*arrays, None)
+        assert trainer.last_step_stats["replay_hit"] is True
+        assert calls == [False, False]
+        program = next(reversed(trainer._replay._cache.values()))[0]
+        sigmoids = [instr for instr in program.instructions if instr.op == "sigmoid"]
+        assert len(sigmoids) == 3
+        assert [instr.folded for instr in sigmoids].count(True) == 1
+
+    def test_dercfr_replay_equals_eager(self, protocol):
+        replayed = _fit(protocol, _config(), backbone="dercfr", framework="vanilla")
+        eager = _fit(protocol, _config(graph_replay="off"), backbone="dercfr", framework="vanilla")
+        assert replayed.trainer._replay.stats["hits"] > 0
+        for dataset in protocol["test_environments"].values():
+            assert replayed.evaluate(dataset) == eager.evaluate(dataset)
+        assert (
+            replayed.training_history().as_dict()["network_loss"]
+            == eager.training_history().as_dict()["network_loss"]
+        )
+
+
+class TestReplayLifetime:
+    def test_fitted_trainer_is_freed_without_the_cyclic_collector(self, protocol):
+        gc.collect()
+        gc.disable()
+        try:
+            estimator = _fit(protocol, _config(iterations=6))
+            assert estimator.trainer._replay.stats["hits"] > 0
+            trainer = weakref.ref(estimator.trainer)
+            del estimator
+            assert trainer() is None, "the trainer outlived its estimator without gc.collect()"
+        finally:
+            gc.enable()
+
+    def test_deepcopy_of_a_fitted_estimator_refits(self, protocol):
+        estimator = _fit(protocol, _config(iterations=6))
+        dataset = protocol["test_environments"][2.5]
+        before = estimator.evaluate(dataset)
+        candidate = copy.deepcopy(estimator)
+        assert candidate.trainer._replay is not estimator.trainer._replay
+        assert candidate.evaluate(dataset) == before
+        candidate.refit(protocol["train"], init="fitted", epochs=4)
+        assert candidate.trainer._replay.stats["hits"] > 0
+        assert estimator.evaluate(dataset) == before
+
+
+def _closure_elu(self, alpha=1.0):
+    """ELU built by ``Tensor._make``: a backward closure outside the kernel table."""
+    positive = self.data > 0.0
+    out_data = np.where(positive, self.data, alpha * (np.exp(np.minimum(self.data, 0.0)) - 1.0))
+
+    def backward(grad):
+        out._send(self, grad * np.where(positive, 1.0, out.data + alpha))
+
+    out = Tensor._make(out_data, (self,), backward)
+    return out
+
+
 class TestEagerFallback:
     def test_unregistered_op_falls_back_with_one_warning(self, protocol, caplog, monkeypatch):
-        """An op without a tape kernel aborts recording; training stays eager."""
-        from repro.nn import tape as tape_module
-
-        monkeypatch.delitem(tape_module._FORWARD, "elu")
+        """A closure-built op aborts recording; training stays eager."""
+        monkeypatch.setattr(Tensor, "elu", _closure_elu)
         with caplog.at_level(logging.WARNING, logger="repro.core.replay"):
             fallback = _fit(protocol, _config(), backbone="tarnet", framework="vanilla")
         replay = fallback.trainer._replay
