@@ -33,11 +33,8 @@ def main() -> int:
         total = count_lines(repo / relative)
         grand_total += total
         print(f"{label:24s} {total:7d} lines")
-    docs = sum(
-        sum(1 for _ in (repo / name).open(encoding="utf-8"))
-        for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")
-        if (repo / name).exists()
-    )
+    docs = count_lines(repo / "docs", suffixes=(".md",))
+    docs += sum(1 for _ in (repo / "README.md").open(encoding="utf-8"))
     print(f"{'documentation':24s} {docs:7d} lines")
     print(f"{'total':24s} {grand_total + docs:7d} lines")
     return 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
+from ..metrics.ipm import check_weighted_ipm_kind
+
 __all__ = [
     "BackboneConfig",
     "RegularizerConfig",
@@ -90,6 +92,7 @@ class RegularizerConfig:
         for name in ("alpha", "gamma1", "gamma2", "gamma3", "lambda_l2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+        check_weighted_ipm_kind(self.ipm_kind)
         if self.num_rff_features <= 0:
             raise ValueError("num_rff_features must be positive")
         if self.num_anchors <= 0:

@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ...metrics.ipm import mmd_rbf_from_kernels, rbf_kernel_blocks, weighted_ipm
+from ...metrics.ipm import check_weighted_ipm_kind, weighted_ipm
 from ...metrics.subsampling import subsample_indices
 from ...nn.tensor import Tensor, as_tensor
 
@@ -26,9 +26,9 @@ class BalanceGroups:
     """The weight-independent half of ``L_B`` for one representation.
 
     ``control`` / ``treated`` index the rows of each group (anchors when
-    subsampling applies); ``inputs`` holds the three RBF kernel blocks for
-    ``mmd_rbf`` and the two groups' representation rows otherwise.  Both
-    are ``None`` when a treatment arm is empty.
+    subsampling applies); ``inputs`` holds the two groups' representation
+    rows, for every IPM kind.  Both are ``None`` when a treatment arm is
+    empty.
     """
 
     control: Optional[np.ndarray]
@@ -57,18 +57,20 @@ class BalancingRegularizer:
             raise ValueError("alpha must be non-negative")
         if num_anchors <= 0:
             raise ValueError("num_anchors must be positive")
-        self.kind = kind
+        self.kind = check_weighted_ipm_kind(kind)
         self.alpha = alpha
         self.subsample_threshold = subsample_threshold
         self.num_anchors = num_anchors
         self._rng = np.random.default_rng(seed)
 
     def prepare(self, representation: Tensor, treatment: np.ndarray) -> BalanceGroups:
-        """Index the treatment groups and build their IPM inputs.
+        """Index the treatment groups and gather their representation rows.
 
-        Above ``subsample_threshold`` rows this draws a fresh set of
-        anchors, so it runs once per loss evaluation there; otherwise the
-        result can be reused for any number of weight vectors.
+        No kernel block is built: the RBF-MMD sweeps its kernel in tiles on
+        every loss evaluation.  Above ``subsample_threshold`` rows this
+        draws a fresh set of anchors, so it runs once per loss evaluation
+        there; otherwise the result can be reused for any number of weight
+        vectors.
         """
         treatment = np.asarray(treatment, dtype=np.float64).ravel()
         treated_idx = np.where(treatment == 1.0)[0]
@@ -81,12 +83,7 @@ class BalancingRegularizer:
         ):
             treated_idx = self._anchors(treated_idx)
             control_idx = self._anchors(control_idx)
-        rep_control = representation[control_idx]
-        rep_treated = representation[treated_idx]
-        if self.kind == "mmd_rbf":
-            inputs = rbf_kernel_blocks(rep_control, rep_treated)
-        else:
-            inputs = (rep_control, rep_treated)
+        inputs = (representation[control_idx], representation[treated_idx])
         return BalanceGroups(control_idx, treated_idx, inputs)
 
     def loss(
@@ -110,12 +107,7 @@ class BalancingRegularizer:
         weights = as_tensor(sample_weights).reshape(-1)
         weights_control = weights[groups.control]
         weights_treated = weights[groups.treated]
-        if self.kind == "mmd_rbf":
-            distance = mmd_rbf_from_kernels(groups.inputs, weights_control, weights_treated)
-        else:
-            distance = weighted_ipm(
-                *groups.inputs, weights_control, weights_treated, kind=self.kind
-            )
+        distance = weighted_ipm(*groups.inputs, weights_control, weights_treated, kind=self.kind)
         return distance * self.alpha
 
     def _anchors(self, group_indices: np.ndarray) -> np.ndarray:

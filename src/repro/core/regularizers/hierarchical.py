@@ -57,10 +57,10 @@ class PreparedForward:
     """A frozen forward pass plus the weight-independent parts of ``L_w``.
 
     Built by :meth:`HierarchicalAttentionLoss.prepare`.  ``groups`` (the
-    treatment groups and their IPM inputs) and ``features`` (each
-    decorrelated layer's RFF features, by layer key) are filled only when
-    no subsampling applies; otherwise the rows change on every evaluation
-    and each call computes them itself.
+    treatment groups and their representation rows; no kernel blocks) and
+    ``features`` (each decorrelated layer's RFF features, by layer key) are
+    filled only when no subsampling applies; otherwise the rows change on
+    every evaluation and each call computes them itself.
     """
 
     forward: BackboneForward
@@ -134,12 +134,13 @@ class HierarchicalAttentionLoss:
     def prepare(self, forward: BackboneForward, treatment: np.ndarray) -> PreparedForward:
         """Compute the parts of ``L_w`` that depend only on the activations.
 
-        These are the treatment groups with their IPM inputs (the three RBF
-        kernel blocks for ``mmd_rbf``) and every decorrelated layer's RFF
-        features.  Above ``subsample_threshold`` rows the anchors and rows
-        are redrawn on every evaluation, so nothing is hoisted.  Fresh RFF
-        draws happen here, in layer order, exactly as a first loss call
-        would make them.
+        These are the treatment groups with their representation rows and
+        every decorrelated layer's RFF features.  No RBF kernel block is
+        built: each evaluation sweeps the kernel in tiles, which beats a
+        hoisted block at one or two inner steps in both time and memory.
+        Above ``subsample_threshold`` rows the anchors and rows are redrawn
+        on every evaluation, so nothing is hoisted.  Fresh RFF draws happen
+        here, in layer order, exactly as a first loss call would make them.
         """
         prepared = PreparedForward(forward)
         threshold = self.config.subsample_threshold

@@ -8,10 +8,10 @@ evaluation code.
 The fused kernels (:func:`linear`, :func:`pairwise_sq_dists`,
 :func:`rbf_kernel`, :func:`bce_with_logits`, the weighted losses,
 :func:`rff_features`, :func:`weighted_pair_sq_cross_cov`,
-:func:`bilinear_weighted_sum`, :func:`weighted_rbf_mmd`) record a *single*
-graph node with a closed-form vector-Jacobian product instead of composing
-dozens of broadcast primitives.  That collapses the per-step node count of
-the RBF-MMD / HSIC regularizer graphs by an order of magnitude (see
+:func:`weighted_rbf_mmd`) record a *single* graph node with a closed-form
+vector-Jacobian product instead of composing dozens of broadcast
+primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
+regularizer graphs by an order of magnitude (see
 ``benchmarks/bench_autodiff.py``).  Each function here checks its inputs
 and dispatches one op of the kernel table (:mod:`repro.nn.kernels`), where
 its forward and VJP are defined.
@@ -20,19 +20,17 @@ Numeric contract:
 
 * eager == replay by construction: the eager node and its replayed
   instruction run the same kernel; stacked replay equals both bit for bit;
-* every RBF kernel block comes from one helper (an augmented gemm and an
+* every RBF kernel entry comes from one helper (an augmented gemm and an
   in-place ``exp``), which matches the ``|a|² + |b|² - 2 a·b`` expansion it
   replaced within a relative 1e-12;
-* the :func:`weighted_rbf_mmd` value is bitwise the kernel-block
-  composition's (:func:`rbf_kernel` blocks reduced by
-  :func:`bilinear_weighted_sum`), and its gradients match that
-  composition's within a relative 1e-12
-  (``tests/test_network_step_mmd.py``);
-* the batched HSIC pair node and the mat-vec bilinear form sum in a
-  different order than the per-pair / elementwise compositions they
-  replaced, so they match those within a relative 1e-12, not bitwise
-  (``tests/test_weight_objective.py`` keeps the old compositions as the
-  reference);
+* the :func:`weighted_rbf_mmd` value and gradients match the kernel-block
+  composition (three :func:`rbf_kernel` blocks reduced by bilinear forms)
+  within a relative 1e-12 (``tests/test_network_step_mmd.py`` keeps it
+  verbatim as the reference); the tiled sweep sums in a different order;
+* the batched HSIC pair node sums in a different order than the per-pair
+  composition it replaced, so it matches that within a relative 1e-12,
+  not bitwise (``tests/test_weight_objective.py`` keeps the old
+  compositions as the reference);
 * end to end, the golden-regression suite pins fitted metrics at a
   relative 1e-5.
 """
@@ -43,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype
+from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype, is_grad_enabled
 
 __all__ = [
     "elu",
@@ -63,7 +61,6 @@ __all__ = [
     "normalize_rows",
     "rff_features",
     "weighted_pair_sq_cross_cov",
-    "bilinear_weighted_sum",
     "weighted_rbf_mmd",
 ]
 
@@ -129,7 +126,7 @@ def rbf_kernel(a: ArrayLike, b: ArrayLike, sigma: float = 1.0) -> Tensor:
 
     The pairwise distances and the exponential are one graph node with an
     analytic VJP.  The forward is one augmented gemm and an in-place
-    ``exp`` (``kernels._rbf_block``).
+    ``exp`` (``kernels._rbf_entries``).
     """
     parents = _rows_pair(a, b, "rbf_kernel")
     return _apply("rbf_kernel", parents, {"scale": -1.0 / (2.0 * sigma ** 2)})
@@ -243,24 +240,8 @@ def weighted_pair_sq_cross_cov(
     return _apply("weighted_pair_sq_cross_cov", (f_t, as_tensor(probs)), attrs)
 
 
-def bilinear_weighted_sum(
-    weights_a: ArrayLike, kernel: ArrayLike, weights_b: ArrayLike
-) -> Tensor:
-    """Weighted bilinear form ``Σ_ij a_i K_ij b_j`` as one fused node.
-
-    The three kernel expectations of a weighted MMD are exactly this shape.
-    The forward is two mat-vecs, ``a · (K b)``; the VJP reuses ``K b`` for
-    ``a``, takes ``a K`` by gemv for ``b``, and forms the ``n × m`` kernel
-    gradient ``a bᵀ`` only when the kernel needs one.  The value equals the
-    elementwise ``(a[:, None] * K * b[None, :]).sum()`` within a relative
-    1e-12 (a different summation order).
-    """
-    parents = (as_tensor(weights_a), as_tensor(kernel), as_tensor(weights_b))
-    return _apply("bilinear_weighted_sum", parents)
-
-
 # --------------------------------------------------------------------------- #
-# Fused weighted RBF-MMD (the network step's Balancing Regularizer, Eq. 4)
+# Fused weighted RBF-MMD (the Balancing Regularizer, Eq. 4)
 # --------------------------------------------------------------------------- #
 def weighted_rbf_mmd(
     rep_control: ArrayLike,
@@ -272,16 +253,28 @@ def weighted_rbf_mmd(
     """Weighted RBF-MMD ``w_cᵀK_cc w_c + w_tᵀK_tt w_t - 2 w_cᵀK_ct w_t``, one node.
 
     ``weights_control`` / ``weights_treated`` are used as given (callers
-    pass weights normalised to sum one).  The forward builds the three
-    kernel blocks and reduces them by mat-vec; the VJP is closed-form
-    (``kernels._rbf_mmd_vjp``) and never forms an ``n × m`` gradient.  The
-    value is bitwise that of the :func:`rbf_kernel` /
-    :func:`bilinear_weighted_sum` composition; the gradients match it
-    within a relative 1e-12.
+    pass weights normalised to sum one).  The forward sweeps the stacked
+    kernel in tiles (``kernels._rbf_mmd_sweep``) and keeps only the
+    gradients at unit upstream gradient, which the VJP scales; no ``n × m``
+    block outlives its tile.  The representation products run only when
+    grad mode is on and a representation requires a gradient; ``attrs``
+    records that choice, so a replayed program repeats it.  The value and
+    gradients match the :func:`rbf_kernel` block composition within a
+    relative 1e-12.
     """
     parents = tuple(
         [as_tensor(x) for x in (rep_control, rep_treated, weights_control, weights_treated)]
     )
-    if parents[0].ndim != 2 or parents[1].ndim != 2:
-        raise ValueError("weighted_rbf_mmd expects 2-D (rows, features) representations")
-    return _apply("weighted_rbf_mmd", parents, {"scale": -1.0 / (2.0 * sigma ** 2)})
+    rep_c, rep_t, w_c, w_t = parents
+    if rep_c.ndim != 2 or rep_t.ndim != 2 or rep_c.shape[1] != rep_t.shape[1]:
+        raise ValueError(
+            "weighted_rbf_mmd expects 2-D (rows, features) representations of equal width"
+        )
+    if w_c.size != rep_c.shape[0] or w_t.size != rep_t.shape[0]:
+        raise ValueError(
+            f"weighted_rbf_mmd needs one weight per representation row in each arm; got {w_c.size} "
+            f"for {rep_c.shape[0]} control rows and {w_t.size} for {rep_t.shape[0]} treated rows"
+        )
+    full = is_grad_enabled() and (rep_c.requires_grad or rep_t.requires_grad)
+    attrs = {"scale": -1.0 / (2.0 * sigma ** 2), "products": "full" if full else "weights"}
+    return _apply("weighted_rbf_mmd", parents, attrs)

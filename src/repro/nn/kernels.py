@@ -576,35 +576,44 @@ def _k_pairwise():
     return fwd, vjp
 
 
-def _rbf_block(
-    a: np.ndarray, b: np.ndarray, scale: float, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``exp(scale · ||a_i - b_j||²)`` from one augmented gemm and an in-place ``exp``.
-
-    ``[-2s·a, s·|a|², 1] @ [b, 1, s·|b|²]ᵀ`` writes ``s·D`` straight into
-    the ``n × m`` output (``out`` when given), so a block costs one gemm and
-    one ``exp`` pass instead of a gemm and five elementwise passes.  Every
-    RBF kernel block is built here (the ``rbf_kernel`` and
-    ``weighted_rbf_mmd`` kernels), so they agree bitwise.
-    """
-    d = a.shape[1]
-    left = np.empty((a.shape[0], d + 2), dtype=a.dtype)
-    np.multiply(a, -2.0 * scale, out=left[:, :d])
-    left[:, d] = scale * np.einsum("ij,ij->i", a, a)
-    left[:, d + 1] = 1.0
-    right = np.empty((b.shape[0], d + 2), dtype=b.dtype)
-    right[:, :d] = b
-    right[:, d] = 1.0
-    right[:, d + 1] = scale * np.einsum("ij,ij->i", b, b)
-    out = np.matmul(left, right.T, out=out)
-    np.exp(out, out=out)
+def _rbf_left(x: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Augmented rows ``[-2s·x, s·|x|², 1]``: the left factor of ``s·||x_i - y_j||²``."""
+    d = x.shape[1]
+    out = np.empty((x.shape[0], d + 2), dtype=x.dtype) if out is None else out
+    np.multiply(x, -2.0 * scale, out=out[:, :d])
+    out[:, d] = scale * np.einsum("ij,ij->i", x, x)
+    out[:, d + 1] = 1.0
     return out
+
+
+def _rbf_right(y: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Augmented rows ``[y, 1, s·|y|²]``: the right factor of ``s·||x_i - y_j||²``."""
+    d = y.shape[1]
+    out = np.empty((y.shape[0], d + 2), dtype=y.dtype) if out is None else out
+    out[:, :d] = y
+    out[:, d] = 1.0
+    out[:, d + 1] = scale * np.einsum("ij,ij->i", y, y)
+    return out
+
+
+def _rbf_entries(
+    left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """RBF kernel entries ``exp(s·||x_i - y_j||²)`` of augmented rows, into ``out``.
+
+    One gemm writes ``s·D`` straight into the output, then an in-place
+    ``exp``.  Every RBF kernel entry comes from here: whole blocks for the
+    ``rbf_kernel`` op and tiles for the ``weighted_rbf_mmd`` sweep.
+    """
+    out = np.matmul(left, right.T, out=out)
+    return np.exp(out, out=out)
 
 
 @_kernel("rbf_kernel")
 def _k_rbf():
     def fwd(out, ins, attrs, ctx):
-        return _rbf_block(ins[0], ins[1], attrs["scale"], out=out)
+        scale = attrs["scale"]
+        return _rbf_entries(_rbf_left(ins[0], scale), _rbf_right(ins[1], scale), out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         # grad_sq = grad * out * scale, evaluated left to right
@@ -919,121 +928,89 @@ def _k_weighted_pair_sq_cross_cov():
     return fwd, vjp
 
 
-def _bilinear_forward(a: np.ndarray, kernel: np.ndarray, b: np.ndarray):
-    """``(a · (K b), K b)`` by gemv."""
-    kb = kernel @ b.reshape(-1)
-    return a.reshape(-1) @ kb, kb
-
-
-def _bilinear_vjp(grad, a, kernel, b, kb, needs) -> tuple:
-    """VJP of ``a · (K b)``: ``g K b``, ``g a bᵀ`` (only when needed), ``g a K``."""
-    a_vec = a.reshape(-1)
-    ga = (grad * kb).reshape(a.shape) if needs[0] else None
-    gk = None
-    if needs[1]:
-        gk = np.outer(a_vec, b)
-        gk *= grad
-    gb = (grad * (a_vec @ kernel)).reshape(b.shape) if needs[2] else None
-    return ga, gk, gb
-
-
-@_kernel("bilinear_weighted_sum")
-def _k_bilinear():
-    def fwd(out, ins, attrs, ctx):
-        value, ctx["kb"] = _bilinear_forward(*ins)
-        return _assign(out, value)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return _bilinear_vjp(grad, *ins, ctx["kb"], needs)
-
-    return fwd, vjp
-
-
 # --------------------------------------------------------------------------- #
-# Fused weighted RBF-MMD (the network step's Balancing Regularizer, Eq. 4)
+# Fused weighted RBF-MMD (the Balancing Regularizer, Eq. 4)
 # --------------------------------------------------------------------------- #
-def _rbf_mmd_forward(rep_c, rep_t, w_c, w_t, scale, blocks=(None, None, None)):
-    """``(value, saved)`` of ``weighted_rbf_mmd`` on arrays.
+#: Rows per tile of the RBF-MMD sweep.  128 was the fastest of 96–512 rows
+#: at ``fit-fullbatch``'s shapes (2-CPU host, single-threaded OpenBLAS).
+#: Read at call time, so tests can shrink it.
+RBF_MMD_TILE = 128
 
-    ``blocks`` are optional ``n_c × n_c``, ``n_t × n_t`` and ``n_c × n_t``
-    output buffers for the kernel blocks (replay reuses its own across
-    runs).  The value is reduced exactly as ``mmd_rbf_from_kernels``
-    reduces the same blocks, so the two are bitwise equal.
+
+def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool):
+    """``aᵀKa`` and its unscaled gradients from one sweep of tiles.
+
+    The arms are stacked, ``X = [R_c; R_t]`` and ``a = [w_c; -w_t]``, so
+    the weighted MMD is ``aᵀKa`` with ``K_ij = exp(s·||x_i - x_j||²)``.
+    Each upper-triangle tile pair ``I ≤ J`` is visited once: one gemm of
+    the augmented rows into the tile buffer and an in-place ``exp`` give
+    ``K_IJ``, then ``K_IJ B_J`` is added to rows ``I`` and, when ``I ≠ J``,
+    ``K_IJᵀ B_I`` to rows ``J``.  The sweep leaves ``C = K B`` with
+    ``B = [a ⊙ X, a]`` when ``full`` (a representation needs a gradient)
+    and ``B = a`` otherwise (one gemv per tile).  No array larger than a
+    tile or a row block is formed.
+
+    Returns the value and keeps the gradients at ``g = 1`` in ``ctx``:
+    ``unit_w = [2(Ka)_c; -2(Ka)_t]`` and, when ``full``,
+    ``unit_x = 4s · a ⊙ (X ⊙ Ka - K(a ⊙ X))``.
     """
-    k_cc = _rbf_block(rep_c, rep_c, scale, blocks[0])
-    k_tt = _rbf_block(rep_t, rep_t, scale, blocks[1])
-    k_ct = _rbf_block(rep_c, rep_t, scale, blocks[2])
-    v_cc, kw_cc = _bilinear_forward(w_c, k_cc, w_c)
-    v_tt, kw_tt = _bilinear_forward(w_t, k_tt, w_t)
-    v_ct, kw_ct = _bilinear_forward(w_c, k_ct, w_t)
-    return (v_cc + v_tt) - 2.0 * v_ct, (k_cc, k_tt, k_ct, kw_cc, kw_tt, kw_ct)
-
-
-def _rbf_mmd_rep_grad(rep, diff, w, self_term, cross_term, coef):
-    """``coef · w ⊙ [R ⊙ diff - K_self (w ⊙ R) + K_cross (w' ⊙ R')]``.
-
-    ``self_term`` and ``cross_term`` are the two kernel products in the
-    transposed ``(d, n)`` layout the gemms produce; the result is returned
-    as an ``(n, d)`` view.
-    """
-    acc = cross_term
-    acc -= self_term
-    acc += rep.T * diff
-    acc *= w
-    acc *= coef
-    return acc.T
-
-
-def _rbf_mmd_vjp(grad, rep_c, rep_t, w_c, w_t, scale, saved, needs) -> tuple:
-    """Closed-form VJP of ``weighted_rbf_mmd`` wrt ``(R_c, R_t, w_c, w_t)``.
-
-    With ``s = -1/(2σ²)`` and upstream gradient ``g``::
-
-        ∂R_c = 4sg · w_c ⊙ [R_c ⊙ (K_cc w_c - K_ct w_t) - K_cc(w_c⊙R_c) + K_ct(w_t⊙R_t)]
-        ∂R_t = 4sg · w_t ⊙ [R_t ⊙ (K_tt w_t - K_ctᵀw_c) - K_tt(w_t⊙R_t) + K_ctᵀ(w_c⊙R_c)]
-        ∂w_c = 2g (K_cc w_c - K_ct w_t),   ∂w_t = 2g (K_tt w_t - K_ctᵀ w_c)
-
-    The ``K w`` vectors come from the forward and ``K_ctᵀ w_c`` is one gemv;
-    the representation gradients take four thin gemms of ``(w ⊙ R)ᵀ``
-    against the kernel blocks (``Bᵀ K`` with a C-contiguous ``Bᵀ`` was the
-    fastest orientation on a 2-CPU host with single-threaded OpenBLAS) and
-    no ``n × m`` gradient is formed.
-    """
-    k_cc, k_tt, k_ct, kw_cc, kw_tt, kw_ct = saved
-    wc = w_c.reshape(-1)
-    wt = w_t.reshape(-1)
-    diff_c = kw_cc - kw_ct
-    diff_t = kw_tt - wc @ k_ct
-    g_rc = g_rt = None
-    if needs[0] or needs[1]:
-        bc = np.multiply(rep_c.T, wc, out=np.empty(rep_c.shape[::-1], dtype=rep_c.dtype))
-        bt = np.multiply(rep_t.T, wt, out=np.empty(rep_t.shape[::-1], dtype=rep_t.dtype))
-        coef = (4.0 * scale) * grad
-        if needs[0]:
-            g_rc = _rbf_mmd_rep_grad(rep_c, diff_c, wc, bc @ k_cc, bt @ k_ct.T, coef)
-        if needs[1]:
-            g_rt = _rbf_mmd_rep_grad(rep_t, diff_t, wt, bt @ k_tt, bc @ k_ct, coef)
-    g_wc = ((2.0 * grad) * diff_c).reshape(w_c.shape) if needs[2] else None
-    g_wt = ((2.0 * grad) * diff_t).reshape(w_t.shape) if needs[3] else None
-    return g_rc, g_rt, g_wc, g_wt
+    n_c, d = rep_c.shape
+    n = n_c + rep_t.shape[0]
+    dtype = np.result_type(rep_c, rep_t, w_c, w_t)
+    left = _tmp(out, ctx, "left", (n, d + 2), dtype)
+    right = _tmp(out, ctx, "right", (n, d + 2), dtype)
+    for rows, rep in ((slice(0, n_c), rep_c), (slice(n_c, n), rep_t)):
+        _rbf_left(rep, scale, left[rows])
+        _rbf_right(rep, scale, right[rows])
+    b = _tmp(out, ctx, "b", (n, d + 1) if full else (n,), dtype)
+    a = b[:, d] if full else b
+    a[:n_c] = w_c.reshape(-1)
+    np.negative(w_t.reshape(-1), out=a[n_c:])
+    if full:
+        np.multiply(right[:, :d], a[:, None], out=b[:, :d])
+    acc = _tmp(out, ctx, "acc", b.shape, dtype)
+    acc.fill(0.0)
+    step = RBF_MMD_TILE
+    tile = _tmp(out, ctx, "tile", (min(step, n) ** 2,), dtype)
+    for i0 in range(0, n, step):
+        i1 = min(i0 + step, n)
+        for j0 in range(i0, n, step):
+            j1 = min(j0 + step, n)
+            k = tile[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+            _rbf_entries(left[i0:i1], right[j0:j1], k)
+            acc[i0:i1] += k @ b[j0:j1]
+            if j0 != i0:
+                acc[j0:j1] += k.T @ b[i0:i1]
+    ka = acc[:, d] if full else acc
+    unit_w = _scratch(ctx, "unit_w", (n,), dtype)
+    np.multiply(ka, 2.0, out=unit_w)
+    np.negative(unit_w[n_c:], out=unit_w[n_c:])
+    if full:
+        unit_x = _scratch(ctx, "unit_x", (n, d), dtype)
+        np.multiply(right[:, :d], ka[:, None], out=unit_x)
+        np.subtract(unit_x, acc[:, :d], out=unit_x)
+        np.multiply(unit_x, a[:, None], out=unit_x)
+        np.multiply(unit_x, 4.0 * scale, out=unit_x)
+    return a @ ka
 
 
 @_kernel("weighted_rbf_mmd")
 def _k_weighted_rbf_mmd():
     def fwd(out, ins, attrs, ctx):
-        blocks = (None, None, None)
-        if out is not None:
-            n_c, n_t = ins[0].shape[0], ins[1].shape[0]
-            dtype = np.result_type(ins[0], ins[1])
-            blocks = (
-                _scratch(ctx, "k_cc", (n_c, n_c), dtype),
-                _scratch(ctx, "k_tt", (n_t, n_t), dtype),
-                _scratch(ctx, "k_ct", (n_c, n_t), dtype),
-            )
-        value, ctx["saved"] = _rbf_mmd_forward(*ins, attrs["scale"], blocks)
-        return _assign(out, value)
+        full = attrs["products"] == "full"
+        return _assign(out, _rbf_mmd_sweep(out, ctx, *ins, attrs["scale"], full))
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        return _rbf_mmd_vjp(grad, *ins, attrs["scale"], ctx["saved"], needs)
+        # The output is a scalar: the forward's unit gradients times g.
+        n_c = ins[0].shape[0]
+        grads = [None] * 4
+        for key, first in (("unit_x", 0), ("unit_w", 2)):
+            if needs[first] or needs[first + 1]:
+                unit = ctx[key]
+                scaled = _scratch(ctx, ("g", key), unit.shape, unit.dtype)
+                np.multiply(unit, grad, out=scaled)
+                grads[first] = scaled[:n_c].reshape(ins[first].shape)
+                grads[first + 1] = scaled[n_c:].reshape(ins[first + 1].shape)
+        return tuple(g if need else None for g, need in zip(grads, needs))
 
     return fwd, vjp

@@ -39,6 +39,12 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError):
             RegularizerConfig(num_rff_features=0)
 
+    def test_unknown_ipm_kind_fails_at_construction(self):
+        """A typo must not surface only at the first weight or network step."""
+        with pytest.raises(ValueError, match="'mmd_linear', 'mmd_rbf'"):
+            RegularizerConfig(ipm_kind="mmd_rfb")
+        assert RegularizerConfig(ipm_kind="mmd_rbf").ipm_kind == "mmd_rbf"
+
 
 class TestTrainingConfig:
     def test_validation(self):

@@ -68,6 +68,10 @@ class TestBalancingRegularizer:
         with pytest.raises(ValueError):
             BalancingRegularizer(alpha=-1.0)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'mmd_linear', 'mmd_rbf'"):
+            BalancingRegularizer(kind="mmd_rfb")
+
 
 class TestIndependenceRegularizer:
     def test_loss_nonnegative(self, rng):

@@ -1,20 +1,24 @@
-"""The network step's fused weighted RBF-MMD against the composition it replaced.
+"""The fused weighted RBF-MMD against the composition it replaced.
 
-``mmd_rbf_weighted`` is one ``weighted_rbf_mmd`` node whose kernel blocks
-come from one augmented gemm.  This file keeps the previous formulation
-verbatim as the reference:
+``mmd_rbf_weighted`` is one ``weighted_rbf_mmd`` node that sweeps the
+stacked kernel in tiles built from augmented gemms.  This file keeps the
+previous formulation verbatim as the reference:
 
 * the ``|a|² + |b|² - 2 a·b`` → scale → ``exp`` kernel node with its
   ``_pairwise_sq_vjp``-style backward;
 * three such blocks with a differentiable kernel, each reduced by the
   elementwise bilinear form ``Σ_ij a_i K_ij b_j``.
 
-It also pins the hot path itself: a recorded full-batch CFR + ``mmd_rbf``
-network step holds one fused instruction and keeps no ``n × m`` arrays
-besides the three kernel blocks, and a float32 step stays in float32.
+The value and all four gradients must match it within a relative 1e-12,
+also with the tile shrunk so that arm boundaries fall inside tiles and
+last tiles are ragged.  It also pins the memory picture: an eager call and
+a recorded full-batch CFR + ``mmd_rbf`` network step keep no array of
+``n_c · n_t`` elements, and a float32 step stays in float32.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +26,11 @@ import pytest
 from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
 from repro.core.estimator import HTEEstimator
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
-from repro.metrics.ipm import mmd_rbf_from_kernels, mmd_rbf_weighted, rbf_kernel_blocks
+from repro.metrics.ipm import mmd_rbf_weighted
 from repro.nn import functional as F
+from repro.nn import kernels
 from repro.nn.tape import TapeRecorder
-from repro.nn.tensor import Tensor, as_tensor, dtype_scope
+from repro.nn.tensor import Tensor, as_tensor, dtype_scope, no_grad
 
 RTOL = 1e-12
 SIGMA = 1.7
@@ -72,8 +77,16 @@ def reference_bilinear(weights_a: Tensor, kernel: Tensor, weights_b: Tensor) -> 
     return out
 
 
-def reference_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weights_treated, sigma):
+def reference_weighted_rbf_mmd(rep_control, rep_treated, w_c, w_t, sigma):
     """Differentiable kernel blocks reduced through the elementwise bilinear form."""
+    k_cc = reference_bilinear(w_c, reference_rbf_kernel(rep_control, rep_control, sigma), w_c)
+    k_tt = reference_bilinear(w_t, reference_rbf_kernel(rep_treated, rep_treated, sigma), w_t)
+    k_ct = reference_bilinear(w_c, reference_rbf_kernel(rep_control, rep_treated, sigma), w_t)
+    return k_cc + k_tt - 2.0 * k_ct
+
+
+def reference_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weights_treated, sigma):
+    """:func:`reference_weighted_rbf_mmd` over weights normalised to sum one."""
 
     def normalised(weights):
         weights = as_tensor(weights)
@@ -81,10 +94,7 @@ def reference_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weight
 
     w_c = normalised(weights_control)
     w_t = normalised(weights_treated)
-    k_cc = reference_bilinear(w_c, reference_rbf_kernel(rep_control, rep_control, sigma), w_c)
-    k_tt = reference_bilinear(w_t, reference_rbf_kernel(rep_treated, rep_treated, sigma), w_t)
-    k_ct = reference_bilinear(w_c, reference_rbf_kernel(rep_control, rep_treated, sigma), w_t)
-    return k_cc + k_tt - 2.0 * k_ct
+    return reference_weighted_rbf_mmd(rep_control, rep_treated, w_c, w_t, sigma)
 
 
 def _relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
@@ -102,14 +112,44 @@ def _groups(n_control: int, n_treated: int):
     )
 
 
-def _value_and_grads(fn, arrays):
-    leaves = [Tensor(array.copy(), requires_grad=True) for array in arrays]
+def _value_and_grads(fn, arrays, differentiable=(True, True, True, True)):
+    leaves = [
+        Tensor(array.copy(), requires_grad=flag) for array, flag in zip(arrays, differentiable)
+    ]
     loss = fn(*leaves)
     loss.backward()
     return loss.item(), [leaf.grad for leaf in leaves]
 
 
+def _fused(c, t, wc, wt):
+    return mmd_rbf_weighted(c, t, wc, wt, sigma=SIGMA)
+
+
+def _reference(c, t, wc, wt):
+    return reference_mmd_rbf_weighted(c, t, wc, wt, SIGMA)
+
+
+def _node(c, t, wc, wt):
+    return F.weighted_rbf_mmd(c, t, wc, wt, SIGMA)
+
+
+def _node_reference(c, t, wc, wt):
+    return reference_weighted_rbf_mmd(c, t, wc, wt, SIGMA)
+
+
+def _assert_matches_reference(arrays, fused=_fused, reference=_reference):
+    value, grads = _value_and_grads(fused, arrays)
+    ref_value, ref_grads = _value_and_grads(reference, arrays)
+    assert value == pytest.approx(ref_value, rel=RTOL, abs=0.0)
+    for grad, ref_grad in zip(grads, ref_grads):
+        assert grad.shape == ref_grad.shape
+        assert _relative_error(grad, ref_grad) <= RTOL
+
+
 ARMS = [(40, 40), (37, 23)]
+#: Arms for a 4-row tile: single-tile inputs, an arm boundary inside a
+#: tile, a boundary on a tile edge, and ragged last tiles.
+TILE_ARMS = [(1, 1), (3, 5), (4, 4), (9, 2)]
 
 
 # --------------------------------------------------------------------------- #
@@ -126,26 +166,92 @@ def test_kernel_block_matches_the_expansion(n_control, n_treated):
 
 @pytest.mark.parametrize("n_control, n_treated", ARMS)
 def test_fused_value_is_bitwise_the_kernel_block_composition(n_control, n_treated):
+    """Within rel 1e-12 of the verbatim composition: the tiled sweep sums in another order."""
     arrays = _groups(n_control, n_treated)
     fused = mmd_rbf_weighted(*arrays, sigma=SIGMA).item()
-    rep_control, rep_treated, w_control, w_treated = (Tensor(a) for a in arrays)
-    blocks = rbf_kernel_blocks(rep_control, rep_treated, SIGMA)
-    assert fused == mmd_rbf_from_kernels(blocks, w_control, w_treated).item()
+    expected = reference_mmd_rbf_weighted(*arrays, SIGMA).item()
+    assert fused == pytest.approx(expected, rel=RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("n_control, n_treated", ARMS)
 def test_fused_gradients_match_the_reference_composition(n_control, n_treated):
+    _assert_matches_reference(_groups(n_control, n_treated))
+
+
+@pytest.mark.parametrize("n_control, n_treated", TILE_ARMS)
+def test_tile_boundaries_match_the_reference(n_control, n_treated, monkeypatch):
+    """The node on unnormalised weights, so a one-row arm's weight gradient is not ~1e-12 noise."""
+    monkeypatch.setattr(kernels, "RBF_MMD_TILE", 4)
     arrays = _groups(n_control, n_treated)
-    value, grads = _value_and_grads(
-        lambda c, t, wc, wt: mmd_rbf_weighted(c, t, wc, wt, sigma=SIGMA), arrays
+    _assert_matches_reference(arrays, _node, _node_reference)
+    value = mmd_rbf_weighted(*arrays, sigma=SIGMA).item()
+    assert value == pytest.approx(_reference(*arrays).item(), rel=RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("n_control, n_treated", TILE_ARMS + ARMS)
+def test_weights_only_sweep_gives_the_full_sweeps_weight_gradients(
+    n_control, n_treated, monkeypatch
+):
+    """Constant representations skip the ``K (a ⊙ X)`` products, not the weight gradients."""
+    monkeypatch.setattr(kernels, "RBF_MMD_TILE", 4)
+    arrays = _groups(n_control, n_treated)
+    value, grads = _value_and_grads(_node, arrays)
+    weights_value, weights_grads = _value_and_grads(_node, arrays, (False, False, True, True))
+    assert weights_value == pytest.approx(value, rel=RTOL, abs=0.0)
+    assert weights_grads[:2] == [None, None]
+    for grad, full_grad in zip(weights_grads[2:], grads[2:]):
+        assert _relative_error(grad, full_grad) <= RTOL
+
+
+def test_node_records_which_products_the_sweep_forms():
+    arrays = _groups(5, 4)
+    leaves = [Tensor(array, requires_grad=True) for array in arrays]
+    constant_reps = [Tensor(array) for array in arrays[:2]] + leaves[2:]
+    for parents, products in ((leaves, "full"), (constant_reps, "weights")):
+        _, attrs, ctx = F.weighted_rbf_mmd(*parents, SIGMA)._backward
+        assert attrs["products"] == products
+        # Only the unit gradients live until backward.
+        assert set(ctx) == ({"unit_x", "unit_w"} if products == "full" else {"unit_w"})
+    # Under no_grad nothing needs a gradient: the sweep forms K a alone.
+    with no_grad():
+        value = F.weighted_rbf_mmd(*leaves, SIGMA).item()
+    assert value == F.weighted_rbf_mmd(*arrays, SIGMA).item()
+
+
+def test_argument_checks():
+    control, treated, w_control, w_treated = _groups(4, 3)
+    with pytest.raises(ValueError, match="equal width"):
+        F.weighted_rbf_mmd(control, treated[:, :4], w_control, w_treated)
+    with pytest.raises(ValueError, match="2-D"):
+        F.weighted_rbf_mmd(control[0], treated, w_control, w_treated)
+    # One weight too many in one arm and one too few in the other would pair
+    # rows silently once the arms are stacked.
+    too_long = np.append(w_control, 1.0)
+    with pytest.raises(ValueError, match="one weight per representation row"):
+        F.weighted_rbf_mmd(control, treated, too_long, w_treated[:-1])
+    with pytest.raises(ValueError, match="one weight per representation row"):
+        F.weighted_rbf_mmd(control, treated, w_control, w_treated[:-1])
+
+
+def test_eager_call_holds_no_kernel_block():
+    """Forward and backward at 1500 rows per arm stay below one 1500 × 1500 block."""
+    rng = np.random.default_rng(0)
+    n, d = 1500, 8
+    arrays = (
+        rng.normal(size=(n, d)),
+        rng.normal(size=(n, d)) + 0.3,
+        rng.uniform(0.2, 2.0, size=n),
+        rng.uniform(0.2, 2.0, size=n),
     )
-    ref_value, ref_grads = _value_and_grads(
-        lambda c, t, wc, wt: reference_mmd_rbf_weighted(c, t, wc, wt, SIGMA), arrays
-    )
-    assert value == pytest.approx(ref_value, rel=RTOL, abs=0.0)
-    for grad, ref_grad in zip(grads, ref_grads):
-        assert grad.shape == ref_grad.shape
-        assert _relative_error(grad, ref_grad) <= RTOL
+    leaves = [Tensor(array, requires_grad=True) for array in arrays]
+    tracemalloc.start()
+    try:
+        mmd_rbf_weighted(*leaves, sigma=SIGMA).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(leaf.grad is not None for leaf in leaves)
+    assert peak < n * n * 8, peak
 
 
 def test_float32_network_step_node_keeps_its_gradients_float32():
@@ -179,7 +285,7 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
     generator = SyntheticGenerator(
         SyntheticConfig(num_instruments=3, num_confounders=3, num_adjustments=3, seed=2)
     )
-    train = generator.generate_train_test_protocol(num_samples=200, seed=2)["train"]
+    train = generator.generate_train_test_protocol(num_samples=400, seed=2)["train"]
     config = SBRLConfig(
         backbone=BackboneConfig(rep_layers=2, rep_units=8, head_layers=2, head_units=6),
         regularizers=RegularizerConfig(
@@ -197,28 +303,22 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
 
     ops = [instr.op for instr in program.instructions]
     assert ops.count("weighted_rbf_mmd") == 1
-    assert "rbf_kernel" not in ops and "bilinear_weighted_sum" not in ops
-
-    # After a replay, the only arrays of n_c·n_t elements or more in any
-    # instruction's scratch are the fused node's three kernel blocks.
+    assert "rbf_kernel" not in ops
     [fused] = [instr for instr in program.instructions if instr.op == "weighted_rbf_mmd"]
-    rep_c, rep_t = fused.ins[0], fused.ins[1]
-    blocks = [F.rbf_kernel(a, b).numpy() for a, b in ((rep_c, rep_c), (rep_t, rep_t), (rep_c, rep_t))]
+    assert fused.attrs["products"] == "full"
+
+    # n_c·n_t exceeds the tile buffer and every row buffer of the sweep, so
+    # an array that large could only be a kernel block (or worse).
     n_treated = int(train.treatment.sum())
     limit = (len(train) - n_treated) * n_treated
-    large = {}
+    width = fused.ins[0].shape[1]
+    assert limit > kernels.RBF_MMD_TILE ** 2 and limit > len(train) * (width + 2)
+    assert fused.ctx["tile"].size == kernels.RBF_MMD_TILE ** 2
     for instr in program.instructions:
         stack = list(instr.ctx.values())
         while stack:
             item = stack.pop()
             if isinstance(item, (tuple, list)):
                 stack.extend(item)
-            elif isinstance(item, np.ndarray) and item.size >= limit:
-                large[id(item)] = (instr, item)
-    matched = []
-    for instr, item in large.values():
-        assert instr is fused, instr.op
-        matched.append(
-            next(i for i, block in enumerate(blocks) if block.shape == item.shape and np.array_equal(block, item))
-        )
-    assert 2 in matched and len(set(matched)) == len(matched)
+            elif isinstance(item, np.ndarray):
+                assert item.size < limit, (instr.op, item.shape)

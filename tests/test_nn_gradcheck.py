@@ -415,16 +415,6 @@ def test_weighted_pair_sq_cross_cov_gradients(layout, seed, n, k):
     )
 
 
-@given(seed=seeds, n=st.integers(min_value=1, max_value=4), m=st.integers(min_value=1, max_value=4))
-@settings(**GRADCHECK_SETTINGS)
-def test_bilinear_weighted_sum_gradients(seed, n, m):
-    rng = np.random.default_rng(seed)
-    wa = np.abs(rng.normal(size=(n,))) + 0.1
-    kernel = rng.normal(size=(n, m))
-    wb = np.abs(rng.normal(size=(m,))) + 0.1
-    check_gradients(F.bilinear_weighted_sum, wa, kernel, wb, seed=seed)
-
-
 @given(seed=seeds, n_control=st.integers(min_value=2, max_value=4), n_treated=st.integers(min_value=2, max_value=4), features=dims)
 @settings(max_examples=5, deadline=None)
 def test_mmd_rbf_weighted_gradients(seed, n_control, n_treated, features):

@@ -2,7 +2,7 @@
 
 * every eager op's forward and backward run its table kernels, once each,
   so eager autodiff and graph replay share one ``fwd``/``vjp`` per op;
-* the table holds exactly the engine's 38 ops;
+* the table holds exactly the engine's 37 ops;
 * an eager node keeps only what its VJP reads (ELU's forward scratch is a
   temporary, not node state).
 """
@@ -73,7 +73,6 @@ OP_CASES = {
         lambda f, p: F.weighted_pair_sq_cross_cov(f, p, np.array([0, 1]), np.array([2, 2])),
         [_normal(3, 2, 5), _positive(5)],
     ),
-    "bilinear_weighted_sum": (F.bilinear_weighted_sum, [_positive(3), _positive(3, 4), _positive(4)]),
     "weighted_rbf_mmd": (
         lambda rc, rt, wc, wt: F.weighted_rbf_mmd(rc, rt, wc, wt, 1.3),
         [_normal(3, 2), _normal(4, 2), _positive(3), _positive(4)],
@@ -82,7 +81,7 @@ OP_CASES = {
 
 
 def test_table_holds_exactly_the_engine_ops():
-    assert len(KERNELS) == 38
+    assert len(KERNELS) == 37
     assert set(KERNELS) == set(OP_CASES)
     for name, kernel in KERNELS.items():
         assert kernel.name == name

@@ -13,11 +13,10 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   buffer identity (the property replay pins);
 * stacked multi-seed replay (``repro.core.stacked`` and
   ``run_replications(stacked_replay=True)``) equals serial fits exactly;
-* the fused regularizer kernels (``bilinear_weighted_sum`` with a constant
-  or a differentiable kernel, the batched HSIC pair node, matrix
+* the fused regularizer kernels (the batched HSIC pair node, matrix
   ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
-  weights) and one-sided ``clip`` give eager == replay == stacked, bit for
-  bit;
+  weights or representations, also at a tile of 4 rows) and one-sided
+  ``clip`` give eager == replay == stacked, bit for bit;
 * replay skips instructions the loss does not read (DeR-CFR's propensity);
 * a fitted trainer is freed by reference counting (no trainer <-> replay
   cycle), and a fitted estimator still deep-copies and refits.
@@ -41,6 +40,7 @@ from repro.core.stacked import fit_stacked
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.experiments.runner import MethodSpec, run_replications
 from repro.nn import functional as F
+from repro.nn import kernels
 from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
 from repro.nn.tape import GraphReplayError, StackedProgram, TapeRecorder
@@ -161,25 +161,17 @@ def _eager(build, arrays):
 def _fused_kernel_cases():
     rng = np.random.default_rng(7)
     n, m, cols, k = 9, 7, 4, 3
-    kernel = np.exp(-rng.uniform(size=(n, m)))
     freqs, phases = rng.normal(size=(cols, k)), rng.uniform(0.0, 6.0, size=(cols, k))
     left, right = np.array([0, 0, 2, 1]), np.array([1, 3, 3, 3])
     projection = rng.normal(size=(cols, k, n))
     w_n, w_m = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+    reps_n, reps_m = rng.normal(size=(n, cols)), rng.normal(size=(m, cols))
     weights_2d = rng.normal(size=(n, cols))
 
     def positive(size):
         return lambda r: np.abs(r.normal(size=size)) + 0.1
 
     return {
-        "bilinear-constant-kernel": (
-            lambda a, b: F.bilinear_weighted_sum(a, kernel, b),
-            [positive(n), positive(m)],
-        ),
-        "bilinear-differentiable-kernel": (
-            F.bilinear_weighted_sum,
-            [positive(n), lambda r: np.exp(-r.uniform(size=(n, m))), positive(m)],
-        ),
         "pair-node": (
             lambda f, p: F.weighted_pair_sq_cross_cov(f, p / p.sum(), left, right),
             [lambda r: r.normal(size=(cols, k, n)), positive(n)],
@@ -211,38 +203,53 @@ def _fused_kernel_cases():
                 positive(m),
             ],
         ),
+        # The weight step: constant representations, differentiable weights.
+        "rbf-mmd-constant-representations": (
+            lambda wc, wt: F.weighted_rbf_mmd(reps_n, reps_m, wc, wt, 1.3),
+            [positive(n), positive(m)],
+        ),
     }
+
+
+def _assert_replay_and_stacked_equal_eager(case):
+    build, makers = _fused_kernel_cases()[case]
+    rng = np.random.default_rng(3)
+    recorded = [[make(rng) for make in makers] for _ in range(2)]
+    refreshed = [make(rng) for make in makers]
+
+    # Replay after an in-place parameter update equals eager at the new values.
+    program, leaves = _record(build, recorded[0])
+    for leaf, values in zip(leaves, refreshed):
+        leaf.data[...] = values
+    value = program.run()
+    eager_value, eager_grads = _eager(build, refreshed)
+    assert value == eager_value
+    for leaf, grad in zip(leaves, eager_grads):
+        np.testing.assert_array_equal(leaf.grad, grad)
+
+    # Two recordings stacked along a leading axis equal their eager runs.
+    records = [_record(build, arrays) for arrays in recorded]
+    stacked = StackedProgram([program for program, _ in records])
+    values = stacked.run()
+    first_leaves = [id(leaf) for leaf in records[0][1]]
+    for index, arrays in enumerate(recorded):
+        eager_value, eager_grads = _eager(build, arrays)
+        assert values[index] == eager_value
+        for param, sources in zip(stacked.params, stacked.param_sources):
+            grad = eager_grads[first_leaves.index(id(sources[0]))]
+            np.testing.assert_array_equal(param.grad[index], grad)
 
 
 class TestFusedKernelReplay:
     @pytest.mark.parametrize("case", sorted(_fused_kernel_cases()))
     def test_replay_and_stacked_equal_eager(self, case):
-        build, makers = _fused_kernel_cases()[case]
-        rng = np.random.default_rng(3)
-        recorded = [[make(rng) for make in makers] for _ in range(2)]
-        refreshed = [make(rng) for make in makers]
+        _assert_replay_and_stacked_equal_eager(case)
 
-        # Replay after an in-place parameter update equals eager at the new values.
-        program, leaves = _record(build, recorded[0])
-        for leaf, values in zip(leaves, refreshed):
-            leaf.data[...] = values
-        value = program.run()
-        eager_value, eager_grads = _eager(build, refreshed)
-        assert value == eager_value
-        for leaf, grad in zip(leaves, eager_grads):
-            np.testing.assert_array_equal(leaf.grad, grad)
-
-        # Two recordings stacked along a leading axis equal their eager runs.
-        records = [_record(build, arrays) for arrays in recorded]
-        stacked = StackedProgram([program for program, _ in records])
-        values = stacked.run()
-        first_leaves = [id(leaf) for leaf in records[0][1]]
-        for index, arrays in enumerate(recorded):
-            eager_value, eager_grads = _eager(build, arrays)
-            assert values[index] == eager_value
-            for param, sources in zip(stacked.params, stacked.param_sources):
-                grad = eager_grads[first_leaves.index(id(sources[0]))]
-                np.testing.assert_array_equal(param.grad[index], grad)
+    @pytest.mark.parametrize("case", [c for c in sorted(_fused_kernel_cases()) if "rbf-mmd" in c])
+    def test_rbf_mmd_at_a_small_tile(self, case, monkeypatch):
+        """Many tiles per sweep, arm boundaries inside tiles, ragged last tiles."""
+        monkeypatch.setattr(kernels, "RBF_MMD_TILE", 4)
+        _assert_replay_and_stacked_equal_eager(case)
 
 
 class TestInvalidation:

@@ -1,15 +1,15 @@
 """Equivalence of the sample-weight objective with its per-pair reference.
 
 The weight objective ``L_w`` (Eq. 11) evaluates every decorrelated layer's
-column pairs in one batched node and every kernel expectation as a mat-vec
-bilinear form, and :meth:`HierarchicalAttentionLoss.prepare` hoists what
-depends only on the frozen activations out of the inner weight steps.  This
-file keeps the previous formulation as the reference:
+column pairs in one batched node and the RBF-MMD as one tiled
+``weighted_rbf_mmd`` node, and :meth:`HierarchicalAttentionLoss.prepare`
+hoists what depends only on the frozen activations out of the inner weight
+steps.  This file keeps the previous formulation as the reference:
 
 * the per-pair ``pairwise_decorrelation_loss`` loop over the single-pair
   ``weighted_sq_cross_cov`` node;
-* the ``mmd_rbf_weighted`` composition over the elementwise
-  ``bilinear_weighted_sum`` node;
+* the ``mmd_rbf_weighted`` composition of three ``rbf_kernel`` blocks and
+  the elementwise ``bilinear_weighted_sum`` node;
 * the regularizers' per-call sequence of RNG draws.
 
 Over three consecutive calls the value, the weight gradient and the
@@ -20,6 +20,7 @@ ablation switch.  All four RNG streams must end in the reference's state.
 
 from __future__ import annotations
 
+import tracemalloc
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -383,7 +384,11 @@ def test_prepare_hoists_only_without_subsampling():
     treatment = _treatment()
     exact = HierarchicalAttentionLoss(config=_config("full-batch", "mmd_rbf"), seed=SEED)
     prepared = exact.prepare(forward, treatment)
-    assert len(prepared.groups.inputs) == 3  # the three RBF kernel blocks
+    # The two arms' representation rows; no kernel block is hoisted.
+    rep_control, rep_treated = prepared.groups.inputs
+    representation = forward.representation.numpy()
+    np.testing.assert_array_equal(rep_control.numpy(), representation[treatment == 0.0])
+    np.testing.assert_array_equal(rep_treated.numpy(), representation[treatment == 1.0])
     # Every layer with at least two columns; the 1-column Zo1 has no pairs.
     assert sorted(prepared.features) == ["Zo0", "Zo2", "Zp", "Zr"]
     assert prepared.features["Zr"].shape == (6, 5, NUM_ROWS)
@@ -391,6 +396,35 @@ def test_prepare_hoists_only_without_subsampling():
     anchored = HierarchicalAttentionLoss(config=_config("anchored", "mmd_rbf"), seed=SEED)
     prepared = anchored.prepare(forward, treatment)
     assert prepared.groups is None and prepared.features == {}
+
+
+def test_exact_rbf_objective_holds_no_kernel_block():
+    """``prepare``, one call and its backward at n = 3000 stay below one n_c × n_t block."""
+    n = 3000
+    rng = np.random.default_rng(4)
+    forward = BackboneForward(
+        mu0=Tensor(np.zeros(n)),
+        mu1=Tensor(np.zeros(n)),
+        representation=Tensor(rng.normal(size=(n, 8))),
+        last_layer=Tensor(np.tanh(rng.normal(size=(n, 4)))),
+        other_layers=[Tensor(rng.normal(size=(n, 8)))],
+    )
+    treatment = (rng.uniform(size=n) < 0.5).astype(float)
+    n_treated = int(treatment.sum())
+    config = RegularizerConfig(
+        alpha=0.5, ipm_kind="mmd_rbf", max_pairs_per_layer=4, subsample_threshold=None
+    )
+    objective = HierarchicalAttentionLoss(config=config, seed=SEED)
+    weights = Tensor(rng.uniform(0.2, 2.0, size=n), requires_grad=True)
+    tracemalloc.start()
+    try:
+        objective(objective.prepare(forward, treatment), treatment, weights).backward()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert objective.last_breakdown.balance > 0.0
+    assert weights.grad is not None
+    assert peak < (n - n_treated) * n_treated * 8, peak
 
 
 def test_plain_callable_objective_still_trains():
