@@ -95,6 +95,8 @@ class RegularizerConfig:
         check_weighted_ipm_kind(self.ipm_kind)
         if self.num_rff_features <= 0:
             raise ValueError("num_rff_features must be positive")
+        if self.max_pairs_per_layer is not None and self.max_pairs_per_layer < 0:
+            raise ValueError("max_pairs_per_layer must be non-negative or None")
         if self.num_anchors <= 0:
             raise ValueError("num_anchors must be positive")
         if self.subsample_threshold is not None and self.subsample_threshold <= 0:

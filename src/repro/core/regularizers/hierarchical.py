@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ...nn.kernels import Workspace
 from ...nn.tensor import Tensor, as_tensor
 from ..backbones.base import BackboneForward
 from ..config import RegularizerConfig
@@ -60,12 +61,15 @@ class PreparedForward:
     treatment groups and their representation rows; no kernel blocks) and
     ``features`` (each decorrelated layer's RFF features, by layer key) are
     filled only when no subsampling applies; otherwise the rows change on
-    every evaluation and each call computes them itself.
+    every evaluation and each call computes them itself.  ``workspace``,
+    when given, lends every HSIC pair node its working blocks, with or
+    without subsampling; the loss is the same either way.
     """
 
     forward: BackboneForward
     groups: Optional[BalanceGroups] = None
     features: Dict[str, Tensor] = field(default_factory=dict)
+    workspace: Optional[Workspace] = None
 
 
 class HierarchicalAttentionLoss:
@@ -131,7 +135,12 @@ class HierarchicalAttentionLoss:
                 layers.extend((f"Zo{i}", layer) for i, layer in enumerate(forward.other_layers))
         return layers
 
-    def prepare(self, forward: BackboneForward, treatment: np.ndarray) -> PreparedForward:
+    def prepare(
+        self,
+        forward: BackboneForward,
+        treatment: np.ndarray,
+        workspace: Optional[Workspace] = None,
+    ) -> PreparedForward:
         """Compute the parts of ``L_w`` that depend only on the activations.
 
         These are the treatment groups with their representation rows and
@@ -141,8 +150,10 @@ class HierarchicalAttentionLoss:
         Above ``subsample_threshold`` rows the anchors and rows are redrawn
         on every evaluation, so nothing is hoisted.  Fresh RFF draws happen
         here, in layer order, exactly as a first loss call would make them.
+        ``workspace`` is carried into every evaluation of the result (the
+        trainer passes the one it keeps for the fit).
         """
-        prepared = PreparedForward(forward)
+        prepared = PreparedForward(forward, workspace=workspace)
         threshold = self.config.subsample_threshold
         if threshold is not None and len(np.ravel(treatment)) > threshold:
             return prepared
@@ -187,7 +198,13 @@ class HierarchicalAttentionLoss:
         # L_D per priority: Zp (gamma1), Zr (gamma2) and the sum over Zo* (gamma3).
         sums: Dict[str, Tensor] = {}
         for key, layer in self._decorrelated_layers(forward):
-            term = self.independence(layer, weights, key=key, features=prepared.features.get(key))
+            term = self.independence(
+                layer,
+                weights,
+                key=key,
+                features=prepared.features.get(key),
+                workspace=prepared.workspace,
+            )
             priority = key[:2]
             sums[priority] = term if priority not in sums else sums[priority] + term
         values = {"Zp": 0.0, "Zr": 0.0, "Zo": 0.0}

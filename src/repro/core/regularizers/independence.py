@@ -27,6 +27,7 @@ from ...metrics.hsic import (
     weighted_pairs_hsic_rff,
 )
 from ...metrics.subsampling import subsample_indices
+from ...nn.kernels import Workspace
 from ...nn.tensor import Tensor, as_tensor
 
 __all__ = ["IndependenceRegularizer"]
@@ -52,6 +53,8 @@ class IndependenceRegularizer:
             raise ValueError("num_rff_features must be positive")
         if num_anchors <= 0:
             raise ValueError("num_anchors must be positive")
+        if max_pairs is not None and max_pairs < 0:
+            raise ValueError("max_pairs must be non-negative or None")
         self.num_rff_features = num_rff_features
         self.max_pairs = max_pairs
         self.seed = seed
@@ -81,12 +84,16 @@ class IndependenceRegularizer:
         sample_weights: Tensor,
         key: str = "Zp",
         features: Optional[Tensor] = None,
+        workspace: Optional[Workspace] = None,
     ) -> Tensor:
         """Return ``L_D(layer, w)`` (Eq. 10) for one activation matrix.
 
         ``features`` is :meth:`features` of the same ``layer``; passing it
         skips both the RFF transform and the row subsampling, so it is only
-        valid where no subsampling applies.
+        valid where no subsampling applies.  ``workspace`` lends the pair
+        node its working blocks (see
+        :func:`~repro.metrics.hsic.weighted_pairs_hsic_rff`); the value and
+        gradients are the same with or without it.
         """
         layer = as_tensor(layer)
         if layer.ndim != 2:
@@ -103,7 +110,7 @@ class IndependenceRegularizer:
                     weights = weights[keep]
             features = self.features(layer, key)
         left, right = draw_pairs(num_columns, self.max_pairs, self._pair_rng)
-        return weighted_pairs_hsic_rff(features, weights, left, right)
+        return weighted_pairs_hsic_rff(features, weights, left, right, workspace)
 
     def __call__(
         self,
@@ -111,5 +118,6 @@ class IndependenceRegularizer:
         sample_weights: Tensor,
         key: str = "Zp",
         features: Optional[Tensor] = None,
+        workspace: Optional[Workspace] = None,
     ) -> Tensor:
-        return self.loss(layer, sample_weights, key=key, features=features)
+        return self.loss(layer, sample_weights, key=key, features=features, workspace=workspace)

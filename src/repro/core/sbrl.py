@@ -28,6 +28,7 @@ import numpy as np
 from ..data.batching import DataLoader
 from ..data.dataset import CausalDataset
 from ..metrics.evaluation import EffectEstimates, evaluate_effect_predictions
+from ..nn.kernels import Workspace
 from ..nn.optim import (
     SCHEDULE_REGISTRY,
     Optimizer,
@@ -224,6 +225,8 @@ class SBRLTrainer:
         self.uses_weights = spec.uses_weights and self.weight_objective is not None
         self._optimizer: Optional[Optimizer] = None
         self._replay: Optional[NetworkStepReplay] = None
+        #: The weight step's working blocks, kept for one :meth:`fit` only.
+        self._workspace: Optional[Workspace] = None
         #: Which weights the backbone currently holds: ``"live"`` (the
         #: checkpointed raw parameters) or ``"ema"`` (the exponential moving
         #: average snapshot selected because ``TrainingConfig.ema_decay`` was
@@ -319,7 +322,14 @@ class SBRLTrainer:
         stack.extend(callbacks)
 
         loop = TrainingLoop(self, loader, validation=val_std, callbacks=stack)
-        loop.run()
+        # One workspace per fit keeps the weight step's working blocks mapped
+        # from one weight step to the next; dropping it with the fit means a
+        # fitted trainer, its deep copies and deployed versions hold none.
+        self._workspace = Workspace()
+        try:
+            loop.run()
+        finally:
+            self._workspace = None
         self.weights_kind = "ema" if cfg.ema_decay is not None else "live"
         self.history.elapsed_seconds = time.perf_counter() - start
         return self.history
@@ -394,11 +404,14 @@ class SBRLTrainer:
             other_layers=[layer.detach() for layer in forward.other_layers],
             extra={key: value.detach() for key, value in forward.extra.items()},
         )
-        # Everything that depends only on the frozen activations (kernel
-        # blocks, RFF features) is computed once for all inner steps.
+        # Everything that depends only on the frozen activations (treatment
+        # groups, RFF features) is computed once for all inner steps; the
+        # fit's workspace lends the inner steps their working blocks.
         prepare = getattr(self.weight_objective, "prepare", None)
         objective_input = (
-            constant_forward if prepare is None else prepare(constant_forward, treatment)
+            constant_forward
+            if prepare is None
+            else prepare(constant_forward, treatment, workspace=self._workspace)
         )
         last_value = float("nan")
         for _ in range(cfg.weight_steps_per_iteration):

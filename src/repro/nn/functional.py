@@ -14,7 +14,12 @@ primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
 regularizer graphs by an order of magnitude (see
 ``benchmarks/bench_autodiff.py``).  Each function here checks its inputs
 and dispatches one op of the kernel table (:mod:`repro.nn.kernels`), where
-its forward and VJP are defined.
+its forward and VJP are defined.  The two scalar regularizer nodes,
+:func:`weighted_pair_sq_cross_cov` and :func:`weighted_rbf_mmd`, fold their
+backward into the forward: it keeps only the gradients at unit upstream
+gradient, and the VJP scales them.  Neither saves a ``(P, k, n)`` or
+``n × m`` block, and each forms its representation or feature gradient
+only when one is needed.
 
 Numeric contract:
 
@@ -30,7 +35,9 @@ Numeric contract:
 * the batched HSIC pair node sums in a different order than the per-pair
   composition it replaced, so it matches that within a relative 1e-12,
   not bitwise (``tests/test_weight_objective.py`` keeps the old
-  compositions as the reference);
+  compositions as the reference); its gradients are the unit gradients
+  times ``g``, and a lent :class:`~repro.nn.kernels.Workspace` changes no
+  bit of its value or gradients;
 * end to end, the golden-regression suite pins fitted metrics at a
   relative 1e-5.
 """
@@ -41,6 +48,7 @@ from typing import Optional
 
 import numpy as np
 
+from .kernels import Workspace
 from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype, is_grad_enabled
 
 __all__ = [
@@ -220,24 +228,55 @@ def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray)
 
 
 def weighted_pair_sq_cross_cov(
-    features: ArrayLike, probs: ArrayLike, left: np.ndarray, right: np.ndarray
+    features: ArrayLike,
+    probs: ArrayLike,
+    left: np.ndarray,
+    right: np.ndarray,
+    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """``Σ_p ||C_w(u_{left[p]}, u_{right[p]})||²`` over the selected column pairs, fused.
 
     ``features`` is a ``(c, k, n)`` stack of per-column RFF blocks (see
     :func:`rff_features`), ``probs`` a normalised weight vector of ``n``
     entries, and ``left`` / ``right`` the ``P`` column indices of each
-    pair.  ``C_w(u, v) = (p ⊙ (u - E_p u))ᵀ (v - E_p v)`` is the StableNet
-    weighted cross-covariance, so one node is the whole Independence
-    Regularizer sum of one layer (Eq. 10).  The pairs' blocks are gathered
-    and centred once and every cross-covariance comes from one batched
-    matmul.
+    pair: 1-D, of equal length, each in ``[0, c)`` (anything else raises
+    ``ValueError``).  ``C_w(u, v) = (p ⊙ (u - E_p u))ᵀ (v - E_p v)`` is the
+    StableNet weighted cross-covariance, so one node is the whole
+    Independence Regularizer sum of one layer (Eq. 10).
+
+    The forward gathers and centres the pairs' ``(P, k, n)`` blocks, forms
+    every cross-covariance in one batched matmul, and in the same call
+    forms the gradients at unit upstream gradient, which the VJP scales;
+    the node saves no ``(P, k, n)`` block.  The feature gradient is formed
+    only when grad mode is on and ``features`` requires a gradient;
+    ``attrs`` records that choice, so a replayed program repeats it.  The
+    working blocks come from ``workspace`` when given (a caller that
+    evaluates many nodes keeps their pages resident that way) and are
+    temporaries otherwise.
     """
     f_t = as_tensor(features)
+    p_t = as_tensor(probs)
     if f_t.ndim != 3:
         raise ValueError("features must be a (columns, k, n) stack of RFF blocks")
-    attrs = {"left": np.asarray(left, dtype=np.intp), "right": np.asarray(right, dtype=np.intp)}
-    return _apply("weighted_pair_sq_cross_cov", (f_t, as_tensor(probs)), attrs)
+    columns, _, n = f_t.shape
+    left, right = np.asarray(left), np.asarray(right)
+    if left.ndim != 1 or left.shape != right.shape:
+        raise ValueError(
+            f"left and right must be 1-D column indices of equal length; got shapes "
+            f"{left.shape} and {right.shape}"
+        )
+    if left.size and (min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= columns):
+        raise ValueError(f"pair column indices must lie in [0, {columns})")
+    if p_t.size != n:
+        raise ValueError(f"probs must hold one entry per sample: got {p_t.size} for n = {n}")
+    full = is_grad_enabled() and f_t.requires_grad
+    attrs = {
+        "left": np.asarray(left, dtype=np.intp),
+        "right": np.asarray(right, dtype=np.intp),
+        "products": "full" if full else "weights",
+        "workspace": workspace,
+    }
+    return _apply("weighted_pair_sq_cross_cov", (f_t, p_t), attrs)
 
 
 # --------------------------------------------------------------------------- #

@@ -24,21 +24,50 @@ Kernel signature::
   replay.  Values the VJP reads are kept there with :func:`_scratch`;
   forward-only scratch comes from :func:`_tmp`, which is a plain
   temporary in eager mode so an eager node holds no more than its VJP
-  needs.
+  needs.  An op whose caller lends it a :class:`Workspace` (through
+  ``attrs``) takes its forward-only blocks from there instead.
 * ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Kernel", "KERNELS", "TapeStale"]
+__all__ = ["Kernel", "KERNELS", "TapeStale", "Workspace"]
 
 
 class TapeStale(RuntimeError):
     """A replayed program's assumptions no longer hold; re-record the step."""
+
+
+class Workspace:
+    """Grow-only scratch buffers that one owner lends to kernels across calls.
+
+    :meth:`take` returns a view of the requested shape into a flat buffer
+    kept per ``(key, dtype)``.  A buffer only grows, so calls of different
+    shapes share one allocation and its pages stay mapped between calls
+    instead of being freed and faulted in again.  A view is valid until
+    the next :meth:`take` of the same key, so a kernel uses it within one
+    call and saves nothing from it.  The owner sets the lifetime (the
+    trainer keeps one for one fit) and must not share one between
+    threads.  Equality is identity, which is how a recorded program
+    compares the attrs that carry it.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: Dict[tuple, np.ndarray] = {}
+
+    def take(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """A ``shape`` view of the ``(key, dtype)`` buffer, grown if too small."""
+        dtype = np.dtype(dtype)
+        size = math.prod(shape)
+        buf = self._buffers.get((key, dtype))
+        if buf is None or buf.size < size:
+            buf = self._buffers[(key, dtype)] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 class Kernel(NamedTuple):
@@ -68,11 +97,23 @@ def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
     return buf
 
 
-def _tmp(out, ctx: dict, key, shape, dtype) -> np.ndarray:
-    """Forward-only scratch: a temporary in eager mode, reused across replays."""
+def _tmp(out, ctx: dict, key, shape, dtype, workspace: Optional[Workspace] = None) -> np.ndarray:
+    """Forward-only scratch: from ``workspace`` when one is lent, else a
+    temporary in eager mode and a buffer reused across replays."""
+    if workspace is not None:
+        return workspace.take(key, shape, dtype)
     if out is None:
         return np.empty(shape, dtype=dtype)
     return _scratch(ctx, key, shape, dtype)
+
+
+def _times_grad(grad: np.ndarray, ctx: dict, key) -> np.ndarray:
+    """``ctx[key] * grad`` in a buffer kept in ``ctx``.
+
+    The VJP of a scalar op whose forward kept its gradients at ``g = 1``.
+    """
+    unit = ctx[key]
+    return np.multiply(unit, grad, out=_scratch(ctx, ("g", key), unit.shape, unit.dtype))
 
 
 def _assign(out, value):
@@ -855,75 +896,76 @@ def _k_rff():
     return fwd, vjp
 
 
-def _pair_cov_forward(features: np.ndarray, probs: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """``(value, saved)`` of ``weighted_pair_sq_cross_cov`` on arrays.
+def _pair_cov_fold(out, ctx, features, probs, left, right, full: bool, workspace):
+    """Value of ``weighted_pair_sq_cross_cov`` and its gradients at ``g = 1``.
 
     Works on the selected pairs only: their left/right ``(k, n)`` blocks are
-    gathered into ``(P, k, n)`` arrays, centred in place, and every
-    cross-covariance comes out of one batched matmul.
+    gathered into ``(P, k, n)`` working blocks, centred in place, and every
+    cross-covariance comes out of one batched matmul.  Per pair, with
+    ``pu = (u - E_p u) ⊙ p`` and ``C = pu (v - E_p v)ᵀ``: ``dC = 2C``,
+    ``d pu = dC vc``, ``d vc = dCᵀ pu``, and the mean terms
+    ``d E_p u = -dC (vc p)``, ``d E_p v = -dCᵀ (pu 1)``.
+
+    Keeps ``unit_p`` (``n`` entries) in ``ctx`` and, when ``full`` (the
+    features need a gradient), ``unit_f`` (``(c, k, n)``).  The three
+    working blocks come from ``workspace`` when one is lent (else
+    :func:`_tmp`) and are dead when this returns, so the node saves none.
     """
     p = probs.reshape(-1)
-    uc = features[left]
-    vc = features[right]
+    dtype = np.result_type(features, probs)
+    shape = (len(left),) + features.shape[1:]
+    # mode="clip" gathers straight into the block (the default mode buffers
+    # a whole copy); F.weighted_pair_sq_cross_cov checks the indices.
+    uc = _tmp(out, ctx, "pair_u", shape, features.dtype, workspace)
+    vc = _tmp(out, ctx, "pair_v", shape, features.dtype, workspace)
+    np.take(features, left, axis=0, out=uc, mode="clip")
+    np.take(features, right, axis=0, out=vc, mode="clip")
     mean_u = np.matmul(uc, p)[:, :, None]
     mean_v = np.matmul(vc, p)[:, :, None]
     uc -= mean_u
     vc -= mean_v
-    pu = uc * p
+    pu = np.multiply(uc, p, out=_tmp(out, ctx, "pair_pu", shape, dtype, workspace))
     cross_cov = np.matmul(pu, vc.transpose(0, 2, 1))
     value = (cross_cov * cross_cov).sum()
-    return value, (uc, vc, pu, mean_u, mean_v, cross_cov)
 
-
-def _pair_cov_vjp(
-    grad: np.ndarray,
-    features: np.ndarray,
-    probs: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    saved: tuple,
-    needs,
-) -> tuple:
-    """Closed-form VJP of ``weighted_pair_sq_cross_cov`` wrt (features, probs).
-
-    Per pair, with ``pu = (u - E_p u) ⊙ p`` and ``C = pu (v - E_p v)ᵀ``
-    (``k × n`` blocks): ``dC = 2 g C``, ``d pu = dC vc``, ``d vc = dCᵀ pu``,
-    and the mean terms ``d E_p u = -dC (vc p)``, ``d E_p v = -dCᵀ (pu 1)``.
-    Only the selected pairs' ``(P, k, n)`` blocks are touched; the feature
-    gradient is formed only when the features need one.
-    """
-    uc, vc, pu, mean_u, mean_v, cross_cov = saved
-    p = probs.reshape(-1)
-    d_cc = (2.0 * grad) * cross_cov
+    d_cc = 2.0 * cross_cov
     d_cc_t = d_cc.transpose(0, 2, 1)
     d_mean_u = -np.matmul(d_cc, np.matmul(vc, p)[:, :, None])
     d_mean_v = -np.matmul(d_cc_t, pu.sum(axis=2, keepdims=True))
-    # d u = (d pu + d E_p u) ⊙ p: accumulate the mean term into d pu.
-    d_pu_u = np.matmul(d_cc, vc)
+    if full:
+        d_right = np.matmul(d_cc_t, pu)
+        d_right += d_mean_v * p
+    # d u = (d pu + d E_p u) ⊙ p: accumulate the mean term into d pu, which
+    # takes pu's block (pu is not read again).
+    d_pu_u = np.matmul(d_cc, vc, out=pu)
     d_pu_u += d_mean_u
-    d_features = d_probs = None
-    if needs[0]:
-        d_features = np.zeros_like(features)
-        np.add.at(d_features, left, d_pu_u * p)
-        np.add.at(d_features, right, np.matmul(d_cc_t, pu) + d_mean_v * p)
-    if needs[1]:
-        # d p_n = Σ (d pu ⊙ uc) + Σ u ⊙ d E_p u + Σ v ⊙ d E_p v, with u = uc + E_p u.
-        d_p = np.einsum("pkn,pkn->n", d_pu_u, uc)
-        d_p += np.matmul(d_mean_v.transpose(0, 2, 1), vc).sum(axis=(0, 1))
-        d_p += (mean_u * d_mean_u).sum() + (mean_v * d_mean_v).sum()
-        d_probs = d_p.reshape(probs.shape)
-    return d_features, d_probs
+    # d p_n = Σ (d pu ⊙ uc) + Σ u ⊙ d E_p u + Σ v ⊙ d E_p v, with u = uc + E_p u.
+    unit_p = np.einsum("pkn,pkn->n", d_pu_u, uc, out=_scratch(ctx, "unit_p", p.shape, dtype))
+    unit_p += np.matmul(d_mean_v.transpose(0, 2, 1), vc).sum(axis=(0, 1))
+    unit_p += (mean_u * d_mean_u).sum() + (mean_v * d_mean_v).sum()
+    if full:
+        unit_f = _scratch(ctx, "unit_f", features.shape, dtype)
+        unit_f.fill(0.0)
+        np.add.at(unit_f, left, d_pu_u * p)
+        np.add.at(unit_f, right, d_right)
+    return value
 
 
 @_kernel("weighted_pair_sq_cross_cov")
 def _k_weighted_pair_sq_cross_cov():
     def fwd(out, ins, attrs, ctx):
-        value, ctx["saved"] = _pair_cov_forward(ins[0], ins[1], attrs["left"], attrs["right"])
+        full = attrs["products"] == "full"
+        value = _pair_cov_fold(
+            out, ctx, *ins, attrs["left"], attrs["right"], full, attrs["workspace"]
+        )
         return _assign(out, value)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        left, right = attrs["left"], attrs["right"]
-        return _pair_cov_vjp(grad, ins[0], ins[1], left, right, ctx["saved"], needs)
+        # The output is a scalar: the forward's unit gradients times g.
+        return tuple(
+            _times_grad(grad, ctx, key).reshape(x.shape) if need else None
+            for key, x, need in zip(("unit_f", "unit_p"), ins, needs)
+        )
 
     return fwd, vjp
 
@@ -1006,9 +1048,7 @@ def _k_weighted_rbf_mmd():
         grads = [None] * 4
         for key, first in (("unit_x", 0), ("unit_w", 2)):
             if needs[first] or needs[first + 1]:
-                unit = ctx[key]
-                scaled = _scratch(ctx, ("g", key), unit.shape, unit.dtype)
-                np.multiply(unit, grad, out=scaled)
+                scaled = _times_grad(grad, ctx, key)
                 grads[first] = scaled[:n_c].reshape(ins[first].shape)
                 grads[first + 1] = scaled[n_c:].reshape(ins[first + 1].shape)
         return tuple(g if need else None for g, need in zip(grads, needs))

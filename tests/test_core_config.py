@@ -39,6 +39,13 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError):
             RegularizerConfig(num_rff_features=0)
 
+    def test_negative_max_pairs_per_layer_fails_at_construction(self):
+        """A negative pair budget fails here, not at the first weight step."""
+        with pytest.raises(ValueError, match="max_pairs_per_layer"):
+            RegularizerConfig(max_pairs_per_layer=-3)
+        assert RegularizerConfig(max_pairs_per_layer=None).max_pairs_per_layer is None
+        assert RegularizerConfig(max_pairs_per_layer=0).max_pairs_per_layer == 0
+
     def test_unknown_ipm_kind_fails_at_construction(self):
         """A typo must not surface only at the first weight or network step."""
         with pytest.raises(ValueError, match="'mmd_linear', 'mmd_rbf'"):

@@ -113,6 +113,17 @@ class TestIndependenceRegularizer:
         with pytest.raises(ValueError):
             IndependenceRegularizer(num_rff_features=0)
 
+    def test_max_pairs_must_be_non_negative(self, rng):
+        with pytest.raises(ValueError, match="max_pairs"):
+            IndependenceRegularizer(max_pairs=-3)
+        layer = as_tensor(rng.normal(size=(50, 3)))
+        assert IndependenceRegularizer(max_pairs=None)(layer, as_tensor(np.ones(50))).item() > 0.0
+        weights = Tensor(np.ones(50), requires_grad=True)
+        loss = IndependenceRegularizer(max_pairs=0)(layer, weights)
+        loss.backward()
+        assert loss.item() == 0.0
+        np.testing.assert_array_equal(weights.grad, np.zeros(50))
+
 
 class TestHierarchicalAttentionLoss:
     @pytest.fixture()

@@ -13,7 +13,8 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   buffer identity (the property replay pins);
 * stacked multi-seed replay (``repro.core.stacked`` and
   ``run_replications(stacked_replay=True)``) equals serial fits exactly;
-* the fused regularizer kernels (the batched HSIC pair node, matrix
+* the fused regularizer kernels (the batched HSIC pair node, also on
+  constant features with or without a lent workspace, matrix
   ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
   weights or representations, also at a tile of 4 rows) and one-sided
   ``clip`` give eager == replay == stacked, bit for bit;
@@ -164,6 +165,8 @@ def _fused_kernel_cases():
     freqs, phases = rng.normal(size=(cols, k)), rng.uniform(0.0, 6.0, size=(cols, k))
     left, right = np.array([0, 0, 2, 1]), np.array([1, 3, 3, 3])
     projection = rng.normal(size=(cols, k, n))
+    features = rng.normal(size=(cols, k, n))
+    workspace = kernels.Workspace()
     w_n, w_m = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
     reps_n, reps_m = rng.normal(size=(n, cols)), rng.normal(size=(m, cols))
     weights_2d = rng.normal(size=(n, cols))
@@ -175,6 +178,16 @@ def _fused_kernel_cases():
         "pair-node": (
             lambda f, p: F.weighted_pair_sq_cross_cov(f, p / p.sum(), left, right),
             [lambda r: r.normal(size=(cols, k, n)), positive(n)],
+        ),
+        # The weight step: constant features and weights-only products, with
+        # the node's own blocks or with blocks one workspace lends every run.
+        "pair-node-constant-features": (
+            lambda p: F.weighted_pair_sq_cross_cov(features, p / p.sum(), left, right),
+            [positive(n)],
+        ),
+        "pair-node-lent-workspace": (
+            lambda p: F.weighted_pair_sq_cross_cov(features, p / p.sum(), left, right, workspace),
+            [positive(n)],
         ),
         "rff-matrix": (
             lambda v: (F.rff_features(v, freqs, phases) * projection).sum(),

@@ -33,6 +33,7 @@ from repro.metrics.hsic import RandomFourierFeatures
 from repro.metrics.ipm import mmd_linear_weighted
 from repro.metrics.subsampling import subsample_indices
 from repro.nn import functional as F
+from repro.nn.kernels import Workspace
 from repro.nn.tensor import Tensor, as_tensor
 
 RTOL = 1e-12
@@ -367,16 +368,21 @@ def test_prepare_then_calls_is_bitwise_unprepared_calls(run, ipm_kind):
     forward = _frozen_forward(rows)
     treatment = _treatment()[rows]
     hoisted = HierarchicalAttentionLoss(config=config, seed=SEED)
+    lent = HierarchicalAttentionLoss(config=config, seed=SEED)
     per_call = HierarchicalAttentionLoss(config=config, seed=SEED)
 
     prepared = hoisted.prepare(forward, treatment)
+    # The trainer's route: a workspace lends the pair nodes their blocks.
+    prepared_lent = lent.prepare(forward, treatment, workspace=Workspace())
     for values in _weight_vectors(2):
-        value, grad = _evaluate(hoisted, prepared, treatment, values, indices)
         expected_value, expected_grad = _evaluate(per_call, forward, treatment, values, indices)
-        assert value == expected_value
-        np.testing.assert_array_equal(grad, expected_grad)
-        assert hoisted.last_breakdown == per_call.last_breakdown
+        for objective, objective_input in ((hoisted, prepared), (lent, prepared_lent)):
+            value, grad = _evaluate(objective, objective_input, treatment, values, indices)
+            assert value == expected_value
+            np.testing.assert_array_equal(grad, expected_grad)
+            assert objective.last_breakdown == per_call.last_breakdown
     assert _rng_states(hoisted) == _rng_states(per_call)
+    assert _rng_states(lent) == _rng_states(per_call)
 
 
 def test_prepare_hoists_only_without_subsampling():
