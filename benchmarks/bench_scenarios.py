@@ -17,10 +17,10 @@ Run from the repository root::
     # parallel==serial gate (CI scheduler-smoke): compare cell metrics
     # against a previously written record and fail on any difference
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke \
-        --n-jobs 2 --scheduler cross-cell --check-against BENCH_scenarios_smoke.json
+        --n-jobs 2 --check-against BENCH_scenarios_smoke.json
 
-    # grid-level wall-clock comparison: run the grid serially AND through
-    # the cross-cell scheduler at the same seed, verify equality, record both
+    # grid-level wall-clock comparison: run the grid at n_jobs=1 AND at
+    # n_jobs=N at the same seed, verify equality, record both
     PYTHONPATH=src python benchmarks/bench_scenarios.py --compare-scheduler-jobs 4
 
     # cache-smoke gate (CI): cold + warm run against a result cache (warm
@@ -169,12 +169,6 @@ def main(argv=None) -> int:
     parser.add_argument("--n-jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
-        "--scheduler",
-        choices=("per-cell", "cross-cell"),
-        default=None,
-        help="grid execution strategy (default: cross-cell when --n-jobs > 1)",
-    )
-    parser.add_argument(
         "--checkpoint",
         default=None,
         help="JSONL checkpoint to write (and resume from, if it exists)",
@@ -210,8 +204,8 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="also run the grid serially and through the cross-cell scheduler "
-        "at N jobs, verify their cells agree, and record both wall-clocks",
+        help="also run the grid serially and at N jobs, verify their cells "
+        "agree, and record both wall-clocks",
     )
     parser.add_argument(
         "--output",
@@ -220,8 +214,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.scheduler == "per-cell" and args.checkpoint is not None:
-        parser.error("--checkpoint requires the cross-cell scheduler")
     if args.shard is not None and args.checkpoint is None and args.cache_dir is None:
         parser.error("--shard requires --checkpoint and/or --cache-dir")
 
@@ -233,7 +225,6 @@ def main(argv=None) -> int:
         replications=args.replications,
         n_jobs=args.n_jobs,
         seed=args.seed,
-        scheduler=args.scheduler,
         checkpoint=args.checkpoint,
         cache_dir=args.cache_dir,
         shard=args.shard,
@@ -244,23 +235,18 @@ def main(argv=None) -> int:
 
     if args.compare_scheduler_jobs is not None:
         # Both comparison legs must actually execute the grid — a resumed
-        # checkpoint would replay units from disk and time JSONL parsing
-        # instead of the scheduler.
-        serial_config = replace(config, n_jobs=1, scheduler="per-cell", checkpoint=None)
-        parallel_config = replace(
-            config,
-            n_jobs=args.compare_scheduler_jobs,
-            scheduler="cross-cell",
-            checkpoint=None,
-        )
-        print("running the grid serially (per-cell scheduler)...")
+        # checkpoint or a warm cache would replay units from disk and time
+        # JSON parsing instead of the scheduler.
+        serial_config = replace(config, n_jobs=1, checkpoint=None, cache_dir=None)
+        parallel_config = replace(serial_config, n_jobs=args.compare_scheduler_jobs)
+        print("running the grid serially...")
         result, serial_seconds = _timed_run(serial_config)
-        print(f"serial grid: {serial_seconds:.1f}s; re-running through the "
-              f"cross-cell scheduler at n_jobs={args.compare_scheduler_jobs}...")
+        print(f"serial grid: {serial_seconds:.1f}s; re-running at "
+              f"n_jobs={args.compare_scheduler_jobs}...")
         parallel_result, parallel_seconds = _timed_run(parallel_config)
         differences = compare_scenario_records(result, parallel_result)
         if differences:
-            print("cross-cell scheduler diverged from the serial grid:", file=sys.stderr)
+            print("the parallel grid diverged from the serial grid:", file=sys.stderr)
             for difference in differences:
                 print(f"  {difference}", file=sys.stderr)
             return 1
@@ -272,7 +258,7 @@ def main(argv=None) -> int:
             "cells_identical": True,
         }
         print(
-            f"cross-cell grid: {parallel_seconds:.1f}s "
+            f"parallel grid: {parallel_seconds:.1f}s "
             f"({serial_seconds / parallel_seconds:.2f}x vs serial, cells identical)"
         )
     else:

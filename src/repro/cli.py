@@ -213,12 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--n-jobs", type=int, default=1)
     scenarios.add_argument("--seed", type=int, default=2024)
     scenarios.add_argument(
-        "--scheduler",
-        choices=("per-cell", "cross-cell"),
-        default=None,
-        help="grid execution strategy (default: cross-cell when --n-jobs > 1)",
-    )
-    scenarios.add_argument(
         "--checkpoint",
         default=None,
         help="JSONL checkpoint to write (and resume from, if it exists)",
@@ -600,8 +594,6 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         if not os.path.exists(args.resume):
             raise SystemExit(f"--resume checkpoint {args.resume!r} does not exist")
         checkpoint = args.resume
-    if args.scheduler == "per-cell" and checkpoint is not None:
-        raise SystemExit("--checkpoint/--resume require the cross-cell scheduler")
     if args.shard is not None and checkpoint is None and args.cache_dir is None:
         raise SystemExit("--shard requires --checkpoint and/or --cache-dir")
     config = ScenarioSuiteConfig.from_options(
@@ -612,7 +604,6 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         replications=args.replications,
         n_jobs=args.n_jobs,
         seed=args.seed,
-        scheduler=args.scheduler,
         checkpoint=checkpoint,
         cache_dir=args.cache_dir,
         shard=args.shard,

@@ -11,8 +11,8 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,10 +156,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
     return n_jobs
 
 
-#: Backwards-compatible alias of :func:`resolve_n_jobs` (pre-scheduler name).
-_resolve_n_jobs = resolve_n_jobs
-
-
 def _run_method_task(task: Tuple) -> MethodResult:
     """Top-level worker (must be picklable for ProcessPoolExecutor)."""
     spec, train, test_environments, validation = task
@@ -186,7 +182,7 @@ def run_methods(
     registered at import time of a module the specs can be unpickled from,
     not interactively, or the workers will not find them.
     """
-    n_jobs = _resolve_n_jobs(n_jobs)
+    n_jobs = resolve_n_jobs(n_jobs)
     tasks = [(spec, train, test_environments, validation) for spec in specs]
     if n_jobs == 1 or len(tasks) <= 1:
         return [_run_method_task(task) for task in tasks]
@@ -257,59 +253,44 @@ def run_replications(
     protocol_builder: Callable[[int, int], Mapping[str, object]],
     replications: int,
     seed: int = 2024,
-    n_jobs: int = 1,
     stacked_replay: bool = False,
 ) -> List[List[MethodResult]]:
-    """Run a method grid over several dataset replications, optionally in parallel.
+    """Run a method grid over several dataset replications, in process.
 
     ``protocol_builder(replication_index, replication_seed)`` must return a
     mapping with ``"train"``, ``"test_environments"`` and optionally
     ``"validation"`` (the shape produced by the protocol helpers and
-    :func:`repro.data.load_benchmark`).  Protocols are built in the parent
-    process with seeds from :func:`spawn_replication_seeds`; the flattened
-    ``replications × specs`` task list is then fanned out across ``n_jobs``
-    workers.  Returns one ``List[MethodResult]`` per replication, in
-    replication order — identical to running serially.
+    :func:`repro.data.load_benchmark`), seeded by
+    :func:`spawn_replication_seeds`.  Returns one ``List[MethodResult]``
+    per replication, in replication order.  Scenario grids that need a
+    worker pool go through :func:`repro.experiments.run_scenario_suite`.
 
-    Each task ships its replication's datasets to the worker, so a
-    replication's arrays are pickled once per spec; for very large
-    populations prefer fewer specs per call or serial execution.
-
-    ``stacked_replay=True`` (requires ``n_jobs=1``) trains each spec's K
-    replication models as one stacked kernel program
-    (:mod:`repro.core.stacked`) when the protocols support lockstep replay
-    — full batch, no validation sets, no early stopping, vanilla framework,
-    and structurally identical training graphs across replications.  The
-    results are bitwise identical to the serial path; combinations that
-    cannot be stacked silently fall back to serial fits.
+    ``stacked_replay=True`` trains each spec's K replication models as one
+    stacked kernel program (:mod:`repro.core.stacked`) when the protocols
+    support lockstep replay — full batch, no validation sets, no early
+    stopping, vanilla framework, and structurally identical training graphs
+    across replications.  The results are bitwise identical to the serial
+    path; combinations that cannot be stacked silently fall back to serial
+    fits.
     """
-    n_jobs = _resolve_n_jobs(n_jobs)
     seeds = spawn_replication_seeds(seed, replications)
     protocols = [
         protocol_builder(replication, replication_seed)
         for replication, replication_seed in enumerate(seeds)
     ]
     if stacked_replay:
-        if n_jobs != 1:
-            raise ValueError(
-                "stacked_replay fuses the replications into one in-process "
-                "program; it requires n_jobs=1"
-            )
         return _run_replications_stacked(specs, protocols)
-    tasks = [
-        (spec, protocol["train"], protocol["test_environments"], protocol.get("validation"))
-        for protocol in protocols
-        for spec in specs
-    ]
-    if n_jobs == 1 or len(tasks) <= 1:
-        flat = [_run_method_task(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            flat = list(pool.map(_run_method_task, tasks))
-    per_replication = len(specs)
     return [
-        flat[index : index + per_replication]
-        for index in range(0, len(flat), per_replication)
+        [
+            run_method(
+                spec,
+                protocol["train"],
+                protocol["test_environments"],
+                protocol.get("validation"),
+            )
+            for spec in specs
+        ]
+        for protocol in protocols
     ]
 
 

@@ -10,22 +10,16 @@ least-squares slope of mean PEHE / ATE error against severity.  A robust
 method has a flat profile; a method that silently relies on overlap, full
 observability or Gaussian noise does not.
 
-Two schedulers drive the grid (``ScenarioSuiteConfig.scheduler``):
-
-* ``per-cell`` — the historical path: one
-  :func:`repro.experiments.run_replications` call per (scenario, severity)
-  cell, parallelising only within the cell;
-* ``cross-cell`` (default whenever ``n_jobs > 1``, a checkpoint, cache or
-  shard is requested) — the whole scenario x severity x replication x
-  method grid flattened into one work-unit queue over a single shared
-  worker pool (:mod:`repro.experiments.scheduler`), with per-unit failure
-  isolation, JSONL checkpoint/resume, a content-addressed result cache
-  (``cache_dir`` — unchanged cells are free across invocations and
-  machines) and stable-hash sharding (``shard=(k, n)`` splits one grid
-  across n hosts; :func:`merge_scenario_shards` unions the shard
-  checkpoints back into one record).  Identical seeds flow through both
-  paths, so their records agree bit-for-bit apart from measured
-  wall-clock.
+Every run flattens the whole scenario x severity x replication x method
+grid into one work-unit queue (:mod:`repro.experiments.scheduler`): in
+process at ``n_jobs=1``, over a single shared worker pool otherwise.  The
+queue gives per-unit failure isolation, JSONL checkpoint/resume, a
+content-addressed result cache (``cache_dir`` — unchanged cells are free
+across invocations and machines) and stable-hash sharding
+(``shard=(k, n)`` splits one grid across n hosts;
+:func:`merge_scenario_shards` unions the shard checkpoints back into one
+record).  Every unit's seed is fixed by the plan, so records agree
+bit-for-bit at any ``n_jobs`` apart from measured wall-clock.
 
 The suite record carries a ``stages`` block (plan / materialise / fit /
 evaluate / aggregate wall-clock) and a ``cache`` block (hits, misses,
@@ -33,7 +27,7 @@ seconds saved); :func:`format_suite_summary` renders both as the one-line
 summary ``repro scenarios`` prints.
 
 ``benchmarks/bench_scenarios.py`` wraps this module as the CI smoke job
-(including the parallel-equals-serial scheduler gate); ``repro scenarios``
+(including the parallel-equals-serial gate); ``repro scenarios``
 exposes it from the CLI; the committed ``BENCH_scenarios.json`` is a
 full-severity run.
 """
@@ -52,11 +46,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..registry import scenarios as SCENARIO_REGISTRY
-from ..scenarios import DEFAULT_SEVERITIES, Scenario, available_scenarios, build_scenario
+from ..scenarios import Scenario, available_scenarios, build_scenario
 from .cache import ResultCache
 from .protocols import experiment_config, get_scale
 from .reporting import format_table
-from .runner import MethodSpec, MethodResult, resolve_n_jobs, run_replications
+from .runner import MethodSpec, MethodResult
 from .scheduler import (
     CheckpointError,
     UnitOutcome,
@@ -81,11 +75,7 @@ __all__ = [
     "compare_scenario_records",
     "count_error_cells",
     "report_error_cells",
-    "SCHEDULERS",
 ]
-
-#: The grid-execution strategies ``run_scenario_suite`` understands.
-SCHEDULERS: Tuple[str, ...] = ("per-cell", "cross-cell")
 
 
 @dataclass
@@ -107,11 +97,7 @@ class ScenarioSuiteConfig:
     scale: str = "smoke"
     methods: Optional[Sequence[MethodSpec]] = None
     dims: Tuple[int, int, int, int] = (4, 4, 4, 2)
-    #: Grid execution strategy: ``"per-cell"``, ``"cross-cell"``, or ``None``
-    #: to pick cross-cell automatically whenever ``n_jobs > 1`` (or a
-    #: checkpoint is requested).
-    scheduler: Optional[str] = None
-    #: JSONL checkpoint path for the cross-cell scheduler; an existing
+    #: JSONL checkpoint path of the work-unit queue; an existing
     #: matching checkpoint is resumed, completed units are not recomputed.
     checkpoint: Optional[str] = None
     #: Directory of the content-addressed result cache; unit outcomes are
@@ -128,31 +114,6 @@ class ScenarioSuiteConfig:
         if self.scenario_names is None:
             return available_scenarios()
         return [SCENARIO_REGISTRY.resolve(name) for name in self.scenario_names]
-
-    def _needs_cross_cell(self) -> Optional[str]:
-        """The cross-cell-only feature in use, or ``None``."""
-        if self.checkpoint is not None:
-            return "checkpointing"
-        if self.cache_dir is not None:
-            return "the result cache"
-        if self.shard is not None:
-            return "sharding"
-        return None
-
-    def resolved_scheduler(self) -> str:
-        """The scheduler the suite will actually use."""
-        if self.scheduler is not None:
-            if self.scheduler not in SCHEDULERS:
-                raise ValueError(
-                    f"unknown scheduler {self.scheduler!r}; available: {list(SCHEDULERS)}"
-                )
-            feature = self._needs_cross_cell()
-            if self.scheduler == "per-cell" and feature is not None:
-                raise ValueError(f"{feature} requires the cross-cell scheduler")
-            return self.scheduler
-        if self._needs_cross_cell() is not None:
-            return "cross-cell"
-        return "cross-cell" if resolve_n_jobs(self.n_jobs) > 1 else "per-cell"
 
     def resolved_methods(self, seed: int) -> List[MethodSpec]:
         """Method grid to run (the default grid when unset)."""
@@ -174,7 +135,6 @@ class ScenarioSuiteConfig:
         replications: int = 1,
         n_jobs: int = 1,
         seed: int = 2024,
-        scheduler: Optional[str] = None,
         checkpoint: Optional[str] = None,
         cache_dir: Optional[str] = None,
         shard=None,
@@ -201,7 +161,6 @@ class ScenarioSuiteConfig:
             n_jobs=n_jobs,
             seed=seed,
             scale="smoke" if smoke else "default",
-            scheduler=scheduler,
             checkpoint=checkpoint,
             cache_dir=cache_dir,
             shard=parse_shard(shard) if shard is not None else None,
@@ -213,8 +172,8 @@ class ScenarioCellResult:
     """Aggregated metrics of one (scenario, severity, method) cell.
 
     ``error`` is ``None`` for a healthy cell; a cell whose work units
-    diverged under the cross-cell scheduler carries the error message and
-    ``None`` metrics instead of killing the grid.
+    raised carries the error message and ``None`` metrics instead of
+    killing the grid.
     """
 
     scenario: str
@@ -330,63 +289,6 @@ def _error_cell(
     )
 
 
-def _run_grid_per_cell(
-    scenarios: "Dict[str, Tuple[Scenario, Tuple[float, ...]]]",
-    specs: Sequence[MethodSpec],
-    config: ScenarioSuiteConfig,
-) -> Dict[str, List[ScenarioCellResult]]:
-    """Historical path: one ``run_replications`` call per (scenario, severity)."""
-    cells_by_scenario: Dict[str, List[ScenarioCellResult]] = {}
-    for scenario_name, (scenario, severities) in scenarios.items():
-        cells: List[ScenarioCellResult] = []
-        for severity in severities:
-
-            def build_protocol(replication: int, replication_seed: int, _severity=severity):
-                cell = scenario.build(
-                    config.num_samples, _severity, seed=replication_seed % (2 ** 31)
-                )
-                return cell.as_protocol()
-
-            per_replication = run_replications(
-                specs,
-                build_protocol,
-                replications=config.replications,
-                seed=config.seed,
-                n_jobs=config.n_jobs,
-            )
-            for index, spec in enumerate(specs):
-                method_results = [results[index] for results in per_replication]
-                cells.append(
-                    _aggregate_cell(scenario_name, severity, spec.name, method_results)
-                )
-        cells_by_scenario[scenario_name] = cells
-    return cells_by_scenario
-
-
-def _run_grid_cross_cell(
-    scenarios: "Dict[str, Tuple[Scenario, Tuple[float, ...]]]",
-    specs: Sequence[MethodSpec],
-    config: ScenarioSuiteConfig,
-) -> Dict[str, UnitOutcome]:
-    """Flattened path: the whole grid through one shared worker pool."""
-    units = plan_units(
-        {name: severities for name, (_, severities) in scenarios.items()},
-        specs,
-        replications=config.replications,
-        seed=config.seed,
-        num_samples=config.num_samples,
-        dims=config.dims,
-    )
-    cache = ResultCache(config.cache_dir) if config.cache_dir is not None else None
-    return run_cross_cell(
-        units,
-        n_jobs=config.n_jobs,
-        checkpoint=config.checkpoint,
-        cache=cache,
-        shard=config.shard,
-    )
-
-
 #: ``get_outcome(scenario, severity, replication, method_index)`` shape the
 #: aggregation helper consumes: ``("ok", MethodResult)``, ``("error", msg)``
 #: or ``None`` when the unit was not run here (another shard's unit).
@@ -400,8 +302,8 @@ def _aggregate_grid(
     get_outcome: _OutcomeGetter,
     partial: bool = False,
 ) -> Dict[str, List[ScenarioCellResult]]:
-    """Collapse per-unit outcomes into cell rows, shared by the live
-    cross-cell path and shard merging.
+    """Collapse per-unit outcomes into cell rows, shared by live runs and
+    shard merging.
 
     With ``partial=True`` (a sharded run) cells whose units all live in
     other shards are skipped and surviving cells aggregate only the
@@ -520,20 +422,19 @@ def _machine_block() -> Dict[str, object]:
 
 
 def _cache_block(
-    config: ScenarioSuiteConfig, outcomes: Optional[Mapping[str, UnitOutcome]]
+    config: ScenarioSuiteConfig, outcomes: Mapping[str, UnitOutcome]
 ) -> Dict[str, object]:
     """Cache statistics of one run (zeros when the cache is disabled)."""
     hits = misses = replayed = 0
     seconds_saved = 0.0
-    if outcomes is not None:
-        for outcome in outcomes.values():
-            if outcome.from_cache:
-                hits += 1
-                seconds_saved += outcome.seconds_saved
-            elif outcome.from_checkpoint:
-                replayed += 1
-            else:
-                misses += 1
+    for outcome in outcomes.values():
+        if outcome.from_cache:
+            hits += 1
+            seconds_saved += outcome.seconds_saved
+        elif outcome.from_checkpoint:
+            replayed += 1
+        else:
+            misses += 1
     consulted = hits + misses
     return {
         "enabled": config.cache_dir is not None,
@@ -550,33 +451,29 @@ def _stage_block(
     plan_seconds: float,
     execute_seconds: float,
     aggregate_seconds: float,
-    outcomes: Optional[Mapping[str, UnitOutcome]],
+    outcomes: Mapping[str, UnitOutcome],
 ) -> Dict[str, object]:
     """Per-stage wall-clock of one run.
 
-    ``execute_seconds`` is the end-to-end grid wall-clock; for cross-cell
-    runs the materialise/fit/evaluate components are the summed per-unit
-    stage clocks of the units *executed here* (cached and checkpoint
-    replays cost nothing and are excluded — their avoided time shows up in
-    the cache block's ``seconds_saved`` instead).  The per-cell scheduler
-    cannot split its execution, so the components are ``None`` there.
+    ``execute_seconds`` is the end-to-end grid wall-clock; the
+    materialise/fit/evaluate components are the summed per-unit stage
+    clocks of the units *executed here* (cached and checkpoint replays
+    cost nothing and are excluded — their avoided time shows up in the
+    cache block's ``seconds_saved`` instead).
     """
-    materialise = fit = evaluate = None
-    if outcomes is not None:
-        executed = [
-            outcome
-            for outcome in outcomes.values()
-            if outcome.ok and not outcome.from_cache and not outcome.from_checkpoint
-        ]
-        materialise = float(sum(outcome.build_seconds for outcome in executed))
-        fit = float(sum(outcome.result.training_seconds for outcome in executed))
-        evaluate = float(sum(outcome.result.evaluate_seconds for outcome in executed))
+    executed = [
+        outcome
+        for outcome in outcomes.values()
+        if outcome.ok and not outcome.from_cache and not outcome.from_checkpoint
+    ]
     return {
         "plan_seconds": plan_seconds,
         "execute_seconds": execute_seconds,
-        "materialise_seconds": materialise,
-        "fit_seconds": fit,
-        "evaluate_seconds": evaluate,
+        "materialise_seconds": float(sum(outcome.build_seconds for outcome in executed)),
+        "fit_seconds": float(sum(outcome.result.training_seconds for outcome in executed)),
+        "evaluate_seconds": float(
+            sum(outcome.result.evaluate_seconds for outcome in executed)
+        ),
         "aggregate_seconds": aggregate_seconds,
     }
 
@@ -587,15 +484,13 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
     For each scenario and severity, ``config.replications`` independent
     datasets are built (seeded through the replication machinery's
     ``SeedSequence`` spawning) and every method spec is fitted on each.
-    With the per-cell scheduler the work fans through
-    :func:`repro.experiments.run_replications` one cell at a time; with the
-    cross-cell scheduler (the default at ``n_jobs > 1`` or whenever a
-    checkpoint, cache or shard is requested) the whole grid shares one
-    worker pool, failures isolate to error rows, a JSONL checkpoint makes
-    long grids resumable, ``cache_dir`` serves unchanged units from the
-    content-addressed result cache, and ``shard`` restricts execution to
-    one stable-hash slice of the grid — with identical cell metrics every
-    way at a fixed seed.
+    The grid is flattened into work units and run by
+    :func:`~repro.experiments.scheduler.run_cross_cell` — in process at
+    ``n_jobs=1``, over one shared worker pool otherwise: failures isolate
+    to error rows, a JSONL checkpoint makes long grids resumable,
+    ``cache_dir`` serves unchanged units from the content-addressed result
+    cache, and ``shard`` restricts execution to one stable-hash slice of
+    the grid — with identical cell metrics every way at a fixed seed.
 
     The run is staged explicitly — plan (resolve scenarios/methods and
     flatten the grid), materialise + fit/evaluate (the work units), then
@@ -607,12 +502,7 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
     config = config if config is not None else ScenarioSuiteConfig()
     plan_start = time.perf_counter()
     scenario_names = config.resolved_scenarios()
-    if not scenario_names:
-        raise ValueError("no scenarios selected")
     specs = config.resolved_methods(config.seed)
-    if not specs:
-        raise ValueError("need at least one method spec")
-    scheduler = config.resolved_scheduler()
     if config.shard is not None and config.checkpoint is None and config.cache_dir is None:
         raise ValueError(
             "sharding needs a checkpoint and/or cache_dir — without one the "
@@ -625,39 +515,47 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
         severities = tuple(
             config.severities if config.severities is not None else scenario.default_severities
         )
-        if not severities:
-            raise ValueError("need at least one severity")
         severities = tuple(scenario.check_severity(s) for s in severities)
         scenarios[scenario_name] = (scenario, severities)
+    # Rejects an empty grid or a bad sample count before any unit runs.
+    units = plan_units(
+        {name: severities for name, (_, severities) in scenarios.items()},
+        specs,
+        replications=config.replications,
+        seed=config.seed,
+        num_samples=config.num_samples,
+        dims=config.dims,
+    )
     plan_seconds = time.perf_counter() - plan_start
 
     execute_start = time.perf_counter()
-    outcomes: Optional[Dict[str, UnitOutcome]] = None
-    if scheduler == "cross-cell":
-        outcomes = _run_grid_cross_cell(scenarios, specs, config)
-    else:
-        cells_by_scenario = _run_grid_per_cell(scenarios, specs, config)
+    outcomes = run_cross_cell(
+        units,
+        n_jobs=config.n_jobs,
+        checkpoint=config.checkpoint,
+        cache=ResultCache(config.cache_dir) if config.cache_dir is not None else None,
+        shard=config.shard,
+    )
     execute_seconds = time.perf_counter() - execute_start
 
     aggregate_start = time.perf_counter()
     method_names = [spec.name for spec in specs]
-    if outcomes is not None:
 
-        def get_outcome(name: str, severity: float, replication: int, index: int):
-            outcome = outcomes.get(unit_key(name, severity, replication, index))
-            if outcome is None:
-                return None
-            if outcome.ok:
-                return ("ok", outcome.result)
-            return ("error", outcome.error)
+    def get_outcome(name: str, severity: float, replication: int, index: int):
+        outcome = outcomes.get(unit_key(name, severity, replication, index))
+        if outcome is None:
+            return None
+        if outcome.ok:
+            return ("ok", outcome.result)
+        return ("error", outcome.error)
 
-        cells_by_scenario = _aggregate_grid(
-            [(name, severities) for name, (_, severities) in scenarios.items()],
-            method_names,
-            config.replications,
-            get_outcome,
-            partial=config.shard is not None,
-        )
+    cells_by_scenario = _aggregate_grid(
+        [(name, severities) for name, (_, severities) in scenarios.items()],
+        method_names,
+        config.replications,
+        get_outcome,
+        partial=config.shard is not None,
+    )
     scenario_records = _scenario_records(
         [
             (name, scenario.describe(), severities)
@@ -680,7 +578,6 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
             "dims": list(config.dims),
             "methods": method_names,
             "scenarios": scenario_names,
-            "scheduler": scheduler,
             "checkpoint": config.checkpoint,
             "cache_dir": config.cache_dir,
             "shard": f"{config.shard[0]}/{config.shard[1]}" if config.shard else None,
@@ -808,7 +705,6 @@ def merge_scenario_shards(
             "dims": list(grid["dims"]),
             "methods": method_names,
             "scenarios": [name for name, _ in scenario_items],
-            "scheduler": "cross-cell",
             "checkpoint": None,
             "cache_dir": cache_dir,
             "shard": None,
@@ -962,9 +858,9 @@ def report_error_cells(record: Mapping[str, object], stream=None) -> int:
 def scenario_cell_metrics(record: Mapping[str, object]) -> Dict[str, Dict[str, object]]:
     """Every cell of a suite record, keyed and with wall-clock stripped.
 
-    This is the canonical "did two runs compute the same thing" view: the
-    cross-cell scheduler must reproduce the serial path bit-for-bit except
-    for ``training_seconds``, which is measured wall-clock and therefore
+    This is the canonical "did two runs compute the same thing" view: a
+    parallel run must reproduce a serial one bit-for-bit except for
+    ``training_seconds``, which is measured wall-clock and therefore
     machine noise.
     """
     rows: Dict[str, Dict[str, object]] = {}

@@ -1,20 +1,18 @@
 """Cross-cell scheduler: a cacheable, shardable work-unit pipeline over the
 whole scenario grid.
 
-The per-cell path of :func:`repro.experiments.run_scenario_suite` loops over
-(scenario, severity) cells serially and only parallelises the replications
-*within* a cell, so a full-severity grid on multi-core hardware leaves most
-workers idle whenever a cell has fewer tasks than cores.  This module
-flattens the entire ``scenario x severity x replication x method`` grid into
-:class:`WorkUnit` records and drives them through a single shared
-``ProcessPoolExecutor``:
+:func:`repro.experiments.run_scenario_suite` runs every grid through this
+module.  It flattens the entire ``scenario x severity x replication x
+method`` grid into :class:`WorkUnit` records and drives them in process at
+``n_jobs=1`` or through a single shared ``ProcessPoolExecutor`` otherwise,
+so a full-severity grid keeps every worker busy:
 
-* **Seed parity** — every unit's dataset seed comes from the same
-  :func:`~repro.experiments.runner.spawn_replication_seeds` spawning the
-  serial path uses, and each worker rebuilds its scenario cell from that
-  seed, so the cross-cell schedule is bit-for-bit identical to the serial
-  sweep at a fixed suite seed (pinned by ``tests/test_scheduler.py`` and
-  re-checked in CI by the scheduler-smoke gate).
+* **Seed parity** — every unit's dataset seed comes from
+  :func:`~repro.experiments.runner.spawn_replication_seeds` at plan time,
+  and each unit rebuilds its scenario cell from that seed, so a grid is
+  bit-for-bit identical at any ``n_jobs`` for a fixed suite seed (pinned
+  by ``tests/test_scheduler.py`` and re-checked in CI by the
+  scheduler-smoke gate).
 * **Failure isolation** — a diverging unit records an error outcome instead
   of killing the grid; the suite reports the cell as an error row.
 * **Checkpoint / resume** — each completed unit is appended to a JSONL
@@ -111,9 +109,10 @@ class WorkUnit:
     """One schedulable unit: (scenario, severity, replication, method).
 
     ``replication_seed`` is the :class:`numpy.random.SeedSequence`-spawned
-    seed of this unit's replication — identical to what the serial path
-    hands its protocol builder, which is what makes cross-cell execution
-    bit-for-bit reproducible against the serial sweep.
+    seed of this unit's replication — the same seed
+    :func:`~repro.experiments.runner.run_replications` hands its protocol
+    builder, which is what makes a unit's result independent of where and
+    when it runs.
     """
 
     scenario: str
@@ -169,12 +168,16 @@ def plan_units(
     num_samples: int,
     dims: Sequence[int],
 ) -> List[WorkUnit]:
-    """Flatten the grid into work units with serial-identical seeds.
+    """Flatten the grid into work units with plan-time seeds.
 
     The replication seeds are spawned once from the suite seed — the same
-    list for every (scenario, severity) cell, exactly as the serial path's
-    repeated :func:`run_replications` calls see them.
+    list for every (scenario, severity) cell, exactly as one
+    :func:`run_replications` call per cell would see them.  Inputs that
+    would fail every unit (no scenarios, severities or methods, fewer than
+    one sample) raise here, before any unit runs.
     """
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be at least 1, got {num_samples}")
     if not scenario_severities:
         raise ValueError("no scenarios selected")
     if not specs:
@@ -287,7 +290,9 @@ def grid_block(units: Sequence[WorkUnit]) -> Dict[str, object]:
 #: Per-process memo of recently built protocols.  Several units differ only
 #: in their method spec; when the same worker draws them it reuses the
 #: build instead of regenerating identical datasets once per method.  The
-#: build is a pure function of the key, so the cache never changes results.
+#: key names the scenario, not its class, so :func:`run_cross_cell` clears
+#: the memo when it starts and when it returns: a memo never outlives one
+#: run, and a scenario re-registered between runs is rebuilt.
 _PROTOCOL_CACHE: "OrderedDict[Tuple, Mapping[str, object]]" = OrderedDict()
 _PROTOCOL_CACHE_SIZE = 4
 
@@ -314,7 +319,7 @@ def _execute_unit(unit: WorkUnit) -> Tuple[MethodResult, float]:
 
     Builds the scenario cell *in the worker* — the build is a pure function
     of ``(scenario, dims, num_samples, severity, seed)``, so the datasets
-    are identical to the parent-built serial ones while dataset construction
+    are identical wherever the unit runs while dataset construction
     parallelises along with training.  Returns the result plus the
     dataset-materialisation wall-clock (the fit/evaluate stages are timed
     inside :func:`run_method`).
@@ -545,7 +550,8 @@ def run_cross_cell(
     cache: Optional[ResultCache] = None,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, UnitOutcome]:
-    """Run the flattened grid through one shared worker pool.
+    """Run the flattened grid in process (``n_jobs=1``) or through one
+    shared worker pool.
 
     ``units`` is always the *full* planned grid; ``shard=(k, n)`` restricts
     execution to this machine's stable-hash slice while fingerprinting (and
@@ -566,6 +572,7 @@ def run_cross_cell(
     n_jobs = resolve_n_jobs(n_jobs)
     if shard is not None:
         shard = parse_shard(shard)
+    _PROTOCOL_CACHE.clear()  # forked workers start empty
     by_key = {unit.key: unit for unit in units}
     if len(by_key) != len(units):
         raise ValueError("work-unit keys must be unique")
@@ -691,6 +698,7 @@ def run_cross_cell(
                         result, build_seconds = future.result()
                         record(unit, result, None, build_seconds=build_seconds)
     finally:
+        _PROTOCOL_CACHE.clear()
         if handle is not None:
             handle.close()
     return outcomes

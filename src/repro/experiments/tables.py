@@ -147,7 +147,6 @@ def table3_realworld(
     datasets: Sequence[str] = ("twins", "ihdp"),
     replications: Optional[int] = None,
     seed: int = 2024,
-    n_jobs: int = 1,
 ) -> TableResult:
     """Reproduce Table III: PEHE / ATE bias on train / validation / OOD test."""
     experiment_scale = SCALES[scale] if isinstance(scale, str) else scale
@@ -177,7 +176,6 @@ def table3_realworld(
                 protocol["train"],
                 protocol["test_environments"],
                 protocol["validation"],
-                n_jobs=n_jobs,
             )
             for result in results:
                 store = accumulators.setdefault(result.name, {})

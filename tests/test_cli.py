@@ -67,16 +67,14 @@ class TestCommands:
         assert not args.smoke
         assert args.scenario_names is None and args.severities is None
         assert args.replications == 1 and args.n_jobs == 1
-        # None defers to the auto policy: cross-cell whenever n_jobs > 1.
-        assert args.scheduler is None
         assert args.checkpoint is None and args.resume is None
 
     def test_scenarios_scheduler_flags_parse(self):
         args = build_parser().parse_args(
-            ["scenarios", "--scheduler", "cross-cell", "--checkpoint", "grid.jsonl"]
+            ["scenarios", "--checkpoint", "grid.jsonl", "--resume", "grid.jsonl"]
         )
-        assert args.scheduler == "cross-cell"
         assert args.checkpoint == "grid.jsonl"
+        assert args.resume == "grid.jsonl"
 
     def test_scenarios_smoke_writes_json(self, capsys, tmp_path):
         import json
@@ -106,11 +104,10 @@ class TestCommands:
         checkpoint = str(tmp_path / "grid.jsonl")
         assert main([
             "scenarios", "--smoke", "--scenario", "overlap",
-            "--num-samples", "120", "--scheduler", "cross-cell",
+            "--num-samples", "120",
             "--checkpoint", checkpoint, "--output", output,
         ]) == 0
         record = json.loads(open(output).read())
-        assert record["suite"]["scheduler"] == "cross-cell"
         assert record["suite"]["checkpoint"] == checkpoint
         # The checkpoint recorded the grid: header + one line per unit.
         lines = open(checkpoint).read().splitlines()
@@ -128,14 +125,6 @@ class TestCommands:
             main([
                 "scenarios", "--smoke", "--scenario", "overlap",
                 "--resume", str(tmp_path / "missing.jsonl"),
-            ])
-
-    def test_scenarios_per_cell_with_checkpoint_is_a_clean_error(self, tmp_path):
-        with pytest.raises(SystemExit, match="cross-cell"):
-            main([
-                "scenarios", "--smoke", "--scenario", "overlap",
-                "--scheduler", "per-cell",
-                "--checkpoint", str(tmp_path / "grid.jsonl"),
             ])
 
     def test_scenarios_cache_flags_parse(self):
@@ -223,7 +212,7 @@ class TestCommands:
         try:
             code = main([
                 "scenarios", "--smoke", "--scenario", "cli-always-failing",
-                "--num-samples", "100", "--scheduler", "cross-cell",
+                "--num-samples", "100",
             ])
         finally:
             scenario_registry.unregister("cli-always-failing")

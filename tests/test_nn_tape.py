@@ -590,10 +590,3 @@ class TestStackedReplay:
         for row_stacked, row_serial in zip(stacked, serial):
             for a, b in zip(row_stacked, row_serial):
                 assert a.per_environment == b.per_environment
-
-    def test_run_replications_stacked_rejects_parallel_jobs(self):
-        specs = [MethodSpec(backbone="tarnet", framework="vanilla", config=_config(iterations=4))]
-        with pytest.raises(ValueError, match="n_jobs"):
-            run_replications(
-                specs, lambda r, s: self._protocol(), replications=2, n_jobs=2, stacked_replay=True
-            )

@@ -213,38 +213,18 @@ class TestFromOptions:
         assert tuple(config.severities) == (0.5,)
         assert config.n_jobs == 3 and config.seed == 1
 
-    def test_scheduler_and_checkpoint_pass_through(self):
-        config = ScenarioSuiteConfig.from_options(
-            smoke=True, scheduler="cross-cell", checkpoint="grid.jsonl"
-        )
-        assert config.scheduler == "cross-cell"
-        assert config.checkpoint == "grid.jsonl"
-        assert config.resolved_scheduler() == "cross-cell"
-
     def test_scheduler_defaults_unset(self):
         config = ScenarioSuiteConfig.from_options(smoke=True)
-        assert config.scheduler is None
         assert config.checkpoint is None
-        assert config.resolved_scheduler() == "per-cell"  # n_jobs=1
+        assert config.cache_dir is None and config.shard is None
 
     def test_cache_and_shard_pass_through(self):
         config = ScenarioSuiteConfig.from_options(
-            smoke=True, cache_dir=".cache", shard="2/3"
+            smoke=True, checkpoint="grid.jsonl", cache_dir=".cache", shard="2/3"
         )
+        assert config.checkpoint == "grid.jsonl"
         assert config.cache_dir == ".cache"
         assert config.shard == (2, 3)  # "K/N" strings are normalised
-        # Either feature forces the cross-cell scheduler.
-        assert config.resolved_scheduler() == "cross-cell"
         assert (
             ScenarioSuiteConfig.from_options(smoke=True, shard=(1, 2)).shard == (1, 2)
         )
-
-    def test_cache_or_shard_with_per_cell_raises(self):
-        with pytest.raises(ValueError, match="cross-cell"):
-            ScenarioSuiteConfig.from_options(
-                smoke=True, scheduler="per-cell", cache_dir=".cache"
-            ).resolved_scheduler()
-        with pytest.raises(ValueError, match="cross-cell"):
-            ScenarioSuiteConfig.from_options(
-                smoke=True, scheduler="per-cell", shard="1/2"
-            ).resolved_scheduler()

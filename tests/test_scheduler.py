@@ -1,22 +1,30 @@
 """Tests for the cross-cell scenario scheduler.
 
-The scheduler's contract: at a fixed suite seed the flattened cross-cell
-grid is bit-for-bit identical to the serial per-cell sweep (apart from
-measured wall-clock), one diverging unit reports an error row instead of
-killing the grid, and an interrupted run resumes from its JSONL checkpoint
-to the exact record an uninterrupted run produces.
+The scheduler's contract: at a fixed suite seed the work-unit queue is
+bit-for-bit identical (apart from measured wall-clock) to a per-cell
+reference — one in-process ``run_replications`` call per (scenario,
+severity) cell — at ``n_jobs=1`` and ``n_jobs=2`` alike; one diverging
+unit reports an error row instead of killing the grid; and an interrupted
+run resumes from its JSONL checkpoint to the exact record an
+uninterrupted run produces.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from typing import Dict
 
 import pytest
 
 from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
 from repro.experiments import MethodSpec
+from repro.experiments import scheduler as scheduler_module
+from repro.experiments.runner import run_replications
 from repro.experiments.scenario_suite import (
     ScenarioSuiteConfig,
+    _aggregate_cell,
+    _scenario_records,
     compare_scenario_records,
     run_scenario_suite,
     scenario_cell_metrics,
@@ -28,7 +36,7 @@ from repro.experiments.scheduler import (
     unit_key,
 )
 from repro.registry import scenarios as SCENARIO_REGISTRY
-from repro.scenarios import Scenario
+from repro.scenarios import Scenario, build_scenario, rebuild_dataset
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,42 @@ def scheduler_config():
     )
 
 
+def per_cell_reference(config: ScenarioSuiteConfig) -> Dict[str, object]:
+    """The grid computed one (scenario, severity) cell at a time.
+
+    One in-process ``run_replications`` call per cell, each replication's
+    dataset built from its spawned seed, then ``_aggregate_cell`` per
+    method: the bit-identity reference the work-unit queue must match.
+    """
+    specs = config.resolved_methods(config.seed)
+    items = []
+    cells_by_scenario = {}
+    for name in config.resolved_scenarios():
+        scenario = build_scenario(name, dims=config.dims)
+        cells = []
+        for severity in config.severities:
+
+            def build_protocol(replication, replication_seed, _severity=severity):
+                cell = scenario.build(
+                    config.num_samples, _severity, seed=replication_seed % (2 ** 31)
+                )
+                return cell.as_protocol()
+
+            per_replication = run_replications(
+                specs, build_protocol, replications=config.replications, seed=config.seed
+            )
+            for index, spec in enumerate(specs):
+                method_results = [results[index] for results in per_replication]
+                cells.append(_aggregate_cell(name, severity, spec.name, method_results))
+        cells_by_scenario[name] = cells
+        items.append((name, scenario.describe(), config.severities))
+    return {
+        "scenarios": _scenario_records(
+            items, [spec.name for spec in specs], cells_by_scenario
+        )
+    }
+
+
 def suite_config(scheduler_config, **overrides) -> ScenarioSuiteConfig:
     spec = MethodSpec(backbone="cfr", framework="vanilla", config=scheduler_config, seed=0)
     options = dict(
@@ -64,37 +108,6 @@ def suite_config(scheduler_config, **overrides) -> ScenarioSuiteConfig:
     )
     options.update(overrides)
     return ScenarioSuiteConfig(**options)
-
-
-class TestResolvedScheduler:
-    def test_auto_is_per_cell_when_serial(self):
-        assert ScenarioSuiteConfig(n_jobs=1).resolved_scheduler() == "per-cell"
-
-    def test_auto_is_cross_cell_when_parallel(self):
-        assert ScenarioSuiteConfig(n_jobs=2).resolved_scheduler() == "cross-cell"
-
-    def test_checkpoint_implies_cross_cell(self):
-        config = ScenarioSuiteConfig(n_jobs=1, checkpoint="grid.jsonl")
-        assert config.resolved_scheduler() == "cross-cell"
-
-    def test_explicit_scheduler_wins(self):
-        assert (
-            ScenarioSuiteConfig(n_jobs=4, scheduler="per-cell").resolved_scheduler()
-            == "per-cell"
-        )
-        assert (
-            ScenarioSuiteConfig(n_jobs=1, scheduler="cross-cell").resolved_scheduler()
-            == "cross-cell"
-        )
-
-    def test_unknown_scheduler_raises(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            ScenarioSuiteConfig(scheduler="magic").resolved_scheduler()
-
-    def test_per_cell_with_checkpoint_raises(self):
-        config = ScenarioSuiteConfig(scheduler="per-cell", checkpoint="grid.jsonl")
-        with pytest.raises(ValueError, match="cross-cell"):
-            config.resolved_scheduler()
 
 
 class TestPlanUnits:
@@ -127,35 +140,43 @@ class TestPlanUnits:
             plan_units({"overlap": ()}, specs, 1, 0, 100, config.dims)
         with pytest.raises(ValueError, match="method"):
             plan_units({"overlap": (0.0,)}, [], 1, 0, 100, config.dims)
+        with pytest.raises(ValueError, match="num_samples"):
+            plan_units({"overlap": (0.0,)}, specs, 1, 0, 0, config.dims)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_bad_sample_count_raises_before_any_unit_runs(self, scheduler_config, n_jobs):
+        # Units build their datasets themselves, so without the plan-time
+        # check every unit would fail alone and come back as an error row.
+        config = suite_config(scheduler_config, num_samples=0, n_jobs=n_jobs)
+        with pytest.raises(ValueError, match="num_samples"):
+            run_scenario_suite(config)
 
 
 class TestParallelEqualsSerial:
-    """The acceptance gate: cross-cell == serial, bit for bit, at one seed."""
+    """The acceptance gate: per-cell reference == n_jobs=1 == n_jobs=2."""
 
     @pytest.fixture(scope="class")
     def records(self, scheduler_config):
-        serial = run_scenario_suite(
-            suite_config(scheduler_config, n_jobs=1, scheduler="per-cell")
+        config = suite_config(scheduler_config)
+        return (
+            per_cell_reference(config),
+            run_scenario_suite(config),
+            run_scenario_suite(replace(config, n_jobs=2)),
         )
-        parallel = run_scenario_suite(suite_config(scheduler_config, n_jobs=2))
-        return serial, parallel
-
-    def test_schedulers_resolved_as_expected(self, records):
-        serial, parallel = records
-        assert serial["suite"]["scheduler"] == "per-cell"
-        assert parallel["suite"]["scheduler"] == "cross-cell"
 
     def test_cell_metrics_bit_identical(self, records):
-        serial, parallel = records
+        reference, serial, parallel = records
+        assert compare_scenario_records(reference, serial) == []
         assert compare_scenario_records(serial, parallel) == []
         # Spot-check that the comparison actually saw float metrics.
-        rows = scenario_cell_metrics(serial)
+        rows = scenario_cell_metrics(reference)
         assert rows and all("pehe_mean" in row for row in rows.values())
         for key, row in rows.items():
+            assert row == scenario_cell_metrics(serial)[key]
             assert row == scenario_cell_metrics(parallel)[key]
 
     def test_comparison_detects_differences(self, records):
-        serial, parallel = records
+        _, serial, parallel = records
         mutated = json.loads(json.dumps(parallel))
         first = mutated["scenarios"]["overlap"]["cells"][0]
         first["pehe_mean"] = first["pehe_mean"] + 1.0
@@ -320,6 +341,23 @@ class _WorkerKillingScenario(Scenario):
         os._exit(17)
 
 
+class _PlainScenario(Scenario):
+    """The base population, unperturbed."""
+
+    name = "memo-test-scenario"
+    axis = "none"
+
+    def apply(self, train, tests, severity, seed):
+        return train, tests, {}
+
+
+class _FlippedScenario(_PlainScenario):
+    """The base population with every recorded training treatment flipped."""
+
+    def apply(self, train, tests, severity, seed):
+        return rebuild_dataset(train, treatment=1.0 - train.treatment), tests, {}
+
+
 class TestFailureIsolation:
     def test_diverging_cell_reports_error_row(self, scheduler_config):
         SCENARIO_REGISTRY.register("exploding-test-scenario", _ExplodingScenario)
@@ -328,7 +366,6 @@ class TestFailureIsolation:
                 scheduler_config,
                 scenario_names=["overlap", "exploding-test-scenario"],
                 replications=1,
-                scheduler="cross-cell",
             )
             record = run_scenario_suite(config)
         finally:
@@ -362,7 +399,6 @@ class TestFailureIsolation:
                 scenario_names=["exploding-test-scenario"],
                 severities=(0.5, 1.0),
                 replications=1,
-                scheduler="cross-cell",
             )
             record = run_scenario_suite(config)
         finally:
@@ -405,8 +441,6 @@ class TestFailureIsolation:
 
 class TestProtocolCache:
     def test_units_differing_only_in_method_share_one_build(self, scheduler_config):
-        from repro.experiments import scheduler as scheduler_module
-
         config = suite_config(scheduler_config)
         specs = [
             MethodSpec(backbone="cfr", framework="vanilla", config=scheduler_config, seed=0),
@@ -428,3 +462,29 @@ class TestProtocolCache:
             {"overlap": (0.0,)}, specs, 1, config.seed, 80, config.dims
         )
         assert scheduler_module._build_unit_protocol(different[0]) is not first
+
+    def test_memo_does_not_outlive_a_run(self, scheduler_config):
+        # The memo is keyed by scenario name: a scenario re-registered
+        # between two in-process runs must be rebuilt, not served stale.
+        config = suite_config(scheduler_config)
+        units = plan_units(
+            {"memo-test-scenario": (0.0,)},
+            config.resolved_methods(config.seed),
+            replications=1,
+            seed=config.seed,
+            num_samples=config.num_samples,
+            dims=config.dims,
+        )
+        SCENARIO_REGISTRY.register("memo-test-scenario", _PlainScenario)
+        try:
+            before = run_cross_cell(units, n_jobs=1)
+            SCENARIO_REGISTRY.register(
+                "memo-test-scenario", _FlippedScenario, overwrite=True
+            )
+            after = run_cross_cell(units, n_jobs=1)
+        finally:
+            SCENARIO_REGISTRY.unregister("memo-test-scenario")
+        (key,) = before
+        assert before[key].ok and after[key].ok
+        assert before[key].result.per_environment != after[key].result.per_environment
+        assert not scheduler_module._PROTOCOL_CACHE  # the run kept no datasets

@@ -28,6 +28,7 @@ from repro.core.sbrl import FRAMEWORK_REGISTRY, SBRLTrainer
 from repro.core.weights import SampleWeights
 from repro.experiments.runner import (
     MethodSpec,
+    run_method,
     run_methods,
     run_replications,
     spawn_replication_seeds,
@@ -326,9 +327,11 @@ class TestParallelExecution:
                 num_samples=150, train_rho=2.5, test_rhos=(-2.5,), seed=seed % (2**31)
             )
 
-        serial = run_replications(specs, builder, replications=2, seed=3, n_jobs=1)
-        parallel = run_replications(specs, builder, replications=2, seed=3, n_jobs=2)
-        assert len(serial) == len(parallel) == 2
-        for serial_rep, parallel_rep in zip(serial, parallel):
-            assert len(serial_rep) == len(parallel_rep) == 1
-            assert serial_rep[0].per_environment == parallel_rep[0].per_environment
+        results = run_replications(specs, builder, replications=2, seed=3)
+        assert len(results) == 2
+        # Each replication equals a direct fit on its spawned-seed protocol.
+        for replication, seed in enumerate(spawn_replication_seeds(3, 2)):
+            assert len(results[replication]) == 1
+            protocol = builder(replication, seed)
+            direct = run_method(specs[0], protocol["train"], protocol["test_environments"])
+            assert results[replication][0].per_environment == direct.per_environment
