@@ -213,6 +213,15 @@ class TestFromOptions:
         assert tuple(config.severities) == (0.5,)
         assert config.n_jobs == 3 and config.seed == 1
 
+    def test_scheduler_and_checkpoint_pass_through(self):
+        config = ScenarioSuiteConfig.from_options(smoke=True, checkpoint="grid.jsonl")
+        assert config.checkpoint == "grid.jsonl"
+        # Every grid runs the work-unit queue: there is no scheduler to pick,
+        # and a stale caller asking for one gets an error, not a silent no-op.
+        assert not hasattr(config, "scheduler")
+        with pytest.raises(TypeError, match="scheduler"):
+            ScenarioSuiteConfig.from_options(smoke=True, scheduler="cross-cell")
+
     def test_scheduler_defaults_unset(self):
         config = ScenarioSuiteConfig.from_options(smoke=True)
         assert config.checkpoint is None
@@ -220,9 +229,8 @@ class TestFromOptions:
 
     def test_cache_and_shard_pass_through(self):
         config = ScenarioSuiteConfig.from_options(
-            smoke=True, checkpoint="grid.jsonl", cache_dir=".cache", shard="2/3"
+            smoke=True, cache_dir=".cache", shard="2/3"
         )
-        assert config.checkpoint == "grid.jsonl"
         assert config.cache_dir == ".cache"
         assert config.shard == (2, 3)  # "K/N" strings are normalised
         assert (
