@@ -54,7 +54,7 @@ def _np_identity(x: np.ndarray) -> np.ndarray:
 
 def _np_elu(x: np.ndarray) -> np.ndarray:
     # max(x, 0) + expm1(min(x, 0)) equals the graph path's
-    # where(x > 0, x, exp(min(x, 0)) - 1) exactly for x > 0 and to one ulp
+    # max(x, 0) + (exp(min(x, 0)) - 1) exactly for x > 0 and to one ulp
     # below zero, using only raw ufunc dispatches (in place where fresh) —
     # at serving batch sizes dispatch count is the cost.
     negative = np.minimum(x, 0.0)

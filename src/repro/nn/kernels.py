@@ -421,36 +421,35 @@ def _k_sigmoid():
 
 @_kernel("elu")
 def _k_elu():
+    # max(x, 0) + t, with t = alpha * (exp(min(x, 0)) - 1), equals the
+    # textbook where(x > 0, x, t) bit for bit whenever alpha > 0
+    # (Tensor.elu rejects any other alpha).  Where x > 0, t is +0.0 and
+    # x + 0.0 == x.  Where x <= 0, max(x, 0) is a zero and t + ±0.0 == t,
+    # because t is never -0.0 for alpha > 0.  Only the sign of a NaN may
+    # differ, because float32 exp drops it.
     def fwd(out, ins, attrs, ctx):
         x, alpha = ins[0], attrs["alpha"]
-        if out is None:
-            # Eager: the expression's temporaries are freed on return and
-            # the node keeps only the mask.  An n×d forward buffer instead
-            # (kept in ctx, or one in-place temporary) cost the eager weight
-            # step measurable time in extra page faults.
-            pos = ctx["pos"] = x > 0.0
-            return np.where(pos, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
-        # Replay: the same values in place into buffers reused across runs.
-        pos = _scratch(ctx, "pos", x.shape, np.dtype(bool))
-        np.greater(x, 0.0, out=pos)
-        t = _scratch(ctx, "t", x.shape, x.dtype)
+        t = _tmp(out, ctx, "t", x.shape, x.dtype)
         np.minimum(x, 0.0, out=t)
         np.exp(t, out=t)
         np.subtract(t, 1.0, out=t)
         if alpha != 1.0:  # x * 1.0 is a bitwise no-op
             np.multiply(t, alpha, out=t)
-        # np.where picks values untouched (bitwise), and beats a masked
-        # copyto by ~1.4x at training shapes.
-        out[...] = np.where(pos, x, t)
-        return out
+        out = np.maximum(x, 0.0, out=out)
+        return np.add(out, t, out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        # local = where(pos, 1.0, out + alpha); grad * local
-        l = _scratch(ctx, "l", out.shape, out.dtype)
-        np.add(out, attrs["alpha"], out=l)
-        l = np.where(ctx["pos"], 1.0, l)
+        # grad * where(x > 0, 1.0, out + alpha).  out > 0 exactly where
+        # x > 0, so at alpha = 1 the slope is min(out, 0) + 1.
+        alpha = attrs["alpha"]
         g = _scratch(ctx, "g", out.shape, out.dtype)
-        np.multiply(grad, l, out=g)
+        if alpha == 1.0:
+            np.minimum(out, 0.0, out=g)
+            np.add(g, 1.0, out=g)
+        else:
+            np.add(out, alpha, out=g)
+            np.copyto(g, 1.0, where=ins[0] > 0.0)
+        np.multiply(grad, g, out=g)
         return (g,)
 
     return fwd, vjp
@@ -543,12 +542,34 @@ def _k_getitem():
         return out
 
     def vjp(grad, ins, out, attrs, ctx, needs):
+        index = attrs["index"]
         full = _scratch(ctx, "full", ins[0].shape, ins[0].dtype)
         full.fill(0.0)
-        np.add.at(full, attrs["index"], grad)
+        if _distinct_rows(index):
+            # Each row is hit once, so assigning equals add.at into zeros;
+            # + 0.0 turns a -0.0 into the +0.0 that 0.0 + -0.0 gives.
+            full[index] = grad + 0.0
+        else:
+            np.add.at(full, index, grad)
         return (full,)
 
     return fwd, vjp
+
+
+def _distinct_rows(index) -> bool:
+    """Whether ``index`` is a 1-D integer array strictly increasing from >= 0.
+
+    Such an index names each row at most once and no row twice through a
+    negative alias.  The test runs per call, never cached in ``ctx``,
+    because replay rebinds provider-drawn indices on every run.
+    """
+    return (
+        isinstance(index, np.ndarray)
+        and index.ndim == 1
+        and index.dtype.kind in "iu"
+        and (index.size == 0 or index[0] >= 0)
+        and bool((index[1:] > index[:-1]).all())
+    )
 
 
 @_kernel("concatenate")

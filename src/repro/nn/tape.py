@@ -37,8 +37,8 @@ Replay reproduces eager results bit for bit, by construction:
 
 * eager and replay run the same ``fwd``/``vjp`` kernel per op; eager passes
   ``out=None`` and gets a fresh array, replay passes its fixed buffer (where
-  a kernel's two routes differ, as ELU's forward does, both evaluate the
-  same IEEE operations in the same order);
+  a kernel's two routes differ, as ``getitem``'s forward does, both produce
+  the same values);
 * the backward schedule is the exact reversed DFS topological order the
   eager engine produces (including the parents-order tie-breaking), with
   the same ``_unbroadcast`` reductions and the same fan-in accumulation

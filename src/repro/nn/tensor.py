@@ -44,6 +44,7 @@ Gradients are validated against central finite differences in
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -587,8 +588,15 @@ class Tensor:
         return _apply("relu", (self,))
 
     def elu(self, alpha: float = 1.0) -> "Tensor":
-        """Elementwise ELU with slope ``alpha`` on the negative side."""
-        return _apply("elu", (self,), {"alpha": float(alpha)})
+        """Elementwise ELU with slope ``alpha`` on the negative side.
+
+        ELU is defined for ``alpha > 0``; any other ``alpha`` raises
+        :class:`ValueError`.
+        """
+        alpha = float(alpha)
+        if not (math.isfinite(alpha) and alpha > 0.0):
+            raise ValueError(f"ELU needs a finite alpha > 0, got {alpha!r}")
+        return _apply("elu", (self,), {"alpha": alpha})
 
     def softplus(self) -> "Tensor":
         """Elementwise ``log(1 + e**x)``."""

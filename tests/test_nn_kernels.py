@@ -4,7 +4,11 @@
   so eager autodiff and graph replay share one ``fwd``/``vjp`` per op;
 * the table holds exactly the engine's 37 ops;
 * an eager node keeps only what its VJP reads (ELU's forward scratch is a
-  temporary, not node state).
+  temporary, not node state);
+* ELU's in-place form equals the textbook ``np.where`` forms bit for bit,
+  and rejects any alpha outside (0, inf);
+* the ``getitem`` VJP, which assigns when the index names distinct rows,
+  accumulates exactly as ``np.add.at``, also when replay redraws the index.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import pytest
 
 from repro.nn import functional as F
 from repro.nn.kernels import KERNELS, Kernel
-from repro.nn.tensor import Tensor, concatenate, stack
+from repro.nn.modules import resolve_activation
+from repro.nn.tape import TapeRecorder, dynamic
+from repro.nn.tensor import Tensor, concatenate, dtype_scope, stack
 
 
 def _normal(*shape):
@@ -114,9 +120,147 @@ def test_eager_op_runs_its_table_kernels_once(op, monkeypatch):
 
 
 def test_eager_elu_node_keeps_only_its_mask():
-    """Forward-only scratch must not live until backward (page faults, RSS)."""
+    """Forward-only scratch must not live until backward (page faults, RSS).
+
+    The VJP rebuilds the ELU slope from the output (or the input), so the
+    eager node keeps no array at all, not even a mask.
+    """
     x = Tensor(np.random.default_rng(1).normal(size=(6, 5)), requires_grad=True)
     out = x.elu()
     kernel, attrs, ctx = out._backward
     assert kernel is KERNELS["elu"]
-    assert set(ctx) == {"pos"}
+    assert ctx == {}
+
+
+# --------------------------------------------------------------------------- #
+# ELU: one in-place form, pinned to the textbook expressions bit for bit
+# --------------------------------------------------------------------------- #
+def _textbook_elu(x, alpha):
+    """The ELU forward and local slope as ``np.where`` forms."""
+    pos = x > 0.0
+    out = np.where(pos, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+    return out, np.where(pos, 1.0, out + alpha)
+
+
+def _assert_same_bits(actual, expected):
+    """Bit-for-bit equality, except for the sign of a NaN (float32 exp drops it)."""
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    uint = np.uint64 if expected.dtype == np.float64 else np.uint32
+    np.testing.assert_array_equal(actual[~nan].view(uint), expected[~nan].view(uint))
+
+
+def _elu_inputs(dtype):
+    info = np.finfo(dtype)
+    special = [
+        0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+        2.0 ** -60, -(2.0 ** -60), info.tiny, -info.tiny,
+        info.smallest_subnormal, -info.smallest_subnormal,
+        -746.0, -1e4, -info.max, 1.0, -1.0,
+    ]
+    rng = np.random.default_rng(8)
+    values = np.concatenate([np.array(special, dtype=dtype), 4.0 * rng.normal(size=300).astype(dtype)])
+    grad = rng.normal(size=values.size).astype(dtype)
+    grad[::7] = -0.0
+    return values, grad
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_elu_equals_the_textbook_form_bit_for_bit(dtype, alpha):
+    """Eager (fresh output) and replay (reused buffers) routes, forward and VJP."""
+    x, grad = _elu_inputs(dtype)
+    with np.errstate(all="ignore"):
+        out, slope = _textbook_elu(x, alpha)
+        expected_grad = grad * slope
+        kernel, attrs = KERNELS["elu"], {"alpha": alpha}
+        node_ctx = {}
+        eager = kernel.fwd(None, (x,), attrs, node_ctx)
+        _assert_same_bits(eager, out)
+        _assert_same_bits(kernel.vjp(grad, (x,), eager, attrs, node_ctx, (True,))[0], expected_grad)
+        ctx, buffer = {}, np.empty_like(x)
+        for _ in range(2):  # the second run reuses the first run's scratch
+            assert kernel.fwd(buffer, (x,), attrs, ctx) is buffer
+            _assert_same_bits(buffer, out)
+            _assert_same_bits(kernel.vjp(grad, (x,), buffer, attrs, ctx, (True,))[0], expected_grad)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_elu_tensor_and_replay_equal_the_textbook_form(dtype, alpha):
+    x_values, grad = _elu_inputs(np.dtype(dtype).type)
+    with np.errstate(all="ignore"), dtype_scope(dtype):
+        out, slope = _textbook_elu(x_values, alpha)
+        x = Tensor(x_values, requires_grad=True)
+        y = x.elu(alpha)
+        y.backward(grad)
+        _assert_same_bits(y.data, out)
+        _assert_same_bits(x.grad, grad * slope)
+
+        leaf = Tensor(x_values, requires_grad=True)
+        with TapeRecorder() as recorder:
+            loss = (leaf.elu(alpha) * grad).sum()
+            loss.backward()
+        program = recorder.finalize(loss)
+        leaf.grad = None
+        program.run()
+        _assert_same_bits(leaf.grad, grad * slope)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.0, float("nan"), float("inf")])
+def test_elu_rejects_alpha_outside_the_positive_reals(alpha):
+    x = Tensor(np.array([-1.0, 0.0, 1.0]))
+    with pytest.raises(ValueError, match="alpha"):
+        x.elu(alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        F.elu(x, alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        resolve_activation("elu")(x, alpha)
+
+
+# --------------------------------------------------------------------------- #
+# getitem: assignment scatters for distinct rows, np.add.at otherwise
+# --------------------------------------------------------------------------- #
+_GATHER_INDICES = {
+    "increasing": np.array([0, 2, 3]),
+    "duplicates": np.array([0, 2, 2, 4]),
+    "negative-alias": np.array([-5, 0]),  # strictly increasing, both name row 0
+    "boolean-mask": np.array([True, False, True, True, False]),
+    "unsorted-unique": np.array([3, 0, 4]),
+    "slice": slice(1, 4),
+    "empty": np.array([], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATHER_INDICES))
+def test_getitem_vjp_accumulates_as_add_at(name):
+    index = _GATHER_INDICES[name]
+    x = np.random.default_rng(2).normal(size=(5, 3))
+    grad = np.random.default_rng(3).normal(size=x[index].shape)
+    grad.reshape(-1)[::2] = -0.0  # add.at into zeros lands these as +0.0
+    expected = np.zeros_like(x)
+    np.add.at(expected, index, grad)
+    (full,) = KERNELS["getitem"].vjp(grad, (x,), None, {"index": index}, {}, (True,))
+    np.testing.assert_array_equal(full.view(np.uint64), expected.view(np.uint64))
+
+
+def test_replayed_gather_follows_an_index_redrawn_every_run():
+    """Unique on one run and duplicated on the next: replay still equals eager."""
+    draws = [np.array([0, 2, 3]), np.array([1, 1, 3]), np.array([0, 1, 4]), np.array([4, 0, 4])]
+    pending = iter(draws)
+    rng = np.random.default_rng(4)
+    x_values, weights = rng.normal(size=(5, 3)), rng.normal(size=(3, 3))
+    x = Tensor(x_values.copy(), requires_grad=True)
+    with TapeRecorder() as recorder:
+        loss = (x[dynamic(lambda: next(pending))] * weights).sum()
+        loss.backward()
+    program = recorder.finalize(loss)
+    assert program is not None, recorder.aborted
+    for index in draws[1:]:
+        value = program.run()
+        eager = Tensor(x_values.copy(), requires_grad=True)
+        eager_loss = (eager[index] * weights).sum()
+        eager_loss.backward()
+        assert value == eager_loss.item()
+        np.testing.assert_array_equal(x.grad.view(np.uint64), eager.grad.view(np.uint64))

@@ -409,21 +409,20 @@ class TestZeroAllocationSteps:
     ``weight_decay`` path allocated ``grad + wd * param`` every step.
     """
 
-    @pytest.mark.parametrize(
+    _MAKERS = pytest.mark.parametrize(
         "make",
         [
-            lambda p: Adam([p], lr=1e-3),
-            lambda p: Adam([p], lr=1e-3, weight_decay=1e-2),
-            lambda p: AdamW([p], lr=1e-3, weight_decay=1e-2),
-            lambda p: RMSprop([p], lr=1e-3, momentum=0.9, weight_decay=1e-2),
-            lambda p: SGD([p], lr=1e-3, momentum=0.9),
+            lambda ps: Adam(ps, lr=1e-3),
+            lambda ps: Adam(ps, lr=1e-3, weight_decay=1e-2),
+            lambda ps: AdamW(ps, lr=1e-3, weight_decay=1e-2),
+            lambda ps: RMSprop(ps, lr=1e-3, momentum=0.9, weight_decay=1e-2),
+            lambda ps: SGD(ps, lr=1e-3, momentum=0.9),
         ],
         ids=["adam", "adam-weight-decay", "adamw", "rmsprop", "sgd-momentum"],
     )
-    def test_steps_allocate_no_arrays(self, make):
-        param = Tensor(np.zeros(50_000), requires_grad=True)
-        param.grad = np.full(50_000, 0.25)
-        optimizer = make(param)
+
+    @staticmethod
+    def _peak_growth(optimizer) -> int:
         optimizer.step()  # lazily creates state/scratch before tracing
         tracemalloc.start()
         try:
@@ -434,9 +433,162 @@ class TestZeroAllocationSteps:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return peak - baseline
+
+    @_MAKERS
+    def test_steps_allocate_no_arrays(self, make):
+        param = Tensor(np.zeros(50_000), requires_grad=True)
+        param.grad = np.full(50_000, 0.25)
+        growth = self._peak_growth(make([param]))
         # One 50k-float64 temporary would show up as ~400 KB of peak growth;
         # the in-place sequences stay under bookkeeping noise.
-        assert peak - baseline < 50_000, f"step allocated {peak - baseline} bytes"
+        assert growth < 50_000, f"step allocated {growth} bytes"
+
+    @_MAKERS
+    def test_gathered_runs_allocate_no_arrays(self, make):
+        """A CFR-shaped list steps as gathered runs; a temporary of one run
+        (10802 float64, ~86 KB) would exceed the bound."""
+        params = [Tensor(np.zeros(shape), requires_grad=True) for shape in _CFR_SHAPES]
+        for param in params:
+            param.grad = np.full(param.data.shape, 0.25)
+        growth = self._peak_growth(make(params))
+        assert growth < 50_000, f"step allocated {growth} bytes"
+
+
+#: CFR at 48 representation / 24 head units: the 22 parameters a grid
+#: cell's fit steps, in ``Module.parameters()`` order.
+_CFR_SHAPES = [
+    (26, 48), (48,), (48, 48), (48,), (48, 48), (48,),
+    (48, 24), (24,), (24, 24), (24,), (24, 24), (24,), (24, 1), (1,),
+    (48, 24), (24,), (24, 24), (24,), (24, 24), (24,), (24, 1), (1,),
+]
+
+#: Every registered optimizer, with and without momentum or decay.
+_FLAT_CASES = {
+    "adam": lambda ps: Adam(ps, lr=1e-2),
+    "adam-weight-decay": lambda ps: Adam(ps, lr=1e-2, weight_decay=1e-2),
+    "adamw": lambda ps: AdamW(ps, lr=1e-2, weight_decay=1e-2),
+    "adamw-no-decay": lambda ps: AdamW(ps, lr=1e-2, weight_decay=0.0),
+    "rmsprop": lambda ps: RMSprop(ps, lr=1e-2),
+    "rmsprop-momentum-decay": lambda ps: RMSprop(ps, lr=1e-2, momentum=0.9, weight_decay=1e-2),
+    "sgd": lambda ps: SGD(ps, lr=1e-2),
+    "sgd-momentum": lambda ps: SGD(ps, lr=1e-2, momentum=0.9),
+}
+
+
+def _per_slot_step(optimizer, slots) -> None:
+    """The per-parameter step the flat step replaced: one ``_update`` per
+    parameter with a gradient, on buffers of its own, created zeroed on its
+    first step and again whenever a new tensor takes its slot."""
+    lr = optimizer.schedule(optimizer.step_count)
+    t = optimizer.step_count + 1
+    for index, param in enumerate(optimizer.parameters):
+        if param.grad is None:
+            continue
+        entry = slots.get(index)
+        if entry is None or entry[0] is not param:
+            buffers = {name: np.zeros_like(param.data) for name in optimizer.state_names}
+            buffers.update((name, np.empty_like(param.data)) for name in optimizer.scratch_names)
+            entry = slots[index] = (param, buffers)
+        optimizer._update(param, param.grad, lr, t, entry[1])
+    optimizer.step_count += 1
+
+
+class _FlatAndReference:
+    """One optimizer stepping flat and one stepping per slot, on equal copies."""
+
+    def __init__(self, make, shapes, seed=11):
+        self.rng = np.random.default_rng(seed)
+        values = [self.rng.normal(size=shape) for shape in shapes]
+        self.flat = make([Tensor(v.copy(), requires_grad=True) for v in values])
+        self.reference = make([Tensor(v.copy(), requires_grad=True) for v in values])
+        self.slots = {}
+
+    def replace(self, index, shape):
+        values = self.rng.normal(size=shape)
+        for optimizer in (self.flat, self.reference):
+            optimizer.parameters[index] = Tensor(values.copy(), requires_grad=True)
+
+    def step(self, missing=(), float32=()):
+        for index, (a, b) in enumerate(zip(self.flat.parameters, self.reference.parameters)):
+            grad = self.rng.normal(size=a.data.shape)
+            if index in float32:
+                grad = grad.astype(np.float32)
+            a.grad = None if index in missing else grad.copy()
+            b.grad = None if index in missing else grad.copy()
+        self.flat.step()
+        _per_slot_step(self.reference, self.slots)
+        for a, b in zip(self.flat.parameters, self.reference.parameters):
+            np.testing.assert_array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+
+
+class TestFlatStep:
+    """The flat, per-run step equals one ``_update`` per parameter, bit for bit."""
+
+    def test_cases_cover_every_registered_optimizer(self):
+        param = Tensor(np.zeros(2), requires_grad=True)
+        covered = {type(make([param])) for make in _FLAT_CASES.values()}
+        assert covered == {OPTIMIZER_REGISTRY.get(name) for name in OPTIMIZER_REGISTRY.names()}
+
+    @pytest.mark.parametrize("name", sorted(_FLAT_CASES))
+    def test_equals_per_slot_reference_with_missing_grads(self, name):
+        pair = _FlatAndReference(_FLAT_CASES[name], _CFR_SHAPES)
+        for missing in [(), (3, 4, 10), (0, 21), (), (1, 3, 5, 7, 9, 11, 13), ()]:
+            pair.step(missing)
+
+    @pytest.mark.parametrize("name", sorted(_FLAT_CASES))
+    def test_replaced_parameters_restart_from_zero_state(self, name):
+        pair = _FlatAndReference(_FLAT_CASES[name], _CFR_SHAPES)
+        for _ in range(3):
+            pair.step()
+        pair.replace(5, (48,))  # same shape: its state is zeroed in place
+        pair.step()
+        pair.replace(8, (30, 24))  # another shape: every slot is laid out again
+        for missing in [(), (7,), ()]:
+            pair.step(missing)
+
+    @pytest.mark.parametrize("name", sorted(_FLAT_CASES))
+    def test_lone_parameters_update_in_place(self, name):
+        """A parameter past the run size, and one whose gradient has another
+        dtype, step alone between gathered runs."""
+        shapes = _CFR_SHAPES[:6] + [(130, 130)] + _CFR_SHAPES[6:]
+        pair = _FlatAndReference(_FLAT_CASES[name], shapes)
+        for _ in range(3):
+            pair.step(float32=(12,))
+
+    @pytest.mark.parametrize("name", sorted(_FLAT_CASES))
+    def test_state_installed_through_slot_state(self, name):
+        pair = _FlatAndReference(_FLAT_CASES[name], _CFR_SHAPES)
+        pair.step()
+        for index, param in enumerate(pair.flat.parameters):
+            installed = pair.flat.slot_state(param)
+            for state in pair.flat.state_names:
+                values = np.abs(pair.rng.normal(size=param.data.shape))
+                installed[state][...] = values
+                pair.slots[index][1][state][...] = values
+        for _ in range(2):
+            pair.step()
+
+
+class TestParameterChecks:
+    @pytest.mark.parametrize("name", ["adam", "adamw", "rmsprop", "sgd"])
+    def test_one_tensor_twice_is_rejected(self, name):
+        """At the parent this stepped the tensor twice, with two moment sets."""
+        p, q, r = (Tensor(np.ones(2), requires_grad=True) for _ in range(3))
+        with pytest.raises(ValueError, match="positions 1 and 3"):
+            OPTIMIZER_REGISTRY.get(name)([q, p, r, p], lr=0.1)
+
+    @pytest.mark.parametrize("cls", [Adam, AdamW, RMSprop])
+    def test_negative_or_non_finite_eps_is_rejected(self, cls):
+        """A negative eps can make the denominator negative: an uphill step."""
+        for eps in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps"):
+                cls([Tensor(np.ones(1), requires_grad=True)], lr=0.1, eps=eps)
+        param = Tensor(np.ones(1), requires_grad=True)
+        optimizer = cls([param], lr=0.1, eps=0.0)
+        param.grad = np.array([0.5])
+        optimizer.step()
+        assert param.data[0] < 1.0
 
 
 class TestRegistries:

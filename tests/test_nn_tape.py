@@ -16,8 +16,8 @@ Covers the contract of ``TrainingConfig.graph_replay``:
 * the fused regularizer kernels (the batched HSIC pair node, also on
   constant features with or without a lent workspace, matrix
   ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
-  weights or representations, also at a tile of 4 rows) and one-sided
-  ``clip`` give eager == replay == stacked, bit for bit;
+  weights or representations, also at a tile of 4 rows), ELU and
+  one-sided ``clip`` give eager == replay == stacked, bit for bit;
 * replay skips instructions the loss does not read (DeR-CFR's propensity);
 * a fitted trainer is freed by reference counting (no trainer <-> replay
   cycle), and a fitted estimator still deep-copies and refits.
@@ -197,6 +197,15 @@ def _fused_kernel_cases():
         "rbf-mmd-constant-weights": (
             lambda rc, rt: F.weighted_rbf_mmd(rc, rt, w_n, w_m, 1.3),
             [lambda r: r.normal(size=(n, cols)), lambda r: r.normal(size=(m, cols))],
+        ),
+        # ELU at alpha = 1 and alpha != 1 (the VJP's two slope forms).
+        "elu": (
+            lambda x: (x.elu() * weights_2d).sum(),
+            [lambda r: r.normal(size=(n, cols))],
+        ),
+        "elu-alpha": (
+            lambda x: (x.elu(1.3) * weights_2d).sum(),
+            [lambda r: r.normal(size=(n, cols))],
         ),
         # One-sided clips: either bound may be None.
         "clip-high-only": (
