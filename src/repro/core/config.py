@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.ipm import check_weighted_ipm_kind
+from ..nn import optim as _optim
 
 __all__ = [
     "BackboneConfig",
@@ -90,8 +91,7 @@ class RegularizerConfig:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "gamma1", "gamma2", "gamma3", "lambda_l2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            _optim._check_finite(name, getattr(self, name))
         check_weighted_ipm_kind(self.ipm_kind)
         if self.num_rff_features <= 0:
             raise ValueError("num_rff_features must be positive")
@@ -164,12 +164,16 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.iterations <= 0:
             raise ValueError("iterations must be positive")
-        if self.learning_rate <= 0 or self.weight_learning_rate <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("learning_rate", "weight_learning_rate"):
+            _optim._check_finite(name, getattr(self, name), positive=True)
         if self.weight_update_every <= 0:
             raise ValueError("weight_update_every must be positive")
-        if self.weight_clip[0] < 0 or self.weight_clip[0] >= self.weight_clip[1]:
-            raise ValueError("weight_clip must be an increasing pair of non-negative values")
+        if self.evaluation_interval <= 0:
+            raise ValueError("evaluation_interval must be positive")
+        low, high = self.weight_clip
+        _optim._check_finite("weight_clip's lower bound", low)
+        if not low < high:  # also rejects a NaN upper bound; +inf is allowed
+            raise ValueError(f"weight_clip must be an increasing pair, got {self.weight_clip!r}")
         if self.batch_size is not None and self.batch_size < 2:
             raise ValueError("batch_size must be at least 2 (or None for full batch)")
         if self.dtype not in ("float32", "float64"):
@@ -179,8 +183,6 @@ class TrainingConfig:
         # Resolve optimiser/schedule names eagerly so typos fail at config
         # construction with the registry's did-you-mean message, not deep
         # inside a fit.  Importing repro.nn.optim populates both registries.
-        from ..nn import optim as _optim  # local import: keeps config lightweight
-
         _optim.OPTIMIZER_REGISTRY.resolve(self.optimizer)
         _optim.SCHEDULE_REGISTRY.resolve(self.lr_schedule)
         for forbidden in ("lr", "schedule", "learning_rate", "parameters"):

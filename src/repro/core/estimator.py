@@ -200,8 +200,7 @@ class HTEEstimator:
         This is the first half of :meth:`fit`: the backbone is initialised
         from ``self.seed`` inside the dtype scope, so the parameter draws are
         identical to what a full ``fit`` would produce.  Callers that drive
-        training themselves (e.g. the stacked multi-seed replay runner in
-        :mod:`repro.core.stacked`) use this to obtain an untrained trainer.
+        training themselves use this to obtain an untrained trainer.
         """
         binary = self.binary_outcome if self.binary_outcome is not None else train.binary_outcome
         rng = np.random.default_rng(self.seed)

@@ -285,115 +285,11 @@ def _replay_step_comparison(num_samples: int, repeats: int, seed: int) -> Dict[s
     }
 
 
-def _stacked_replication_comparison(
-    num_samples: int, stack_size: int, repeats: int, seed: int
-) -> Dict[str, object]:
-    """K per-seed models: serial eager steps vs one stacked replayed step.
-
-    Small-sample replication sweeps are where stacking pays: each slice's
-    kernels are dispatch-bound, so fusing K of them into one ``(K, ...)``
-    batched program amortises the per-call overhead K-fold (bit-identically
-    per slice).  The end-to-end numbers run the public ``fit_stacked``
-    driver against serial ``fit`` calls over a full training schedule.
-    """
-    from ..core.stacked import fit_stacked
-    from ..nn.optim import Adam, ExponentialDecay
-    from ..nn.tape import StackedProgram, TapeRecorder
-
-    generator = SyntheticGenerator(SyntheticConfig(seed=seed))
-    protocol = generator.generate_train_test_protocol(
-        num_samples=num_samples, train_rho=2.5, test_rhos=(2.5,), seed=seed
-    )
-    train = protocol["train"]
-    config = _engine_config(40, None, None, 256, seed)
-    cfg = config.training
-
-    def build_estimators():
-        return [
-            HTEEstimator(backbone="tarnet", framework="vanilla", config=config, seed=seed + k)
-            for k in range(stack_size)
-        ]
-
-    with dtype_scope(cfg.dtype):
-        train_std = train.standardize()[0]
-        covariates, treatment, outcome = (
-            train_std.covariates,
-            train_std.treatment,
-            train_std.outcome,
-        )
-        trainers = []
-        programs = []
-        for estimator in build_estimators():
-            trainer = estimator.build_trainer(train)
-            trainer._optimizer = Adam(
-                trainer.backbone.parameters(),
-                schedule=ExponentialDecay(cfg.learning_rate, cfg.lr_decay_rate, cfg.lr_decay_steps),
-            )
-            recorder = TapeRecorder()
-            with recorder:
-                loss = trainer._network_forward_backward(covariates, treatment, outcome)
-            trainer._optimizer.step()
-            programs.append(recorder.finalize(loss))
-            trainers.append(trainer)
-        stacked = StackedProgram(programs)
-        optimizer = Adam(
-            stacked.params,
-            schedule=ExponentialDecay(cfg.learning_rate, cfg.lr_decay_rate, cfg.lr_decay_steps),
-        )
-
-        def serial_eager_steps():
-            for trainer in trainers:
-                trainer._network_forward_backward(covariates, treatment, outcome)
-                trainer._optimizer.step()
-
-        def stacked_step():
-            stacked.run()
-            optimizer.step()
-
-        stacked_seconds, eager_seconds = _interleaved_best(
-            stacked_step, serial_eager_steps, repeats
-        )
-
-    # End-to-end: K serial fits vs one stacked fit over the full schedule
-    # (includes the eagerly recorded first iteration and the bookkeeping).
-    serial_estimators = build_estimators()
-    start = time.perf_counter()
-    for estimator in serial_estimators:
-        estimator.fit(train)
-    serial_fit_seconds = time.perf_counter() - start
-    stacked_estimators = build_estimators()
-    start = time.perf_counter()
-    engaged = fit_stacked(stacked_estimators, [train] * stack_size)
-    stacked_fit_seconds = time.perf_counter() - start
-    return {
-        "num_samples": num_samples,
-        "stack_size": stack_size,
-        "backbone": "tarnet",
-        "framework": "vanilla",
-        "eager_seconds_per_model_step": float(eager_seconds / stack_size),
-        "stacked_seconds_per_model_step": float(stacked_seconds / stack_size),
-        "speedup": float(eager_seconds / stacked_seconds),
-        "fit_iterations": cfg.iterations,
-        "serial_fit_seconds": float(serial_fit_seconds),
-        "stacked_fit_seconds": float(stacked_fit_seconds),
-        "fit_speedup": float(serial_fit_seconds / stacked_fit_seconds),
-        "stacked_engaged": bool(engaged),
-    }
-
-
 def _graph_replay_section(num_samples: int, seed: int, smoke: bool) -> Dict[str, object]:
     """Record-once / replay-many training vs eager graph construction."""
-    step_repeats = 8 if smoke else 3
-    stacked_repeats = 10 if smoke else 30
-    step = _replay_step_comparison(num_samples, step_repeats, seed)
-    stacked = _stacked_replication_comparison(100, 8, stacked_repeats, seed)
-    return {
-        "network_step": step,
-        "stacked_replications": stacked,
-        # Headline replayed-vs-eager training-step ratio: the best of the
-        # single-program replay and the stacked per-seed replay.
-        "replay_speedup": float(max(step["speedup"], stacked["speedup"])),
-    }
+    step = _replay_step_comparison(num_samples, 8 if smoke else 3, seed)
+    # Headline replayed-vs-eager training-step ratio: the single program.
+    return {"network_step": step, "replay_speedup": step["speedup"]}
 
 
 def _serving_section(num_samples: int, rows_grid, service_rows: int, seed: int) -> Dict[str, object]:
@@ -566,7 +462,6 @@ def format_autodiff_benchmark(result: Dict[str, object]) -> str:
     replay = result.get("graph_replay")
     if replay is not None:
         step_stats = replay["network_step"]
-        stacked_stats = replay["stacked_replications"]
         replay_rows = [
             [
                 f"single ({step_stats['backbone']}/{step_stats['framework']}, "
@@ -575,22 +470,13 @@ def format_autodiff_benchmark(result: Dict[str, object]) -> str:
                 step_stats["replay_seconds_per_step"] * 1e3,
                 step_stats["speedup"],
             ],
-            [
-                f"stacked K={stacked_stats['stack_size']} "
-                f"({stacked_stats['backbone']}/{stacked_stats['framework']}, "
-                f"n={stacked_stats['num_samples']})",
-                stacked_stats["eager_seconds_per_model_step"] * 1e3,
-                stacked_stats["stacked_seconds_per_model_step"] * 1e3,
-                stacked_stats["speedup"],
-            ],
         ]
         text += "\n" + format_table(
             ["mode", "eager ms/step", "replay ms/step", "speedup"],
             replay_rows,
             title=(
-                "Graph replay (TrainingConfig.graph_replay; best replayed "
-                f"step {replay['replay_speedup']:.2f}x vs eager, stacked "
-                f"end-to-end fit {stacked_stats['fit_speedup']:.2f}x)"
+                "Graph replay (TrainingConfig.graph_replay; replayed step "
+                f"{replay['replay_speedup']:.2f}x vs eager)"
             ),
         )
 

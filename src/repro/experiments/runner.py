@@ -103,15 +103,19 @@ class MethodResult:
         return self.per_environment[environment][key]
 
 
-def _evaluate_fitted(
+def run_method(
     spec: MethodSpec,
-    estimator: HTEEstimator,
+    train: CausalDataset,
     test_environments: Mapping[str, CausalDataset],
-    training_seconds: float,
+    validation: Optional[CausalDataset] = None,
 ) -> MethodResult:
-    """Evaluate an already-fitted estimator on every test environment."""
+    """Fit one method and evaluate it on every test environment."""
     if not test_environments:
         raise ValueError("need at least one test environment")
+    estimator = spec.build()
+    start = time.perf_counter()
+    estimator.fit(train, validation)
+    training_seconds = time.perf_counter() - start
     per_environment: Dict[str, Dict[str, float]] = {}
     reports: List[EnvironmentReport] = []
     start = time.perf_counter()
@@ -129,22 +133,6 @@ def _evaluate_fitted(
         evaluate_seconds=evaluate_seconds,
         history=estimator.training_history().as_dict(),
     )
-
-
-def run_method(
-    spec: MethodSpec,
-    train: CausalDataset,
-    test_environments: Mapping[str, CausalDataset],
-    validation: Optional[CausalDataset] = None,
-) -> MethodResult:
-    """Fit one method and evaluate it on every test environment."""
-    if not test_environments:
-        raise ValueError("need at least one test environment")
-    estimator = spec.build()
-    start = time.perf_counter()
-    estimator.fit(train, validation)
-    elapsed = time.perf_counter() - start
-    return _evaluate_fitted(spec, estimator, test_environments, elapsed)
 
 
 def resolve_n_jobs(n_jobs: Optional[int]) -> int:
@@ -204,56 +192,11 @@ def spawn_replication_seeds(seed: int, replications: int) -> List[int]:
     return [int(child.generate_state(1)[0]) for child in children]
 
 
-def _run_replications_stacked(
-    specs: Sequence[MethodSpec],
-    protocols: Sequence[Mapping[str, object]],
-) -> List[List[MethodResult]]:
-    """Stacked-replay execution of a replication grid (one spec at a time).
-
-    For each spec the K replications' models are trained together through
-    :func:`repro.core.stacked.fit_stacked` — bitwise identical to the
-    serial fits — and evaluated on their own test environments.  When a
-    spec/protocol combination does not support lockstep replay the spec's
-    replications are fitted serially instead, so the returned results equal
-    ``stacked_replay=False`` in every case.
-    """
-    from ..core.stacked import fit_stacked
-
-    results_by_spec: List[List[MethodResult]] = []
-    for spec in specs:
-        estimators = [spec.build() for _ in protocols]
-        trains = [protocol["train"] for protocol in protocols]
-        stacked = False
-        if all(protocol.get("validation") is None for protocol in protocols):
-            start = time.perf_counter()
-            stacked = fit_stacked(estimators, trains)
-            elapsed = time.perf_counter() - start
-        per_spec: List[MethodResult] = []
-        for estimator, protocol in zip(estimators, protocols):
-            if stacked:
-                training_seconds = elapsed / len(protocols)
-            else:
-                start = time.perf_counter()
-                estimator.fit(protocol["train"], protocol.get("validation"))
-                training_seconds = time.perf_counter() - start
-            per_spec.append(
-                _evaluate_fitted(
-                    spec, estimator, protocol["test_environments"], training_seconds
-                )
-            )
-        results_by_spec.append(per_spec)
-    return [
-        [per_spec[replication] for per_spec in results_by_spec]
-        for replication in range(len(protocols))
-    ]
-
-
 def run_replications(
     specs: Sequence[MethodSpec],
     protocol_builder: Callable[[int, int], Mapping[str, object]],
     replications: int,
     seed: int = 2024,
-    stacked_replay: bool = False,
 ) -> List[List[MethodResult]]:
     """Run a method grid over several dataset replications, in process.
 
@@ -264,22 +207,12 @@ def run_replications(
     :func:`spawn_replication_seeds`.  Returns one ``List[MethodResult]``
     per replication, in replication order.  Scenario grids that need a
     worker pool go through :func:`repro.experiments.run_scenario_suite`.
-
-    ``stacked_replay=True`` trains each spec's K replication models as one
-    stacked kernel program (:mod:`repro.core.stacked`) when the protocols
-    support lockstep replay — full batch, no validation sets, no early
-    stopping, vanilla framework, and structurally identical training graphs
-    across replications.  The results are bitwise identical to the serial
-    path; combinations that cannot be stacked silently fall back to serial
-    fits.
     """
     seeds = spawn_replication_seeds(seed, replications)
     protocols = [
         protocol_builder(replication, replication_seed)
         for replication, replication_seed in enumerate(seeds)
     ]
-    if stacked_replay:
-        return _run_replications_stacked(specs, protocols)
     return [
         [
             run_method(

@@ -22,7 +22,6 @@ exposes it from the CLI.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import platform
 import time
@@ -34,7 +33,7 @@ from ..core.loop import Callback
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from .protocols import experiment_config, get_scale
 from .reporting import format_table
-from .runner import MethodSpec, default_method_grid, run_methods, run_replications
+from .runner import default_method_grid, run_methods
 
 __all__ = ["benchmark_training", "format_benchmark", "write_benchmark"]
 
@@ -102,92 +101,6 @@ def _fit_and_time(config: SBRLConfig, train, test_environments, seed: int) -> Di
         for name, dataset in test_environments.items()
     }
     return {"seconds": float(seconds), "iterations": config.training.iterations, "pehe": pehe}
-
-
-class _FallbackWatcher(logging.Handler):
-    """Captures the stacked driver's 'unavailable' log lines (engagement probe)."""
-
-    def __init__(self) -> None:
-        super().__init__(level=logging.INFO)
-        self.fallbacks: list = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        if "unavailable" in record.getMessage():
-            self.fallbacks.append(record.getMessage())
-
-
-def _stacked_section(
-    stack_size: int, num_samples: int, iterations: int, seed: int
-) -> Dict[str, object]:
-    """Stacked multi-seed replay vs serial ``run_replications`` throughput.
-
-    K replications of one full-batch TARNet spec on a fixed protocol: the
-    stacked path fuses the K training loops into one
-    :class:`~repro.nn.tape.StackedProgram`; the serial path fits them one
-    by one.  Results must be identical — only wall-clock may differ.
-    """
-    generator = SyntheticGenerator(SyntheticConfig(seed=seed))
-    protocol = generator.generate_train_test_protocol(
-        num_samples=num_samples, train_rho=2.5, test_rhos=(2.5,), seed=seed
-    )
-    config = SBRLConfig(
-        backbone=BackboneConfig(rep_layers=2, rep_units=24, head_layers=2, head_units=12),
-        regularizers=RegularizerConfig(
-            max_pairs_per_layer=12,
-            # No per-step anchor subsampling: dynamic draws cannot stack.
-            subsample_threshold=4 * num_samples,
-        ),
-        training=TrainingConfig(
-            iterations=iterations,
-            learning_rate=1e-2,
-            evaluation_interval=max(10, iterations // 10),
-            early_stopping_patience=None,
-            seed=seed,
-            batch_size=None,
-        ),
-    )
-    specs = [
-        MethodSpec(
-            backbone="tarnet", framework="vanilla", config=config, use_balance=False, seed=seed
-        )
-    ]
-
-    def builder(replication: int, replication_seed: int):
-        return protocol
-
-    watcher = _FallbackWatcher()
-    stacked_logger = logging.getLogger("repro.core.stacked")
-    stacked_logger.addHandler(watcher)
-    try:
-        start = time.perf_counter()
-        stacked = run_replications(
-            specs, builder, replications=stack_size, seed=seed, stacked_replay=True
-        )
-        stacked_seconds = time.perf_counter() - start
-    finally:
-        stacked_logger.removeHandler(watcher)
-    start = time.perf_counter()
-    serial = run_replications(
-        specs, builder, replications=stack_size, seed=seed, stacked_replay=False
-    )
-    serial_seconds = time.perf_counter() - start
-    identical = all(
-        a.per_environment == b.per_environment
-        for row_a, row_b in zip(stacked, serial)
-        for a, b in zip(row_a, row_b)
-    )
-    return {
-        "stack_size": stack_size,
-        "num_samples": num_samples,
-        "iterations": iterations,
-        "backbone": "tarnet",
-        "framework": "vanilla",
-        "serial_seconds": float(serial_seconds),
-        "stacked_seconds": float(stacked_seconds),
-        "speedup": serial_seconds / stacked_seconds,
-        "stacked_engaged": not watcher.fallbacks,
-        "identical_results": bool(identical),
-    }
 
 
 class _PEHETracker(Callback):
@@ -407,12 +320,6 @@ def benchmark_training(
         },
         "minibatch": minibatch_section,
         "parallel_grid": grid_section,
-        "stacked_replications": _stacked_section(
-            stack_size=4 if smoke else 8,
-            num_samples=100,
-            iterations=10 if smoke else 40,
-            seed=seed,
-        ),
         "optimizer_comparison": _optimizer_section(
             num_samples=optimizer_num_samples,
             iterations=optimizer_iterations,
@@ -516,23 +423,6 @@ def format_benchmark(result: Dict[str, object]) -> str:
                 f"{optimizers['num_samples']} samples, "
                 f"{optimizers['iterations']} iterations "
                 f"(best: {optimizers['best_combo']})"
-            ),
-        )
-    stacked = result.get("stacked_replications")
-    if stacked:
-        stacked_rows = [
-            ["serial fits", stacked["serial_seconds"], 1.0],
-            ["stacked replay", stacked["stacked_seconds"], stacked["speedup"]],
-        ]
-        text += "\n" + format_table(
-            ["execution", "seconds", "speedup"],
-            stacked_rows,
-            title=(
-                f"{stacked['stack_size']} replications of "
-                f"{stacked['backbone']}/{stacked['framework']} on "
-                f"{stacked['num_samples']} samples "
-                f"(stacked: {stacked['stacked_engaged']}, "
-                f"identical results: {stacked['identical_results']})"
             ),
         )
     return text

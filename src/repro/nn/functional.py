@@ -24,7 +24,7 @@ only when one is needed.
 Numeric contract:
 
 * eager == replay by construction: the eager node and its replayed
-  instruction run the same kernel; stacked replay equals both bit for bit;
+  instruction run the same kernel;
 * every RBF kernel entry comes from one helper (an augmented gemm and an
   in-place ``exp``), which matches the ``|a|² + |b|² - 2 a·b`` expansion it
   replaced within a relative 1e-12;

@@ -3,10 +3,9 @@
 Every differentiable op of :mod:`repro.nn` is defined here once, as a
 ``fwd``/``vjp`` pair in :data:`KERNELS`.  Eager autodiff
 (:func:`repro.nn.tensor._apply` and :meth:`Tensor.backward
-<repro.nn.tensor.Tensor.backward>`), :class:`~repro.nn.tape.ReplayProgram`
-and :class:`~repro.nn.tape.StackedProgram` all run these kernels, so an
-eager step and its replay compute the same array expressions by
-construction.  This module imports nothing from the rest of the package.
+<repro.nn.tensor.Tensor.backward>`) and :class:`~repro.nn.tape.ReplayProgram`
+both run these kernels, so an eager step and its replay compute the same
+array expressions by construction.  This module imports nothing from the rest of the package.
 
 Kernel signature::
 

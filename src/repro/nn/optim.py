@@ -56,6 +56,19 @@ __all__ = [
 ]
 
 
+def _check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Reject a NaN, infinite or negative hyperparameter (zero too, with
+    ``positive``).
+
+    A plain sign check lets NaN through (``nan < 0`` is False): a NaN
+    learning rate poisons every update, and a NaN weight decay acts as
+    none.  A negative eps can turn a denominator negative and step uphill.
+    """
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be finite and {sign}, got {value!r}")
+
+
 # --------------------------------------------------------------------------- #
 # Learning-rate schedules: callables ``step -> lr``
 # --------------------------------------------------------------------------- #
@@ -63,8 +76,7 @@ class ConstantSchedule:
     """A learning-rate schedule that never changes."""
 
     def __init__(self, learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        _check_finite("learning rate", learning_rate, positive=True)
         self.learning_rate = float(learning_rate)
 
     def __call__(self, step: int) -> float:
@@ -79,8 +91,7 @@ class ExponentialDecay:
     """
 
     def __init__(self, learning_rate: float, decay_rate: float = 0.97, decay_steps: int = 100) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        _check_finite("learning rate", learning_rate, positive=True)
         if not 0 < decay_rate <= 1:
             raise ValueError("decay rate must be in (0, 1]")
         if decay_steps <= 0:
@@ -97,8 +108,7 @@ class StepDecay:
     """Piecewise-constant decay: ``lr * drop_rate^floor(step / step_size)``."""
 
     def __init__(self, learning_rate: float, drop_rate: float = 0.5, step_size: int = 100) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        _check_finite("learning rate", learning_rate, positive=True)
         if not 0 < drop_rate <= 1:
             raise ValueError("drop rate must be in (0, 1]")
         if step_size <= 0:
@@ -119,8 +129,7 @@ class CosineDecay:
     """
 
     def __init__(self, learning_rate: float, total_steps: int = 1000, min_lr: float = 0.0) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        _check_finite("learning rate", learning_rate, positive=True)
         if total_steps <= 0:
             raise ValueError("total steps must be positive")
         if not 0 <= min_lr < learning_rate:
@@ -188,11 +197,11 @@ class Optimizer:
     ``scratch_names`` — preallocated temporaries whose content is
     irrelevant across steps.  Each name is one flat buffer over all
     parameters of a dtype, laid out in parameter order and created on the
-    first step (or :meth:`slot_state` call); a slot's buffers are views of
-    those.  Every registered update is elementwise, so :meth:`step` runs
-    ``_update`` once over each maximal run of consecutive parameters that
-    have a gradient, on gathered copies of their gradients and values, with
-    results bitwise equal to one ``_update`` per parameter.
+    first step; a slot's buffers are views of those.  Every registered
+    update is elementwise, so :meth:`step` runs ``_update`` once over each
+    maximal run of consecutive parameters that have a gradient, on gathered
+    copies of their gradients and values, with results bitwise equal to one
+    ``_update`` per parameter.
 
     State is keyed by slot index *and* guarded by parameter object identity:
     if the tensor occupying a slot is replaced, that slot's state restarts
@@ -285,20 +294,6 @@ class Optimizer:
             for name in self.state_names:
                 buffers[name][...] = old[name]
 
-    def slot_state(self, param: Tensor) -> Dict[str, np.ndarray]:
-        """State and scratch of the slot holding ``param``, as views of the
-        flat buffers (created zeroed if absent); raises for unknown tensors.
-
-        Writing into a view installs state, which is how the stacked-replay
-        driver stacks K per-slice states.  The views stay valid until a
-        slot's parameter is replaced or changes shape or dtype.
-        """
-        for index, candidate in enumerate(self.parameters):
-            if candidate is param:
-                self._sync()
-                return self._slot_buffers(index)
-        raise KeyError("tensor is not a parameter of this optimizer")
-
     # ------------------------------------------------------------------ #
     # Stepping
     # ------------------------------------------------------------------ #
@@ -388,12 +383,6 @@ class Optimizer:
         raise NotImplementedError
 
 
-def _check_eps(eps: float) -> None:
-    # A negative eps can turn the denominator negative and step uphill.
-    if not (math.isfinite(eps) and eps >= 0):
-        raise ValueError(f"eps must be finite and non-negative, got {eps!r}")
-
-
 def _gatherable(param: Tensor) -> bool:
     """Whether ``param``'s gradient can join a gathered run."""
     grad, data = param.grad, param.data
@@ -457,9 +446,8 @@ class Adam(Optimizer):
         beta1, beta2 = betas
         if not 0 <= beta1 < 1 or not 0 <= beta2 < 1:
             raise ValueError("betas must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        _check_eps(eps)
+        _check_finite("weight_decay", weight_decay)
+        _check_finite("eps", eps)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -552,9 +540,8 @@ class RMSprop(Optimizer):
             raise ValueError("alpha must be in (0, 1)")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
-        _check_eps(eps)
+        _check_finite("weight_decay", weight_decay)
+        _check_finite("eps", eps)
         self.alpha = alpha
         self.eps = eps
         self.momentum = momentum

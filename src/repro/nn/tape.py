@@ -48,12 +48,6 @@ Replay reproduces eager results bit for bit, by construction:
 
 Replay skips instructions whose inputs never change (constant folding) and
 instructions the loss does not depend on.
-
-:class:`StackedProgram` extends replay across *replications*: K recorded
-programs with identical structure are fused into one program whose buffers
-carry a leading ``(K, ...)`` axis, so one replayed step trains K per-seed
-parameter sets per BLAS call (per-slice reductions loop over the leading
-axis to keep every slice bitwise equal to its serial counterpart).
 """
 
 from __future__ import annotations
@@ -62,16 +56,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import Kernel, TapeStale, _scratch, _unbroadcast
+from .kernels import Kernel, TapeStale, _unbroadcast
 from .tensor import Tensor, _TAPE
 
 __all__ = [
     "GraphReplayError",
     "TapeStale",
-    "StackError",
     "TapeRecorder",
     "ReplayProgram",
-    "StackedProgram",
     "dynamic",
     "recording_active",
 ]
@@ -79,10 +71,6 @@ __all__ = [
 
 class GraphReplayError(RuntimeError):
     """An autodiff feature incompatible with ``graph_replay`` was requested."""
-
-
-class StackError(RuntimeError):
-    """K per-seed programs are not structurally identical; fall back to serial."""
 
 
 class _Unrecordable(RuntimeError):
@@ -393,7 +381,6 @@ class ReplayProgram:
                 self._schedule.append((1, instr))
             else:
                 self._schedule.append((0, slot))
-        self._grad_sids = grad_sids
         root_slot = self.slots[root]
         self._seed = np.ones(root_slot.shape, dtype=root_slot.dtype)
 
@@ -528,388 +515,3 @@ class ReplayProgram:
         for param in self.extra_params:
             param.grad = None
         return float(bufs[self.root])
-
-
-# --------------------------------------------------------------------------- #
-# Stacked multi-seed replay
-# --------------------------------------------------------------------------- #
-# Ops whose base kernels apply unchanged to (K, ...) stacked buffers: pure
-# elementwise ufunc sequences, so each leading-axis slice is computed exactly
-# as the per-slice call would compute it.
-_ELEMENTWISE = {
-    "add", "neg", "mul", "div", "pow", "exp", "log", "sqrt", "abs", "tanh",
-    "sigmoid", "relu", "elu", "softplus", "cos", "sin", "clip", "maximum",
-}
-
-
-def _align(buf: np.ndarray, target_ndim: int) -> Optional[np.ndarray]:
-    """View ``(K,) + s`` as ``(K,) + (1,)*pad + s`` so trailing-dim broadcasting
-    against the stacked output matches the per-slice broadcast exactly.
-
-    Returns ``None`` when no aliasing view exists (caller falls back to the
-    per-slice loop for that instruction).
-    """
-    if buf.ndim == target_ndim:
-        return buf
-    new_shape = (buf.shape[0],) + (1,) * (target_ndim - buf.ndim) + buf.shape[1:]
-    view = buf.reshape(new_shape)
-    if not np.shares_memory(view, buf):
-        return None
-    return view
-
-
-def _slice_view(buf: np.ndarray, k: int) -> np.ndarray:
-    """Writable view of slice ``k`` (0-d slices need the reshape dance)."""
-    if buf.ndim == 1:
-        return buf[k : k + 1].reshape(())
-    return buf[k]
-
-
-def _attrs_equal(a: dict, b: dict) -> bool:
-    if a.keys() != b.keys():
-        return False
-    for key, va in a.items():
-        vb = b[key]
-        if isinstance(va, np.ndarray) or isinstance(vb, np.ndarray):
-            if not (
-                isinstance(va, np.ndarray)
-                and isinstance(vb, np.ndarray)
-                and va.shape == vb.shape
-                and va.dtype == vb.dtype
-                and np.array_equal(va, vb)
-            ):
-                return False
-        elif va != vb:
-            return False
-    return True
-
-
-def _stacked_matmul_fwd(out, ins, attrs, ctx):
-    if len(ins) == 2:
-        np.matmul(ins[0], ins[1], out=out)
-    else:
-        x, w, b = ins
-        np.matmul(x, w, out=out)
-        np.add(out, b[:, None, :], out=out)
-
-
-def _stacked_matmul_vjp(grad, ins, out, attrs, ctx, needs):
-    x, w = ins[0], ins[1]
-    ga = gw = None
-    if needs[0]:
-        ga = _scratch(ctx, "ga", x.shape, x.dtype)
-        np.matmul(grad, w.transpose(0, 2, 1), out=ga)
-    if needs[1]:
-        gw = _scratch(ctx, "gw", w.shape, w.dtype)
-        np.matmul(x.transpose(0, 2, 1), grad, out=gw)
-    if len(ins) == 2:
-        return (ga, gw)
-    return (ga, gw, grad if needs[2] else None)
-
-
-class _StackedInstr:
-    __slots__ = ("style", "base", "ins", "out_buf", "ctx", "ctxs", "ins_k", "out_k", "fwd", "vjp")
-
-    def __init__(self, style, base):
-        self.style = style  # "view", "fold", "elem", "matmul", "slice"
-        self.base = base
-        self.ins: Tuple[np.ndarray, ...] = ()
-        self.out_buf: Optional[np.ndarray] = None
-        self.ctx: dict = {}
-        self.ctxs: List[dict] = []
-        self.ins_k: List[Tuple[np.ndarray, ...]] = []
-        self.out_k: List[np.ndarray] = []
-        self.fwd = None
-        self.vjp = None
-
-
-class StackedProgram:
-    """K structurally-identical :class:`ReplayProgram`\\ s fused along a leading
-    axis: one run trains K per-seed parameter sets, each slice bitwise equal
-    to replaying its source program alone.
-
-    Elementwise chains and matmuls execute batched over ``(K, ...)`` buffers;
-    every reduction (sums, loss means, unbroadcasts) loops per slice so the
-    floating-point summation order of each slice is untouched.  Programs with
-    dynamic providers, declared inputs, or mismatched structure are rejected
-    with :class:`StackError` (callers fall back to serial replay).
-    """
-
-    def __init__(self, programs: Sequence[ReplayProgram]) -> None:
-        if len(programs) < 2:
-            raise StackError("stacking requires at least two programs")
-        base = programs[0]
-        K = len(programs)
-        self.K = K
-        for prog in programs:
-            if prog.providers or any(s.kind in ("input", "dyn") for s in prog.slots):
-                raise StackError("programs with per-step inputs or providers cannot be stacked")
-        self._verify(programs)
-
-        self._base = base
-        nslots = len(base.slots)
-        sbufs: List[Optional[np.ndarray]] = [None] * nslots
-        self.params: List[Tensor] = []
-        self.param_sources: List[Tuple[Tensor, ...]] = []
-        self._param_bufs: List[np.ndarray] = []
-
-        # Leaves first: params and consts are stacked copies of the slices.
-        for sid, slot in enumerate(base.slots):
-            if slot.kind == "param":
-                stacked = np.stack([p.slots[sid].buffer for p in programs])
-                tensor = Tensor(0.0, requires_grad=True, name=slot.tensor.name)
-                tensor.data = stacked
-                self.params.append(tensor)
-                self.param_sources.append(tuple(p.slots[sid].tensor for p in programs))
-                self._param_bufs.append(stacked)
-                sbufs[sid] = stacked
-            elif slot.kind == "const":
-                sbufs[sid] = np.stack([p.slots[sid].buffer for p in programs])
-
-        # Op outputs in recording order so view instructions can alias their
-        # (already materialised) stacked parents.
-        self._instrs: List[_StackedInstr] = []
-        for instr in base.instructions:
-            slot = base.slots[instr.out]
-            if instr.folded:
-                sbufs[instr.out] = np.stack([p.slots[instr.out].buffer for p in programs])
-                self._instrs.append(_StackedInstr("fold", instr))
-                continue
-            if instr.view_skip:
-                sbufs[instr.out] = self._stacked_view(instr, sbufs[instr.parents[0]], slot)
-                si = _StackedInstr("view", instr)
-                si.ins = tuple(sbufs[p] for p in instr.parents)
-                si.out_buf = sbufs[instr.out]
-                si.vjp = instr.vjp
-                self._instrs.append(si)
-                continue
-            out_buf = np.empty((K,) + slot.shape, dtype=slot.dtype)
-            sbufs[instr.out] = out_buf
-            si = self._build_instr(instr, sbufs, out_buf, slot, K)
-            self._instrs.append(si)
-        self._sbufs = sbufs
-
-        # Backward schedule mirrors the base program's (verified identical
-        # across slices); pending gradients carry the leading K axis.
-        root_slot = base.slots[base.root]
-        self.root = base.root
-        self._seed = np.ones((K,) + root_slot.shape, dtype=root_slot.dtype)
-        self._pending: Dict[int, np.ndarray] = {base.root: self._seed}
-        self._grad_sids = list(base._grad_sids)
-        for sid in self._grad_sids:
-            if sid != base.root:
-                slot = base.slots[sid]
-                self._pending[sid] = np.empty((K,) + slot.shape, dtype=slot.dtype)
-        self._received = bytearray(nslots)
-        instr_by_out = {si.base.out: si for si in self._instrs}
-        self._schedule: List[Tuple[int, object]] = []
-        param_by_sid = {}
-        pi = 0
-        for sid, slot in enumerate(base.slots):
-            if slot.kind == "param":
-                param_by_sid[sid] = self.params[pi]
-                pi += 1
-        for sid in reversed(base.topo):
-            if not base.slots[sid].requires_grad:
-                continue
-            si = instr_by_out.get(sid)
-            if si is not None:
-                self._schedule.append((1, si))
-            else:
-                self._schedule.append((0, (sid, param_by_sid[sid])))
-
-    # -- construction helpers ----------------------------------------------
-    def _verify(self, programs: Sequence[ReplayProgram]) -> None:
-        base = programs[0]
-        for prog in programs[1:]:
-            if len(prog.slots) != len(base.slots) or len(prog.instructions) != len(base.instructions):
-                raise StackError("programs differ in recorded structure")
-            for sa, sb in zip(base.slots, prog.slots):
-                if (
-                    sa.kind != sb.kind
-                    or sa.shape != sb.shape
-                    or sa.dtype != sb.dtype
-                    or sa.requires_grad != sb.requires_grad
-                ):
-                    raise StackError("programs differ in slot layout")
-            for ia, ib in zip(base.instructions, prog.instructions):
-                if (
-                    ia.op != ib.op
-                    or ia.out != ib.out
-                    or ia.parents != ib.parents
-                    or ia.grad_parents != ib.grad_parents
-                    or ia.view_skip != ib.view_skip
-                    or ia.folded != ib.folded
-                    or ia.needs != ib.needs
-                    or not _attrs_equal(ia.attrs, ib.attrs)
-                ):
-                    raise StackError("programs differ in instruction stream")
-
-    def _stacked_view(self, instr, parent_buf, slot) -> np.ndarray:
-        if parent_buf is None:
-            raise StackError("view instruction precedes its parent buffer")
-        K = self.K
-        if instr.op == "reshape":
-            view = parent_buf.reshape((K,) + slot.shape)
-        elif instr.op == "transpose":
-            axes = instr.attrs["axes"]
-            if axes is None:
-                axes = tuple(range(parent_buf.ndim - 1, 0, -1))
-            else:
-                axes = tuple(int(a) % (parent_buf.ndim - 1) + 1 for a in axes)
-            view = parent_buf.transpose((0,) + axes)
-        elif instr.op == "getitem":
-            index = instr.attrs["index"]
-            if not isinstance(index, tuple):
-                index = (index,)
-            view = parent_buf[(slice(None),) + index]
-        else:  # pragma: no cover - _VIEW_OPS is closed
-            raise StackError(f"unexpected view op {instr.op!r}")
-        if view.shape != (K,) + slot.shape or not np.shares_memory(view, parent_buf):
-            raise StackError(f"cannot form a stacked view for op {instr.op!r}")
-        return view
-
-    def _build_instr(self, instr, sbufs, out_buf, slot, K) -> _StackedInstr:
-        parent_bufs = []
-        for p in instr.parents:
-            buf = sbufs[p]
-            if buf is None:
-                raise StackError("instruction precedes its parent buffer")
-            parent_bufs.append(buf)
-        if instr.op in _ELEMENTWISE:
-            target = out_buf.ndim
-            aligned = [_align(buf, target) for buf in parent_bufs]
-            if all(a is not None for a in aligned):
-                si = _StackedInstr("elem", instr)
-                si.ins = tuple(aligned)
-                si.out_buf = out_buf
-                si.fwd = instr.fwd
-                si.vjp = instr.vjp
-                return si
-        if instr.op in ("matmul", "linear") and all(b.ndim == 3 for b in parent_bufs[:2]):
-            bias_ok = len(parent_bufs) == 2 or parent_bufs[2].ndim == 2
-            if bias_ok:
-                si = _StackedInstr("matmul", instr)
-                si.ins = tuple(parent_bufs)
-                si.out_buf = out_buf
-                si.fwd = _stacked_matmul_fwd
-                si.vjp = _stacked_matmul_vjp
-                return si
-        # Per-slice fallback: loop the base kernel over leading-axis views so
-        # reductions keep each slice's exact summation order.
-        si = _StackedInstr("slice", instr)
-        si.out_buf = out_buf
-        si.ctxs = [dict() for _ in range(K)]
-        si.ins_k = [tuple(_slice_view(buf, k) for buf in parent_bufs) for k in range(K)]
-        si.out_k = [_slice_view(out_buf, k) for k in range(K)]
-        si.fwd = instr.fwd
-        si.vjp = instr.vjp
-        return si
-
-    # -- execution ----------------------------------------------------------
-    @property
-    def graph_nodes(self) -> int:
-        """Nodes in the base program's gradient subgraph."""
-        return self._base.graph_nodes
-
-    def _route_stacked(self, psid: int, g: np.ndarray, pending, received) -> None:
-        buf = pending[psid]
-        if g.shape == buf.shape:
-            if received[psid]:
-                np.add(buf, g, out=buf)
-            else:
-                np.copyto(buf, g)
-                received[psid] = 1
-            return
-        slice_shape = buf.shape[1:]
-        first = not received[psid]
-        for k in range(self.K):
-            ub = _unbroadcast(g[k], slice_shape)
-            target = _slice_view(buf, k)
-            if first:
-                np.copyto(target, ub)
-            else:
-                np.add(target, ub, out=target)
-        received[psid] = 1
-
-    def run(self) -> np.ndarray:
-        """Replay the stacked step; returns the ``(K,)`` loss vector."""
-        for tensor, buf in zip(self.params, self._param_bufs):
-            if tensor.data is not buf:
-                raise TapeStale("a stacked parameter buffer was replaced since recording")
-        K = self.K
-        for si in self._instrs:
-            style = si.style
-            if style in ("fold", "view"):
-                continue
-            if style == "slice":
-                base = si.base
-                for k in range(K):
-                    si.fwd(si.out_k[k], si.ins_k[k], base.attrs, si.ctxs[k])
-            else:
-                si.fwd(si.out_buf, si.ins, si.base.attrs, si.ctx)
-
-        pending = self._pending
-        received = self._received
-        for sid in self._grad_sids:
-            received[sid] = 0
-        received[self.root] = 1
-        for tag, item in self._schedule:
-            if not tag:
-                sid, tensor = item
-                tensor.grad = pending[sid]
-                continue
-            si = item
-            base = si.base
-            parents = base.parents
-            needs = base.needs
-            if si.style == "slice" or si.style == "view":
-                grad_buf = pending[base.out]
-                if si.style == "view":
-                    ctxs = None
-                    ins_k = [tuple(_slice_view(self._sbufs[p], k) for p in parents) for k in range(K)]
-                    out_k = [_slice_view(si.out_buf, k) for k in range(K)]
-                else:
-                    ctxs = si.ctxs
-                    ins_k = si.ins_k
-                    out_k = si.out_k
-                all_grads = [
-                    si.vjp(
-                        _slice_view(grad_buf, k), ins_k[k], out_k[k],
-                        base.attrs, ctxs[k] if ctxs is not None else {}, needs,
-                    )
-                    for k in range(K)
-                ]
-                for pos in range(len(parents)):
-                    if not needs[pos]:
-                        continue
-                    if all(all_grads[k][pos] is None for k in range(K)):
-                        continue
-                    psid = parents[pos]
-                    buf = pending[psid]
-                    first = not received[psid]
-                    slice_shape = buf.shape[1:]
-                    for k in range(K):
-                        g = all_grads[k][pos]
-                        if g is None:
-                            continue
-                        ub = _unbroadcast(g, slice_shape)
-                        target = _slice_view(buf, k)
-                        if first:
-                            np.copyto(target, ub)
-                        else:
-                            np.add(target, ub, out=target)
-                    received[psid] = 1
-            else:
-                grads = si.vjp(
-                    pending[base.out], si.ins, si.out_buf,
-                    base.attrs, si.ctx, needs,
-                )
-                for pos in range(len(parents)):
-                    if not needs[pos]:
-                        continue
-                    g = grads[pos]
-                    if g is None:
-                        continue
-                    self._route_stacked(parents[pos], g, pending, received)
-        return self._sbufs[self.root]

@@ -164,6 +164,34 @@ def artifact_fingerprint(path) -> str:
     return digest.hexdigest()
 
 
+def _finite(values: np.ndarray) -> bool:
+    return values.dtype.kind in "biuf" and bool(np.isfinite(values).all())
+
+
+def _check_inference_arrays(path, num_features, mean, std, sample_weights) -> None:
+    """Reject statistics or weights that would load and then predict wrongly.
+
+    A mean or std of the wrong shape broadcasts silently, and a zero std
+    divides to non-finite covariates.  ``CausalDataset.standardize`` saves
+    1.0 in place of any std below 1e-12, so no valid artifact holds one.
+    """
+    for name, values in (("standardize_mean", mean), ("standardize_std", std)):
+        if values.shape != (num_features,) or not _finite(values):
+            raise ArtifactError(
+                f"artifact at {path!r}: {name} must hold {num_features} finite "
+                f"values, got shape {values.shape}"
+            )
+    if (std <= 0).any():
+        raise ArtifactError(f"artifact at {path!r}: standardize_std has an entry <= 0")
+    if sample_weights is not None and not (
+        sample_weights.ndim == 1 and _finite(sample_weights) and (sample_weights >= 0).all()
+    ):
+        raise ArtifactError(
+            f"artifact at {path!r}: sample_weights must be a 1-D array of "
+            "finite, non-negative values"
+        )
+
+
 def load_estimator(path, estimator_cls=None):
     """Rebuild a ready-to-predict estimator from a saved artifact.
 
@@ -181,7 +209,11 @@ def load_estimator(path, estimator_cls=None):
         raise ArtifactError(f"artifact at {path!r} is missing {ARRAYS_FILENAME}")
 
     spec = manifest["estimator"]
-    config = SBRLConfig.from_dict(manifest["config"])
+    try:
+        config = SBRLConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"artifact at {path!r} holds an invalid config: {exc}") from exc
+    num_features = int(manifest["num_features"])
     estimator = estimator_cls(
         backbone=spec["backbone"],
         framework=spec["framework"],
@@ -199,13 +231,19 @@ def load_estimator(path, estimator_cls=None):
             for key in arrays.files
             if key.startswith(_PARAM_PREFIX)
         }
+        missing = sorted({"standardize_mean", "standardize_std"} - set(arrays.files))
+        if missing:
+            raise ArtifactError(f"artifact at {path!r} is missing {', '.join(missing)}")
         standardize_mean = arrays["standardize_mean"]
         standardize_std = arrays["standardize_std"]
         sample_weights = arrays["sample_weights"] if "sample_weights" in arrays.files else None
+    _check_inference_arrays(
+        path, num_features, standardize_mean, standardize_std, sample_weights
+    )
 
     backbone = build_backbone(
         spec["backbone"],
-        num_features=int(manifest["num_features"]),
+        num_features=num_features,
         config=config.backbone,
         regularizers=config.regularizers,
         binary_outcome=spec["binary_outcome"],

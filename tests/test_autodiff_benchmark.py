@@ -66,16 +66,9 @@ def test_graph_replay_section(smoke_result):
     # Replaying must never build a graph: zero tensors per replayed step.
     assert step["tensor_allocs_per_replay"] == 0
     assert step["graph_nodes"] > 0
-    stacked = replay["stacked_replications"]
-    assert stacked["stacked_engaged"] is True
-    assert stacked["stack_size"] >= 2
-    assert stacked["eager_seconds_per_model_step"] > 0
-    assert stacked["stacked_seconds_per_model_step"] > 0
-    assert stacked["serial_fit_seconds"] > 0
-    assert stacked["stacked_fit_seconds"] > 0
-    assert replay["replay_speedup"] == pytest.approx(
-        max(step["speedup"], stacked["speedup"])
-    )
+    # The headline is the single-program ratio; no stacked block is written.
+    assert replay["replay_speedup"] == step["speedup"]
+    assert "stacked_replications" not in replay
 
 
 def test_dtype_section_present(smoke_result):

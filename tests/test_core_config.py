@@ -38,6 +38,11 @@ class TestRegularizerConfig:
             RegularizerConfig(alpha=-1)
         with pytest.raises(ValueError):
             RegularizerConfig(num_rff_features=0)
+        # ``nan < 0`` is False, so a sign check alone lets these through.
+        for name in ("alpha", "gamma1", "gamma2", "gamma3", "lambda_l2"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    RegularizerConfig(**{name: value})
 
     def test_negative_max_pairs_per_layer_fails_at_construction(self):
         """A negative pair budget fails here, not at the first weight step."""
@@ -63,6 +68,24 @@ class TestTrainingConfig:
             TrainingConfig(weight_update_every=0)
         with pytest.raises(ValueError):
             TrainingConfig(weight_clip=(1.0, 0.5))
+        nan, inf = float("nan"), float("inf")
+        for name in ("learning_rate", "weight_learning_rate"):
+            for value in (nan, inf):
+                with pytest.raises(ValueError, match=name):
+                    TrainingConfig(**{name: value})
+        for clip in ((nan, 10.0), (1e-3, nan), (inf, inf)):
+            with pytest.raises(ValueError, match="weight_clip"):
+                TrainingConfig(weight_clip=clip)
+        assert TrainingConfig(weight_clip=(0.0, inf)).weight_clip == (0.0, inf)
+        # Zero raised ZeroDivisionError in the loop; a negative interval added patience.
+        for interval in (0, -5):
+            with pytest.raises(ValueError, match="evaluation_interval"):
+                TrainingConfig(evaluation_interval=interval)
+        # A loaded manifest goes through the same checks.
+        payload = SBRLConfig().to_dict()
+        payload["training"]["learning_rate"] = nan
+        with pytest.raises(ValueError, match="learning_rate"):
+            SBRLConfig.from_dict(payload)
 
 
 class TestPresets:

@@ -337,15 +337,6 @@ class TestSlotKeyedState:
         fresh_optimizer.step()
         np.testing.assert_array_equal(replacement.data, fresh.data)
 
-    def test_slot_state_identity_lookup(self):
-        a = Tensor(np.zeros(2), requires_grad=True)
-        b = Tensor(np.zeros(2), requires_grad=True)
-        optimizer = Adam([a], lr=0.1)
-        state = optimizer.slot_state(a)
-        assert set(optimizer.state_names) <= set(state)
-        with pytest.raises(KeyError):
-            optimizer.slot_state(b)
-
 
 class _RecordingSchedule:
     """Constant schedule that records the step index of every evaluation."""
@@ -556,19 +547,6 @@ class TestFlatStep:
         for _ in range(3):
             pair.step(float32=(12,))
 
-    @pytest.mark.parametrize("name", sorted(_FLAT_CASES))
-    def test_state_installed_through_slot_state(self, name):
-        pair = _FlatAndReference(_FLAT_CASES[name], _CFR_SHAPES)
-        pair.step()
-        for index, param in enumerate(pair.flat.parameters):
-            installed = pair.flat.slot_state(param)
-            for state in pair.flat.state_names:
-                values = np.abs(pair.rng.normal(size=param.data.shape))
-                installed[state][...] = values
-                pair.slots[index][1][state][...] = values
-        for _ in range(2):
-            pair.step()
-
 
 class TestParameterChecks:
     @pytest.mark.parametrize("name", ["adam", "adamw", "rmsprop", "sgd"])
@@ -589,6 +567,22 @@ class TestParameterChecks:
         param.grad = np.array([0.5])
         optimizer.step()
         assert param.data[0] < 1.0
+
+    @pytest.mark.parametrize("cls", [Adam, AdamW, RMSprop])
+    def test_non_finite_weight_decay_is_rejected(self, cls):
+        """A NaN decay used to pass and act as no decay at all."""
+        for weight_decay in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="weight_decay"):
+                cls([Tensor(np.ones(1), requires_grad=True)], lr=0.1, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("name", ["constant", "exponential", "step", "cosine"])
+    def test_non_finite_learning_rate_is_rejected(self, name):
+        """``lr_schedule_params`` may override the config's checked rate."""
+        for learning_rate in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="learning rate"):
+                build_schedule(name, 1e-3, {"learning_rate": learning_rate})
+        with pytest.raises(ValueError, match="learning rate"):
+            SGD([Tensor(np.ones(1), requires_grad=True)], lr=float("nan"))
 
 
 class TestRegistries:

@@ -11,13 +11,11 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   :class:`GraphReplayError` naming ``graph_replay``;
 * the in-place optimisers allocate zero tensors per step and keep parameter
   buffer identity (the property replay pins);
-* stacked multi-seed replay (``repro.core.stacked`` and
-  ``run_replications(stacked_replay=True)``) equals serial fits exactly;
 * the fused regularizer kernels (the batched HSIC pair node, also on
   constant features with or without a lent workspace, matrix
   ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
   weights or representations, also at a tile of 4 rows), ELU and
-  one-sided ``clip`` give eager == replay == stacked, bit for bit;
+  one-sided ``clip`` give eager == replay, bit for bit;
 * replay skips instructions the loss does not read (DeR-CFR's propensity);
 * a fitted trainer is freed by reference counting (no trainer <-> replay
   cycle), and a fitted estimator still deep-copies and refits.
@@ -26,7 +24,6 @@ Covers the contract of ``TrainingConfig.graph_replay``:
 from __future__ import annotations
 
 import copy
-import dataclasses
 import gc
 import logging
 import weakref
@@ -37,14 +34,12 @@ import pytest
 from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
 from repro.core.estimator import HTEEstimator
 from repro.core.loop import Callback
-from repro.core.stacked import fit_stacked
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
-from repro.experiments.runner import MethodSpec, run_replications
 from repro.nn import functional as F
 from repro.nn import kernels
 from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
-from repro.nn.tape import GraphReplayError, StackedProgram, TapeRecorder
+from repro.nn.tape import GraphReplayError, TapeRecorder
 from repro.nn.tensor import Tensor, dtype_scope, tensor_alloc_count
 
 
@@ -234,13 +229,16 @@ def _fused_kernel_cases():
 
 
 def _assert_replay_and_stacked_equal_eager(case):
+    """Replay after an in-place parameter update equals eager at the new values.
+
+    The name is kept from when the helper also checked a stacked program.
+    """
     build, makers = _fused_kernel_cases()[case]
     rng = np.random.default_rng(3)
-    recorded = [[make(rng) for make in makers] for _ in range(2)]
-    refreshed = [make(rng) for make in makers]
-
-    # Replay after an in-place parameter update equals eager at the new values.
-    program, leaves = _record(build, recorded[0])
+    # The middle draw only advances the stream, so every case keeps the
+    # values it has always been checked at.
+    recorded, _, refreshed = ([make(rng) for make in makers] for _ in range(3))
+    program, leaves = _record(build, recorded)
     for leaf, values in zip(leaves, refreshed):
         leaf.data[...] = values
     value = program.run()
@@ -248,18 +246,6 @@ def _assert_replay_and_stacked_equal_eager(case):
     assert value == eager_value
     for leaf, grad in zip(leaves, eager_grads):
         np.testing.assert_array_equal(leaf.grad, grad)
-
-    # Two recordings stacked along a leading axis equal their eager runs.
-    records = [_record(build, arrays) for arrays in recorded]
-    stacked = StackedProgram([program for program, _ in records])
-    values = stacked.run()
-    first_leaves = [id(leaf) for leaf in records[0][1]]
-    for index, arrays in enumerate(recorded):
-        eager_value, eager_grads = _eager(build, arrays)
-        assert values[index] == eager_value
-        for param, sources in zip(stacked.params, stacked.param_sources):
-            grad = eager_grads[first_leaves.index(id(sources[0]))]
-            np.testing.assert_array_equal(param.grad[index], grad)
 
 
 class TestFusedKernelReplay:
@@ -491,111 +477,3 @@ class TestInPlaceOptimizers:
         assert tensor_alloc_count() - before == 0
         assert param.data is buffer  # replay pins this identity
         assert param._version == version + 5  # compiled-inference cache key
-
-
-def _stacked_config(iterations=7, **overrides):
-    """Stackable config: the pair subsampler must not draw per-step anchors
-    (dynamic inputs cannot be fused), so its threshold exceeds the sample
-    count used by these tests."""
-    config = _config(iterations=iterations, **overrides)
-    return dataclasses.replace(
-        config, regularizers=dataclasses.replace(config.regularizers, subsample_threshold=256)
-    )
-
-
-class TestStackedReplay:
-    def _protocol(self, seed=5, n=120):
-        generator = SyntheticGenerator(SyntheticConfig(seed=seed))
-        return generator.generate_train_test_protocol(
-            num_samples=n, train_rho=2.5, test_rhos=(2.5,), seed=seed
-        )
-
-    @pytest.mark.parametrize("backbone", ["tarnet", "cfr"])
-    def test_fit_stacked_equals_serial_fits(self, backbone):
-        protocol = self._protocol()
-        train = protocol["train"]
-        seeds = [11, 12, 13]
-
-        def build(seed):
-            return HTEEstimator(
-                backbone=backbone, framework="vanilla", config=_stacked_config(), seed=seed
-            )
-
-        stacked = [build(seed) for seed in seeds]
-        assert fit_stacked(stacked, [train] * len(seeds)) is True
-        serial = [build(seed) for seed in seeds]
-        for estimator in serial:
-            estimator.fit(train)
-        for slice_index, (a, b) in enumerate(zip(stacked, serial)):
-            state_a = a.trainer.backbone.state_dict()
-            state_b = b.trainer.backbone.state_dict()
-            for name in state_b:
-                assert np.array_equal(state_a[name], state_b[name]), (
-                    f"{backbone} slice {slice_index} parameter {name} differs"
-                )
-            history_a = a.training_history()
-            history_b = b.training_history()
-            assert history_a.as_dict()["network_loss"] == history_b.as_dict()["network_loss"]
-            assert history_a.best_iteration == history_b.best_iteration
-            dataset = protocol["test_environments"][2.5]
-            assert a.evaluate(dataset) == b.evaluate(dataset)
-
-    def test_fit_stacked_declines_unsupported_configs(self):
-        protocol = self._protocol()
-        train = protocol["train"]
-
-        def build(framework="vanilla", **overrides):
-            return HTEEstimator(
-                backbone="tarnet",
-                framework=framework,
-                config=_config(iterations=4, **overrides),
-                seed=11,
-            )
-
-        # fewer than two models
-        assert fit_stacked([build()], [train]) is False
-        # sample-weight framework
-        assert fit_stacked([build("sbrl-hap"), build("sbrl-hap")], [train, train]) is False
-        # minibatch mode
-        pair = [build(batch_size=32), build(batch_size=32)]
-        assert fit_stacked(pair, [train, train]) is False
-        # early stopping
-        pair = [build(early_stopping_patience=5), build(early_stopping_patience=5)]
-        assert fit_stacked(pair, [train, train]) is False
-        # declined estimators are untouched and still fit serially
-        estimator = build()
-        assert fit_stacked([estimator], [train]) is False
-        estimator.fit(train)
-        assert estimator.is_fitted
-
-    def test_run_replications_stacked_parity_fixed_protocol(self):
-        """Same-data replications stack; results equal the serial path."""
-        fixed = self._protocol()
-        specs = [
-            MethodSpec(backbone="tarnet", framework="vanilla", config=_stacked_config(iterations=5), use_balance=False),
-            MethodSpec(backbone="cfr", framework="vanilla", config=_stacked_config(iterations=5)),
-        ]
-        stacked = run_replications(
-            specs, lambda r, s: fixed, replications=3, seed=9, stacked_replay=True
-        )
-        serial = run_replications(
-            specs, lambda r, s: fixed, replications=3, seed=9, stacked_replay=False
-        )
-        assert len(stacked) == 3 and all(len(row) == len(specs) for row in stacked)
-        for row_stacked, row_serial in zip(stacked, serial):
-            for a, b in zip(row_stacked, row_serial):
-                assert a.per_environment == b.per_environment
-                assert a.history["network_loss"] == b.history["network_loss"]
-
-    def test_run_replications_stacked_falls_back_on_varying_data(self):
-        """Different treatment patterns cannot stack; results still equal serial."""
-
-        def builder(replication, seed):
-            return self._protocol(seed=seed % 1000, n=120)
-
-        specs = [MethodSpec(backbone="cfr", framework="vanilla", config=_config(iterations=4))]
-        stacked = run_replications(specs, builder, replications=2, seed=9, stacked_replay=True)
-        serial = run_replications(specs, builder, replications=2, seed=9, stacked_replay=False)
-        for row_stacked, row_serial in zip(stacked, serial):
-            for a, b in zip(row_stacked, row_serial):
-                assert a.per_environment == b.per_environment

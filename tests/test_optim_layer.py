@@ -2,9 +2,8 @@
 
 Covers the config-driven selection end to end: TrainingConfig validation
 with did-you-mean errors, replay-vs-eager bitwise parity for every
-registered optimizer, the learning rate surfaced in IterationRecord, EMA
-snapshots (identity, checkpoint wiring, persistence round-trip) and the
-stacked multi-seed driver under non-default optimizers.
+registered optimizer, the learning rate surfaced in IterationRecord and EMA
+snapshots (identity, checkpoint wiring, persistence round-trip).
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, Tra
 from repro.core.estimator import HTEEstimator
 from repro.core.loop import Callback, EMACallback
 from repro.core.sbrl import build_training_optimizer
-from repro.core.stacked import fit_stacked
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.nn.modules import Linear
 from repro.nn.optim import (
@@ -344,68 +342,6 @@ class TestEMA:
         path = estimator.save(tmp_path / "artifact")
         assert read_manifest(path)["weights"] == "live"
         assert HTEEstimator.load(path).weights_kind == "live"
-
-
-class TestStackedNonDefaultOptimizers:
-    def _protocol(self, seed=5, n=120):
-        generator = SyntheticGenerator(SyntheticConfig(seed=seed))
-        return generator.generate_train_test_protocol(
-            num_samples=n, train_rho=2.5, test_rhos=(2.5,), seed=seed
-        )
-
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(optimizer="sgd", optimizer_params={"momentum": 0.9}, lr_schedule="cosine"),
-            dict(optimizer="rmsprop", lr_schedule="step"),
-            dict(optimizer="adamw", optimizer_params={"weight_decay": 1e-3}),
-        ],
-        ids=["sgd-momentum-cosine", "rmsprop-step", "adamw"],
-    )
-    def test_stacked_equals_serial(self, overrides):
-        protocol = self._protocol()
-        train = protocol["train"]
-        seeds = [11, 12, 13]
-
-        def build(seed):
-            return HTEEstimator(
-                backbone="tarnet",
-                framework="vanilla",
-                config=_config(iterations=7, **overrides),
-                seed=seed,
-            )
-
-        stacked = [build(seed) for seed in seeds]
-        assert fit_stacked(stacked, [train] * len(seeds)) is True
-        serial = [build(seed) for seed in seeds]
-        for estimator in serial:
-            estimator.fit(train)
-        dataset = protocol["test_environments"][2.5]
-        for slice_index, (a, b) in enumerate(zip(stacked, serial)):
-            state_a = a.trainer.backbone.state_dict()
-            state_b = b.trainer.backbone.state_dict()
-            for name in state_b:
-                assert np.array_equal(state_a[name], state_b[name]), (
-                    f"slice {slice_index} parameter {name} differs"
-                )
-            assert a.evaluate(dataset) == b.evaluate(dataset)
-
-    def test_stacked_declines_ema(self):
-        protocol = self._protocol()
-        train = protocol["train"]
-
-        def build(seed):
-            return HTEEstimator(
-                backbone="tarnet",
-                framework="vanilla",
-                config=_config(iterations=4, ema_decay=0.95),
-                seed=seed,
-            )
-
-        pair = [build(11), build(12)]
-        assert fit_stacked(pair, [train, train]) is False
-        pair[0].fit(train)  # declined estimators still fit serially
-        assert pair[0].is_fitted
 
 
 class TestBenchmarkSection:

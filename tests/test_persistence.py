@@ -128,6 +128,50 @@ class TestArtifactValidation:
         with pytest.raises(ArtifactError, match=ARRAYS_FILENAME):
             HTEEstimator.load(path)
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("standardize_mean", lambda values: values[:1]),
+            ("standardize_std", lambda values: values[:1]),
+            ("standardize_mean", lambda values: np.where(np.arange(values.size) == 2, np.nan, values)),
+            ("standardize_std", lambda values: np.where(np.arange(values.size) == 2, np.inf, values)),
+            ("standardize_std", lambda values: np.where(np.arange(values.size) == 2, 0.0, values)),
+            ("standardize_std", lambda values: -values),
+            ("standardize_std", None),
+            ("sample_weights", lambda values: values.reshape(1, -1)),
+            ("sample_weights", lambda values: np.where(np.arange(values.size) == 0, np.nan, values)),
+            ("sample_weights", lambda values: np.where(np.arange(values.size) == 0, -1.0, values)),
+        ],
+        ids=[
+            "mean-shape", "std-shape", "mean-nan", "std-inf", "std-zero",
+            "std-negative", "std-missing", "weights-2d", "weights-nan", "weights-negative",
+        ],
+    )
+    def test_invalid_arrays_rejected(self, fitted_sbrl_hap, tmp_path, key, edit):
+        """Each of these loaded and then predicted wrong or non-finite values."""
+        path = fitted_sbrl_hap.save(tmp_path / "model")
+        arrays_path = os.path.join(path, ARRAYS_FILENAME)
+        with np.load(arrays_path) as arrays:
+            contents = {name: arrays[name] for name in arrays.files}
+        if edit is None:
+            del contents[key]
+        else:
+            contents[key] = edit(contents[key])
+        np.savez(arrays_path, **contents)
+        with pytest.raises(ArtifactError, match=key):
+            HTEEstimator.load(path)
+
+    def test_invalid_config_rejected(self, fitted_sbrl_hap, tmp_path):
+        path = fitted_sbrl_hap.save(tmp_path / "model")
+        manifest_path = os.path.join(path, MANIFEST_FILENAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["config"]["training"]["learning_rate"] = float("nan")
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError, match="learning_rate"):
+            HTEEstimator.load(path)
+
 
 class TestEstimatorProtocol:
     def test_get_params_round_trips_through_constructor(self, fast_config):

@@ -335,3 +335,10 @@ class TestParallelExecution:
             protocol = builder(replication, seed)
             direct = run_method(specs[0], protocol["train"], protocol["test_environments"])
             assert results[replication][0].per_environment == direct.per_environment
+
+    def test_run_replications_has_no_stacked_replay_option(self, fast_config):
+        """Replications fit serially; the stacked-replay option is gone."""
+        with pytest.raises(TypeError, match="stacked_replay"):
+            run_replications(
+                self._specs(fast_config)[:1], lambda r, s: {}, replications=1, stacked_replay=True
+            )
