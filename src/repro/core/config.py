@@ -13,12 +13,14 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.ipm import check_weighted_ipm_kind
 from ..nn import optim as _optim
+from ..nn.tensor import Tensor
 
 __all__ = [
     "BackboneConfig",
     "RegularizerConfig",
     "TrainingConfig",
     "SBRLConfig",
+    "build_training_optimizer",
     "paper_preset",
     "PAPER_PRESETS",
 ]
@@ -195,6 +197,39 @@ class TrainingConfig:
             raise ValueError("lr_warmup_steps must be non-negative")
         if self.ema_decay is not None and not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must be in (0, 1) or None")
+        # Build what a fit builds, over one empty placeholder parameter, so
+        # an unknown key or a bad value in optimizer_params or
+        # lr_schedule_params fails here, and a loaded artifact holding one
+        # fails at load, not at its first refit.
+        build_training_optimizer([Tensor([], requires_grad=True)], self)
+
+
+def build_training_optimizer(parameters, cfg: TrainingConfig) -> _optim.Optimizer:
+    """Build the network optimiser a :class:`TrainingConfig` describes.
+
+    The schedule's defaults are derived from the legacy fields so existing
+    configs keep their exact behaviour: ``exponential`` (the historical
+    default) reads ``lr_decay_rate`` / ``lr_decay_steps``, ``step`` reuses
+    them as drop rate / step size, ``cosine`` anneals over ``iterations``.
+    ``lr_schedule_params`` overrides any of these; ``lr_warmup_steps`` wraps
+    the result in a linear warmup.  The optimiser class comes from
+    :data:`repro.registry.optimizers` with ``optimizer_params`` forwarded.
+    An unknown key or an invalid value raises ``ValueError``.
+    """
+    name = _optim.SCHEDULE_REGISTRY.resolve(cfg.lr_schedule)
+    if name == "exponential":
+        defaults = {"decay_rate": cfg.lr_decay_rate, "decay_steps": cfg.lr_decay_steps}
+    elif name == "step":
+        defaults = {"drop_rate": cfg.lr_decay_rate, "step_size": cfg.lr_decay_steps}
+    elif name == "cosine":
+        defaults = {"total_steps": cfg.iterations}
+    else:  # constant (and any user-registered schedule): no derived defaults
+        defaults = {}
+    defaults.update(cfg.lr_schedule_params)
+    schedule = _optim.build_schedule(
+        cfg.lr_schedule, cfg.learning_rate, defaults, warmup_steps=cfg.lr_warmup_steps
+    )
+    return _optim.build_optimizer(cfg.optimizer, parameters, schedule, cfg.optimizer_params)
 
 
 @dataclass

@@ -16,6 +16,10 @@ every step, so signatures never repeat; a thrash guard notices the
 consecutive misses and turns taping off after a few steps (minibatch replay
 would be correct but no faster).  Unsupported ops abort the recording and
 permanently fall back to eager with a one-time warning.
+
+Programs live for one fit: the trainer calls :meth:`NetworkStepReplay.release`
+when the fit ends, and turning taping off releases them at once, so a
+fitted estimator, its deep copies and its deployed versions hold none.
 """
 
 from __future__ import annotations
@@ -177,8 +181,13 @@ class NetworkStepReplay:
             repr(trainer.config),
         )
 
+    def release(self) -> None:
+        """Drop every cached program and the arrays it pins; ``stats`` stay."""
+        self._cache.clear()
+
     def _disable(self, reason: str) -> None:
         self.enabled = False
+        self.release()
         self.stats["fallbacks"] += 1
         if not self._warned:
             self._warned = True

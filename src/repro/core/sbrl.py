@@ -29,16 +29,11 @@ from ..data.batching import DataLoader
 from ..data.dataset import CausalDataset
 from ..metrics.evaluation import EffectEstimates, evaluate_effect_predictions
 from ..nn.kernels import Workspace
-from ..nn.optim import (
-    SCHEDULE_REGISTRY,
-    Optimizer,
-    build_optimizer,
-    build_schedule,
-)
+from ..nn.optim import Optimizer
 from ..nn.tensor import Tensor, as_tensor, dtype_scope, no_grad
 from ..registry import frameworks as FRAMEWORK_REGISTRY
 from .backbones.base import BackboneForward, BaseBackbone
-from .config import SBRLConfig, TrainingConfig
+from .config import SBRLConfig, build_training_optimizer
 from .loop import (
     BestStateCheckpoint,
     Callback,
@@ -144,33 +139,6 @@ if "vanilla" not in FRAMEWORK_REGISTRY:  # guard against double registration on 
 #: Built-in framework names, in registration order (kept as a tuple for
 #: backwards compatibility; the registry is the source of truth).
 FRAMEWORKS = tuple(FRAMEWORK_REGISTRY.names())
-
-
-def build_training_optimizer(parameters, cfg: TrainingConfig) -> Optimizer:
-    """Build the network optimiser a :class:`TrainingConfig` describes.
-
-    The schedule's defaults are derived from the legacy fields so existing
-    configs keep their exact behaviour: ``exponential`` (the historical
-    default) reads ``lr_decay_rate`` / ``lr_decay_steps``, ``step`` reuses
-    them as drop rate / step size, ``cosine`` anneals over ``iterations``.
-    ``lr_schedule_params`` overrides any of these; ``lr_warmup_steps`` wraps
-    the result in a linear warmup.  The optimiser class comes from
-    :data:`repro.registry.optimizers` with ``optimizer_params`` forwarded.
-    """
-    name = SCHEDULE_REGISTRY.resolve(cfg.lr_schedule)
-    if name == "exponential":
-        defaults = {"decay_rate": cfg.lr_decay_rate, "decay_steps": cfg.lr_decay_steps}
-    elif name == "step":
-        defaults = {"drop_rate": cfg.lr_decay_rate, "step_size": cfg.lr_decay_steps}
-    elif name == "cosine":
-        defaults = {"total_steps": cfg.iterations}
-    else:  # constant (and any user-registered schedule): no derived defaults
-        defaults = {}
-    defaults.update(cfg.lr_schedule_params)
-    schedule = build_schedule(
-        cfg.lr_schedule, cfg.learning_rate, defaults, warmup_steps=cfg.lr_warmup_steps
-    )
-    return build_optimizer(cfg.optimizer, parameters, schedule, cfg.optimizer_params)
 
 
 @dataclass
@@ -323,13 +291,16 @@ class SBRLTrainer:
 
         loop = TrainingLoop(self, loader, validation=val_std, callbacks=stack)
         # One workspace per fit keeps the weight step's working blocks mapped
-        # from one weight step to the next; dropping it with the fit means a
-        # fitted trainer, its deep copies and deployed versions hold none.
+        # from one weight step to the next.  It and the replay programs go
+        # with the fit, so a fitted trainer, its deep copies and deployed
+        # versions hold neither.
         self._workspace = Workspace()
         try:
             loop.run()
         finally:
             self._workspace = None
+            if self._replay is not None:
+                self._replay.release()
         self.weights_kind = "ema" if cfg.ema_decay is not None else "live"
         self.history.elapsed_seconds = time.perf_counter() - start
         return self.history

@@ -214,10 +214,13 @@ def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray)
     matrix, column ``j`` uses draw ``j``, and the output is ``(c, k, n)``:
     per column, its ``k`` features over the ``n`` samples (samples last, so
     the per-sample weighting downstream runs along contiguous memory).  The
-    draws are constants and receive no gradient.
+    draws are constants and receive no gradient.  ``attrs`` records whether
+    the values need a gradient (grad mode on and ``values`` requiring one);
+    only then does the node keep ``v * w + phi`` for its VJP.
     """
     v_t = as_tensor(values)
     attrs = {
+        "values_grad": is_grad_enabled() and v_t.requires_grad,
         "frequencies": np.asarray(frequencies, dtype=v_t.data.dtype),
         "phis": np.asarray(phases, dtype=v_t.data.dtype),
         # Python-float sqrt(2): a NumPy float64 scalar would promote float32

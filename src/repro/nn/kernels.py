@@ -23,8 +23,12 @@ Kernel signature::
   replay.  Values the VJP reads are kept there with :func:`_scratch`;
   forward-only scratch comes from :func:`_tmp`, which is a plain
   temporary in eager mode so an eager node holds no more than its VJP
-  needs.  An op whose caller lends it a :class:`Workspace` (through
-  ``attrs``) takes its forward-only blocks from there instead.
+  needs, and in replay a view from the program's one workspace.  An op
+  whose caller lends it a :class:`Workspace` (through ``attrs``) takes
+  its forward-only blocks from there instead.
+* A buffer a ``vjp`` takes with :func:`_scratch` holds nothing on entry
+  (eager mode hands it out fresh), so replay may lay it in memory that
+  other gradients use at other times.
 * ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
 """
 
@@ -68,6 +72,11 @@ class Workspace:
             buf = self._buffers[(key, dtype)] = np.empty(size, dtype=dtype)
         return buf[:size].reshape(shape)
 
+    @property
+    def buffers(self) -> Dict[tuple, np.ndarray]:
+        """The flat buffers, by ``(key, dtype)``."""
+        return self._buffers
+
 
 class Kernel(NamedTuple):
     """One op of the table: its name and its forward / VJP functions."""
@@ -98,7 +107,11 @@ def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
 
 def _tmp(out, ctx: dict, key, shape, dtype, workspace: Optional[Workspace] = None) -> np.ndarray:
     """Forward-only scratch: from ``workspace`` when one is lent, else a
-    temporary in eager mode and a buffer reused across replays."""
+    temporary in eager mode and, in replay, a view from the program's
+    workspace (``ctx[Workspace]``, shared by all its instructions) or a
+    buffer kept in ``ctx`` when the program has none."""
+    if workspace is None and out is not None:
+        workspace = ctx.get(Workspace)
     if workspace is not None:
         return workspace.take(key, shape, dtype)
     if out is None:
@@ -886,12 +899,16 @@ def _k_normalize_rows():
 # --------------------------------------------------------------------------- #
 # Fused HSIC-RFF building blocks
 # --------------------------------------------------------------------------- #
-def _rff_inner(values: np.ndarray, freqs: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """``v * w + phi`` as ``(n, k)`` (one draw) or ``(c, k, n)`` (a draw per column)."""
+def _rff_inner(values: np.ndarray, freqs: np.ndarray, phis: np.ndarray, out=None) -> np.ndarray:
+    """``v * w + phi`` as ``(n, k)`` (one draw) or ``(c, k, n)`` (a draw per
+    column), into ``out`` when given."""
     if freqs.ndim == 1:
-        return values.reshape(-1, 1) * freqs + phis
-    columns = values.reshape(values.shape[0], -1).T[:, None, :]
-    return columns * freqs[:, :, None] + phis[:, :, None]
+        v, w, phi = values.reshape(-1, 1), freqs, phis
+    else:
+        v = values.reshape(values.shape[0], -1).T[:, None, :]
+        w, phi = freqs[:, :, None], phis[:, :, None]
+    out = np.multiply(v, w, out=out)
+    return np.add(out, phi, out=out)
 
 
 def _rff_values_grad(d_inner: np.ndarray, freqs: np.ndarray, shape: tuple) -> np.ndarray:
@@ -903,10 +920,16 @@ def _rff_values_grad(d_inner: np.ndarray, freqs: np.ndarray, shape: tuple) -> np
 
 @_kernel("rff_features")
 def _k_rff():
-    # sqrt(2) * cos(v * w + phi); the draws are constants
+    # sqrt(2) * cos(v * w + phi); the draws are constants.  Only values
+    # that need a gradient keep v * w + phi for the VJP; otherwise it is
+    # formed in the output and cos and sqrt(2) apply in place.
     def fwd(out, ins, attrs, ctx):
-        inner = ctx["inner"] = _rff_inner(ins[0], attrs["frequencies"], attrs["phis"])
-        out = np.cos(inner, out=out)
+        freqs, phis = attrs["frequencies"], attrs["phis"]
+        if attrs["values_grad"]:
+            inner = ctx["inner"] = _rff_inner(ins[0], freqs, phis)
+            out = np.cos(inner, out=out)
+        else:
+            out = np.cos(_rff_inner(ins[0], freqs, phis, out), out=out)
         return np.multiply(out, attrs["sqrt2"], out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):

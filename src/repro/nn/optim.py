@@ -611,11 +611,15 @@ def build_schedule(
     """Instantiate a registered schedule by name, optionally warmup-wrapped.
 
     ``params`` may override ``learning_rate``; unknown names raise the
-    registry's did-you-mean :class:`~repro.registry.UnknownComponentError`.
+    registry's did-you-mean :class:`~repro.registry.UnknownComponentError`,
+    and a parameter the schedule does not take raises ``ValueError``.
     """
     kwargs = dict(params or {})
     kwargs.setdefault("learning_rate", learning_rate)
-    schedule = SCHEDULE_REGISTRY.create(name, **kwargs)
+    try:
+        schedule = SCHEDULE_REGISTRY.create(name, **kwargs)
+    except TypeError as exc:  # an unknown or mistyped parameter
+        raise ValueError(f"schedule {name!r}: {exc}") from exc
     if warmup_steps:
         schedule = WarmupSchedule(schedule, warmup_steps)
     return schedule
@@ -627,6 +631,12 @@ def build_optimizer(
     schedule,
     params: Optional[dict] = None,
 ) -> Optimizer:
-    """Instantiate a registered optimiser by name over ``parameters``."""
+    """Instantiate a registered optimiser by name over ``parameters``.
+
+    A parameter in ``params`` the optimiser does not take raises ``ValueError``.
+    """
     cls = OPTIMIZER_REGISTRY.get(name)
-    return cls(parameters, schedule=schedule, **(params or {}))
+    try:
+        return cls(parameters, schedule=schedule, **(params or {}))
+    except TypeError as exc:  # an unknown or mistyped parameter
+        raise ValueError(f"optimizer {name!r}: {exc}") from exc

@@ -48,6 +48,32 @@ Replay reproduces eager results bit for bit, by construction:
 
 Replay skips instructions whose inputs never change (constant folding) and
 instructions the loss does not depend on.
+
+Memory plan
+-----------
+A program plans where its kernels' buffers live; the arithmetic and its
+order stay those of eager mode.
+
+* **Workspace.**  Forward-only scratch (a kernel's ``_tmp`` buffers, such
+  as ELU's ``t`` or the RBF-MMD sweep's rows and tile) comes from one
+  program-owned :class:`~repro.nn.kernels.Workspace`, keyed by name and
+  shared by every instruction.  This is safe because eager mode hands such
+  a buffer out as a plain temporary, so no VJP can read one.
+* **Gradient arena.**  The buffers the VJPs take in ``ctx`` (their
+  gradients and scratch) and the fan-in buffers get offsets in one arena,
+  laid out after the first run by interval colouring over the backward
+  schedule (:meth:`ReplayProgram._plan`).  A buffer is born at the VJP that
+  writes it, or a fan-in buffer at its first contribution, and dies after
+  the last step that reads a gradient held in it, views included; a
+  parameter's gradient lives to the end of the run.  Two buffers share
+  bytes only when their lifetimes do not overlap.
+* **Kept as they are:** op outputs, the root seed, ``const``/``param``
+  slots, and what a forward saves for its VJP.
+
+:data:`POISON_FREED` (tests only) fills each arena range with NaN after
+its last reader, and the workspace after each forward call, so a read of
+a dead buffer shows in the results; :data:`PLAN_MEMORY` off (tests only)
+builds unplanned programs.
 """
 
 from __future__ import annotations
@@ -56,7 +82,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import Kernel, TapeStale, _unbroadcast
+from .kernels import Kernel, TapeStale, Workspace, _unbroadcast
 from .tensor import Tensor, _TAPE
 
 __all__ = [
@@ -67,6 +93,20 @@ __all__ = [
     "dynamic",
     "recording_active",
 ]
+
+
+#: Give each program a workspace for its kernels' forward-only scratch and,
+#: after its first run, one arena for its gradient buffers.  Read when a
+#: program is built; tests switch it off to measure an unplanned program.
+PLAN_MEMORY = True
+
+#: Fill each arena range with NaN after its last reader, and the workspace
+#: after each forward call, so that a read of a dead buffer shows as NaN in
+#: a result.  Read at run time; tests switch it on.
+POISON_FREED = False
+
+#: Byte alignment of each buffer in a program's gradient arena.
+_ALIGN = 64
 
 
 class GraphReplayError(RuntimeError):
@@ -317,6 +357,10 @@ class ReplayProgram:
     leaf gradients, and returns the loss as a float.  Parameter ``.grad``
     attributes point at the program's pending buffers — values bitwise equal
     to what eager backprop would have produced.
+
+    With :data:`PLAN_MEMORY` the program owns one :attr:`workspace` for its
+    kernels' forward-only scratch, and its first run ends in :meth:`_plan`,
+    which lays the gradient buffers out in one :attr:`arena`.
     """
 
     def __init__(self, recorder: TapeRecorder, root: int) -> None:
@@ -417,6 +461,17 @@ class ReplayProgram:
             )
         self._received = bytearray(len(self.slots))
 
+        #: ``_schedule`` with a ``(2, arena range)`` entry after each range's
+        #: last reader; the run reads it under :data:`POISON_FREED`.
+        self._poisoned = self._schedule
+        self.arena: Optional[np.ndarray] = None
+        self.workspace: Optional[Workspace] = None
+        if PLAN_MEMORY:
+            # Every instruction's _tmp takes from this one workspace.
+            self.workspace = Workspace()
+            for instr in self.instructions:
+                instr.ctx[Workspace] = self.workspace
+
     def _fold(self) -> None:
         """Mark the instructions replay never re-executes.
 
@@ -479,15 +534,27 @@ class ReplayProgram:
             for key, pidx, pos in instr.dyn_attrs:
                 attrs[key] = pouts[pidx][pos]
             instr.run_attrs = attrs
-        for instr, out_buf in self._fwd_instrs:
-            instr.fwd(out_buf, instr.ins, instr.run_attrs, instr.ctx)
+        poison = POISON_FREED
+        if poison and self.workspace is not None:
+            for instr, out_buf in self._fwd_instrs:
+                instr.fwd(out_buf, instr.ins, instr.run_attrs, instr.ctx)
+                for buf in self.workspace.buffers.values():
+                    _poison(buf)
+        else:
+            for instr, out_buf in self._fwd_instrs:
+                instr.fwd(out_buf, instr.ins, instr.run_attrs, instr.ctx)
+        # The first run notes what the forward wrote into ctx: the VJPs
+        # read it, so the plan leaves it where it is.
+        saved = None
+        if self.workspace is not None and self.arena is None:
+            saved = {id(value) for instr in self.instructions for value in instr.ctx.values()}
 
         pending = self._pending
         received = self._received
         for sid in self._multi_sids:
             received[sid] = 0
-        for tag, item in self._schedule:
-            if tag:
+        for tag, item in self._poisoned if poison else self._schedule:
+            if tag == 1:
                 instr = item
                 grads = instr.vjp(
                     pending[instr.out], instr.ins, bufs[instr.out],
@@ -509,9 +576,80 @@ class ReplayProgram:
                         else:
                             np.copyto(buf, ub)
                             received[psid] = 1
+            elif tag:
+                _poison(item)  # an arena range after its last reader
             else:
                 slot = item
                 slot.tensor.grad = pending[slot.index]
         for param in self.extra_params:
             param.grad = None
+        if saved is not None:
+            self._plan(saved)
         return float(bufs[self.root])
+
+    def _plan(self, saved: set) -> None:
+        """Lay the gradient buffers of the first run out in one arena.
+
+        See "Memory plan" above.  Planned are the fan-in buffers and the
+        ctx arrays the VJPs took in this run: ids not in ``saved``, which
+        the forward wrote.  A step's buffers overlap in lifetime, so a VJP
+        never writes where its input gradient lies.
+        """
+        end = len(self._schedule)
+        grads, self._pending = self._pending, {self.root: self._seed}
+        for sid in self._multi_sids:
+            self._pending[sid] = grads[sid]
+        # Per planned buffer, by the id of the array: [array, the dict that
+        # holds it, its key there, birth step, death step].
+        spans: Dict[int, list] = {}
+        reader: Dict[int, int] = {}  # slot -> the step that reads its gradient
+        for step, (tag, item) in enumerate(self._schedule):
+            if not tag:
+                reader[item.index] = end
+                continue
+            reader[item.out] = step
+            for key, value in item.ctx.items():
+                if isinstance(value, np.ndarray) and value.base is None and id(value) not in saved:
+                    spans[id(value)] = [value, item.ctx, key, step, step]
+            for _, psid, single, _ in item.route:
+                if not single and id(grads[psid]) not in spans:
+                    spans[id(grads[psid])] = [grads[psid], self._pending, psid, step, step]
+        # A gradient left in _pending, view or not, keeps the array that
+        # owns its memory alive until the gradient's reader.
+        for sid, grad in grads.items():
+            while isinstance(grad.base, np.ndarray):
+                grad = grad.base
+            span = spans.get(id(grad))
+            if span is not None:
+                span[4] = max(span[4], reader[sid])
+
+        # Largest first, each at the lowest offset free of every placed
+        # buffer whose lifetime overlaps its own.
+        order = sorted(spans.values(), key=lambda span: -span[0].nbytes)
+        placed: List[Tuple[int, int, int, int]] = []  # (start, stop, birth, death)
+        for array, _, _, birth, death in order:
+            nbytes = -(-array.nbytes // _ALIGN) * _ALIGN
+            start = 0
+            for lo, hi, other_birth, other_death in sorted(placed):
+                if other_birth <= death and birth <= other_death:
+                    if start + nbytes <= lo:
+                        break
+                    start = max(start, hi)
+            placed.append((start, start + nbytes, birth, death))
+
+        self.arena = np.empty(max((hi for _, hi, _, _ in placed), default=0), dtype=np.uint8)
+        dead: Dict[int, list] = {}
+        for (array, owner, key, _, death), (start, _, _, _) in zip(order, placed):
+            memory = self.arena[start:start + array.nbytes]
+            owner[key] = memory.view(array.dtype).reshape(array.shape)
+            if death < end:
+                dead.setdefault(death, []).append(memory)
+        self._poisoned = []
+        for step, entry in enumerate(self._schedule):
+            self._poisoned.append(entry)
+            self._poisoned.extend((2, memory) for memory in dead.get(step, ()))
+
+
+def _poison(buf: np.ndarray) -> None:
+    """Set every byte of ``buf`` to 0xFF: a NaN in every float dtype."""
+    buf.view(np.uint8).fill(0xFF)

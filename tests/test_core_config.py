@@ -87,6 +87,24 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match="learning_rate"):
             SBRLConfig.from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"lr_schedule_params": {"learning_rate": float("nan")}}, "learning rate"),
+            ({"optimizer_params": {"weight_decay": float("nan")}}, "weight_decay"),
+            ({"optimizer_params": {"momentm": 0.9}}, "'adam'.*'momentm'"),
+            ({"lr_schedule_params": {"decay_sptes": 10}}, "'exponential'.*'decay_sptes'"),
+            ({"lr_schedule": "step", "lr_schedule_params": {"step_size": 0}}, "step size"),
+            ({"optimizer": "sgd", "optimizer_params": {"momentum": float("nan")}}, "momentum"),
+        ],
+        ids=["schedule-nan-rate", "nan-weight-decay", "unknown-optimizer-key",
+             "unknown-schedule-key", "zero-step-size", "nan-momentum"],
+    )
+    def test_optimizer_and_schedule_params_fail_at_construction(self, fields, match):
+        """Each of these constructed and failed only when a fit built its optimizer."""
+        with pytest.raises(ValueError, match=match):
+            TrainingConfig(**fields)
+
 
 class TestPresets:
     def test_all_published_datasets_present(self):

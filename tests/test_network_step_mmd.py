@@ -13,7 +13,8 @@ The value and all four gradients must match it within a relative 1e-12,
 also with the tile shrunk so that arm boundaries fall inside tiles and
 last tiles are ragged.  It also pins the memory picture: an eager call and
 a recorded full-batch CFR + ``mmd_rbf`` network step keep no array of
-``n_c · n_t`` elements, and a float32 step stays in float32.
+``n_c · n_t`` elements (the step counts its ctx, its workspace and its
+gradient arena), and a float32 step stays in float32.
 """
 
 from __future__ import annotations
@@ -297,8 +298,15 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
     )
     estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=config, seed=2)
     estimator.fit(train)
-    replay = estimator.trainer._replay
-    assert replay.stats["hits"] >= 1, replay.stats
+    # A fit releases its programs: record one with a step after it, and run
+    # it twice, so the program has planned its memory and run planned.
+    trainer = estimator.trainer
+    train_std = train.standardize()[0]
+    with dtype_scope("float64"):
+        for _ in range(3):
+            trainer._network_step(train_std.covariates, train_std.treatment, train_std.outcome)
+    replay = trainer._replay
+    assert trainer.last_step_stats["replay_hit"] is True
     [(program, _, _)] = replay._cache.values()
 
     ops = [instr.op for instr in program.instructions]
@@ -309,11 +317,18 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
 
     # n_c·n_t exceeds the tile buffer and every row buffer of the sweep, so
     # an array that large could only be a kernel block (or worse).
+    # The sweep's tile now lives in the program's workspace, and gradient
+    # buffers in its arena: the check covers ctx, the workspace and the
+    # arena, in bytes.
     n_treated = int(train.treatment.sum())
-    limit = (len(train) - n_treated) * n_treated
+    limit = (len(train) - n_treated) * n_treated * 8
     width = fused.ins[0].shape[1]
-    assert limit > kernels.RBF_MMD_TILE ** 2 and limit > len(train) * (width + 2)
-    assert fused.ctx["tile"].size == kernels.RBF_MMD_TILE ** 2
+    assert limit > kernels.RBF_MMD_TILE ** 2 * 8 and limit > len(train) * (width + 2) * 8
+    tile = program.workspace.buffers[("tile", np.dtype(np.float64))]
+    assert tile.size == kernels.RBF_MMD_TILE ** 2
+    assert program.arena is not None and program.arena.nbytes < limit
+    for buf in program.workspace.buffers.values():
+        assert buf.nbytes < limit, buf.shape
     for instr in program.instructions:
         stack = list(instr.ctx.values())
         while stack:
@@ -321,4 +336,4 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
             if isinstance(item, (tuple, list)):
                 stack.extend(item)
             elif isinstance(item, np.ndarray):
-                assert item.size < limit, (instr.op, item.shape)
+                assert item.nbytes < limit, (instr.op, item.shape)

@@ -8,7 +8,9 @@
 * ELU's in-place form equals the textbook ``np.where`` forms bit for bit,
   and rejects any alpha outside (0, inf);
 * the ``getitem`` VJP, which assigns when the index names distinct rows,
-  accumulates exactly as ``np.add.at``, also when replay redraws the index.
+  accumulates exactly as ``np.add.at``, also when replay redraws the index;
+* an ``rff_features`` node keeps ``v * w + phi`` only when its values need
+  a gradient, and its value is the old form's bit for bit either way.
 """
 
 from __future__ import annotations
@@ -264,3 +266,30 @@ def test_replayed_gather_follows_an_index_redrawn_every_run():
         eager_loss.backward()
         assert value == eager_loss.item()
         np.testing.assert_array_equal(x.grad.view(np.uint64), eager.grad.view(np.uint64))
+
+
+# --------------------------------------------------------------------------- #
+# RFF features: v * w + phi is kept only for a gradient
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("matrix", [False, True], ids=["one-draw", "draw-per-column"])
+def test_rff_node_without_a_gradient_keeps_no_inner_and_equals_the_old_form(matrix):
+    """Without a gradient the kernel forms v * w + phi in the output itself."""
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(5, 2) if matrix else (5,))
+    freqs, phases = (_FREQS, _PHASES) if matrix else (_FREQS[0], _PHASES[0])
+    if matrix:
+        inner = values.T[:, None, :] * freqs[:, :, None] + phases[:, :, None]
+    else:
+        inner = values.reshape(-1, 1) * freqs + phases
+    expected = np.multiply(np.cos(inner), 2.0 ** 0.5)
+    kernel = KERNELS["rff_features"]
+    for values_grad in (False, True):
+        attrs = {"frequencies": freqs, "phis": phases, "sqrt2": 2.0 ** 0.5, "values_grad": values_grad}
+        ctx: dict = {}
+        out = kernel.fwd(None, [values], attrs, ctx)
+        assert ("inner" in ctx) is values_grad
+        np.testing.assert_array_equal(out.view(np.uint64), expected.view(np.uint64))
+    constant = F.rff_features(values, freqs, phases)
+    np.testing.assert_array_equal(constant.data.view(np.uint64), expected.view(np.uint64))
+    leaf = Tensor(values, requires_grad=True)
+    assert F.rff_features(leaf, freqs, phases)._backward[1]["values_grad"] is True

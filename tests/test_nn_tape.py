@@ -18,7 +18,11 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   one-sided ``clip`` give eager == replay, bit for bit;
 * replay skips instructions the loss does not read (DeR-CFR's propensity);
 * a fitted trainer is freed by reference counting (no trainer <-> replay
-  cycle), and a fitted estimator still deep-copies and refits.
+  cycle), a finished fit keeps no program (deep copies copy none), and a
+  fitted estimator still deep-copies and refits;
+* planned runs (the second onward) equal eager, also with every dead arena
+  range and the workspace poisoned with NaN, and a planned program holds
+  at most 0.65x the bytes of the same program unplanned.
 """
 
 from __future__ import annotations
@@ -36,10 +40,10 @@ from repro.core.estimator import HTEEstimator
 from repro.core.loop import Callback
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.nn import functional as F
-from repro.nn import kernels
+from repro.nn import kernels, tape
 from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
-from repro.nn.tape import GraphReplayError, TapeRecorder
+from repro.nn.tape import GraphReplayError, ReplayProgram, TapeRecorder
 from repro.nn.tensor import Tensor, dtype_scope, tensor_alloc_count
 
 
@@ -231,21 +235,24 @@ def _fused_kernel_cases():
 def _assert_replay_and_stacked_equal_eager(case):
     """Replay after an in-place parameter update equals eager at the new values.
 
-    The name is kept from when the helper also checked a stacked program.
+    The first run plans the program's memory, so a second run at a fourth
+    draw checks a planned run.  The name is kept from when the helper also
+    checked a stacked program.
     """
     build, makers = _fused_kernel_cases()[case]
     rng = np.random.default_rng(3)
     # The middle draw only advances the stream, so every case keeps the
     # values it has always been checked at.
-    recorded, _, refreshed = ([make(rng) for make in makers] for _ in range(3))
+    recorded, _, refreshed, planned = ([make(rng) for make in makers] for _ in range(4))
     program, leaves = _record(build, recorded)
-    for leaf, values in zip(leaves, refreshed):
-        leaf.data[...] = values
-    value = program.run()
-    eager_value, eager_grads = _eager(build, refreshed)
-    assert value == eager_value
-    for leaf, grad in zip(leaves, eager_grads):
-        np.testing.assert_array_equal(leaf.grad, grad)
+    for values in (refreshed, planned):
+        for leaf, leaf_values in zip(leaves, values):
+            leaf.data[...] = leaf_values
+        value = program.run()
+        eager_value, eager_grads = _eager(build, values)
+        assert value == eager_value
+        for leaf, grad in zip(leaves, eager_grads):
+            np.testing.assert_array_equal(leaf.grad, grad)
 
 
 class TestFusedKernelReplay:
@@ -369,6 +376,19 @@ class TestReplayLifetime:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("batch_size", [None, 64], ids=["full-batch", "minibatch-fallback"])
+    def test_a_finished_fit_keeps_no_program_but_keeps_its_stats(self, protocol, batch_size):
+        replay = _fit(protocol, _config(batch_size)).trainer._replay
+        assert replay.stats["records"] > 0, replay.stats
+        assert replay.stats["hits" if batch_size is None else "fallbacks"] > 0, replay.stats
+        assert not replay._cache
+
+    def test_deepcopy_of_a_fitted_estimator_copies_no_program(self, protocol):
+        estimator = _fit(protocol, _config(iterations=6))
+        memo: dict = {}
+        copy.deepcopy(estimator, memo)
+        assert not any(isinstance(value, ReplayProgram) for value in memo.values())
+
     def test_deepcopy_of_a_fitted_estimator_refits(self, protocol):
         estimator = _fit(protocol, _config(iterations=6))
         dataset = protocol["test_environments"][2.5]
@@ -379,6 +399,103 @@ class TestReplayLifetime:
         candidate.refit(protocol["train"], init="fitted", epochs=4)
         assert candidate.trainer._replay.stats["hits"] > 0
         assert estimator.evaluate(dataset) == before
+
+
+def _resident_bytes(program):
+    """Bytes of the memory a program's ctx, ``_pending``, arena and
+    workspace hold, each block counted once, views included."""
+    arrays = [value for instr in program.instructions for value in instr.ctx.values()]
+    arrays += list(program._pending.values())
+    if program.workspace is not None:
+        arrays += list(program.workspace.buffers.values())
+    if program.arena is not None:
+        arrays.append(program.arena)
+    owners = {}
+    for array in arrays:
+        if not isinstance(array, np.ndarray):
+            continue
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        owners[id(array)] = array
+    return sum(array.nbytes for array in owners.values())
+
+
+class TestMemoryPlan:
+    """Planned runs equal eager, also with every dead buffer filled with NaN."""
+
+    @pytest.mark.parametrize("case", sorted(_fused_kernel_cases()))
+    def test_fused_kernels_under_poison(self, case, monkeypatch):
+        monkeypatch.setattr(tape, "POISON_FREED", True)
+        _assert_replay_and_stacked_equal_eager(case)
+
+    @pytest.mark.parametrize("case", [c for c in sorted(_fused_kernel_cases()) if "rbf-mmd" in c])
+    def test_rbf_mmd_at_a_small_tile_under_poison(self, case, monkeypatch):
+        monkeypatch.setattr(tape, "POISON_FREED", True)
+        monkeypatch.setattr(kernels, "RBF_MMD_TILE", 4)
+        _assert_replay_and_stacked_equal_eager(case)
+
+    @pytest.mark.parametrize("backbone", ["cfr", "dercfr"])
+    def test_sbrl_hap_fit_under_poison_equals_eager(self, protocol, backbone, monkeypatch):
+        monkeypatch.setattr(tape, "POISON_FREED", True)
+        replayed = _fit(protocol, _config(), backbone=backbone)
+        eager = _fit(protocol, _config(graph_replay="off"), backbone=backbone)
+        assert replayed.trainer._replay.stats["hits"] > 1
+        for dataset in protocol["test_environments"].values():
+            assert replayed.evaluate(dataset) == eager.evaluate(dataset)
+        history_replayed = replayed.training_history().as_dict()
+        history_eager = eager.training_history().as_dict()
+        for key in ("network_loss", "validation_loss"):
+            assert history_replayed[key] == history_eager[key]
+
+    def test_poison_fills_a_dead_gradient_and_the_workspace(self, monkeypatch):
+        """The outer ELU's gradient dies at the inner ELU's VJP and is poisoned there."""
+        monkeypatch.setattr(tape, "POISON_FREED", True)
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(6, 4))
+
+        def build(x):
+            return (x.elu().elu() * weights).sum()
+
+        arrays = [rng.normal(size=(6, 4))]
+        program, leaves = _record(build, arrays)
+        for _ in range(2):
+            value = program.run()
+        assert program.arena is not None and program.arena.size > 0
+        outer = [instr for instr in program.instructions if instr.op == "elu"][1]
+        assert np.isnan(outer.ctx["g"]).all()
+        assert all(np.isnan(buf).all() for buf in program.workspace.buffers.values())
+        eager_value, [eager_grad] = _eager(build, arrays)
+        assert value == eager_value
+        np.testing.assert_array_equal(leaves[0].grad, eager_grad)
+
+    def test_planned_program_holds_at_most_065_of_an_unplanned_one(self, monkeypatch):
+        """ctx, fan-in buffers, arena and workspace of an n = 400 CFR+SBRL-HAP
+        program after 3 runs, against the same program unplanned."""
+        generator = SyntheticGenerator(SyntheticConfig(seed=3))
+        train = generator.generate_train_test_protocol(num_samples=400, seed=3)["train"]
+        train_std = train.standardize()[0]
+        arrays = (train_std.covariates, train_std.treatment, train_std.outcome)
+        config = SBRLConfig(
+            backbone=BackboneConfig(rep_layers=3, rep_units=16, head_layers=3, head_units=8),
+            regularizers=RegularizerConfig(
+                ipm_kind="mmd_rbf", max_pairs_per_layer=6, subsample_threshold=None
+            ),
+            training=TrainingConfig(iterations=2, early_stopping_patience=None, seed=3),
+        )
+
+        def resident(plan):
+            monkeypatch.setattr(tape, "PLAN_MEMORY", plan)
+            estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=config, seed=3)
+            estimator.fit(train)
+            trainer = estimator.trainer
+            with dtype_scope("float64"):
+                for _ in range(4):  # one recording, three runs
+                    trainer._network_step(*arrays, None)
+            [(program, _, _)] = trainer._replay._cache.values()
+            assert (program.arena is not None) == plan
+            return _resident_bytes(program)
+
+        assert resident(True) <= 0.65 * resident(False)
 
 
 def _closure_elu(self, alpha=1.0):

@@ -172,6 +172,30 @@ class TestArtifactValidation:
         with pytest.raises(ArtifactError, match="learning_rate"):
             HTEEstimator.load(path)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"lr_schedule_params": {"learning_rate": float("nan")}}, "learning rate"),
+            ({"optimizer_params": {"weight_decay": float("nan")}}, "weight_decay"),
+            ({"optimizer_params": {"momentm": 0.9}}, "momentm"),
+            ({"lr_schedule": "step", "lr_schedule_params": {"step_size": 0}}, "step size"),
+        ],
+        ids=["schedule-nan-rate", "nan-weight-decay", "unknown-optimizer-key", "zero-step-size"],
+    )
+    def test_invalid_optimizer_or_schedule_params_rejected(
+        self, fitted_sbrl_hap, tmp_path, fields, match
+    ):
+        """Each of these loaded and served, and failed only at the first refit."""
+        path = fitted_sbrl_hap.save(tmp_path / "model")
+        manifest_path = os.path.join(path, MANIFEST_FILENAME)
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        manifest["config"]["training"].update(fields)
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ArtifactError, match=match):
+            HTEEstimator.load(path)
+
 
 class TestEstimatorProtocol:
     def test_get_params_round_trips_through_constructor(self, fast_config):
