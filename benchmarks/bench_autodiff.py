@@ -9,7 +9,7 @@ Writes ``BENCH_autodiff.json`` recording
   ``BENCH_training.json`` setting (directly comparable to the PR 2 80 s
   baseline),
 * compiled pure-NumPy inference vs the graph path and end-to-end
-  ``PredictionService`` single-row latency,
+  single-row latency of in-process ``ModelRegistry.predict``,
 * float64 vs opt-in float32 training throughput.
 
 Run from the repository root::
@@ -36,9 +36,9 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 from repro.experiments.autodiff_benchmark import (  # noqa: E402
     benchmark_autodiff,
     format_autodiff_benchmark,
-    write_benchmark,
 )
 from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
+from repro.experiments.reporting import write_record  # noqa: E402
 
 
 def check_regression(result: dict, baseline_path: str) -> int:
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_autodiff_benchmark(result))
-    path = write_benchmark(result, args.output)
+    path = write_record(result, args.output)
     print(f"\nwrote {path}")
     if args.check_against is not None:
         return check_regression(result, args.check_against)

@@ -37,9 +37,9 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 from repro.experiments.online_benchmark import (  # noqa: E402
     benchmark_online,
     format_online_benchmark,
-    write_benchmark,
 )
 from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
+from repro.experiments.reporting import write_record  # noqa: E402
 
 
 def check_regression(result: dict, baseline_path: str) -> int:
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_online_benchmark(result))
-    path = write_benchmark(result, args.output)
+    path = write_record(result, args.output)
     print(f"\nwrote {path}")
     failures = check_correctness(result)
     if args.check_against is not None:

@@ -49,6 +49,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 from dataclasses import replace  # noqa: E402
 
+from repro.experiments.reporting import write_record  # noqa: E402
 from repro.experiments.scenario_suite import (  # noqa: E402
     ScenarioSuiteConfig,
     compare_scenario_records,
@@ -57,7 +58,6 @@ from repro.experiments.scenario_suite import (  # noqa: E402
     merge_scenario_shards,
     report_error_cells,
     run_scenario_suite,
-    write_scenario_suite,
 )
 
 
@@ -147,7 +147,7 @@ def _cache_selftest(config: ScenarioSuiteConfig, output: str) -> int:
         "shard_merge_identical": not differences,
         "passed": failures == 0,
     }
-    print(f"\nwrote {write_scenario_suite(cold, output)}")
+    print(f"\nwrote {write_record(cold, output)}")
     return 1 if failures else 0
 
 
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
             return 1
         print(f"cell metrics identical to {args.check_against}")
 
-    path = write_scenario_suite(result, args.output)
+    path = write_record(result, args.output)
     print(f"\nwrote {path}")
     return report_error_cells(result)
 

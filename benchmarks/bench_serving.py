@@ -33,10 +33,10 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
+from repro.experiments.reporting import write_record  # noqa: E402
 from repro.experiments.serving_benchmark import (  # noqa: E402
     benchmark_serving,
     format_serving_benchmark,
-    write_benchmark,
 )
 
 
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_serving_benchmark(result))
-    path = write_benchmark(result, args.output)
+    path = write_record(result, args.output)
     print(f"\nwrote {path}")
     failures = check_correctness(result)
     if args.check_against is not None:

@@ -29,10 +29,10 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
+from repro.experiments.reporting import write_record  # noqa: E402
 from repro.experiments.training_benchmark import (  # noqa: E402
     benchmark_training,
     format_benchmark,
-    write_benchmark,
 )
 
 
@@ -91,7 +91,7 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_benchmark(result))
-    path = write_benchmark(result, args.output)
+    path = write_record(result, args.output)
     print(f"\nwrote {path}")
     if args.check_against is not None:
         return check_regression(result, args.check_against)

@@ -37,7 +37,7 @@ from .data import (
 )
 from .metrics import ate_error, f1_score, pehe
 from .persistence import load_estimator, save_estimator
-from .serve import PredictionService
+from .serve import ModelRegistry
 
 __all__ = [
     "__version__",
@@ -63,7 +63,7 @@ __all__ = [
     "load_benchmark",
     "save_estimator",
     "load_estimator",
-    "PredictionService",
+    "ModelRegistry",
     "pehe",
     "ate_error",
     "f1_score",

@@ -34,7 +34,7 @@ from .core.config import SBRLConfig
 from .core.estimator import HTEEstimator
 from .data.loaders import available_benchmarks, load_benchmark
 from .diagnostics import assess_ood_level
-from .serve import PredictionService
+from .serve import ModelRegistry
 from .experiments import (
     experiment_config,
     figure3_pehe_curves,
@@ -47,6 +47,7 @@ from .experiments import (
     table2_ablation,
     table3_realworld,
     table6_training_cost,
+    write_record,
 )
 
 __all__ = ["main", "build_parser", "EXPERIMENTS"]
@@ -396,7 +397,6 @@ def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
     from .experiments.serving_benchmark import (
         benchmark_serving,
         format_serving_benchmark,
-        write_benchmark,
     )
 
     result = benchmark_serving(
@@ -410,7 +410,7 @@ def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
     )
     print(format_serving_benchmark(result))
     if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
+        print(f"wrote {write_record(result, args.output)}")
     failures = 0
     swap = result["hot_swap"]
     if swap["failed_requests"] or swap["frontend_failed_requests"]:
@@ -445,7 +445,6 @@ def _command_online_bench(args: argparse.Namespace) -> int:
     from .experiments.online_benchmark import (
         benchmark_online,
         format_online_benchmark,
-        write_benchmark,
     )
 
     result = benchmark_online(
@@ -458,7 +457,7 @@ def _command_online_bench(args: argparse.Namespace) -> int:
     )
     print(format_online_benchmark(result))
     if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
+        print(f"wrote {write_record(result, args.output)}")
     failures = 0
     if not result["gates"]["all_passed"]:
         print("FAIL: one or more online-serving acceptance gates failed")
@@ -508,20 +507,20 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     per_row = np.concatenate([estimator.predict_ite(row.reshape(1, -1)) for row in covariates])
     per_row_seconds = time.perf_counter() - start
 
-    service = PredictionService()
-    service.register_model("bench", estimator)
+    registry = ModelRegistry()
+    registry.deploy("bench", estimator)
     start = time.perf_counter()
-    batched = service.predict_many(requests, model="bench")
+    batched = registry.predict_many(requests, model="bench")
     batched_seconds = time.perf_counter() - start
     batched_ite = np.concatenate([result["ite"] for result in batched])
     if not np.allclose(per_row, batched_ite):
         raise SystemExit("serving results diverged from per-row predictions")
 
     start = time.perf_counter()
-    service.predict_many(requests, model="bench")
+    registry.predict_many(requests, model="bench")
     cached_seconds = time.perf_counter() - start
 
-    stats = service.stats("bench")["bench"]
+    stats = registry.stats("bench")["bench"]
     rows = [
         ["per-row predict_ite", per_row_seconds, args.rows / per_row_seconds, 1.0],
         ["microbatched predict_many", batched_seconds, args.rows / batched_seconds,
@@ -542,7 +541,6 @@ def _command_train_bench(args: argparse.Namespace) -> int:
     from .experiments.training_benchmark import (
         benchmark_training,
         format_benchmark,
-        write_benchmark,
     )
 
     result = benchmark_training(
@@ -554,7 +552,7 @@ def _command_train_bench(args: argparse.Namespace) -> int:
     )
     print(format_benchmark(result))
     if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
+        print(f"wrote {write_record(result, args.output)}")
     return 0
 
 
@@ -562,7 +560,6 @@ def _command_bench_autodiff(args: argparse.Namespace) -> int:
     from .experiments.autodiff_benchmark import (
         benchmark_autodiff,
         format_autodiff_benchmark,
-        write_benchmark,
     )
 
     result = benchmark_autodiff(
@@ -573,7 +570,7 @@ def _command_bench_autodiff(args: argparse.Namespace) -> int:
     )
     print(format_autodiff_benchmark(result))
     if args.output is not None:
-        print(f"wrote {write_benchmark(result, args.output)}")
+        print(f"wrote {write_record(result, args.output)}")
     return 0
 
 
@@ -584,7 +581,6 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         format_suite_summary,
         report_error_cells,
         run_scenario_suite,
-        write_scenario_suite,
     )
 
     checkpoint = args.checkpoint
@@ -614,7 +610,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
     if summary:
         print(summary)
     if args.output is not None:
-        print(f"wrote {write_scenario_suite(result, args.output)}")
+        print(f"wrote {write_record(result, args.output)}")
     return report_error_cells(result)
 
 
@@ -624,7 +620,6 @@ def _command_scenarios_merge(args: argparse.Namespace) -> int:
         format_suite_summary,
         merge_scenario_shards,
         report_error_cells,
-        write_scenario_suite,
     )
     from .experiments.scheduler import CheckpointError
 
@@ -638,7 +633,7 @@ def _command_scenarios_merge(args: argparse.Namespace) -> int:
     if summary:
         print(summary)
     if args.output is not None:
-        print(f"wrote {write_scenario_suite(result, args.output)}")
+        print(f"wrote {write_record(result, args.output)}")
     return report_error_cells(result)
 
 

@@ -130,12 +130,13 @@ class TrainingConfig:
     #: traffic for an opt-in speedup at the cost of ~1e-7-level numeric
     #: drift.  Evaluation metrics are always computed in float64.
     dtype: str = "float64"
-    #: Graph-replay mode.  ``"auto"`` (the default) records the network
-    #: step's forward/backward as a replayable kernel program on first
-    #: execution and replays it — bit-identically — on subsequent steps,
-    #: re-recording whenever the batch identity, shapes, dtype or config
-    #: change and falling back to eager (with a one-time warning) for ops
-    #: without a replay kernel.  ``"off"`` always executes eagerly.
+    #: Graph-replay mode.  ``"auto"`` (the default) records a full-batch
+    #: fit's network step forward/backward as a replayable kernel program
+    #: on first execution and replays it — bit-identically — on subsequent
+    #: steps, re-recording whenever the batch identity, shapes, dtype or
+    #: config change and falling back to eager (with a one-time warning)
+    #: for ops without a replay kernel; minibatch fits run eagerly.
+    #: ``"off"`` always executes eagerly.
     graph_replay: str = "auto"
     #: Network optimiser, resolved through :data:`repro.registry.optimizers`
     #: (``"adam"``, ``"adamw"``, ``"rmsprop"``, ``"sgd"``).  All registered

@@ -263,7 +263,10 @@ class SBRLTrainer:
                 )
 
         self._optimizer = build_training_optimizer(self.backbone.parameters(), cfg)
-        self._replay = NetworkStepReplay() if cfg.graph_replay == "auto" else None
+        # Only full-batch fits can reuse a recorded step: a minibatch loader
+        # hands every step fresh arrays.
+        replays = cfg.graph_replay == "auto" and cfg.batch_size is None
+        self._replay = NetworkStepReplay() if replays else None
 
         if self.uses_weights:
             self.sample_weights = SampleWeights(
@@ -340,8 +343,8 @@ class SBRLTrainer:
         indices: Optional[np.ndarray] = None,
     ) -> float:
         """One gradient step on the network parameters, weights held fixed."""
-        if self._replay is not None:
-            return self._replay.step(self, covariates, treatment, outcome, indices)
+        if self._replay is not None and indices is None:
+            return self._replay.step(self, covariates, treatment, outcome)
         loss = self._network_forward_backward(covariates, treatment, outcome, indices)
         self._optimizer.step()
         self.last_step_stats = {"replay_hit": False, "graph_nodes": None}

@@ -17,7 +17,7 @@ from .protocols import (
     twins_protocol,
 )
 from .cache import ResultCache, default_version_tag, unit_cache_key
-from .reporting import format_matrix, format_series, format_table
+from .reporting import format_matrix, format_series, format_table, machine_block, write_record
 from .runner import (
     MethodResult,
     MethodSpec,
@@ -38,7 +38,6 @@ from .scenario_suite import (
     merge_scenario_shards,
     run_scenario_suite,
     scenario_cell_metrics,
-    write_scenario_suite,
 )
 from .scheduler import (
     CheckpointError,
@@ -112,13 +111,14 @@ __all__ = [
     "degradation_slope",
     "format_scenario_suite",
     "format_suite_summary",
-    "write_scenario_suite",
     "scenario_cell_metrics",
     "compare_scenario_records",
     "SearchSpace",
     "SearchTrial",
     "random_search",
     "format_table",
+    "machine_block",
+    "write_record",
     "format_series",
     "format_matrix",
 ]

@@ -9,7 +9,9 @@ Quantifies the PR-4 engine overhaul along four axes:
   optimisation iteration at the ``BENCH_training.json`` full-batch setting,
   directly comparable to the committed PR-2 baseline (80.2 s / 40 it);
 * **serving** — compiled pure-NumPy inference vs the graph path at
-  request-sized batches, plus end-to-end :class:`PredictionService` latency;
+  request-sized batches, plus end-to-end single-row latency of the
+  in-process :meth:`ModelRegistry.predict
+  <repro.serve.registry.ModelRegistry.predict>` path;
 * **dtype** — float64 vs opt-in float32 training throughput.
 
 ``benchmarks/bench_autodiff.py`` wraps this module as a CI-runnable script
@@ -19,9 +21,6 @@ Quantifies the PR-4 engine overhaul along four axes:
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 from typing import Callable, Dict, Optional
 
@@ -34,16 +33,16 @@ from ..metrics.hsic import RandomFourierFeatures, pairwise_decorrelation_loss
 from ..metrics.ipm import mmd_rbf_weighted
 from ..nn import functional as F
 from ..nn.tensor import Tensor, as_tensor, dtype_scope, graph_node_count, tensor_alloc_count
-from ..serve import PredictionService
-from .reporting import format_table
+from ..serve import ModelRegistry
+from .reporting import format_table, machine_block
 from .training_benchmark import _engine_config
 
-__all__ = ["benchmark_autodiff", "format_autodiff_benchmark", "write_benchmark"]
+__all__ = ["benchmark_autodiff", "format_autodiff_benchmark"]
 
 #: Seconds-per-iteration of the PR-2 full-batch baseline (committed
 #: BENCH_training.json: 80.17 s over 40 iterations at the same setting).
 PR2_FULL_BATCH_SECONDS_PER_ITERATION = 80.174 / 40.0
-#: Single-row PredictionService latency of the PR-2 code, measured on the
+#: Single-row in-process serving latency of the PR-2 code, measured on the
 #: same container with the protocol of the serving section below.
 PR2_SERVICE_SINGLE_ROW_SECONDS = 225.5e-6
 
@@ -329,17 +328,17 @@ def _serving_section(num_samples: int, rows_grid, service_rows: int, seed: int) 
             "speedup": float(graph / compiled),
         }
 
-    service = PredictionService()
-    service.register_model("bench", estimator)
+    registry = ModelRegistry()
+    registry.deploy("bench", estimator)
     pool = rng.normal(size=(service_rows, num_features))
     cursor = [0]
 
     def one_request():
-        service.predict(pool[cursor[0] % service_rows])
+        registry.predict(pool[cursor[0] % service_rows])
         cursor[0] += 1
 
     # Every timing pass must stay inside the unique-row pool: wrapping would
-    # hit the service's LRU cache and report warm- instead of cold-path
+    # hit the version's LRU cache and report warm- instead of cold-path
     # latency (passes=3 plus the warm-up call).
     single_row = timed(one_request, min(1000, (service_rows - 1) // 4))
     return {
@@ -379,11 +378,7 @@ def benchmark_autodiff(
     result: Dict[str, object] = {
         "benchmark": "autodiff-hot-path",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "per_op": _per_op_section(per_op_samples, per_op_repeats, seed),
         "training_step": step,
         "graph_replay": _graph_replay_section(step_samples, seed, smoke),
@@ -505,11 +500,3 @@ def format_autodiff_benchmark(result: Dict[str, object]) -> str:
         title="Training precision (TrainingConfig.dtype)",
     )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

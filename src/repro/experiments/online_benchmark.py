@@ -22,10 +22,7 @@ end and produces the committed ``BENCH_online.json``:
 from __future__ import annotations
 
 import copy
-import json
 import math
-import os
-import platform
 import time
 from typing import Dict, List, Optional, Sequence
 
@@ -33,12 +30,11 @@ from ..core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from ..core.estimator import HTEEstimator
 from ..serve import DriftMonitor, DriftSchedule, OnlineServingLoop, ServingFrontend
 from ..serve.online import DriftStream, concat_datasets, drift_stream, pehe_against_truth
-from .reporting import format_table
+from .reporting import format_table, machine_block
 
 __all__ = [
     "benchmark_online",
     "format_online_benchmark",
-    "write_benchmark",
     "RECOVERY_FLOOR",
     "LATENCY_RATIO_CEILING",
 ]
@@ -317,11 +313,7 @@ def benchmark_online(
     result: Dict[str, object] = {
         "benchmark": "online-serving",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "config": {
             "num_samples": num_samples,
             "train_iterations": train_iterations,
@@ -424,11 +416,3 @@ def format_online_benchmark(result: Dict[str, object]) -> str:
         title=f"Acceptance gates ({'PASS' if gates['all_passed'] else 'FAIL'})",
     )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

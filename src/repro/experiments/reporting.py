@@ -1,15 +1,38 @@
-"""Plain-text reporting helpers for tables and figures.
+"""Plain-text reporting helpers for tables and figures, and the record writer.
 
 The benchmarks print their results as aligned text tables (the closest
 analogue of the paper's LaTeX tables that works in a terminal and in
-``bench_output.txt``).  The helpers here are deliberately dependency-free.
+``bench_output.txt``) and write their JSON records through
+:func:`write_record`, each with the :func:`machine_block` of the host that
+produced it.  The helpers here are deliberately dependency-free.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
 from typing import Dict, List, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "format_matrix"]
+__all__ = ["format_table", "format_series", "format_matrix", "machine_block", "write_record"]
+
+
+def machine_block() -> Dict[str, object]:
+    """The ``machine`` block of a benchmark record: the producing host."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+    }
+
+
+def write_record(record: Mapping[str, object], path: str) -> str:
+    """Write a benchmark record as ``json.dumps(record, indent=2)`` plus a
+    newline (keys in insertion order); returns the path."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+    return path
 
 
 def format_table(

@@ -34,10 +34,7 @@ full-severity run.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import platform
 import sys
 import time
 from dataclasses import dataclass, field
@@ -49,7 +46,7 @@ from ..registry import scenarios as SCENARIO_REGISTRY
 from ..scenarios import Scenario, available_scenarios, build_scenario
 from .cache import ResultCache
 from .protocols import experiment_config, get_scale
-from .reporting import format_table
+from .reporting import format_table, machine_block
 from .runner import MethodSpec, MethodResult
 from .scheduler import (
     CheckpointError,
@@ -70,7 +67,6 @@ __all__ = [
     "degradation_slope",
     "format_scenario_suite",
     "format_suite_summary",
-    "write_scenario_suite",
     "scenario_cell_metrics",
     "compare_scenario_records",
     "count_error_cells",
@@ -413,14 +409,6 @@ def _scenario_records(
     return scenario_records
 
 
-def _machine_block() -> Dict[str, object]:
-    return {
-        "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-    }
-
-
 def _cache_block(
     config: ScenarioSuiteConfig, outcomes: Mapping[str, UnitOutcome]
 ) -> Dict[str, object]:
@@ -568,7 +556,7 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
 
     return {
         "benchmark": "scenario-matrix",
-        "machine": _machine_block(),
+        "machine": machine_block(),
         "suite": {
             "num_samples": config.num_samples,
             "replications": config.replications,
@@ -698,7 +686,7 @@ def merge_scenario_shards(
     aggregate_seconds = time.perf_counter() - start
     return {
         "benchmark": "scenario-matrix",
-        "machine": _machine_block(),
+        "machine": machine_block(),
         "suite": {
             "num_samples": grid["num_samples"],
             "replications": replications,
@@ -808,14 +796,6 @@ def format_suite_summary(result: Mapping[str, object]) -> str:
         if pieces:
             lines.append("cache: " + ", ".join(pieces))
     return "\n".join(lines)
-
-
-def write_scenario_suite(result: Mapping[str, object], path: str) -> str:
-    """Write the suite record as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2)
-        handle.write("\n")
-    return path
 
 
 def count_error_cells(record: Mapping[str, object]) -> Tuple[int, int]:

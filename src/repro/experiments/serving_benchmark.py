@@ -22,9 +22,7 @@ the CLI.
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 import tempfile
 import threading
 import time
@@ -36,9 +34,9 @@ from ..core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from ..core.estimator import HTEEstimator
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from ..serve import ServingFrontend
-from .reporting import format_table
+from .reporting import format_table, machine_block
 
-__all__ = ["benchmark_serving", "format_serving_benchmark", "write_benchmark"]
+__all__ = ["benchmark_serving", "format_serving_benchmark"]
 
 #: (num_samples, train_iterations, concurrency, requests_per_thread,
 #:  sweep_concurrencies, sweep_requests_per_thread, swap_requests_per_thread,
@@ -421,11 +419,7 @@ def benchmark_serving(
     result: Dict[str, object] = {
         "benchmark": "serving-frontend",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "model": {
             "backbone": "cfr",
             "framework": "vanilla",
@@ -520,11 +514,3 @@ def format_serving_benchmark(result: Dict[str, object]) -> str:
         title="Hot swap under load",
     )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

@@ -21,9 +21,6 @@ exposes it from the CLI.
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -32,10 +29,10 @@ from ..core.estimator import HTEEstimator
 from ..core.loop import Callback
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from .protocols import experiment_config, get_scale
-from .reporting import format_table
+from .reporting import format_table, machine_block
 from .runner import default_method_grid, run_methods
 
-__all__ = ["benchmark_training", "format_benchmark", "write_benchmark"]
+__all__ = ["benchmark_training", "format_benchmark"]
 
 #: (num_samples, batch_size, full_batch_epochs, minibatch_epochs,
 #:  grid_num_samples, n_jobs, optimizer_num_samples, optimizer_iterations)
@@ -307,11 +304,7 @@ def benchmark_training(
     result = {
         "benchmark": "training-engine",
         "mode": "smoke" if smoke else "full",
-        "machine": {
-            "cpu_count": os.cpu_count(),
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-        },
+        "machine": machine_block(),
         "dataset": {
             "name": "syn_8_8_8_2",
             "num_samples": num_samples,
@@ -426,11 +419,3 @@ def format_benchmark(result: Dict[str, object]) -> str:
             ),
         )
     return text
-
-
-def write_benchmark(result: Dict[str, object], path: str) -> str:
-    """Write the benchmark dict as pretty-printed JSON; returns the path."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return path

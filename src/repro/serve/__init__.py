@@ -1,14 +1,16 @@
 """Serving subsystem: load saved estimators and answer prediction traffic.
 
-Three layers, bottom to top:
+Two layers, bottom to top:
 
 * :class:`ModelRegistry` — versioned ``(name, version)`` model store with
   atomic zero-downtime hot swap (:meth:`~ModelRegistry.deploy`) and
-  :meth:`~ModelRegistry.rollback`, built on :mod:`repro.persistence`.
-* :class:`PredictionService` — in-process serving: request microbatching,
-  per-row LRU result cache, latency/throughput counters.
+  :meth:`~ModelRegistry.rollback`, built on :mod:`repro.persistence`.  Its
+  :meth:`~ModelRegistry.predict` / :meth:`~ModelRegistry.predict_many`
+  serve in process: request microbatching, a per-row LRU result cache and
+  latency/throughput counters per version.
 * :class:`ServingFrontend` — concurrent multi-worker server that coalesces
-  *cross-request* traffic into fused batches under a batching deadline.
+  *cross-request* traffic into fused batches under a batching deadline and
+  runs each batch through the registry's ``predict_many``.
 
 On top of those sits the drift-aware online layer (:mod:`repro.serve.online`):
 :class:`DriftMonitor` watches a sliding window of served covariates against
@@ -45,11 +47,9 @@ from .online import (
 )
 from .registry import ModelRegistry, ModelVersion
 from .server import FrontendStats, ServingFrontend
-from .service import PredictionService
 from .stats import ModelStats
 
 __all__ = [
-    "PredictionService",
     "ServingFrontend",
     "FrontendStats",
     "ModelRegistry",

@@ -1,7 +1,8 @@
 """Bounded LRU cache for per-row prediction results.
 
-Keys are opaque (the service hashes covariate rows into digests); values are
-small dicts of floats.  Eviction is least-recently-used, where both ``get``
+Keys are opaque (:meth:`ModelVersion.predict_rows
+<repro.serve.registry.ModelVersion.predict_rows>` hashes covariate rows into
+digests); values are small tuples of floats.  Eviction is least-recently-used, where both ``get``
 hits and ``put`` insertions refresh recency.
 """
 

@@ -1,9 +1,10 @@
-"""Versioned model registry with zero-downtime hot swap and rollback.
+"""Versioned model registry: in-process serving, hot swap and rollback.
 
-:class:`ModelRegistry` is the model-lifecycle layer of the serving tier.
-It tracks every deployment of every model name as an immutable
-:class:`ModelVersion` — the estimator plus that version's own row cache,
-counters and in-flight lease count — and keeps the *live pointer* per name:
+:class:`ModelRegistry` is the model store of the serving tier and its
+in-process prediction path.  It tracks every deployment of every model
+name as an immutable :class:`ModelVersion` — the estimator plus that
+version's own row cache, counters and in-flight lease count — and keeps
+the *live pointer* per name:
 
 * :meth:`deploy` loads an artifact (or accepts a fitted estimator), appends
   it as the next version and atomically swaps the live pointer.  Requests
@@ -13,9 +14,15 @@ counters and in-flight lease count — and keeps the *live pointer* per name:
 * :meth:`rollback` re-activates whichever version was live before the
   current one (deploy/rollback history is a stack, so rolling back after a
   bad deploy always lands on the version that was actually serving).
-* :meth:`acquire` / :meth:`release` are the lease protocol the serving
-  layers use around every fused batch; :meth:`ModelVersion.wait_drained`
-  lets operators (and tests) confirm an old version has fully retired.
+* :meth:`predict` / :meth:`predict_many` answer requests in the caller:
+  they lease the live version, fuse the requests' rows into chunked
+  forward passes (:meth:`ModelVersion.predict_rows`, row-cached), split
+  the result per request and count it on the version.  The concurrent
+  :class:`~repro.serve.server.ServingFrontend` runs each coalesced batch
+  through the same :meth:`predict_many`.
+* :meth:`acquire` / :meth:`release` are the lease protocol around every
+  fused batch; :meth:`ModelVersion.wait_drained` lets operators (and tests)
+  confirm an old version has fully retired.
 
 Artifact deployments are fingerprinted via
 :func:`repro.persistence.artifact_fingerprint`, so :meth:`model_report`
@@ -27,7 +34,8 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from typing import Dict, List, Optional, Tuple, Union
+import time
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -35,9 +43,10 @@ from ..core.estimator import HTEEstimator
 from .cache import LRUCache
 from .stats import ModelStats
 
-__all__ = ["ModelRegistry", "ModelVersion"]
+__all__ = ["ModelRegistry", "ModelVersion", "as_request_matrix"]
 
 ModelSource = Union[HTEEstimator, str, "os.PathLike[str]"]
+ArrayLike = Union[np.ndarray, Sequence[Sequence[float]], Sequence[float]]
 
 
 class ModelVersion:
@@ -105,7 +114,7 @@ class ModelVersion:
         }
 
     # ------------------------------------------------------------------ #
-    # Prediction engine (shared by PredictionService and ServingFrontend)
+    # Prediction engine (run by ModelRegistry.predict_many)
     # ------------------------------------------------------------------ #
     def predict_rows(
         self, matrix: np.ndarray, max_batch_size: int
@@ -114,9 +123,11 @@ class ModelVersion:
 
         Returns ``(result, cache_hits, cache_misses, forward_batches)``.
         The matrix must already be coerced to this version's fitted dtype
-        (see :func:`repro.serve.service.as_request_matrix`), so the digest
-        keys are dtype-stable and the compiled closures never upcast.
+        (see :func:`as_request_matrix`), so the digest keys are dtype-stable.
         """
+        if max_batch_size <= 0:
+            # No chunk would run, and the empty outputs would be cached.
+            raise ValueError("max_batch_size must be positive")
         n = len(matrix)
         mu0 = np.empty(n, dtype=self.dtype)
         mu1 = np.empty(n, dtype=self.dtype)
@@ -152,6 +163,31 @@ class ModelVersion:
                     self.cache.put(digests[index], (mu0[index], mu1[index]))
 
         return {"mu0": mu0, "mu1": mu1, "ite": mu1 - mu0}, hits, len(miss_indices), batches
+
+
+def as_request_matrix(covariates: ArrayLike, version: ModelVersion) -> np.ndarray:
+    """Coerce one request payload to a contiguous ``(n, d)`` request matrix.
+
+    The matrix is cast to the model's *fitted* dtype, so the row-cache
+    digest is taken over the bytes actually served and equal rows hit the
+    cache regardless of the caller's input dtype (the backbone casts its
+    input to its parameter dtype itself).  The covariate width is checked
+    against the fitted estimator here, so a malformed request fails with a
+    clear error instead of a cryptic shape mismatch deep inside the
+    backbone matmul.
+    """
+    matrix = np.asarray(covariates, dtype=version.dtype, order="C")
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(1, -1)
+    if matrix.ndim != 2:
+        raise ValueError(f"covariates must be 1-D or 2-D, got shape {matrix.shape}")
+    if matrix.shape[1] != version.num_features:
+        raise ValueError(
+            f"request has feature dimension {matrix.shape[1]} but model "
+            f"{version.name!r} (v{version.version}) was fitted with "
+            f"feature dimension {version.num_features}"
+        )
+    return matrix
 
 
 class _ModelEntry:
@@ -303,6 +339,60 @@ class ModelRegistry:
             version.inflight -= 1
             if not version.live and version.inflight == 0:
                 version._drained.set()
+
+    # ------------------------------------------------------------------ #
+    # In-process prediction
+    # ------------------------------------------------------------------ #
+    def predict(
+        self, covariates: ArrayLike, model: Optional[str] = None, max_batch_size: int = 2048
+    ) -> Dict[str, np.ndarray]:
+        """Predict ``{"mu0", "mu1", "ite"}`` for one block of covariates."""
+        return self.predict_many([covariates], model, max_batch_size)[0]
+
+    def predict_many(
+        self,
+        requests: Iterable[ArrayLike],
+        model: Optional[str] = None,
+        max_batch_size: int = 2048,
+    ) -> List[Dict[str, np.ndarray]]:
+        """Answer many requests on the live version of ``model``, in the caller.
+
+        Every request is coerced and width-checked before any forward runs.
+        All rows are then predicted as one matrix in ``max_batch_size``
+        chunks, so the per-call overhead is paid once per *chunk* instead
+        of once per *request*, and split back in request order, each with
+        the keys of :meth:`predict`.  The version leased at the start
+        serves the whole call and counts it.
+        """
+        version = self.acquire(model)
+        try:
+            matrices = [as_request_matrix(request, version) for request in requests]
+            if not matrices:
+                return []
+            start = time.perf_counter()
+            fused = np.concatenate(matrices, axis=0) if len(matrices) > 1 else matrices[0]
+            fused_result, hits, misses, batches = version.predict_rows(fused, max_batch_size)
+            elapsed = time.perf_counter() - start
+
+            results: List[Dict[str, np.ndarray]] = []
+            offset = 0
+            for matrix in matrices:
+                end = offset + len(matrix)
+                results.append({key: value[offset:end] for key, value in fused_result.items()})
+                offset = end
+
+            with version.lock:
+                version.stats.record(
+                    rows=len(fused),
+                    seconds=elapsed,
+                    requests=len(matrices),
+                    batches=batches,
+                    cache_hits=hits,
+                    cache_misses=misses,
+                )
+        finally:
+            self.release(version)
+        return results
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -1,8 +1,9 @@
 """Concurrent serving frontend with cross-request batch coalescing.
 
 :class:`ServingFrontend` is the traffic-facing layer of the serving tier.
-Where :class:`~repro.serve.service.PredictionService` fuses rows *within*
-one ``predict_many`` call, the frontend fuses rows *across concurrent
+Where :meth:`ModelRegistry.predict_many
+<repro.serve.registry.ModelRegistry.predict_many>` fuses the rows of the
+requests one caller hands it, the frontend fuses rows *across concurrent
 callers*:
 
 * :meth:`submit` validates and enqueues a request on its model's queue and
@@ -11,9 +12,10 @@ callers*:
   matrix, closing a batch when it holds ``max_batch_size`` rows or when
   ``max_wait_ms`` has elapsed since the batch's first request arrived —
   the classic batching-deadline trade between latency and throughput.
-* A shared **worker pool** executes fused batches through the compiled
-  pure-NumPy closures (which release no locks of ours and spend their time
-  in BLAS), then scatters per-request result slices back into the futures
+* A shared **worker pool** runs each coalesced batch through the
+  registry's :meth:`~repro.serve.registry.ModelRegistry.predict_many` (the
+  compiled pure-NumPy closures, which release no locks of ours and spend
+  their time in BLAS), then sets each request's result slice on its future
   in submission order.
 
 Model lifecycle is the registry's: :meth:`deploy` / :meth:`rollback` swap
@@ -37,8 +39,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .registry import ModelRegistry, ModelSource, ModelVersion
-from .service import ArrayLike, as_request_matrix
+from .registry import ArrayLike, ModelRegistry, ModelSource, ModelVersion, as_request_matrix
 from .stats import ModelStats
 
 __all__ = ["ServingFrontend", "FrontendStats"]
@@ -76,7 +77,7 @@ class FrontendStats:
         self.deploys = 0
         self.rollbacks = 0
 
-    def record_batch(self, num_requests: int, rows: int, latencies: List[float]) -> None:
+    def record_batch(self, rows: int, latencies: List[float]) -> None:
         """Count one fused batch and its request latencies."""
         with self._lock:
             self.batch_sizes[rows] += 1
@@ -340,60 +341,23 @@ class ServingFrontend:
         if not active:
             return
         try:
-            version = self.registry.acquire(name)
-        except ValueError as exc:  # model undeployed after submit
+            # Leases the version live now, so a request coerced for an
+            # older one is checked (and cast) again against this one.
+            results = self.registry.predict_many(
+                [request.matrix for request in active], name, self.max_batch_size
+            )
+        except BaseException as exc:  # noqa: BLE001 — must reach the futures
             for request in active:
                 request.future.set_exception(exc)
             self.stats.record_failures(len(active))
             return
-        try:
-            fused = (
-                np.concatenate([request.matrix for request in active], axis=0)
-                if len(active) > 1
-                else active[0].matrix
-            )
-            if fused.shape[1] != version.num_features:
-                raise ValueError(
-                    f"request has feature dimension {fused.shape[1]} but model "
-                    f"{name!r} (v{version.version}) was fitted with "
-                    f"feature dimension {version.num_features}"
-                )
-            if fused.dtype != version.dtype:
-                fused = fused.astype(version.dtype)
-            start = time.perf_counter()
-            result, hits, misses, batches = version.predict_rows(fused, self.max_batch_size)
-            elapsed = time.perf_counter() - start
-
-            offset = 0
-            done = time.perf_counter()
-            latencies = []
-            for request in active:
-                end = offset + len(request.matrix)
-                request.future.set_result(
-                    {key: value[offset:end] for key, value in result.items()}
-                )
-                latencies.append(done - request.enqueued_at)
-                offset = end
-
-            with version.lock:
-                version.stats.record(
-                    rows=len(fused),
-                    seconds=elapsed,
-                    requests=len(active),
-                    batches=batches,
-                    cache_hits=hits,
-                    cache_misses=misses,
-                )
-            self.stats.record_batch(len(active), len(fused), latencies)
-        except BaseException as exc:  # noqa: BLE001 — must reach the futures
-            failed = 0
-            for request in active:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-                    failed += 1
-            self.stats.record_failures(failed)
-        finally:
-            self.registry.release(version)
+        done = time.perf_counter()
+        for request, result in zip(active, results):
+            request.future.set_result(result)
+        self.stats.record_batch(
+            sum(len(request.matrix) for request in active),
+            [done - request.enqueued_at for request in active],
+        )
 
     # ------------------------------------------------------------------ #
     # Shutdown

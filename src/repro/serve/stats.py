@@ -1,8 +1,8 @@
-"""Per-model latency / throughput counters for the prediction service.
+"""Per-version latency / throughput counters of the serving tier.
 
-Latencies are kept in a bounded window so long-running services report
+Latencies are kept in a bounded window so long-running servers report
 recent percentiles without unbounded memory growth; totals (requests, rows,
-seconds) accumulate over the service's lifetime.
+seconds) accumulate over the version's lifetime.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ModelStats:
         cache_hits: int = 0,
         cache_misses: int = 0,
     ) -> None:
-        """Record one service call covering ``rows`` rows in ``seconds``."""
+        """Record one prediction call covering ``rows`` rows in ``seconds``."""
         self.requests += requests
         self.rows += rows
         self.batches += batches

@@ -15,8 +15,8 @@ import pytest
 from repro.experiments.autodiff_benchmark import (
     benchmark_autodiff,
     format_autodiff_benchmark,
-    write_benchmark,
 )
+from repro.experiments.reporting import write_record
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +82,7 @@ def test_format_and_write_roundtrip(smoke_result, tmp_path):
     text = format_autodiff_benchmark(smoke_result)
     assert "Fused kernels" in text
     assert "Compiled inference" in text
-    path = write_benchmark(smoke_result, str(tmp_path / "bench.json"))
+    path = write_record(smoke_result, str(tmp_path / "bench.json"))
     with open(path, "r", encoding="utf-8") as handle:
         assert json.load(handle)["benchmark"] == "autodiff-hot-path"
 

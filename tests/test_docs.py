@@ -4,8 +4,9 @@ Covers the docs layer's contracts:
 
 * ``docs/cli.md`` is exactly what ``scripts/gen_cli_reference.py`` renders
   from the live argparse tree (so a new CLI flag cannot ship undocumented);
-* every page the README links under ``docs/`` actually exists, and every
-  docs page cross-link resolves;
+* every page the README links under ``docs/`` actually exists, every
+  docs page cross-link resolves, and every ``from repro... import ...``
+  line of the README and the docs pages imports;
 * the docstring lint is clean over ``src/repro`` (the same check CI runs).
 """
 
@@ -101,6 +102,23 @@ class TestDocsTree:
             assert os.path.exists(
                 os.path.normpath(os.path.join(DOCS, target))
             ), f"broken link in docs/{page}: {target}"
+
+    def test_every_documented_repro_import_resolves(self):
+        pages = [os.path.join(ROOT, "README.md")] + [
+            os.path.join(DOCS, name) for name in sorted(os.listdir(DOCS)) if name.endswith(".md")
+        ]
+        lines = [
+            (os.path.relpath(path, ROOT), line.strip())
+            for path in pages
+            for line in _read(path).splitlines()
+            if re.match(r"\s*from repro[\w.]* import ", line)
+        ]
+        assert lines, "no documented imports found"
+        for page, line in lines:
+            try:
+                exec(compile(line, page, "exec"), {})
+            except Exception as exc:  # noqa: BLE001 — report the page and line
+                pytest.fail(f"{page}: `{line}` fails: {type(exc).__name__}: {exc}")
 
     def test_example_referenced_by_online_docs_exists(self):
         text = _read(os.path.join(DOCS, "online-serving.md"))

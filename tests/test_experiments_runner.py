@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,13 @@ from repro.experiments.protocols import (
     synthetic_protocol,
     twins_protocol,
 )
-from repro.experiments.reporting import format_matrix, format_series, format_table
+from repro.experiments.reporting import (
+    format_matrix,
+    format_series,
+    format_table,
+    machine_block,
+    write_record,
+)
 from repro.experiments.runner import MethodSpec, default_method_grid, run_method, run_methods
 
 
@@ -126,3 +134,16 @@ class TestReporting:
     def test_format_matrix(self):
         text = format_matrix(["a", "b"], ["x", "y"], [[1.0, 2.0], [3.0, 4.0]])
         assert "a" in text and "4.000" in text
+
+    def test_write_record_writes_json_dumps_indent_2_and_a_newline(self, tmp_path):
+        record = {
+            "benchmark": "demo",
+            "mode": "smoke",
+            "machine": machine_block(),
+            "z": {"b": [1, 2.5, None], "a": "µs"},
+            "a": 1e-07,
+        }
+        path = write_record(record, str(tmp_path / "record.json"))
+        with open(path, "rb") as handle:
+            assert handle.read() == (json.dumps(record, indent=2) + "\n").encode("utf-8")
+        assert sorted(record["machine"]) == ["cpu_count", "platform", "python"]

@@ -298,16 +298,15 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
     )
     estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=config, seed=2)
     estimator.fit(train)
-    # A fit releases its programs: record one with a step after it, and run
+    # A fit releases its program: record one with a step after it, and run
     # it twice, so the program has planned its memory and run planned.
     trainer = estimator.trainer
     train_std = train.standardize()[0]
     with dtype_scope("float64"):
         for _ in range(3):
             trainer._network_step(train_std.covariates, train_std.treatment, train_std.outcome)
-    replay = trainer._replay
     assert trainer.last_step_stats["replay_hit"] is True
-    [(program, _, _)] = replay._cache.values()
+    program = trainer._replay.program
 
     ops = [instr.op for instr in program.instructions]
     assert ops.count("weighted_rbf_mmd") == 1

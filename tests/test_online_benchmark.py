@@ -11,8 +11,8 @@ from repro.experiments.online_benchmark import (
     RECOVERY_FLOOR,
     benchmark_online,
     format_online_benchmark,
-    write_benchmark,
 )
+from repro.experiments.reporting import write_record
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestRecordSchema:
         )
 
     def test_json_round_trip(self, record, tmp_path):
-        path = write_benchmark(record, str(tmp_path / "BENCH_online.json"))
+        path = write_record(record, str(tmp_path / "BENCH_online.json"))
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded["gates"].keys() == record["gates"].keys()

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from repro.experiments import MethodSpec
+from repro.experiments.reporting import write_record
 from repro.experiments.scenario_suite import (
     ScenarioSuiteConfig,
     degradation_slope,
     format_scenario_suite,
     run_scenario_suite,
-    write_scenario_suite,
 )
 from repro.registry import UnknownComponentError
 
@@ -121,7 +121,7 @@ class TestRunScenarioSuite:
 
     def test_json_serialisable_and_writable(self, tiny_suite_result, tmp_path):
         json.dumps(tiny_suite_result)  # must not raise
-        path = write_scenario_suite(tiny_suite_result, str(tmp_path / "bench.json"))
+        path = write_record(tiny_suite_result, str(tmp_path / "bench.json"))
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle)["benchmark"] == "scenario-matrix"
 

@@ -1,4 +1,4 @@
-"""Tests for the serving subsystem (PredictionService, cache, stats)."""
+"""Tests for in-process serving (ModelRegistry.predict / predict_many, cache, stats)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from repro.core.estimator import HTEEstimator
-from repro.serve import LRUCache, ModelStats, PredictionService
+from repro.serve import LRUCache, ModelRegistry, ModelStats
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +31,10 @@ def served_estimator(small_train):
 
 
 @pytest.fixture()
-def service(served_estimator):
-    service = PredictionService(max_batch_size=256, cache_size=4096)
-    service.register_model("main", served_estimator)
-    return service
+def registry(served_estimator):
+    registry = ModelRegistry(cache_size=4096)
+    registry.deploy("main", served_estimator)
+    return registry
 
 
 class TestLRUCache:
@@ -74,39 +74,41 @@ class TestModelStats:
         assert summary["latency_p50_seconds"] == pytest.approx(0.5)
 
 
-class TestPredictionService:
+class TestRegistryServing:
     def test_rejects_unfitted_models(self, fast_config):
-        service = PredictionService()
+        registry = ModelRegistry()
         with pytest.raises(ValueError, match="not fitted"):
-            service.register_model("raw", HTEEstimator(config=fast_config))
+            registry.deploy("raw", HTEEstimator(config=fast_config))
+        with pytest.raises(TypeError, match="HTEEstimator or artifact path"):
+            registry.deploy("raw", object())
 
-    def test_predict_matches_estimator(self, service, served_estimator, small_ood):
-        result = service.predict(small_ood.covariates, model="main")
+    def test_predict_matches_estimator(self, registry, served_estimator, small_ood):
+        result = registry.predict(small_ood.covariates, model="main")
         expected = served_estimator.predict_potential_outcomes(small_ood.covariates)
         for key in ("mu0", "mu1", "ite"):
             np.testing.assert_array_equal(result[key], expected[key])
 
-    def test_single_model_needs_no_name(self, service, small_ood):
-        ite = service.predict_ite(small_ood.covariates)
+    def test_single_model_needs_no_name(self, registry, small_ood):
+        ite = registry.predict(small_ood.covariates)["ite"]
         assert ite.shape == (len(small_ood),)
 
-    def test_unknown_model_raises(self, service, small_ood):
+    def test_unknown_model_raises(self, registry, small_ood):
         with pytest.raises(ValueError, match="unknown model"):
-            service.predict(small_ood.covariates, model="nope")
+            registry.predict(small_ood.covariates, model="nope")
 
-    def test_one_dimensional_request_treated_as_single_row(self, service, small_ood):
-        result = service.predict(small_ood.covariates[0], model="main")
+    def test_one_dimensional_request_treated_as_single_row(self, registry, small_ood):
+        result = registry.predict(small_ood.covariates[0], model="main")
         assert result["ite"].shape == (1,)
 
     def test_predict_many_preserves_request_order_and_shapes(
-        self, service, served_estimator, small_ood
+        self, registry, served_estimator, small_ood
     ):
         requests = [
             small_ood.covariates[0:3],
             small_ood.covariates[10],          # single row, 1-D
             small_ood.covariates[3:10],
         ]
-        results = service.predict_many(requests, model="main")
+        results = registry.predict_many(requests, model="main")
         assert [len(result["ite"]) for result in results] == [3, 1, 7]
         expected = served_estimator.predict_ite(small_ood.covariates[0:3])
         np.testing.assert_array_equal(results[0]["ite"], expected)
@@ -115,73 +117,106 @@ class TestPredictionService:
             served_estimator.predict_ite(small_ood.covariates[10].reshape(1, -1)),
         )
 
-    def test_predict_many_empty(self, service):
-        assert service.predict_many([], model="main") == []
+    def test_predict_many_empty(self, registry):
+        assert registry.predict_many([], model="main") == []
 
-    def test_predict_many_rejects_mixed_widths(self, service):
+    def test_predict_many_rejects_mixed_widths(self, registry):
         with pytest.raises(ValueError, match="feature dimension"):
-            service.predict_many([np.zeros((2, 14)), np.zeros((2, 5))], model="main")
+            registry.predict_many([np.zeros((2, 14)), np.zeros((2, 5))], model="main")
 
-    def test_cache_hits_on_repeated_rows(self, service, small_ood):
+    def test_cache_hits_on_repeated_rows(self, registry, small_ood):
         block = small_ood.covariates[:20]
-        service.predict(block, model="main")
-        service.predict(block, model="main")
-        stats = service.stats("main")["main"]
+        registry.predict(block, model="main")
+        registry.predict(block, model="main")
+        stats = registry.stats("main")["main"]
         assert stats["cache_hits"] >= 20
         assert stats["cache_hit_rate"] > 0
 
-    def test_cached_results_identical_to_fresh(self, service, served_estimator, small_ood):
+    def test_cached_results_identical_to_fresh(self, registry, served_estimator, small_ood):
         block = small_ood.covariates[:20]
-        first = service.predict(block, model="main")
-        second = service.predict(block, model="main")
+        first = registry.predict(block, model="main")
+        second = registry.predict(block, model="main")
         np.testing.assert_array_equal(first["ite"], second["ite"])
         np.testing.assert_array_equal(
             second["ite"], served_estimator.predict_ite(block)
         )
 
-    def test_stats_reset(self, service, small_ood):
-        service.predict(small_ood.covariates, model="main")
-        service.reset_stats()
-        stats = service.stats("main")["main"]
+    def test_stats_reset(self, registry, small_ood):
+        registry.predict(small_ood.covariates, model="main")
+        registry.reset_stats()
+        stats = registry.stats("main")["main"]
         assert stats["requests"] == 0.0 and stats["rows"] == 0.0
 
     def test_from_artifacts_and_multi_model_routing(
         self, served_estimator, fast_config, small_train, small_ood, tmp_path
     ):
         served_estimator.save(tmp_path / "a")
-        service = PredictionService.from_artifacts({"a": tmp_path / "a"})
+        registry = ModelRegistry()
+        for name, path in {"a": tmp_path / "a"}.items():
+            registry.deploy(name, path)
         other = HTEEstimator(
             backbone="tarnet", framework="vanilla", config=fast_config, seed=5
         ).fit(small_train)
-        service.register_model("b", other)
-        assert sorted(service.model_names) == ["a", "b"]
+        registry.deploy("b", other)
+        assert sorted(registry.names) == ["a", "b"]
         with pytest.raises(ValueError, match="model name required"):
-            service.predict(small_ood.covariates)
+            registry.predict(small_ood.covariates)
         np.testing.assert_array_equal(
-            service.predict_ite(small_ood.covariates, model="a"),
+            registry.predict(small_ood.covariates, model="a")["ite"],
             served_estimator.predict_ite(small_ood.covariates),
         )
-        service.unload_model("b")
-        assert service.model_names == ["a"]
+        registry.undeploy("b")
+        assert registry.names == ["a"]
 
 
 class TestRequestValidation:
-    def test_predict_rejects_wrong_width_naming_both_dimensions(self, service):
+    def test_predict_rejects_wrong_width_naming_both_dimensions(self, registry):
         with pytest.raises(ValueError) as excinfo:
-            service.predict(np.zeros((3, 5)), model="main")
+            registry.predict(np.zeros((3, 5)), model="main")
         message = str(excinfo.value)
         assert "feature dimension 5" in message
         assert "feature dimension 14" in message
         assert "main" in message
 
-    def test_predict_many_rejects_wrong_width_before_any_forward(self, service):
+    def test_predict_many_rejects_wrong_width_before_any_forward(self, registry):
         with pytest.raises(ValueError, match="feature dimension"):
-            service.predict_many([np.zeros((2, 3))], model="main")
-        assert service.stats("main")["main"]["requests"] == 0.0
+            registry.predict_many([np.zeros((2, 3))], model="main")
+        assert registry.stats("main")["main"]["requests"] == 0.0
 
-    def test_three_dimensional_request_rejected(self, service):
+    def test_width_mismatch_runs_no_forward_and_counts_nothing(
+        self, registry, small_ood, monkeypatch
+    ):
+        """One wrong-width request fails the whole call before any forward,
+        also when the requests before it fit, and the lease is returned."""
+        version = registry.live("main")
+        forwards = []
+        monkeypatch.setattr(
+            version.estimator, "predict_potential_outcomes", lambda *args: forwards.append(args)
+        )
+        with pytest.raises(ValueError) as excinfo:
+            registry.predict_many([small_ood.covariates[:4], np.zeros((2, 5))], model="main")
+        message = str(excinfo.value)
+        assert "feature dimension 5" in message and "feature dimension 14" in message
+        assert forwards == []
+        stats = registry.stats("main")["main"]
+        assert stats["requests"] == 0.0 and stats["rows"] == 0.0
+        assert version.inflight == 0
+
+    @pytest.mark.parametrize("max_batch_size", [0, -1])
+    def test_non_positive_chunk_size_is_rejected_and_caches_nothing(
+        self, registry, small_ood, max_batch_size
+    ):
+        version = registry.live("main")
+        block = np.ascontiguousarray(small_ood.covariates[:4])
+        with pytest.raises(ValueError, match="max_batch_size"):
+            version.predict_rows(block, max_batch_size)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            registry.predict(block, model="main", max_batch_size=max_batch_size)
+        assert len(version.cache) == 0 and version.inflight == 0
+
+    def test_three_dimensional_request_rejected(self, registry):
         with pytest.raises(ValueError, match="1-D or 2-D"):
-            service.predict(np.zeros((2, 2, 14)), model="main")
+            registry.predict(np.zeros((2, 2, 14)), model="main")
 
 
 class TestFittedDtypeServing:
@@ -209,20 +244,20 @@ class TestFittedDtypeServing:
             HTEEstimator(config=fast_config).fitted_dtype
 
     def test_float32_model_served_in_float32(self, float32_estimator, small_ood):
-        service = PredictionService()
-        service.register_model("f32", float32_estimator)
-        result = service.predict(small_ood.covariates.astype(np.float64), model="f32")
+        registry = ModelRegistry()
+        registry.deploy("f32", float32_estimator)
+        result = registry.predict(small_ood.covariates.astype(np.float64), model="f32")
         for key in ("mu0", "mu1", "ite"):
             assert result[key].dtype == np.float32
 
     def test_cache_keys_are_dtype_stable(self, float32_estimator, small_ood):
         """The same rows sent as float64 and float32 must share cache entries."""
-        service = PredictionService()
-        service.register_model("f32", float32_estimator)
+        registry = ModelRegistry()
+        registry.deploy("f32", float32_estimator)
         block = small_ood.covariates[:16]
-        service.predict(block.astype(np.float64), model="f32")
-        service.predict(block.astype(np.float32), model="f32")
-        stats = service.stats("f32")["f32"]
+        registry.predict(block.astype(np.float64), model="f32")
+        registry.predict(block.astype(np.float32), model="f32")
+        stats = registry.stats("f32")["f32"]
         assert stats["cache_hits"] >= 16
 
     def test_float32_dtype_survives_save_load(self, float32_estimator, tmp_path, small_ood):
@@ -237,15 +272,15 @@ class TestFittedDtypeServing:
 
 class TestConcurrentLifecycle:
     def test_concurrent_predict_and_lifecycle_churn(self, served_estimator, small_ood):
-        """predict racing unload/register/reset_stats must never crash or hang.
+        """predict racing undeploy/deploy/reset_stats must never crash or hang.
 
         Pins the snapshot contract: a request leases one version for its
         whole lifetime, so lifecycle churn can only ever surface as the
         documented ``ValueError`` (unknown model), never as a crash,
         deadlock or partially-swapped state.
         """
-        service = PredictionService(cache_size=64)
-        service.register_model("m", served_estimator)
+        registry = ModelRegistry(cache_size=64)
+        registry.deploy("m", served_estimator)
         block = small_ood.covariates[:8]
         stop = threading.Event()
         errors = []
@@ -253,7 +288,7 @@ class TestConcurrentLifecycle:
         def hammer():
             while not stop.is_set():
                 try:
-                    result = service.predict(block, model="m")
+                    result = registry.predict(block, model="m")
                     assert result["ite"].shape == (len(block),)
                 except ValueError as exc:  # unloaded between requests: expected
                     assert "unknown model" in str(exc)
@@ -266,16 +301,16 @@ class TestConcurrentLifecycle:
             thread.start()
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
-            service.unload_model("m")
-            service.register_model("m", served_estimator)
-            service.reset_stats()
+            registry.undeploy("m")
+            registry.deploy("m", served_estimator)
+            registry.reset_stats()
         stop.set()
         for thread in threads:
             thread.join(timeout=10.0)
         assert not any(thread.is_alive() for thread in threads), "predict deadlocked"
         assert errors == []
-        # The service is still fully functional afterwards.
-        assert service.predict(block, model="m")["ite"].shape == (len(block),)
+        # The registry is still fully functional afterwards.
+        assert registry.predict(block, model="m")["ite"].shape == (len(block),)
 
 
 class TestMicrobatchingSpeedup:
@@ -290,11 +325,11 @@ class TestMicrobatchingSpeedup:
         )
         per_row_seconds = time.perf_counter() - start
 
-        service = PredictionService(cache_size=0)  # isolate the microbatching win
-        service.register_model("bench", served_estimator)
+        registry = ModelRegistry(cache_size=0)  # isolate the microbatching win
+        registry.deploy("bench", served_estimator)
         requests = np.array_split(covariates, 100)
         start = time.perf_counter()
-        results = service.predict_many(requests, model="bench")
+        results = registry.predict_many(requests, model="bench")
         batched_seconds = time.perf_counter() - start
 
         batched = np.concatenate([result["ite"] for result in results])

@@ -10,10 +10,13 @@ import pytest
 
 from repro.core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from repro.core.estimator import HTEEstimator
+from repro.data.dataset import CausalDataset
 from repro.serve import ModelRegistry, ServingFrontend
+from repro.serve.registry import as_request_matrix
+from repro.serve.server import _Request
 
 
-def _fit(small_train, seed: int) -> HTEEstimator:
+def _fit(small_train, seed: int, dtype: str = "float64") -> HTEEstimator:
     config = SBRLConfig(
         backbone=BackboneConfig(rep_layers=2, rep_units=12, head_layers=2, head_units=8),
         training=TrainingConfig(
@@ -22,6 +25,7 @@ def _fit(small_train, seed: int) -> HTEEstimator:
             evaluation_interval=10,
             early_stopping_patience=None,
             seed=0,
+            dtype=dtype,
         ),
     )
     return HTEEstimator(
@@ -79,6 +83,48 @@ class TestRequestPath:
         np.testing.assert_allclose(ite_a, estimator_v1.predict_ite(block))
         np.testing.assert_allclose(ite_b, estimator_v2.predict_ite(block))
         assert not np.allclose(ite_a, ite_b)  # differently-seeded fits differ
+
+
+class TestExecutionTimeCoercion:
+    """A request is coerced at submit for the version live then, and again
+    when its batch runs, for the version that batch leases."""
+
+    def _request_for_live(self, frontend, rows):
+        return _Request(as_request_matrix(rows, frontend.registry.live("m")))
+
+    def test_swap_to_another_width_fails_the_future(self, frontend, small_train, small_ood):
+        request = self._request_for_live(frontend, small_ood.covariates[:3])
+        narrow = CausalDataset(
+            small_train.covariates[:, :5],
+            small_train.treatment,
+            small_train.outcome,
+            small_train.mu0,
+            small_train.mu1,
+        )
+        frontend.deploy("m", _fit(narrow, seed=13))
+        frontend._run_batch_inner("m", [request])
+        error = request.future.exception(timeout=0)
+        assert isinstance(error, ValueError)
+        assert "feature dimension 14" in str(error) and "feature dimension 5" in str(error)
+        assert frontend.stats.summary()["failed_requests"] == 1
+        assert frontend.registry.live("m").stats.requests == 0
+
+    def test_swap_to_a_float32_model_serves_float32(self, frontend, small_train, small_ood):
+        rows = small_ood.covariates[:3]
+        request = self._request_for_live(frontend, rows)
+        assert request.matrix.dtype == np.float64
+        float32_model = _fit(small_train, seed=13, dtype="float32")
+        frontend.deploy("m", float32_model)
+        frontend._run_batch_inner("m", [request])
+        result = request.future.result(timeout=0)
+        expected = float32_model.predict_potential_outcomes(rows.astype(np.float32))
+        for key in ("mu0", "mu1", "ite"):
+            assert result[key].dtype == np.float32
+            np.testing.assert_array_equal(result[key], expected[key])
+        assert frontend.stats.summary()["failed_requests"] == 0
+        # The batch cached its rows under their float32 bytes.
+        frontend.registry.predict(rows.astype(np.float32), model="m")
+        assert frontend.registry.live("m").stats.cache_hits == len(rows)
 
 
 class TestCoalescing:

@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.experiments.perf_gate import check_perf_regression
+from repro.experiments.reporting import write_record
 from repro.experiments.serving_benchmark import (
     benchmark_serving,
     format_serving_benchmark,
-    write_benchmark,
 )
 
 
@@ -75,7 +75,7 @@ class TestBenchmarkRecord:
         text = format_serving_benchmark(record)
         assert "coalescing speedup" in text
         assert "Hot swap under load" in text
-        path = write_benchmark(record, str(tmp_path / "BENCH_serving.json"))
+        path = write_record(record, str(tmp_path / "BENCH_serving.json"))
         with open(path, "r", encoding="utf-8") as handle:
             assert json.load(handle)["benchmark"] == "serving-frontend"
 
