@@ -8,8 +8,9 @@ Writes ``BENCH_autodiff.json`` recording
 * seconds / tensor allocations per full-batch training iteration at the
   ``BENCH_training.json`` setting (directly comparable to the PR 2 80 s
   baseline),
-* compiled pure-NumPy inference vs the graph path and end-to-end
-  single-row latency of in-process ``ModelRegistry.predict``,
+* ``backbone.predict`` (the compiled forward over the op table) vs the
+  autodiff forward it equals bit for bit, and end-to-end single-row
+  latency of in-process ``ModelRegistry.predict``,
 * float64 vs opt-in float32 training throughput.
 
 Run from the repository root::

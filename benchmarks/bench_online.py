@@ -36,59 +36,10 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 from repro.experiments.online_benchmark import (  # noqa: E402
     benchmark_online,
+    check_online_benchmark,
     format_online_benchmark,
 )
-from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
 from repro.experiments.reporting import write_record  # noqa: E402
-
-
-def check_regression(result: dict, baseline_path: str) -> int:
-    """Gate this benchmark's smoke timings against a committed baseline."""
-    return check_perf_regression(
-        result,
-        baseline_path,
-        (
-            (
-                "warm refit seconds",
-                lambda record: next(
-                    entry["warm_seconds"]
-                    for entry in record["tradeoff"]["curve"]
-                    if entry["epochs"] == record["config"]["refit_epochs"]
-                ),
-                "warm_refit_seconds",
-            ),
-            (
-                "cold refit seconds",
-                lambda record: record["tradeoff"]["cold_seconds"],
-                "cold_refit_seconds",
-            ),
-        ),
-    )
-
-
-def check_correctness(result: dict) -> int:
-    """Hard gates that hold in every mode (smoke and full)."""
-    failures = 0
-    gates = result["gates"]
-    if not gates["drift_detected_within_window"]:
-        print("FAIL: drift monitor did not fire within one window of the shift")
-        failures += 1
-    if not gates["warm_recovery"]["passed"]:
-        print(
-            f"FAIL: warm refit recovered {gates['warm_recovery']['measured']:.2f} "
-            f"of the PEHE degradation (floor {gates['warm_recovery']['floor']})"
-        )
-        failures += 1
-    if not gates["warm_latency_ratio"]["passed"]:
-        print(
-            f"FAIL: warm refit took {gates['warm_latency_ratio']['measured']:.2f}x "
-            f"cold wall-clock (ceiling {gates['warm_latency_ratio']['ceiling']})"
-        )
-        failures += 1
-    if not gates["zero_failed_requests"]:
-        print("FAIL: request(s) failed during the online loop / swap phase")
-        failures += 1
-    return failures
 
 
 def main(argv=None) -> int:
@@ -136,10 +87,7 @@ def main(argv=None) -> int:
     print(format_online_benchmark(result))
     path = write_record(result, args.output)
     print(f"\nwrote {path}")
-    failures = check_correctness(result)
-    if args.check_against is not None:
-        failures += check_regression(result, args.check_against)
-    return 1 if failures else 0
+    return 1 if check_online_benchmark(result, args.check_against) else 0
 
 
 if __name__ == "__main__":

@@ -32,49 +32,12 @@ _SRC = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), 
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
 from repro.experiments.reporting import write_record  # noqa: E402
 from repro.experiments.serving_benchmark import (  # noqa: E402
     benchmark_serving,
+    check_serving_benchmark,
     format_serving_benchmark,
 )
-
-
-def check_regression(result: dict, baseline_path: str) -> int:
-    """Gate this benchmark's smoke timings against a committed baseline."""
-    return check_perf_regression(
-        result,
-        baseline_path,
-        (
-            (
-                "direct seconds/1k requests",
-                lambda record: record["sustained"]["direct"]["seconds_per_1k_requests"],
-                "direct_seconds_per_1k_requests",
-            ),
-            (
-                "coalesced seconds/1k requests",
-                lambda record: record["sustained"]["coalesced"]["seconds_per_1k_requests"],
-                "coalesced_seconds_per_1k_requests",
-            ),
-        ),
-    )
-
-
-def check_correctness(result: dict) -> int:
-    """Hard gates that hold in every mode (smoke and full)."""
-    failures = 0
-    if not result["coalesced_matches_direct"]:
-        print("FAIL: coalesced frontend answers diverge from direct predictions")
-        failures += 1
-    swap = result["hot_swap"]
-    total_failed = swap["failed_requests"] + swap["frontend_failed_requests"]
-    if total_failed:
-        print(f"FAIL: {total_failed} request(s) failed during the hot-swap phase")
-        failures += 1
-    if not (swap["old_version_drained"] and swap["new_version_drained"]):
-        print("FAIL: a superseded version did not drain its in-flight batches")
-        failures += 1
-    return failures
 
 
 def main(argv=None) -> int:
@@ -125,10 +88,7 @@ def main(argv=None) -> int:
     print(format_serving_benchmark(result))
     path = write_record(result, args.output)
     print(f"\nwrote {path}")
-    failures = check_correctness(result)
-    if args.check_against is not None:
-        failures += check_regression(result, args.check_against)
-    return 1 if failures else 0
+    return 1 if check_serving_benchmark(result, args.check_against) else 0
 
 
 if __name__ == "__main__":

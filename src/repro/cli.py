@@ -396,6 +396,7 @@ def _command_predict(args: argparse.Namespace) -> int:
 def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
     from .experiments.serving_benchmark import (
         benchmark_serving,
+        check_serving_benchmark,
         format_serving_benchmark,
     )
 
@@ -411,39 +412,13 @@ def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
     print(format_serving_benchmark(result))
     if args.output is not None:
         print(f"wrote {write_record(result, args.output)}")
-    failures = 0
-    swap = result["hot_swap"]
-    if swap["failed_requests"] or swap["frontend_failed_requests"]:
-        print("FAIL: requests failed during the hot-swap phase")
-        failures += 1
-    if not result["coalesced_matches_direct"]:
-        print("FAIL: coalesced answers diverge from direct predictions")
-        failures += 1
-    if args.check_against is not None:
-        from .experiments.perf_gate import check_perf_regression
-
-        failures += check_perf_regression(
-            result,
-            args.check_against,
-            (
-                (
-                    "direct seconds/1k requests",
-                    lambda record: record["sustained"]["direct"]["seconds_per_1k_requests"],
-                    "direct_seconds_per_1k_requests",
-                ),
-                (
-                    "coalesced seconds/1k requests",
-                    lambda record: record["sustained"]["coalesced"]["seconds_per_1k_requests"],
-                    "coalesced_seconds_per_1k_requests",
-                ),
-            ),
-        )
-    return 1 if failures else 0
+    return 1 if check_serving_benchmark(result, args.check_against) else 0
 
 
 def _command_online_bench(args: argparse.Namespace) -> int:
     from .experiments.online_benchmark import (
         benchmark_online,
+        check_online_benchmark,
         format_online_benchmark,
     )
 
@@ -458,34 +433,7 @@ def _command_online_bench(args: argparse.Namespace) -> int:
     print(format_online_benchmark(result))
     if args.output is not None:
         print(f"wrote {write_record(result, args.output)}")
-    failures = 0
-    if not result["gates"]["all_passed"]:
-        print("FAIL: one or more online-serving acceptance gates failed")
-        failures += 1
-    if args.check_against is not None:
-        from .experiments.perf_gate import check_perf_regression
-
-        failures += check_perf_regression(
-            result,
-            args.check_against,
-            (
-                (
-                    "warm refit seconds",
-                    lambda record: next(
-                        entry["warm_seconds"]
-                        for entry in record["tradeoff"]["curve"]
-                        if entry["epochs"] == record["config"]["refit_epochs"]
-                    ),
-                    "warm_refit_seconds",
-                ),
-                (
-                    "cold refit seconds",
-                    lambda record: record["tradeoff"]["cold_seconds"],
-                    "cold_refit_seconds",
-                ),
-            ),
-        )
-    return 1 if failures else 0
+    return 1 if check_online_benchmark(result, args.check_against) else 0
 
 
 def _command_serve_bench(args: argparse.Namespace) -> int:

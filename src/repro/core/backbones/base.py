@@ -16,16 +16,19 @@ SBRL-HAP frameworks can wrap any of them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ...nn import functional as F
-from ...nn.modules import MLP, Module, RepresentationNetwork
+from ...nn.modules import MLP, Module
 from ...nn.tensor import Tensor, as_tensor, no_grad
 from ..config import BackboneConfig, RegularizerConfig
 
 __all__ = ["BackboneForward", "BaseBackbone", "TwoHeadPredictor"]
+
+_DATA = attrgetter("data")
 
 
 @dataclass
@@ -199,69 +202,56 @@ class BaseBackbone(Module):
             return F.weighted_binary_cross_entropy(factual, outcome, weights)
         return F.weighted_mse_loss(factual, outcome, weights)
 
-    def predict(self, covariates: np.ndarray, compiled: bool = True) -> Dict[str, np.ndarray]:
+    def predict(self, covariates: np.ndarray) -> Dict[str, np.ndarray]:
         """Inference-mode prediction of both potential outcomes.
 
-        By default the prediction runs through a compiled pure-NumPy forward
-        (see :mod:`repro.core.backbones.compiled`) that allocates no Tensor
-        graph nodes at all — it agrees with the autodiff path to
-        reassociation level (~1e-15 relative) and is several times faster at
-        serving batch sizes.  ``compiled=False`` forces the graph-based path
-        (custom backbones fall back to it automatically).
+        Runs the compiled forward (:mod:`repro.core.backbones.compiled`), which
+        equals the autodiff forward bit for bit; a backbone it refuses (a
+        custom ``forward`` or component) runs the autodiff forward instead.
         """
-        if compiled:
-            inference = self._compiled_inference()
-            if inference is not None:
-                # The backbone's own parameter dtype, not the process-wide
-                # default: a float32-trained model must serve in float32
-                # (float64 input would silently upcast every matmul).
-                matrix = np.asarray(covariates, dtype=self.parameter_dtype())
-                mu0, mu1 = inference(matrix)
-                return {"mu0": mu0, "mu1": mu1, "ite": mu1 - mu0}
-        treatment_placeholder = np.zeros(len(covariates))
-        with no_grad():
-            forward = self.forward(covariates, treatment_placeholder)
-        mu0 = forward.mu0.numpy().copy()
-        mu1 = forward.mu1.numpy().copy()
+        inference = self._compiled_inference()
+        if inference is None:
+            return self._predict_eager(covariates)
+        mu0, mu1 = inference(covariates)
         return {"mu0": mu0, "mu1": mu1, "ite": mu1 - mu0}
+
+    def _predict_eager(self, covariates: np.ndarray) -> Dict[str, np.ndarray]:
+        """:meth:`predict` through the autodiff forward under ``no_grad``."""
+        forward = self._forward_no_grad(covariates)
+        mu0, mu1 = forward.mu0.numpy().copy(), forward.mu1.numpy().copy()
+        return {"mu0": mu0, "mu1": mu1, "ite": mu1 - mu0}
+
+    def _forward_no_grad(self, covariates: np.ndarray) -> BackboneForward:
+        with no_grad():
+            return self.forward(covariates, np.zeros(len(covariates)))
 
     def invalidate_compiled(self) -> None:
         """Drop the cached compiled-inference closure (if any).
 
-        Needed only after mutating a parameter buffer *in place* without
-        bumping the tensor's ``_version`` (``param.data[...] = v``) —
-        assignment-based updates (``load_state_dict``) and the in-place
-        optimiser steps (which bump ``_version``) are detected
-        automatically.
+        Needed only after writing a parameter buffer in place without
+        bumping the tensor's ``_version`` (``param.data[...] = v``); see
+        :mod:`repro.core.backbones.compiled`.
         """
         self._compiled_cache = None
 
     def _compiled_inference(self):
         """Return the compiled inference closure, re-compiling when stale.
 
-        Compiled closures are full parameter snapshots, keyed on the
-        ``(identity, version)`` of every parameter's array: in-place
-        optimiser steps bump the tensor ``_version`` while
-        ``load_state_dict`` swaps the arrays themselves, so either update
-        style invalidates the cache.  The keyed arrays are held strongly
-        alongside the key, so a freed buffer's id can never be recycled
-        into a false cache hit.  An un-compilable backbone is remembered as
-        such (``False``).
+        The cache is keyed on every parameter's ``(buffer identity,
+        _version)``.  The keyed arrays are held alongside the key, so a
+        freed buffer's id can never be recycled into a false cache hit.  An
+        un-compilable backbone is remembered as such (``False``).
         """
         cached = getattr(self, "_compiled_cache", None)
         if cached is False:
             return None
         params = getattr(self, "_flat_params", None)
         if params is None:
-            # The module tree of a compilable (stock) backbone is fixed after
-            # construction; flatten it once so the per-predict staleness
-            # probe is a plain id()/version sweep.
+            # A stock backbone's module tree is fixed after construction: flatten
+            # it once, so the per-predict probe is a plain id/version sweep.
             params = self._flat_params = tuple(self.parameters())
-        buffers = tuple(param.data for param in params)
-        key = tuple(
-            (id(buffer), getattr(param, "_version", 0))
-            for buffer, param in zip(buffers, params)
-        )
+        buffers = tuple(map(_DATA, params))
+        key = (tuple(map(id, buffers)), tuple([getattr(param, "_version", 0) for param in params]))
         if cached is not None and cached[1] == key:
             return cached[0]
         from .compiled import compile_backbone
@@ -276,7 +266,4 @@ class BaseBackbone(Module):
 
     def representations(self, covariates: np.ndarray) -> np.ndarray:
         """Inference-mode balanced representation Φ(x) (used for Fig. 5)."""
-        treatment_placeholder = np.zeros(len(covariates))
-        with no_grad():
-            forward = self.forward(covariates, treatment_placeholder)
-        return forward.representation.numpy().copy()
+        return self._forward_no_grad(covariates).representation.numpy().copy()

@@ -323,9 +323,9 @@ class HTEEstimator:
         """Dtype of the fitted backbone parameters (float32 or float64).
 
         Serving layers coerce request covariates to this dtype, so models
-        trained under the float32 policy are also *served* in float32
-        (compiled closures never silently upcast) and row-cache keys are
-        dtype-stable.
+        trained under the float32 policy are also *served* in float32 (the
+        compiled forward casts its input to the parameters' dtype, as
+        training does) and row-cache keys are dtype-stable.
         """
         return self._require_fitted().backbone.parameter_dtype()
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..data.batching import DataLoader
-from ..data.dataset import CausalDataset
+from ..data.dataset import CausalDataset, covariate_matrix
 from ..metrics.evaluation import EffectEstimates, evaluate_effect_predictions
 from ..nn.kernels import Workspace
 from ..nn.optim import Optimizer
@@ -464,7 +464,8 @@ class SBRLTrainer:
     def _transform(self, covariates: np.ndarray) -> np.ndarray:
         if self._standardize_mean is None or self._standardize_std is None:
             raise RuntimeError("the trainer must be fit before prediction")
-        return (np.asarray(covariates, dtype=np.float64) - self._standardize_mean) / self._standardize_std
+        matrix = covariate_matrix(covariates, int(self.backbone.num_features))
+        return (matrix - self._standardize_mean) / self._standardize_std
 
     def predict(self, covariates: np.ndarray) -> Dict[str, np.ndarray]:
         """Predict both potential outcomes and the ITE for new units."""

@@ -12,7 +12,29 @@ from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CausalDataset", "TrainValTestSplit"]
+__all__ = ["CausalDataset", "TrainValTestSplit", "covariate_matrix"]
+
+
+def covariate_matrix(
+    covariates, num_features: int, dtype=np.float64, model: str = "the model"
+) -> np.ndarray:
+    """Coerce covariates to a contiguous ``(n, num_features)`` matrix of ``dtype``.
+
+    A 1-D array is one unit.  Any other rank, or a width other than
+    ``num_features``, raises :class:`ValueError`; ``model`` names the
+    fitted model in the width message.
+    """
+    matrix = np.asarray(covariates, dtype=dtype, order="C")
+    if matrix.ndim == 1:
+        matrix = matrix.reshape(1, -1)
+    if matrix.ndim != 2:
+        raise ValueError(f"covariates must be 1-D or 2-D, got shape {matrix.shape}")
+    if matrix.shape[1] != num_features:
+        raise ValueError(
+            f"covariates have feature dimension {matrix.shape[1]} but {model} "
+            f"was fitted with feature dimension {num_features}"
+        )
+    return matrix
 
 
 @dataclass

@@ -8,9 +8,10 @@ Quantifies the PR-4 engine overhaul along four axes:
 * **training step** — seconds and tensor allocations per alternating-
   optimisation iteration at the ``BENCH_training.json`` full-batch setting,
   directly comparable to the committed PR-2 baseline (80.2 s / 40 it);
-* **serving** — compiled pure-NumPy inference vs the graph path at
-  request-sized batches, plus end-to-end single-row latency of the
-  in-process :meth:`ModelRegistry.predict
+* **serving** — ``backbone.predict`` (the compiled forward over the op
+  table, bitwise the autodiff forward) vs the autodiff forward itself
+  under ``no_grad`` at request-sized batches, plus end-to-end single-row
+  latency of the in-process :meth:`ModelRegistry.predict
   <repro.serve.registry.ModelRegistry.predict>` path;
 * **dtype** — float64 vs opt-in float32 training throughput.
 
@@ -320,7 +321,7 @@ def _serving_section(num_samples: int, rows_grid, service_rows: int, seed: int) 
     for rows in rows_grid:
         x = rng.normal(size=(rows, num_features))
         repeats = max(20, min(500, 4000 // rows))
-        graph = timed(lambda x=x: backbone.predict(x, compiled=False), repeats)
+        graph = timed(lambda x=x: backbone._predict_eager(x), repeats)
         compiled = timed(lambda x=x: backbone.predict(x), repeats)
         batches[str(rows)] = {
             "graph_seconds": float(graph),

@@ -30,11 +30,14 @@ from ..core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from ..core.estimator import HTEEstimator
 from ..serve import DriftMonitor, DriftSchedule, OnlineServingLoop, ServingFrontend
 from ..serve.online import DriftStream, concat_datasets, drift_stream, pehe_against_truth
+from .perf_gate import check_perf_regression
 from .reporting import format_table, machine_block
 
 __all__ = [
     "benchmark_online",
+    "check_online_benchmark",
     "format_online_benchmark",
+    "PERF_GATES",
     "RECOVERY_FLOOR",
     "LATENCY_RATIO_CEILING",
 ]
@@ -352,6 +355,35 @@ def benchmark_online(
             "warm_refit_seconds": smoke_tradeoff["curve"][0]["warm_seconds"],
         }
     return result
+
+
+#: ``(label, extractor, smoke_reference_key)`` triples the perf gate reads.
+PERF_GATES = (
+    (
+        "warm refit seconds",
+        lambda record: next(
+            entry["warm_seconds"]
+            for entry in record["tradeoff"]["curve"]
+            if entry["epochs"] == record["config"]["refit_epochs"]
+        ),
+        "warm_refit_seconds",
+    ),
+    ("cold refit seconds", lambda record: record["tradeoff"]["cold_seconds"], "cold_refit_seconds"),
+)
+
+
+def check_online_benchmark(result: Dict[str, object], baseline_path: Optional[str] = None) -> int:
+    """This benchmark's pass/fail rules: every acceptance gate in every mode,
+    and with ``baseline_path`` the smoke perf gate.  Prints each failure and
+    returns how many failed."""
+    failures = 0
+    for name, gate in result["gates"].items():
+        if name != "all_passed" and not (gate["passed"] if isinstance(gate, dict) else gate):
+            print(f"FAIL: online-serving gate {name}: {gate}")
+            failures += 1
+    if baseline_path is not None:
+        failures += check_perf_regression(result, baseline_path, PERF_GATES)
+    return failures
 
 
 def format_online_benchmark(result: Dict[str, object]) -> str:

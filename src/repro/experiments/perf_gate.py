@@ -1,10 +1,10 @@
 """Shared CI performance gate for the benchmark scripts.
 
-``benchmarks/bench_training.py`` and ``benchmarks/bench_autodiff.py`` both
-run in ``--smoke`` mode on every push and compare their timings against the
+The ``benchmarks/bench_*.py`` scripts (and the serving and online CLI verbs)
+run in ``--smoke`` mode and compare their timings against the
 ``smoke_reference`` block of the committed full-run record.  The comparison
 logic lives here once so the gate (budget factor, smoke-mode guard, output
-format) cannot drift between the two scripts.
+format) cannot drift between them.
 """
 
 from __future__ import annotations

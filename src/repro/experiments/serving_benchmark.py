@@ -26,7 +26,7 @@ import os
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from ..core.config import BackboneConfig, SBRLConfig, TrainingConfig
 from ..core.estimator import HTEEstimator
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from ..serve import ServingFrontend
+from .perf_gate import check_perf_regression
 from .reporting import format_table, machine_block
 
-__all__ = ["benchmark_serving", "format_serving_benchmark"]
+__all__ = ["PERF_GATES", "benchmark_serving", "check_serving_benchmark", "format_serving_benchmark"]
 
 #: (num_samples, train_iterations, concurrency, requests_per_thread,
 #:  sweep_concurrencies, sweep_requests_per_thread, swap_requests_per_thread,
@@ -460,6 +461,38 @@ def benchmark_serving(
             ],
         }
     return result
+
+
+#: ``(label, extractor, smoke_reference_key)`` triples the perf gate reads.
+PERF_GATES = tuple(
+    (
+        f"{phase} seconds/1k requests",
+        lambda record, phase=phase: record["sustained"][phase]["seconds_per_1k_requests"],
+        f"{phase}_seconds_per_1k_requests",
+    )
+    for phase in ("direct", "coalesced")
+)
+
+
+def check_serving_benchmark(result: Dict[str, object], baseline_path: Optional[str] = None) -> int:
+    """This benchmark's pass/fail rules: the correctness checks in every mode,
+    and with ``baseline_path`` the smoke perf gate.  Prints each failure and
+    returns how many failed."""
+    failures = 0
+    if not result["coalesced_matches_direct"]:
+        print("FAIL: coalesced frontend answers diverge from direct predictions")
+        failures += 1
+    swap = result["hot_swap"]
+    total_failed = swap["failed_requests"] + swap["frontend_failed_requests"]
+    if total_failed:
+        print(f"FAIL: {total_failed} request(s) failed during the hot-swap phase")
+        failures += 1
+    if not (swap["old_version_drained"] and swap["new_version_drained"]):
+        print("FAIL: a superseded version did not drain its in-flight batches")
+        failures += 1
+    if baseline_path is not None:
+        failures += check_perf_regression(result, baseline_path, PERF_GATES)
+    return failures
 
 
 def format_serving_benchmark(result: Dict[str, object]) -> str:

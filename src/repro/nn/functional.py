@@ -5,9 +5,8 @@ SBRL-HAP backbones.  All functions accept tensors or array-likes and return
 tensors, so they can be dropped into both training graphs and pure NumPy
 evaluation code.
 
-The fused kernels (:func:`linear`, :func:`pairwise_sq_dists`,
-:func:`rbf_kernel`, :func:`bce_with_logits`, the weighted losses,
-:func:`rff_features`, :func:`weighted_pair_sq_cross_cov`,
+The fused kernels (:func:`linear`, :func:`bce_with_logits`, the weighted
+losses, :func:`rff_features`, :func:`weighted_pair_sq_cross_cov`,
 :func:`weighted_rbf_mmd`) record a *single* graph node with a closed-form
 vector-Jacobian product instead of composing dozens of broadcast
 primitives.  That collapses the per-step node count of the RBF-MMD / HSIC
@@ -29,8 +28,8 @@ Numeric contract:
   in-place ``exp``), which matches the ``|a|² + |b|² - 2 a·b`` expansion it
   replaced within a relative 1e-12;
 * the :func:`weighted_rbf_mmd` value and gradients match the kernel-block
-  composition (three :func:`rbf_kernel` blocks reduced by bilinear forms)
-  within a relative 1e-12 (``tests/test_network_step_mmd.py`` keeps it
+  composition (three RBF kernel blocks reduced by bilinear forms) within a
+  relative 1e-12 (``tests/test_network_step_mmd.py`` keeps it
   verbatim as the reference); the tiled sweep sums in a different order;
 * the batched HSIC pair node sums in a different order than the per-pair
   composition it replaced, so it matches that within a relative 1e-12,
@@ -58,8 +57,6 @@ __all__ = [
     "tanh",
     "softplus",
     "linear",
-    "pairwise_sq_dists",
-    "rbf_kernel",
     "bce_with_logits",
     "mse_loss",
     "weighted_mse_loss",
@@ -110,34 +107,6 @@ def linear(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None) -> Tenso
     if bias is None:
         return _apply("linear", (as_tensor(x), as_tensor(weight)))
     return _apply("linear", (as_tensor(x), as_tensor(weight), as_tensor(bias)))
-
-
-def _rows_pair(a: ArrayLike, b: ArrayLike, name: str) -> tuple:
-    a_t = as_tensor(a)
-    b_t = as_tensor(b)
-    if a_t.ndim != 2 or b_t.ndim != 2:
-        raise ValueError(f"{name} expects 2-D (rows, features) inputs")
-    return a_t, b_t
-
-
-def pairwise_sq_dists(a: ArrayLike, b: ArrayLike) -> Tensor:
-    """All-pairs squared Euclidean distances ``D[i, j] = ||a_i - b_j||²``.
-
-    One fused node replacing the sum/broadcast/matmul chain the kernel IPMs
-    used to build; inputs must be 2-D ``(n, d)`` / ``(m, d)``.
-    """
-    return _apply("pairwise_sq_dists", _rows_pair(a, b, "pairwise_sq_dists"))
-
-
-def rbf_kernel(a: ArrayLike, b: ArrayLike, sigma: float = 1.0) -> Tensor:
-    """RBF (Gaussian) kernel matrix ``exp(-||a_i - b_j||² / (2σ²))``, fused.
-
-    The pairwise distances and the exponential are one graph node with an
-    analytic VJP.  The forward is one augmented gemm and an in-place
-    ``exp`` (``kernels._rbf_entries``).
-    """
-    parents = _rows_pair(a, b, "rbf_kernel")
-    return _apply("rbf_kernel", parents, {"scale": -1.0 / (2.0 * sigma ** 2)})
 
 
 def bce_with_logits(
@@ -301,8 +270,8 @@ def weighted_rbf_mmd(
     block outlives its tile.  The representation products run only when
     grad mode is on and a representation requires a gradient; ``attrs``
     records that choice, so a replayed program repeats it.  The value and
-    gradients match the :func:`rbf_kernel` block composition within a
-    relative 1e-12.
+    gradients match the RBF kernel-block composition within a relative
+    1e-12.
     """
     parents = tuple(
         [as_tensor(x) for x in (rep_control, rep_treated, weights_control, weights_treated)]

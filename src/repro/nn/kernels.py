@@ -30,6 +30,10 @@ Kernel signature::
   (eager mode hands it out fresh), so replay may lay it in memory that
   other gradients use at other times.
 * ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
+
+Compiled serving (:mod:`repro.core.backbones.compiled`) runs this math too:
+the array functions ``linear``, ``elu`` and ``sigmoid`` that those kernels'
+forwards call, and the other ops' ``fwd``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Kernel", "KERNELS", "TapeStale", "Workspace"]
+__all__ = ["Kernel", "KERNELS", "TapeStale", "Workspace", "elu", "linear", "sigmoid"]
 
 
 class TapeStale(RuntimeError):
@@ -275,13 +279,30 @@ def _k_matmul():
     return fwd, vjp
 
 
+def linear(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Eager ``x @ w + b``: the matmul allocates and the bias adds into it, unless
+    that would change the shape or dtype of ``(x @ w) + b`` (a scalar product,
+    mixed dtypes, a bias that broadcasts the product up)."""
+    out = x @ w
+    if b is None:
+        return out
+    if isinstance(out, np.ndarray) and out.dtype == b.dtype:
+        try:
+            return np.add(out, b, out=out)
+        except ValueError:  # b broadcasts beyond out; nothing was written
+            pass
+    return out + b
+
+
 @_kernel("linear")
 def _k_linear():
     def fwd(out, ins, attrs, ctx):
+        if out is None:
+            return linear(*ins)
         if len(ins) == 2:
             return _matmul_forward(out, ins[0], ins[1])
         x, w, b = ins
-        if out is not None and x.ndim == 2 and w.ndim == 2:
+        if x.ndim == 2 and w.ndim == 2:
             np.matmul(x, w, out=out)
             return np.add(out, b, out=out)
         return _assign(out, (x @ w) + b)
@@ -397,14 +418,14 @@ def _k_relu():
     return fwd, _vjp_relu
 
 
-def _sigmoid_into(t, x):
-    """t <- 1 / (1 + exp(-clip(x, -60, 60))).
+def sigmoid(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``1 / (1 + exp(-clip(x, -60, 60)))``, into ``out`` (else a fresh array).
 
     minimum(maximum(x, lo), hi) is np.clip's definition (the bounds are
     nonzero, so no signed-zero case differs) with none of the np.clip
     wrapper's Python dispatch overhead.
     """
-    np.maximum(x, -60.0, out=t)
+    t = np.maximum(x, -60.0, out=out)
     np.minimum(t, 60.0, out=t)
     np.negative(t, out=t)
     np.exp(t, out=t)
@@ -416,8 +437,7 @@ def _sigmoid_into(t, x):
 @_kernel("sigmoid")
 def _k_sigmoid():
     def fwd(out, ins, attrs, ctx):
-        x = ins[0]
-        return _sigmoid_into(np.empty_like(x) if out is None else out, x)
+        return sigmoid(ins[0], out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         # grad * out * (1 - out), evaluated left to right
@@ -431,24 +451,33 @@ def _k_sigmoid():
     return fwd, vjp
 
 
+def elu(
+    x: np.ndarray, alpha: float = 1.0, out: Optional[np.ndarray] = None, t: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``max(x, 0) + alpha * (exp(min(x, 0)) - 1)``, into ``out`` with scratch ``t``.
+
+    Without buffers the first ufunc of each term allocates it.  This form
+    equals the textbook ``where(x > 0, x, t)`` bit for bit whenever
+    alpha > 0 (:meth:`Tensor.elu` rejects any other alpha).  Where x > 0,
+    t is +0.0 and x + 0.0 == x.  Where x <= 0, max(x, 0) is a zero and
+    t + ±0.0 == t, because t is never -0.0 for alpha > 0.  Only the sign
+    of a NaN may differ, because float32 exp drops it.
+    """
+    t = np.minimum(x, 0.0, out=t)
+    np.exp(t, out=t)
+    np.subtract(t, 1.0, out=t)
+    if alpha != 1.0:  # x * 1.0 is a bitwise no-op
+        np.multiply(t, alpha, out=t)
+    out = np.maximum(x, 0.0, out=out)
+    return np.add(out, t, out=out)
+
+
 @_kernel("elu")
 def _k_elu():
-    # max(x, 0) + t, with t = alpha * (exp(min(x, 0)) - 1), equals the
-    # textbook where(x > 0, x, t) bit for bit whenever alpha > 0
-    # (Tensor.elu rejects any other alpha).  Where x > 0, t is +0.0 and
-    # x + 0.0 == x.  Where x <= 0, max(x, 0) is a zero and t + ±0.0 == t,
-    # because t is never -0.0 for alpha > 0.  Only the sign of a NaN may
-    # differ, because float32 exp drops it.
     def fwd(out, ins, attrs, ctx):
-        x, alpha = ins[0], attrs["alpha"]
-        t = _tmp(out, ctx, "t", x.shape, x.dtype)
-        np.minimum(x, 0.0, out=t)
-        np.exp(t, out=t)
-        np.subtract(t, 1.0, out=t)
-        if alpha != 1.0:  # x * 1.0 is a bitwise no-op
-            np.multiply(t, alpha, out=t)
-        out = np.maximum(x, 0.0, out=out)
-        return np.add(out, t, out=out)
+        x = ins[0]
+        t = None if out is None else _tmp(out, ctx, "t", x.shape, x.dtype)
+        return elu(x, attrs["alpha"], out, t)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         # grad * where(x > 0, 1.0, out + alpha).  out > 0 exactly where
@@ -474,7 +503,7 @@ def _k_softplus():
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         t = _scratch(ctx, "t", out.shape, out.dtype)
-        _sigmoid_into(t, ins[0])
+        sigmoid(ins[0], t)
         g = _scratch(ctx, "g", out.shape, out.dtype)
         np.multiply(grad, t, out=g)
         return (g,)
@@ -618,38 +647,6 @@ def _k_stack():
 # --------------------------------------------------------------------------- #
 # Fused kernel primitives
 # --------------------------------------------------------------------------- #
-def _pairwise_sq_vjp(grad: np.ndarray, a: np.ndarray, b: np.ndarray, needs) -> tuple:
-    """VJP of ``D[i, j] = ||a_i - b_j||²`` wrt ``(a, b)``."""
-    ga = 2.0 * a * grad.sum(axis=1, keepdims=True) - 2.0 * (grad @ b) if needs[0] else None
-    gb = 2.0 * b * grad.sum(axis=0)[:, None] - 2.0 * (grad.T @ a) if needs[1] else None
-    return ga, gb
-
-
-@_kernel("pairwise_sq_dists")
-def _k_pairwise():
-    def fwd(out, ins, attrs, ctx):
-        # |a_i|² + |b_j|² - 2 a_i·b_j
-        a, b = ins
-        ta = _tmp(out, ctx, "aa", a.shape, a.dtype)
-        np.multiply(a, a, out=ta)
-        ra = _tmp(out, ctx, "ra", (a.shape[0],), a.dtype)
-        ta.sum(axis=1, out=ra)
-        tb = _tmp(out, ctx, "bb", b.shape, b.dtype)
-        np.multiply(b, b, out=tb)
-        rb = _tmp(out, ctx, "rb", (b.shape[0],), b.dtype)
-        tb.sum(axis=1, out=rb)
-        ab = _tmp(out, ctx, "ab", (a.shape[0], b.shape[0]), np.result_type(a, b))
-        np.matmul(a, b.T, out=ab)
-        out = np.add(ra[:, None], rb[None, :], out=out)
-        np.multiply(ab, 2.0, out=ab)
-        return np.subtract(out, ab, out=out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        return _pairwise_sq_vjp(grad, ins[0], ins[1], needs)
-
-    return fwd, vjp
-
-
 def _rbf_left(x: np.ndarray, scale: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Augmented rows ``[-2s·x, s·|x|², 1]``: the left factor of ``s·||x_i - y_j||²``."""
     d = x.shape[1]
@@ -676,27 +673,11 @@ def _rbf_entries(
     """RBF kernel entries ``exp(s·||x_i - y_j||²)`` of augmented rows, into ``out``.
 
     One gemm writes ``s·D`` straight into the output, then an in-place
-    ``exp``.  Every RBF kernel entry comes from here: whole blocks for the
-    ``rbf_kernel`` op and tiles for the ``weighted_rbf_mmd`` sweep.
+    ``exp``.  Every RBF kernel entry of the ``weighted_rbf_mmd`` sweep's
+    tiles comes from here.
     """
     out = np.matmul(left, right.T, out=out)
     return np.exp(out, out=out)
-
-
-@_kernel("rbf_kernel")
-def _k_rbf():
-    def fwd(out, ins, attrs, ctx):
-        scale = attrs["scale"]
-        return _rbf_entries(_rbf_left(ins[0], scale), _rbf_right(ins[1], scale), out)
-
-    def vjp(grad, ins, out, attrs, ctx, needs):
-        # grad_sq = grad * out * scale, evaluated left to right
-        g = _scratch(ctx, "g", out.shape, out.dtype)
-        np.multiply(grad, out, out=g)
-        np.multiply(g, attrs["scale"], out=g)
-        return _pairwise_sq_vjp(g, ins[0], ins[1], needs)
-
-    return fwd, vjp
 
 
 # --------------------------------------------------------------------------- #
@@ -735,7 +716,7 @@ def _k_bce_logits():
         z, t = ins[0], ins[1]
         w = ins[2] if len(ins) == 3 else None
         scale = grad / ctx["n"]
-        sig = _sigmoid_into(_scratch(ctx, "sig", z.shape, z.dtype), z)
+        sig = sigmoid(z, _scratch(ctx, "sig", z.shape, z.dtype))
         weighted_scale = scale if w is None else scale * w
         gz = weighted_scale * (sig - t) if needs[0] else None
         gt = -weighted_scale * z if needs[1] else None

@@ -40,6 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.estimator import HTEEstimator
+from ..data.dataset import covariate_matrix
 from .cache import LRUCache
 from .stats import ModelStats
 
@@ -169,25 +170,12 @@ def as_request_matrix(covariates: ArrayLike, version: ModelVersion) -> np.ndarra
     """Coerce one request payload to a contiguous ``(n, d)`` request matrix.
 
     The matrix is cast to the model's *fitted* dtype, so the row-cache
-    digest is taken over the bytes actually served and equal rows hit the
-    cache regardless of the caller's input dtype (the backbone casts its
-    input to its parameter dtype itself).  The covariate width is checked
-    against the fitted estimator here, so a malformed request fails with a
-    clear error instead of a cryptic shape mismatch deep inside the
-    backbone matmul.
+    digest is taken over the bytes actually served.  Rank and width go
+    through :func:`~repro.data.dataset.covariate_matrix`, the check every
+    prediction entry point runs, and its errors name the model and version.
     """
-    matrix = np.asarray(covariates, dtype=version.dtype, order="C")
-    if matrix.ndim == 1:
-        matrix = matrix.reshape(1, -1)
-    if matrix.ndim != 2:
-        raise ValueError(f"covariates must be 1-D or 2-D, got shape {matrix.shape}")
-    if matrix.shape[1] != version.num_features:
-        raise ValueError(
-            f"request has feature dimension {matrix.shape[1]} but model "
-            f"{version.name!r} (v{version.version}) was fitted with "
-            f"feature dimension {version.num_features}"
-        )
-    return matrix
+    model = f"model {version.name!r} (v{version.version})"
+    return covariate_matrix(covariates, version.num_features, version.dtype, model)
 
 
 class _ModelEntry:

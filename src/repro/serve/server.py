@@ -14,9 +14,9 @@ callers*:
   the classic batching-deadline trade between latency and throughput.
 * A shared **worker pool** runs each coalesced batch through the
   registry's :meth:`~repro.serve.registry.ModelRegistry.predict_many` (the
-  compiled pure-NumPy closures, which release no locks of ours and spend
-  their time in BLAS), then sets each request's result slice on its future
-  in submission order.
+  compiled forwards over the op table, which release no locks of ours and
+  spend their time in BLAS), then sets each request's result slice on its
+  future in submission order.
 
 Model lifecycle is the registry's: :meth:`deploy` / :meth:`rollback` swap
 the live version atomically while traffic is flowing.  Requests lease a
@@ -135,7 +135,7 @@ class ServingFrontend:
         when omitted); deploy models through :meth:`deploy` or directly on
         the registry.
     num_workers:
-        Threads executing fused batches.  The compiled closures do their
+        Threads executing fused batches.  The compiled forwards do their
         heavy lifting inside BLAS, so on multi-core hosts several batches
         (for the same or different models) make progress concurrently.
     max_batch_size:

@@ -8,7 +8,7 @@ import pytest
 from repro.core.backbones import BACKBONE_REGISTRY, CFR, DeRCFR, TARNet, build_backbone
 from repro.core.backbones.base import select_factual_rows
 from repro.core.config import BackboneConfig, RegularizerConfig
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, as_tensor, dtype_scope
 
 
 @pytest.fixture()
@@ -181,33 +181,81 @@ class TestPrediction:
         assert representation.shape == (len(covariates), small_config.rep_units)
 
 
+def _assert_served_equals_eager(served, eager):
+    """Bit for bit, same dtype, NaN in the same places."""
+    for key in ("mu0", "mu1", "ite"):
+        assert served[key].dtype == eager[key].dtype
+        np.testing.assert_array_equal(served[key], eager[key])
+
+
+def _compiled_backbone(name, *, normalize=False, binary=True, activation="elu", seed=11):
+    config = BackboneConfig(
+        rep_layers=2, rep_units=8, head_layers=2, head_units=6,
+        rep_normalization=normalize, activation=activation,
+    )
+    return build_backbone(
+        name, num_features=7, config=config, regularizers=RegularizerConfig(),
+        binary_outcome=binary, rng=np.random.default_rng(seed),
+    )
+
+
 class TestCompiledInference:
-    """The compiled pure-NumPy forward must agree with the graph path."""
+    """The compiled forward runs the op table's array functions, so it
+    equals the autodiff forward bit for bit."""
 
     @pytest.mark.parametrize("name", ["tarnet", "cfr", "dercfr"])
     @pytest.mark.parametrize("normalize", [False, True])
     @pytest.mark.parametrize("binary", [False, True])
     def test_compiled_matches_graph_path(self, name, normalize, binary):
-        from repro.core.backbones import build_backbone
-
-        config = BackboneConfig(
-            rep_layers=2, rep_units=8, head_layers=2, head_units=6,
-            rep_normalization=normalize,
-        )
-        backbone = build_backbone(
-            name, num_features=7, config=config, regularizers=RegularizerConfig(),
-            binary_outcome=binary, rng=np.random.default_rng(11),
-        )
+        backbone = _compiled_backbone(name, normalize=normalize, binary=binary)
         x = np.random.default_rng(1).normal(size=(33, 7))
-        graph = backbone.predict(x, compiled=False)
-        compiled = backbone.predict(x, compiled=True)
+        graph = backbone._predict_eager(x)
+        compiled = backbone.predict(x)
         assert backbone._compiled_inference() is not None
-        for key in ("mu0", "mu1", "ite"):
-            np.testing.assert_allclose(compiled[key], graph[key], rtol=1e-12, atol=1e-14)
+        _assert_served_equals_eager(compiled, graph)
+
+    @pytest.mark.parametrize("name", ["tarnet", "cfr", "dercfr"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("activation", ["elu", "relu", "tanh", "softplus", "sigmoid"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_served_equals_trained_forward_bit_for_bit(
+        self, name, normalize, binary, activation, dtype
+    ):
+        """Every stock architecture, activation and dtype, at 1, 5 and 300 rows."""
+        with dtype_scope(dtype):
+            backbone = _compiled_backbone(
+                name, normalize=normalize, binary=binary, activation=activation
+            )
+            for rows in (1, 5, 300):
+                x = np.random.default_rng(rows).normal(size=(rows, 7))
+                _assert_served_equals_eager(backbone.predict(x), backbone._predict_eager(x))
+        assert backbone._compiled_inference() is not None
+
+    @pytest.mark.parametrize("name", ["tarnet", "cfr", "dercfr"])
+    def test_served_edge_inputs_equal_eager(self, name):
+        """Zero rows, NaN rows, and a float32 model given float64 input."""
+        backbone = _compiled_backbone(name, normalize=True)
+        empty = backbone.predict(np.zeros((0, 7)))
+        assert all(empty[key].shape == (0,) for key in ("mu0", "mu1", "ite"))
+        _assert_served_equals_eager(empty, backbone._predict_eager(np.zeros((0, 7))))
+
+        x = np.random.default_rng(2).normal(size=(6, 7))
+        x[1] = np.nan
+        x[4, 3] = np.nan
+        served = backbone.predict(x)
+        assert np.isnan(served["mu0"]).tolist() == [False, True, False, False, True, False]
+        _assert_served_equals_eager(served, backbone._predict_eager(x))
+
+        with dtype_scope("float32"):
+            narrow = _compiled_backbone(name)
+        x64 = np.random.default_rng(3).normal(size=(5, 7))
+        served = narrow.predict(x64)  # outside the scope: float64 input
+        assert served["mu0"].dtype == np.float32
+        with dtype_scope("float32"):  # the forward the float32 model trains with
+            _assert_served_equals_eager(served, narrow._predict_eager(x64))
 
     def test_compiled_invalidated_by_parameter_updates(self):
-        from repro.core.backbones import build_backbone
-
         backbone = build_backbone(
             "cfr", num_features=5,
             config=BackboneConfig(rep_layers=2, rep_units=6, head_layers=2, head_units=4),
@@ -219,13 +267,11 @@ class TestCompiledInference:
         for param in backbone.parameters():
             param.data = param.data + 0.1  # fresh buffers, like an optimiser step
         after = backbone.predict(x)
-        reference = backbone.predict(x, compiled=False)
+        reference = backbone._predict_eager(x)
         assert not np.allclose(before, after["mu0"])
-        np.testing.assert_allclose(after["mu0"], reference["mu0"], rtol=1e-12)
+        np.testing.assert_array_equal(after["mu0"], reference["mu0"])
 
     def test_compiled_tracks_load_state_dict(self):
-        from repro.core.backbones import build_backbone
-
         def build(seed):
             return build_backbone(
                 "tarnet", num_features=4,
@@ -238,16 +284,12 @@ class TestCompiledInference:
         x = np.random.default_rng(4).normal(size=(6, 4))
         target.predict(x)  # compile against the original parameters
         target.load_state_dict(source.state_dict())
-        np.testing.assert_allclose(
-            target.predict(x)["ite"], source.predict(x, compiled=False)["ite"], rtol=1e-12
-        )
+        np.testing.assert_array_equal(target.predict(x)["ite"], source._predict_eager(x)["ite"])
 
     def test_inplace_mutation_serves_coherent_snapshot_until_invalidated(self):
         """In-place buffer writes evade the id probe by design; the closure
         must then serve one *coherent* old version, and invalidate_compiled()
         must pick the mutation up."""
-        from repro.core.backbones import build_backbone
-
         backbone = build_backbone(
             "cfr", num_features=5,
             config=BackboneConfig(rep_layers=2, rep_units=6, head_layers=2, head_units=4),
@@ -262,9 +304,9 @@ class TestCompiledInference:
         np.testing.assert_array_equal(backbone.predict(x)["mu0"], before)
         backbone.invalidate_compiled()
         refreshed = backbone.predict(x)
-        reference = backbone.predict(x, compiled=False)
+        reference = backbone._predict_eager(x)
         assert not np.allclose(refreshed["mu0"], before)
-        np.testing.assert_allclose(refreshed["mu0"], reference["mu0"], rtol=1e-12)
+        np.testing.assert_array_equal(refreshed["mu0"], reference["mu0"])
 
     def test_custom_backbone_falls_back_to_graph_path(self):
         class WeirdTARNet(TARNet):

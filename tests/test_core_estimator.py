@@ -97,6 +97,54 @@ class TestFitPredictEvaluate:
         )
 
 
+class TestCovariateCheck:
+    """predict, representations and evaluate coerce covariates as serving does."""
+
+    @pytest.fixture(scope="class", params=["tarnet", "cfr", "dercfr"])
+    def fitted(self, request, small_train):
+        from repro.core.config import BackboneConfig, SBRLConfig, TrainingConfig
+
+        config = SBRLConfig(
+            backbone=BackboneConfig(rep_layers=2, rep_units=8, head_layers=2, head_units=6),
+            training=TrainingConfig(iterations=3, early_stopping_patience=None, seed=0),
+        )
+        return HTEEstimator(
+            backbone=request.param, framework="vanilla", config=config, seed=1
+        ).fit(small_train)
+
+    def test_one_dimensional_row_is_one_unit(self, fitted, small_ood):
+        row = small_ood.covariates[3]
+        outcomes = fitted.predict_potential_outcomes(row)
+        expected = fitted.predict_potential_outcomes(small_ood.covariates[3:4])
+        for key in ("mu0", "mu1", "ite"):
+            assert outcomes[key].shape == (1,)
+            np.testing.assert_array_equal(outcomes[key], expected[key])
+        representation = fitted.representations(row)
+        assert representation.shape == (1, fitted.representations(small_ood.covariates[:1]).shape[1])
+
+    def test_wrong_width_names_both_widths(self, fitted, small_ood):
+        width = small_ood.covariates.shape[1]
+        for call in (fitted.predict_potential_outcomes, fitted.representations):
+            with pytest.raises(ValueError) as excinfo:
+                call(np.zeros((3, width + 1)))
+            message = str(excinfo.value)
+            assert f"feature dimension {width + 1}" in message
+            assert f"feature dimension {width}" in message
+
+    def test_other_ranks_are_rejected(self, fitted, small_ood):
+        width = small_ood.covariates.shape[1]
+        for bad in (np.zeros((2, 2, width)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="1-D or 2-D"):
+                fitted.predict_potential_outcomes(bad)
+
+    def test_evaluate_runs_the_same_check(self, fitted, small_ood):
+        from dataclasses import replace
+
+        narrow = replace(small_ood, covariates=small_ood.covariates[:, :-1])
+        with pytest.raises(ValueError, match="feature dimension"):
+            fitted.evaluate(narrow)
+
+
 class TestRefit:
     def test_refit_requires_fitted_for_warm_start(self, fast_config, small_train):
         estimator = HTEEstimator(backbone="tarnet", config=fast_config)

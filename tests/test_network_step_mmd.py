@@ -5,13 +5,14 @@ stacked kernel in tiles built from augmented gemms.  This file keeps the
 previous formulation verbatim as the reference:
 
 * the ``|a|² + |b|² - 2 a·b`` → scale → ``exp`` kernel node with its
-  ``_pairwise_sq_vjp``-style backward;
+  closed-form backward;
 * three such blocks with a differentiable kernel, each reduced by the
   elementwise bilinear form ``Σ_ij a_i K_ij b_j``.
 
-The value and all four gradients must match it within a relative 1e-12,
-also with the tile shrunk so that arm boundaries fall inside tiles and
-last tiles are ragged.  It also pins the memory picture: an eager call and
+The sweep's kernel entries (the augmented gemm and in-place ``exp``)
+match that node's, and the value and all four gradients must match it
+within a relative 1e-12, also with the tile shrunk so that arm boundaries
+fall inside tiles and last tiles are ragged.  It also pins the memory picture: an eager call and
 a recorded full-batch CFR + ``mmd_rbf`` network step keep no array of
 ``n_c · n_t`` elements (the step counts its ctx, its workspace and its
 gradient arena), and a float32 step stays in float32.
@@ -160,7 +161,8 @@ TILE_ARMS = [(1, 1), (3, 5), (4, 4), (9, 2)]
 def test_kernel_block_matches_the_expansion(n_control, n_treated):
     control, treated, _, _ = _groups(n_control, n_treated)
     for a, b in ((control, control), (treated, treated), (control, treated)):
-        new = F.rbf_kernel(a, b, SIGMA).numpy()
+        scale = -1.0 / (2.0 * SIGMA ** 2)
+        new = kernels._rbf_entries(kernels._rbf_left(a, scale), kernels._rbf_right(b, scale))
         old = reference_rbf_kernel(a, b, SIGMA).numpy()
         np.testing.assert_allclose(new, old, rtol=RTOL, atol=0.0)
 
@@ -310,7 +312,6 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
 
     ops = [instr.op for instr in program.instructions]
     assert ops.count("weighted_rbf_mmd") == 1
-    assert "rbf_kernel" not in ops
     [fused] = [instr for instr in program.instructions if instr.op == "weighted_rbf_mmd"]
     assert fused.attrs["products"] == "full"
 

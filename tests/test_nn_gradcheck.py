@@ -312,33 +312,6 @@ def test_fused_linear_operand_ranks(shape_x, seed, cols):
     check_gradients(lambda a, w, b: F.linear(a, w, b), x, weight, bias, seed=seed)
 
 
-@pytest.mark.parametrize("rows_a, rows_b", [(1, 1), (3, 2), (2, 5)])
-@given(seed=seeds, features=dims)
-@settings(**GRADCHECK_SETTINGS)
-def test_pairwise_sq_dists_gradients(rows_a, rows_b, seed, features):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(rows_a, features))
-    b = rng.normal(size=(rows_b, features))
-    check_gradients(F.pairwise_sq_dists, a, b, seed=seed)
-
-
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-@given(seed=seeds, rows=dims, features=dims)
-@settings(**GRADCHECK_SETTINGS)
-def test_rbf_kernel_gradients(sigma, seed, rows, features):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(rows, features))
-    b = rng.normal(size=(rows + 1, features))
-    check_gradients(lambda x, y: F.rbf_kernel(x, y, sigma), a, b, seed=seed)
-
-
-def test_pairwise_ops_reject_non_2d():
-    with pytest.raises(ValueError):
-        F.pairwise_sq_dists(np.ones(3), np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        F.rbf_kernel(np.ones((2, 3)), np.ones(3))
-
-
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("shape", [(5,), (4, 2)])
 @given(seed=seeds)

@@ -2,7 +2,7 @@
 
 * every eager op's forward and backward run its table kernels, once each,
   so eager autodiff and graph replay share one ``fwd``/``vjp`` per op;
-* the table holds exactly the engine's 37 ops;
+* the table holds exactly the engine's 35 ops;
 * an eager node keeps only what its VJP reads (ELU's forward scratch is a
   temporary, not node state);
 * ELU's in-place form equals the textbook ``np.where`` forms bit for bit,
@@ -10,7 +10,10 @@
 * the ``getitem`` VJP, which assigns when the index names distinct rows,
   accumulates exactly as ``np.add.at``, also when replay redraws the index;
 * an ``rff_features`` node keeps ``v * w + phi`` only when its values need
-  a gradient, and its value is the old form's bit for bit either way.
+  a gradient, and its value is the old form's bit for bit either way;
+* the eager array functions ``linear``, ``elu`` and ``sigmoid``, which the
+  kernels and compiled serving share, let the first ufunc allocate and
+  equal the old allocate-then-fill forms bit for bit, in shape and dtype.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.kernels import KERNELS, Kernel
+from repro.nn.kernels import KERNELS, Kernel, elu, linear, sigmoid
 from repro.nn.modules import resolve_activation
 from repro.nn.tape import TapeRecorder, dynamic
 from repro.nn.tensor import Tensor, concatenate, dtype_scope, stack
@@ -68,8 +71,6 @@ OP_CASES = {
     "concatenate": (lambda a, b: concatenate([a, b], axis=1), [_normal(3, 4), _normal(3, 2)]),
     "stack": (lambda a, b: stack([a, b], axis=1), [_normal(3, 4), _normal(3, 4)]),
     "linear": (F.linear, [_normal(3, 4), _normal(4, 2), _normal(2)]),
-    "pairwise_sq_dists": (F.pairwise_sq_dists, [_normal(3, 2), _normal(4, 2)]),
-    "rbf_kernel": (lambda a, b: F.rbf_kernel(a, b, 1.3), [_normal(3, 2), _normal(4, 2)]),
     "bce_with_logits": (F.bce_with_logits, [_normal(5), _unit(5), _positive(5)]),
     "mse_loss": (F.mse_loss, [_normal(5), _normal(5)]),
     "weighted_mse_loss": (F.weighted_mse_loss, [_normal(5), _normal(5), _positive(5)]),
@@ -89,7 +90,7 @@ OP_CASES = {
 
 
 def test_table_holds_exactly_the_engine_ops():
-    assert len(KERNELS) == 37
+    assert len(KERNELS) == 35
     assert set(KERNELS) == set(OP_CASES)
     for name, kernel in KERNELS.items():
         assert kernel.name == name
@@ -293,3 +294,81 @@ def test_rff_node_without_a_gradient_keeps_no_inner_and_equals_the_old_form(matr
     np.testing.assert_array_equal(constant.data.view(np.uint64), expected.view(np.uint64))
     leaf = Tensor(values, requires_grad=True)
     assert F.rff_features(leaf, freqs, phases)._backward[1]["values_grad"] is True
+
+
+# --------------------------------------------------------------------------- #
+# The eager array functions compiled serving shares: the old forms, bit for bit
+# --------------------------------------------------------------------------- #
+def _old_linear(x, w, b=None):
+    return x @ w if b is None else (x @ w) + b
+
+
+def _old_elu(x, alpha):
+    t = np.empty(x.shape, dtype=x.dtype)
+    np.minimum(x, 0.0, out=t)
+    np.exp(t, out=t)
+    np.subtract(t, 1.0, out=t)
+    if alpha != 1.0:
+        np.multiply(t, alpha, out=t)
+    out = np.maximum(x, 0.0)
+    return np.add(out, t, out=out)
+
+
+def _old_sigmoid(x):
+    t = np.empty_like(x)
+    np.maximum(x, -60.0, out=t)
+    np.minimum(t, 60.0, out=t)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.add(t, 1.0, out=t)
+    return np.divide(1.0, t, out=t)
+
+
+def _same(actual, expected):
+    assert type(actual) is type(expected)
+    assert actual.shape == expected.shape and actual.dtype == expected.dtype
+    np.testing.assert_array_equal(actual, expected)
+
+
+#: name -> (x shape, w shape, b shape or None)
+_LINEAR_SHAPES = {
+    "matrix": ((5, 4), (4, 3), (3,)),
+    "no-bias": ((5, 4), (4, 3), None),
+    "one-row-vector": ((4,), (4, 3), (3,)),
+    "stacked-heads": ((5, 4), (2, 4, 3), (2, 1, 3)),
+    "stacked-one-row": ((1, 4), (2, 4, 3), (2, 1, 3)),
+    "bias-broadcasts-up": ((5, 4), (4, 1), (3,)),
+    "bias-adds-a-dim": ((4,), (4, 3), (2, 3)),
+    "scalar-product": ((4,), (4,), ()),
+    "zero-rows": ((0, 4), (4, 3), (3,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LINEAR_SHAPES))
+@pytest.mark.parametrize(
+    "dtypes",
+    [("float64",) * 3, ("float32",) * 3, ("float32", "float32", "float64"), ("float64", "float32", "float32")],
+    ids=["float64", "float32", "float64-bias", "float32-weights"],
+)
+def test_linear_array_function_equals_the_old_form(name, dtypes):
+    x_shape, w_shape, b_shape = _LINEAR_SHAPES[name]
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=x_shape).astype(dtypes[0])
+    w = rng.normal(size=w_shape).astype(dtypes[1])
+    b = None if b_shape is None else np.asarray(rng.normal(size=b_shape)).astype(dtypes[2])
+    _same(linear(x, w, b), _old_linear(x, w, b))
+    ins = (x, w) if b is None else (x, w, b)
+    _same(KERNELS["linear"].fwd(None, ins, None, {}), _old_linear(x, w, b))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3])
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("shape", [(7,), (4, 5), (2, 3, 5)], ids=["1-D", "2-D", "stacked"])
+def test_elu_and_sigmoid_array_functions_equal_the_old_forms(shape, dtype, alpha):
+    x = (5.0 * np.random.default_rng(4).normal(size=shape)).astype(dtype)
+    x.flat[0] = np.nan
+    x.flat[1] = -100.0
+    _same(elu(x, alpha), _old_elu(x, alpha))
+    _same(sigmoid(x), _old_sigmoid(x))
+    _same(KERNELS["elu"].fwd(None, (x,), {"alpha": alpha}, {}), _old_elu(x, alpha))
+    _same(KERNELS["sigmoid"].fwd(None, (x,), None, {}), _old_sigmoid(x))

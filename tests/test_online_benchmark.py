@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -111,3 +114,36 @@ def test_refit_epochs_added_to_grid():
     )
     epochs = [entry["epochs"] for entry in record["tradeoff"]["curve"]]
     assert 7 in epochs
+
+
+class TestFrontDoorsShareTheRules:
+    """``repro online-bench`` and ``benchmarks/bench_online.py`` apply the
+    same acceptance gates: one failed request fails both."""
+
+    @pytest.fixture()
+    def failed(self, record, monkeypatch):
+        canned = copy.deepcopy(record)
+        canned["gates"].update(
+            drift_detected_within_window=True, zero_failed_requests=False, all_passed=False
+        )
+        canned["gates"]["warm_recovery"]["passed"] = True
+        canned["gates"]["warm_latency_ratio"]["passed"] = True
+        import repro.experiments.online_benchmark as module
+
+        monkeypatch.setattr(module, "benchmark_online", lambda **kwargs: canned)
+        return canned
+
+    def test_cli_fails_on_a_failed_request(self, failed, capsys):
+        from repro.cli import main
+
+        assert main(["online-bench", "--smoke"]) == 1
+        assert "gate zero_failed_requests" in capsys.readouterr().out
+
+    def test_script_fails_on_a_failed_request(self, failed, tmp_path, monkeypatch, capsys):
+        path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_online.py"
+        spec = importlib.util.spec_from_file_location("bench_online_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "benchmark_online", lambda **kwargs: failed)
+        assert script.main(["--smoke", "--output", str(tmp_path / "r.json")]) == 1
+        assert "gate zero_failed_requests" in capsys.readouterr().out

@@ -14,6 +14,7 @@ from repro.data.dataset import CausalDataset
 from repro.serve import ModelRegistry, ServingFrontend
 from repro.serve.registry import as_request_matrix
 from repro.serve.server import _Request
+from repro.nn.tensor import dtype_scope
 
 
 def _fit(small_train, seed: int, dtype: str = "float64") -> HTEEstimator:
@@ -125,6 +126,54 @@ class TestExecutionTimeCoercion:
         # The batch cached its rows under their float32 bytes.
         frontend.registry.predict(rows.astype(np.float32), model="m")
         assert frontend.registry.live("m").stats.cache_hits == len(rows)
+
+
+class TestServedEqualsEager:
+    """Every serving entry point returns the autodiff forward's answer bit for
+    bit: zero rows, NaN rows, and a float32 model given float64 input."""
+
+    @staticmethod
+    def _eager(estimator, covariates):
+        trainer = estimator.trainer
+        with dtype_scope(estimator.fitted_dtype):  # the model's training dtype
+            return trainer.backbone._predict_eager(trainer._transform(covariates))
+
+    @staticmethod
+    def _assert_equal(served, eager):
+        for key in ("mu0", "mu1", "ite"):
+            assert served[key].dtype == eager[key].dtype
+            np.testing.assert_array_equal(served[key], eager[key])
+
+    @pytest.fixture(scope="class")
+    def float32_estimator(self, small_train):
+        return _fit(small_train, seed=13, dtype="float32")
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_entry_points_serve_the_eager_forward(
+        self, dtype, estimator_v1, float32_estimator, small_ood
+    ):
+        estimator = estimator_v1 if dtype == "float64" else float32_estimator
+        width = small_ood.covariates.shape[1]
+        with_nan = small_ood.covariates[:6].astype(np.float64)
+        with_nan[1] = np.nan
+        with_nan[4, 2] = np.nan
+        cases = [np.zeros((0, width)), with_nan, small_ood.covariates[:40]]
+        registry = ModelRegistry()
+        registry.deploy("m", estimator)
+        with ServingFrontend(num_workers=1, max_wait_ms=1.0) as frontend:
+            frontend.deploy("m", estimator)
+            for covariates in cases:
+                eager = self._eager(estimator, covariates)
+                assert eager["mu0"].dtype == np.dtype(dtype)
+                assert np.isnan(eager["mu0"]).sum() == (2 if covariates is with_nan else 0)
+                backbone = estimator.trainer.backbone
+                self._assert_equal(backbone.predict(estimator.trainer._transform(covariates)), eager)
+                # Serving casts a request to the fitted dtype before anything
+                # else, so its reference is the eager forward of those bytes.
+                request = covariates.astype(estimator.fitted_dtype)
+                eager = self._eager(estimator, request)
+                self._assert_equal(registry.predict(covariates, model="m"), eager)
+                self._assert_equal(frontend.predict(covariates, model="m"), eager)
 
 
 class TestCoalescing:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
 from repro.experiments.perf_gate import check_perf_regression
 from repro.experiments.reporting import write_record
 from repro.experiments.serving_benchmark import (
+    PERF_GATES,
     benchmark_serving,
     format_serving_benchmark,
 )
@@ -85,19 +89,6 @@ class TestBenchmarkRecord:
 
 
 class TestPerfGateWiring:
-    CHECKS = (
-        (
-            "direct seconds/1k requests",
-            lambda record: record["sustained"]["direct"]["seconds_per_1k_requests"],
-            "direct_seconds_per_1k_requests",
-        ),
-        (
-            "coalesced seconds/1k requests",
-            lambda record: record["sustained"]["coalesced"]["seconds_per_1k_requests"],
-            "coalesced_seconds_per_1k_requests",
-        ),
-    )
-
     @staticmethod
     def _smoke_record(direct: float, coalesced: float) -> dict:
         return {
@@ -126,15 +117,45 @@ class TestPerfGateWiring:
     def test_within_budget_passes(self, tmp_path):
         baseline = self._baseline(tmp_path, direct=0.1, coalesced=0.05)
         result = self._smoke_record(direct=0.15, coalesced=0.06)
-        assert check_perf_regression(result, baseline, self.CHECKS) == 0
+        assert check_perf_regression(result, baseline, PERF_GATES) == 0
 
     def test_regression_fails(self, tmp_path):
         baseline = self._baseline(tmp_path, direct=0.1, coalesced=0.05)
         result = self._smoke_record(direct=0.5, coalesced=0.06)
-        assert check_perf_regression(result, baseline, self.CHECKS) == 1
+        assert check_perf_regression(result, baseline, PERF_GATES) == 1
 
     def test_full_mode_records_are_not_gated(self, tmp_path):
         baseline = self._baseline(tmp_path, direct=0.1, coalesced=0.05)
         result = self._smoke_record(direct=9.9, coalesced=9.9)
         result["mode"] = "full"
-        assert check_perf_regression(result, baseline, self.CHECKS) == 0
+        assert check_perf_regression(result, baseline, PERF_GATES) == 0
+
+
+class TestFrontDoorsShareTheRules:
+    """``repro serve-bench --sustained`` and ``benchmarks/bench_serving.py``
+    apply the same checks: one undrained version fails both."""
+
+    @pytest.fixture()
+    def undrained(self, record, monkeypatch):
+        canned = copy.deepcopy(record)
+        canned["hot_swap"]["old_version_drained"] = False
+        import repro.experiments.serving_benchmark as module
+
+        monkeypatch.setattr(module, "benchmark_serving", lambda **kwargs: canned)
+        return canned
+
+    def test_cli_fails_on_an_undrained_version(self, undrained, tmp_path, capsys):
+        from repro.cli import main
+
+        code = main(["serve-bench", "--sustained", "--smoke", "--output", str(tmp_path / "r.json")])
+        assert code == 1
+        assert "did not drain" in capsys.readouterr().out
+
+    def test_script_fails_on_an_undrained_version(self, undrained, tmp_path, monkeypatch, capsys):
+        path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_serving.py"
+        spec = importlib.util.spec_from_file_location("bench_serving_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        monkeypatch.setattr(script, "benchmark_serving", lambda **kwargs: undrained)
+        assert script.main(["--smoke", "--output", str(tmp_path / "r.json")]) == 1
+        assert "did not drain" in capsys.readouterr().out

@@ -8,7 +8,7 @@ steps.  This file keeps the previous formulation as the reference:
 
 * the per-pair ``pairwise_decorrelation_loss`` loop over the single-pair
   ``weighted_sq_cross_cov`` node;
-* the ``mmd_rbf_weighted`` composition of three ``rbf_kernel`` blocks and
+* the ``mmd_rbf_weighted`` composition of three RBF kernel blocks and
   the elementwise ``bilinear_weighted_sum`` node;
 * the regularizers' per-call sequence of RNG draws.
 
@@ -32,7 +32,6 @@ from repro.core.regularizers import HierarchicalAttentionLoss
 from repro.metrics.hsic import RandomFourierFeatures
 from repro.metrics.ipm import mmd_linear_weighted
 from repro.metrics.subsampling import subsample_indices
-from repro.nn import functional as F
 from repro.nn.kernels import Workspace
 from repro.nn.tensor import Tensor, as_tensor
 
@@ -117,6 +116,15 @@ def reference_pairwise_decorrelation_loss(matrix, weights, features_per_dim, max
     return total
 
 
+def reference_rbf_kernel(a, b, sigma: float) -> Tensor:
+    """The kernel block ``exp(-||a_i - b_j||² / (2σ²))`` by the ``|a|² + |b|² - 2 a·b``
+    expansion, independent of the sweep's augmented gemm.  A constant:
+    ``L_w`` holds the representations fixed."""
+    a, b = as_tensor(a).data, as_tensor(b).data
+    sq = (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1)[None, :] - 2.0 * (a @ b.T)
+    return Tensor(np.exp(sq * (-1.0 / (2.0 * sigma ** 2))))
+
+
 def reference_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weights_treated, sigma=1.0):
     """The ``mmd_rbf_weighted`` composition over the elementwise bilinear form."""
     rep_control = as_tensor(rep_control)
@@ -128,9 +136,9 @@ def reference_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weight
 
     w_c = normalised(weights_control)
     w_t = normalised(weights_treated)
-    k_cc = reference_bilinear_weighted_sum(w_c, F.rbf_kernel(rep_control, rep_control, sigma), w_c)
-    k_tt = reference_bilinear_weighted_sum(w_t, F.rbf_kernel(rep_treated, rep_treated, sigma), w_t)
-    k_ct = reference_bilinear_weighted_sum(w_c, F.rbf_kernel(rep_control, rep_treated, sigma), w_t)
+    k_cc = reference_bilinear_weighted_sum(w_c, reference_rbf_kernel(rep_control, rep_control, sigma), w_c)
+    k_tt = reference_bilinear_weighted_sum(w_t, reference_rbf_kernel(rep_treated, rep_treated, sigma), w_t)
+    k_ct = reference_bilinear_weighted_sum(w_c, reference_rbf_kernel(rep_control, rep_treated, sigma), w_t)
     return k_cc + k_tt - 2.0 * k_ct
 
 
