@@ -3,8 +3,8 @@
 
 Writes ``BENCH_autodiff.json`` recording
 
-* per-op graph-node counts and wall-clock of the fused VJP kernels against
-  the unfused op compositions they replaced,
+* per-op graph-node counts and wall-clock of the fused VJP kernels, and
+  their node reduction against the unfused op chains PR 4 replaced,
 * seconds / tensor allocations per full-batch training iteration at the
   ``BENCH_training.json`` setting (directly comparable to the PR 2 80 s
   baseline),
@@ -17,6 +17,9 @@ Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_autodiff.py            # full run
     PYTHONPATH=src python benchmarks/bench_autodiff.py --smoke    # CI seconds-scale run
+
+A full run rewrites the committed ``BENCH_autodiff.json`` at the repository root;
+a ``--smoke`` run writes a record only where ``--output`` points.
 
 CI additionally passes ``--check-against BENCH_autodiff.json``: the smoke
 run then fails (exit 1) when its training-step time regresses by more than
@@ -39,7 +42,7 @@ from repro.experiments.autodiff_benchmark import (  # noqa: E402
     format_autodiff_benchmark,
 )
 from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
-from repro.experiments.reporting import write_record  # noqa: E402
+from repro.experiments.reporting import write_script_record  # noqa: E402
 
 
 def check_regression(result: dict, baseline_path: str) -> int:
@@ -87,8 +90,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(_SRC), "BENCH_autodiff.json"),
-        help="where to write the JSON record (default: repo root)",
+        default=None,
+        help="where to write the JSON record (default: BENCH_autodiff.json at the repo "
+        "root; a --smoke run writes nothing unless given)",
     )
     args = parser.parse_args(argv)
 
@@ -99,8 +103,9 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_autodiff_benchmark(result))
-    path = write_record(result, args.output)
-    print(f"\nwrote {path}")
+    write_script_record(
+        result, args.output, args.smoke, os.path.join(os.path.dirname(_SRC), "BENCH_autodiff.json")
+    )
     if args.check_against is not None:
         return check_regression(result, args.check_against)
     return 0

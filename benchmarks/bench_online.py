@@ -19,6 +19,9 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_online.py           # full run
     PYTHONPATH=src python benchmarks/bench_online.py --smoke   # CI run
 
+A full run rewrites the committed ``BENCH_online.json`` at the repository root;
+a ``--smoke`` run writes a record only where ``--output`` points.
+
 The script exits non-zero if any acceptance gate fails, so CI pins the
 online-serving contract as well as its performance.
 """
@@ -39,7 +42,7 @@ from repro.experiments.online_benchmark import (  # noqa: E402
     check_online_benchmark,
     format_online_benchmark,
 )
-from repro.experiments.reporting import write_record  # noqa: E402
+from repro.experiments.reporting import write_script_record  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -71,8 +74,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(_SRC), "BENCH_online.json"),
-        help="where to write the JSON record (default: repo root)",
+        default=None,
+        help="where to write the JSON record (default: BENCH_online.json at the repo "
+        "root; a --smoke run writes nothing unless given)",
     )
     args = parser.parse_args(argv)
 
@@ -85,8 +89,9 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_online_benchmark(result))
-    path = write_record(result, args.output)
-    print(f"\nwrote {path}")
+    write_script_record(
+        result, args.output, args.smoke, os.path.join(os.path.dirname(_SRC), "BENCH_online.json")
+    )
     return 1 if check_online_benchmark(result, args.check_against) else 0
 
 

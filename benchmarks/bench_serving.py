@@ -16,6 +16,9 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_serving.py           # full run
     PYTHONPATH=src python benchmarks/bench_serving.py --smoke   # CI seconds-scale run
 
+A full run rewrites the committed ``BENCH_serving.json`` at the repository root;
+a ``--smoke`` run writes a record only where ``--output`` points.
+
 The script exits non-zero if any request failed during the hot swap or the
 coalesced answers diverge from direct estimator predictions, so CI gates
 correctness as well as performance.
@@ -32,7 +35,7 @@ _SRC = os.path.abspath(os.path.join(os.path.dirname(os.path.abspath(__file__)), 
 if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.experiments.reporting import write_record  # noqa: E402
+from repro.experiments.reporting import write_script_record  # noqa: E402
 from repro.experiments.serving_benchmark import (  # noqa: E402
     benchmark_serving,
     check_serving_benchmark,
@@ -71,8 +74,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(_SRC), "BENCH_serving.json"),
-        help="where to write the JSON record (default: repo root)",
+        default=None,
+        help="where to write the JSON record (default: BENCH_serving.json at the repo "
+        "root; a --smoke run writes nothing unless given)",
     )
     args = parser.parse_args(argv)
 
@@ -86,8 +90,9 @@ def main(argv=None) -> int:
         seed=args.seed,
     )
     print(format_serving_benchmark(result))
-    path = write_record(result, args.output)
-    print(f"\nwrote {path}")
+    write_script_record(
+        result, args.output, args.smoke, os.path.join(os.path.dirname(_SRC), "BENCH_serving.json")
+    )
     return 1 if check_serving_benchmark(result, args.check_against) else 0
 
 

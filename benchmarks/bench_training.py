@@ -1,16 +1,19 @@
 #!/usr/bin/env python
-"""Benchmark the minibatch training engine and parallel grid execution.
+"""Benchmark the minibatch training engine and the optimizer/schedule choice.
 
 Writes ``BENCH_training.json`` recording wall-clock and PEHE for
 
 * full-batch SBRL-HAP training (exact O(n²) RBF-MMD / HSIC regularizers),
 * minibatch training (stratified batches + anchor-subsampled regularizers),
-* the 3×3 method grid run serially and with ``n_jobs`` worker processes.
+* steps to a target PEHE per registered optimizer/schedule combination.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_training.py            # full run
     PYTHONPATH=src python benchmarks/bench_training.py --smoke    # CI seconds-scale run
+
+A full run rewrites the committed ``BENCH_training.json`` at the repository root;
+a ``--smoke`` run writes a record only where ``--output`` points.
 
 Unlike the ``bench_table*`` / ``bench_fig*`` pytest benchmarks this is a
 plain script: it is executed in CI on every push and the JSON is uploaded
@@ -29,7 +32,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.experiments.perf_gate import check_perf_regression  # noqa: E402
-from repro.experiments.reporting import write_record  # noqa: E402
+from repro.experiments.reporting import write_script_record  # noqa: E402
 from repro.experiments.training_benchmark import (  # noqa: E402
     benchmark_training,
     format_benchmark,
@@ -68,7 +71,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--num-samples", type=int, default=None, help="default: 4000 (600 with --smoke)")
     parser.add_argument("--batch-size", type=int, default=None, help="default: 256 (128 with --smoke)")
-    parser.add_argument("--n-jobs", type=int, default=None, help="default: 4 (2 with --smoke)")
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
         "--check-against",
@@ -78,8 +80,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(_SRC), "BENCH_training.json"),
-        help="where to write the JSON record (default: repo root)",
+        default=None,
+        help="where to write the JSON record (default: BENCH_training.json at the repo "
+        "root; a --smoke run writes nothing unless given)",
     )
     args = parser.parse_args(argv)
 
@@ -87,12 +90,12 @@ def main(argv=None) -> int:
         smoke=args.smoke,
         num_samples=args.num_samples,
         batch_size=args.batch_size,
-        n_jobs=args.n_jobs,
         seed=args.seed,
     )
     print(format_benchmark(result))
-    path = write_record(result, args.output)
-    print(f"\nwrote {path}")
+    write_script_record(
+        result, args.output, args.smoke, os.path.join(os.path.dirname(_SRC), "BENCH_training.json")
+    )
     if args.check_against is not None:
         return check_regression(result, args.check_against)
     return 0

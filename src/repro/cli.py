@@ -10,7 +10,6 @@ Exposes the experiment harness without writing Python::
     repro save --benchmark syn_8_8_8_2 --output artifacts/model   # train + persist
     repro predict --model artifacts/model --benchmark syn_8_8_8_2 # serve from artifact
     repro serve-bench --rows 2000                                 # microbatching benchmark
-    repro serve-bench --sustained --smoke                         # concurrent-frontend benchmark
     repro scenarios --smoke                                       # stress-test matrix
     repro scenarios --cache-dir .cache --shard 1/2 --checkpoint s1.jsonl  # one shard
     repro scenarios-merge s1.jsonl s2.jsonl                       # union the shards
@@ -118,75 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--model", default=None, help="artifact directory (default: train a smoke model)")
     bench.add_argument("--benchmark", default="syn_8_8_8_2", choices=available_benchmarks())
-    bench.add_argument("--rows", type=int, default=2000)
-    bench.add_argument("--requests", type=int, default=200, help="number of microbatched requests")
+    bench.add_argument("--rows", type=_positive_int, default=2000)
+    bench.add_argument(
+        "--requests", type=_positive_int, default=200, help="number of microbatched requests"
+    )
     bench.add_argument("--num-samples", type=int, default=600)
     bench.add_argument("--seed", type=int, default=2024)
-    bench.add_argument(
-        "--sustained",
-        action="store_true",
-        help="drive a concurrent ServingFrontend with a closed-loop load "
-        "generator instead (coalescing vs direct, saturation sweep, "
-        "hot swap under load)",
-    )
-    bench.add_argument("--smoke", action="store_true", help="seconds-scale --sustained run")
-    bench.add_argument("--concurrency", type=int, default=None, help="client threads (default: 16; 8 with --smoke)")
-    bench.add_argument(
-        "--requests-per-thread", type=int, default=None,
-        help="sustained-phase requests per client (default: 400; 60 with --smoke)",
-    )
-    bench.add_argument("--num-workers", type=int, default=None, help="frontend worker threads (default: 2)")
-    bench.add_argument("--max-wait-ms", type=float, default=2.0, help="batching deadline (ms)")
-    bench.add_argument(
-        "--arrival", choices=("closed", "burst"), default="closed",
-        help="load pattern for --sustained: closed loop or bursts of 4",
-    )
-    bench.add_argument("--output", default=None, help="write the --sustained JSON record to this path")
-    bench.add_argument(
-        "--check-against", default=None, metavar="BASELINE_JSON",
-        help="fail on a >2x regression against this committed --sustained record",
-    )
-
-    train_bench = subparsers.add_parser(
-        "train-bench",
-        help="benchmark minibatch training and parallel grid execution",
-    )
-    train_bench.add_argument("--smoke", action="store_true", help="seconds-scale run")
-    train_bench.add_argument("--num-samples", type=int, default=None, help="default: 4000 (600 with --smoke)")
-    train_bench.add_argument("--batch-size", type=int, default=None, help="default: 256 (128 with --smoke)")
-    train_bench.add_argument("--n-jobs", type=int, default=None, help="default: 4 (2 with --smoke)")
-    train_bench.add_argument("--seed", type=int, default=2024)
-    train_bench.add_argument(
-        "--output", default=None, help="write the JSON record to this path"
-    )
-
-    autodiff_bench = subparsers.add_parser(
-        "bench-autodiff",
-        help="benchmark the autodiff engine: fused kernels, compiled serving, dtype",
-    )
-    autodiff_bench.add_argument("--smoke", action="store_true", help="seconds-scale run")
-    autodiff_bench.add_argument("--num-samples", type=int, default=None, help="default: 4000 (600 with --smoke)")
-    autodiff_bench.add_argument("--iterations", type=int, default=None, help="default: 40 (4 with --smoke)")
-    autodiff_bench.add_argument("--seed", type=int, default=2024)
-    autodiff_bench.add_argument(
-        "--output", default=None, help="write the JSON record to this path"
-    )
-
-    online_bench = subparsers.add_parser(
-        "online-bench",
-        help="benchmark drift-aware online serving: detection, warm refit, rollback",
-    )
-    online_bench.add_argument("--smoke", action="store_true", help="tens-of-seconds run (CI mode)")
-    online_bench.add_argument("--num-samples", type=int, default=None, help="default: 1200 (600 with --smoke)")
-    online_bench.add_argument("--steps", type=int, default=None, help="stream length in batches (default: 24; 16 with --smoke)")
-    online_bench.add_argument("--batch-rows", type=int, default=None, help="rows per stream batch (default: 192; 128 with --smoke)")
-    online_bench.add_argument("--refit-epochs", type=int, default=None, help="warm-refit epoch budget (default: 40; 20 with --smoke)")
-    online_bench.add_argument("--seed", type=int, default=2024)
-    online_bench.add_argument("--output", default=None, help="write the JSON record to this path")
-    online_bench.add_argument(
-        "--check-against", default=None, metavar="BASELINE_JSON",
-        help="fail on a >2x refit-latency regression against this committed record",
-    )
 
     scenarios = subparsers.add_parser(
         "scenarios",
@@ -262,6 +198,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
+
+
+def _positive_int(value: str) -> int:
+    """argparse type for a count of at least 1 (clear error instead of traceback)."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
 
 
 def _shard_spec(value: str):
@@ -393,52 +337,7 @@ def _command_predict(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_serve_bench_sustained(args: argparse.Namespace) -> int:
-    from .experiments.serving_benchmark import (
-        benchmark_serving,
-        check_serving_benchmark,
-        format_serving_benchmark,
-    )
-
-    result = benchmark_serving(
-        smoke=args.smoke,
-        concurrency=args.concurrency,
-        requests_per_thread=args.requests_per_thread,
-        num_workers=args.num_workers,
-        max_wait_ms=args.max_wait_ms,
-        arrival=args.arrival,
-        seed=args.seed,
-    )
-    print(format_serving_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_record(result, args.output)}")
-    return 1 if check_serving_benchmark(result, args.check_against) else 0
-
-
-def _command_online_bench(args: argparse.Namespace) -> int:
-    from .experiments.online_benchmark import (
-        benchmark_online,
-        check_online_benchmark,
-        format_online_benchmark,
-    )
-
-    result = benchmark_online(
-        smoke=args.smoke,
-        num_samples=args.num_samples,
-        num_steps=args.steps,
-        batch_rows=args.batch_rows,
-        refit_epochs=args.refit_epochs,
-        seed=args.seed,
-    )
-    print(format_online_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_record(result, args.output)}")
-    return 1 if check_online_benchmark(result, args.check_against) else 0
-
-
 def _command_serve_bench(args: argparse.Namespace) -> int:
-    if args.sustained:
-        return _command_serve_bench_sustained(args)
     if args.model is not None:
         estimator = HTEEstimator.load(args.model)
     else:
@@ -449,7 +348,7 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     num_features = estimator.trainer.backbone.num_features
     covariates = rng.normal(size=(args.rows, num_features))
-    requests = np.array_split(covariates, max(1, min(args.requests, args.rows)))
+    requests = np.array_split(covariates, min(args.requests, args.rows))
 
     start = time.perf_counter()
     per_row = np.concatenate([estimator.predict_ite(row.reshape(1, -1)) for row in covariates])
@@ -482,43 +381,6 @@ def _command_serve_bench(args: argparse.Namespace) -> int:
     ))
     print(f"cache hit rate: {stats['cache_hit_rate']:.2%}   "
           f"forward batches: {int(stats['batches'])}")
-    return 0
-
-
-def _command_train_bench(args: argparse.Namespace) -> int:
-    from .experiments.training_benchmark import (
-        benchmark_training,
-        format_benchmark,
-    )
-
-    result = benchmark_training(
-        smoke=args.smoke,
-        num_samples=args.num_samples,
-        batch_size=args.batch_size,
-        n_jobs=args.n_jobs,
-        seed=args.seed,
-    )
-    print(format_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_record(result, args.output)}")
-    return 0
-
-
-def _command_bench_autodiff(args: argparse.Namespace) -> int:
-    from .experiments.autodiff_benchmark import (
-        benchmark_autodiff,
-        format_autodiff_benchmark,
-    )
-
-    result = benchmark_autodiff(
-        smoke=args.smoke,
-        num_samples=args.num_samples,
-        iterations=args.iterations,
-        seed=args.seed,
-    )
-    print(format_autodiff_benchmark(result))
-    if args.output is not None:
-        print(f"wrote {write_record(result, args.output)}")
     return 0
 
 
@@ -593,9 +455,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "save": _command_save,
     "predict": _command_predict,
     "serve-bench": _command_serve_bench,
-    "online-bench": _command_online_bench,
-    "train-bench": _command_train_bench,
-    "bench-autodiff": _command_bench_autodiff,
     "scenarios": _command_scenarios,
     "scenarios-merge": _command_scenarios_merge,
 }

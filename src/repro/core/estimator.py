@@ -254,7 +254,7 @@ class HTEEstimator:
         population is usually *near* the one the model was trained on, so a
         few epochs from the already-fitted parameters recover most of the
         accuracy at a fraction of the cost (the refit-latency / PEHE-recovery
-        tradeoff is measured by ``repro online-bench``).
+        tradeoff is measured by ``benchmarks/bench_online.py``).
 
         Parameters
         ----------
@@ -322,10 +322,11 @@ class HTEEstimator:
     def fitted_dtype(self) -> np.dtype:
         """Dtype of the fitted backbone parameters (float32 or float64).
 
-        Serving layers coerce request covariates to this dtype, so models
-        trained under the float32 policy are also *served* in float32 (the
-        compiled forward casts its input to the parameters' dtype, as
-        training does) and row-cache keys are dtype-stable.
+        Predictions come back in this dtype: covariates are standardised in
+        float64 and the forward casts them to the parameters' dtype, as
+        training does.  Serving layers answer in it too, and coerce request
+        covariates to float64 first, so a served float32 model equals
+        :meth:`predict_potential_outcomes` bit for bit.
         """
         return self._require_fitted().backbone.parameter_dtype()
 

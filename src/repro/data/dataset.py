@@ -15,16 +15,14 @@ import numpy as np
 __all__ = ["CausalDataset", "TrainValTestSplit", "covariate_matrix"]
 
 
-def covariate_matrix(
-    covariates, num_features: int, dtype=np.float64, model: str = "the model"
-) -> np.ndarray:
-    """Coerce covariates to a contiguous ``(n, num_features)`` matrix of ``dtype``.
+def covariate_matrix(covariates, num_features: int, model: str = "the model") -> np.ndarray:
+    """Coerce covariates to a contiguous float64 ``(n, num_features)`` matrix.
 
     A 1-D array is one unit.  Any other rank, or a width other than
     ``num_features``, raises :class:`ValueError`; ``model`` names the
     fitted model in the width message.
     """
-    matrix = np.asarray(covariates, dtype=dtype, order="C")
+    matrix = np.asarray(covariates, dtype=np.float64, order="C")
     if matrix.ndim == 1:
         matrix = matrix.reshape(1, -1)
     if matrix.ndim != 2:

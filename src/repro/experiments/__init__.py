@@ -22,7 +22,6 @@ from .runner import (
     MethodResult,
     MethodSpec,
     default_method_grid,
-    resolve_n_jobs,
     run_method,
     run_methods,
     run_replications,
@@ -45,6 +44,7 @@ from .scheduler import (
     WorkUnit,
     parse_shard,
     plan_units,
+    resolve_n_jobs,
     run_cross_cell,
     shard_units,
     unit_shard,

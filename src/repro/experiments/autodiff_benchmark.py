@@ -3,8 +3,9 @@
 Quantifies the PR-4 engine overhaul along four axes:
 
 * **per-op** — graph-node counts and forward+backward wall-clock of the
-  fused kernels against locally reconstructed *unfused* compositions (the
-  exact op chains the regularizers used to build);
+  fused kernels, with the node reduction against the unfused op chains
+  the regularizers built before PR 4 (frozen history,
+  :data:`PR4_UNFUSED_GRAPH_NODES`);
 * **training step** — seconds and tensor allocations per alternating-
   optimisation iteration at the ``BENCH_training.json`` full-batch setting,
   directly comparable to the committed PR-2 baseline (80.2 s / 40 it);
@@ -17,7 +18,7 @@ Quantifies the PR-4 engine overhaul along four axes:
 
 ``benchmarks/bench_autodiff.py`` wraps this module as a CI-runnable script
 (``--smoke``) that can also gate on a committed baseline
-(``--check-against``); ``repro bench-autodiff`` exposes it from the CLI.
+(``--check-against``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from ..metrics.hsic import RandomFourierFeatures, pairwise_decorrelation_loss
 from ..metrics.ipm import mmd_rbf_weighted
 from ..nn import functional as F
-from ..nn.tensor import Tensor, as_tensor, dtype_scope, graph_node_count, tensor_alloc_count
+from ..nn.tensor import Tensor, dtype_scope, graph_node_count, tensor_alloc_count
 from ..serve import ModelRegistry
 from .reporting import format_table, machine_block
 from .training_benchmark import _engine_config
@@ -46,72 +47,15 @@ PR2_FULL_BATCH_SECONDS_PER_ITERATION = 80.174 / 40.0
 #: Single-row in-process serving latency of the PR-2 code, measured on the
 #: same container with the protocol of the serving section below.
 PR2_SERVICE_SINGLE_ROW_SECONDS = 225.5e-6
-
-
-# --------------------------------------------------------------------------- #
-# Unfused reference compositions (the pre-overhaul op chains)
-# --------------------------------------------------------------------------- #
-def _naive_linear(x, weight, bias):
-    return as_tensor(x).matmul(weight) + bias
-
-
-def _naive_rbf_kernel(a: Tensor, b: Tensor, sigma: float) -> Tensor:
-    sq_a = (a * a).sum(axis=1).reshape(-1, 1)
-    sq_b = (b * b).sum(axis=1).reshape(1, -1)
-    sq = sq_a + sq_b - 2.0 * a.matmul(b.T)
-    return (sq * (-1.0 / (2.0 * sigma ** 2))).exp()
-
-
-def _naive_mmd_rbf_weighted(rep_control, rep_treated, weights_control, weights_treated, sigma=1.0):
-    rep_control = as_tensor(rep_control)
-    rep_treated = as_tensor(rep_treated)
-
-    def normalised(weights):
-        weights = as_tensor(weights)
-        return weights / (weights.sum() + 1e-12)
-
-    w_c = normalised(weights_control)
-    w_t = normalised(weights_treated)
-    k_cc = (w_c.reshape(-1, 1) * _naive_rbf_kernel(rep_control, rep_control, sigma) * w_c.reshape(1, -1)).sum()
-    k_tt = (w_t.reshape(-1, 1) * _naive_rbf_kernel(rep_treated, rep_treated, sigma) * w_t.reshape(1, -1)).sum()
-    k_ct = (w_c.reshape(-1, 1) * _naive_rbf_kernel(rep_control, rep_treated, sigma) * w_t.reshape(1, -1)).sum()
-    return k_cc + k_tt - 2.0 * k_ct
-
-
-def _naive_rff_transform(values: Tensor, draw: RandomFourierFeatures) -> Tensor:
-    values = as_tensor(values).reshape(-1, 1)
-    freqs = as_tensor(draw.frequencies.reshape(1, -1))
-    phases = as_tensor(draw.phases.reshape(1, -1))
-    return (values * freqs + phases).cos() * np.sqrt(2.0)
-
-
-def _naive_weighted_hsic_rff(col_a, col_b, weights, features) -> Tensor:
-    col_a = as_tensor(col_a).reshape(-1)
-    col_b = as_tensor(col_b).reshape(-1)
-    weights = as_tensor(weights).reshape(-1, 1)
-    feat_a, feat_b = features
-    probs = weights / (weights.sum() + 1e-12)
-    u = _naive_rff_transform(col_a, feat_a)
-    v = _naive_rff_transform(col_b, feat_b)
-    mean_u = (probs * u).sum(axis=0, keepdims=True)
-    mean_v = (probs * v).sum(axis=0, keepdims=True)
-    u_centred = u - mean_u
-    v_centred = v - mean_v
-    cross_cov = (probs * u_centred).T.matmul(v_centred)
-    return (cross_cov * cross_cov).sum()
-
-
-def _naive_pairwise_decorrelation(matrix, weights, features_per_dim) -> Tensor:
-    matrix = as_tensor(matrix)
-    n_cols = matrix.shape[1]
-    total = None
-    for i in range(n_cols):
-        for j in range(i + 1, n_cols):
-            term = _naive_weighted_hsic_rff(
-                matrix[:, i], matrix[:, j], weights, (features_per_dim[i], features_per_dim[j])
-            )
-            total = term if total is None else total + term
-    return total
+#: Graph nodes of the unfused op chains each fused kernel replaced in PR 4,
+#: read from the committed record.  They hold for :func:`_per_op_section`'s
+#: inputs: ``n_cols = 8`` (all 28 column pairs) for the decorrelation loss.
+#: They do not depend on the row count (the same at 128, 200 and 512 rows).
+PR4_UNFUSED_GRAPH_NODES = {
+    "mmd_rbf_weighted": 80,
+    "pairwise_decorrelation_loss": 1093,
+    "linear": 6,
+}
 
 
 # --------------------------------------------------------------------------- #
@@ -139,14 +83,11 @@ def _per_op_section(num_samples: int, repeats: int, seed: int) -> Dict[str, obje
 
     section: Dict[str, object] = {}
 
-    def compare(name: str, fused: Callable[[], Tensor], unfused: Callable[[], Tensor]) -> None:
+    def measure(name: str, fused: Callable[[], Tensor]) -> None:
         fused_stats = _time_loss(fused, repeats)
-        unfused_stats = _time_loss(unfused, repeats)
         section[name] = {
             "fused": fused_stats,
-            "unfused": unfused_stats,
-            "node_reduction": unfused_stats["graph_nodes"] / max(fused_stats["graph_nodes"], 1),
-            "speedup": unfused_stats["seconds_per_call"] / fused_stats["seconds_per_call"],
+            "node_reduction": PR4_UNFUSED_GRAPH_NODES[name] / max(fused_stats["graph_nodes"], 1),
         }
 
     def leaves():
@@ -157,35 +98,25 @@ def _per_op_section(num_samples: int, repeats: int, seed: int) -> Dict[str, obje
             Tensor(w_treated, requires_grad=True),
         )
 
-    compare(
-        "mmd_rbf_weighted",
-        lambda: mmd_rbf_weighted(*leaves()),
-        lambda: _naive_mmd_rbf_weighted(*leaves()),
-    )
+    measure("mmd_rbf_weighted", lambda: mmd_rbf_weighted(*leaves()))
 
-    n_cols = 8
+    n_cols = 8  # PR4_UNFUSED_GRAPH_NODES holds for 8 columns only
     matrix = rng.normal(size=(num_samples, n_cols))
     weights = np.abs(rng.normal(size=num_samples)) + 0.2
     draws = [RandomFourierFeatures.draw(5, np.random.default_rng(seed + i)) for i in range(n_cols)]
-    compare(
+    measure(
         "pairwise_decorrelation_loss",
         lambda: pairwise_decorrelation_loss(
             Tensor(matrix, requires_grad=True), Tensor(weights, requires_grad=True), draws, max_pairs=None
-        ),
-        lambda: _naive_pairwise_decorrelation(
-            Tensor(matrix, requires_grad=True), Tensor(weights, requires_grad=True), draws
         ),
     )
 
     x = rng.normal(size=(num_samples, rep_dim))
     weight = rng.normal(size=(rep_dim, rep_dim))
     bias = rng.normal(size=rep_dim)
-    compare(
+    measure(
         "linear",
         lambda: F.linear(
-            Tensor(x, requires_grad=True), Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)
-        ).sum(),
-        lambda: _naive_linear(
             Tensor(x, requires_grad=True), Tensor(weight, requires_grad=True), Tensor(bias, requires_grad=True)
         ).sum(),
     )
@@ -418,20 +349,20 @@ def benchmark_autodiff(
 
 
 def format_autodiff_benchmark(result: Dict[str, object]) -> str:
-    """Human-readable tables for the CLI / script output."""
+    """Human-readable tables for the script output."""
     rows = []
     for name, stats in result["per_op"].items():
         rows.append(
             [
                 name,
-                stats["unfused"]["graph_nodes"],
+                PR4_UNFUSED_GRAPH_NODES[name],
                 stats["fused"]["graph_nodes"],
                 stats["node_reduction"],
-                stats["speedup"],
+                stats["fused"]["seconds_per_call"] * 1e3,
             ]
         )
     text = format_table(
-        ["op", "nodes before", "nodes after", "node x", "time x"],
+        ["op", "nodes before PR 4", "nodes", "node x", "ms/call"],
         rows,
         title="Fused kernels (forward+backward, per call)",
     )

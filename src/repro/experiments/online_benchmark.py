@@ -15,8 +15,8 @@ end and produces the committed ``BENCH_online.json``:
 * **gates** — the acceptance criteria evaluated on the record: the monitor
   fires within one window of the injected shift, warm refit recovers
   >= 80% of the degradation at < 25% of cold wall-clock, and the swap
-  phase serves zero failed requests.  ``benchmarks/bench_online.py`` (and
-  ``repro online-bench``) fail when a gate fails, so CI pins the contract.
+  phase serves zero failed requests.  ``benchmarks/bench_online.py`` fails
+  when a gate fails, so CI pins the contract.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _loop_phase(
         frontend,
         copy.deepcopy(estimator),
         monitor,
-        model="online-bench",
+        model="online",
         refit_epochs=refit_epochs,
         refit_window_batches=2,
         cooldown_steps=2,
@@ -387,7 +387,7 @@ def check_online_benchmark(result: Dict[str, object], baseline_path: Optional[st
 
 
 def format_online_benchmark(result: Dict[str, object]) -> str:
-    """Human-readable tables for the CLI / script output."""
+    """Human-readable tables for the script output."""
     tradeoff = result["tradeoff"]
     rows = [
         [

@@ -1,8 +1,8 @@
 """Shared CI performance gate for the benchmark scripts.
 
-The ``benchmarks/bench_*.py`` scripts (and the serving and online CLI verbs)
-run in ``--smoke`` mode and compare their timings against the
-``smoke_reference`` block of the committed full-run record.  The comparison
+The ``benchmarks/bench_*.py`` scripts run in ``--smoke`` mode and compare
+their timings against the ``smoke_reference`` block of the committed
+full-run record.  The comparison
 logic lives here once so the gate (budget factor, smoke-mode guard, output
 format) cannot drift between them.
 """

@@ -14,7 +14,14 @@ import os
 import platform
 from typing import Dict, List, Mapping, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "format_matrix", "machine_block", "write_record"]
+__all__ = [
+    "format_table",
+    "format_series",
+    "format_matrix",
+    "machine_block",
+    "write_record",
+    "write_script_record",
+]
 
 
 def machine_block() -> Dict[str, object]:
@@ -33,6 +40,22 @@ def write_record(record: Mapping[str, object], path: str) -> str:
         json.dump(record, handle, indent=2)
         handle.write("\n")
     return path
+
+
+def write_script_record(
+    record: Mapping[str, object], output: Optional[str], smoke: bool, committed: str
+) -> None:
+    """Write a ``benchmarks/bench_*.py`` run's record and print where.
+
+    ``output`` wins when given.  Without it a full run rewrites the
+    ``committed`` record and a smoke run writes nothing, so a local smoke
+    run cannot replace a committed record (and its ``smoke_reference``,
+    the CI gate's baseline).
+    """
+    if output is None and not smoke:
+        output = committed
+    if output is not None:
+        print(f"\nwrote {write_record(record, output)}")
 
 
 def format_table(

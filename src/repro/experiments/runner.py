@@ -8,11 +8,9 @@ population and evaluates it on each test environment, returning a
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +27,6 @@ __all__ = [
     "run_method",
     "run_methods",
     "run_replications",
-    "resolve_n_jobs",
     "spawn_replication_seeds",
     "default_method_grid",
 ]
@@ -135,47 +132,19 @@ def run_method(
     )
 
 
-def resolve_n_jobs(n_jobs: Optional[int]) -> int:
-    """Normalise an ``n_jobs`` argument (``None``/``-1`` mean all cores)."""
-    if n_jobs is None or n_jobs == -1:
-        return os.cpu_count() or 1
-    if n_jobs <= 0:
-        raise ValueError("n_jobs must be a positive integer, -1 or None")
-    return n_jobs
-
-
-def _run_method_task(task: Tuple) -> MethodResult:
-    """Top-level worker (must be picklable for ProcessPoolExecutor)."""
-    spec, train, test_environments, validation = task
-    return run_method(spec, train, test_environments, validation)
-
-
 def run_methods(
     specs: Sequence[MethodSpec],
     train: CausalDataset,
     test_environments: Mapping[str, CausalDataset],
     validation: Optional[CausalDataset] = None,
-    n_jobs: int = 1,
 ) -> List[MethodResult]:
-    """Run a list of methods on the same protocol.
+    """Run a list of methods on the same protocol, in process and in order.
 
-    With ``n_jobs > 1`` the methods are trained in parallel worker
-    processes (``concurrent.futures.ProcessPoolExecutor``).  Every method
-    is seeded by its spec and trained independently, so the results — and
-    their order — are identical to a serial run; only the wall-clock time
-    changes.  ``n_jobs=-1``/``None`` uses every available core.
-
-    Workers import ``repro`` afresh under the ``spawn``/``forkserver``
-    start methods (macOS, Windows): custom backbones or frameworks must be
-    registered at import time of a module the specs can be unpickled from,
-    not interactively, or the workers will not find them.
+    Grids that need a worker pool go through
+    :func:`repro.experiments.run_scenario_suite` (``n_jobs``), whose one
+    pool is :func:`repro.experiments.scheduler.run_cross_cell`.
     """
-    n_jobs = resolve_n_jobs(n_jobs)
-    tasks = [(spec, train, test_environments, validation) for spec in specs]
-    if n_jobs == 1 or len(tasks) <= 1:
-        return [_run_method_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-        return list(pool.map(_run_method_task, tasks))
+    return [run_method(spec, train, test_environments, validation) for spec in specs]
 
 
 def spawn_replication_seeds(seed: int, replications: int) -> List[int]:

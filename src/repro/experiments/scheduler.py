@@ -30,9 +30,9 @@ so a full-severity grid keeps every worker busy:
   :func:`repro.experiments.scenario_suite.merge_scenario_shards`.
 
 Workers rebuild scenarios from :data:`repro.registry.scenarios` by name, so
-— exactly like :func:`~repro.experiments.runner.run_methods` — custom
-scenarios must be registered at import time of a module the workers can
-import, not interactively, under the ``spawn``/``forkserver`` start methods.
+custom scenarios must be registered at import time of a module the workers
+can import, not interactively, under the ``spawn``/``forkserver`` start
+methods.
 """
 
 from __future__ import annotations
@@ -50,13 +50,7 @@ from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
 from ..metrics.evaluation import EnvironmentReport, StabilityReport
 from ..scenarios import build_scenario
 from .cache import ResultCache, unit_cache_key
-from .runner import (
-    MethodResult,
-    MethodSpec,
-    resolve_n_jobs,
-    run_method,
-    spawn_replication_seeds,
-)
+from .runner import MethodResult, MethodSpec, run_method, spawn_replication_seeds
 
 __all__ = [
     "WorkUnit",
@@ -68,6 +62,7 @@ __all__ = [
     "unit_shard",
     "shard_units",
     "grid_block",
+    "resolve_n_jobs",
     "run_cross_cell",
     "load_shard_checkpoint",
     "serialize_method_result",
@@ -541,6 +536,15 @@ def _cached_seconds(payload: Mapping[str, object]) -> float:
         + float(result.get("training_seconds", 0.0))
         + float(result.get("evaluate_seconds", 0.0))
     )
+
+
+def resolve_n_jobs(n_jobs: Optional[int]) -> int:
+    """Normalise an ``n_jobs`` argument (``None``/``-1`` mean all cores)."""
+    if n_jobs is None or n_jobs == -1:
+        return os.cpu_count() or 1
+    if n_jobs <= 0:
+        raise ValueError("n_jobs must be a positive integer, -1 or None")
+    return n_jobs
 
 
 def run_cross_cell(

@@ -14,10 +14,9 @@ multi-threaded load generator and records:
   downtime contract requires exactly zero) and timing the swap window
   (deploy call until the old version drained its last in-flight batch).
 
-``benchmarks/bench_serving.py`` wraps this module as a CI script writing
+``benchmarks/bench_serving.py`` wraps this module as the CI script writing
 ``BENCH_serving.json`` (with a ``--check-against`` perf gate mirroring the
-training/autodiff ones); ``repro serve-bench --sustained`` exposes it from
-the CLI.
+training/autodiff ones).
 """
 
 from __future__ import annotations
@@ -496,7 +495,7 @@ def check_serving_benchmark(result: Dict[str, object], baseline_path: Optional[s
 
 
 def format_serving_benchmark(result: Dict[str, object]) -> str:
-    """Human-readable tables for the CLI / script output."""
+    """Human-readable tables for the script output."""
     sustained = result["sustained"]
     rows = []
     for label in ("direct", "coalesced"):

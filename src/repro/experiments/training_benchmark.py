@@ -1,4 +1,4 @@
-"""Training-engine benchmark: full-batch vs minibatch vs parallel grid.
+"""Training-engine benchmark: full-batch vs minibatch, and optimizer choice.
 
 Records the performance trajectory of the minibatch execution engine on a
 synthetic benchmark:
@@ -10,13 +10,11 @@ synthetic benchmark:
   subsampled regularizers, run for fewer epochs (stochastic steps converge
   per-epoch much faster, so the protocol grants the full-batch path twice
   the epoch budget and still compares PEHE directly);
-* **parallel grid** — the paper's 3×3 method grid through
-  :func:`repro.experiments.run_methods` serially and with ``n_jobs``
-  worker processes, checking the results are identical.
+* **optimizer comparison** — steps to a target PEHE for each registered
+  optimizer/schedule combination.
 
-``benchmarks/bench_training.py`` wraps this module as a script that writes
-``BENCH_training.json`` (run in CI with ``--smoke``); ``repro train-bench``
-exposes it from the CLI.
+``benchmarks/bench_training.py`` wraps this module as the script that
+writes ``BENCH_training.json`` (run in CI with ``--smoke``).
 """
 
 from __future__ import annotations
@@ -28,18 +26,16 @@ from ..core.config import BackboneConfig, RegularizerConfig, SBRLConfig, Trainin
 from ..core.estimator import HTEEstimator
 from ..core.loop import Callback
 from ..data.synthetic import SyntheticConfig, SyntheticGenerator
-from .protocols import experiment_config, get_scale
 from .reporting import format_table, machine_block
-from .runner import default_method_grid, run_methods
 
 __all__ = ["benchmark_training", "format_benchmark"]
 
 #: (num_samples, batch_size, full_batch_epochs, minibatch_epochs,
-#:  grid_num_samples, n_jobs, optimizer_num_samples, optimizer_iterations)
+#:  optimizer_num_samples, optimizer_iterations)
 #: — one source of truth for each mode, shared by the --smoke defaults and
 #: the smoke_reference block the CI gate reads.
-SMOKE_DEFAULTS = (600, 128, 4, 2, 300, 2, 300, 60)
-FULL_DEFAULTS = (4000, 256, 40, 20, 800, 4, 1200, 400)
+SMOKE_DEFAULTS = (600, 128, 4, 2, 300, 60)
+FULL_DEFAULTS = (4000, 256, 40, 20, 1200, 400)
 
 #: Optimizer/schedule combinations measured by the steps-to-target-PEHE
 #: section: (optimizer, schedule, learning_rate, optimizer_params,
@@ -202,13 +198,11 @@ def benchmark_training(
     full_batch_epochs: Optional[int] = None,
     minibatch_epochs: Optional[int] = None,
     num_anchors: int = 256,
-    grid_num_samples: Optional[int] = None,
-    n_jobs: Optional[int] = None,
     optimizer_num_samples: Optional[int] = None,
     optimizer_iterations: Optional[int] = None,
     seed: int = 2024,
 ) -> Dict[str, object]:
-    """Run the three benchmark sections and return one JSON-serialisable dict.
+    """Run the benchmark sections and return one JSON-serialisable dict.
 
     ``smoke=True`` shrinks the *default* of every unset knob so the whole
     run takes seconds — the CI mode that tracks the result schema per PR;
@@ -221,13 +215,11 @@ def benchmark_training(
     batch_size = batch_size if batch_size is not None else defaults[1]
     full_batch_epochs = full_batch_epochs if full_batch_epochs is not None else defaults[2]
     minibatch_epochs = minibatch_epochs if minibatch_epochs is not None else defaults[3]
-    grid_num_samples = grid_num_samples if grid_num_samples is not None else defaults[4]
-    n_jobs = n_jobs if n_jobs is not None else defaults[5]
     optimizer_num_samples = (
-        optimizer_num_samples if optimizer_num_samples is not None else defaults[6]
+        optimizer_num_samples if optimizer_num_samples is not None else defaults[4]
     )
     optimizer_iterations = (
-        optimizer_iterations if optimizer_iterations is not None else defaults[7]
+        optimizer_iterations if optimizer_iterations is not None else defaults[5]
     )
 
     generator = SyntheticGenerator(SyntheticConfig(seed=seed))
@@ -265,42 +257,6 @@ def benchmark_training(
         "primary_environment": primary,
     }
 
-    # ---------------- serial vs parallel method grid ---------------------- #
-    grid_protocol = generator.generate_train_test_protocol(
-        num_samples=grid_num_samples, train_rho=2.5, test_rhos=(-2.5,), seed=seed
-    )
-    grid_config = experiment_config(get_scale("smoke"), seed=seed)
-    if smoke:
-        specs = default_method_grid(
-            config=grid_config, backbones=("tarnet", "cfr"), frameworks=("vanilla", "sbrl"), seed=seed
-        )
-    else:
-        specs = default_method_grid(config=grid_config, seed=seed)
-
-    start = time.perf_counter()
-    serial = run_methods(
-        specs, grid_protocol["train"], grid_protocol["test_environments"], n_jobs=1
-    )
-    serial_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    parallel = run_methods(
-        specs, grid_protocol["train"], grid_protocol["test_environments"], n_jobs=n_jobs
-    )
-    parallel_seconds = time.perf_counter() - start
-    identical = all(
-        s.name == p.name and s.per_environment == p.per_environment
-        for s, p in zip(serial, parallel)
-    )
-    grid_section = {
-        "methods": [spec.name for spec in specs],
-        "num_samples": grid_num_samples,
-        "n_jobs": n_jobs,
-        "serial_seconds": float(serial_seconds),
-        "parallel_seconds": float(parallel_seconds),
-        "speedup": serial_seconds / parallel_seconds,
-        "identical_results": bool(identical),
-    }
-
     result = {
         "benchmark": "training-engine",
         "mode": "smoke" if smoke else "full",
@@ -312,7 +268,6 @@ def benchmark_training(
             "seed": seed,
         },
         "minibatch": minibatch_section,
-        "parallel_grid": grid_section,
         "optimizer_comparison": _optimizer_section(
             num_samples=optimizer_num_samples,
             iterations=optimizer_iterations,
@@ -343,7 +298,7 @@ def benchmark_training(
             smoke_protocol["test_environments"],
             seed,
         )
-        smoke_opt_samples, smoke_opt_iterations = SMOKE_DEFAULTS[6:8]
+        smoke_opt_samples, smoke_opt_iterations = SMOKE_DEFAULTS[4:6]
         smoke_optimizer = _optimizer_section(
             num_samples=smoke_opt_samples, iterations=smoke_opt_iterations, seed=seed
         )
@@ -356,7 +311,7 @@ def benchmark_training(
 
 
 def format_benchmark(result: Dict[str, object]) -> str:
-    """Human-readable tables for the CLI / script output."""
+    """Human-readable tables for the script output."""
     mini = result["minibatch"]
     rows = [
         [
@@ -378,20 +333,6 @@ def format_benchmark(result: Dict[str, object]) -> str:
         ["strategy", "epochs", "seconds", "PEHE", "speedup"],
         rows,
         title=f"Minibatch engine on {result['dataset']['num_samples']} samples",
-    )
-    grid = result["parallel_grid"]
-    grid_rows = [
-        ["serial", grid["serial_seconds"], 1.0],
-        [f"n_jobs={grid['n_jobs']}", grid["parallel_seconds"], grid["speedup"]],
-    ]
-    text += "\n" + format_table(
-        ["execution", "seconds", "speedup"],
-        grid_rows,
-        title=(
-            f"{len(grid['methods'])}-method grid on {grid['num_samples']} samples "
-            f"(identical results: {grid['identical_results']}, "
-            f"cpus: {result['machine']['cpu_count']})"
-        ),
     )
     optimizers = result.get("optimizer_comparison")
     if optimizers:

@@ -16,7 +16,6 @@ from .hsic import (
     RandomFourierFeatures,
     hsic,
     hsic_rff,
-    hsic_subsampled,
     mean_pairwise_hsic_rff,
     pairwise_decorrelation_loss,
     weighted_hsic_rff,
@@ -46,7 +45,6 @@ __all__ = [
     "aggregate_across_environments",
     "RandomFourierFeatures",
     "hsic",
-    "hsic_subsampled",
     "hsic_rff",
     "mean_pairwise_hsic_rff",
     "weighted_hsic_rff",

@@ -40,7 +40,6 @@ from ..nn.tensor import Tensor, as_tensor, stack
 __all__ = [
     "RandomFourierFeatures",
     "hsic",
-    "hsic_subsampled",
     "hsic_rff",
     "column_rff_features",
     "draw_pairs",
@@ -122,34 +121,6 @@ def hsic(a: np.ndarray, b: np.ndarray, sigma: Optional[float] = None) -> float:
     l = _rbf_kernel_matrix(b, sigma)
     h = np.eye(n) - np.ones((n, n)) / n
     return float(np.trace(k @ h @ l @ h) / (n - 1) ** 2)
-
-
-def hsic_subsampled(
-    a: np.ndarray,
-    b: np.ndarray,
-    sigma: Optional[float] = None,
-    num_anchors: int = 256,
-    seed: int = 0,
-) -> float:
-    """HSIC estimated on a seeded subsample of at most ``num_anchors`` pairs.
-
-    The exact empirical HSIC is O(n²) in memory and time; this estimator
-    computes it on a uniform draw of ``m = min(num_anchors, n)`` aligned
-    rows of ``a`` and ``b`` — O(m²) work — and is identical to
-    :func:`hsic` once ``num_anchors >= n``, so it converges to the exact
-    value as the anchor count grows.
-    """
-    if num_anchors <= 0:
-        raise ValueError("num_anchors must be positive")
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ValueError("inputs to hsic_subsampled must have the same length")
-    if len(a) > num_anchors:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(a), size=num_anchors, replace=False))
-        a, b = a[keep], b[keep]
-    return hsic(a, b, sigma=sigma)
 
 
 # --------------------------------------------------------------------------- #

@@ -588,7 +588,7 @@ class OnlineServingLoop:
         Warm-refit budget — the ``epochs=k`` handed to
         :meth:`HTEEstimator.refit`.  Small relative to the cold training
         iterations; the refit-latency/recovery trade is measured by
-        ``repro online-bench``.
+        ``benchmarks/bench_online.py``.
     refit_window_batches:
         How many of the most recent labelled batches form the refit window.
     cooldown_steps:

@@ -122,9 +122,10 @@ class ModelVersion:
     ) -> Tuple[Dict[str, np.ndarray], int, int, int]:
         """Row-cached, chunked prediction of one fused ``(n, d)`` matrix.
 
-        Returns ``(result, cache_hits, cache_misses, forward_batches)``.
-        The matrix must already be coerced to this version's fitted dtype
-        (see :func:`as_request_matrix`), so the digest keys are dtype-stable.
+        Returns ``(result, cache_hits, cache_misses, forward_batches)``,
+        the arrays in this version's fitted dtype.  The matrix must already
+        be coerced by :func:`as_request_matrix` (float64, whatever the
+        fitted dtype), so the digest keys are dtype-stable.
         """
         if max_batch_size <= 0:
             # No chunk would run, and the empty outputs would be cached.
@@ -167,15 +168,18 @@ class ModelVersion:
 
 
 def as_request_matrix(covariates: ArrayLike, version: ModelVersion) -> np.ndarray:
-    """Coerce one request payload to a contiguous ``(n, d)`` request matrix.
+    """Coerce one request payload to a contiguous float64 ``(n, d)`` matrix.
 
-    The matrix is cast to the model's *fitted* dtype, so the row-cache
-    digest is taken over the bytes actually served.  Rank and width go
-    through :func:`~repro.data.dataset.covariate_matrix`, the check every
-    prediction entry point runs, and its errors name the model and version.
+    float64 is the dtype :meth:`~repro.core.sbrl.SBRLTrainer.predict`
+    standardises covariates in, for float32 models too, so a served row is
+    answered exactly as ``predict_potential_outcomes`` answers it, and the
+    row-cache digest is taken over the bytes it standardises.  Rank and
+    width go through :func:`~repro.data.dataset.covariate_matrix`, the check
+    every prediction entry point runs, and its errors name the model and
+    version.
     """
     model = f"model {version.name!r} (v{version.version})"
-    return covariate_matrix(covariates, version.num_features, version.dtype, model)
+    return covariate_matrix(covariates, version.num_features, model=model)
 
 
 class _ModelEntry:

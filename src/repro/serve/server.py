@@ -24,8 +24,8 @@ version only when their batch *executes*, so a queued request always runs
 on the version that is live at execution time and an old version drains —
 never aborts — its in-flight batches.  The frontend never fails a request
 because of a swap; zero dropped requests during the swap window is pinned
-by ``tests/test_serve_server.py`` and measured by ``repro serve-bench
---sustained``.
+by ``tests/test_serve_server.py`` and measured by
+``benchmarks/bench_serving.py``.
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ class ServingFrontend:
         disables lingering entirely.
     coalesce:
         ``False`` turns coalescing off — every request becomes its own
-        batch (the per-request dispatch baseline that ``repro serve-bench
-        --sustained`` compares against).
+        batch (the per-request dispatch baseline that
+        ``benchmarks/bench_serving.py`` compares against).
     """
 
     def __init__(
@@ -342,7 +342,7 @@ class ServingFrontend:
             return
         try:
             # Leases the version live now, so a request coerced for an
-            # older one is checked (and cast) again against this one.
+            # older one has its width checked again against this one.
             results = self.registry.predict_many(
                 [request.matrix for request in active], name, self.max_batch_size
             )

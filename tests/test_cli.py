@@ -56,11 +56,23 @@ class TestCommands:
         args = build_parser().parse_args(["serve-bench"])
         assert args.model is None and args.rows == 2000
 
-    def test_train_bench_defaults(self):
-        args = build_parser().parse_args(["train-bench"])
-        # None defers to the library defaults, so explicit flags are never
-        # clobbered by --smoke.
-        assert not args.smoke and args.batch_size is None and args.n_jobs is None
+    @pytest.mark.parametrize(
+        "argv",
+        [["train-bench"], ["bench-autodiff"], ["online-bench"], ["serve-bench", "--sustained"]],
+    )
+    def test_benchmark_records_have_no_cli_verb(self, argv):
+        # The scripts in benchmarks/ are the one front door to each record.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--rows", "0"], ["--requests", "-3"]])
+    def test_serve_bench_rejects_counts_below_one(self, argv, capsys):
+        # Rejected while parsing, before any model is trained.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve-bench", *argv])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
     def test_scenarios_defaults(self):
         args = build_parser().parse_args(["scenarios"])
@@ -221,15 +233,20 @@ class TestCommands:
         assert "cells reported errors" in err and "every cell" in err
 
     def test_train_bench_smoke_writes_json(self, capsys, tmp_path):
+        import importlib.util
         import json
+        import pathlib
 
+        path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_training.py"
+        spec = importlib.util.spec_from_file_location("bench_training_script", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
         output = str(tmp_path / "bench.json")
-        assert main(["train-bench", "--smoke", "--output", output]) == 0
+        assert script.main(["--smoke", "--output", output]) == 0
         out = capsys.readouterr().out
         assert "Minibatch engine" in out and "wrote" in out
         record = json.loads(open(output).read())
         assert record["mode"] == "smoke"
-        assert record["parallel_grid"]["identical_results"] is True
         assert record["minibatch"]["full_batch"]["seconds"] > 0
 
     @pytest.mark.slow

@@ -254,9 +254,13 @@ class TestFittedDtypeServing:
         """The same rows sent as float64 and float32 must share cache entries."""
         registry = ModelRegistry()
         registry.deploy("f32", float32_estimator)
-        block = small_ood.covariates[:16]
-        registry.predict(block.astype(np.float64), model="f32")
-        registry.predict(block.astype(np.float32), model="f32")
+        # float32-representable values, so both dtypes carry the same rows.
+        block = small_ood.covariates[:16].astype(np.float32)
+        expected = float32_estimator.predict_potential_outcomes(block)
+        for request in (block.astype(np.float64), block):
+            served = registry.predict(request, model="f32")
+            for key in ("mu0", "mu1", "ite"):
+                np.testing.assert_array_equal(served[key], expected[key])
         stats = registry.stats("f32")["f32"]
         assert stats["cache_hits"] >= 16
 

@@ -87,8 +87,9 @@ class TestRequestPath:
 
 
 class TestExecutionTimeCoercion:
-    """A request is coerced at submit for the version live then, and again
-    when its batch runs, for the version that batch leases."""
+    """A request is coerced to float64 at submit for the version live then;
+    when its batch runs, only its width is checked again, against the
+    version that batch leases."""
 
     def _request_for_live(self, frontend, rows):
         return _Request(as_request_matrix(rows, frontend.registry.live("m")))
@@ -118,19 +119,20 @@ class TestExecutionTimeCoercion:
         frontend.deploy("m", float32_model)
         frontend._run_batch_inner("m", [request])
         result = request.future.result(timeout=0)
-        expected = float32_model.predict_potential_outcomes(rows.astype(np.float32))
+        expected = float32_model.predict_potential_outcomes(rows)
         for key in ("mu0", "mu1", "ite"):
             assert result[key].dtype == np.float32
             np.testing.assert_array_equal(result[key], expected[key])
         assert frontend.stats.summary()["failed_requests"] == 0
-        # The batch cached its rows under their float32 bytes.
-        frontend.registry.predict(rows.astype(np.float32), model="m")
+        # The batch cached its rows under their float64 bytes.
+        frontend.registry.predict(rows, model="m")
         assert frontend.registry.live("m").stats.cache_hits == len(rows)
 
 
 class TestServedEqualsEager:
-    """Every serving entry point returns the autodiff forward's answer bit for
-    bit: zero rows, NaN rows, and a float32 model given float64 input."""
+    """Every serving entry point returns the autodiff forward's answer, and so
+    ``predict_potential_outcomes``', bit for bit: zero rows, NaN rows, and a
+    float32 model given float64 input."""
 
     @staticmethod
     def _eager(estimator, covariates):
@@ -168,10 +170,7 @@ class TestServedEqualsEager:
                 assert np.isnan(eager["mu0"]).sum() == (2 if covariates is with_nan else 0)
                 backbone = estimator.trainer.backbone
                 self._assert_equal(backbone.predict(estimator.trainer._transform(covariates)), eager)
-                # Serving casts a request to the fitted dtype before anything
-                # else, so its reference is the eager forward of those bytes.
-                request = covariates.astype(estimator.fitted_dtype)
-                eager = self._eager(estimator, request)
+                self._assert_equal(estimator.predict_potential_outcomes(covariates), eager)
                 self._assert_equal(registry.predict(covariates, model="m"), eager)
                 self._assert_equal(frontend.predict(covariates, model="m"), eager)
 

@@ -131,25 +131,15 @@ class TestPerfGateWiring:
         assert check_perf_regression(result, baseline, PERF_GATES) == 0
 
 
-class TestFrontDoorsShareTheRules:
-    """``repro serve-bench --sustained`` and ``benchmarks/bench_serving.py``
-    apply the same checks: one undrained version fails both."""
+class TestScriptAppliesTheRules:
+    """``benchmarks/bench_serving.py`` applies the module's checks: one
+    undrained version fails it."""
 
     @pytest.fixture()
-    def undrained(self, record, monkeypatch):
+    def undrained(self, record):
         canned = copy.deepcopy(record)
         canned["hot_swap"]["old_version_drained"] = False
-        import repro.experiments.serving_benchmark as module
-
-        monkeypatch.setattr(module, "benchmark_serving", lambda **kwargs: canned)
         return canned
-
-    def test_cli_fails_on_an_undrained_version(self, undrained, tmp_path, capsys):
-        from repro.cli import main
-
-        code = main(["serve-bench", "--sustained", "--smoke", "--output", str(tmp_path / "r.json")])
-        assert code == 1
-        assert "did not drain" in capsys.readouterr().out
 
     def test_script_fails_on_an_undrained_version(self, undrained, tmp_path, monkeypatch, capsys):
         path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_serving.py"

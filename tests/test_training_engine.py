@@ -9,7 +9,8 @@ Covers the PR-2 engine guarantees:
   through batch index slicing and keeps the weights inside the clip range;
 * the training-side regularizers subsample above the configured threshold
   without losing differentiability;
-* ``run_methods(n_jobs>1)`` returns results identical to serial execution.
+* ``run_methods`` runs in process, and the scheduler's one worker pool
+  rejects an invalid ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.experiments.runner import (
     run_replications,
     spawn_replication_seeds,
 )
+from repro.experiments.scheduler import plan_units, run_cross_cell
 from repro.nn.tensor import Tensor, as_tensor, no_grad
 from repro.nn.optim import Adam, ExponentialDecay
 
@@ -290,25 +292,22 @@ class TestParallelExecution:
             for framework in ("vanilla", "sbrl")
         ]
 
-    def test_n_jobs_matches_serial(self, fast_config, small_protocol):
+    def test_run_methods_has_no_worker_pool(self, fast_config, small_protocol):
         specs = self._specs(fast_config)
-        train = small_protocol["train"]
-        environments = small_protocol["test_environments"]
-        serial = run_methods(specs, train, environments, n_jobs=1)
-        parallel = run_methods(specs, train, environments, n_jobs=2)
-        assert [r.name for r in serial] == [r.name for r in parallel]
-        for s, p in zip(serial, parallel):
-            assert s.per_environment == p.per_environment
-
-    def test_invalid_n_jobs_rejected(self, fast_config, small_protocol):
-        specs = self._specs(fast_config)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_methods(
                 specs,
                 small_protocol["train"],
                 small_protocol["test_environments"],
-                n_jobs=-2,
+                n_jobs=2,
             )
+
+    def test_invalid_n_jobs_rejected(self, fast_config):
+        units = plan_units(
+            {"overlap": (0.0,)}, self._specs(fast_config), 1, 0, 100, (4, 4, 4, 2)
+        )
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_cross_cell(units, n_jobs=-2)
 
     def test_seed_spawning_is_deterministic_and_distinct(self):
         first = spawn_replication_seeds(2024, 5)
