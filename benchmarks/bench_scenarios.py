@@ -24,8 +24,9 @@ Run from the repository root::
     PYTHONPATH=src python benchmarks/bench_scenarios.py --compare-scheduler-jobs 4
 
     # cache-smoke gate (CI): cold + warm run against a result cache (warm
-    # must be 100% hits and >= 5x faster), then a 2-shard run whose merge
-    # must match the unsharded record bit for bit
+    # must be 100% hits and >= 5x faster), then two shards written to
+    # separate caches and unioned by file copy, from which the unsharded
+    # run must assemble the record bit for bit with 0 misses
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke \
         --scenario overlap --scenario flip-noise --cache-selftest
 
@@ -37,9 +38,12 @@ tracked per PR.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
 
 # Allow running straight from a checkout without installation.
@@ -55,7 +59,6 @@ from repro.experiments.scenario_suite import (  # noqa: E402
     compare_scenario_records,
     format_scenario_suite,
     format_suite_summary,
-    merge_scenario_shards,
     report_error_cells,
     run_scenario_suite,
 )
@@ -67,84 +70,90 @@ def _timed_run(config: ScenarioSuiteConfig):
     return result, time.perf_counter() - start
 
 
+def _report(differences, message: str) -> int:
+    """Print ``differences`` under ``message``; 1 when there are any."""
+    if not differences:
+        return 0
+    print(message, file=sys.stderr)
+    for difference in differences:
+        print(f"  {difference}", file=sys.stderr)
+    return 1
+
+
 def _cache_selftest(config: ScenarioSuiteConfig, output: str) -> int:
-    """CI cache-smoke gate: cold run, 100%-hit warm run, shard-merge parity.
+    """CI cache-smoke gate: cold run, 100%-hit warm run, shard assembly.
 
     Runs the grid cold against a result cache, re-runs it warm (every unit
     must be a cache hit and the run must be at least 5x faster), then runs
-    the same grid as two shards against the same cache and verifies the
-    ``merge_scenario_shards`` union is bit-identical to the unsharded run.
-    Writes the cold record (with a ``cache_smoke`` block) to ``output``.
+    the same grid as shards 1/2 and 2/2 into two fresh cache directories,
+    copies both into a third, and runs the grid unsharded over the union:
+    it must be served entirely from the cache (0 misses) and match the
+    cold record bit for bit.  Writes the cold record (with a
+    ``cache_smoke`` block) to ``output``.
     """
-    import tempfile
+    with tempfile.TemporaryDirectory(prefix="scenario-cache-smoke-") as workdir:
+        cache_dir = config.cache_dir or os.path.join(workdir, "cache")
+        base = replace(config, cache_dir=cache_dir, shard=None)
+        print(f"cache selftest: cold run against {cache_dir}...")
+        cold, cold_seconds = _timed_run(base)
+        print(format_suite_summary(cold))
+        print(f"cold run: {cold_seconds:.2f}s; warm re-run...")
+        warm, warm_seconds = _timed_run(base)
+        print(format_suite_summary(warm))
+        speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
+        print(f"warm run: {warm_seconds:.2f}s ({speedup:.1f}x vs cold)")
 
-    workdir = None
-    cache_dir = config.cache_dir
-    if cache_dir is None:
-        workdir = tempfile.mkdtemp(prefix="scenario-cache-smoke-")
-        cache_dir = os.path.join(workdir, "cache")
-    shard_dir = workdir if workdir is not None else os.path.dirname(
-        os.path.abspath(cache_dir)
-    )
-
-    base = replace(config, cache_dir=cache_dir, shard=None, checkpoint=None)
-    print(f"cache selftest: cold run against {cache_dir}...")
-    cold, cold_seconds = _timed_run(base)
-    print(format_suite_summary(cold))
-    print(f"cold run: {cold_seconds:.2f}s; warm re-run...")
-    warm, warm_seconds = _timed_run(base)
-    print(format_suite_summary(warm))
-    speedup = cold_seconds / warm_seconds if warm_seconds > 0 else float("inf")
-    print(f"warm run: {warm_seconds:.2f}s ({speedup:.1f}x vs cold)")
-
-    failures = 0
-    warm_cache = warm["cache"]
-    if warm_cache["misses"] != 0 or warm_cache["hits"] == 0:
-        print(
-            f"FAIL: warm run was not served entirely from cache "
-            f"({warm_cache['hits']} hits, {warm_cache['misses']} misses)",
-            file=sys.stderr,
+        failures = 0
+        warm_cache = warm["cache"]
+        if warm_cache["misses"] != 0 or warm_cache["hits"] == 0:
+            print(
+                f"FAIL: warm run was not served entirely from cache "
+                f"({warm_cache['hits']} hits, {warm_cache['misses']} misses)",
+                file=sys.stderr,
+            )
+            failures += 1
+        if speedup < 5.0:
+            print(
+                f"FAIL: warm run only {speedup:.1f}x faster than cold (need >= 5x)",
+                file=sys.stderr,
+            )
+            failures += 1
+        failures += _report(
+            compare_scenario_records(cold, warm), "FAIL: warm cells differ from cold cells:"
         )
-        failures += 1
-    if speedup < 5.0:
-        print(
-            f"FAIL: warm run only {speedup:.1f}x faster than cold (need >= 5x)",
-            file=sys.stderr,
-        )
-        failures += 1
-    differences = compare_scenario_records(cold, warm)
-    if differences:
-        print("FAIL: warm cells differ from cold cells:", file=sys.stderr)
-        for difference in differences:
-            print(f"  {difference}", file=sys.stderr)
-        failures += 1
 
-    print("running the grid as two shards against the same cache...")
-    checkpoints = []
-    for index in (1, 2):
-        checkpoint = os.path.join(shard_dir, f"cache-smoke-shard{index}.jsonl")
-        if os.path.exists(checkpoint):
-            os.unlink(checkpoint)
-        checkpoints.append(checkpoint)
-        run_scenario_suite(
-            replace(base, shard=(index, 2), checkpoint=checkpoint)
+        print("running the grid as two shards into separate caches...")
+        union = os.path.join(workdir, "union")
+        os.makedirs(union)
+        for index in (1, 2):
+            shard_cache = os.path.join(workdir, f"shard{index}")
+            run_scenario_suite(replace(base, cache_dir=shard_cache, shard=(index, 2)))
+            for entry in glob.glob(os.path.join(shard_cache, "*.json")):
+                shutil.copy(entry, union)
+        assembled = run_scenario_suite(replace(base, cache_dir=union))
+        print(format_suite_summary(assembled))
+        assembled_cache = assembled["cache"]
+        if assembled_cache["misses"] != 0:
+            print(
+                f"FAIL: the union of the shard caches left "
+                f"{assembled_cache['misses']} units to compute",
+                file=sys.stderr,
+            )
+            failures += 1
+        differences = compare_scenario_records(cold, assembled)
+        failures += _report(
+            differences, "FAIL: the assembled shards differ from the unsharded run:"
         )
-    merged = merge_scenario_shards(checkpoints)
-    differences = compare_scenario_records(cold, merged)
-    if differences:
-        print("FAIL: merged shards differ from the unsharded run:", file=sys.stderr)
-        for difference in differences:
-            print(f"  {difference}", file=sys.stderr)
-        failures += 1
-    else:
-        print("merged shard record identical to the unsharded run")
+        if not differences:
+            print("assembled shard record identical to the unsharded run")
 
     cold["cache_smoke"] = {
         "cold_seconds": cold_seconds,
         "warm_seconds": warm_seconds,
         "speedup": speedup,
         "warm_cache": warm_cache,
-        "shard_merge_identical": not differences,
+        "assembled_cache": assembled_cache,
+        "shard_assembly_identical": not differences,
         "passed": failures == 0,
     }
     print(f"\nwrote {write_record(cold, output)}")
@@ -169,28 +178,24 @@ def main(argv=None) -> int:
     parser.add_argument("--n-jobs", type=int, default=1)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
-        "--checkpoint",
-        default=None,
-        help="JSONL checkpoint to write (and resume from, if it exists)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
-        help="content-addressed result cache directory (see 'repro scenarios')",
+        help="content-addressed result cache directory; re-running with it "
+        "resumes an interrupted grid (see 'repro scenarios')",
     )
     parser.add_argument(
         "--shard",
         default=None,
         metavar="K/N",
-        help="run only shard K of N; requires --checkpoint and/or --cache-dir",
+        help="run only shard K of N; requires --cache-dir",
     )
     parser.add_argument(
         "--cache-selftest",
         action="store_true",
         help="CI cache-smoke gate: run the grid cold then warm against a "
         "result cache (asserting 100%% hits and a >= 5x speedup), then run "
-        "it as two shards and verify the merged record matches the "
-        "unsharded run bit for bit",
+        "it as two shards into separate caches and verify that the "
+        "unsharded run over their union has 0 misses and matches bit for bit",
     )
     parser.add_argument(
         "--check-against",
@@ -214,8 +219,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.shard is not None and args.checkpoint is None and args.cache_dir is None:
-        parser.error("--shard requires --checkpoint and/or --cache-dir")
+    if args.shard is not None and args.cache_dir is None:
+        parser.error("--shard requires --cache-dir")
 
     config = ScenarioSuiteConfig.from_options(
         smoke=args.smoke,
@@ -225,7 +230,6 @@ def main(argv=None) -> int:
         replications=args.replications,
         n_jobs=args.n_jobs,
         seed=args.seed,
-        checkpoint=args.checkpoint,
         cache_dir=args.cache_dir,
         shard=args.shard,
     )
@@ -234,21 +238,20 @@ def main(argv=None) -> int:
         return _cache_selftest(config, args.output)
 
     if args.compare_scheduler_jobs is not None:
-        # Both comparison legs must actually execute the grid — a resumed
-        # checkpoint or a warm cache would replay units from disk and time
-        # JSON parsing instead of the scheduler.
-        serial_config = replace(config, n_jobs=1, checkpoint=None, cache_dir=None)
+        # Both comparison legs must actually execute the grid — a warm
+        # cache would replay units from disk and time JSON parsing instead
+        # of the scheduler.
+        serial_config = replace(config, n_jobs=1, cache_dir=None)
         parallel_config = replace(serial_config, n_jobs=args.compare_scheduler_jobs)
         print("running the grid serially...")
         result, serial_seconds = _timed_run(serial_config)
         print(f"serial grid: {serial_seconds:.1f}s; re-running at "
               f"n_jobs={args.compare_scheduler_jobs}...")
         parallel_result, parallel_seconds = _timed_run(parallel_config)
-        differences = compare_scenario_records(result, parallel_result)
-        if differences:
-            print("the parallel grid diverged from the serial grid:", file=sys.stderr)
-            for difference in differences:
-                print(f"  {difference}", file=sys.stderr)
+        if _report(
+            compare_scenario_records(result, parallel_result),
+            "the parallel grid diverged from the serial grid:",
+        ):
             return 1
         result["scheduler_comparison"] = {
             "serial_seconds": serial_seconds,
@@ -269,13 +272,10 @@ def main(argv=None) -> int:
     if args.check_against is not None:
         with open(args.check_against, encoding="utf-8") as handle:
             reference = json.load(handle)
-        differences = compare_scenario_records(reference, result)
-        if differences:
-            print(
-                f"cell metrics diverged from {args.check_against}:", file=sys.stderr
-            )
-            for difference in differences:
-                print(f"  {difference}", file=sys.stderr)
+        if _report(
+            compare_scenario_records(reference, result),
+            f"cell metrics diverged from {args.check_against}:",
+        ):
             return 1
         print(f"cell metrics identical to {args.check_against}")
 

@@ -11,8 +11,8 @@ Exposes the experiment harness without writing Python::
     repro predict --model artifacts/model --benchmark syn_8_8_8_2 # serve from artifact
     repro serve-bench --rows 2000                                 # microbatching benchmark
     repro scenarios --smoke                                       # stress-test matrix
-    repro scenarios --cache-dir .cache --shard 1/2 --checkpoint s1.jsonl  # one shard
-    repro scenarios-merge s1.jsonl s2.jsonl                       # union the shards
+    repro scenarios --smoke --cache-dir .cache                    # cached; re-run resumes
+    repro scenarios --smoke --cache-dir .cache --shard 1/2        # one shard of the grid
 
 (Also runnable as ``python -m repro.cli`` when not installed.)  The CLI is
 intentionally thin: every command is a small wrapper over the public library
@@ -22,7 +22,6 @@ API, so anything it does can also be done programmatically.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from typing import Callable, Dict, Optional, Sequence
@@ -145,26 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="severity grid in [0, 1] (default: each scenario's own grid)",
     )
-    scenarios.add_argument("--num-samples", type=int, default=None, help="default: 500 (250 with --smoke)")
-    scenarios.add_argument("--replications", type=int, default=1)
+    scenarios.add_argument(
+        "--num-samples", type=_positive_int, default=None, help="default: 500 (250 with --smoke)"
+    )
+    scenarios.add_argument("--replications", type=_positive_int, default=1)
     scenarios.add_argument("--n-jobs", type=int, default=1)
     scenarios.add_argument("--seed", type=int, default=2024)
-    scenarios.add_argument(
-        "--checkpoint",
-        default=None,
-        help="JSONL checkpoint to write (and resume from, if it exists)",
-    )
-    scenarios.add_argument(
-        "--resume",
-        default=None,
-        metavar="CHECKPOINT",
-        help="resume from an existing JSONL checkpoint (must already exist)",
-    )
     scenarios.add_argument(
         "--cache-dir",
         default=None,
         help="content-addressed result cache directory; unchanged cells are "
-        "served from it across invocations and machines",
+        "served from it across invocations and machines, and re-running "
+        "with the same directory resumes an interrupted grid",
     )
     scenarios.add_argument(
         "--shard",
@@ -172,29 +163,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K/N",
         help="run only shard K of N (1-based, stable key hash); requires "
-        "--checkpoint and/or --cache-dir, merge with 'repro scenarios-merge'",
+        "--cache-dir. The same command without --shard over the union of "
+        "the shards' caches assembles the full record",
     )
     scenarios.add_argument(
         "--output", default=None, help="write the JSON record to this path"
-    )
-
-    merge = subparsers.add_parser(
-        "scenarios-merge",
-        help="union shard checkpoints of one scenario grid into a full record",
-    )
-    merge.add_argument(
-        "checkpoints",
-        nargs="+",
-        metavar="CHECKPOINT",
-        help="shard checkpoint files written by 'repro scenarios --shard K/N'",
-    )
-    merge.add_argument(
-        "--cache-dir",
-        default=None,
-        help="also promote every merged unit result into this result cache",
-    )
-    merge.add_argument(
-        "--output", default=None, help="write the merged JSON record to this path"
     )
 
     return parser
@@ -393,15 +366,8 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         run_scenario_suite,
     )
 
-    checkpoint = args.checkpoint
-    if args.resume is not None:
-        if checkpoint is not None and checkpoint != args.resume:
-            raise SystemExit("--resume and --checkpoint point at different files")
-        if not os.path.exists(args.resume):
-            raise SystemExit(f"--resume checkpoint {args.resume!r} does not exist")
-        checkpoint = args.resume
-    if args.shard is not None and checkpoint is None and args.cache_dir is None:
-        raise SystemExit("--shard requires --checkpoint and/or --cache-dir")
+    if args.shard is not None and args.cache_dir is None:
+        raise SystemExit("--shard requires --cache-dir")
     config = ScenarioSuiteConfig.from_options(
         smoke=args.smoke,
         scenario_names=args.scenario_names,
@@ -410,34 +376,10 @@ def _command_scenarios(args: argparse.Namespace) -> int:
         replications=args.replications,
         n_jobs=args.n_jobs,
         seed=args.seed,
-        checkpoint=checkpoint,
         cache_dir=args.cache_dir,
         shard=args.shard,
     )
     result = run_scenario_suite(config)
-    print(format_scenario_suite(result))
-    summary = format_suite_summary(result)
-    if summary:
-        print(summary)
-    if args.output is not None:
-        print(f"wrote {write_record(result, args.output)}")
-    return report_error_cells(result)
-
-
-def _command_scenarios_merge(args: argparse.Namespace) -> int:
-    from .experiments.scenario_suite import (
-        format_scenario_suite,
-        format_suite_summary,
-        merge_scenario_shards,
-        report_error_cells,
-    )
-    from .experiments.scheduler import CheckpointError
-
-    try:
-        result = merge_scenario_shards(args.checkpoints, cache_dir=args.cache_dir)
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     print(format_scenario_suite(result))
     summary = format_suite_summary(result)
     if summary:
@@ -456,7 +398,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "predict": _command_predict,
     "serve-bench": _command_serve_bench,
     "scenarios": _command_scenarios,
-    "scenarios-merge": _command_scenarios_merge,
 }
 
 

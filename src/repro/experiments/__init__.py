@@ -34,12 +34,10 @@ from .scenario_suite import (
     degradation_slope,
     format_scenario_suite,
     format_suite_summary,
-    merge_scenario_shards,
     run_scenario_suite,
     scenario_cell_metrics,
 )
 from .scheduler import (
-    CheckpointError,
     UnitOutcome,
     WorkUnit,
     parse_shard,
@@ -79,7 +77,6 @@ __all__ = [
     "spawn_replication_seeds",
     "WorkUnit",
     "UnitOutcome",
-    "CheckpointError",
     "plan_units",
     "run_cross_cell",
     "parse_shard",
@@ -107,7 +104,6 @@ __all__ = [
     "ScenarioSuiteConfig",
     "ScenarioCellResult",
     "run_scenario_suite",
-    "merge_scenario_shards",
     "degradation_slope",
     "format_scenario_suite",
     "format_suite_summary",

@@ -17,11 +17,15 @@ and machines.  This module provides the two halves of that contract:
 * :class:`ResultCache` — a directory of one JSON file per key, written
   atomically (temp file + ``os.replace``) so concurrent writers on a
   shared filesystem can never expose a torn entry.  Corrupt, truncated
-  or foreign files are treated as misses, never as errors: the cache is
-  an accelerator, not a source of truth.
+  or foreign files are treated as misses, never as errors: a damaged
+  entry costs one recomputation, never the run.
 
-The cached payload is exactly the checkpoint serialisation of the unit's
-:class:`~repro.experiments.runner.MethodResult` (Python's ``json``
+The cache is the one store of unit outcomes.  Re-running a grid with the
+same directory resumes it, and shards of one grid written to separate
+directories are unioned by copying their ``*.json`` entries into one:
+keys are content hashes, so a union cannot conflict.  The cached payload
+is :func:`~repro.experiments.scheduler.serialize_method_result` of the
+unit's :class:`~repro.experiments.runner.MethodResult` (Python's ``json``
 round-trips floats via shortest repr), so a cache hit aggregates to the
 bit-identical suite record a recomputation would produce — pinned by
 ``tests/test_result_cache.py`` and the CI cache-smoke gate.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Dict, Mapping, Optional
 
 from .. import __version__
 
@@ -105,10 +109,7 @@ class ResultCache:
     def __init__(self, root: str) -> None:
         self.root = str(root)
         os.makedirs(self.root, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
 
-    # ------------------------------------------------------------------ #
     def _path(self, key: str) -> str:
         if not key or os.sep in key or key != os.path.basename(key):
             raise ValueError(f"invalid cache key {key!r}")
@@ -120,12 +121,9 @@ class ResultCache:
             with open(self._path(key), "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except (FileNotFoundError, json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self.misses += 1
             return None
         if not isinstance(payload, dict) or payload.get("kind") != CACHE_KIND:
-            self.misses += 1
             return None
-        self.hits += 1
         return payload
 
     def put(self, key: str, payload: Mapping[str, object]) -> str:
@@ -143,20 +141,3 @@ class ResultCache:
             if os.path.exists(tmp):  # a failed dump must not litter the dir
                 os.unlink(tmp)
         return path
-
-    # ------------------------------------------------------------------ #
-    def __contains__(self, key: str) -> bool:
-        return os.path.exists(self._path(key))
-
-    def keys(self) -> Iterator[str]:
-        """Iterate stored cache keys in sorted order."""
-        for name in sorted(os.listdir(self.root)):
-            if name.endswith(".json"):
-                yield name[: -len(".json")]
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def stats(self) -> Dict[str, int]:
-        """Read-side counters of this process's cache object."""
-        return {"hits": self.hits, "misses": self.misses}

@@ -13,13 +13,14 @@ observability or Gaussian noise does not.
 Every run flattens the whole scenario x severity x replication x method
 grid into one work-unit queue (:mod:`repro.experiments.scheduler`): in
 process at ``n_jobs=1``, over a single shared worker pool otherwise.  The
-queue gives per-unit failure isolation, JSONL checkpoint/resume, a
-content-addressed result cache (``cache_dir`` — unchanged cells are free
-across invocations and machines) and stable-hash sharding
-(``shard=(k, n)`` splits one grid across n hosts;
-:func:`merge_scenario_shards` unions the shard checkpoints back into one
-record).  Every unit's seed is fixed by the plan, so records agree
-bit-for-bit at any ``n_jobs`` apart from measured wall-clock.
+queue gives per-unit failure isolation, a content-addressed result cache
+(``cache_dir`` — the one store of unit outcomes: unchanged cells are free
+across invocations and machines, and re-running with the same cache
+resumes an interrupted grid) and stable-hash sharding (``shard=(k, n)``
+splits one grid across n hosts; the same run without ``shard`` over the
+union of the shards' caches assembles the full record).  Every unit's seed
+is fixed by the plan, so records agree bit-for-bit at any ``n_jobs`` apart
+from measured wall-clock.
 
 The suite record carries a ``stages`` block (plan / materialise / fit /
 evaluate / aggregate wall-clock) and a ``cache`` block (hits, misses,
@@ -38,7 +39,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,22 +49,12 @@ from .cache import ResultCache
 from .protocols import experiment_config, get_scale
 from .reporting import format_table, machine_block
 from .runner import MethodSpec, MethodResult
-from .scheduler import (
-    CheckpointError,
-    UnitOutcome,
-    deserialize_method_result,
-    load_shard_checkpoint,
-    parse_shard,
-    plan_units,
-    run_cross_cell,
-    unit_key,
-)
+from .scheduler import UnitOutcome, parse_shard, plan_units, run_cross_cell, unit_key
 
 __all__ = [
     "ScenarioSuiteConfig",
     "ScenarioCellResult",
     "run_scenario_suite",
-    "merge_scenario_shards",
     "degradation_slope",
     "format_scenario_suite",
     "format_suite_summary",
@@ -93,16 +84,14 @@ class ScenarioSuiteConfig:
     scale: str = "smoke"
     methods: Optional[Sequence[MethodSpec]] = None
     dims: Tuple[int, int, int, int] = (4, 4, 4, 2)
-    #: JSONL checkpoint path of the work-unit queue; an existing
-    #: matching checkpoint is resumed, completed units are not recomputed.
-    checkpoint: Optional[str] = None
     #: Directory of the content-addressed result cache; unit outcomes are
-    #: served from it (and written back to it) keyed by a blake2b digest of
-    #: their inputs, so re-runs of unchanged cells cost nothing.
+    #: served from it (and written to it as each unit completes) keyed by a
+    #: blake2b digest of their inputs, so re-runs of unchanged cells cost
+    #: nothing and an interrupted grid resumes where it stopped.
     cache_dir: Optional[str] = None
     #: ``(k, n)`` — run only the units whose stable key hash falls in shard
-    #: k of n (1-based).  Requires a checkpoint and/or cache_dir so the
-    #: shard's results can be merged or served back later.
+    #: k of n (1-based).  Requires ``cache_dir``: the same run without
+    #: ``shard`` over the union of the shards' caches assembles the record.
     shard: Optional[Tuple[int, int]] = None
 
     def resolved_scenarios(self) -> List[str]:
@@ -131,7 +120,6 @@ class ScenarioSuiteConfig:
         replications: int = 1,
         n_jobs: int = 1,
         seed: int = 2024,
-        checkpoint: Optional[str] = None,
         cache_dir: Optional[str] = None,
         shard=None,
     ) -> "ScenarioSuiteConfig":
@@ -157,7 +145,6 @@ class ScenarioSuiteConfig:
             n_jobs=n_jobs,
             seed=seed,
             scale="smoke" if smoke else "default",
-            checkpoint=checkpoint,
             cache_dir=cache_dir,
             shard=parse_shard(shard) if shard is not None else None,
         )
@@ -285,51 +272,38 @@ def _error_cell(
     )
 
 
-#: ``get_outcome(scenario, severity, replication, method_index)`` shape the
-#: aggregation helper consumes: ``("ok", MethodResult)``, ``("error", msg)``
-#: or ``None`` when the unit was not run here (another shard's unit).
-_OutcomeGetter = Callable[[str, float, int, int], Optional[Tuple[str, object]]]
-
-
 def _aggregate_grid(
     scenario_items: Sequence[Tuple[str, Sequence[float]]],
     method_names: Sequence[str],
     replications: int,
-    get_outcome: _OutcomeGetter,
-    partial: bool = False,
+    outcomes: Mapping[str, UnitOutcome],
 ) -> Dict[str, List[ScenarioCellResult]]:
-    """Collapse per-unit outcomes into cell rows, shared by live runs and
-    shard merging.
+    """Collapse per-unit outcomes into cell rows, replications in order.
 
-    With ``partial=True`` (a sharded run) cells whose units all live in
-    other shards are skipped and surviving cells aggregate only the
-    replications present here; otherwise a missing unit is a hard error —
-    an unsharded grid (or a verified shard union) must be complete.
+    A sharded run holds only its own slice: a cell whose units all live in
+    other shards is skipped, and a surviving cell aggregates only the
+    replications present here.  An unsharded run holds every unit.
     """
     cells_by_scenario: Dict[str, List[ScenarioCellResult]] = {}
     for scenario_name, severities in scenario_items:
         cells: List[ScenarioCellResult] = []
         for severity in severities:
             for index, method in enumerate(method_names):
-                entries = [
-                    (replication, get_outcome(scenario_name, severity, replication, index))
+                keys = [
+                    unit_key(scenario_name, severity, replication, index)
                     for replication in range(replications)
                 ]
-                present = [(rep, entry) for rep, entry in entries if entry is not None]
-                if len(present) != len(entries) and not partial:
-                    missing = unit_key(
-                        scenario_name,
-                        severity,
-                        next(rep for rep, entry in entries if entry is None),
-                        index,
-                    )
-                    raise KeyError(f"no outcome for planned work unit {missing!r}")
+                present = [
+                    (replication, outcomes[key])
+                    for replication, key in enumerate(keys)
+                    if key in outcomes
+                ]
                 if not present:
                     continue  # cell lives entirely in other shards
                 errors = [
-                    f"replication {rep}: {entry[1]}"
-                    for rep, entry in present
-                    if entry[0] == "error"
+                    f"replication {replication}: {outcome.error}"
+                    for replication, outcome in present
+                    if not outcome.ok
                 ]
                 if errors:
                     cells.append(
@@ -343,7 +317,7 @@ def _aggregate_grid(
                             scenario_name,
                             severity,
                             method,
-                            [entry[1] for _, entry in present],
+                            [outcome.result for _, outcome in present],
                         )
                     )
         cells_by_scenario[scenario_name] = cells
@@ -355,8 +329,7 @@ def _scenario_records(
     method_names: Sequence[str],
     cells_by_scenario: Mapping[str, List[ScenarioCellResult]],
 ) -> Dict[str, Dict[str, object]]:
-    """Per-scenario record blocks (cells + degradation summary), shared by
-    live runs and shard merging so both aggregate bit-identically."""
+    """Per-scenario record blocks (cells + degradation summary)."""
     scenario_records: Dict[str, Dict[str, object]] = {}
     for scenario_name, description, severities in scenario_items:
         cells = cells_by_scenario[scenario_name]
@@ -412,26 +385,16 @@ def _scenario_records(
 def _cache_block(
     config: ScenarioSuiteConfig, outcomes: Mapping[str, UnitOutcome]
 ) -> Dict[str, object]:
-    """Cache statistics of one run (zeros when the cache is disabled)."""
-    hits = misses = replayed = 0
-    seconds_saved = 0.0
-    for outcome in outcomes.values():
-        if outcome.from_cache:
-            hits += 1
-            seconds_saved += outcome.seconds_saved
-        elif outcome.from_checkpoint:
-            replayed += 1
-        else:
-            misses += 1
-    consulted = hits + misses
+    """Cache statistics of one run (no hits when the cache is disabled)."""
+    hits = sum(outcome.from_cache for outcome in outcomes.values())
+    misses = len(outcomes) - hits
     return {
         "enabled": config.cache_dir is not None,
         "dir": config.cache_dir,
         "hits": hits,
         "misses": misses,
-        "hit_rate": (hits / consulted) if consulted else 0.0,
-        "checkpoint_replayed": replayed,
-        "seconds_saved": seconds_saved,
+        "hit_rate": (hits / len(outcomes)) if outcomes else 0.0,
+        "seconds_saved": float(sum(outcome.seconds_saved for outcome in outcomes.values())),
     }
 
 
@@ -445,14 +408,12 @@ def _stage_block(
 
     ``execute_seconds`` is the end-to-end grid wall-clock; the
     materialise/fit/evaluate components are the summed per-unit stage
-    clocks of the units *executed here* (cached and checkpoint replays
-    cost nothing and are excluded — their avoided time shows up in the
-    cache block's ``seconds_saved`` instead).
+    clocks of the units *executed here* (cache hits cost nothing and are
+    excluded — their avoided time shows up in the cache block's
+    ``seconds_saved`` instead).
     """
     executed = [
-        outcome
-        for outcome in outcomes.values()
-        if outcome.ok and not outcome.from_cache and not outcome.from_checkpoint
+        outcome for outcome in outcomes.values() if outcome.ok and not outcome.from_cache
     ]
     return {
         "plan_seconds": plan_seconds,
@@ -475,10 +436,10 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
     The grid is flattened into work units and run by
     :func:`~repro.experiments.scheduler.run_cross_cell` — in process at
     ``n_jobs=1``, over one shared worker pool otherwise: failures isolate
-    to error rows, a JSONL checkpoint makes long grids resumable,
-    ``cache_dir`` serves unchanged units from the content-addressed result
-    cache, and ``shard`` restricts execution to one stable-hash slice of
-    the grid — with identical cell metrics every way at a fixed seed.
+    to error rows, ``cache_dir`` serves unchanged units from the
+    content-addressed result cache (which also makes long grids
+    resumable), and ``shard`` restricts execution to one stable-hash slice
+    of the grid — with identical cell metrics every way at a fixed seed.
 
     The run is staged explicitly — plan (resolve scenarios/methods and
     flatten the grid), materialise + fit/evaluate (the work units), then
@@ -491,10 +452,10 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
     plan_start = time.perf_counter()
     scenario_names = config.resolved_scenarios()
     specs = config.resolved_methods(config.seed)
-    if config.shard is not None and config.checkpoint is None and config.cache_dir is None:
+    if config.shard is not None and config.cache_dir is None:
         raise ValueError(
-            "sharding needs a checkpoint and/or cache_dir — without one the "
-            "shard's results cannot be merged or served back"
+            "sharding needs a cache_dir — without one the shard's results "
+            "cannot be served back to the run that assembles the grid"
         )
 
     scenarios: Dict[str, Tuple[Scenario, Tuple[float, ...]]] = {}
@@ -520,7 +481,6 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
     outcomes = run_cross_cell(
         units,
         n_jobs=config.n_jobs,
-        checkpoint=config.checkpoint,
         cache=ResultCache(config.cache_dir) if config.cache_dir is not None else None,
         shard=config.shard,
     )
@@ -528,21 +488,11 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
 
     aggregate_start = time.perf_counter()
     method_names = [spec.name for spec in specs]
-
-    def get_outcome(name: str, severity: float, replication: int, index: int):
-        outcome = outcomes.get(unit_key(name, severity, replication, index))
-        if outcome is None:
-            return None
-        if outcome.ok:
-            return ("ok", outcome.result)
-        return ("error", outcome.error)
-
     cells_by_scenario = _aggregate_grid(
         [(name, severities) for name, (_, severities) in scenarios.items()],
         method_names,
         config.replications,
-        get_outcome,
-        partial=config.shard is not None,
+        outcomes,
     )
     scenario_records = _scenario_records(
         [
@@ -566,145 +516,11 @@ def run_scenario_suite(config: Optional[ScenarioSuiteConfig] = None) -> Dict[str
             "dims": list(config.dims),
             "methods": method_names,
             "scenarios": scenario_names,
-            "checkpoint": config.checkpoint,
             "cache_dir": config.cache_dir,
             "shard": f"{config.shard[0]}/{config.shard[1]}" if config.shard else None,
         },
         "cache": _cache_block(config, outcomes),
         "stages": _stage_block(plan_seconds, execute_seconds, aggregate_seconds, outcomes),
-        "scenarios": scenario_records,
-    }
-
-
-def merge_scenario_shards(
-    paths: Sequence[str], cache_dir: Optional[str] = None
-) -> Dict[str, object]:
-    """Union shard checkpoints into one complete suite record.
-
-    Every checkpoint must carry the same full-grid fingerprint (shards of
-    one merge must come from one plan — a mismatched file is refused with
-    a :class:`CheckpointError`), the union must cover every work unit of
-    the grid exactly once (missing units mean a shard has not run yet;
-    duplicates mean the same shard was merged twice), and cells plus
-    degradation slopes are recomputed from the union through the same
-    aggregation helpers the live path uses — so the merged record's cell
-    metrics are bit-identical to an unsharded run of the same grid.
-
-    With ``cache_dir`` set, every successful unit record is also promoted
-    into the content-addressed result cache under its recorded
-    ``cache_key``, so a merge seeds the cache for every later run.
-    """
-    if not paths:
-        raise ValueError("need at least one shard checkpoint")
-    start = time.perf_counter()
-    headers: List[Tuple[str, Dict[str, object]]] = []
-    records: Dict[str, Dict[str, object]] = {}
-    origin: Dict[str, str] = {}
-    for path in paths:
-        header, shard_records = load_shard_checkpoint(path)
-        if headers and header["fingerprint"] != headers[0][1]["fingerprint"]:
-            raise CheckpointError(
-                f"{path} was written for a different grid than {headers[0][0]} "
-                f"(fingerprints differ); every shard of one merge must come "
-                f"from the same plan"
-            )
-        headers.append((path, header))
-        for key, record in shard_records.items():
-            if key in records:
-                raise CheckpointError(
-                    f"work unit {key!r} appears in both {origin[key]} and "
-                    f"{path}; shards must be disjoint (was one shard merged "
-                    f"twice?)"
-                )
-            records[key] = record
-            origin[key] = path
-
-    grid = headers[0][1]["grid"]
-    method_names = [str(name) for name in grid["methods"]]
-    replications = int(grid["replications"])
-    scenario_items: List[Tuple[str, List[float]]] = [
-        (str(name), [float(severity) for severity in severities])
-        for name, severities in grid["scenarios"].items()
-    ]
-    expected = {
-        unit_key(name, severity, replication, index)
-        for name, severities in scenario_items
-        for severity in severities
-        for replication in range(replications)
-        for index in range(len(method_names))
-    }
-    unknown = sorted(set(records) - expected)
-    if unknown:
-        raise CheckpointError(
-            f"merged checkpoints record a unit outside their own grid header "
-            f"({unknown[0]!r}); the files are inconsistent"
-        )
-    missing = sorted(expected - set(records))
-    if missing:
-        raise CheckpointError(
-            f"{len(missing)} of {len(expected)} work units are missing from "
-            f"the merged shards (e.g. {missing[0]!r}); run the missing "
-            f"shard(s) first"
-        )
-
-    def get_outcome(name: str, severity: float, replication: int, index: int):
-        record = records[unit_key(name, severity, replication, index)]
-        if record.get("ok"):
-            return ("ok", deserialize_method_result(record["result"], None))
-        return ("error", str(record.get("error")))
-
-    cells_by_scenario = _aggregate_grid(
-        scenario_items, method_names, replications, get_outcome
-    )
-    dims = tuple(int(d) for d in grid["dims"])
-    items_with_description: List[Tuple[str, Mapping[str, object], Sequence[float]]] = []
-    for name, severities in scenario_items:
-        try:
-            description = build_scenario(name, dims=dims).describe()
-        except Exception:  # noqa: BLE001 - scenario unregistered on this host
-            description = {"name": name, "axis": "unknown"}
-        items_with_description.append((name, description, severities))
-    scenario_records = _scenario_records(
-        items_with_description, method_names, cells_by_scenario
-    )
-
-    promoted = 0
-    if cache_dir is not None:
-        cache = ResultCache(cache_dir)
-        for record in records.values():
-            cache_key = record.get("cache_key")
-            if record.get("ok") and cache_key and str(cache_key) not in cache:
-                cache.put(
-                    str(cache_key),
-                    {
-                        "result": record["result"],
-                        "build_seconds": float(record.get("build_seconds", 0.0)),
-                    },
-                )
-                promoted += 1
-
-    aggregate_seconds = time.perf_counter() - start
-    return {
-        "benchmark": "scenario-matrix",
-        "machine": machine_block(),
-        "suite": {
-            "num_samples": grid["num_samples"],
-            "replications": replications,
-            "dims": list(grid["dims"]),
-            "methods": method_names,
-            "scenarios": [name for name, _ in scenario_items],
-            "checkpoint": None,
-            "cache_dir": cache_dir,
-            "shard": None,
-            "merged_from": [str(path) for path in paths],
-            "fingerprint": headers[0][1]["fingerprint"],
-        },
-        "cache": {
-            "enabled": cache_dir is not None,
-            "dir": cache_dir,
-            "promoted": promoted,
-        },
-        "stages": {"aggregate_seconds": aggregate_seconds},
         "scenarios": scenario_records,
     }
 
@@ -781,20 +597,12 @@ def format_suite_summary(result: Mapping[str, object]) -> str:
     if parts:
         lines.append("stages: " + " | ".join(parts))
     cache = result.get("cache") or {}
-    if cache.get("enabled"):
-        pieces: List[str] = []
-        if "hits" in cache:
-            pieces.append(
-                f"{cache['hits']} hits / {cache['misses']} misses "
-                f"({cache.get('hit_rate', 0.0):.0%} hit rate), "
-                f"{cache.get('seconds_saved', 0.0):.2f}s saved"
-            )
-        if cache.get("checkpoint_replayed"):
-            pieces.append(f"{cache['checkpoint_replayed']} replayed from checkpoint")
-        if cache.get("promoted") is not None:
-            pieces.append(f"{cache['promoted']} promoted into the cache")
-        if pieces:
-            lines.append("cache: " + ", ".join(pieces))
+    if cache.get("enabled") and "hits" in cache:
+        lines.append(
+            f"cache: {cache['hits']} hits / {cache['misses']} misses "
+            f"({cache.get('hit_rate', 0.0):.0%} hit rate), "
+            f"{cache.get('seconds_saved', 0.0):.2f}s saved"
+        )
     return "\n".join(lines)
 
 

@@ -15,19 +15,20 @@ so a full-severity grid keeps every worker busy:
   scheduler-smoke gate).
 * **Failure isolation** — a diverging unit records an error outcome instead
   of killing the grid; the suite reports the cell as an error row.
-* **Checkpoint / resume** — each completed unit is appended to a JSONL
-  checkpoint; re-running with the same checkpoint path skips completed
-  units (failed units are retried), so long grids survive interruption.
 * **Content-addressed cache** — with a :class:`~repro.experiments.cache.
-  ResultCache`, every unit's outcome is also stored under a blake2b digest
-  of its inputs (:func:`~repro.experiments.cache.unit_cache_key`), so
-  unchanged cells are skipped across *invocations and machines*, not just
-  within one checkpointed run.  Only dirty or failed units hit the pool.
+  ResultCache`, every unit's outcome is stored under a blake2b digest of
+  its inputs (:func:`~repro.experiments.cache.unit_cache_key`) as soon as
+  it completes, so unchanged units are served from the cache across
+  invocations, grids and machines.  The cache is the one store of unit
+  outcomes: re-running with the same cache resumes an interrupted grid
+  (failed units are retried), and only dirty, failed or missing units
+  reach the pool.
 * **Sharding** — ``shard=(k, n)`` restricts execution to the units whose
   stable key hash lands in shard ``k`` of ``n`` (:func:`unit_shard`), so n
-  machines can split one grid; their checkpoints carry the *full-grid*
-  fingerprint plus the grid's shape and are unioned back together by
-  :func:`repro.experiments.scenario_suite.merge_scenario_shards`.
+  machines can split one grid.  Each shard writes into a cache (one shared
+  directory, or per-host directories whose entries are copied into one);
+  the same run without a shard then assembles the full record from cache
+  hits.
 
 Workers rebuild scenarios from :data:`repro.registry.scenarios` by name, so
 custom scenarios must be registered at import time of a module the workers
@@ -38,14 +39,13 @@ methods.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, IO, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..metrics.evaluation import EnvironmentReport, StabilityReport
 from ..scenarios import build_scenario
@@ -55,48 +55,31 @@ from .runner import MethodResult, MethodSpec, run_method, spawn_replication_seed
 __all__ = [
     "WorkUnit",
     "UnitOutcome",
-    "CheckpointError",
     "unit_key",
     "plan_units",
     "parse_shard",
     "unit_shard",
     "shard_units",
-    "grid_block",
     "resolve_n_jobs",
     "run_cross_cell",
-    "load_shard_checkpoint",
     "serialize_method_result",
     "deserialize_method_result",
 ]
 
-#: ``kind`` field of the JSONL checkpoint header line.
-CHECKPOINT_KIND = "scenario-scheduler-checkpoint"
-
-#: Checkpoint layout version.  Format 2 switched unit keys from ``%g``
-#: severity formatting (which truncates to 6 significant digits and can
-#: collide two distinct severities into one key) to round-trip-exact
-#: ``repr(float(...))``, and added the ``grid``/``shard``/``total_units``
-#: header fields that shard merging relies on.  Format-1 files are refused
-#: with a clear migration error instead of silently mis-keying units.
-CHECKPOINT_FORMAT = 2
-
 
 def unit_key(scenario: str, severity: float, replication: int, method_index: int) -> str:
-    """Stable identifier of one work unit (grouping + checkpoint lines).
+    """Stable identifier of one work unit within its grid (outcome lookup
+    and shard assignment).
 
     The severity component uses ``repr(float(severity))`` — exact float
     round-trip — because the historical ``f"{severity:g}"`` truncated to 6
     significant digits and could collide two distinct severities into one
-    key (and therefore one checkpoint line).
+    key (and therefore one outcome).
     """
     return (
         f"{scenario}|severity={float(severity)!r}"
         f"|replication={replication}|method={method_index}"
     )
-
-
-class CheckpointError(ValueError):
-    """Raised when a checkpoint file does not match the planned grid."""
 
 
 @dataclass(frozen=True)
@@ -121,7 +104,7 @@ class WorkUnit:
 
     @property
     def key(self) -> str:
-        """Stable identifier used for grouping and checkpoint lines."""
+        """Stable identifier of this unit within its grid (see :func:`unit_key`)."""
         return unit_key(self.scenario, self.severity, self.replication, self.method_index)
 
     @property
@@ -134,9 +117,8 @@ class WorkUnit:
 class UnitOutcome:
     """Result (or failure) of one work unit.
 
-    ``from_checkpoint`` / ``from_cache`` mark outcomes replayed from a
-    resumed JSONL checkpoint or served from the content-addressed result
-    cache; ``seconds_saved`` is the recorded compute time a cache hit
+    ``from_cache`` marks an outcome served from the content-addressed
+    result cache; ``seconds_saved`` is the recorded compute time that hit
     avoided (dataset build + fit + evaluate), and ``build_seconds`` the
     dataset-materialisation time this run actually spent on the unit.
     """
@@ -144,7 +126,6 @@ class UnitOutcome:
     unit: WorkUnit
     result: Optional[MethodResult] = None
     error: Optional[str] = None
-    from_checkpoint: bool = False
     from_cache: bool = False
     build_seconds: float = 0.0
     seconds_saved: float = 0.0
@@ -252,36 +233,6 @@ def shard_units(units: Sequence[WorkUnit], shard: Optional[Tuple[int, int]]) -> 
     return [unit for unit in units if unit_shard(unit.key, count) == index - 1]
 
 
-def grid_block(units: Sequence[WorkUnit]) -> Dict[str, object]:
-    """The grid-shape header block shard merging rebuilds cells from.
-
-    Records scenario -> severity lists (plan order), method display names
-    (index order), the replication count and the shared sample count/dims.
-    JSON round-trips the severity floats exactly, so the keys rebuilt from
-    a merged header match the shard checkpoints byte for byte.
-    """
-    if not units:
-        raise ValueError("cannot describe an empty grid")
-    scenarios: "OrderedDict[str, List[float]]" = OrderedDict()
-    methods: Dict[int, str] = {}
-    replications = 0
-    for unit in units:
-        severities = scenarios.setdefault(unit.scenario, [])
-        if unit.severity not in severities:
-            severities.append(unit.severity)
-        methods[unit.method_index] = unit.spec.name
-        replications = max(replications, unit.replication + 1)
-    if sorted(methods) != list(range(len(methods))):
-        raise ValueError("method indices must be contiguous from 0")
-    return {
-        "scenarios": {name: list(severities) for name, severities in scenarios.items()},
-        "methods": [methods[index] for index in range(len(methods))],
-        "replications": replications,
-        "num_samples": units[0].num_samples,
-        "dims": list(units[0].dims),
-    }
-
-
 #: Per-process memo of recently built protocols.  Several units differ only
 #: in their method spec; when the same worker draws them it reuses the
 #: build instead of regenerating identical datasets once per method.  The
@@ -332,14 +283,14 @@ def _execute_unit(unit: WorkUnit) -> Tuple[MethodResult, float]:
 
 
 # ---------------------------------------------------------------------- #
-# Checkpoint serialisation
+# Cache entries
 # ---------------------------------------------------------------------- #
 def serialize_method_result(result: MethodResult) -> Dict[str, object]:
-    """The JSON shape of one unit result.
+    """The JSON shape of one unit result, as the result cache stores it.
 
     Python's ``json`` round-trips floats exactly (shortest-repr), so a
-    resumed grid aggregates to bit-identical cells.  Training history is
-    not checkpointed — the suite's aggregates never read it.
+    grid served from the cache aggregates to bit-identical cells.
+    Training history is not stored — the suite's aggregates never read it.
     """
     stability = result.stability
     return {
@@ -358,15 +309,8 @@ def serialize_method_result(result: MethodResult) -> Dict[str, object]:
     }
 
 
-def deserialize_method_result(
-    payload: Mapping[str, object], spec: Optional[MethodSpec]
-) -> MethodResult:
-    """Inverse of :func:`serialize_method_result` (spec re-attached by key).
-
-    ``spec=None`` is allowed for consumers that only aggregate metrics —
-    shard merging rebuilds results from checkpoint records alone, where the
-    method is identified by its display name, not a live spec object.
-    """
+def deserialize_method_result(payload: Mapping[str, object], spec: MethodSpec) -> MethodResult:
+    """Inverse of :func:`serialize_method_result` (spec re-attached by key)."""
     stability = payload["stability"]
     return MethodResult(
         spec=spec,
@@ -391,150 +335,20 @@ def deserialize_method_result(
     )
 
 
-def checkpoint_fingerprint(units: Sequence[WorkUnit]) -> str:
-    """Digest of the planned grid, pinned in the checkpoint header.
-
-    Covers every unit's key, seed, sample count, dims and the *full* method
-    spec (``MethodSpec`` is a dataclass of scalars and nested config
-    dataclasses, so its repr captures backbone, framework, ablation flags,
-    seed and every training knob), so a checkpoint can only resume the
-    exact grid it was written for — not a same-named method trained at a
-    different scale.  Sharded runs fingerprint the *full* grid, not their
-    slice, which is what lets ``scenarios-merge`` verify that every shard
-    came from the same plan.
-    """
-    lines = sorted(
-        f"{unit.key}|{unit.replication_seed}|{unit.num_samples}"
-        f"|{unit.dims}|{unit.spec!r}"
-        for unit in units
-    )
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-
-
-def _validate_header(
-    header: Mapping[str, object],
-    path: str,
-    fingerprint: Optional[str] = None,
-    shard: Optional[Tuple[int, int]] = None,
-) -> None:
-    """Shared header checks of resume (:func:`run_cross_cell`) and merge."""
-    if header.get("kind") != CHECKPOINT_KIND:
-        raise CheckpointError(
-            f"{path} is not a scenario-scheduler checkpoint (kind={header.get('kind')!r})"
-        )
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(
-            f"{path} uses checkpoint format {header.get('format', 1)!r}, this version "
-            f"writes format {CHECKPOINT_FORMAT}: unit keys switched from %g severity "
-            f"formatting (lossy beyond 6 significant digits) to exact repr(float). "
-            f"Delete the old checkpoint or re-run the grid to regenerate it."
-        )
-    if fingerprint is not None and header.get("fingerprint") != fingerprint:
-        raise CheckpointError(
-            f"{path} was written for a different grid (seed, scenarios, severities, "
-            f"methods, sample count or dims changed); refusing to resume"
-        )
-    if fingerprint is not None:
-        # Resume context: the checkpoint must belong to this exact slice.
-        wanted = list(shard) if shard is not None else None
-        if header.get("shard", None) != wanted:
-            raise CheckpointError(
-                f"{path} was written for shard {header.get('shard')} but this run is "
-                f"shard {wanted}; resume with the matching --shard (or merge the shard "
-                f"checkpoints with 'repro scenarios-merge')"
-            )
-
-
-def _parse_record_lines(lines: Sequence[str]) -> Dict[str, Dict[str, object]]:
-    """Unit records from checkpoint body lines, last line per key winning
-    (a failed unit retried on resume appends a newer ok record).  Torn
-    trailing lines from a killed run are skipped."""
-    records: Dict[str, Dict[str, object]] = {}
-    for line in lines:
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            # A partially written final line from an interrupted run.
-            continue
-        key = record.get("key")
-        if key is not None:
-            records[str(key)] = record
-    return records
-
-
-def _load_checkpoint(
-    path: str,
-    by_key: Mapping[str, WorkUnit],
-    fingerprint: str,
-    shard: Optional[Tuple[int, int]],
-) -> Dict[str, UnitOutcome]:
-    """Completed outcomes from an existing checkpoint (tolerant of a
-    truncated trailing line, which is what a killed run leaves behind)."""
-    outcomes: Dict[str, UnitOutcome] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        return outcomes
+def _cached_outcome(unit: WorkUnit, payload: Mapping[str, object]) -> Optional[UnitOutcome]:
+    """The outcome a cache entry stores, or ``None`` when the entry parses
+    but does not deserialize (a field missing or of the wrong type): such
+    an entry is a miss like a torn one, recomputed and overwritten."""
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path} has an unreadable header line: {exc}") from exc
-    _validate_header(header, path, fingerprint=fingerprint, shard=shard)
-    for key, record in _parse_record_lines(lines[1:]).items():
-        if key not in by_key:
-            raise CheckpointError(f"{path} records unknown work unit {key!r}")
-        unit = by_key[key]
-        if record.get("ok"):
-            outcomes[key] = UnitOutcome(
-                unit=unit,
-                result=deserialize_method_result(record["result"], unit.spec),
-                from_checkpoint=True,
-                build_seconds=float(record.get("build_seconds", 0.0)),
-            )
-        # Failed units are retried on resume: only successes are replayed.
-    return outcomes
-
-
-def load_shard_checkpoint(path: str) -> Tuple[Dict[str, object], Dict[str, Dict[str, object]]]:
-    """``(header, records_by_key)`` of one checkpoint file, for merging.
-
-    Validates the header's kind and format (not its fingerprint — the
-    merge layer compares fingerprints *across* shards) and requires the
-    format-2 ``grid`` block, without which cells cannot be rebuilt.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CheckpointError(f"{path} is empty")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path} has an unreadable header line: {exc}") from exc
-    _validate_header(header, path)
-    if not isinstance(header.get("grid"), dict) or "fingerprint" not in header:
-        raise CheckpointError(f"{path} has no grid header block; cannot merge it")
-    return header, _parse_record_lines(lines[1:])
-
-
-def _checkpoint_line(handle: IO[str], record: Mapping[str, object]) -> None:
-    handle.write(json.dumps(record) + "\n")
-    handle.flush()
-
-
-def _cache_payload(result: MethodResult, build_seconds: float) -> Dict[str, object]:
-    return {
-        "result": serialize_method_result(result),
-        "build_seconds": build_seconds,
-    }
-
-
-def _cached_seconds(payload: Mapping[str, object]) -> float:
-    """Recorded compute time a cache hit avoids (build + fit + evaluate)."""
-    result = payload.get("result", {})
-    return (
-        float(payload.get("build_seconds", 0.0))
-        + float(result.get("training_seconds", 0.0))
-        + float(result.get("evaluate_seconds", 0.0))
+        result = deserialize_method_result(payload["result"], unit.spec)
+        build_seconds = float(payload.get("build_seconds", 0.0))
+    except (LookupError, TypeError, ValueError, AttributeError):
+        return None
+    return UnitOutcome(
+        unit=unit,
+        result=result,
+        from_cache=True,
+        seconds_saved=build_seconds + result.training_seconds + result.evaluate_seconds,
     )
 
 
@@ -550,7 +364,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
 def run_cross_cell(
     units: Sequence[WorkUnit],
     n_jobs: int = 1,
-    checkpoint: Optional[str] = None,
     cache: Optional[ResultCache] = None,
     shard: Optional[Tuple[int, int]] = None,
 ) -> Dict[str, UnitOutcome]:
@@ -558,117 +371,50 @@ def run_cross_cell(
     shared worker pool.
 
     ``units`` is always the *full* planned grid; ``shard=(k, n)`` restricts
-    execution to this machine's stable-hash slice while fingerprinting (and
-    checkpoint-heading) the whole grid, so shard checkpoints can later be
-    verified and unioned.  Returns ``{unit.key: UnitOutcome}`` for every
-    unit this invocation is responsible for.  A unit that raises is
-    recorded as an error outcome (the grid keeps going).
+    execution to this machine's stable-hash slice.  Returns
+    ``{unit.key: UnitOutcome}`` for every unit this invocation is
+    responsible for.  A unit that raises is recorded as an error outcome
+    (the grid keeps going).
 
-    With ``checkpoint`` set, every completed unit is appended to the JSONL
-    file as it finishes, and an existing matching checkpoint is resumed —
-    completed units are replayed from disk instead of recomputed.  With
-    ``cache`` set, pending units are first looked up in the
-    content-addressed result cache (hits are recorded to the checkpoint
-    like computed units, so shard checkpoints stay mergeable), checkpoint
-    replays are promoted into the cache, and every fresh success is stored
-    under its :func:`~repro.experiments.cache.unit_cache_key`.
+    With ``cache`` set, every unit is first looked up in the
+    content-addressed result cache, and every fresh success is stored
+    there as soon as it completes, so re-running with the same cache
+    resumes an interrupted grid.  Failed units are not stored, so they are
+    retried.  A torn, foreign or undecodable entry is a miss: the unit is
+    recomputed and its entry overwritten.
     """
     n_jobs = resolve_n_jobs(n_jobs)
     if shard is not None:
         shard = parse_shard(shard)
     _PROTOCOL_CACHE.clear()  # forked workers start empty
-    by_key = {unit.key: unit for unit in units}
-    if len(by_key) != len(units):
+    if len({unit.key for unit in units}) != len(units):
         raise ValueError("work-unit keys must be unique")
-    mine = shard_units(units, shard)
-    fingerprint = checkpoint_fingerprint(units)
 
     outcomes: Dict[str, UnitOutcome] = {}
-    handle: Optional[IO[str]] = None
-    if checkpoint is not None:
-        if os.path.exists(checkpoint) and os.path.getsize(checkpoint) > 0:
-            outcomes = _load_checkpoint(checkpoint, by_key, fingerprint, shard)
-            with open(checkpoint, "rb") as probe:
-                probe.seek(-1, os.SEEK_END)
-                torn_tail = probe.read(1) != b"\n"
-            handle = open(checkpoint, "a", encoding="utf-8")
-            if torn_tail:
-                # A killed run left a partial final line; terminate it so
-                # the next record starts on its own line instead of being
-                # concatenated into the fragment (and lost on re-load).
-                handle.write("\n")
-        else:
-            handle = open(checkpoint, "w", encoding="utf-8")
-            _checkpoint_line(
-                handle,
-                {
-                    "kind": CHECKPOINT_KIND,
-                    "format": CHECKPOINT_FORMAT,
-                    "fingerprint": fingerprint,
-                    "total_units": len(units),
-                    "shard": list(shard) if shard is not None else None,
-                    "grid": grid_block(units),
-                },
-            )
-
-    if cache is not None:
-        # Promote checkpoint-replayed results into the cache, so an old
-        # (pre-cache) checkpoint seeds the cache for every later grid.
-        for outcome in outcomes.values():
-            if outcome.ok and outcome.unit.cache_key not in cache:
-                cache.put(
-                    outcome.unit.cache_key,
-                    _cache_payload(outcome.result, outcome.build_seconds),
-                )
 
     def record(
         unit: WorkUnit,
         result: Optional[MethodResult],
         error: Optional[str],
         build_seconds: float = 0.0,
-        from_cache: bool = False,
-        seconds_saved: float = 0.0,
     ) -> None:
         outcomes[unit.key] = UnitOutcome(
-            unit=unit,
-            result=result,
-            error=error,
-            from_cache=from_cache,
-            build_seconds=0.0 if from_cache else build_seconds,
-            seconds_saved=seconds_saved,
+            unit=unit, result=result, error=error, build_seconds=build_seconds
         )
-        if handle is not None:
-            if error is None:
-                payload = {
-                    "key": unit.key,
-                    "ok": True,
-                    "cache_key": unit.cache_key,
-                    "build_seconds": build_seconds,
-                    "result": serialize_method_result(result),
-                }
-            else:
-                payload = {"key": unit.key, "ok": False, "error": error}
-            _checkpoint_line(handle, payload)
-        if cache is not None and error is None and not from_cache:
-            cache.put(unit.cache_key, _cache_payload(result, build_seconds))
+        if cache is not None and error is None:
+            cache.put(
+                unit.cache_key,
+                {"result": serialize_method_result(result), "build_seconds": build_seconds},
+            )
 
     pending: List[WorkUnit] = []
-    for unit in mine:
-        if unit.key in outcomes:
-            continue
-        if cache is not None:
-            payload = cache.get(unit.cache_key)
-            if payload is not None:
-                record(
-                    unit,
-                    deserialize_method_result(payload["result"], unit.spec),
-                    None,
-                    build_seconds=float(payload.get("build_seconds", 0.0)),
-                    from_cache=True,
-                    seconds_saved=_cached_seconds(payload),
-                )
-                continue
-        pending.append(unit)
+    for unit in shard_units(units, shard):
+        payload = cache.get(unit.cache_key) if cache is not None else None
+        outcome = _cached_outcome(unit, payload) if payload is not None else None
+        if outcome is None:
+            pending.append(unit)
+        else:
+            outcomes[unit.key] = outcome
 
     try:
         if n_jobs == 1 or len(pending) <= 1:
@@ -692,9 +438,9 @@ def run_cross_cell(
                         # error rows.
                         raise RuntimeError(
                             "worker pool collapsed (a worker process died, "
-                            "e.g. OOM-killed) — completed units are in the "
-                            "checkpoint; rerun with the same checkpoint to "
-                            "resume"
+                            "e.g. OOM-killed) — with a result cache, the "
+                            "completed units are stored; rerun with the same "
+                            "cache to resume"
                         ) from exc
                     if exc is not None:
                         record(unit, None, f"{type(exc).__name__}: {exc}")
@@ -703,6 +449,4 @@ def run_cross_cell(
                         record(unit, result, None, build_seconds=build_seconds)
     finally:
         _PROTOCOL_CACHE.clear()
-        if handle is not None:
-            handle.close()
     return outcomes

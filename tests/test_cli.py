@@ -79,14 +79,30 @@ class TestCommands:
         assert not args.smoke
         assert args.scenario_names is None and args.severities is None
         assert args.replications == 1 and args.n_jobs == 1
-        assert args.checkpoint is None and args.resume is None
+        assert args.cache_dir is None and args.shard is None
 
-    def test_scenarios_scheduler_flags_parse(self):
-        args = build_parser().parse_args(
-            ["scenarios", "--checkpoint", "grid.jsonl", "--resume", "grid.jsonl"]
-        )
-        assert args.checkpoint == "grid.jsonl"
-        assert args.resume == "grid.jsonl"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenarios", "--checkpoint", "grid.jsonl"],
+            ["scenarios", "--resume", "grid.jsonl"],
+            ["scenarios-merge", "shard1.jsonl"],
+        ],
+    )
+    def test_scenarios_checkpoint_flags_and_merge_verb_are_gone(self, argv):
+        # The result cache is the one store of grid outcomes: resume with
+        # the same --cache-dir, assemble shards from the union of caches.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["--replications", "0"], ["--num-samples", "0"]])
+    def test_scenarios_rejects_counts_below_one(self, argv, capsys):
+        # Rejected while parsing, before any unit is planned.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenarios", "--smoke", "--scenario", "overlap", *argv])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
 
     def test_scenarios_smoke_writes_json(self, capsys, tmp_path):
         import json
@@ -109,36 +125,6 @@ class TestCommands:
         with pytest.raises(UnknownComponentError):
             main(["scenarios", "--smoke", "--scenario", "no-such-axis", "--num-samples", "80"])
 
-    def test_scenarios_cross_cell_with_checkpoint(self, capsys, tmp_path):
-        import json
-
-        output = str(tmp_path / "scenarios.json")
-        checkpoint = str(tmp_path / "grid.jsonl")
-        assert main([
-            "scenarios", "--smoke", "--scenario", "overlap",
-            "--num-samples", "120",
-            "--checkpoint", checkpoint, "--output", output,
-        ]) == 0
-        record = json.loads(open(output).read())
-        assert record["suite"]["checkpoint"] == checkpoint
-        # The checkpoint recorded the grid: header + one line per unit.
-        lines = open(checkpoint).read().splitlines()
-        assert len(lines) == 1 + 2 * 2  # 2 severities x 2 default methods
-        # --resume picks the finished checkpoint straight back up.
-        assert main([
-            "scenarios", "--smoke", "--scenario", "overlap",
-            "--num-samples", "120", "--resume", checkpoint, "--output", output,
-        ]) == 0
-        resumed = json.loads(open(output).read())
-        assert resumed["scenarios"] == record["scenarios"]
-
-    def test_scenarios_resume_requires_existing_checkpoint(self, tmp_path):
-        with pytest.raises(SystemExit, match="does not exist"):
-            main([
-                "scenarios", "--smoke", "--scenario", "overlap",
-                "--resume", str(tmp_path / "missing.jsonl"),
-            ])
-
     def test_scenarios_cache_flags_parse(self):
         args = build_parser().parse_args(
             ["scenarios", "--cache-dir", ".cache", "--shard", "2/4"]
@@ -151,7 +137,7 @@ class TestCommands:
             build_parser().parse_args(["scenarios", "--shard", "5/2"])
         assert "1 <= K <= N" in capsys.readouterr().err
 
-    def test_scenarios_shard_requires_cache_or_checkpoint(self):
+    def test_scenarios_shard_requires_cache_dir(self):
         with pytest.raises(SystemExit, match="cache-dir"):
             main(["scenarios", "--smoke", "--scenario", "overlap", "--shard", "1/2"])
 
@@ -175,39 +161,75 @@ class TestCommands:
         assert "stages:" in out
         assert warm["scenarios"] == cold["scenarios"]
 
-    def test_scenarios_merge_roundtrip(self, capsys, tmp_path):
+    def test_scenarios_shards_assemble_from_a_cache_union(self, capsys, tmp_path):
         import json
+        import shutil
+
+        from repro.experiments.scenario_suite import compare_scenario_records
 
         output = str(tmp_path / "record.json")
         base = ["scenarios", "--smoke", "--scenario", "overlap", "--num-samples", "120"]
         assert main(base + ["--output", output]) == 0
         unsharded = json.loads(open(output).read())
 
-        checkpoints = []
+        # Each host writes its shard into its own cache; copying the
+        # entries into one directory unions them.
+        union = tmp_path / "union"
+        union.mkdir()
         for index in (1, 2):
-            checkpoint = str(tmp_path / f"shard{index}.jsonl")
-            checkpoints.append(checkpoint)
-            assert main(base + ["--shard", f"{index}/2", "--checkpoint", checkpoint]) == 0
+            cache_dir = tmp_path / f"shard{index}"
+            assert main(base + ["--shard", f"{index}/2", "--cache-dir", str(cache_dir)]) == 0
+            for entry in cache_dir.iterdir():
+                shutil.copy(str(entry), str(union))
+        capsys.readouterr()
 
-        merged_output = str(tmp_path / "merged.json")
-        assert main(
-            ["scenarios-merge", *checkpoints, "--output", merged_output]
-        ) == 0
-        merged = json.loads(open(merged_output).read())
+        assert main(base + ["--cache-dir", str(union), "--output", output]) == 0
+        assert "cache: 4 hits / 0 misses (100% hit rate)" in capsys.readouterr().out
+        assembled = json.loads(open(output).read())
+        assert compare_scenario_records(unsharded, assembled) == []
+
+    def test_scenarios_resume_from_a_partial_cache(self, capsys, tmp_path):
+        import json
+        import os
+
         from repro.experiments.scenario_suite import compare_scenario_records
 
-        assert compare_scenario_records(unsharded, merged) == []
-        assert merged["suite"]["merged_from"] == checkpoints
-
-    def test_scenarios_merge_incomplete_shards_exit_2(self, capsys, tmp_path):
-        checkpoint = str(tmp_path / "shard1.jsonl")
-        assert main([
+        cache_dir = tmp_path / "cache"
+        output = str(tmp_path / "record.json")
+        base = [
             "scenarios", "--smoke", "--scenario", "overlap", "--num-samples", "120",
-            "--shard", "1/2", "--checkpoint", checkpoint,
-        ]) == 0
+            "--cache-dir", str(cache_dir), "--output", output,
+        ]
+        assert main(base) == 0
+        uninterrupted = json.loads(open(output).read())
+        # An interrupted run left two of its four entries behind.
+        for entry in sorted(os.listdir(str(cache_dir)))[2:]:
+            os.unlink(str(cache_dir / entry))
         capsys.readouterr()
-        assert main(["scenarios-merge", checkpoint]) == 2
-        assert "missing" in capsys.readouterr().err
+
+        assert main(base) == 0
+        assert "cache: 2 hits / 2 misses (50% hit rate)" in capsys.readouterr().out
+        resumed = json.loads(open(output).read())
+        assert compare_scenario_records(uninterrupted, resumed) == []
+
+    def test_scenarios_assembly_computes_what_no_shard_cached(self, capsys, tmp_path):
+        import os
+
+        # Only shard 1 of 2 reached the cache: the unsharded run still
+        # exits 0, computes shard 2's units and counts them as misses.
+        cache_dir = tmp_path / "cache"
+        base = [
+            "scenarios", "--smoke", "--scenario", "overlap", "--num-samples", "120",
+            "--cache-dir", str(cache_dir),
+        ]
+        assert main(base + ["--shard", "1/2"]) == 0
+        cached = len(os.listdir(str(cache_dir)))
+        assert 0 < cached < 4
+        capsys.readouterr()
+
+        assert main(base) == 0
+        assert f"cache: {cached} hits / {4 - cached} misses" in capsys.readouterr().out
+        assert len(os.listdir(str(cache_dir))) == 4
 
     def test_scenarios_fully_failed_grid_exits_nonzero(self, capsys):
         from repro.registry import scenarios as scenario_registry

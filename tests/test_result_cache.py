@@ -5,14 +5,16 @@ severity repr, dataset seed, full method spec, sample count/dims, version
 tag), hits are byte-identical to recomputation, malformed entries are
 misses rather than errors, and anything that could change the result
 changes the key.  The sharding contract: the stable key-hash partition is
-disjoint, complete, insensitive to grid extension, and the merged shard
-checkpoints reproduce the unsharded record bit for bit.
+disjoint, complete, insensitive to grid extension, and an unsharded run
+over the union of the shards' caches reproduces the unsharded record bit
+for bit.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -29,11 +31,9 @@ from repro.experiments.scenario_suite import (
     ScenarioSuiteConfig,
     compare_scenario_records,
     format_suite_summary,
-    merge_scenario_shards,
     run_scenario_suite,
 )
 from repro.experiments.scheduler import (
-    CheckpointError,
     parse_shard,
     plan_units,
     run_cross_cell,
@@ -101,13 +101,11 @@ class TestResultCacheStore:
         loaded = cache.get("abc123")
         assert loaded["result"] == {"x": 1.5}
         assert loaded["kind"] == CACHE_KIND
-        assert cache.stats() == {"hits": 1, "misses": 0}
-        assert "abc123" in cache and len(cache) == 1
+        assert os.listdir(str(tmp_path / "cache")) == ["abc123.json"]
 
     def test_missing_key_is_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         assert cache.get("nope") is None
-        assert cache.stats() == {"hits": 0, "misses": 1}
 
     @pytest.mark.parametrize(
         "content",
@@ -124,7 +122,6 @@ class TestResultCacheStore:
         with open(os.path.join(str(tmp_path), "bad.json"), "w", encoding="utf-8") as handle:
             handle.write(content)
         assert cache.get("bad") is None
-        assert cache.misses == 1
 
     def test_put_leaves_no_temp_litter(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -186,15 +183,13 @@ class TestUnitCacheKey:
 class TestRunCrossCellCache:
     def test_warm_run_is_all_hits_and_byte_identical(self, fast_config, tmp_path):
         units = small_units(fast_config)
-        cold_cache = ResultCache(str(tmp_path / "cache"))
-        cold = run_cross_cell(units, n_jobs=1, cache=cold_cache)
+        cold = run_cross_cell(units, n_jobs=1, cache=ResultCache(str(tmp_path / "cache")))
+        assert len(cold) == len(units)
         assert all(not outcome.from_cache for outcome in cold.values())
-        assert cold_cache.misses == len(units)
 
-        warm_cache = ResultCache(str(tmp_path / "cache"))
-        warm = run_cross_cell(units, n_jobs=1, cache=warm_cache)
+        warm = run_cross_cell(units, n_jobs=1, cache=ResultCache(str(tmp_path / "cache")))
+        assert len(warm) == len(units)
         assert all(outcome.from_cache for outcome in warm.values())
-        assert warm_cache.stats() == {"hits": len(units), "misses": 0}
         for key, outcome in warm.items():
             # Byte identity including the recorded wall-clock: a hit replays
             # the stored result, it does not re-measure anything.
@@ -203,33 +198,47 @@ class TestRunCrossCellCache:
             )
             assert outcome.seconds_saved > 0.0
 
-    def test_corrupt_entry_recomputes_instead_of_crashing(self, fast_config, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param('{"kind": "scenario-result-cache", "result"', id="torn"),
+            # The rest parse as entries of the right kind but fail to
+            # deserialize, each with a different exception: KeyError,
+            # TypeError, AttributeError, ValueError.
+            pytest.param(
+                '{"kind": "scenario-result-cache", "result": {"per_environment": {}}}',
+                id="undecodable",
+            ),
+            pytest.param('{"kind": "scenario-result-cache", "result": null}', id="null-result"),
+            pytest.param(
+                '{"kind": "scenario-result-cache", "result": '
+                '{"stability": {}, "per_environment": []}}',
+                id="wrong-type",
+            ),
+            pytest.param(
+                '{"kind": "scenario-result-cache", "result": {"per_environment": {}, '
+                '"stability": {"mean": {}, "stability": {}, "std": {}, "per_environment": []}, '
+                '"training_seconds": "n/a"}}',
+                id="bad-number",
+            ),
+        ],
+    )
+    def test_corrupt_entry_recomputes_instead_of_crashing(
+        self, fast_config, tmp_path, content
+    ):
         units = small_units(fast_config, replications=1)
         cache_dir = str(tmp_path / "cache")
         run_cross_cell(units, n_jobs=1, cache=ResultCache(cache_dir))
         victim = units[0].cache_key
         with open(os.path.join(cache_dir, f"{victim}.json"), "w", encoding="utf-8") as handle:
-            handle.write('{"kind": "scenario-result-cache", "result"')  # torn
-        cache = ResultCache(cache_dir)
-        outcomes = run_cross_cell(units, n_jobs=1, cache=cache)
+            handle.write(content)
+        outcomes = run_cross_cell(units, n_jobs=1, cache=ResultCache(cache_dir))
+        assert outcomes[units[0].key].ok
         assert not outcomes[units[0].key].from_cache   # recomputed
         assert outcomes[units[1].key].from_cache       # still served
-        # The recomputation repaired the torn entry in place.
-        assert ResultCache(cache_dir).get(victim) is not None
-
-    def test_checkpoint_replays_are_promoted_into_the_cache(
-        self, fast_config, tmp_path
-    ):
-        units = small_units(fast_config, replications=1)
-        checkpoint = str(tmp_path / "grid.jsonl")
-        run_cross_cell(units, n_jobs=1, checkpoint=checkpoint)   # pre-cache run
-        cache = ResultCache(str(tmp_path / "cache"))
-        replayed = run_cross_cell(units, n_jobs=1, checkpoint=checkpoint, cache=cache)
-        assert all(outcome.from_checkpoint for outcome in replayed.values())
-        assert all(unit.cache_key in cache for unit in units)
-        # A cache-only run now serves everything without the checkpoint.
-        served = run_cross_cell(units, n_jobs=1, cache=ResultCache(str(tmp_path / "cache")))
-        assert all(outcome.from_cache for outcome in served.values())
+        # The recomputation repaired the entry in place.
+        repaired = run_cross_cell(units, n_jobs=1, cache=ResultCache(cache_dir))
+        assert all(outcome.from_cache for outcome in repaired.values())
 
 
 class TestSharding:
@@ -262,7 +271,19 @@ class TestSharding:
             assert after[key] == shard
 
 
+def union_caches(target, *sources) -> str:
+    """Copy every entry of the ``sources`` cache dirs into ``target``."""
+    os.makedirs(str(target), exist_ok=True)
+    for source in sources:
+        for name in os.listdir(str(source)):
+            shutil.copy(os.path.join(str(source), name), str(target))
+    return str(target)
+
+
 class TestShardMerge:
+    """Shards write into per-host caches or one shared cache; an unsharded
+    run over the union of their entries assembles the grid from cache hits."""
+
     @pytest.fixture(scope="class")
     def shard_tmp(self, tmp_path_factory):
         return tmp_path_factory.mktemp("shards")
@@ -270,53 +291,71 @@ class TestShardMerge:
     @pytest.fixture(scope="class")
     def shard_run(self, fast_config, shard_tmp):
         unsharded = run_scenario_suite(suite_config(fast_config))
-        checkpoints = []
+        caches = []
         for index in (1, 2):
-            checkpoint = str(shard_tmp / f"shard{index}.jsonl")
-            checkpoints.append(checkpoint)
+            cache_dir = str(shard_tmp / f"shard{index}")
+            caches.append(cache_dir)
+            # Shard 2 runs on the worker pool, which writes the same entries.
             record = run_scenario_suite(
-                suite_config(fast_config, checkpoint=checkpoint, shard=(index, 2))
+                suite_config(fast_config, cache_dir=cache_dir, shard=(index, 2), n_jobs=index)
             )
             assert record["suite"]["shard"] == f"{index}/2"
-        return unsharded, checkpoints
+            assert record["cache"]["misses"] == len(os.listdir(cache_dir))
+        return unsharded, caches
 
-    def test_merge_equals_unsharded_run(self, shard_run, shard_tmp):
-        unsharded, checkpoints = shard_run
-        merged = merge_scenario_shards(checkpoints)
-        assert compare_scenario_records(unsharded, merged) == []
+    def test_merge_equals_unsharded_run(self, fast_config, shard_run, shard_tmp):
+        unsharded, caches = shard_run
+        for n_jobs in (1, 2):
+            union = union_caches(shard_tmp / f"union-{n_jobs}", *caches)
+            assembled = run_scenario_suite(
+                suite_config(fast_config, cache_dir=union, n_jobs=n_jobs)
+            )
+            assert assembled["cache"]["hits"] == 8
+            assert assembled["cache"]["misses"] == 0
+            assert compare_scenario_records(unsharded, assembled) == []
 
-    def test_missing_shard_is_refused(self, shard_run):
-        _, checkpoints = shard_run
-        with pytest.raises(CheckpointError, match="missing"):
-            merge_scenario_shards(checkpoints[:1])
-
-    def test_duplicate_shard_is_refused(self, shard_run):
-        _, checkpoints = shard_run
-        with pytest.raises(CheckpointError, match="disjoint"):
-            merge_scenario_shards([checkpoints[0], checkpoints[0], checkpoints[1]])
-
-    def test_mismatched_grids_are_refused(self, fast_config, shard_run, shard_tmp):
-        _, checkpoints = shard_run
-        foreign = str(shard_tmp / "foreign.jsonl")
-        run_scenario_suite(
-            suite_config(fast_config, seed=12, checkpoint=foreign, shard=(1, 2))
+    def test_shards_share_one_cache(self, fast_config, shard_run, shard_tmp):
+        # Hosts on a shared filesystem write into one dir: shard 2 finds
+        # shard 1's entries there, serves and counts none of them, and
+        # computes only its own units.
+        unsharded, caches = shard_run
+        shared = union_caches(shard_tmp / "shared", caches[0])
+        record = run_scenario_suite(
+            suite_config(fast_config, cache_dir=shared, shard=(2, 2))
         )
-        with pytest.raises(CheckpointError, match="different grid"):
-            merge_scenario_shards([checkpoints[0], foreign])
+        assert record["cache"]["hits"] == 0
+        assert record["cache"]["misses"] == len(os.listdir(caches[1]))
+        assert sorted(os.listdir(shared)) == sorted(os.listdir(caches[0]) + os.listdir(caches[1]))
+        assembled = run_scenario_suite(suite_config(fast_config, cache_dir=shared))
+        assert assembled["cache"]["hits"] == 8 and assembled["cache"]["misses"] == 0
+        assert compare_scenario_records(unsharded, assembled) == []
 
-    def test_merge_promotes_results_into_a_cache(self, fast_config, shard_run, shard_tmp):
-        unsharded, checkpoints = shard_run
-        cache_dir = str(shard_tmp / "promoted-cache")
-        merged = merge_scenario_shards(checkpoints, cache_dir=cache_dir)
-        assert merged["cache"]["promoted"] == 2 * 2 * 2  # scenarios x severities x reps
-        # The promoted cache now serves a fresh run entirely from disk.
-        record = run_scenario_suite(suite_config(fast_config, cache_dir=cache_dir))
-        assert record["cache"]["misses"] == 0
-        assert record["cache"]["hits"] == 8
-        assert compare_scenario_records(unsharded, record) == []
+    def test_missing_shard_is_computed(self, fast_config, shard_run, shard_tmp):
+        # An assembly run computes what no shard cached, and says how much.
+        unsharded, caches = shard_run
+        union = union_caches(shard_tmp / "union-missing", caches[0])
+        assembled = run_scenario_suite(suite_config(fast_config, cache_dir=union))
+        assert assembled["cache"]["hits"] == len(os.listdir(caches[0]))
+        assert assembled["cache"]["misses"] == len(os.listdir(caches[1]))
+        assert compare_scenario_records(unsharded, assembled) == []
 
-    def test_shard_without_checkpoint_or_cache_is_refused(self, fast_config):
-        with pytest.raises(ValueError, match="checkpoint and/or cache_dir"):
+    def test_entries_of_another_grid_are_not_served(
+        self, fast_config, shard_run, shard_tmp
+    ):
+        # A shard of a different grid (another seed, so other datasets) has
+        # other keys: unioned in, it serves nothing to this grid.
+        unsharded, caches = shard_run
+        foreign = str(shard_tmp / "foreign")
+        run_scenario_suite(
+            suite_config(fast_config, seed=12, cache_dir=foreign, shard=(2, 2))
+        )
+        union = union_caches(shard_tmp / "union-foreign", caches[0], foreign)
+        assembled = run_scenario_suite(suite_config(fast_config, cache_dir=union))
+        assert assembled["cache"]["misses"] == len(os.listdir(caches[1]))
+        assert compare_scenario_records(unsharded, assembled) == []
+
+    def test_shard_without_cache_is_refused(self, fast_config):
+        with pytest.raises(ValueError, match="needs a cache_dir"):
             run_scenario_suite(suite_config(fast_config, shard=(1, 2)))
 
 

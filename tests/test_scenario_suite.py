@@ -213,18 +213,20 @@ class TestFromOptions:
         assert tuple(config.severities) == (0.5,)
         assert config.n_jobs == 3 and config.seed == 1
 
-    def test_scheduler_and_checkpoint_pass_through(self):
-        config = ScenarioSuiteConfig.from_options(smoke=True, checkpoint="grid.jsonl")
-        assert config.checkpoint == "grid.jsonl"
-        # Every grid runs the work-unit queue: there is no scheduler to pick,
-        # and a stale caller asking for one gets an error, not a silent no-op.
-        assert not hasattr(config, "scheduler")
+    def test_scheduler_and_checkpoint_are_rejected(self):
+        # Every grid runs the work-unit queue and stores its outcomes in the
+        # result cache: there is no scheduler to pick and no checkpoint to
+        # write, and a stale caller asking for one gets an error, not a
+        # silent no-op.
+        config = ScenarioSuiteConfig.from_options(smoke=True)
+        assert not hasattr(config, "scheduler") and not hasattr(config, "checkpoint")
         with pytest.raises(TypeError, match="scheduler"):
             ScenarioSuiteConfig.from_options(smoke=True, scheduler="cross-cell")
+        with pytest.raises(TypeError, match="checkpoint"):
+            ScenarioSuiteConfig.from_options(smoke=True, checkpoint="grid.jsonl")
 
     def test_scheduler_defaults_unset(self):
         config = ScenarioSuiteConfig.from_options(smoke=True)
-        assert config.checkpoint is None
         assert config.cache_dir is None and config.shard is None
 
     def test_cache_and_shard_pass_through(self):

@@ -5,13 +5,14 @@ bit-for-bit identical (apart from measured wall-clock) to a per-cell
 reference — one in-process ``run_replications`` call per (scenario,
 severity) cell — at ``n_jobs=1`` and ``n_jobs=2`` alike; one diverging
 unit reports an error row instead of killing the grid; and an interrupted
-run resumes from its JSONL checkpoint to the exact record an
-uninterrupted run produces.
+run resumes from its result cache to the exact record an uninterrupted
+run produces.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import replace
 from typing import Dict
 
@@ -29,12 +30,8 @@ from repro.experiments.scenario_suite import (
     run_scenario_suite,
     scenario_cell_metrics,
 )
-from repro.experiments.scheduler import (
-    CheckpointError,
-    plan_units,
-    run_cross_cell,
-    unit_key,
-)
+from repro.experiments.cache import ResultCache
+from repro.experiments.scheduler import plan_units, run_cross_cell, unit_key
 from repro.registry import scenarios as SCENARIO_REGISTRY
 from repro.scenarios import Scenario, build_scenario, rebuild_dataset
 
@@ -185,49 +182,41 @@ class TestParallelEqualsSerial:
 
 
 class TestCheckpointResume:
+    """The result cache is the resume store: re-running a grid with the
+    same cache directory computes only the units it does not hold."""
+
     def test_interrupted_grid_resumes_to_identical_record(
         self, scheduler_config, tmp_path
     ):
-        checkpoint = str(tmp_path / "grid.jsonl")
-        config = suite_config(scheduler_config, checkpoint=checkpoint)
+        cache_dir = str(tmp_path / "cache")
+        config = suite_config(scheduler_config, cache_dir=cache_dir)
         uninterrupted = run_scenario_suite(config)
 
-        # Simulate a kill mid-run: keep the header, the first two completed
-        # units, and a torn partial write of a third.
-        with open(checkpoint, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        assert len(lines) > 4  # header + 8 units
-        with open(checkpoint, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines[:3]) + "\n")
-            handle.write(lines[3][: len(lines[3]) // 2])  # torn line
+        # Simulate a kill mid-run: of the 8 completed units keep two, tear
+        # the write of a third and drop the rest.
+        entries = sorted(os.listdir(cache_dir))
+        assert len(entries) == 8
+        for name in entries[3:]:
+            os.unlink(os.path.join(cache_dir, name))
+        torn = os.path.join(cache_dir, entries[2])
+        with open(torn, encoding="utf-8") as handle:
+            text = handle.read()
+        with open(torn, "w", encoding="utf-8") as handle:
+            handle.write(text[: len(text) // 2])
 
         resumed = run_scenario_suite(config)
         assert compare_scenario_records(uninterrupted, resumed) == []
-        # The resumed run completed the checkpoint back to the full grid:
-        # the torn fragment was newline-terminated (it stays as one dead
-        # line) and every recomputed unit got its own parseable line.
-        with open(checkpoint, encoding="utf-8") as handle:
-            final_lines = handle.read().splitlines()
-        assert len(final_lines) == len(lines) + 1
-        # A third run replays everything from disk — nothing was lost to
-        # the torn line, so the appended records must all parse.
-        specs = config.resolved_methods(config.seed)
-        units = plan_units(
-            {"overlap": (0.0, 1.0), "flip-noise": (0.0, 1.0)},
-            specs,
-            replications=config.replications,
-            seed=config.seed,
-            num_samples=config.num_samples,
-            dims=config.dims,
-        )
-        replayed = run_cross_cell(units, n_jobs=1, checkpoint=checkpoint)
-        assert all(outcome.from_checkpoint for outcome in replayed.values())
+        assert resumed["cache"]["hits"] == 2 and resumed["cache"]["misses"] == 6
+        # The resumed run rewrote the torn entry: a third run is all hits.
+        replayed = run_scenario_suite(config)
+        assert replayed["cache"]["hits"] == 8 and replayed["cache"]["misses"] == 0
+        assert compare_scenario_records(uninterrupted, replayed) == []
 
     def test_completed_units_are_replayed_not_recomputed(
         self, scheduler_config, tmp_path
     ):
-        checkpoint = str(tmp_path / "grid.jsonl")
-        config = suite_config(scheduler_config, checkpoint=checkpoint)
+        cache_dir = str(tmp_path / "cache")
+        config = suite_config(scheduler_config)
         specs = config.resolved_methods(config.seed)
         units = plan_units(
             {"overlap": (0.0, 1.0), "flip-noise": (0.0, 1.0)},
@@ -237,84 +226,37 @@ class TestCheckpointResume:
             num_samples=config.num_samples,
             dims=config.dims,
         )
-        first = run_cross_cell(units, n_jobs=1, checkpoint=checkpoint)
-        assert all(not outcome.from_checkpoint for outcome in first.values())
-        second = run_cross_cell(units, n_jobs=1, checkpoint=checkpoint)
-        assert all(outcome.from_checkpoint for outcome in second.values())
+        first = run_cross_cell(units, n_jobs=1, cache=ResultCache(cache_dir))
+        assert all(not outcome.from_cache for outcome in first.values())
+        second = run_cross_cell(units, n_jobs=1, cache=ResultCache(cache_dir))
+        assert all(outcome.from_cache for outcome in second.values())
         for key, outcome in second.items():
             reference = first[key].result
             assert outcome.result.per_environment == reference.per_environment
             assert outcome.result.stability.mean == reference.stability.mean
 
-    def test_mismatched_checkpoint_refuses_to_resume(self, scheduler_config, tmp_path):
-        checkpoint = str(tmp_path / "grid.jsonl")
-        run_scenario_suite(suite_config(scheduler_config, checkpoint=checkpoint))
-        with pytest.raises(CheckpointError, match="different grid"):
-            run_scenario_suite(
-                suite_config(scheduler_config, checkpoint=checkpoint, seed=12)
-            )
-
-    def test_changed_method_config_refuses_to_resume(self, scheduler_config, tmp_path):
-        # The fingerprint must see through a same-named method: a spec
-        # trained at a different scale (or seed, or ablation) is a
-        # different grid even though its display name is still "CFR".
-        from dataclasses import replace
-
-        checkpoint = str(tmp_path / "grid.jsonl")
-        run_scenario_suite(suite_config(scheduler_config, checkpoint=checkpoint))
+    def test_changed_method_config_is_recomputed(self, scheduler_config, tmp_path):
+        # The key sees through a same-named method: a spec trained at a
+        # different scale (or seed, or ablation) is a different grid even
+        # though its display name is still "CFR", so the changed grid
+        # resumes nothing and both grids' entries live side by side.
+        cache_dir = str(tmp_path / "cache")
+        original = run_scenario_suite(suite_config(scheduler_config, cache_dir=cache_dir))
         retrained = replace(
             scheduler_config,
             training=replace(scheduler_config.training, iterations=20),
         )
         spec = MethodSpec(backbone="cfr", framework="vanilla", config=retrained, seed=0)
-        with pytest.raises(CheckpointError, match="different grid"):
-            run_scenario_suite(
-                suite_config(scheduler_config, checkpoint=checkpoint, methods=[spec])
-            )
-
-    def test_foreign_file_refused(self, scheduler_config, tmp_path):
-        checkpoint = str(tmp_path / "grid.jsonl")
-        with open(checkpoint, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"kind": "something-else"}) + "\n")
-        with pytest.raises(CheckpointError, match="not a scenario-scheduler"):
-            run_scenario_suite(suite_config(scheduler_config, checkpoint=checkpoint))
-
-    def test_old_format_checkpoint_gets_migration_error(
-        self, scheduler_config, tmp_path
-    ):
-        # Format-1 files used %g severity keys (lossy past 6 significant
-        # digits); resuming one silently would mis-key units, so the error
-        # must name the migration rather than a generic mismatch.
-        checkpoint = str(tmp_path / "grid.jsonl")
-        with open(checkpoint, "w", encoding="utf-8") as handle:
-            handle.write(
-                json.dumps(
-                    {"kind": "scenario-scheduler-checkpoint", "fingerprint": "abc"}
-                )
-                + "\n"
-            )
-        with pytest.raises(CheckpointError, match="checkpoint format"):
-            run_scenario_suite(suite_config(scheduler_config, checkpoint=checkpoint))
-
-    def test_shard_checkpoint_refuses_other_shard(self, scheduler_config, tmp_path):
-        checkpoint = str(tmp_path / "shard.jsonl")
-        cache_dir = str(tmp_path / "cache")
-        run_scenario_suite(
-            suite_config(
-                scheduler_config, checkpoint=checkpoint, cache_dir=cache_dir, shard=(1, 2)
-            )
+        assert spec.name == "CFR"
+        changed = run_scenario_suite(
+            suite_config(scheduler_config, cache_dir=cache_dir, methods=[spec])
         )
-        with pytest.raises(CheckpointError, match="shard"):
-            run_scenario_suite(
-                suite_config(
-                    scheduler_config,
-                    checkpoint=checkpoint,
-                    cache_dir=cache_dir,
-                    shard=(2, 2),
-                )
-            )
-        with pytest.raises(CheckpointError, match="shard"):
-            run_scenario_suite(suite_config(scheduler_config, checkpoint=checkpoint))
+        assert changed["cache"]["hits"] == 0 and changed["cache"]["misses"] == 8
+        assert compare_scenario_records(original, changed) != []
+        assert len(os.listdir(cache_dir)) == 16
+        again = run_scenario_suite(suite_config(scheduler_config, cache_dir=cache_dir))
+        assert again["cache"]["hits"] == 8
+        assert compare_scenario_records(original, again) == []
 
 
 class _ExplodingScenario(Scenario):
@@ -390,6 +332,26 @@ class TestFailureIsolation:
         assert slopes["pehe_at_zero"] == by_severity[0.0]["pehe_mean"]
         assert slopes["pehe_at_max"] is None
         assert slopes["pehe_slope"] == 0.0
+
+    def test_failed_units_are_not_cached_and_rerun(self, scheduler_config, tmp_path):
+        SCENARIO_REGISTRY.register("exploding-test-scenario", _ExplodingScenario)
+        try:
+            config = suite_config(
+                scheduler_config,
+                scenario_names=["exploding-test-scenario"],
+                replications=1,
+                cache_dir=str(tmp_path / "cache"),
+            )
+            run_scenario_suite(config)
+            rerun = run_scenario_suite(config)
+        finally:
+            SCENARIO_REGISTRY.unregister("exploding-test-scenario")
+        # Severity 0 is served from the cache; severity 1 failed, was not
+        # stored, and ran (and failed) again.
+        assert rerun["cache"]["hits"] == 1 and rerun["cache"]["misses"] == 1
+        cells = rerun["scenarios"]["exploding-test-scenario"]["cells"]
+        assert cells[0]["error"] is None
+        assert "synthetic divergence" in cells[1]["error"]
 
     def test_fully_failed_method_gets_null_degradation(self, scheduler_config):
         SCENARIO_REGISTRY.register("exploding-test-scenario", _ExplodingScenario)
