@@ -169,6 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument(
         "--output", default=None, help="write the JSON record to this path"
     )
+    # Option combinations are checked after parsing; they exit 2 with the
+    # verb's usage, like every other usage error.
+    scenarios.set_defaults(usage_error=scenarios.error)
 
     return parser
 
@@ -367,7 +370,7 @@ def _command_scenarios(args: argparse.Namespace) -> int:
     )
 
     if args.shard is not None and args.cache_dir is None:
-        raise SystemExit("--shard requires --cache-dir")
+        args.usage_error("--shard requires --cache-dir")
     config = ScenarioSuiteConfig.from_options(
         smoke=args.smoke,
         scenario_names=args.scenario_names,

@@ -16,6 +16,7 @@ import numpy as np
 
 from ...metrics.ipm import check_weighted_ipm_kind, weighted_ipm
 from ...metrics.subsampling import subsample_indices
+from ...nn.kernels import Workspace
 from ...nn.tensor import Tensor, as_tensor
 
 __all__ = ["BalancingRegularizer", "BalanceGroups"]
@@ -92,11 +93,13 @@ class BalancingRegularizer:
         treatment: np.ndarray,
         sample_weights: Tensor,
         groups: Optional[BalanceGroups] = None,
+        workspace: Optional[Workspace] = None,
     ) -> Tensor:
         """Return ``alpha * L_B`` for the given representation and weights.
 
         ``groups`` is :meth:`prepare`'s result for the same representation
         and treatment; without it the groups are prepared here.
+        ``workspace`` lends the RBF-MMD sweep its working blocks.
         """
         if self.alpha == 0.0:
             return as_tensor(0.0)
@@ -107,7 +110,9 @@ class BalancingRegularizer:
         weights = as_tensor(sample_weights).reshape(-1)
         weights_control = weights[groups.control]
         weights_treated = weights[groups.treated]
-        distance = weighted_ipm(*groups.inputs, weights_control, weights_treated, kind=self.kind)
+        distance = weighted_ipm(
+            *groups.inputs, weights_control, weights_treated, kind=self.kind, workspace=workspace
+        )
         return distance * self.alpha
 
     def _anchors(self, group_indices: np.ndarray) -> np.ndarray:
@@ -121,5 +126,6 @@ class BalancingRegularizer:
         treatment: np.ndarray,
         sample_weights: Tensor,
         groups: Optional[BalanceGroups] = None,
+        workspace: Optional[Workspace] = None,
     ) -> Tensor:
-        return self.loss(representation, treatment, sample_weights, groups)
+        return self.loss(representation, treatment, sample_weights, groups, workspace)

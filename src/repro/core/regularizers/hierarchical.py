@@ -62,8 +62,9 @@ class PreparedForward:
     ``features`` (each decorrelated layer's RFF features, by layer key) are
     filled only when no subsampling applies; otherwise the rows change on
     every evaluation and each call computes them itself.  ``workspace``,
-    when given, lends every HSIC pair node its working blocks, with or
-    without subsampling; the loss is the same either way.
+    when given, lends every HSIC pair node and RBF-MMD sweep its working
+    blocks, with or without subsampling, and holds the features when it is
+    a pool's; the loss is the same either way.
     """
 
     forward: BackboneForward
@@ -150,8 +151,9 @@ class HierarchicalAttentionLoss:
         Above ``subsample_threshold`` rows the anchors and rows are redrawn
         on every evaluation, so nothing is hoisted.  Fresh RFF draws happen
         here, in layer order, exactly as a first loss call would make them.
-        ``workspace`` is carried into every evaluation of the result (the
-        trainer passes the one it keeps for the fit).
+        The features are written into ``workspace`` when it is a pool's, and
+        it is carried into every evaluation of the result (the trainer
+        passes its weight step's layout in the fit's pool).
         """
         prepared = PreparedForward(forward, workspace=workspace)
         threshold = self.config.subsample_threshold
@@ -161,7 +163,7 @@ class HierarchicalAttentionLoss:
             prepared.groups = self.balancing.prepare(forward.representation, treatment)
         for key, layer in self._decorrelated_layers(forward):
             if layer.ndim == 2 and layer.shape[1] >= 2:
-                prepared.features[key] = self.independence.features(layer, key)
+                prepared.features[key] = self.independence.features(layer, key, workspace)
         return prepared
 
     def loss(
@@ -189,7 +191,13 @@ class HierarchicalAttentionLoss:
 
         if self.use_balance and cfg.alpha > 0:
             balance = (
-                self.balancing(forward.representation, treatment, weights, groups=prepared.groups)
+                self.balancing(
+                    forward.representation,
+                    treatment,
+                    weights,
+                    groups=prepared.groups,
+                    workspace=prepared.workspace,
+                )
                 * cfg.alpha
             )
             total = total + balance

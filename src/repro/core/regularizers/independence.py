@@ -73,10 +73,22 @@ class IndependenceRegularizer:
         self._feature_cache[key] = cached
         return cached
 
-    def features(self, layer: Tensor, key: str = "Zp") -> Tensor:
-        """``(c, k, n)`` RFF features of every column of ``layer`` under the key's draws."""
+    def features(self, layer: Tensor, key: str = "Zp", workspace: Optional[Workspace] = None) -> Tensor:
+        """``(c, k, n)`` RFF features of every column of ``layer`` under the key's draws.
+
+        With a workspace over a :class:`~repro.nn.kernels.Pool` the
+        features are a constant written into its ``("rff", key)`` region,
+        valid until another tenant claims the pool; ``layer`` must then take
+        no gradient.  A workspace of its own would only keep the features'
+        bytes from one weight step to the next, so it is not used for them.
+        """
         layer = as_tensor(layer)
-        return column_rff_features(layer, self._draws_for(key, layer.shape[1]))
+        draws = self._draws_for(key, layer.shape[1])
+        out = None
+        if workspace is not None and workspace.pool is not None:
+            shape = (layer.shape[1], self.num_rff_features, layer.shape[0])
+            out = workspace.take(("rff", key), shape, layer.data.dtype)
+        return column_rff_features(layer, draws, out)
 
     def loss(
         self,

@@ -113,7 +113,7 @@ class NetworkStepReplay:
                 covariates, treatment, outcome, weights_override=weight_buffer
             )
         trainer._optimizer.step()
-        program = recorder.finalize(loss_tensor)
+        program = recorder.finalize(loss_tensor, pool=trainer._pool)
         if program is None:
             self._disable(recorder.aborted or "recording aborted")
             trainer.last_step_stats = {"replay_hit": False, "graph_nodes": None}

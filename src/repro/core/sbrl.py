@@ -28,7 +28,7 @@ import numpy as np
 from ..data.batching import DataLoader
 from ..data.dataset import CausalDataset, covariate_matrix
 from ..metrics.evaluation import EffectEstimates, evaluate_effect_predictions
-from ..nn.kernels import Workspace
+from ..nn.kernels import Pool, Workspace
 from ..nn.optim import Optimizer
 from ..nn.tensor import Tensor, as_tensor, dtype_scope, no_grad
 from ..registry import frameworks as FRAMEWORK_REGISTRY
@@ -193,7 +193,11 @@ class SBRLTrainer:
         self.uses_weights = spec.uses_weights and self.weight_objective is not None
         self._optimizer: Optional[Optimizer] = None
         self._replay: Optional[NetworkStepReplay] = None
-        #: The weight step's working blocks, kept for one :meth:`fit` only.
+        #: A replaying :meth:`fit`'s scratch bytes, shared by the replay
+        #: program's runs and the weight steps (see :class:`~repro.nn.kernels.Pool`).
+        self._pool: Optional[Pool] = None
+        #: The weight step's blocks for one :meth:`fit`: its layout in
+        #: :attr:`_pool`, or buffers of its own in a fit that does not replay.
         self._workspace: Optional[Workspace] = None
         #: Which weights the backbone currently holds: ``"live"`` (the
         #: checkpointed raw parameters) or ``"ema"`` (the exponential moving
@@ -293,17 +297,23 @@ class SBRLTrainer:
         stack.extend(callbacks)
 
         loop = TrainingLoop(self, loader, validation=val_std, callbacks=stack)
-        # One workspace per fit keeps the weight step's working blocks mapped
-        # from one weight step to the next.  It and the replay programs go
+        # A replaying fit owns one pool: the replay program and the weight
+        # step take turns in it, so the fit holds the larger phase's blocks,
+        # not both.  (An eager network step's arrays come from malloc's heap,
+        # where the weight step's freed blocks are reused, so a fit that does
+        # not replay keeps only a workspace for the pair blocks.)  The pool,
+        # the workspace, the replay program and the parameters' gradients go
         # with the fit, so a fitted trainer, its deep copies and deployed
-        # versions hold neither.
-        self._workspace = Workspace()
+        # versions hold none of them.
+        self._pool = Pool() if replays else None
+        self._workspace = Workspace(self._pool)
         try:
             loop.run()
         finally:
-            self._workspace = None
+            self._workspace = self._pool = None
             if self._replay is not None:
                 self._replay.release()
+            self.backbone.zero_grad()
         self.weights_kind = "ema" if cfg.ema_decay is not None else "live"
         self.history.elapsed_seconds = time.perf_counter() - start
         return self.history
@@ -379,8 +389,11 @@ class SBRLTrainer:
             extra={key: value.detach() for key, value in forward.extra.items()},
         )
         # Everything that depends only on the frozen activations (treatment
-        # groups, RFF features) is computed once for all inner steps; the
-        # fit's workspace lends the inner steps their working blocks.
+        # groups, RFF features) is computed once for all inner steps.  The
+        # weight step claims the fit's pool for its features and the inner
+        # steps' working blocks, over the replay program's dead bytes.
+        if self._workspace is not None:
+            self._workspace.claim()
         prepare = getattr(self.weight_objective, "prepare", None)
         objective_input = (
             constant_forward
@@ -402,6 +415,8 @@ class SBRLTrainer:
             weight_loss.backward()
             self.sample_weights.step()
             last_value = weight_loss.item()
+        if self._workspace is not None:
+            self._workspace.evict()  # its turn in the pool ends
         return last_value
 
     def _evaluation_loss(self, dataset: CausalDataset) -> float:

@@ -188,10 +188,14 @@ def mean_pairwise_hsic_rff(
 # --------------------------------------------------------------------------- #
 # Differentiable, sample-weighted HSIC-RFF (training)
 # --------------------------------------------------------------------------- #
-def column_rff_features(matrix: Tensor, draws: Sequence[RandomFourierFeatures]) -> Tensor:
+def column_rff_features(
+    matrix: Tensor, draws: Sequence[RandomFourierFeatures], out: Optional[np.ndarray] = None
+) -> Tensor:
     """``(c, k, n)`` RFF features of every column of ``matrix``, column ``j`` under ``draws[j]``.
 
-    One fused node.  Every draw must have the same number of features.
+    One fused node, or, into ``out``, a constant computed in place (see
+    :func:`repro.nn.functional.rff_features`).  Every draw must have the
+    same number of features.
     """
     matrix = as_tensor(matrix)
     draws = draws[: matrix.shape[1]]
@@ -199,7 +203,7 @@ def column_rff_features(matrix: Tensor, draws: Sequence[RandomFourierFeatures]) 
         raise ValueError("every column's RandomFourierFeatures draw must have the same size")
     frequencies = np.stack([draw.frequencies for draw in draws])
     phases = np.stack([draw.phases for draw in draws])
-    return F.rff_features(matrix, frequencies, phases)
+    return F.rff_features(matrix, frequencies, phases, out)
 
 
 def draw_pairs(

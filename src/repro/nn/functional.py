@@ -47,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .kernels import Workspace
 from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype, is_grad_enabled
 
@@ -174,7 +175,12 @@ def normalize_rows(x: ArrayLike, eps: float = 1e-8) -> Tensor:
 # --------------------------------------------------------------------------- #
 # Fused HSIC-RFF building blocks
 # --------------------------------------------------------------------------- #
-def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray) -> Tensor:
+def rff_features(
+    values: ArrayLike,
+    frequencies: np.ndarray,
+    phases: np.ndarray,
+    out: Optional[np.ndarray] = None,
+) -> Tensor:
     """Random-Fourier-feature map ``sqrt(2) * cos(v * w + phi)`` (fused).
 
     With 1-D ``frequencies`` / ``phases`` of length ``k``, ``values`` is a
@@ -186,16 +192,21 @@ def rff_features(values: ArrayLike, frequencies: np.ndarray, phases: np.ndarray)
     draws are constants and receive no gradient.  ``attrs`` records whether
     the values need a gradient (grad mode on and ``values`` requiring one);
     only then does the node keep ``v * w + phi`` for its VJP.
+
+    ``out`` is a caller's buffer of the output's shape and the values'
+    dtype (the weight step passes a pool region).  The features are then
+    written into it by the op's array function and returned as a constant
+    tensor, with no graph node, which needs values that take no gradient.
     """
     v_t = as_tensor(values)
-    attrs = {
-        "values_grad": is_grad_enabled() and v_t.requires_grad,
-        "frequencies": np.asarray(frequencies, dtype=v_t.data.dtype),
-        "phis": np.asarray(phases, dtype=v_t.data.dtype),
-        # Python-float sqrt(2): a NumPy float64 scalar would promote float32
-        # inputs to float64 under NEP 50, defeating the dtype policy here.
-        "sqrt2": 2.0 ** 0.5,
-    }
+    values_grad = is_grad_enabled() and v_t.requires_grad
+    frequencies = np.asarray(frequencies, dtype=v_t.data.dtype)
+    phases = np.asarray(phases, dtype=v_t.data.dtype)
+    if out is not None:
+        if values_grad:
+            raise ValueError("rff_features(out=...) needs values that take no gradient")
+        return Tensor(kernels.rff_features(v_t.data, frequencies, phases, out))
+    attrs = {"values_grad": values_grad, "frequencies": frequencies, "phis": phases}
     return _apply("rff_features", (v_t,), attrs)
 
 
@@ -260,6 +271,7 @@ def weighted_rbf_mmd(
     weights_control: ArrayLike,
     weights_treated: ArrayLike,
     sigma: float = 1.0,
+    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """Weighted RBF-MMD ``w_cᵀK_cc w_c + w_tᵀK_tt w_t - 2 w_cᵀK_ct w_t``, one node.
 
@@ -269,9 +281,11 @@ def weighted_rbf_mmd(
     gradients at unit upstream gradient, which the VJP scales; no ``n × m``
     block outlives its tile.  The representation products run only when
     grad mode is on and a representation requires a gradient; ``attrs``
-    records that choice, so a replayed program repeats it.  The value and
-    gradients match the RBF kernel-block composition within a relative
-    1e-12.
+    records that choice, so a replayed program repeats it.  The sweep's
+    augmented rows, weight block, accumulator and tile come from
+    ``workspace`` when given (the weight step lends its pool region), else
+    from the node's own temporaries.  The value and gradients match the RBF
+    kernel-block composition within a relative 1e-12.
     """
     parents = tuple(
         [as_tensor(x) for x in (rep_control, rep_treated, weights_control, weights_treated)]
@@ -287,5 +301,9 @@ def weighted_rbf_mmd(
             f"for {rep_c.shape[0]} control rows and {w_t.size} for {rep_t.shape[0]} treated rows"
         )
     full = is_grad_enabled() and (rep_c.requires_grad or rep_t.requires_grad)
-    attrs = {"scale": -1.0 / (2.0 * sigma ** 2), "products": "full" if full else "weights"}
+    attrs = {
+        "scale": -1.0 / (2.0 * sigma ** 2),
+        "products": "full" if full else "weights",
+        "workspace": workspace,
+    }
     return _apply("weighted_rbf_mmd", parents, attrs)

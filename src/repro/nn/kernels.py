@@ -28,26 +28,128 @@ Kernel signature::
   its forward-only blocks from there instead.
 * A buffer a ``vjp`` takes with :func:`_scratch` holds nothing on entry
   (eager mode hands it out fresh), so replay may lay it in memory that
-  other gradients use at other times.
+  other gradients use at other times.  Where a gradient has its input's
+  shape, the VJP computes it into such a buffer.
 * ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
 
 Compiled serving (:mod:`repro.core.backbones.compiled`) runs this math too:
 the array functions ``linear``, ``elu`` and ``sigmoid`` that those kernels'
-forwards call, and the other ops' ``fwd``.
+forwards call, and the other ops' ``fwd``.  The weight step computes its
+RFF features with the array function ``rff_features`` straight into a
+:class:`Pool`'s bytes.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import weakref
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Kernel", "KERNELS", "TapeStale", "Workspace", "elu", "linear", "sigmoid"]
+__all__ = [
+    "Kernel", "KERNELS", "Pool", "TapeStale", "Workspace", "elu", "linear", "rff_features", "sigmoid",
+]
+
+#: Byte alignment of every region laid out in a :class:`Pool`.
+ALIGN = 64
 
 
 class TapeStale(RuntimeError):
     """A replayed program's assumptions no longer hold; re-record the step."""
+
+
+def aligned(nbytes: int) -> int:
+    """``nbytes`` rounded up to a multiple of :data:`ALIGN`."""
+    return -(-nbytes // ALIGN) * ALIGN
+
+
+#: Mappings at least this large ask for transparent huge pages, as NumPy
+#: does for its own large arrays (fewer page faults per byte touched).
+_HUGE = 4 << 20
+
+
+def _map(nbytes: int) -> np.ndarray:
+    """``nbytes`` fresh bytes from an anonymous private mapping.
+
+    Not from malloc's heap, so the pages go back to the system as soon as
+    the last view of them dies, whatever the allocator's thresholds.
+    ``np.empty`` where the platform has no private mappings.
+    """
+    if not nbytes or not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(nbytes, dtype=np.uint8)
+    memory = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    if nbytes >= _HUGE and hasattr(mmap, "MADV_HUGEPAGE"):
+        memory.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(memory, dtype=np.uint8)
+
+
+def mapped(shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised ``shape`` array of ``dtype`` in a mapping of its own."""
+    dtype = np.dtype(dtype)
+    return _map(math.prod(shape) * dtype.itemsize).view(dtype).reshape(shape)
+
+
+def region(buffer: np.ndarray, offset: int, dtype, shape: Tuple[int, ...]) -> np.ndarray:
+    """The ``shape`` array of ``dtype`` at byte ``offset`` of ``buffer``."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    return buffer[offset:offset + nbytes].view(dtype).reshape(shape)
+
+
+class Pool:
+    """One fit's scratch bytes, lent to tenants that never run at the same time.
+
+    A fit's two phases, the replay program's run and the weight step, each
+    keep large blocks that are dead while the other phase runs.  Both lay
+    their blocks out from offset 0 of one buffer, so the fit holds the
+    larger phase's bytes, not the sum of the two.  A tenant is any object
+    with an ``evict()`` method that drops every view it holds of the buffer
+    (a :class:`Workspace` or a :class:`~repro.nn.tape.ReplayProgram`).
+
+    :meth:`reserve` states a size a tenant's layout needs; :meth:`claim`
+    makes a tenant the user and grows the buffer to the largest reserved
+    size.  A tenant keeps its views of the buffer from one claim to the
+    next (the other tenant's writes only clobber dead bytes), so a switch
+    costs nothing; before the buffer is replaced, every tenant that holds
+    views of it is evicted, so two buffers are never both held.  The
+    buffer is an anonymous mapping (see :func:`_map`), and the pool holds
+    its tenants by weak reference, so dropping the pool's owner returns
+    its pages without the cyclic collector.  Under
+    :data:`repro.nn.tape.POISON_FREED` every switch of tenant fills the
+    buffer with NaN.  Not for sharing between threads.
+    """
+
+    def __init__(self) -> None:
+        self.buffer: np.ndarray = np.empty(0, dtype=np.uint8)
+        #: The largest size any tenant has reserved, in bytes.
+        self.nbytes = 0
+        self._tenant: Optional[weakref.ref] = None
+        self._holders: list = []  # weak references to tenants viewing the buffer
+
+    def reserve(self, nbytes: int) -> None:
+        """Ask for ``nbytes``; the buffer grows to them at the next :meth:`claim`."""
+        self.nbytes = max(self.nbytes, nbytes)
+
+    def claim(self, tenant) -> np.ndarray:
+        """Make ``tenant`` the pool's user and return the buffer it may use."""
+        if self.buffer.nbytes < self.nbytes:
+            for holder in self._holders:
+                if holder() is not None:
+                    holder().evict()
+            self._holders = []
+            self.buffer = np.empty(0, dtype=np.uint8)  # freed before its successor is mapped
+            self.buffer = _map(self.nbytes)
+        if self._tenant is None or self._tenant() is not tenant:
+            self._tenant = weakref.ref(tenant)
+            if not any(holder() is tenant for holder in self._holders):
+                self._holders.append(self._tenant)
+            from . import tape  # the poison switch lives with the replay engine
+
+            if tape.POISON_FREED:
+                self.buffer.fill(0xFF)
+        return self.buffer
 
 
 class Workspace:
@@ -58,14 +160,27 @@ class Workspace:
     shapes share one allocation and its pages stay mapped between calls
     instead of being freed and faulted in again.  A view is valid until
     the next :meth:`take` of the same key, so a kernel uses it within one
-    call and saves nothing from it.  The owner sets the lifetime (the
-    trainer keeps one for one fit) and must not share one between
-    threads.  Equality is identity, which is how a recorded program
-    compares the attrs that carry it.
+    call and saves nothing from it.  The owner sets the lifetime and must
+    not share one between threads.  Equality is identity, which is how a
+    recorded program compares the attrs that carry it.
+
+    With a :class:`Pool`, each buffer is a region of the pool's bytes,
+    laid out from ``origin`` in the order of first takes and kept there,
+    so every use of the workspace finds its buffers at the same offsets.
+    The views are of the buffer last passed to :meth:`bind` (the workspace
+    binds itself in :meth:`claim` when it is a tenant of its own).  Until
+    the pool grows to cover a region, the region is a mapping of its own
+    (see :func:`_map`), kept until :meth:`evict`, which the owner calls
+    when the workspace's turn ends.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, pool: Optional[Pool] = None, origin: int = 0) -> None:
+        self.pool = pool
+        #: Byte offset just past the last region laid out.
+        self.end = origin
         self._buffers: Dict[tuple, np.ndarray] = {}
+        self._regions: Dict[tuple, Tuple[int, int]] = {}
+        self._bound: Optional[np.ndarray] = None
 
     def take(self, key: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
         """A ``shape`` view of the ``(key, dtype)`` buffer, grown if too small."""
@@ -73,13 +188,52 @@ class Workspace:
         size = math.prod(shape)
         buf = self._buffers.get((key, dtype))
         if buf is None or buf.size < size:
-            buf = self._buffers[(key, dtype)] = np.empty(size, dtype=dtype)
+            if self.pool is None:
+                buf = self._buffers[(key, dtype)] = np.empty(size, dtype=dtype)
+            else:
+                buf = self._region((key, dtype), size, dtype)
         return buf[:size].reshape(shape)
+
+    def _region(self, name: tuple, size: int, dtype: np.dtype) -> np.ndarray:
+        held = self._regions.get(name)
+        if held is None or held[1] < size:
+            held = self._regions[name] = (self.end, size)
+            self.end += aligned(size * dtype.itemsize)
+            self.pool.reserve(self.end)
+        offset, size = held
+        bound = self._bound
+        if bound is None or offset + size * dtype.itemsize > bound.nbytes:
+            buf = mapped((size,), dtype)  # until the pool covers the region
+        else:
+            buf = region(bound, offset, dtype, (size,))
+        self._buffers[name] = buf
+        return buf
 
     @property
     def buffers(self) -> Dict[tuple, np.ndarray]:
-        """The flat buffers, by ``(key, dtype)``."""
+        """The flat buffers in use, by ``(key, dtype)``."""
         return self._buffers
+
+    def bind(self, buffer: Optional[np.ndarray]) -> None:
+        """Take later views from ``buffer`` (``None``: hold no view at all)."""
+        self._buffers.clear()
+        self._bound = buffer
+
+    def evict(self) -> None:
+        """Drop every view of the pool (the tenant protocol of :class:`Pool`).
+
+        A workspace without a pool keeps its buffers.
+        """
+        if self.pool is not None:
+            self.bind(None)
+
+    def claim(self) -> None:
+        """Make this workspace its pool's tenant, laid out as before (no-op without a pool)."""
+        if self.pool is None:
+            return
+        buffer = self.pool.claim(self)
+        if buffer is not self._bound:
+            self.bind(buffer)
 
 
 class Kernel(NamedTuple):
@@ -102,10 +256,15 @@ def _kernel(name: str):
 
 
 def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
-    """A buffer kept in ``ctx``: reused across replays, saved for the eager VJP."""
+    """A buffer kept in ``ctx``: reused across replays, saved for the eager VJP.
+
+    A planned program's first run (its ctx holds its :class:`Workspace`)
+    maps each such buffer on its own, which its plan then replaces or
+    keeps, so the run leaves nothing behind in malloc's heap.
+    """
     buf = ctx.get(key)
     if buf is None or buf.shape != tuple(shape) or buf.dtype != dtype:
-        buf = ctx[key] = np.empty(shape, dtype=dtype)
+        buf = ctx[key] = np.empty(shape, dtype=dtype) if Workspace not in ctx else mapped(shape, dtype)
     return buf
 
 
@@ -121,6 +280,21 @@ def _tmp(out, ctx: dict, key, shape, dtype, workspace: Optional[Workspace] = Non
     if out is None:
         return np.empty(shape, dtype=dtype)
     return _scratch(ctx, key, shape, dtype)
+
+
+def _into(ctx: dict, key, ufunc, *operands, shape: Tuple[int, ...]) -> np.ndarray:
+    """``ufunc(*operands)`` into a buffer kept in ``ctx`` when the result has
+    ``shape`` (a gradient the size of its input: every operand has that
+    shape or none), else a fresh array for :func:`_unbroadcast` to reduce.
+    Same ufunc, same operands: same bits.  A replayed instruction's
+    operands keep their shapes, so a kept buffer is used unchecked."""
+    buf = ctx.get(key)
+    if buf is None:
+        shapes = {np.shape(x) for x in operands} - {()}
+        if shapes != {shape} and (shapes or shape):
+            return ufunc(*operands)
+        buf = _scratch(ctx, key, shape, np.result_type(*operands))
+    return ufunc(*operands, out=buf)
 
 
 def _times_grad(grad: np.ndarray, ctx: dict, key) -> np.ndarray:
@@ -174,7 +348,7 @@ def _k_neg():
         return np.negative(ins[0], out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        return (-grad,)
+        return (_into(ctx, "g", np.negative, grad, shape=ins[0].shape),)
 
     return fwd, vjp
 
@@ -186,7 +360,10 @@ def _k_mul():
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         a, b = ins
-        return (grad * b if needs[0] else None, grad * a if needs[1] else None)
+        return (
+            _into(ctx, "ga", np.multiply, grad, b, shape=a.shape) if needs[0] else None,
+            _into(ctx, "gb", np.multiply, grad, a, shape=b.shape) if needs[1] else None,
+        )
 
     return fwd, vjp
 
@@ -198,8 +375,9 @@ def _k_div():
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         a, b = ins
-        ga = grad / b if needs[0] else None
-        gb = -grad * a / (b ** 2) if needs[1] else None
+        ga = _into(ctx, "ga", np.divide, grad, b, shape=a.shape) if needs[0] else None
+        # -grad * a / (b ** 2), evaluated left to right
+        gb = _into(ctx, "gb", np.divide, -grad * a, b ** 2, shape=b.shape) if needs[1] else None
         return (ga, gb)
 
     return fwd, vjp
@@ -221,7 +399,7 @@ def _k_pow():
             local = np.where(base == 0.0, 0.0, local)
         else:
             local = p * (base ** (p - 1.0))
-        return (grad * local,)
+        return (_into(ctx, "g", np.multiply, grad, local, shape=base.shape),)
 
     return fwd, vjp
 
@@ -382,7 +560,7 @@ def _vjp_tanh(grad, ins, out, attrs, ctx, needs):
 def _vjp_relu(grad, ins, out, attrs, ctx, needs):
     m = _scratch(ctx, "m", out.shape, np.dtype(bool))
     np.greater(ins[0], 0.0, out=m)
-    return (grad * m,)
+    return (_into(ctx, "g", np.multiply, grad, m, shape=ins[0].shape),)
 
 
 def _vjp_cos(grad, ins, out, attrs, ctx, needs):
@@ -524,7 +702,7 @@ def _k_clip():
             mask = x >= low
         if high is not None:
             mask = mask & (x <= high)
-        return (grad * mask,)
+        return (_into(ctx, "g", np.multiply, grad, mask, shape=x.shape),)
 
     return fwd, vjp
 
@@ -536,8 +714,8 @@ def _k_maximum():
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         mask = ins[0] >= ins[1]
-        ga = grad * mask if needs[0] else None
-        gb = grad * (~mask) if needs[1] else None
+        ga = _into(ctx, "ga", np.multiply, grad, mask, shape=ins[0].shape) if needs[0] else None
+        gb = _into(ctx, "gb", np.multiply, grad, ~mask, shape=ins[1].shape) if needs[1] else None
         return (ga, gb)
 
     return fwd, vjp
@@ -718,11 +896,11 @@ def _k_bce_logits():
         scale = grad / ctx["n"]
         sig = sigmoid(z, _scratch(ctx, "sig", z.shape, z.dtype))
         weighted_scale = scale if w is None else scale * w
-        gz = weighted_scale * (sig - t) if needs[0] else None
-        gt = -weighted_scale * z if needs[1] else None
+        gz = _into(ctx, "gz", np.multiply, weighted_scale, sig - t, shape=z.shape) if needs[0] else None
+        gt = _into(ctx, "gt", np.multiply, -weighted_scale, z, shape=t.shape) if needs[1] else None
         if w is None:
             return (gz, gt)
-        gw = scale * ctx["losses"] if needs[2] else None
+        gw = _into(ctx, "gw", np.multiply, scale, ctx["losses"], shape=w.shape) if needs[2] else None
         return (gz, gt, gw)
 
     return fwd, vjp
@@ -741,8 +919,12 @@ def _k_mse():
         return _assign(out, arr.mean())
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        grad_p = (2.0 * (grad / ctx["n"])) * ctx["diff"]
-        return (grad_p if needs[0] else None, -grad_p if needs[1] else None)
+        p, t = ins
+        grad_p = _into(ctx, "gp", np.multiply, 2.0 * (grad / ctx["n"]), ctx["diff"], shape=p.shape)
+        return (
+            grad_p if needs[0] else None,
+            _into(ctx, "gt", np.negative, grad_p, shape=t.shape) if needs[1] else None,
+        )
 
     return fwd, vjp
 
@@ -763,14 +945,17 @@ def _k_weighted_mse():
         return _assign(out, arr.mean())
 
     def vjp(grad, ins, out, attrs, ctx, needs):
+        p, t, w = ins
         diff = ctx["diff"]
         scale = grad / ctx["n"]
         # (2.0 * scale) * (w * diff); ctx["wd"] holds w * diff
-        grad_p = (2.0 * scale) * ctx["wd"] if (needs[0] or needs[1]) else None
-        gw = scale * (diff * diff) if needs[2] else None
+        grad_p = None
+        if needs[0] or needs[1]:
+            grad_p = _into(ctx, "gp", np.multiply, 2.0 * scale, ctx["wd"], shape=p.shape)
+        gw = _into(ctx, "gw", np.multiply, scale, diff * diff, shape=w.shape) if needs[2] else None
         return (
             grad_p if needs[0] else None,
-            -grad_p if needs[1] else None,
+            _into(ctx, "gt", np.negative, grad_p, shape=t.shape) if needs[1] else None,
             gw,
         )
 
@@ -814,13 +999,18 @@ def _k_bce():
         pc = ctx["pc"]
         scale = grad / ctx["n"]
         weighted_scale = scale if w is None else scale * w
-        in_band = (p >= eps) & (p <= 1.0 - eps)
-        local = (1.0 - t) / (1.0 - pc) - t / pc
-        gp = weighted_scale * local * in_band if needs[0] else None
-        gt = weighted_scale * (ctx["log_1m"] - ctx["log_p"]) if needs[1] else None
+        gp = gt = gw = None
+        if needs[0]:
+            in_band = (p >= eps) & (p <= 1.0 - eps)
+            local = (1.0 - t) / (1.0 - pc) - t / pc
+            gp = _into(ctx, "gp", np.multiply, weighted_scale * local, in_band, shape=p.shape)
+        if needs[1]:
+            log_ratio = ctx["log_1m"] - ctx["log_p"]
+            gt = _into(ctx, "gt", np.multiply, weighted_scale, log_ratio, shape=t.shape)
         if w is None:
             return (gp, gt)
-        gw = scale * ctx["losses"] if needs[2] else None
+        if needs[2]:
+            gw = _into(ctx, "gw", np.multiply, scale, ctx["losses"], shape=w.shape)
         return (gp, gt, gw)
 
     return fwd, vjp
@@ -899,22 +1089,39 @@ def _rff_values_grad(d_inner: np.ndarray, freqs: np.ndarray, shape: tuple) -> np
     return (d_inner * freqs[:, :, None]).sum(axis=1).T.reshape(shape)
 
 
+#: ``sqrt(2)`` as a Python float: a NumPy float64 scalar would promote
+#: float32 features to float64 under NEP 50.
+_SQRT2 = 2.0 ** 0.5
+
+
+def rff_features(
+    values: np.ndarray, freqs: np.ndarray, phis: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``sqrt(2) * cos(v * w + phi)``, formed in ``out`` (else a fresh array).
+
+    ``v * w + phi`` is written into the output and ``cos`` and ``sqrt(2)``
+    apply in place; shapes as :func:`_rff_inner`.
+    """
+    out = _rff_inner(values, freqs, phis, out)
+    np.cos(out, out=out)
+    return np.multiply(out, _SQRT2, out=out)
+
+
 @_kernel("rff_features")
 def _k_rff():
     # sqrt(2) * cos(v * w + phi); the draws are constants.  Only values
-    # that need a gradient keep v * w + phi for the VJP; otherwise it is
-    # formed in the output and cos and sqrt(2) apply in place.
+    # that need a gradient keep v * w + phi for the VJP; otherwise the
+    # array function forms it in the output.
     def fwd(out, ins, attrs, ctx):
         freqs, phis = attrs["frequencies"], attrs["phis"]
-        if attrs["values_grad"]:
-            inner = ctx["inner"] = _rff_inner(ins[0], freqs, phis)
-            out = np.cos(inner, out=out)
-        else:
-            out = np.cos(_rff_inner(ins[0], freqs, phis, out), out=out)
-        return np.multiply(out, attrs["sqrt2"], out=out)
+        if not attrs["values_grad"]:
+            return rff_features(ins[0], freqs, phis, out)
+        inner = ctx["inner"] = _rff_inner(ins[0], freqs, phis)
+        out = np.cos(inner, out=out)
+        return np.multiply(out, _SQRT2, out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
-        d_inner = grad * (-np.sin(ctx["inner"])) * attrs["sqrt2"]
+        d_inner = grad * (-np.sin(ctx["inner"])) * _SQRT2
         return (_rff_values_grad(d_inner, attrs["frequencies"], ins[0].shape),)
 
     return fwd, vjp
@@ -1003,7 +1210,7 @@ def _k_weighted_pair_sq_cross_cov():
 RBF_MMD_TILE = 128
 
 
-def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool):
+def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool, workspace=None):
     """``aᵀKa`` and its unscaled gradients from one sweep of tiles.
 
     The arms are stacked, ``X = [R_c; R_t]`` and ``a = [w_c; -w_t]``, so
@@ -1023,21 +1230,21 @@ def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool):
     n_c, d = rep_c.shape
     n = n_c + rep_t.shape[0]
     dtype = np.result_type(rep_c, rep_t, w_c, w_t)
-    left = _tmp(out, ctx, "left", (n, d + 2), dtype)
-    right = _tmp(out, ctx, "right", (n, d + 2), dtype)
+    left = _tmp(out, ctx, "left", (n, d + 2), dtype, workspace)
+    right = _tmp(out, ctx, "right", (n, d + 2), dtype, workspace)
     for rows, rep in ((slice(0, n_c), rep_c), (slice(n_c, n), rep_t)):
         _rbf_left(rep, scale, left[rows])
         _rbf_right(rep, scale, right[rows])
-    b = _tmp(out, ctx, "b", (n, d + 1) if full else (n,), dtype)
+    b = _tmp(out, ctx, "b", (n, d + 1) if full else (n,), dtype, workspace)
     a = b[:, d] if full else b
     a[:n_c] = w_c.reshape(-1)
     np.negative(w_t.reshape(-1), out=a[n_c:])
     if full:
         np.multiply(right[:, :d], a[:, None], out=b[:, :d])
-    acc = _tmp(out, ctx, "acc", b.shape, dtype)
+    acc = _tmp(out, ctx, "acc", b.shape, dtype, workspace)
     acc.fill(0.0)
     step = RBF_MMD_TILE
-    tile = _tmp(out, ctx, "tile", (min(step, n) ** 2,), dtype)
+    tile = _tmp(out, ctx, "tile", (min(step, n) ** 2,), dtype, workspace)
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
         for j0 in range(i0, n, step):
@@ -1064,7 +1271,8 @@ def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool):
 def _k_weighted_rbf_mmd():
     def fwd(out, ins, attrs, ctx):
         full = attrs["products"] == "full"
-        return _assign(out, _rbf_mmd_sweep(out, ctx, *ins, attrs["scale"], full))
+        value = _rbf_mmd_sweep(out, ctx, *ins, attrs["scale"], full, attrs["workspace"])
+        return _assign(out, value)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
         # The output is a scalar: the forward's unit gradients times g.

@@ -52,11 +52,17 @@ instructions the loss does not depend on.
 Memory plan
 -----------
 A program plans where its kernels' buffers live; the arithmetic and its
-order stay those of eager mode.
+order stay those of eager mode.  Everything a run needs only while it
+runs lies in one :class:`~repro.nn.kernels.Pool`, the fit's (or the
+program's own when none is lent), laid out from offset 0:
 
+* **Op outputs.**  Every live, non-folded op output gets an offset when
+  the program is built, and the recorded arrays are dropped then: between
+  the recording and the first run the program holds none of them.
+  Outputs of view ops over them are views again after each binding.
 * **Workspace.**  Forward-only scratch (a kernel's ``_tmp`` buffers, such
   as ELU's ``t`` or the RBF-MMD sweep's rows and tile) comes from one
-  program-owned :class:`~repro.nn.kernels.Workspace`, keyed by name and
+  :class:`~repro.nn.kernels.Workspace` over the pool, keyed by name and
   shared by every instruction.  This is safe because eager mode hands such
   a buffer out as a plain temporary, so no VJP can read one.
 * **Gradient arena.**  The buffers the VJPs take in ``ctx`` (their
@@ -64,25 +70,37 @@ order stay those of eager mode.
   laid out after the first run by interval colouring over the backward
   schedule (:meth:`ReplayProgram._plan`).  A buffer is born at the VJP that
   writes it, or a fan-in buffer at its first contribution, and dies after
-  the last step that reads a gradient held in it, views included; a
-  parameter's gradient lives to the end of the run.  Two buffers share
-  bytes only when their lifetimes do not overlap.
-* **Kept as they are:** op outputs, the root seed, ``const``/``param``
-  slots, and what a forward saves for its VJP.
+  the last step that reads a gradient held in it, views included.  Two
+  buffers share bytes only when their lifetimes do not overlap.
+* **Kept out of the pool:** whatever lives from one run to the next, that
+  is ``const``, ``param``, ``input`` and ``dyn`` slots, folded outputs and
+  the root seed; parameters' gradients, so ``param.grad`` stays valid
+  until the next step as in eager mode; and what a forward saves for its
+  VJP.
 
-:data:`POISON_FREED` (tests only) fills each arena range with NaN after
-its last reader, and the workspace after each forward call, so a read of
-a dead buffer shows in the results; :data:`PLAN_MEMORY` off (tests only)
-builds unplanned programs.
+A run claims the pool and binds its views to the pool's buffer when that
+buffer changed; between runs another tenant (the trainer's weight step)
+may use the same bytes, and evicting the program drops every view it
+holds, so a pool that grows never keeps its old buffer alive.  Until the
+plan exists, the recorded op outputs and the first run's ``ctx`` buffers
+each live in an anonymous mapping of their own, so the recording and the
+first run leave nothing behind in malloc's heap for the pool to sit on.
+
+:data:`POISON_FREED` (tests only) fills the whole pool with NaN at each
+change of tenant, each arena range after its last reader, and the
+workspace after each forward call, so a read of a dead buffer shows in the
+results; :data:`PLAN_MEMORY` off (tests only) builds unplanned programs
+that keep their recorded arrays.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .kernels import Kernel, TapeStale, Workspace, _unbroadcast
+from .kernels import Kernel, Pool, TapeStale, Workspace, _unbroadcast, aligned, mapped, region
 from .tensor import Tensor, _TAPE
 
 __all__ = [
@@ -95,18 +113,16 @@ __all__ = [
 ]
 
 
-#: Give each program a workspace for its kernels' forward-only scratch and,
-#: after its first run, one arena for its gradient buffers.  Read when a
-#: program is built; tests switch it off to measure an unplanned program.
+#: Lay each program's op outputs, forward-only scratch and (after its
+#: first run) gradient buffers out in a pool.  Read when a program is
+#: built; tests switch it off to measure an unplanned program.
 PLAN_MEMORY = True
 
-#: Fill each arena range with NaN after its last reader, and the workspace
-#: after each forward call, so that a read of a dead buffer shows as NaN in
-#: a result.  Read at run time; tests switch it on.
+#: Fill the whole pool with NaN at each change of tenant, each arena range
+#: after its last reader, and the workspace after each forward call, so that
+#: a read of a dead buffer shows as NaN in a result.  Read at run time;
+#: tests switch it on.
 POISON_FREED = False
-
-#: Byte alignment of each buffer in a program's gradient arena.
-_ALIGN = 64
 
 
 class GraphReplayError(RuntimeError):
@@ -235,6 +251,13 @@ class TapeRecorder:
         except _Unrecordable as exc:
             self._abort(f"{exc} (feeding op {op!r})")
             return
+        if PLAN_MEMORY and out.data.base is None and out.data.flags.c_contiguous:
+            # The program lays its op outputs out in a pool; until it is
+            # built, each lives in a mapping of its own, so the recording
+            # leaves no op output's bytes behind in malloc's heap.
+            moved = mapped(out.data.shape, out.data.dtype)
+            np.copyto(moved, out.data)
+            out.data = moved
         sid = self._new_slot(out, "op")
         attrs = dict(attrs) if attrs else {}
         dyn_attrs = []
@@ -326,8 +349,12 @@ class TapeRecorder:
             node = base if isinstance(base, np.ndarray) else None
         return self._new_slot(tensor, "const")
 
-    def finalize(self, loss: Tensor) -> Optional["ReplayProgram"]:
-        """Build the replay program, or ``None`` when recording aborted."""
+    def finalize(self, loss: Tensor, pool: Optional[Pool] = None) -> Optional["ReplayProgram"]:
+        """Build the replay program, or ``None`` when recording aborted.
+
+        ``pool`` is the pool the program's memory plan lays its buffers out
+        in (by default one of its own).
+        """
         if _TAPE.recorder is self:
             raise RuntimeError("finalize() must be called after the recording context exits")
         if self.aborted is not None:
@@ -342,7 +369,7 @@ class TapeRecorder:
         if root is None:
             self._abort("the loss tensor was not produced by a recorded op")
             return None
-        return ReplayProgram(self, root)
+        return ReplayProgram(self, root, pool)
 
 
 # --------------------------------------------------------------------------- #
@@ -358,12 +385,13 @@ class ReplayProgram:
     attributes point at the program's pending buffers — values bitwise equal
     to what eager backprop would have produced.
 
-    With :data:`PLAN_MEMORY` the program owns one :attr:`workspace` for its
-    kernels' forward-only scratch, and its first run ends in :meth:`_plan`,
-    which lays the gradient buffers out in one :attr:`arena`.
+    With :data:`PLAN_MEMORY` the program lays its buffers out in a
+    :attr:`pool` (see "Memory plan" above): its op outputs when it is built,
+    its kernels' forward-only scratch in :attr:`workspace`, and, at the end
+    of its first run, its gradient buffers in :attr:`arena` (:meth:`_plan`).
     """
 
-    def __init__(self, recorder: TapeRecorder, root: int) -> None:
+    def __init__(self, recorder: TapeRecorder, root: int, pool: Optional[Pool] = None) -> None:
         self.slots = recorder.slots
         self.instructions = recorder.instructions
         self.providers = recorder.providers
@@ -376,18 +404,10 @@ class ReplayProgram:
         self.extra_params: List[Tensor] = []
 
         instr_by_out = {instr.out: instr for instr in self.instructions}
-        self._fold()
-        for instr in self.instructions:
-            instr.ins = tuple(self._bufs[p] for p in instr.parents)
-        # Hot-loop prefilters: instructions needing per-run attr rebinding
-        # (provider-drawn index arrays) and instructions actually executed
-        # forward (folded, dead and view-aliased ones are skipped wholesale).
+        live = self._fold()
+        # Hot-loop prefilter: instructions needing per-run attr rebinding
+        # (provider-drawn index arrays).
         self._dyn_instrs = [i for i in self.instructions if i.dyn_attrs and not i.folded]
-        self._fwd_instrs = [
-            (i, self._bufs[i.out])
-            for i in self.instructions
-            if not i.folded and not i.view_skip
-        ]
 
         # Reversed eager DFS topological order over gradient edges, mirroring
         # Tensor.backward exactly — including its pop-time visited marking: a
@@ -444,12 +464,15 @@ class ReplayProgram:
             for pos, psid in enumerate(item.parents):
                 if item.needs[pos]:
                     counts[psid] = counts.get(psid, 0) + 1
-        self._pending: Dict[int, np.ndarray] = {root: self._seed}
+        self._pending: Dict[int, np.ndarray] = {}
+        #: The fan-in buffers kept out of the pool, by slot: all of them
+        #: until the plan, then those holding a parameter's gradient.
+        self._kept: Dict[int, np.ndarray] = {}
         self._multi_sids: List[int] = []
         for sid in grad_sids:
             if sid != root and counts.get(sid, 0) > 1:
                 slot = self.slots[sid]
-                self._pending[sid] = np.empty(slot.shape, dtype=slot.dtype)
+                self._kept[sid] = np.empty(slot.shape, dtype=slot.dtype)
                 self._multi_sids.append(sid)
         for tag, item in self._schedule:
             if not tag:
@@ -461,19 +484,27 @@ class ReplayProgram:
             )
         self._received = bytearray(len(self.slots))
 
-        #: ``_schedule`` with a ``(2, arena range)`` entry after each range's
-        #: last reader; the run reads it under :data:`POISON_FREED`.
+        #: ``_schedule`` with a ``(2, (start, stop))`` entry after each arena
+        #: range's last reader; the run reads it under :data:`POISON_FREED`.
         self._poisoned = self._schedule
-        self.arena: Optional[np.ndarray] = None
+        self.pool: Optional[Pool] = None
         self.workspace: Optional[Workspace] = None
+        #: Pool offsets of the op outputs laid out there, by slot.
+        self._outputs: List[Tuple[int, int]] = []
+        #: View instructions whose outputs view a pooled output.
+        self._derived: List[_Instr] = []
+        #: Arena buffers: ``(dict holding it, key, offset, dtype, shape)``.
+        self._placed: List[tuple] = []
+        self._arena: Tuple[int, int] = (0, 0)
+        self._planned = False
+        self._bound: Optional[np.ndarray] = None
         if PLAN_MEMORY:
-            # Every instruction's _tmp takes from this one workspace.
-            self.workspace = Workspace()
-            for instr in self.instructions:
-                instr.ctx[Workspace] = self.workspace
+            self.pool = pool if pool is not None else Pool()
+            self._lay_out_outputs(live)
+        self._bind(None)
 
-    def _fold(self) -> None:
-        """Mark the instructions replay never re-executes.
+    def _fold(self) -> set:
+        """Mark the instructions replay never re-executes; return the live slots.
 
         Constant-folded: their inputs can never change between runs, so the
         recorded output buffers already hold the correct values (e.g. the
@@ -496,6 +527,35 @@ class ReplayProgram:
                 live.update(instr.parents)
             else:
                 instr.folded = True
+        return live
+
+    def _lay_out_outputs(self, live: set) -> None:
+        """Give the op outputs that every run rewrites offsets in the pool.
+
+        The recorded arrays go, along with those of dead instructions, so
+        that only folded outputs and the slots a run does not write keep
+        memory of their own.  Non-parameter slots drop their tensors.
+        """
+        moved = set()
+        offset = 0
+        for instr in self.instructions:
+            sid, slot = instr.out, self.slots[instr.out]
+            if sid in live:
+                if instr.folded or (instr.view_skip and instr.parents[0] not in moved):
+                    continue  # its values persist, or it views memory that does
+                if instr.view_skip:
+                    self._derived.append(instr)
+                else:
+                    self._outputs.append((sid, offset))
+                    offset += aligned(math.prod(slot.shape) * slot.dtype.itemsize)
+            moved.add(sid)
+            self._bufs[sid] = slot.buffer = None
+        for slot in self.slots:
+            if slot.kind != "param":
+                slot.tensor = None
+        self.workspace = Workspace(self.pool, origin=offset)
+        for instr in self.instructions:
+            instr.ctx[Workspace] = self.workspace
 
     @property
     def graph_nodes(self) -> int:
@@ -507,11 +567,53 @@ class ReplayProgram:
         """Instructions in the recorded program."""
         return len(self.instructions)
 
+    @property
+    def arena(self) -> Optional[np.ndarray]:
+        """The planned gradient arena's bytes while the program is bound, else ``None``."""
+        if not self._planned or self._bound is None:
+            return None
+        start, stop = self._arena
+        return self._bound[start:stop]
+
     def set_optimizer_params(self, params: Sequence[Tensor]) -> None:
         """Declare optimizer-owned params; ones outside the recorded graph get
         ``grad = None`` per run (matching eager ``zero_grad`` + no touch)."""
         recorded = {id(slot.tensor) for slot in self.param_slots}
         self.extra_params = [p for p in params if id(p) not in recorded]
+
+    def _bind(self, buffer: Optional[np.ndarray]) -> None:
+        """Point every pooled buffer at ``buffer``'s bytes (``None``: drop them)."""
+        bufs = self._bufs
+        pending = self._pending
+        pending.clear()
+        for sid, offset in self._outputs:
+            slot = self.slots[sid]
+            bufs[sid] = None if buffer is None else region(buffer, offset, slot.dtype, slot.shape)
+        for instr in self._derived:
+            base = bufs[instr.parents[0]]
+            view = None if base is None else instr.fwd(None, (base,), instr.attrs, {})
+            if view is not None and not np.may_share_memory(view, base):
+                raise TapeStale("a view op no longer views its input")
+            bufs[instr.out] = view
+        if self.workspace is not None:
+            self.workspace.bind(buffer)
+        for owner, key, offset, dtype, shape in self._placed:
+            owner[key] = None if buffer is None else region(buffer, offset, dtype, shape)
+        if buffer is not None or self.pool is None:  # an unplanned program's are its own
+            pending[self.root] = self._seed
+            pending.update(self._kept)
+        for instr in self.instructions:
+            instr.ins = tuple(bufs[p] for p in instr.parents)
+        # Instructions actually executed forward (folded, dead and
+        # view-aliased ones are skipped wholesale).
+        self._fwd_instrs = [
+            (i, bufs[i.out]) for i in self.instructions if not i.folded and not i.view_skip
+        ]
+        self._bound = buffer
+
+    def evict(self) -> None:
+        """Drop every view of the pool (the tenant protocol of :class:`~repro.nn.kernels.Pool`)."""
+        self._bind(None)
 
     def run(self) -> float:
         """Replay the recorded step; returns the loss value."""
@@ -528,6 +630,11 @@ class ReplayProgram:
             if not isinstance(src, np.ndarray) or src.shape != slot.shape:
                 raise TapeStale("a dynamic input changed shape since recording")
             np.copyto(slot.buffer, src)
+        if self.pool is not None:
+            self.pool.reserve(self.workspace.end)  # the layout so far: outputs, scratch, arena
+            buffer = self.pool.claim(self)
+            if buffer is not self._bound:
+                self._bind(buffer)
 
         for instr in self._dyn_instrs:
             attrs = dict(instr.attrs)
@@ -546,7 +653,7 @@ class ReplayProgram:
         # The first run notes what the forward wrote into ctx: the VJPs
         # read it, so the plan leaves it where it is.
         saved = None
-        if self.workspace is not None and self.arena is None:
+        if self.pool is not None and not self._planned:
             saved = {id(value) for instr in self.instructions for value in instr.ctx.values()}
 
         pending = self._pending
@@ -577,15 +684,16 @@ class ReplayProgram:
                             np.copyto(buf, ub)
                             received[psid] = 1
             elif tag:
-                _poison(item)  # an arena range after its last reader
+                _poison(self._bound[item[0]:item[1]])  # an arena range after its last reader
             else:
                 slot = item
                 slot.tensor.grad = pending[slot.index]
         for param in self.extra_params:
             param.grad = None
+        loss = float(bufs[self.root])
         if saved is not None:
             self._plan(saved)
-        return float(bufs[self.root])
+        return loss
 
     def _plan(self, saved: set) -> None:
         """Lay the gradient buffers of the first run out in one arena.
@@ -593,14 +701,15 @@ class ReplayProgram:
         See "Memory plan" above.  Planned are the fan-in buffers and the
         ctx arrays the VJPs took in this run: ids not in ``saved``, which
         the forward wrote.  A step's buffers overlap in lifetime, so a VJP
-        never writes where its input gradient lies.
+        never writes where its input gradient lies.  A buffer that holds a
+        parameter's gradient stays where it is, out of the pool.  The arena
+        follows the workspace in the pool; the program is evicted, so the
+        next run binds the plan.
         """
         end = len(self._schedule)
-        grads, self._pending = self._pending, {self.root: self._seed}
-        for sid in self._multi_sids:
-            self._pending[sid] = grads[sid]
-        # Per planned buffer, by the id of the array: [array, the dict that
-        # holds it, its key there, birth step, death step].
+        grads = dict(self._pending)
+        # Per planned buffer, by the id of the array owning its memory:
+        # [array, the dict that holds it, its key there, birth step, death step].
         spans: Dict[int, list] = {}
         reader: Dict[int, int] = {}  # slot -> the step that reads its gradient
         for step, (tag, item) in enumerate(self._schedule):
@@ -609,26 +718,30 @@ class ReplayProgram:
                 continue
             reader[item.out] = step
             for key, value in item.ctx.items():
-                if isinstance(value, np.ndarray) and value.base is None and id(value) not in saved:
-                    spans[id(value)] = [value, item.ctx, key, step, step]
+                if isinstance(value, np.ndarray) and id(value) not in saved:
+                    spans[id(_owner(value))] = [value, item.ctx, key, step, step]
             for _, psid, single, _ in item.route:
                 if not single and id(grads[psid]) not in spans:
                     spans[id(grads[psid])] = [grads[psid], self._pending, psid, step, step]
         # A gradient left in _pending, view or not, keeps the array that
         # owns its memory alive until the gradient's reader.
         for sid, grad in grads.items():
-            while isinstance(grad.base, np.ndarray):
-                grad = grad.base
-            span = spans.get(id(grad))
+            span = spans.get(id(_owner(grad)))
             if span is not None:
                 span[4] = max(span[4], reader[sid])
 
+        self._kept = {}
+        order = []
+        for span in sorted(spans.values(), key=lambda span: -span[0].nbytes):
+            if span[4] < end:
+                order.append(span)
+            elif span[1] is self._pending:
+                self._kept[span[2]] = span[0]
         # Largest first, each at the lowest offset free of every placed
         # buffer whose lifetime overlaps its own.
-        order = sorted(spans.values(), key=lambda span: -span[0].nbytes)
         placed: List[Tuple[int, int, int, int]] = []  # (start, stop, birth, death)
         for array, _, _, birth, death in order:
-            nbytes = -(-array.nbytes // _ALIGN) * _ALIGN
+            nbytes = aligned(array.nbytes)
             start = 0
             for lo, hi, other_birth, other_death in sorted(placed):
                 if other_birth <= death and birth <= other_death:
@@ -637,17 +750,26 @@ class ReplayProgram:
                     start = max(start, hi)
             placed.append((start, start + nbytes, birth, death))
 
-        self.arena = np.empty(max((hi for _, hi, _, _ in placed), default=0), dtype=np.uint8)
+        base = self.workspace.end
+        self._arena = (base, base + max((hi for _, hi, _, _ in placed), default=0))
         dead: Dict[int, list] = {}
         for (array, owner, key, _, death), (start, _, _, _) in zip(order, placed):
-            memory = self.arena[start:start + array.nbytes]
-            owner[key] = memory.view(array.dtype).reshape(array.shape)
-            if death < end:
-                dead.setdefault(death, []).append(memory)
+            self._placed.append((owner, key, base + start, array.dtype, array.shape))
+            dead.setdefault(death, []).append((base + start, base + start + array.nbytes))
         self._poisoned = []
         for step, entry in enumerate(self._schedule):
             self._poisoned.append(entry)
             self._poisoned.extend((2, memory) for memory in dead.get(step, ()))
+        self._planned = True
+        self.workspace.end = self._arena[1]  # a later region goes past the arena
+        self.evict()
+
+
+def _owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns ``array``'s memory (for a mapped array, its bytes)."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 def _poison(buf: np.ndarray) -> None:

@@ -137,9 +137,11 @@ class TestCommands:
             build_parser().parse_args(["scenarios", "--shard", "5/2"])
         assert "1 <= K <= N" in capsys.readouterr().err
 
-    def test_scenarios_shard_requires_cache_dir(self):
-        with pytest.raises(SystemExit, match="cache-dir"):
+    def test_scenarios_shard_requires_cache_dir(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["scenarios", "--smoke", "--scenario", "overlap", "--shard", "1/2"])
+        assert excinfo.value.code == 2
+        assert "--shard requires --cache-dir" in capsys.readouterr().err
 
     def test_scenarios_cache_warm_run_serves_from_cache(self, capsys, tmp_path):
         import json

@@ -285,7 +285,7 @@ def test_rff_node_without_a_gradient_keeps_no_inner_and_equals_the_old_form(matr
     expected = np.multiply(np.cos(inner), 2.0 ** 0.5)
     kernel = KERNELS["rff_features"]
     for values_grad in (False, True):
-        attrs = {"frequencies": freqs, "phis": phases, "sqrt2": 2.0 ** 0.5, "values_grad": values_grad}
+        attrs = {"frequencies": freqs, "phis": phases, "values_grad": values_grad}
         ctx: dict = {}
         out = kernel.fwd(None, [values], attrs, ctx)
         assert ("inner" in ctx) is values_grad
@@ -294,6 +294,13 @@ def test_rff_node_without_a_gradient_keeps_no_inner_and_equals_the_old_form(matr
     np.testing.assert_array_equal(constant.data.view(np.uint64), expected.view(np.uint64))
     leaf = Tensor(values, requires_grad=True)
     assert F.rff_features(leaf, freqs, phases)._backward[1]["values_grad"] is True
+    # Into a caller's buffer (the weight step's pool region): a constant, no node.
+    buffer = np.full(expected.shape, np.nan)
+    into = F.rff_features(values, freqs, phases, out=buffer)
+    assert into.data is buffer and into._backward is None
+    np.testing.assert_array_equal(buffer.view(np.uint64), expected.view(np.uint64))
+    with pytest.raises(ValueError, match="no gradient"):
+        F.rff_features(leaf, freqs, phases, out=buffer)
 
 
 # --------------------------------------------------------------------------- #

@@ -14,15 +14,18 @@ Covers the contract of ``TrainingConfig.graph_replay``:
 * the fused regularizer kernels (the batched HSIC pair node, also on
   constant features with or without a lent workspace, matrix
   ``rff_features``, ``weighted_rbf_mmd`` with constant or differentiable
-  weights or representations, also at a tile of 4 rows), ELU and
-  one-sided ``clip`` give eager == replay, bit for bit;
+  weights or representations, also at a tile of 4 rows), ELU,
+  one-sided ``clip`` and the elementwise ops and losses whose VJPs compute
+  same-shape gradients into ctx buffers give eager == replay, bit for bit;
 * replay skips instructions the loss does not read (DeR-CFR's propensity);
 * a fitted trainer is freed by reference counting (no trainer <-> replay
   cycle), a finished fit keeps no program (deep copies copy none), and a
   fitted estimator still deep-copies and refits;
 * planned runs (the second onward) equal eager, also with every dead arena
-  range and the workspace poisoned with NaN, and a planned program holds
-  at most 0.65x the bytes of the same program unplanned.
+  range, the workspace and the whole pool at each change of tenant
+  poisoned with NaN; a warm run's VJPs return no gradient outside planned
+  memory; and a planned program holds at most 0.65x the bytes of the same
+  program unplanned, op outputs counted on both sides.
 """
 
 from __future__ import annotations
@@ -229,7 +232,32 @@ def _fused_kernel_cases():
             lambda wc, wt: F.weighted_rbf_mmd(reps_n, reps_m, wc, wt, 1.3),
             [positive(n), positive(m)],
         ),
+        # Elementwise ops and losses whose VJPs compute same-shape gradients
+        # into ctx buffers.
+        "elementwise-gradients": (_elementwise_losses(rng, n, cols), [
+            lambda r: r.normal(size=(n, cols)),
+            lambda r: np.abs(r.normal(size=(n, cols))) + 0.5,
+        ]),
     }
+
+
+def _elementwise_losses(rng, n, cols):
+    """mul, neg, div, pow, clip, maximum and relu feeding every fused loss."""
+    target = rng.normal(size=(n, cols))
+    labels = (rng.uniform(size=(n, cols)) < 0.5).astype(float)
+    weights = rng.uniform(0.5, 1.5, size=(n, cols))
+
+    def build(x, y):
+        h = (-(x * y) / (y * y + 1.0)) ** 2
+        h = h.clip(-0.8, 0.8).maximum(x * 0.1).relu() + x
+        return (
+            F.mse_loss(h, y)
+            + F.weighted_mse_loss(h, target, weights)
+            + F.bce_with_logits(h, labels, weights)
+            + F.binary_cross_entropy(F.sigmoid(h), labels)
+        )
+
+    return build
 
 
 def _assert_replay_and_stacked_equal_eager(case):
@@ -405,9 +433,11 @@ class TestReplayLifetime:
 
 
 def _resident_bytes(program):
-    """Bytes of the memory a program's ctx, ``_pending``, arena and
-    workspace hold, each block counted once, views included."""
+    """Bytes of the memory a program's op outputs, ctx, ``_pending``, arena
+    and workspace hold, each block counted once, views included.  A planned
+    program keeps its op outputs in its pool, so they count on both sides."""
     arrays = [value for instr in program.instructions for value in instr.ctx.values()]
+    arrays += [buf for slot, buf in zip(program.slots, program._bufs) if slot.kind == "op"]
     arrays += list(program._pending.values())
     if program.workspace is not None:
         arrays += list(program.workspace.buffers.values())
@@ -470,6 +500,34 @@ class TestMemoryPlan:
         eager_value, [eager_grad] = _eager(build, arrays)
         assert value == eager_value
         np.testing.assert_array_equal(leaves[0].grad, eager_grad)
+
+    def test_a_warm_run_takes_no_gradient_outside_planned_memory(self):
+        """Every gradient a warm run's VJPs return lies in the arena, in a
+        buffer a ctx keeps, or in the root seed: none is a fresh array."""
+        build, makers = _fused_kernel_cases()["elementwise-gradients"]
+        rng = np.random.default_rng(4)
+        program, _ = _record(build, [make(rng) for make in makers])
+        program.run()  # plans
+        program.run()
+        returned = []
+        for instr in program.instructions:
+            def spy(*args, _vjp=instr.vjp):
+                grads = _vjp(*args)
+                returned.extend(g for g in grads if g is not None)
+                return grads
+
+            instr.vjp = spy
+        program.run()
+        ops = {instr.op for instr in program.instructions}
+        assert {"mul", "neg", "div", "pow", "clip", "maximum", "relu"} <= ops
+        assert {"mse_loss", "weighted_mse_loss", "bce_with_logits", "bce"} <= ops
+        kept = [program.arena, program._seed] + [
+            value for instr in program.instructions for value in instr.ctx.values()
+            if isinstance(value, np.ndarray)
+        ]
+        assert returned
+        for grad in returned:
+            assert any(np.may_share_memory(grad, memory) for memory in kept), grad.shape
 
     def test_planned_program_holds_at_most_065_of_an_unplanned_one(self, monkeypatch):
         """ctx, fan-in buffers, arena and workspace of an n = 400 CFR+SBRL-HAP

@@ -14,10 +14,14 @@ keeps one workspace for one fit.  This file pins:
   array, and a lent workspace changes no bit of the value or gradients;
 * with a warm workspace, an objective call and its backward peak below one
   ``(P, k, n)`` block above their start;
-* a fit creates one workspace, reuses its buffers from one weight step to
-  the next and drops it when it returns or raises; a fitted estimator's
-  deep copy carries none and refits; two trainers fitting in two threads
-  share none.
+* a fit creates one pool, which its replay program and its weight steps
+  take turns in: a pool evicts its tenant at a switch and before it grows,
+  and a weight step's features are views of the buffer the program's op
+  outputs live in, while the first weight step runs beside no recorded op
+  output; the weight step's layout and buffer hold from one weight step to
+  the next, and the fit drops the pool and its parameters' gradients when
+  it returns or raises; a fitted estimator's deep copy carries none and
+  refits; two trainers fitting in two threads share none.
 """
 
 from __future__ import annotations
@@ -38,7 +42,9 @@ from repro.core.regularizers import HierarchicalAttentionLoss
 from repro.core.sbrl import SBRLTrainer
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.nn import functional as F
-from repro.nn.kernels import KERNELS, Kernel, Workspace
+from repro.nn import tape
+from repro.nn.kernels import KERNELS, Kernel, Pool, Workspace
+from repro.nn.tape import ReplayProgram
 from repro.nn.tensor import Tensor, no_grad
 
 COLUMNS, K, N = 6, 5, 40
@@ -207,8 +213,62 @@ def test_warm_workspace_objective_call_peaks_below_one_pair_block():
 
 
 # --------------------------------------------------------------------------- #
-# The trainer's workspace lifetime
+# The fit's pool
 # --------------------------------------------------------------------------- #
+class _Tenant:
+    def __init__(self):
+        self.evictions = 0
+
+    def evict(self):
+        self.evictions += 1
+
+
+def test_pool_evicts_every_tenant_viewing_it_before_it_grows():
+    pool = Pool()
+    program, weights = _Tenant(), _Tenant()
+    pool.reserve(256)
+    first = pool.claim(program)
+    assert first.nbytes == 256
+    assert pool.claim(program) is first
+    assert pool.claim(weights) is first  # a switch alone keeps the views
+    pool.reserve(128)  # smaller than the buffer: no growth
+    assert pool.claim(program) is first
+    assert (program.evictions, weights.evictions) == (0, 0)
+    pool.reserve(1024)
+    grown = pool.claim(weights)
+    assert grown.nbytes == 1024 and grown is not first
+    assert (program.evictions, weights.evictions) == (1, 1)
+    pool.reserve(2048)
+    pool.claim(weights)  # the program has not claimed the new buffer
+    assert (program.evictions, weights.evictions) == (1, 2)
+
+
+def test_pool_poisons_the_whole_buffer_at_a_switch(monkeypatch):
+    monkeypatch.setattr(tape, "POISON_FREED", True)
+    pool = Pool()
+    program, weights = _Tenant(), _Tenant()
+    pool.reserve(64)
+    pool.claim(program).view(np.float64)[:] = 1.0
+    assert np.isnan(pool.claim(weights).view(np.float64)).all()
+
+
+def test_pooled_workspace_keeps_its_layout_and_maps_what_does_not_fit():
+    pool = Pool()
+    workspace = Workspace(pool)
+    workspace.claim()  # nothing reserved yet: an empty buffer
+    spilled = workspace.take("a", (4, 3), np.float64)
+    assert not np.may_share_memory(spilled, pool.buffer) and pool.nbytes >= spilled.nbytes
+    workspace.take("b", (5,), np.float32)
+    workspace.claim()  # the pool grows to the layout
+    for _ in range(2):  # at the same offsets after an eviction
+        a = workspace.take("a", (2, 6), np.float64)
+        b = workspace.take("b", (5,), np.float32)
+        assert a.ctypes.data == pool.buffer.ctypes.data
+        assert b.ctypes.data == pool.buffer.ctypes.data + 128  # 96 bytes, aligned
+        workspace.evict()
+        workspace.claim()
+
+
 @pytest.fixture(scope="module")
 def train():
     generator = SyntheticGenerator(
@@ -233,40 +293,111 @@ def _config(batch_size=None, iterations=11):
 
 
 def _spy_weight_steps(monkeypatch):
-    """After each weight step: the trainer's workspace and its buffer objects."""
+    """After each weight step: the fit's pool, its buffer and its weight layout."""
     seen = []
     original = SBRLTrainer._update_weights
 
     def spy(self, *args, **kwargs):
         value = original(self, *args, **kwargs)
-        seen.append((self._workspace, dict(self._workspace._buffers)))
+        seen.append((self._pool, self._pool.buffer, dict(self._workspace._regions)))
         return value
 
     monkeypatch.setattr(SBRLTrainer, "_update_weights", spy)
     return seen
 
 
-@pytest.mark.parametrize("batch_size", [None, 64], ids=["full-batch", "minibatch"])
-def test_fit_reuses_one_workspace_and_drops_it(train, monkeypatch, batch_size):
+def test_fit_reuses_one_pool_and_drops_it(train, monkeypatch):
     seen = _spy_weight_steps(monkeypatch)
-    estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(batch_size), seed=0)
+    estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0)
     estimator.fit(train)
     assert len(seen) == 6
-    workspace, first = seen[0]
-    assert isinstance(workspace, Workspace) and first
-    for later, buffers in seen[1:]:
-        assert later is workspace
-        # Full batches and equal-size minibatches: nothing regrows.
-        assert buffers.keys() == first.keys()
+    pool, _, layout = seen[0]
+    assert isinstance(pool, Pool) and layout
+    # The first weight step lays its blocks out; from the second on they
+    # are found in one unchanged buffer.
+    buffer = seen[1][1]
+    assert buffer.nbytes == pool.nbytes
+    for later, later_buffer, later_layout in seen[1:]:
+        assert later is pool and later_buffer is buffer and later_layout == layout
+    assert estimator.trainer._pool is None and estimator.trainer._workspace is None
+
+    estimator.fit(train)
+    assert seen[-1][0] is not pool
+    assert estimator.trainer._pool is None and estimator.trainer._workspace is None
+
+
+def test_minibatch_fit_reuses_one_workspace_of_its_own_and_drops_it(train, monkeypatch):
+    """No replay program: the weight step's pair blocks stay in one workspace."""
+    seen = []
+    original = SBRLTrainer._update_weights
+
+    def spy(self, *args, **kwargs):
+        value = original(self, *args, **kwargs)
+        seen.append((self._pool, self._workspace, dict(self._workspace.buffers)))
+        return value
+
+    monkeypatch.setattr(SBRLTrainer, "_update_weights", spy)
+    estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(64), seed=0)
+    estimator.fit(train)
+    assert len(seen) == 6
+    _, workspace, first = seen[0]
+    assert workspace.pool is None and {key for key, _ in first} == {"pair_u", "pair_v", "pair_pu"}
+    for pool, later, buffers in seen[1:]:
+        # Equal-size minibatches: nothing regrows.
+        assert pool is None and later is workspace
         assert all(buffers[key] is first[key] for key in first)
     assert estimator.trainer._workspace is None
 
-    estimator.fit(train)
-    assert seen[-1][0] is not workspace
-    assert estimator.trainer._workspace is None
+
+def test_weight_step_features_share_the_buffer_of_the_program_op_outputs(train, monkeypatch):
+    """The two tenants overlap: features and op outputs are views of one buffer."""
+    features_owner, outputs_owner = [], []
+    prepare = HierarchicalAttentionLoss.prepare
+
+    def owner(array):
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        return array
+
+    def spy_prepare(self, *args, **kwargs):
+        prepared = prepare(self, *args, **kwargs)
+        features_owner.append({id(owner(f.data)) for f in prepared.features.values()})
+        return prepared
+
+    run = ReplayProgram.run
+
+    def spy_run(self):
+        loss = run(self)
+        if self._bound is not None:  # the planning run ends evicted
+            outputs_owner.append({id(owner(self._bufs[sid])) for sid, _ in self._outputs})
+        return loss
+
+    monkeypatch.setattr(HierarchicalAttentionLoss, "prepare", spy_prepare)
+    monkeypatch.setattr(ReplayProgram, "run", spy_run)
+    HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0).fit(train)
+    # Weight steps at iterations 0, 2, ..., 10; the program runs from 1 on
+    # and plans its memory in its first run.
+    assert len(features_owner) == 6 and len(outputs_owner) == 9
+    shared = features_owner[-1]
+    assert len(shared) == 1 and outputs_owner[-1] == shared
 
 
-def test_fit_drops_the_workspace_when_a_callback_raises(train):
+def test_first_weight_step_runs_beside_no_recorded_op_output(train, monkeypatch):
+    """Iteration 0 weighs after the recording: the program holds no op output then."""
+    held = []
+    original = SBRLTrainer._update_weights
+
+    def spy(self, *args, **kwargs):
+        program = self._replay.program
+        held.append([program._bufs[sid] for sid, _ in program._outputs])
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SBRLTrainer, "_update_weights", spy)
+    HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0).fit(train)
+    assert held[0] and all(buf is None for buf in held[0])
+
+
+def test_fit_drops_the_pool_when_a_callback_raises(train):
     class Boom(Callback):
         def on_iteration_end(self, loop, record):
             if record.iteration == 5:
@@ -276,23 +407,33 @@ def test_fit_drops_the_workspace_when_a_callback_raises(train):
     trainer = estimator.build_trainer(train)
     with pytest.raises(RuntimeError, match="boom"):
         trainer.fit(train, callbacks=[Boom()])
-    assert trainer._workspace is None
+    assert trainer._pool is None and trainer._workspace is None
+    assert all(param.grad is None for param in trainer.backbone.parameters())
 
 
-def test_deepcopy_of_a_fitted_estimator_carries_no_workspace_and_refits(train):
+def test_deepcopy_of_a_fitted_estimator_carries_no_pool_and_refits(train):
     estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0)
     estimator.fit(train)
     memo: dict = {}
     candidate = copy.deepcopy(estimator, memo)
-    assert not any(isinstance(value, Workspace) for value in memo.values())
-    assert candidate.trainer._workspace is None
+    assert not any(isinstance(value, (Pool, Workspace)) for value in memo.values())
+    assert candidate.trainer._pool is None
     candidate.refit(train, init="fitted", epochs=4)
-    assert candidate.trainer._workspace is None
+    assert candidate.trainer._pool is None
     assert np.all(np.isfinite(candidate.predict_ite(train.covariates)))
 
 
+def test_a_replayed_fit_and_its_deep_copy_hold_no_parameter_gradient(train):
+    """A gradient left on a parameter would pin the program's buffers past the fit."""
+    estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0)
+    estimator.fit(train)
+    assert estimator.trainer._replay.stats["hits"] > 0
+    for fitted in (estimator, copy.deepcopy(estimator)):
+        assert all(param.grad is None for param in fitted.trainer.backbone.parameters())
+
+
 def test_two_trainers_fitting_in_two_threads_equal_serial_fits(train):
-    """Each fit owns its workspace, so concurrent fits cannot clobber each other's blocks."""
+    """Each fit owns its pool, so concurrent fits cannot clobber each other's blocks."""
 
     def fit(seed):
         estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=seed)
