@@ -9,11 +9,12 @@ how a tree was laid out, not only with the code.  Run from anywhere::
     python3 scripts/perfbench_pairs.py --parent /tmp/parent --change /tmp/change \\
         --workload fit-fullbatch --pairs 10 --first-seed 101
 
-For every end-to-end metric of the parent's ``BENCHMARK.json`` that both
-sides report, it prints each side's median and quartiles, the parent's
-interquartile range, the ratio of the medians and the change's wins, ties
-and losses under the metric's ``better``.  It writes no file, and exits 1
-when any run fails or reports ``correct: false``.
+Both sides run for the parent's ``BENCHMARK.json`` ``run_seconds``, the
+length the benchmark itself uses.  For every end-to-end metric of that
+file that both sides report, it prints each side's median and quartiles,
+the parent's interquartile range, the ratio of the medians and the
+change's wins, ties and losses under the metric's ``better``.  It writes
+no file, and exits 1 when any run fails or reports ``correct: false``.
 """
 
 from __future__ import annotations
@@ -119,20 +120,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=101, help="pair i runs seed first+i")
-    parser.add_argument("--seconds", type=int, default=15)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as handle:
-        end_to_end = json.load(handle)["end_to_end"]
+        benchmark = json.load(handle)
+    end_to_end, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     sides = {"parent": args.parent, "change": args.change}
     metrics: Dict[str, List[dict]] = {"parent": [], "change": []}
     for index in range(args.pairs):
         seed = args.first_seed + index
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, seed, args.seconds)
+            result = run_once(sides[side], args.workload, seed, seconds)
             if result is None:
                 print(f"pair {index + 1}: the {side} run on seed {seed} failed", file=sys.stderr)
                 return 1

@@ -29,7 +29,8 @@ Kernel signature::
 * A buffer a ``vjp`` takes with :func:`_scratch` holds nothing on entry
   (eager mode hands it out fresh), so replay may lay it in memory that
   other gradients use at other times.  Where a gradient has its input's
-  shape, the VJP computes it into such a buffer.
+  shape, a planned program's VJP computes it into such a buffer
+  (:func:`_into`); eager mode keeps it fresh.
 * ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
 
 Compiled serving (:mod:`repro.core.backbones.compiled`) runs this math too:
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import weakref
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -93,62 +93,46 @@ def mapped(shape: Tuple[int, ...], dtype) -> np.ndarray:
 
 def region(buffer: np.ndarray, offset: int, dtype, shape: Tuple[int, ...]) -> np.ndarray:
     """The ``shape`` array of ``dtype`` at byte ``offset`` of ``buffer``."""
-    dtype = np.dtype(dtype)
-    nbytes = math.prod(shape) * dtype.itemsize
-    return buffer[offset:offset + nbytes].view(dtype).reshape(shape)
+    return np.ndarray(shape, dtype, buffer, offset)
 
 
 class Pool:
-    """One fit's scratch bytes, lent to tenants that never run at the same time.
+    """One fit's scratch bytes, lent in turns to tenants that never run at the same time.
 
     A fit's two phases, the replay program's run and the weight step, each
     keep large blocks that are dead while the other phase runs.  Both lay
     their blocks out from offset 0 of one buffer, so the fit holds the
-    larger phase's bytes, not the sum of the two.  A tenant is any object
-    with an ``evict()`` method that drops every view it holds of the buffer
-    (a :class:`Workspace` or a :class:`~repro.nn.tape.ReplayProgram`).
+    larger phase's bytes, not the sum of the two.
 
     :meth:`reserve` states a size a tenant's layout needs; :meth:`claim`
-    makes a tenant the user and grows the buffer to the largest reserved
-    size.  A tenant keeps its views of the buffer from one claim to the
-    next (the other tenant's writes only clobber dead bytes), so a switch
-    costs nothing; before the buffer is replaced, every tenant that holds
-    views of it is evicted, so two buffers are never both held.  The
-    buffer is an anonymous mapping (see :func:`_map`), and the pool holds
-    its tenants by weak reference, so dropping the pool's owner returns
-    its pages without the cyclic collector.  Under
-    :data:`repro.nn.tape.POISON_FREED` every switch of tenant fills the
-    buffer with NaN.  Not for sharing between threads.
+    starts a tenant's turn and returns the buffer, first replaced by one of
+    the largest reserved size if it is smaller.  A tenant drops every view
+    of the buffer when its turn ends, so a replaced buffer has no view left
+    and two buffers are never both alive.  The buffer is an anonymous
+    mapping (see :func:`_map`): its pages go back to the system when the
+    pool and the last view go.  Under :data:`repro.nn.tape.POISON_FREED`
+    every claim fills the buffer with NaN.  Not for sharing between
+    threads.
     """
 
     def __init__(self) -> None:
         self.buffer: np.ndarray = np.empty(0, dtype=np.uint8)
         #: The largest size any tenant has reserved, in bytes.
         self.nbytes = 0
-        self._tenant: Optional[weakref.ref] = None
-        self._holders: list = []  # weak references to tenants viewing the buffer
 
     def reserve(self, nbytes: int) -> None:
         """Ask for ``nbytes``; the buffer grows to them at the next :meth:`claim`."""
         self.nbytes = max(self.nbytes, nbytes)
 
-    def claim(self, tenant) -> np.ndarray:
-        """Make ``tenant`` the pool's user and return the buffer it may use."""
+    def claim(self) -> np.ndarray:
+        """Start a tenant's turn: the buffer, grown to every reservation."""
         if self.buffer.nbytes < self.nbytes:
-            for holder in self._holders:
-                if holder() is not None:
-                    holder().evict()
-            self._holders = []
             self.buffer = np.empty(0, dtype=np.uint8)  # freed before its successor is mapped
             self.buffer = _map(self.nbytes)
-        if self._tenant is None or self._tenant() is not tenant:
-            self._tenant = weakref.ref(tenant)
-            if not any(holder() is tenant for holder in self._holders):
-                self._holders.append(self._tenant)
-            from . import tape  # the poison switch lives with the replay engine
+        from . import tape  # the poison switch lives with the replay engine
 
-            if tape.POISON_FREED:
-                self.buffer.fill(0xFF)
+        if tape.POISON_FREED:
+            self.buffer.fill(0xFF)
         return self.buffer
 
 
@@ -170,8 +154,8 @@ class Workspace:
     The views are of the buffer last passed to :meth:`bind` (the workspace
     binds itself in :meth:`claim` when it is a tenant of its own).  Until
     the pool grows to cover a region, the region is a mapping of its own
-    (see :func:`_map`), kept until :meth:`evict`, which the owner calls
-    when the workspace's turn ends.
+    (see :func:`_map`).  :meth:`evict` drops them all, and the owner calls
+    it when the workspace's turn ends.
     """
 
     def __init__(self, pool: Optional[Pool] = None, origin: int = 0) -> None:
@@ -220,7 +204,7 @@ class Workspace:
         self._bound = buffer
 
     def evict(self) -> None:
-        """Drop every view of the pool (the tenant protocol of :class:`Pool`).
+        """End the workspace's turn in its pool: drop every view of it.
 
         A workspace without a pool keeps its buffers.
         """
@@ -228,12 +212,9 @@ class Workspace:
             self.bind(None)
 
     def claim(self) -> None:
-        """Make this workspace its pool's tenant, laid out as before (no-op without a pool)."""
-        if self.pool is None:
-            return
-        buffer = self.pool.claim(self)
-        if buffer is not self._bound:
-            self.bind(buffer)
+        """Start a turn in the pool, laid out as before (no-op without a pool)."""
+        if self.pool is not None:
+            self.bind(self.pool.claim())
 
 
 class Kernel(NamedTuple):
@@ -283,13 +264,17 @@ def _tmp(out, ctx: dict, key, shape, dtype, workspace: Optional[Workspace] = Non
 
 
 def _into(ctx: dict, key, ufunc, *operands, shape: Tuple[int, ...]) -> np.ndarray:
-    """``ufunc(*operands)`` into a buffer kept in ``ctx`` when the result has
-    ``shape`` (a gradient the size of its input: every operand has that
-    shape or none), else a fresh array for :func:`_unbroadcast` to reduce.
-    Same ufunc, same operands: same bits.  A replayed instruction's
-    operands keep their shapes, so a kept buffer is used unchecked."""
+    """``ufunc(*operands)``: in a planned program, into a buffer kept in
+    ``ctx`` when the result has ``shape`` (a gradient the size of its
+    input: every operand has that shape or none), so the plan places it;
+    else a fresh array, which eager mode frees once its parent used it
+    and :func:`_unbroadcast` may reduce.  Same ufunc, same operands: same
+    bits.  A replayed instruction's operands keep their shapes, so a kept
+    buffer is used unchecked."""
     buf = ctx.get(key)
     if buf is None:
+        if Workspace not in ctx:
+            return ufunc(*operands)
         shapes = {np.shape(x) for x in operands} - {()}
         if shapes != {shape} and (shapes or shape):
             return ufunc(*operands)

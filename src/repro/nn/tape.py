@@ -78,19 +78,20 @@ program's own when none is lent), laid out from offset 0:
   until the next step as in eager mode; and what a forward saves for its
   VJP.
 
-A run claims the pool and binds its views to the pool's buffer when that
-buffer changed; between runs another tenant (the trainer's weight step)
-may use the same bytes, and evicting the program drops every view it
-holds, so a pool that grows never keeps its old buffer alive.  Until the
-plan exists, the recorded op outputs and the first run's ``ctx`` buffers
-each live in an anonymous mapping of their own, so the recording and the
-first run leave nothing behind in malloc's heap for the pool to sit on.
+Each run claims the pool, binds its views to the pool's buffer and drops
+them when it ends (:meth:`ReplayProgram.evict`).  Between runs another
+tenant (the trainer's weight step) uses the same bytes and ends its turn
+the same way, so when a claim grows the pool no view of the old buffer is
+left.  Until the plan exists, the recorded op outputs and the first run's
+``ctx`` buffers each live in an anonymous mapping of their own, so the
+recording and the first run leave nothing behind in malloc's heap for the
+pool to sit on.
 
 :data:`POISON_FREED` (tests only) fills the whole pool with NaN at each
-change of tenant, each arena range after its last reader, and the
-workspace after each forward call, so a read of a dead buffer shows in the
-results; :data:`PLAN_MEMORY` off (tests only) builds unplanned programs
-that keep their recorded arrays.
+claim, each arena range after its last reader, and the workspace after
+each forward call, so a read of a dead buffer shows in the results;
+:data:`PLAN_MEMORY` off (tests only) builds unplanned programs that keep
+their recorded arrays.
 """
 
 from __future__ import annotations
@@ -118,8 +119,8 @@ __all__ = [
 #: built; tests switch it off to measure an unplanned program.
 PLAN_MEMORY = True
 
-#: Fill the whole pool with NaN at each change of tenant, each arena range
-#: after its last reader, and the workspace after each forward call, so that
+#: Fill the whole pool with NaN at each claim, each arena range after its
+#: last reader, and the workspace after each forward call, so that
 #: a read of a dead buffer shows as NaN in a result.  Read at run time;
 #: tests switch it on.
 POISON_FREED = False
@@ -497,7 +498,6 @@ class ReplayProgram:
         self._placed: List[tuple] = []
         self._arena: Tuple[int, int] = (0, 0)
         self._planned = False
-        self._bound: Optional[np.ndarray] = None
         if PLAN_MEMORY:
             self.pool = pool if pool is not None else Pool()
             self._lay_out_outputs(live)
@@ -569,11 +569,11 @@ class ReplayProgram:
 
     @property
     def arena(self) -> Optional[np.ndarray]:
-        """The planned gradient arena's bytes while the program is bound, else ``None``."""
-        if not self._planned or self._bound is None:
+        """The planned gradient arena's bytes in the pool (``None`` before the plan)."""
+        if not self._planned:
             return None
         start, stop = self._arena
-        return self._bound[start:stop]
+        return self.pool.buffer[start:stop]
 
     def set_optimizer_params(self, params: Sequence[Tensor]) -> None:
         """Declare optimizer-owned params; ones outside the recorded graph get
@@ -609,15 +609,13 @@ class ReplayProgram:
         self._fwd_instrs = [
             (i, bufs[i.out]) for i in self.instructions if not i.folded and not i.view_skip
         ]
-        self._bound = buffer
 
     def evict(self) -> None:
-        """Drop every view of the pool (the tenant protocol of :class:`~repro.nn.kernels.Pool`)."""
+        """End the program's turn in its pool: drop every view of it."""
         self._bind(None)
 
     def run(self) -> float:
         """Replay the recorded step; returns the loss value."""
-        bufs = self._bufs
         for slot in self.param_slots:
             if slot.tensor.data is not slot.buffer:
                 raise TapeStale("a parameter buffer was replaced since recording")
@@ -630,12 +628,19 @@ class ReplayProgram:
             if not isinstance(src, np.ndarray) or src.shape != slot.shape:
                 raise TapeStale("a dynamic input changed shape since recording")
             np.copyto(slot.buffer, src)
-        if self.pool is not None:
-            self.pool.reserve(self.workspace.end)  # the layout so far: outputs, scratch, arena
-            buffer = self.pool.claim(self)
-            if buffer is not self._bound:
-                self._bind(buffer)
+        if self.pool is None:
+            return self._execute()
+        self.pool.reserve(self.workspace.end)  # the layout so far: outputs, scratch, arena
+        self._bind(self.pool.claim())
+        try:
+            return self._execute()
+        finally:
+            self.evict()
 
+    def _execute(self) -> float:
+        """The forward and backward of one run, in the bound buffers."""
+        bufs = self._bufs
+        pouts = self._pouts
         for instr in self._dyn_instrs:
             attrs = dict(instr.attrs)
             for key, pidx, pos in instr.dyn_attrs:
@@ -684,7 +689,7 @@ class ReplayProgram:
                             np.copyto(buf, ub)
                             received[psid] = 1
             elif tag:
-                _poison(self._bound[item[0]:item[1]])  # an arena range after its last reader
+                _poison(self.pool.buffer[item[0]:item[1]])  # an arena range after its last reader
             else:
                 slot = item
                 slot.tensor.grad = pending[slot.index]
@@ -703,8 +708,7 @@ class ReplayProgram:
         the forward wrote.  A step's buffers overlap in lifetime, so a VJP
         never writes where its input gradient lies.  A buffer that holds a
         parameter's gradient stays where it is, out of the pool.  The arena
-        follows the workspace in the pool; the program is evicted, so the
-        next run binds the plan.
+        follows the workspace in the pool, and the next run binds the plan.
         """
         end = len(self._schedule)
         grads = dict(self._pending)
@@ -762,7 +766,6 @@ class ReplayProgram:
             self._poisoned.extend((2, memory) for memory in dead.get(step, ()))
         self._planned = True
         self.workspace.end = self._arena[1]  # a later region goes past the arena
-        self.evict()
 
 
 def _owner(array: np.ndarray) -> np.ndarray:

@@ -4,7 +4,9 @@
   so eager autodiff and graph replay share one ``fwd``/``vjp`` per op;
 * the table holds exactly the engine's 35 ops;
 * an eager node keeps only what its VJP reads (ELU's forward scratch is a
-  temporary, not node state);
+  temporary, not node state), and its VJP keeps no gradient it returns,
+  which a planned program's keeps for its plan to place, bit for bit the
+  same;
 * ELU's in-place form equals the textbook ``np.where`` forms bit for bit,
   and rejects any alpha outside (0, inf);
 * the ``getitem`` VJP, which assigns when the index names distinct rows,
@@ -22,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
-from repro.nn.kernels import KERNELS, Kernel, elu, linear, sigmoid
+from repro.nn.kernels import KERNELS, Kernel, Workspace, elu, linear, sigmoid
 from repro.nn.modules import resolve_activation
 from repro.nn.tape import TapeRecorder, dynamic
 from repro.nn.tensor import Tensor, concatenate, dtype_scope, stack
@@ -133,6 +135,26 @@ def test_eager_elu_node_keeps_only_its_mask():
     kernel, attrs, ctx = out._backward
     assert kernel is KERNELS["elu"]
     assert ctx == {}
+
+
+def test_an_eager_vjp_keeps_no_gradient_it_returns():
+    """Eager mode frees a gradient once its parent used it; a planned
+    program's ctx (it holds the program's workspace) keeps the same bits."""
+    rng = np.random.default_rng(2)
+    a, b, grad = (rng.normal(size=(4, 3)) for _ in range(3))
+    for op, ins, needs in [("mul", (a, b), (True, True)), ("neg", (a,), (True,))]:
+        kernel = KERNELS[op]
+        out = kernel.fwd(None, ins, None, {})
+        ctx: dict = {}
+        eager = kernel.vjp(grad, ins, out, None, ctx, needs)
+        assert ctx == {}
+        planned_ctx = {Workspace: Workspace()}
+        planned = kernel.vjp(grad, ins, out, None, planned_ctx, needs)
+        kept = [value for value in planned_ctx.values() if isinstance(value, np.ndarray)]
+        assert len(kept) == len(planned)
+        for got, want in zip(planned, eager):
+            assert any(got is buffer for buffer in kept)
+            np.testing.assert_array_equal(got, want)
 
 
 # --------------------------------------------------------------------------- #

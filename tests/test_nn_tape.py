@@ -435,14 +435,15 @@ class TestReplayLifetime:
 def _resident_bytes(program):
     """Bytes of the memory a program's op outputs, ctx, ``_pending``, arena
     and workspace hold, each block counted once, views included.  A planned
-    program keeps its op outputs in its pool, so they count on both sides."""
+    program keeps its op outputs, workspace and arena in its pool, which
+    counts whole."""
     arrays = [value for instr in program.instructions for value in instr.ctx.values()]
     arrays += [buf for slot, buf in zip(program.slots, program._bufs) if slot.kind == "op"]
     arrays += list(program._pending.values())
     if program.workspace is not None:
         arrays += list(program.workspace.buffers.values())
-    if program.arena is not None:
-        arrays.append(program.arena)
+    if program.pool is not None:
+        arrays.append(program.pool.buffer)
     owners = {}
     for array in arrays:
         if not isinstance(array, np.ndarray):
@@ -494,9 +495,16 @@ class TestMemoryPlan:
         for _ in range(2):
             value = program.run()
         assert program.arena is not None and program.arena.size > 0
+        # A run ends evicted: bind the pool's bytes (without a claim, which
+        # would poison them all) to read what the run left there.
+        program._bind(program.pool.buffer)
         outer = [instr for instr in program.instructions if instr.op == "elu"][1]
         assert np.isnan(outer.ctx["g"]).all()
-        assert all(np.isnan(buf).all() for buf in program.workspace.buffers.values())
+        workspace = program.workspace
+        assert workspace._regions
+        for (key, dtype), (_, size) in workspace._regions.items():
+            assert np.isnan(workspace.take(key, (size,), dtype)).all()
+        program.evict()
         eager_value, [eager_grad] = _eager(build, arrays)
         assert value == eager_value
         np.testing.assert_array_equal(leaves[0].grad, eager_grad)

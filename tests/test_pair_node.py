@@ -15,13 +15,14 @@ keeps one workspace for one fit.  This file pins:
 * with a warm workspace, an objective call and its backward peak below one
   ``(P, k, n)`` block above their start;
 * a fit creates one pool, which its replay program and its weight steps
-  take turns in: a pool evicts its tenant at a switch and before it grows,
-  and a weight step's features are views of the buffer the program's op
-  outputs live in, while the first weight step runs beside no recorded op
-  output; the weight step's layout and buffer hold from one weight step to
-  the next, and the fit drops the pool and its parameters' gradients when
-  it returns or raises; a fitted estimator's deep copy carries none and
-  refits; two trainers fitting in two threads share none.
+  take turns in: each turn ends with no view of the pool, so a buffer the
+  pool replaces dies at once, and a weight step's features are views of
+  the buffer the program's op outputs live in, while the first weight
+  step runs beside no recorded op output; the weight step's layout and
+  buffer hold from one weight step to the next, and the fit drops the pool
+  and its parameters' gradients when it returns or raises; a fitted
+  estimator's deep copy carries none and refits; two trainers fitting in
+  two threads share none.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import copy
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -215,41 +217,43 @@ def test_warm_workspace_objective_call_peaks_below_one_pair_block():
 # --------------------------------------------------------------------------- #
 # The fit's pool
 # --------------------------------------------------------------------------- #
-class _Tenant:
-    def __init__(self):
-        self.evictions = 0
-
-    def evict(self):
-        self.evictions += 1
-
-
-def test_pool_evicts_every_tenant_viewing_it_before_it_grows():
+def test_pool_grows_to_the_largest_reservation_at_a_claim():
     pool = Pool()
-    program, weights = _Tenant(), _Tenant()
     pool.reserve(256)
-    first = pool.claim(program)
+    first = pool.claim()
     assert first.nbytes == 256
-    assert pool.claim(program) is first
-    assert pool.claim(weights) is first  # a switch alone keeps the views
+    assert pool.claim() is first
     pool.reserve(128)  # smaller than the buffer: no growth
-    assert pool.claim(program) is first
-    assert (program.evictions, weights.evictions) == (0, 0)
+    assert pool.claim() is first
     pool.reserve(1024)
-    grown = pool.claim(weights)
+    grown = pool.claim()
     assert grown.nbytes == 1024 and grown is not first
-    assert (program.evictions, weights.evictions) == (1, 1)
-    pool.reserve(2048)
-    pool.claim(weights)  # the program has not claimed the new buffer
-    assert (program.evictions, weights.evictions) == (1, 2)
 
 
-def test_pool_poisons_the_whole_buffer_at_a_switch(monkeypatch):
+def test_turns_that_grow_the_pool_leave_no_old_buffer_alive():
+    """Each tenant drops its views when its turn ends, so a buffer the pool
+    replaces dies at once, also when one tenant grows it twice in a row
+    and the other grows it next."""
+    pool = Pool()
+    program, weights = Workspace(pool), Workspace(pool)
+    pool.reserve(64)
+    buffers, growths = [weakref.ref(pool.buffer)], 0
+    for tenant, size in [(program, 16), (program, 32), (weights, 64), (program, 4)]:
+        tenant.claim()
+        growths += buffers[-1]() is not pool.buffer
+        buffers.append(weakref.ref(pool.buffer))
+        assert all(ref() is None or ref() is pool.buffer for ref in buffers)
+        tenant.take("block", (size,), np.float64)  # past the buffer: the next claim grows it
+        tenant.evict()
+    assert growths == 4
+
+
+def test_pool_poisons_the_whole_buffer_at_each_claim(monkeypatch):
     monkeypatch.setattr(tape, "POISON_FREED", True)
     pool = Pool()
-    program, weights = _Tenant(), _Tenant()
     pool.reserve(64)
-    pool.claim(program).view(np.float64)[:] = 1.0
-    assert np.isnan(pool.claim(weights).view(np.float64)).all()
+    pool.claim().view(np.float64)[:] = 1.0
+    assert np.isnan(pool.claim().view(np.float64)).all()
 
 
 def test_pooled_workspace_keeps_its_layout_and_maps_what_does_not_fit():
@@ -364,22 +368,36 @@ def test_weight_step_features_share_the_buffer_of_the_program_op_outputs(train, 
         features_owner.append({id(owner(f.data)) for f in prepared.features.values()})
         return prepared
 
-    run = ReplayProgram.run
+    bind = ReplayProgram._bind
 
-    def spy_run(self):
-        loss = run(self)
-        if self._bound is not None:  # the planning run ends evicted
+    def spy_bind(self, buffer):
+        bind(self, buffer)
+        if buffer is not None:  # a run's start
             outputs_owner.append({id(owner(self._bufs[sid])) for sid, _ in self._outputs})
-        return loss
 
     monkeypatch.setattr(HierarchicalAttentionLoss, "prepare", spy_prepare)
-    monkeypatch.setattr(ReplayProgram, "run", spy_run)
+    monkeypatch.setattr(ReplayProgram, "_bind", spy_bind)
     HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0).fit(train)
-    # Weight steps at iterations 0, 2, ..., 10; the program runs from 1 on
-    # and plans its memory in its first run.
-    assert len(features_owner) == 6 and len(outputs_owner) == 9
+    # Weight steps at iterations 0, 2, ..., 10; the program runs from 1 on.
+    assert len(features_owner) == 6 and len(outputs_owner) == 10
     shared = features_owner[-1]
     assert len(shared) == 1 and outputs_owner[-1] == shared
+
+
+def test_every_turn_in_a_fits_pool_ends_with_no_view_of_it(train, monkeypatch):
+    """The program and the weight step drop their views when their turn
+    ends: at every claim only the pool holds its buffer, so a claim that
+    replaces the buffer frees the old one at once."""
+    holders = []
+    claim = Pool.claim
+
+    def spy(self):
+        holders.append(sys.getrefcount(self.buffer) - 1)  # less getrefcount's own
+        return claim(self)
+
+    monkeypatch.setattr(Pool, "claim", spy)
+    HTEEstimator(backbone="cfr", framework="sbrl-hap", config=_config(), seed=0).fit(train)
+    assert holders == [1] * 16  # 10 runs and 6 weight steps
 
 
 def test_first_weight_step_runs_beside_no_recorded_op_output(train, monkeypatch):

@@ -75,7 +75,7 @@ def _stub_runs(pairs, monkeypatch, results):
     calls = []
 
     def run_once(directory, workload, seed, seconds):
-        calls.append((directory, seed))
+        calls.append((directory, seed, seconds))
         return results[len(calls) - 1]
 
     monkeypatch.setattr(pairs, "run_once", run_once)
@@ -83,9 +83,11 @@ def _stub_runs(pairs, monkeypatch, results):
 
 
 def _trees(tmp_path):
-    for side in ("parent", "change"):
+    for side, seconds in (("parent", 7), ("change", 30)):
         (tmp_path / side).mkdir()
-        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+        (tmp_path / side / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": seconds, "end_to_end": END_TO_END})
+        )
     return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
 
 
@@ -94,9 +96,13 @@ def test_pairs_alternate_the_first_side_and_take_one_seed_each(pairs, monkeypatc
     calls = _stub_runs(pairs, monkeypatch, [result] * 6)
     argv = _trees(tmp_path) + ["--workload", "grid", "--pairs", "3", "--first-seed", "40"]
     assert pairs.main(argv) == 0
-    sides = [pathlib.Path(directory).name for directory, _ in calls]
+    sides = [pathlib.Path(directory).name for directory, _, _ in calls]
     assert sides == ["parent", "change", "change", "parent", "parent", "change"]
-    assert [seed for _, seed in calls] == [40, 40, 41, 41, 42, 42]
+    assert [seed for _, seed, _ in calls] == [40, 40, 41, 41, 42, 42]
+    # Both sides run for the parent's benchmark length; no flag changes it.
+    assert {seconds for _, _, seconds in calls} == {7}
+    with pytest.raises(SystemExit):
+        pairs.main(argv + ["--seconds", "5"])
     assert "0/3/0" in capsys.readouterr().out
     assert sorted(path.name for path in tmp_path.rglob("*") if path.is_file()) == [
         "BENCHMARK.json", "BENCHMARK.json",
