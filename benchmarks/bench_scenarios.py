@@ -1,23 +1,28 @@
 #!/usr/bin/env python
 """Run the scenario-matrix stress test and record the degradation profiles.
 
-Writes ``BENCH_scenarios.json`` with per-(scenario, severity, method)
-PEHE / ATE-error aggregates and cross-severity degradation slopes for every
-registered scenario — the original six axes (overlap violation, hidden
+The record holds per-(scenario, severity, method) PEHE / ATE-error
+aggregates and cross-severity degradation slopes for every registered
+scenario — the original six axes (overlap violation, hidden
 confounding, outcome-noise pathologies, sparse high-dimensional covariates,
 nonlinear surfaces, label flip noise) plus instrument decay, covariate
 measurement error, temporal drift, selection on the outcome and the
-compound overlap x hidden-confounding interaction.
+compound overlap x hidden-confounding interaction.  A full run with no
+``--output`` rewrites the committed ``BENCH_scenarios.json`` at the
+repository root; a ``--smoke`` run writes a record only where ``--output``
+points.
 
 Run from the repository root::
 
     PYTHONPATH=src python benchmarks/bench_scenarios.py            # full-severity run
-    PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke    # CI seconds-scale run
+    PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke \
+        --output BENCH_scenarios_smoke.json                        # CI seconds-scale run
 
     # parallel==serial gate (CI scheduler-smoke): compare cell metrics
     # against a previously written record and fail on any difference
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke \
-        --n-jobs 2 --check-against BENCH_scenarios_smoke.json
+        --n-jobs 2 --check-against BENCH_scenarios_smoke.json \
+        --output BENCH_scenarios_smoke_crosscell.json
 
     # grid-level wall-clock comparison: run the grid at n_jobs=1 AND at
     # n_jobs=N at the same seed, verify equality, record both
@@ -28,7 +33,8 @@ Run from the repository root::
     # separate caches and unioned by file copy, from which the unsharded
     # run must assemble the record bit for bit with 0 misses
     PYTHONPATH=src python benchmarks/bench_scenarios.py --smoke \
-        --scenario overlap --scenario flip-noise --cache-selftest
+        --scenario overlap --scenario flip-noise --cache-selftest \
+        --output BENCH_scenarios_cache_smoke.json
 
 Like ``bench_training.py`` this is a plain script executed in CI on every
 push; the JSON is uploaded as an artifact so the robustness trajectory is
@@ -53,7 +59,7 @@ if os.path.isdir(_SRC) and _SRC not in sys.path:
 
 from dataclasses import replace  # noqa: E402
 
-from repro.experiments.reporting import write_record  # noqa: E402
+from repro.experiments.reporting import write_script_record  # noqa: E402
 from repro.experiments.scenario_suite import (  # noqa: E402
     ScenarioSuiteConfig,
     compare_scenario_records,
@@ -80,7 +86,7 @@ def _report(differences, message: str) -> int:
     return 1
 
 
-def _cache_selftest(config: ScenarioSuiteConfig, output: str) -> int:
+def _cache_selftest(config: ScenarioSuiteConfig):
     """CI cache-smoke gate: cold run, 100%-hit warm run, shard assembly.
 
     Runs the grid cold against a result cache, re-runs it warm (every unit
@@ -88,8 +94,8 @@ def _cache_selftest(config: ScenarioSuiteConfig, output: str) -> int:
     the same grid as shards 1/2 and 2/2 into two fresh cache directories,
     copies both into a third, and runs the grid unsharded over the union:
     it must be served entirely from the cache (0 misses) and match the
-    cold record bit for bit.  Writes the cold record (with a
-    ``cache_smoke`` block) to ``output``.
+    cold record bit for bit.  Returns the cold record (with a
+    ``cache_smoke`` block) and the exit code: 1 on any failure.
     """
     with tempfile.TemporaryDirectory(prefix="scenario-cache-smoke-") as workdir:
         cache_dir = config.cache_dir or os.path.join(workdir, "cache")
@@ -156,8 +162,7 @@ def _cache_selftest(config: ScenarioSuiteConfig, output: str) -> int:
         "shard_assembly_identical": not differences,
         "passed": failures == 0,
     }
-    print(f"\nwrote {write_record(cold, output)}")
-    return 1 if failures else 0
+    return cold, 1 if failures else 0
 
 
 def main(argv=None) -> int:
@@ -214,8 +219,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--output",
-        default=os.path.join(os.path.dirname(_SRC), "BENCH_scenarios.json"),
-        help="where to write the JSON record (default: repo root)",
+        default=None,
+        help="where to write the JSON record (default: BENCH_scenarios.json at the repo "
+        "root; a --smoke run writes nothing unless given)",
     )
     args = parser.parse_args(argv)
 
@@ -234,8 +240,11 @@ def main(argv=None) -> int:
         shard=args.shard,
     )
 
+    committed = os.path.join(os.path.dirname(_SRC), "BENCH_scenarios.json")
     if args.cache_selftest:
-        return _cache_selftest(config, args.output)
+        record, status = _cache_selftest(config)
+        write_script_record(record, args.output, args.smoke, committed)
+        return status
 
     if args.compare_scheduler_jobs is not None:
         # Both comparison legs must actually execute the grid — a warm
@@ -279,8 +288,7 @@ def main(argv=None) -> int:
             return 1
         print(f"cell metrics identical to {args.check_against}")
 
-    path = write_record(result, args.output)
-    print(f"\nwrote {path}")
+    write_script_record(result, args.output, args.smoke, committed)
     return report_error_cells(result)
 
 

@@ -21,7 +21,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ...nn.kernels import Workspace
 from ...nn.tensor import Tensor, as_tensor
 from ..backbones.base import BackboneForward
 from ..config import RegularizerConfig
@@ -61,16 +60,12 @@ class PreparedForward:
     treatment groups and their representation rows; no kernel blocks) and
     ``features`` (each decorrelated layer's RFF features, by layer key) are
     filled only when no subsampling applies; otherwise the rows change on
-    every evaluation and each call computes them itself.  ``workspace``,
-    when given, lends every HSIC pair node and RBF-MMD sweep its working
-    blocks, with or without subsampling, and holds the features when it is
-    a pool's; the loss is the same either way.
+    every evaluation and each call computes them itself.
     """
 
     forward: BackboneForward
     groups: Optional[BalanceGroups] = None
     features: Dict[str, Tensor] = field(default_factory=dict)
-    workspace: Optional[Workspace] = None
 
 
 class HierarchicalAttentionLoss:
@@ -136,12 +131,7 @@ class HierarchicalAttentionLoss:
                 layers.extend((f"Zo{i}", layer) for i, layer in enumerate(forward.other_layers))
         return layers
 
-    def prepare(
-        self,
-        forward: BackboneForward,
-        treatment: np.ndarray,
-        workspace: Optional[Workspace] = None,
-    ) -> PreparedForward:
+    def prepare(self, forward: BackboneForward, treatment: np.ndarray) -> PreparedForward:
         """Compute the parts of ``L_w`` that depend only on the activations.
 
         These are the treatment groups with their representation rows and
@@ -151,11 +141,11 @@ class HierarchicalAttentionLoss:
         Above ``subsample_threshold`` rows the anchors and rows are redrawn
         on every evaluation, so nothing is hoisted.  Fresh RFF draws happen
         here, in layer order, exactly as a first loss call would make them.
-        The features are written into ``workspace`` when it is a pool's, and
-        it is carried into every evaluation of the result (the trainer
-        passes its weight step's layout in the fit's pool).
+        In the turn of a pooled workspace the features live in the pool
+        (see :meth:`IndependenceRegularizer.features`), so the result is
+        valid until that turn ends.
         """
-        prepared = PreparedForward(forward, workspace=workspace)
+        prepared = PreparedForward(forward)
         threshold = self.config.subsample_threshold
         if threshold is not None and len(np.ravel(treatment)) > threshold:
             return prepared
@@ -163,7 +153,7 @@ class HierarchicalAttentionLoss:
             prepared.groups = self.balancing.prepare(forward.representation, treatment)
         for key, layer in self._decorrelated_layers(forward):
             if layer.ndim == 2 and layer.shape[1] >= 2:
-                prepared.features[key] = self.independence.features(layer, key, workspace)
+                prepared.features[key] = self.independence.features(layer, key)
         return prepared
 
     def loss(
@@ -191,13 +181,7 @@ class HierarchicalAttentionLoss:
 
         if self.use_balance and cfg.alpha > 0:
             balance = (
-                self.balancing(
-                    forward.representation,
-                    treatment,
-                    weights,
-                    groups=prepared.groups,
-                    workspace=prepared.workspace,
-                )
+                self.balancing(forward.representation, treatment, weights, groups=prepared.groups)
                 * cfg.alpha
             )
             total = total + balance
@@ -206,13 +190,7 @@ class HierarchicalAttentionLoss:
         # L_D per priority: Zp (gamma1), Zr (gamma2) and the sum over Zo* (gamma3).
         sums: Dict[str, Tensor] = {}
         for key, layer in self._decorrelated_layers(forward):
-            term = self.independence(
-                layer,
-                weights,
-                key=key,
-                features=prepared.features.get(key),
-                workspace=prepared.workspace,
-            )
+            term = self.independence(layer, weights, key=key, features=prepared.features.get(key))
             priority = key[:2]
             sums[priority] = term if priority not in sums else sums[priority] + term
         values = {"Zp": 0.0, "Zr": 0.0, "Zo": 0.0}

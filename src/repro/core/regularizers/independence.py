@@ -27,7 +27,7 @@ from ...metrics.hsic import (
     weighted_pairs_hsic_rff,
 )
 from ...metrics.subsampling import subsample_indices
-from ...nn.kernels import Workspace
+from ...nn.kernels import lent_region
 from ...nn.tensor import Tensor, as_tensor
 
 __all__ = ["IndependenceRegularizer"]
@@ -73,22 +73,20 @@ class IndependenceRegularizer:
         self._feature_cache[key] = cached
         return cached
 
-    def features(self, layer: Tensor, key: str = "Zp", workspace: Optional[Workspace] = None) -> Tensor:
+    def features(self, layer: Tensor, key: str = "Zp") -> Tensor:
         """``(c, k, n)`` RFF features of every column of ``layer`` under the key's draws.
 
-        With a workspace over a :class:`~repro.nn.kernels.Pool` the
-        features are a constant written into its ``("rff", key)`` region,
-        valid until another tenant claims the pool; ``layer`` must then take
-        no gradient.  A workspace of its own would only keep the features'
-        bytes from one weight step to the next, so it is not used for them.
+        In the turn of a workspace over a :class:`~repro.nn.kernels.Pool`
+        (the trainer's weight step in a fit that replays) the features are
+        a constant written into the pool's ``("rff", key)`` region, valid
+        until the turn ends; ``layer`` must then take no gradient.  A
+        workspace of its own would only keep the features' bytes from one
+        weight step to the next, so it is not used for them.
         """
         layer = as_tensor(layer)
         draws = self._draws_for(key, layer.shape[1])
-        out = None
-        if workspace is not None and workspace.pool is not None:
-            shape = (layer.shape[1], self.num_rff_features, layer.shape[0])
-            out = workspace.take(("rff", key), shape, layer.data.dtype)
-        return column_rff_features(layer, draws, out)
+        shape = (layer.shape[1], self.num_rff_features, layer.shape[0])
+        return column_rff_features(layer, draws, lent_region(("rff", key), shape, layer.data.dtype))
 
     def loss(
         self,
@@ -96,16 +94,13 @@ class IndependenceRegularizer:
         sample_weights: Tensor,
         key: str = "Zp",
         features: Optional[Tensor] = None,
-        workspace: Optional[Workspace] = None,
     ) -> Tensor:
         """Return ``L_D(layer, w)`` (Eq. 10) for one activation matrix.
 
         ``features`` is :meth:`features` of the same ``layer``; passing it
         skips both the RFF transform and the row subsampling, so it is only
-        valid where no subsampling applies.  ``workspace`` lends the pair
-        node its working blocks (see
-        :func:`~repro.metrics.hsic.weighted_pairs_hsic_rff`); the value and
-        gradients are the same with or without it.
+        valid where no subsampling applies.  Without it the features are
+        computed here, per call, outside any pool.
         """
         layer = as_tensor(layer)
         if layer.ndim != 2:
@@ -120,9 +115,9 @@ class IndependenceRegularizer:
                 if keep is not None:
                     layer = layer[keep]
                     weights = weights[keep]
-            features = self.features(layer, key)
+            features = column_rff_features(layer, self._draws_for(key, num_columns))
         left, right = draw_pairs(num_columns, self.max_pairs, self._pair_rng)
-        return weighted_pairs_hsic_rff(features, weights, left, right, workspace)
+        return weighted_pairs_hsic_rff(features, weights, left, right)
 
     def __call__(
         self,
@@ -130,6 +125,5 @@ class IndependenceRegularizer:
         sample_weights: Tensor,
         key: str = "Zp",
         features: Optional[Tensor] = None,
-        workspace: Optional[Workspace] = None,
     ) -> Tensor:
-        return self.loss(layer, sample_weights, key=key, features=features, workspace=workspace)
+        return self.loss(layer, sample_weights, key=key, features=features)

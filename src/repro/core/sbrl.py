@@ -390,33 +390,29 @@ class SBRLTrainer:
         )
         # Everything that depends only on the frozen activations (treatment
         # groups, RFF features) is computed once for all inner steps.  The
-        # weight step claims the fit's pool for its features and the inner
-        # steps' working blocks, over the replay program's dead bytes.
-        if self._workspace is not None:
-            self._workspace.claim()
+        # weight step is a turn of the fit's workspace: in a fit that
+        # replays, its features and the inner steps' working blocks lie in
+        # the fit's pool, over the replay program's dead bytes.
         prepare = getattr(self.weight_objective, "prepare", None)
-        objective_input = (
-            constant_forward
-            if prepare is None
-            else prepare(constant_forward, treatment, workspace=self._workspace)
-        )
         last_value = float("nan")
-        for _ in range(cfg.weight_steps_per_iteration):
-            weights = (
-                self.sample_weights.tensor
-                if indices is None
-                else self.sample_weights.tensor[indices]
+        with self._workspace.turn():
+            objective_input = (
+                constant_forward if prepare is None else prepare(constant_forward, treatment)
             )
-            weight_loss = (
-                self.weight_objective(objective_input, treatment, weights)
-                + self.sample_weights.anchor_penalty(indices)
-            )
-            self.sample_weights.zero_grad()
-            weight_loss.backward()
-            self.sample_weights.step()
-            last_value = weight_loss.item()
-        if self._workspace is not None:
-            self._workspace.evict()  # its turn in the pool ends
+            for _ in range(cfg.weight_steps_per_iteration):
+                weights = (
+                    self.sample_weights.tensor
+                    if indices is None
+                    else self.sample_weights.tensor[indices]
+                )
+                weight_loss = (
+                    self.weight_objective(objective_input, treatment, weights)
+                    + self.sample_weights.anchor_penalty(indices)
+                )
+                self.sample_weights.zero_grad()
+                weight_loss.backward()
+                self.sample_weights.step()
+                last_value = weight_loss.item()
         return last_value
 
     def _evaluation_loss(self, dataset: CausalDataset) -> float:

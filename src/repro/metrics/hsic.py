@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.kernels import Workspace
 from ..nn.tensor import Tensor, as_tensor, stack
 
 __all__ = [
@@ -227,18 +226,16 @@ def weighted_pairs_hsic_rff(
     weights: Tensor,
     left: np.ndarray,
     right: np.ndarray,
-    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """Sum of weighted HSIC-RFF over the column pairs ``(left[p], right[p])``.
 
     ``features`` is a :func:`column_rff_features` block; the weights are
-    normalised to a distribution and the whole sum is one fused node,
-    whose working blocks come from ``workspace`` when given (see
+    normalised to a distribution and the whole sum is one fused node (see
     :func:`repro.nn.functional.weighted_pair_sq_cross_cov`).
     """
     weights = as_tensor(weights).reshape(-1)
     probs = weights / (weights.sum() + 1e-12)
-    return F.weighted_pair_sq_cross_cov(features, probs, left, right, workspace)
+    return F.weighted_pair_sq_cross_cov(features, probs, left, right)
 
 
 def weighted_hsic_rff(

@@ -26,7 +26,6 @@ from typing import Optional
 import numpy as np
 
 from ..nn import functional as F
-from ..nn.kernels import Workspace
 from ..nn.tensor import Tensor, as_tensor
 
 __all__ = [
@@ -225,7 +224,6 @@ def mmd_rbf_weighted(
     weights_control: Optional[Tensor] = None,
     weights_treated: Optional[Tensor] = None,
     sigma: float = 1.0,
-    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """Differentiable RBF MMD between weighted group representations.
 
@@ -233,9 +231,8 @@ def mmd_rbf_weighted(
     normalised weights: with four differentiable leaf inputs a call's graph
     has 13 nodes (the leaves included), against 23 for the kernel-block
     composition.  The node sweeps the stacked kernel in tiles, so no
-    ``n × m`` block is kept; a lent ``workspace`` holds its rows and tile.
-    The value and gradients match the composition's within a relative
-    1e-12.
+    ``n × m`` block is kept.  The value and gradients match the
+    composition's within a relative 1e-12.
     """
     rep_control = as_tensor(rep_control)
     rep_treated = as_tensor(rep_treated)
@@ -245,7 +242,6 @@ def mmd_rbf_weighted(
         _normalised(weights_control, rep_control.shape[0]),
         _normalised(weights_treated, rep_treated.shape[0]),
         sigma,
-        workspace,
     )
 
 
@@ -267,12 +263,19 @@ def weighted_ipm(
     weights_control: Optional[Tensor] = None,
     weights_treated: Optional[Tensor] = None,
     kind: str = "mmd_linear",
-    **kwargs,
+    *,
+    sigma: Optional[float] = None,
 ) -> Tensor:
     """Differentiable weighted IPM dispatch (the paper's L_B, Eq. 4).
 
-    ``kwargs`` (``sigma``, ``workspace``) reach :func:`mmd_rbf_weighted` only.
+    ``sigma`` is the RBF kernel's bandwidth (default 1.0, as in
+    :func:`mmd_rbf_weighted`).  The linear MMD has no kernel, so passing
+    one with ``kind="mmd_linear"`` raises ``ValueError``.
     """
     if check_weighted_ipm_kind(kind) == "mmd_linear":
+        if sigma is not None:
+            raise ValueError("sigma applies to kind='mmd_rbf' only; the linear MMD has no kernel")
         return mmd_linear_weighted(rep_control, rep_treated, weights_control, weights_treated)
-    return mmd_rbf_weighted(rep_control, rep_treated, weights_control, weights_treated, **kwargs)
+    return mmd_rbf_weighted(
+        rep_control, rep_treated, weights_control, weights_treated, 1.0 if sigma is None else sigma
+    )

@@ -35,8 +35,12 @@ Numeric contract:
   composition it replaced, so it matches that within a relative 1e-12,
   not bitwise (``tests/test_weight_objective.py`` keeps the old
   compositions as the reference); its gradients are the unit gradients
-  times ``g``, and a lent :class:`~repro.nn.kernels.Workspace` changes no
-  bit of its value or gradients;
+  times ``g``;
+* the working blocks of both scalar regularizer nodes come from the
+  :class:`~repro.nn.kernels.Workspace` lent to the running turn on this
+  thread (a replay run, or the trainer's weight step), else from
+  temporaries; where they come from changes no bit of a value or
+  gradient;
 * end to end, the golden-regression suite pins fitted metrics at a
   relative 1e-5.
 """
@@ -48,7 +52,6 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .kernels import Workspace
 from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype, is_grad_enabled
 
 __all__ = [
@@ -215,7 +218,6 @@ def weighted_pair_sq_cross_cov(
     probs: ArrayLike,
     left: np.ndarray,
     right: np.ndarray,
-    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """``Σ_p ||C_w(u_{left[p]}, u_{right[p]})||²`` over the selected column pairs, fused.
 
@@ -233,9 +235,9 @@ def weighted_pair_sq_cross_cov(
     the node saves no ``(P, k, n)`` block.  The feature gradient is formed
     only when grad mode is on and ``features`` requires a gradient;
     ``attrs`` records that choice, so a replayed program repeats it.  The
-    working blocks come from ``workspace`` when given (a caller that
-    evaluates many nodes keeps their pages resident that way) and are
-    temporaries otherwise.
+    working blocks come from the workspace lent to the running turn (a
+    caller that evaluates many nodes keeps their pages resident that way)
+    and are temporaries otherwise.
     """
     f_t = as_tensor(features)
     p_t = as_tensor(probs)
@@ -257,7 +259,6 @@ def weighted_pair_sq_cross_cov(
         "left": np.asarray(left, dtype=np.intp),
         "right": np.asarray(right, dtype=np.intp),
         "products": "full" if full else "weights",
-        "workspace": workspace,
     }
     return _apply("weighted_pair_sq_cross_cov", (f_t, p_t), attrs)
 
@@ -271,7 +272,6 @@ def weighted_rbf_mmd(
     weights_control: ArrayLike,
     weights_treated: ArrayLike,
     sigma: float = 1.0,
-    workspace: Optional[Workspace] = None,
 ) -> Tensor:
     """Weighted RBF-MMD ``w_cᵀK_cc w_c + w_tᵀK_tt w_t - 2 w_cᵀK_ct w_t``, one node.
 
@@ -282,10 +282,11 @@ def weighted_rbf_mmd(
     block outlives its tile.  The representation products run only when
     grad mode is on and a representation requires a gradient; ``attrs``
     records that choice, so a replayed program repeats it.  The sweep's
-    augmented rows, weight block, accumulator and tile come from
-    ``workspace`` when given (the weight step lends its pool region), else
-    from the node's own temporaries.  The value and gradients match the RBF
-    kernel-block composition within a relative 1e-12.
+    augmented rows, weight block, accumulator and tile come from the
+    workspace lent to the running turn (a replay run's, or the weight
+    step's in the fit's pool), else from the node's own temporaries.  The
+    value and gradients match the RBF kernel-block composition within a
+    relative 1e-12.
     """
     parents = tuple(
         [as_tensor(x) for x in (rep_control, rep_treated, weights_control, weights_treated)]
@@ -304,6 +305,5 @@ def weighted_rbf_mmd(
     attrs = {
         "scale": -1.0 / (2.0 * sigma ** 2),
         "products": "full" if full else "weights",
-        "workspace": workspace,
     }
     return _apply("weighted_rbf_mmd", parents, attrs)

@@ -20,16 +20,16 @@ Kernel signature::
   into it and returns it.
 * ``ctx`` is a per-node dict in eager mode (dropped when the graph is
   released) and a per-instruction dict that persists across runs in
-  replay.  Values the VJP reads are kept there with :func:`_scratch`;
-  forward-only scratch comes from :func:`_tmp`, which is a plain
-  temporary in eager mode so an eager node holds no more than its VJP
-  needs, and in replay a view from the program's one workspace.  An op
-  whose caller lends it a :class:`Workspace` (through ``attrs``) takes
-  its forward-only blocks from there instead.
+  replay, where it holds the program's :class:`Workspace`.  Values the
+  VJP reads are kept there with :func:`_scratch`; forward-only scratch
+  comes from :func:`_tmp`: a view from the workspace lent to the running
+  :meth:`Workspace.turn` on this thread (a replay run is the program's
+  turn), else a plain temporary, so an eager node holds no more than its
+  VJP needs.
 * A buffer a ``vjp`` takes with :func:`_scratch` holds nothing on entry
   (eager mode hands it out fresh), so replay may lay it in memory that
   other gradients use at other times.  Where a gradient has its input's
-  shape, a planned program's VJP computes it into such a buffer
+  shape, a replay program's VJP computes it into such a buffer
   (:func:`_into`); eager mode keeps it fresh.
 * ``vjp`` never mutates ``grad`` (replay reuses the root seed buffer).
 
@@ -44,16 +44,25 @@ from __future__ import annotations
 
 import math
 import mmap
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+import threading
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "Kernel", "KERNELS", "Pool", "TapeStale", "Workspace", "elu", "linear", "rff_features", "sigmoid",
+    "Kernel", "KERNELS", "Pool", "TapeStale", "Workspace", "elu", "lent_region", "linear",
+    "rff_features", "sigmoid",
 ]
 
 #: Byte alignment of every region laid out in a :class:`Pool`.
 ALIGN = 64
+
+#: Fill the whole pool with NaN at each claim, and a replay program's dead
+#: arena ranges and workspace as they die (see :mod:`repro.nn.tape`), so
+#: that a read of a dead buffer shows as NaN in a result.  Read at run
+#: time; tests switch it on.
+POISON_FREED = False
 
 
 class TapeStale(RuntimeError):
@@ -105,14 +114,14 @@ class Pool:
     larger phase's bytes, not the sum of the two.
 
     :meth:`reserve` states a size a tenant's layout needs; :meth:`claim`
-    starts a tenant's turn and returns the buffer, first replaced by one of
-    the largest reserved size if it is smaller.  A tenant drops every view
-    of the buffer when its turn ends, so a replaced buffer has no view left
-    and two buffers are never both alive.  The buffer is an anonymous
-    mapping (see :func:`_map`): its pages go back to the system when the
-    pool and the last view go.  Under :data:`repro.nn.tape.POISON_FREED`
-    every claim fills the buffer with NaN.  Not for sharing between
-    threads.
+    starts a tenant's turn (:meth:`Workspace.turn`) and returns the buffer,
+    first replaced by one of the largest reserved size if it is smaller.  A
+    tenant drops every view of the buffer when its turn ends, so a replaced
+    buffer has no view left and two buffers are never both alive.  The
+    buffer is an anonymous mapping (see :func:`_map`): its pages go back to
+    the system when the pool and the last view go.  Under
+    :data:`POISON_FREED` every claim fills the buffer with NaN.  Not for
+    sharing between threads.
     """
 
     def __init__(self) -> None:
@@ -129,33 +138,42 @@ class Pool:
         if self.buffer.nbytes < self.nbytes:
             self.buffer = np.empty(0, dtype=np.uint8)  # freed before its successor is mapped
             self.buffer = _map(self.nbytes)
-        from . import tape  # the poison switch lives with the replay engine
-
-        if tape.POISON_FREED:
+        if POISON_FREED:
             self.buffer.fill(0xFF)
         return self.buffer
 
 
+class _Lent(threading.local):
+    """The workspace lent to the running :meth:`Workspace.turn` on this thread.
+
+    Thread-local like grad mode and the tape hook: a turn on one thread
+    lends nothing to the kernels another thread runs.
+    """
+
+    def __init__(self) -> None:
+        self.workspace: Optional[Workspace] = None
+
+
+_LENT = _Lent()
+
+
 class Workspace:
-    """Grow-only scratch buffers that one owner lends to kernels across calls.
+    """Grow-only scratch buffers that one owner lends to kernels in turns.
 
     :meth:`take` returns a view of the requested shape into a flat buffer
     kept per ``(key, dtype)``.  A buffer only grows, so calls of different
     shapes share one allocation and its pages stay mapped between calls
     instead of being freed and faulted in again.  A view is valid until
     the next :meth:`take` of the same key, so a kernel uses it within one
-    call and saves nothing from it.  The owner sets the lifetime and must
-    not share one between threads.  Equality is identity, which is how a
-    recorded program compares the attrs that carry it.
+    call and saves nothing from it.  Kernels take from a workspace only
+    during its :meth:`turn`, on the thread that runs the turn.
 
     With a :class:`Pool`, each buffer is a region of the pool's bytes,
     laid out from ``origin`` in the order of first takes and kept there,
-    so every use of the workspace finds its buffers at the same offsets.
-    The views are of the buffer last passed to :meth:`bind` (the workspace
-    binds itself in :meth:`claim` when it is a tenant of its own).  Until
-    the pool grows to cover a region, the region is a mapping of its own
-    (see :func:`_map`).  :meth:`evict` drops them all, and the owner calls
-    it when the workspace's turn ends.
+    so every turn finds its buffers at the same offsets.  The views are
+    of the buffer last passed to :meth:`bind`, which a turn does with the
+    pool's.  Until the pool grows to cover a region, the region is a
+    mapping of its own (see :func:`_map`).
     """
 
     def __init__(self, pool: Optional[Pool] = None, origin: int = 0) -> None:
@@ -203,18 +221,38 @@ class Workspace:
         self._buffers.clear()
         self._bound = buffer
 
-    def evict(self) -> None:
-        """End the workspace's turn in its pool: drop every view of it.
+    @contextmanager
+    def turn(self) -> Iterator[None]:
+        """Lend this workspace to the kernels this thread runs until the block ends.
 
-        A workspace without a pool keeps its buffers.
+        With a pool, the turn first claims it and binds the views to its
+        buffer.  At the end, also on an exception, the thread gets back the
+        workspace lent before, and a pooled workspace drops every view of
+        the pool, so a later claim that replaces the buffer frees the old
+        one at once.  A workspace without a pool keeps its buffers for its
+        next turn.
         """
         if self.pool is not None:
-            self.bind(None)
-
-    def claim(self) -> None:
-        """Start a turn in the pool, laid out as before (no-op without a pool)."""
-        if self.pool is not None:
             self.bind(self.pool.claim())
+        previous, _LENT.workspace = _LENT.workspace, self
+        try:
+            yield
+        finally:
+            _LENT.workspace = previous
+            if self.pool is not None:
+                self.bind(None)
+
+
+def lent_region(key, shape: Tuple[int, ...], dtype) -> Optional[np.ndarray]:
+    """The ``(key, dtype)`` region of the pool lent to this thread's turn, as ``shape``.
+
+    ``None`` outside a turn or in the turn of a workspace without a pool.
+    The region is valid until the turn ends.
+    """
+    workspace = _LENT.workspace
+    if workspace is None or workspace.pool is None:
+        return None
+    return workspace.take(key, shape, dtype)
 
 
 class Kernel(NamedTuple):
@@ -239,7 +277,7 @@ def _kernel(name: str):
 def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
     """A buffer kept in ``ctx``: reused across replays, saved for the eager VJP.
 
-    A planned program's first run (its ctx holds its :class:`Workspace`)
+    A replay program's first run (its ctx holds its :class:`Workspace`)
     maps each such buffer on its own, which its plan then replaces or
     keeps, so the run leaves nothing behind in malloc's heap.
     """
@@ -249,22 +287,17 @@ def _scratch(ctx: dict, key, shape, dtype) -> np.ndarray:
     return buf
 
 
-def _tmp(out, ctx: dict, key, shape, dtype, workspace: Optional[Workspace] = None) -> np.ndarray:
-    """Forward-only scratch: from ``workspace`` when one is lent, else a
-    temporary in eager mode and, in replay, a view from the program's
-    workspace (``ctx[Workspace]``, shared by all its instructions) or a
-    buffer kept in ``ctx`` when the program has none."""
-    if workspace is None and out is not None:
-        workspace = ctx.get(Workspace)
-    if workspace is not None:
-        return workspace.take(key, shape, dtype)
-    if out is None:
+def _tmp(key, shape, dtype) -> np.ndarray:
+    """Forward-only scratch: a view from the workspace lent to this thread's
+    turn (in a replay run, the program's), else a temporary."""
+    workspace = _LENT.workspace
+    if workspace is None:
         return np.empty(shape, dtype=dtype)
-    return _scratch(ctx, key, shape, dtype)
+    return workspace.take(key, shape, dtype)
 
 
 def _into(ctx: dict, key, ufunc, *operands, shape: Tuple[int, ...]) -> np.ndarray:
-    """``ufunc(*operands)``: in a planned program, into a buffer kept in
+    """``ufunc(*operands)``: in a replay program, into a buffer kept in
     ``ctx`` when the result has ``shape`` (a gradient the size of its
     input: every operand has that shape or none), so the plan places it;
     else a fresh array, which eager mode frees once its parent used it
@@ -639,7 +672,7 @@ def elu(
 def _k_elu():
     def fwd(out, ins, attrs, ctx):
         x = ins[0]
-        t = None if out is None else _tmp(out, ctx, "t", x.shape, x.dtype)
+        t = None if out is None else _tmp("t", x.shape, x.dtype)
         return elu(x, attrs["alpha"], out, t)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
@@ -864,11 +897,11 @@ def _k_bce_logits():
         shape, full = _broadcast_shapes(ctx, ins)
         losses = _scratch(ctx, "losses", shape, z.dtype)
         np.logaddexp(0.0, z, out=losses)
-        tz = _tmp(out, ctx, "tz", shape, z.dtype)
+        tz = _tmp("tz", shape, z.dtype)
         np.multiply(t, z, out=tz)
         np.subtract(losses, tz, out=losses)
         if len(ins) == 3:
-            arr = _tmp(out, ctx, "arr", full, z.dtype)
+            arr = _tmp("arr", full, z.dtype)
             np.multiply(ins[2], losses, out=arr)
         else:
             arr = losses
@@ -898,7 +931,7 @@ def _k_mse():
         shape = _broadcast_shapes(ctx, ins)[0]
         diff = _scratch(ctx, "diff", shape, p.dtype)
         np.subtract(p, t, out=diff)
-        arr = _tmp(out, ctx, "arr", shape, p.dtype)
+        arr = _tmp("arr", shape, p.dtype)
         np.multiply(diff, diff, out=arr)
         ctx["n"] = arr.size
         return _assign(out, arr.mean())
@@ -924,7 +957,7 @@ def _k_weighted_mse():
         np.subtract(p, t, out=diff)
         wd = _scratch(ctx, "wd", full, p.dtype)
         np.multiply(w, diff, out=wd)
-        arr = _tmp(out, ctx, "arr", full, p.dtype)
+        arr = _tmp("arr", full, p.dtype)
         np.multiply(wd, diff, out=arr)
         ctx["n"] = arr.size
         return _assign(out, arr.mean())
@@ -964,13 +997,13 @@ def _k_bce():
         np.log(log_1m, out=log_1m)
         losses = _scratch(ctx, "losses", shape, p.dtype)
         np.multiply(t, log_p, out=losses)
-        omt = _tmp(out, ctx, "omt", shape, p.dtype)
+        omt = _tmp("omt", shape, p.dtype)
         np.subtract(1.0, t, out=omt)
         np.multiply(omt, log_1m, out=omt)
         np.add(losses, omt, out=losses)
         np.negative(losses, out=losses)
         if len(ins) == 3:
-            arr = _tmp(out, ctx, "arr", full, p.dtype)
+            arr = _tmp("arr", full, p.dtype)
             np.multiply(ins[2], losses, out=arr)
         else:
             arr = losses
@@ -1006,7 +1039,7 @@ def _k_l2():
     def fwd(out, ins, attrs, ctx):
         total = np.asarray(0.0, dtype=attrs["dtype"])
         for i, param in enumerate(ins):
-            sq = _tmp(out, ctx, ("sq", i), param.shape, param.dtype)
+            sq = _tmp(("sq", i), param.shape, param.dtype)
             np.multiply(param, param, out=sq)
             total = total + sq.sum()
         return _assign(out, total)
@@ -1032,9 +1065,9 @@ def _k_normalize_rows():
     # (including its 1e-12 guard on the square root)
     def fwd(out, ins, attrs, ctx):
         x = ins[0]
-        sq = _tmp(out, ctx, "sq", x.shape, x.dtype)
+        sq = _tmp("sq", x.shape, x.dtype)
         np.multiply(x, x, out=sq)
-        sums = _tmp(out, ctx, "sums", (x.shape[0], 1), x.dtype)
+        sums = _tmp("sums", (x.shape[0], 1), x.dtype)
         sq.sum(axis=1, keepdims=True, out=sums)
         roots = _scratch(ctx, "roots", sums.shape, x.dtype)
         np.sqrt(sums, out=roots)
@@ -1112,7 +1145,7 @@ def _k_rff():
     return fwd, vjp
 
 
-def _pair_cov_fold(out, ctx, features, probs, left, right, full: bool, workspace):
+def _pair_cov_fold(ctx, features, probs, left, right, full: bool):
     """Value of ``weighted_pair_sq_cross_cov`` and its gradients at ``g = 1``.
 
     Works on the selected pairs only: their left/right ``(k, n)`` blocks are
@@ -1124,23 +1157,23 @@ def _pair_cov_fold(out, ctx, features, probs, left, right, full: bool, workspace
 
     Keeps ``unit_p`` (``n`` entries) in ``ctx`` and, when ``full`` (the
     features need a gradient), ``unit_f`` (``(c, k, n)``).  The three
-    working blocks come from ``workspace`` when one is lent (else
-    :func:`_tmp`) and are dead when this returns, so the node saves none.
+    working blocks come from :func:`_tmp` and are dead when this returns,
+    so the node saves none.
     """
     p = probs.reshape(-1)
     dtype = np.result_type(features, probs)
     shape = (len(left),) + features.shape[1:]
     # mode="clip" gathers straight into the block (the default mode buffers
     # a whole copy); F.weighted_pair_sq_cross_cov checks the indices.
-    uc = _tmp(out, ctx, "pair_u", shape, features.dtype, workspace)
-    vc = _tmp(out, ctx, "pair_v", shape, features.dtype, workspace)
+    uc = _tmp("pair_u", shape, features.dtype)
+    vc = _tmp("pair_v", shape, features.dtype)
     np.take(features, left, axis=0, out=uc, mode="clip")
     np.take(features, right, axis=0, out=vc, mode="clip")
     mean_u = np.matmul(uc, p)[:, :, None]
     mean_v = np.matmul(vc, p)[:, :, None]
     uc -= mean_u
     vc -= mean_v
-    pu = np.multiply(uc, p, out=_tmp(out, ctx, "pair_pu", shape, dtype, workspace))
+    pu = np.multiply(uc, p, out=_tmp("pair_pu", shape, dtype))
     cross_cov = np.matmul(pu, vc.transpose(0, 2, 1))
     value = (cross_cov * cross_cov).sum()
 
@@ -1171,9 +1204,7 @@ def _pair_cov_fold(out, ctx, features, probs, left, right, full: bool, workspace
 def _k_weighted_pair_sq_cross_cov():
     def fwd(out, ins, attrs, ctx):
         full = attrs["products"] == "full"
-        value = _pair_cov_fold(
-            out, ctx, *ins, attrs["left"], attrs["right"], full, attrs["workspace"]
-        )
+        value = _pair_cov_fold(ctx, *ins, attrs["left"], attrs["right"], full)
         return _assign(out, value)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
@@ -1195,7 +1226,7 @@ def _k_weighted_pair_sq_cross_cov():
 RBF_MMD_TILE = 128
 
 
-def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool, workspace=None):
+def _rbf_mmd_sweep(ctx, rep_c, rep_t, w_c, w_t, scale, full: bool):
     """``aᵀKa`` and its unscaled gradients from one sweep of tiles.
 
     The arms are stacked, ``X = [R_c; R_t]`` and ``a = [w_c; -w_t]``, so
@@ -1215,21 +1246,21 @@ def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool, workspac
     n_c, d = rep_c.shape
     n = n_c + rep_t.shape[0]
     dtype = np.result_type(rep_c, rep_t, w_c, w_t)
-    left = _tmp(out, ctx, "left", (n, d + 2), dtype, workspace)
-    right = _tmp(out, ctx, "right", (n, d + 2), dtype, workspace)
+    left = _tmp("left", (n, d + 2), dtype)
+    right = _tmp("right", (n, d + 2), dtype)
     for rows, rep in ((slice(0, n_c), rep_c), (slice(n_c, n), rep_t)):
         _rbf_left(rep, scale, left[rows])
         _rbf_right(rep, scale, right[rows])
-    b = _tmp(out, ctx, "b", (n, d + 1) if full else (n,), dtype, workspace)
+    b = _tmp("b", (n, d + 1) if full else (n,), dtype)
     a = b[:, d] if full else b
     a[:n_c] = w_c.reshape(-1)
     np.negative(w_t.reshape(-1), out=a[n_c:])
     if full:
         np.multiply(right[:, :d], a[:, None], out=b[:, :d])
-    acc = _tmp(out, ctx, "acc", b.shape, dtype, workspace)
+    acc = _tmp("acc", b.shape, dtype)
     acc.fill(0.0)
     step = RBF_MMD_TILE
-    tile = _tmp(out, ctx, "tile", (min(step, n) ** 2,), dtype, workspace)
+    tile = _tmp("tile", (min(step, n) ** 2,), dtype)
     for i0 in range(0, n, step):
         i1 = min(i0 + step, n)
         for j0 in range(i0, n, step):
@@ -1256,7 +1287,7 @@ def _rbf_mmd_sweep(out, ctx, rep_c, rep_t, w_c, w_t, scale, full: bool, workspac
 def _k_weighted_rbf_mmd():
     def fwd(out, ins, attrs, ctx):
         full = attrs["products"] == "full"
-        value = _rbf_mmd_sweep(out, ctx, *ins, attrs["scale"], full, attrs["workspace"])
+        value = _rbf_mmd_sweep(ctx, *ins, attrs["scale"], full)
         return _assign(out, value)
 
     def vjp(grad, ins, out, attrs, ctx, needs):

@@ -51,10 +51,10 @@ instructions the loss does not depend on.
 
 Memory plan
 -----------
-A program plans where its kernels' buffers live; the arithmetic and its
-order stay those of eager mode.  Everything a run needs only while it
+Every program plans where its kernels' buffers live; the arithmetic and
+its order stay those of eager mode.  Everything a run needs only while it
 runs lies in one :class:`~repro.nn.kernels.Pool`, the fit's (or the
-program's own when none is lent), laid out from offset 0:
+program's own when none is given), laid out from offset 0:
 
 * **Op outputs.**  Every live, non-folded op output gets an offset when
   the program is built, and the recorded arrays are dropped then: between
@@ -63,8 +63,10 @@ program's own when none is lent), laid out from offset 0:
 * **Workspace.**  Forward-only scratch (a kernel's ``_tmp`` buffers, such
   as ELU's ``t`` or the RBF-MMD sweep's rows and tile) comes from one
   :class:`~repro.nn.kernels.Workspace` over the pool, keyed by name and
-  shared by every instruction.  This is safe because eager mode hands such
-  a buffer out as a plain temporary, so no VJP can read one.
+  shared by every instruction: a run is that workspace's turn, which
+  lends it to the kernels the run calls.  This is safe because eager mode
+  outside a turn hands such a buffer out as a plain temporary, so no VJP
+  can read one.
 * **Gradient arena.**  The buffers the VJPs take in ``ctx`` (their
   gradients and scratch) and the fan-in buffers get offsets in one arena,
   laid out after the first run by interval colouring over the backward
@@ -78,20 +80,19 @@ program's own when none is lent), laid out from offset 0:
   until the next step as in eager mode; and what a forward saves for its
   VJP.
 
-Each run claims the pool, binds its views to the pool's buffer and drops
-them when it ends (:meth:`ReplayProgram.evict`).  Between runs another
-tenant (the trainer's weight step) uses the same bytes and ends its turn
-the same way, so when a claim grows the pool no view of the old buffer is
-left.  Until the plan exists, the recorded op outputs and the first run's
-``ctx`` buffers each live in an anonymous mapping of their own, so the
-recording and the first run leave nothing behind in malloc's heap for the
-pool to sit on.
+Each run is a :meth:`~repro.nn.kernels.Workspace.turn` of the program's
+workspace: it claims the pool, binds its views to the pool's buffer and
+drops them when it ends.  Between runs another tenant (the trainer's
+weight step) uses the same bytes in a turn of its own, so when a claim
+grows the pool no view of the old buffer is left.  Until the plan exists,
+the recorded op outputs and the first run's ``ctx`` buffers each live in
+an anonymous mapping of their own, so the recording and the first run
+leave nothing behind in malloc's heap for the pool to sit on.
 
-:data:`POISON_FREED` (tests only) fills the whole pool with NaN at each
-claim, each arena range after its last reader, and the workspace after
-each forward call, so a read of a dead buffer shows in the results;
-:data:`PLAN_MEMORY` off (tests only) builds unplanned programs that keep
-their recorded arrays.
+:data:`repro.nn.kernels.POISON_FREED` (tests only) fills the whole pool
+with NaN at each claim, each arena range after its last reader, and the
+workspace after each forward call, so a read of a dead buffer shows in
+the results.
 """
 
 from __future__ import annotations
@@ -101,6 +102,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import kernels
 from .kernels import Kernel, Pool, TapeStale, Workspace, _unbroadcast, aligned, mapped, region
 from .tensor import Tensor, _TAPE
 
@@ -112,18 +114,6 @@ __all__ = [
     "dynamic",
     "recording_active",
 ]
-
-
-#: Lay each program's op outputs, forward-only scratch and (after its
-#: first run) gradient buffers out in a pool.  Read when a program is
-#: built; tests switch it off to measure an unplanned program.
-PLAN_MEMORY = True
-
-#: Fill the whole pool with NaN at each claim, each arena range after its
-#: last reader, and the workspace after each forward call, so that
-#: a read of a dead buffer shows as NaN in a result.  Read at run time;
-#: tests switch it on.
-POISON_FREED = False
 
 
 class GraphReplayError(RuntimeError):
@@ -252,7 +242,7 @@ class TapeRecorder:
         except _Unrecordable as exc:
             self._abort(f"{exc} (feeding op {op!r})")
             return
-        if PLAN_MEMORY and out.data.base is None and out.data.flags.c_contiguous:
+        if out.data.base is None and out.data.flags.c_contiguous:
             # The program lays its op outputs out in a pool; until it is
             # built, each lives in a mapping of its own, so the recording
             # leaves no op output's bytes behind in malloc's heap.
@@ -386,10 +376,10 @@ class ReplayProgram:
     attributes point at the program's pending buffers — values bitwise equal
     to what eager backprop would have produced.
 
-    With :data:`PLAN_MEMORY` the program lays its buffers out in a
-    :attr:`pool` (see "Memory plan" above): its op outputs when it is built,
-    its kernels' forward-only scratch in :attr:`workspace`, and, at the end
-    of its first run, its gradient buffers in :attr:`arena` (:meth:`_plan`).
+    The program lays its buffers out in a :attr:`pool` (see "Memory plan"
+    above): its op outputs when it is built, its kernels' forward-only
+    scratch in :attr:`workspace`, and, at the end of its first run, its
+    gradient buffers in :attr:`arena` (:meth:`_plan`).
     """
 
     def __init__(self, recorder: TapeRecorder, root: int, pool: Optional[Pool] = None) -> None:
@@ -486,10 +476,9 @@ class ReplayProgram:
         self._received = bytearray(len(self.slots))
 
         #: ``_schedule`` with a ``(2, (start, stop))`` entry after each arena
-        #: range's last reader; the run reads it under :data:`POISON_FREED`.
+        #: range's last reader; the run reads it under ``POISON_FREED``.
         self._poisoned = self._schedule
-        self.pool: Optional[Pool] = None
-        self.workspace: Optional[Workspace] = None
+        self.pool = pool if pool is not None else Pool()
         #: Pool offsets of the op outputs laid out there, by slot.
         self._outputs: List[Tuple[int, int]] = []
         #: View instructions whose outputs view a pooled output.
@@ -498,9 +487,7 @@ class ReplayProgram:
         self._placed: List[tuple] = []
         self._arena: Tuple[int, int] = (0, 0)
         self._planned = False
-        if PLAN_MEMORY:
-            self.pool = pool if pool is not None else Pool()
-            self._lay_out_outputs(live)
+        self._lay_out_outputs(live)
         self._bind(None)
 
     def _fold(self) -> set:
@@ -555,6 +542,8 @@ class ReplayProgram:
                 slot.tensor = None
         self.workspace = Workspace(self.pool, origin=offset)
         for instr in self.instructions:
+            # Marks a replay program's ctx: ``_scratch`` and ``_into`` keep
+            # the VJPs' buffers there, for the plan to place.
             instr.ctx[Workspace] = self.workspace
 
     @property
@@ -595,11 +584,9 @@ class ReplayProgram:
             if view is not None and not np.may_share_memory(view, base):
                 raise TapeStale("a view op no longer views its input")
             bufs[instr.out] = view
-        if self.workspace is not None:
-            self.workspace.bind(buffer)
         for owner, key, offset, dtype, shape in self._placed:
             owner[key] = None if buffer is None else region(buffer, offset, dtype, shape)
-        if buffer is not None or self.pool is None:  # an unplanned program's are its own
+        if buffer is not None:
             pending[self.root] = self._seed
             pending.update(self._kept)
         for instr in self.instructions:
@@ -609,10 +596,6 @@ class ReplayProgram:
         self._fwd_instrs = [
             (i, bufs[i.out]) for i in self.instructions if not i.folded and not i.view_skip
         ]
-
-    def evict(self) -> None:
-        """End the program's turn in its pool: drop every view of it."""
-        self._bind(None)
 
     def run(self) -> float:
         """Replay the recorded step; returns the loss value."""
@@ -628,14 +611,13 @@ class ReplayProgram:
             if not isinstance(src, np.ndarray) or src.shape != slot.shape:
                 raise TapeStale("a dynamic input changed shape since recording")
             np.copyto(slot.buffer, src)
-        if self.pool is None:
-            return self._execute()
         self.pool.reserve(self.workspace.end)  # the layout so far: outputs, scratch, arena
-        self._bind(self.pool.claim())
-        try:
-            return self._execute()
-        finally:
-            self.evict()
+        with self.workspace.turn():
+            try:
+                self._bind(self.pool.buffer)
+                return self._execute()
+            finally:
+                self._bind(None)
 
     def _execute(self) -> float:
         """The forward and backward of one run, in the bound buffers."""
@@ -646,8 +628,8 @@ class ReplayProgram:
             for key, pidx, pos in instr.dyn_attrs:
                 attrs[key] = pouts[pidx][pos]
             instr.run_attrs = attrs
-        poison = POISON_FREED
-        if poison and self.workspace is not None:
+        poison = kernels.POISON_FREED
+        if poison:
             for instr, out_buf in self._fwd_instrs:
                 instr.fwd(out_buf, instr.ins, instr.run_attrs, instr.ctx)
                 for buf in self.workspace.buffers.values():
@@ -658,7 +640,7 @@ class ReplayProgram:
         # The first run notes what the forward wrote into ctx: the VJPs
         # read it, so the plan leaves it where it is.
         saved = None
-        if self.pool is not None and not self._planned:
+        if not self._planned:
             saved = {id(value) for instr in self.instructions for value in instr.ctx.values()}
 
         pending = self._pending

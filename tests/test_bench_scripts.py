@@ -1,7 +1,7 @@
 """Where the benchmark scripts write their records.
 
-``benchmarks/bench_{autodiff,training,serving,online}.py`` are each the one
-producer of a committed ``BENCH_*.json``.  A full run with no ``--output``
+``benchmarks/bench_{autodiff,training,serving,online,scenarios}.py`` are
+each the one producer of a committed ``BENCH_*.json``.  A full run with no ``--output``
 rewrites that record; a ``--smoke`` run writes only where ``--output``
 points, so a local smoke run cannot replace the committed full record (and
 its ``smoke_reference`` block, the CI perf gate's baseline).
@@ -21,13 +21,40 @@ from repro.experiments import reporting
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
-#: Script suffix -> (measure, format, check) names ``main`` calls; the
-#: training and autodiff scripts check only under ``--check-against``.
+def _measure(*args, **kwargs):
+    return {"mode": "canned"}
+
+
+def _render(result):
+    return ""
+
+
+def _check(result, baseline):
+    return []
+
+
+#: Script suffix -> the functions ``main`` calls to measure, render and
+#: check, each with its stand-in; the training and autodiff scripts check
+#: only under ``--check-against``, and the scenarios script's exit code is
+#: its count of failed grid cells.
 SCRIPTS = {
-    "autodiff": ("benchmark_autodiff", "format_autodiff_benchmark", None),
-    "training": ("benchmark_training", "format_benchmark", None),
-    "serving": ("benchmark_serving", "format_serving_benchmark", "check_serving_benchmark"),
-    "online": ("benchmark_online", "format_online_benchmark", "check_online_benchmark"),
+    "autodiff": {"benchmark_autodiff": _measure, "format_autodiff_benchmark": _render},
+    "training": {"benchmark_training": _measure, "format_benchmark": _render},
+    "serving": {
+        "benchmark_serving": _measure,
+        "format_serving_benchmark": _render,
+        "check_serving_benchmark": _check,
+    },
+    "online": {
+        "benchmark_online": _measure,
+        "format_online_benchmark": _render,
+        "check_online_benchmark": _check,
+    },
+    "scenarios": {
+        "run_scenario_suite": _measure,
+        "format_scenario_suite": _render,
+        "report_error_cells": lambda result: 0,
+    },
 }
 
 
@@ -40,13 +67,8 @@ def script(request, monkeypatch):
     spec = importlib.util.spec_from_file_location(f"bench_{name}_script", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    measure, render, check = SCRIPTS[name]
-    monkeypatch.setattr(
-        module, measure, lambda **kwargs: {"mode": "smoke" if kwargs["smoke"] else "full"}
-    )
-    monkeypatch.setattr(module, render, lambda result: "")
-    if check is not None:
-        monkeypatch.setattr(module, check, lambda result, baseline: [])
+    for function, stand_in in SCRIPTS[name].items():
+        monkeypatch.setattr(module, function, stand_in)
     module.written = []
     monkeypatch.setattr(
         reporting, "write_record", lambda record, target: module.written.append(target) or target

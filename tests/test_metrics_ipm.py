@@ -171,6 +171,21 @@ class TestWeightedIPM:
         with pytest.raises(ValueError):
             weighted_ipm(Tensor(control), Tensor(shifted), kind="wasserstein")
 
+    def test_dispatch_takes_sigma_for_the_rbf_kernel_only(self, groups):
+        """No keyword is dropped: ``sigma`` reaches the RBF kernel, the linear
+        MMD refuses it, and an unknown keyword is an error for every kind."""
+        control, _, shifted = groups
+        reps = (Tensor(control[:40]), Tensor(shifted[:40]))
+        assert weighted_ipm(*reps, kind="mmd_rbf", sigma=0.7).item() == (
+            mmd_rbf_weighted(*reps, sigma=0.7).item()
+        )
+        assert weighted_ipm(*reps, kind="mmd_rbf").item() == mmd_rbf_weighted(*reps).item()
+        with pytest.raises(ValueError, match="sigma"):
+            weighted_ipm(*reps, kind="mmd_linear", sigma=0.7)
+        for kind in ("mmd_linear", "mmd_rbf"):
+            with pytest.raises(TypeError):
+                weighted_ipm(*reps, kind=kind, bandwidth=0.7)
+
 
 class TestSinkhornEarlyExit:
     """Convergence-tolerance early exit of the Sinkhorn iterations."""

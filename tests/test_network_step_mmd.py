@@ -309,9 +309,10 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
             trainer._network_step(train_std.covariates, train_std.treatment, train_std.outcome)
     assert trainer.last_step_stats["replay_hit"] is True
     program = trainer._replay.program
-    # A run ends evicted: bind the pool's bytes and view every block the
-    # workspace laid out there, to look at them.
+    # A run's turn ends with no view of the pool: bind the pool's bytes and
+    # view every block the workspace laid out there, to look at them.
     program._bind(program.pool.buffer)
+    program.workspace.bind(program.pool.buffer)
     for (key, dtype), (_, size) in program.workspace._regions.items():
         program.workspace.take(key, (size,), dtype)
 

@@ -2,10 +2,11 @@
 
 * every eager op's forward and backward run its table kernels, once each,
   so eager autodiff and graph replay share one ``fwd``/``vjp`` per op;
-* the table holds exactly the engine's 35 ops;
+* the table holds exactly the engine's 35 ops, and the module imports
+  nothing from the rest of the package;
 * an eager node keeps only what its VJP reads (ELU's forward scratch is a
   temporary, not node state), and its VJP keeps no gradient it returns,
-  which a planned program's keeps for its plan to place, bit for bit the
+  which a replay program's keeps for its plan to place, bit for bit the
   same;
 * ELU's in-place form equals the textbook ``np.where`` forms bit for bit,
   and rejects any alpha outside (0, inf);
@@ -20,10 +21,14 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.nn import kernels
 from repro.nn.kernels import KERNELS, Kernel, Workspace, elu, linear, sigmoid
 from repro.nn.modules import resolve_activation
 from repro.nn.tape import TapeRecorder, dynamic
@@ -124,6 +129,21 @@ def test_eager_op_runs_its_table_kernels_once(op, monkeypatch):
     assert out._parents == ()
 
 
+def test_kernels_module_imports_nothing_from_the_package():
+    """Anywhere in the module, a function body included: the op table is the
+    package's leaf, which every other module of ``repro.nn`` builds on."""
+    tree = ast.parse(pathlib.Path(kernels.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    relative = [ast.unparse(node) for node in imports if isinstance(node, ast.ImportFrom) and node.level]
+    absolute = [
+        ast.unparse(node)
+        for node in imports
+        for name in ([node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names])
+        if name and name.split(".")[0] == "repro"
+    ]
+    assert imports and relative == [] and absolute == []
+
+
 def test_eager_elu_node_keeps_only_its_mask():
     """Forward-only scratch must not live until backward (page faults, RSS).
 
@@ -138,7 +158,7 @@ def test_eager_elu_node_keeps_only_its_mask():
 
 
 def test_an_eager_vjp_keeps_no_gradient_it_returns():
-    """Eager mode frees a gradient once its parent used it; a planned
+    """Eager mode frees a gradient once its parent used it; a replay
     program's ctx (it holds the program's workspace) keeps the same bits."""
     rng = np.random.default_rng(2)
     a, b, grad = (rng.normal(size=(4, 3)) for _ in range(3))

@@ -3,17 +3,22 @@
 ``weighted_pair_sq_cross_cov`` is one node per decorrelated layer of the
 weight objective (the Eq. 10 sum over the drawn column pairs).  Its forward
 forms the value and the gradients at unit upstream gradient, keeps only
-those, and takes its three ``(P, k, n)`` working blocks from a
-:class:`~repro.nn.kernels.Workspace` when its caller lends one; the trainer
-keeps one workspace for one fit.  This file pins:
+those, and takes its three ``(P, k, n)`` working blocks from the
+:class:`~repro.nn.kernels.Workspace` lent to the running turn on its
+thread; the trainer's weight step is a turn of one workspace per fit.
+This file pins:
 
 * malformed pair indices and weight vectors are rejected before any work;
 * the node records which products it formed, and weights-only and full
   products give bitwise-equal weight gradients;
 * after a forward on constant features the node keeps no ``(P, k, n)``
-  array, and a lent workspace changes no bit of the value or gradients;
+  array, and a workspace lent by a turn changes no bit of the value or
+  gradients;
 * with a warm workspace, an objective call and its backward peak below one
   ``(P, k, n)`` block above their start;
+* a turn lends its workspace to its own thread only, also while four
+  threads take turns in pools of their own, and a turn that an exception
+  ends lends nothing afterwards and holds no view of its pool;
 * a fit creates one pool, which its replay program and its weight steps
   take turns in: each turn ends with no view of the pool, so a buffer the
   pool replaces dies at once, and a weight step's features are views of
@@ -44,7 +49,7 @@ from repro.core.regularizers import HierarchicalAttentionLoss
 from repro.core.sbrl import SBRLTrainer
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.nn import functional as F
-from repro.nn import tape
+from repro.nn import kernels
 from repro.nn.kernels import KERNELS, Kernel, Pool, Workspace
 from repro.nn.tape import ReplayProgram
 from repro.nn.tensor import Tensor, no_grad
@@ -60,11 +65,11 @@ def _inputs(seed=0, n=N):
     return features, probs
 
 
-def _node(features, probs, features_grad=False, workspace=None):
+def _node(features, probs, features_grad=False):
     """Value and gradients of one node at upstream gradient 0.7."""
     f_t = Tensor(features.copy(), requires_grad=features_grad)
     p_t = Tensor(probs.copy(), requires_grad=True)
-    out = F.weighted_pair_sq_cross_cov(f_t, p_t, LEFT, RIGHT, workspace=workspace)
+    out = F.weighted_pair_sq_cross_cov(f_t, p_t, LEFT, RIGHT)
     out.backward(np.asarray(0.7))
     return out.item(), p_t.grad, f_t.grad
 
@@ -98,8 +103,8 @@ def test_rejects_pair_indices_outside_the_columns(left, right):
 def test_rejects_probs_of_the_wrong_size_before_gathering():
     features, probs = _inputs()
     workspace = Workspace()
-    with pytest.raises(ValueError, match="one entry per sample"):
-        F.weighted_pair_sq_cross_cov(features, probs[:-1], LEFT, RIGHT, workspace=workspace)
+    with workspace.turn(), pytest.raises(ValueError, match="one entry per sample"):
+        F.weighted_pair_sq_cross_cov(features, probs[:-1], LEFT, RIGHT)
     assert workspace._buffers == {}
 
 
@@ -163,7 +168,8 @@ def test_lent_workspace_changes_no_bit(features_grad):
     for seed, n in ((2, N), (3, N + 7), (4, N - 9)):
         features, probs = _inputs(seed, n)
         expected = _node(features, probs, features_grad)
-        actual = _node(features, probs, features_grad, workspace=workspace)
+        with workspace.turn():
+            actual = _node(features, probs, features_grad)
         assert actual[0] == expected[0]
         for got, want in zip(actual[1:], expected[1:]):
             np.testing.assert_array_equal(got, want)
@@ -194,11 +200,13 @@ def test_warm_workspace_objective_call_peaks_below_one_pair_block():
         subsample_threshold=None,
     )
     objective = HierarchicalAttentionLoss(config=config, seed=3)
-    prepared = objective.prepare(forward, treatment, workspace=Workspace())
+    prepared = objective.prepare(forward, treatment)
+    workspace = Workspace()
 
     def call():
         weights = Tensor(rng.uniform(0.2, 2.0, size=n), requires_grad=True)
-        objective(prepared, treatment, weights).backward()
+        with workspace.turn():
+            objective(prepared, treatment, weights).backward()
         return weights.grad
 
     call()  # grows the workspace
@@ -212,6 +220,102 @@ def test_warm_workspace_objective_call_peaks_below_one_pair_block():
     assert np.all(np.isfinite(grad))
     block = pairs * config.num_rff_features * n * 8
     assert peak - start < block, (peak - start, block)
+
+
+# --------------------------------------------------------------------------- #
+# Turns
+# --------------------------------------------------------------------------- #
+def test_a_turn_lends_nothing_to_another_thread(monkeypatch):
+    """During a turn on one thread, a pair node evaluated on another thread
+    gets temporaries: its blocks share no memory with the lent pool's buffer."""
+    features, probs = _inputs()
+    blocks = {}
+    tmp = kernels._tmp
+
+    def spy(key, shape, dtype):
+        block = tmp(key, shape, dtype)
+        blocks.setdefault(threading.get_ident(), []).append(block)
+        return block
+
+    monkeypatch.setattr(kernels, "_tmp", spy)
+    workspace = Workspace(Pool())
+    with workspace.turn():
+        _node(features, probs)  # lays the blocks out; the next claim grows the pool to them
+    other = []
+    with workspace.turn():
+        buffer = workspace.pool.buffer
+        expected = _node(features, probs)
+        thread = threading.Thread(target=lambda: other.append(_node(features, probs)))
+        thread.start()
+        thread.join(timeout=60)
+    assert not thread.is_alive() and len(other) == 1
+    own = blocks.pop(threading.get_ident())
+    [theirs] = blocks.values()
+    assert len(theirs) == 3 and all(np.may_share_memory(block, buffer) for block in own[-3:])
+    assert not any(np.may_share_memory(block, buffer) for block in theirs)
+    assert other[0][0] == expected[0]
+    np.testing.assert_array_equal(other[0][1], expected[1])
+
+
+def test_concurrent_turns_each_lend_their_own_pool(monkeypatch):
+    """Four threads, more than the cores, each take turns in a pool of their
+    own under a short switch interval: every block a pair node takes after
+    the first turn lies in its own thread's pool, and every value and
+    gradient keeps its bits."""
+    features, probs = _inputs()
+    expected = _node(features, probs)
+    taken, workspaces, steady, results = [], {}, set(), []
+    tmp = kernels._tmp
+
+    def spy(key, shape, dtype):
+        block = tmp(key, shape, dtype)
+        if threading.get_ident() in steady:
+            taken.append((threading.get_ident(), block))
+        return block
+
+    def run():
+        workspace = workspaces[threading.get_ident()] = Workspace(Pool())
+        with workspace.turn():  # lays the blocks out, in mappings of their own
+            _node(features, probs)
+        steady.add(threading.get_ident())
+        for _ in range(20):
+            with workspace.turn():
+                results.append(_node(features, probs))
+
+    monkeypatch.setattr(kernels, "_tmp", spy)
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 80 and len(taken) == 4 * 20 * 3
+    for ident, block in taken:
+        assert np.may_share_memory(block, workspaces[ident].pool.buffer)
+    for value, grad, _ in results:
+        assert value == expected[0]
+        np.testing.assert_array_equal(grad, expected[1])
+
+
+def test_a_turn_ended_by_an_exception_lends_nothing_and_holds_no_view():
+    pool = Pool()
+    pool.reserve(64)
+    outer, inner = Workspace(), Workspace(pool)
+    with outer.turn():
+        with pytest.raises(RuntimeError, match="boom"):
+            with inner.turn():
+                inner.take("block", (8,), np.float64)
+                assert kernels._LENT.workspace is inner
+                raise RuntimeError("boom")
+        assert kernels._LENT.workspace is outer  # the thread's previous turn lends again
+    assert kernels._LENT.workspace is None
+    holders = sys.getrefcount(pool.buffer) - 1  # less getrefcount's own
+    assert inner.buffers == {} and holders == 1  # the pool's
 
 
 # --------------------------------------------------------------------------- #
@@ -239,17 +343,16 @@ def test_turns_that_grow_the_pool_leave_no_old_buffer_alive():
     pool.reserve(64)
     buffers, growths = [weakref.ref(pool.buffer)], 0
     for tenant, size in [(program, 16), (program, 32), (weights, 64), (program, 4)]:
-        tenant.claim()
-        growths += buffers[-1]() is not pool.buffer
-        buffers.append(weakref.ref(pool.buffer))
-        assert all(ref() is None or ref() is pool.buffer for ref in buffers)
-        tenant.take("block", (size,), np.float64)  # past the buffer: the next claim grows it
-        tenant.evict()
+        with tenant.turn():
+            growths += buffers[-1]() is not pool.buffer
+            buffers.append(weakref.ref(pool.buffer))
+            assert all(ref() is None or ref() is pool.buffer for ref in buffers)
+            tenant.take("block", (size,), np.float64)  # past the buffer: the next claim grows it
     assert growths == 4
 
 
 def test_pool_poisons_the_whole_buffer_at_each_claim(monkeypatch):
-    monkeypatch.setattr(tape, "POISON_FREED", True)
+    monkeypatch.setattr(kernels, "POISON_FREED", True)
     pool = Pool()
     pool.reserve(64)
     pool.claim().view(np.float64)[:] = 1.0
@@ -259,18 +362,16 @@ def test_pool_poisons_the_whole_buffer_at_each_claim(monkeypatch):
 def test_pooled_workspace_keeps_its_layout_and_maps_what_does_not_fit():
     pool = Pool()
     workspace = Workspace(pool)
-    workspace.claim()  # nothing reserved yet: an empty buffer
-    spilled = workspace.take("a", (4, 3), np.float64)
-    assert not np.may_share_memory(spilled, pool.buffer) and pool.nbytes >= spilled.nbytes
-    workspace.take("b", (5,), np.float32)
-    workspace.claim()  # the pool grows to the layout
-    for _ in range(2):  # at the same offsets after an eviction
-        a = workspace.take("a", (2, 6), np.float64)
-        b = workspace.take("b", (5,), np.float32)
-        assert a.ctypes.data == pool.buffer.ctypes.data
-        assert b.ctypes.data == pool.buffer.ctypes.data + 128  # 96 bytes, aligned
-        workspace.evict()
-        workspace.claim()
+    with workspace.turn():  # nothing reserved yet: an empty buffer
+        spilled = workspace.take("a", (4, 3), np.float64)
+        assert not np.may_share_memory(spilled, pool.buffer) and pool.nbytes >= spilled.nbytes
+        workspace.take("b", (5,), np.float32)
+    for _ in range(2):  # the pool grows to the layout, kept from turn to turn
+        with workspace.turn():
+            a = workspace.take("a", (2, 6), np.float64)
+            b = workspace.take("b", (5,), np.float32)
+            assert a.ctypes.data == pool.buffer.ctypes.data
+            assert b.ctypes.data == pool.buffer.ctypes.data + 128  # 96 bytes, aligned
 
 
 @pytest.fixture(scope="module")

@@ -32,7 +32,7 @@ from repro.core.regularizers import HierarchicalAttentionLoss
 from repro.metrics.hsic import RandomFourierFeatures
 from repro.metrics.ipm import mmd_linear_weighted
 from repro.metrics.subsampling import subsample_indices
-from repro.nn.kernels import Workspace
+from repro.nn.kernels import Pool, Workspace
 from repro.nn.tensor import Tensor, as_tensor
 
 RTOL = 1e-12
@@ -380,15 +380,20 @@ def test_prepare_then_calls_is_bitwise_unprepared_calls(run, ipm_kind):
     per_call = HierarchicalAttentionLoss(config=config, seed=SEED)
 
     prepared = hoisted.prepare(forward, treatment)
-    # The trainer's route: a workspace lends the pair nodes their blocks.
-    prepared_lent = lent.prepare(forward, treatment, workspace=Workspace())
+    # The trainer's route in a fit that replays: each weight step is a turn
+    # of one workspace over a pool, which holds the features and lends the
+    # pair nodes and the RBF-MMD sweep their blocks (the second turn finds
+    # the pool grown to them).
+    workspace = Workspace(Pool())
     for values in _weight_vectors(2):
         expected_value, expected_grad = _evaluate(per_call, forward, treatment, values, indices)
-        for objective, objective_input in ((hoisted, prepared), (lent, prepared_lent)):
-            value, grad = _evaluate(objective, objective_input, treatment, values, indices)
-            assert value == expected_value
-            np.testing.assert_array_equal(grad, expected_grad)
-            assert objective.last_breakdown == per_call.last_breakdown
+        with workspace.turn():
+            prepared_lent = lent.prepare(forward, treatment)
+            for objective, objective_input in ((hoisted, prepared), (lent, prepared_lent)):
+                value, grad = _evaluate(objective, objective_input, treatment, values, indices)
+                assert value == expected_value
+                np.testing.assert_array_equal(grad, expected_grad)
+                assert objective.last_breakdown == per_call.last_breakdown
     assert _rng_states(hoisted) == _rng_states(per_call)
     assert _rng_states(lent) == _rng_states(per_call)
 
