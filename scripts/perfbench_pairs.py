@@ -12,9 +12,21 @@ how a tree was laid out, not only with the code.  Run from anywhere::
 Both sides run for the parent's ``BENCHMARK.json`` ``run_seconds``, the
 length the benchmark itself uses.  For every end-to-end metric of that
 file that both sides report, it prints each side's median and quartiles,
-the parent's interquartile range, the ratio of the medians and the
-change's wins, ties and losses under the metric's ``better``.  It writes
-no file, and exits 1 when any run fails or reports ``correct: false``.
+the parent's interquartile range, the ratio of the medians, the change's
+wins, ties and losses under the metric's ``better``, and a verdict against
+the metric's ``bound``, a fraction of the parent's median:
+
+* ``PAST BOUND``: the change's median is worse than the parent's by more
+  than ``bound`` times the parent's median;
+* ``unresolved``: otherwise, when the parent's own interquartile range is
+  wider than that margin, unless every change run beats every parent run;
+* ``ok``: neither.
+
+A sub-MB ``peak_rss_mb`` difference between two trees is not evidence
+about the code: two exports of one commit have read 124.59 and 124.08 MB,
+the second lower in 10 of 10 pairs, because heap layout moves with how a
+tree was built.  It writes no file, and exits 1 when any run fails or
+reports ``correct: false``; a verdict does not change the exit code.
 """
 
 from __future__ import annotations
@@ -58,6 +70,8 @@ def summarize(
         wins = sum(sign * (b - a) < 0 for a, b in zip(old, new))
         ties = sum(a == b for a, b in zip(old, new))
         old_q, new_q = quartiles(old), quartiles(new)
+        margin = spec["bound"] * abs(old_q[1])
+        beats_every_run = all(sign * (b - a) < 0 for a in old for b in new)
         rows.append({
             "metric": name,
             "unit": spec.get("unit", ""),
@@ -69,8 +83,18 @@ def summarize(
             "wins": wins,
             "ties": ties,
             "losses": len(old) - wins - ties,
+            "bound": spec["bound"],
+            "past_bound": sign * (new_q[1] - old_q[1]) > margin,
+            "unresolved": old_q[2] - old_q[0] > margin and not beats_every_run,
         })
     return rows
+
+
+def verdict(row: dict) -> str:
+    """``PAST BOUND``, ``unresolved`` or ``ok`` (see the module docstring)."""
+    if row["past_bound"]:
+        return "PAST BOUND"
+    return "unresolved" if row["unresolved"] else "ok"
 
 
 def format_summary(rows: Sequence[dict], pairs: int) -> str:
@@ -78,15 +102,16 @@ def format_summary(rows: Sequence[dict], pairs: int) -> str:
     lines = [
         f"{pairs} pairs; quartiles q1 / median / q3",
         f"{'metric':16s} {'better':6s} {'parent':>30s} {'change':>30s} "
-        f"{'parent IQR':>11s} {'ratio':>7s}  wins/ties/losses",
+        f"{'parent IQR':>11s} {'ratio':>7s}  wins/ties/losses  bound  verdict",
     ]
     for row in rows:
         old = " / ".join(f"{value:.6g}" for value in row["parent"])
         new = " / ".join(f"{value:.6g}" for value in row["change"])
+        record = f"{row['wins']}/{row['ties']}/{row['losses']}"
         lines.append(
             f"{row['metric']:16s} {row['better']:6s} {old:>30s} {new:>30s} "
             f"{row['parent_iqr']:11.4g} {row['ratio']:7.4f}  "
-            f"{row['wins']}/{row['ties']}/{row['losses']}"
+            f"{record:16s}  {row['bound']:5.2f}  {verdict(row)}"
         )
     return "\n".join(lines)
 

@@ -1,25 +1,27 @@
 """Graph-replay engine for the full-batch network training step.
 
-:class:`NetworkStepReplay` sits between :meth:`SBRLTrainer._network_step`
-and the eager forward/backward.  When it holds no program for the step's
-signature it executes the step eagerly under a
+:class:`NetworkStepReplay` runs the forward and backward of
+:meth:`SBRLTrainer._network_step`.  When it holds no program for the
+step's signature it records the trainer's own eager step under a
 :class:`~repro.nn.tape.TapeRecorder` (so the step costs the same as plain
 eager plus a small recording overhead) and keeps the resulting
-:class:`~repro.nn.tape.ReplayProgram`; on a hit it refreshes the per-step
-sample-weight buffer and replays the program with zero Python graph
-construction — bit-identical to the eager step.
+:class:`~repro.nn.tape.ReplayProgram`; on a hit it replays the program
+with zero Python graph construction — bit-identical to the eager step.
+The program reads the sample weights from the trainer's live array, which
+the weight step updates in place, and the trainer makes every step's
+optimizer step.
 
 Only full-batch fits build one: they pass the same arrays every step, so
 one program serves the whole fit.  A minibatch loader materialises fresh
 arrays every step, so a program could never be reused there, and the
 trainer runs those steps eagerly.
 
-Invalidation is signature-based: the signature pins the batch arrays by
-identity (and the engine holds references so ids cannot be recycled),
-plus shapes, dtypes, the training dtype policy and the full config repr.
-A different signature, or a program gone stale (:class:`TapeStale`),
-records again in its place.  Unsupported ops abort the recording and
-permanently fall back to eager with a one-time warning.
+Invalidation is signature-based: the signature pins the batch arrays and
+the sample-weight array by identity (and the engine holds references so
+ids cannot be recycled), plus shapes, dtypes, the training dtype policy
+and the full config repr.  A different signature, or a program gone stale
+(:class:`TapeStale`), records again in its place.  Unsupported ops abort
+the recording and permanently fall back to eager with a one-time warning.
 
 The program lives for one fit: the trainer calls
 :meth:`NetworkStepReplay.release` when the fit ends, and turning taping
@@ -30,6 +32,7 @@ deployed versions hold none.
 from __future__ import annotations
 
 import logging
+from typing import Optional
 
 import numpy as np
 
@@ -50,7 +53,6 @@ class NetworkStepReplay:
         #: after :meth:`release`.
         self.program = None
         self._signature = None
-        self._weight_buffer = None
         #: The step arrays the signature names by ``id``, kept alive.
         self._pins = None
         self._warned = False
@@ -69,20 +71,27 @@ class NetworkStepReplay:
         covariates: np.ndarray,
         treatment: np.ndarray,
         outcome: np.ndarray,
-    ) -> float:
-        """Execute one full-batch training step of ``trainer`` through its program.
+    ) -> Optional[float]:
+        """Run the forward and backward of one full-batch step of ``trainer``.
+
+        Replays the program on a hit, else records the trainer's eager step.
+        Returns the loss, or ``None`` having run nothing when replay is off
+        or a recording is already active: the trainer then runs the step
+        eagerly.  The trainer makes the step's optimizer step either way.
 
         The trainer is passed per call, not stored: the trainer owns this
         engine, and a back-reference would make the pair a cycle that only
         the cyclic garbage collector frees.
         """
         if not self.enabled or _TAPE.recorder is not None:
-            return self._eager_step(trainer, covariates, treatment, outcome)
+            return None
 
-        signature = self._step_signature(trainer, covariates, treatment, outcome)
+        # The factual loss reads the weight step's own array, which the
+        # program reads in place on every run.
+        weights = trainer.sample_weights.tensor.data if trainer.uses_weights else None
+        signature = self._step_signature(trainer, covariates, treatment, outcome, weights)
         if self.program is not None and signature == self._signature:
             try:
-                self._refresh_weights(trainer, self._weight_buffer)
                 loss = self.program.run()
             except TapeStale:
                 # A parameter or dynamic-input assumption broke (e.g. a
@@ -91,7 +100,6 @@ class NetworkStepReplay:
                 self.stats["invalidations"] += 1
             else:
                 self.stats["hits"] += 1
-                trainer._optimizer.step()
                 trainer.last_step_stats = {
                     "replay_hit": True,
                     "graph_nodes": self.program.graph_nodes,
@@ -100,19 +108,9 @@ class NetworkStepReplay:
 
         self.stats["misses"] += 1
         self.release()
-        weight_buffer = None
-        recorder_inputs = ()
-        if trainer.uses_weights:
-            weight_buffer = np.empty(len(trainer.sample_weights.numpy()), dtype=get_default_dtype())
-            self._refresh_weights(trainer, weight_buffer)
-            recorder_inputs = (weight_buffer,)
-
-        recorder = TapeRecorder(inputs=recorder_inputs)
+        recorder = TapeRecorder(inputs=() if weights is None else (weights,))
         with recorder:
-            loss_tensor = trainer._network_forward_backward(
-                covariates, treatment, outcome, weights_override=weight_buffer
-            )
-        trainer._optimizer.step()
+            loss_tensor = trainer._network_forward_backward(covariates, treatment, outcome)
         program = recorder.finalize(loss_tensor, pool=trainer._pool)
         if program is None:
             self._disable(recorder.aborted or "recording aborted")
@@ -122,8 +120,7 @@ class NetworkStepReplay:
         program.set_optimizer_params(trainer._optimizer.parameters)
         self.program = program
         self._signature = signature
-        self._weight_buffer = weight_buffer
-        self._pins = (covariates, treatment, outcome)
+        self._pins = (covariates, treatment, outcome, weights)
         self.stats["records"] += 1
         trainer.last_step_stats = {
             "replay_hit": False,
@@ -132,25 +129,15 @@ class NetworkStepReplay:
         return loss_tensor.item()
 
     # ------------------------------------------------------------------ #
-    def _eager_step(self, trainer, covariates, treatment, outcome) -> float:
-        loss = trainer._network_forward_backward(covariates, treatment, outcome)
-        trainer._optimizer.step()
-        trainer.last_step_stats = {"replay_hit": False, "graph_nodes": None}
-        return loss.item()
-
     @staticmethod
-    def _refresh_weights(trainer, weight_buffer) -> None:
-        if weight_buffer is not None:
-            np.copyto(weight_buffer, trainer.sample_weights.numpy())
-
-    @staticmethod
-    def _step_signature(trainer, covariates, treatment, outcome) -> tuple:
+    def _step_signature(trainer, covariates, treatment, outcome, weights) -> tuple:
         # The treatment bytes are cheap insurance against an aliased buffer
         # being rewritten in place between steps (ids alone would match).
         return (
             id(covariates),
             id(treatment),
             id(outcome),
+            id(weights),
             covariates.shape,
             str(covariates.dtype),
             treatment.shape,
@@ -164,7 +151,6 @@ class NetworkStepReplay:
         """Drop the program and the arrays it pins; ``stats`` stay."""
         self.program = None
         self._signature = None
-        self._weight_buffer = None
         self._pins = None
 
     def _disable(self, reason: str) -> None:

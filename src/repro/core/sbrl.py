@@ -324,20 +324,16 @@ class SBRLTrainer:
         treatment: np.ndarray,
         outcome: np.ndarray,
         indices: Optional[np.ndarray] = None,
-        weights_override: Optional[np.ndarray] = None,
     ) -> Tensor:
         """Eager forward + backward of the network objective (no optimizer step).
 
-        ``weights_override`` substitutes a preallocated sample-weight buffer
-        (the graph-replay engine's refreshable input) for the values read
-        from :attr:`sample_weights`; it must already hold the same values
-        the eager read would produce.
+        The factual loss reads the sample weights' own array, not a copy, so
+        a program recorded from this step reads the values each weight step
+        writes there in place.
         """
         weights_constant = None
-        if weights_override is not None:
-            weights_constant = as_tensor(weights_override)
-        elif self.uses_weights:
-            values = self.sample_weights.numpy()
+        if self.uses_weights:
+            values = self.sample_weights.tensor.data
             weights_constant = as_tensor(values if indices is None else values[indices])
         forward = self.backbone.forward(covariates, treatment)
         loss = self.backbone.network_loss(forward, treatment, outcome, weights_constant)
@@ -352,13 +348,20 @@ class SBRLTrainer:
         outcome: np.ndarray,
         indices: Optional[np.ndarray] = None,
     ) -> float:
-        """One gradient step on the network parameters, weights held fixed."""
+        """One gradient step on the network parameters, weights held fixed.
+
+        A full-batch fit's replay engine runs the forward and backward when
+        it can; otherwise they run eagerly here.  Either way this makes the
+        step's one optimizer step.
+        """
+        loss = None
         if self._replay is not None and indices is None:
-            return self._replay.step(self, covariates, treatment, outcome)
-        loss = self._network_forward_backward(covariates, treatment, outcome, indices)
+            loss = self._replay.step(self, covariates, treatment, outcome)
+        if loss is None:
+            loss = self._network_forward_backward(covariates, treatment, outcome, indices).item()
+            self.last_step_stats = {"replay_hit": False, "graph_nodes": None}
         self._optimizer.step()
-        self.last_step_stats = {"replay_hit": False, "graph_nodes": None}
-        return loss.item()
+        return loss
 
     def _update_weights(
         self,
@@ -468,9 +471,8 @@ class SBRLTrainer:
                 learning_rate=cfg.weight_learning_rate,
                 clip=cfg.weight_clip,
             )
-            self.sample_weights.values.data = np.asarray(
-                sample_weights, dtype=np.float64
-            ).copy()
+            # In the dtype the fit trained them in.
+            self.sample_weights.values.data = np.array(sample_weights, dtype=cfg.dtype)
 
     def _transform(self, covariates: np.ndarray) -> np.ndarray:
         if self._standardize_mean is None or self._standardize_std is None:

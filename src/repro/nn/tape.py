@@ -20,7 +20,8 @@ slots.  Unseen operands are classified lazily:
   buffer is pinned; replay verifies the buffer identity each run and raises
   :class:`TapeStale` if an optimizer or ``load_state_dict`` swapped it.
 * ``input``   — arrays declared via ``TapeRecorder(inputs=...)`` whose
-  *values* change per step (the engine refreshes them in place).
+  *values* change in place between steps (the trainer's live sample-weight
+  array); a declared input the step read only through a copy aborts.
 * ``dyn``     — outputs of a :func:`dynamic` provider (per-step RNG draws);
   the provider re-runs on every replay, preserving RNG stream order.
 * ``const``   — everything else, baked by reference.  Safe because the
@@ -39,10 +40,11 @@ Replay reproduces eager results bit for bit, by construction:
   ``out=None`` and gets a fresh array, replay passes its fixed buffer (where
   a kernel's two routes differ, as ``getitem``'s forward does, both produce
   the same values);
-* the backward schedule is the exact reversed DFS topological order the
-  eager engine produces (including the parents-order tie-breaking), with
-  the same ``_unbroadcast`` reductions and the same fan-in accumulation
-  values (first contribution stored, later ones added);
+* the backward schedule is the recorded eager order: ``Tensor.backward``
+  hands the recorder the topological order it runs, and the program runs
+  its VJPs in that order, with the same ``_unbroadcast`` reductions and
+  the same fan-in accumulation values (first contribution stored, later
+  ones added);
 * per-step randomness is replayed through :func:`dynamic` providers so the
   RNG streams advance exactly as they would eagerly.
 
@@ -155,16 +157,15 @@ class _Instr:
     """One recorded op: kernel handles, slot wiring, and per-run scratch."""
 
     __slots__ = (
-        "op", "out", "parents", "grad_parents", "attrs", "dyn_attrs",
+        "op", "out", "parents", "attrs", "dyn_attrs",
         "fwd", "vjp", "view_skip", "folded", "needs", "ctx", "ins", "run_attrs",
         "route",
     )
 
-    def __init__(self, op, out, parents, grad_parents, attrs, dyn_attrs, fwd, vjp, view_skip, needs):
+    def __init__(self, op, out, parents, attrs, dyn_attrs, fwd, vjp, view_skip, needs):
         self.op = op
         self.out = out
         self.parents = parents
-        self.grad_parents = grad_parents
         self.attrs = attrs
         self.dyn_attrs = dyn_attrs
         self.fwd = fwd
@@ -203,15 +204,17 @@ class TapeRecorder:
     the :class:`ReplayProgram` (or returns ``None`` with :attr:`aborted` set
     when an op without a replay kernel was encountered — the eager fallback).
 
-    ``inputs`` declares arrays whose *values* the caller refreshes in place
-    before every replay (e.g. the per-step sample-weight buffer); any leaf
-    whose data is (a view of) one of them is classified as an input rather
-    than baked as a constant.
+    ``inputs`` declares arrays whose *values* change in place between
+    replays (the trainer's live sample-weight array); any leaf whose data
+    is (a view of) one of them is classified as an input rather than baked
+    as a constant.
     """
 
     def __init__(self, inputs: Sequence[np.ndarray] = ()) -> None:
         self.inputs = tuple(inputs)
         self._input_ids = {id(arr) for arr in self.inputs}
+        #: The declared inputs some operand read in place, by id.
+        self._read_inputs: set = set()
         self.slots: List[_Slot] = []
         self._by_id: Dict[int, int] = {}
         self.instructions: List[_Instr] = []
@@ -220,6 +223,8 @@ class TapeRecorder:
         self._provider_pins: List[tuple] = []
         self.aborted: Optional[str] = None
         self._backward_root: Optional[Tensor] = None
+        #: The slots of the recorded backward's order, as :meth:`Tensor.backward` sorted it.
+        self.order: List[int] = []
 
     # -- context management -------------------------------------------------
     def __enter__(self) -> "TapeRecorder":
@@ -263,16 +268,19 @@ class TapeRecorder:
             and bool(np.shares_memory(out.data, parents[0].data))
         )
         needs = tuple(self.slots[p].requires_grad for p in parent_ids)
-        grad_parents = parent_ids if out.requires_grad else ()
         self.instructions.append(
             _Instr(
-                op, sid, parent_ids, grad_parents, attrs, tuple(dyn_attrs),
+                op, sid, parent_ids, attrs, tuple(dyn_attrs),
                 kernel.fwd, kernel.vjp, view_skip, needs,
             )
         )
 
-    def on_backward(self, tensor: Tensor, retain_graph: bool) -> None:
-        """Hook: note the backward root (rejects retain_graph / multi-backward)."""
+    def on_backward(self, order: Sequence[Tensor], retain_graph: bool) -> None:
+        """Hook: keep the backward's topological ``order`` (root last) as slots.
+
+        Rejects ``retain_graph`` and a second backward; a tensor in ``order``
+        that has no slot aborts the recording.
+        """
         if self.aborted is not None:
             return
         if retain_graph:
@@ -287,7 +295,10 @@ class TapeRecorder:
                 "graph_replay captures exactly one backward pass per step — set "
                 "TrainingConfig.graph_replay='off' for multi-backward training"
             )
-        self._backward_root = tensor
+        self._backward_root = order[-1]
+        self.order = [self._by_id.get(id(node)) for node in order]
+        if None in self.order:
+            self._abort("the backward reaches a tensor this recording did not capture")
 
     def register_provider(self, fn: Callable, result) -> None:
         """Register arrays produced by ``fn`` as replay-time inputs."""
@@ -327,7 +338,8 @@ class TapeRecorder:
         node = arr
         while node is not None:
             if id(node) in self._input_ids:
-                # Views of a declared input track its in-place refresh.
+                # Views of a declared input track its in-place updates.
+                self._read_inputs.add(id(node))
                 return self._new_slot(tensor, "input")
             bind = self._provider_outputs.get(id(node))
             if bind is not None:
@@ -356,11 +368,12 @@ class TapeRecorder:
         if loss is not self._backward_root:
             self._abort("finalize() loss is not the tensor backward() ran from")
             return None
-        root = self._by_id.get(id(loss))
-        if root is None:
-            self._abort("the loss tensor was not produced by a recorded op")
+        if self._read_inputs != self._input_ids:
+            # The step read a copy (e.g. one ``as_tensor`` made in another
+            # dtype), which the program would bake as a constant.
+            self._abort("a declared input was not read in place")
             return None
-        return ReplayProgram(self, root, pool)
+        return ReplayProgram(self, pool)
 
 
 # --------------------------------------------------------------------------- #
@@ -370,9 +383,9 @@ class ReplayProgram:
     """A recorded step, executable with zero Python graph construction.
 
     ``run()`` refreshes dynamic leaves (provider re-draws), executes the
-    forward instruction list into the fixed buffers, runs the precomputed
-    backward schedule (the exact reversed eager topological order), assigns
-    leaf gradients, and returns the loss as a float.  Parameter ``.grad``
+    forward instruction list into the fixed buffers, runs the backward in
+    the order the recorded eager backward ran (:attr:`topo`), assigns leaf
+    gradients, and returns the loss as a float.  Parameter ``.grad``
     attributes point at the program's pending buffers — values bitwise equal
     to what eager backprop would have produced.
 
@@ -382,12 +395,14 @@ class ReplayProgram:
     gradient buffers in :attr:`arena` (:meth:`_plan`).
     """
 
-    def __init__(self, recorder: TapeRecorder, root: int, pool: Optional[Pool] = None) -> None:
+    def __init__(self, recorder: TapeRecorder, pool: Optional[Pool] = None) -> None:
         self.slots = recorder.slots
         self.instructions = recorder.instructions
         self.providers = recorder.providers
         self._provider_pins = recorder._provider_pins
-        self.root = root
+        #: The recorded backward's topological order, as slots.
+        self.topo = recorder.order
+        self.root = root = self.topo[-1]
         self._bufs = [slot.buffer for slot in self.slots]
         self._pouts: List[tuple] = [()] * len(self.providers)
         self.param_slots = [s for s in self.slots if s.kind == "param"]
@@ -400,33 +415,11 @@ class ReplayProgram:
         # (provider-drawn index arrays).
         self._dyn_instrs = [i for i in self.instructions if i.dyn_attrs and not i.folded]
 
-        # Reversed eager DFS topological order over gradient edges, mirroring
-        # Tensor.backward exactly — including its pop-time visited marking: a
-        # shared node may be pushed by several children and its position is
-        # decided by whichever push is popped first.  Reproducing that makes
-        # the fan-in accumulation order (and thus every float) identical.
-        visited = set()
-        topo: List[int] = []
-        stack: List[Tuple[int, bool]] = [(root, False)]
-        while stack:
-            sid, processed = stack.pop()
-            if processed:
-                topo.append(sid)
-                continue
-            if sid in visited:
-                continue
-            visited.add(sid)
-            stack.append((sid, True))
-            instr = instr_by_out.get(sid)
-            if instr is not None:
-                for parent in instr.grad_parents:
-                    if parent not in visited:
-                        stack.append((parent, False))
-        self.topo = topo
-
+        # The eager backward's order, so the fan-in accumulation order (and
+        # thus every float) is the one eager mode ran.
         self._schedule: List[Tuple[int, object]] = []
         grad_sids: List[int] = []
-        for sid in reversed(topo):
+        for sid in reversed(self.topo):
             slot = self.slots[sid]
             if not slot.requires_grad:
                 continue  # eager: constants never receive pending gradients

@@ -419,9 +419,6 @@ class Tensor:
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
-        rec = _TAPE.recorder
-        if rec is not None:
-            rec.on_backward(self, retain_graph)
         seed_owned = False
         if grad is None:
             if self.data.size != 1:
@@ -448,6 +445,10 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
+        rec = _TAPE.recorder
+        if rec is not None:
+            # A replay program runs its backward in this order.
+            rec.on_backward(topo, retain_graph)
 
         state = _BackwardState()
         state.grads[id(self)] = grad

@@ -17,6 +17,11 @@ Covers the contract of ``TrainingConfig.graph_replay``:
   weights or representations, also at a tile of 4 rows), ELU,
   one-sided ``clip`` and the elementwise ops and losses whose VJPs compute
   same-shape gradients into ctx buffers give eager == replay, bit for bit;
+* a program runs its VJPs in the order the recorded eager backward ran
+  them, also on a graph with fan-in; it reads the trainer's live
+  sample-weight array, records again when that array is replaced, and
+  never bakes a copy of it (an array in another dtype steps eagerly); and
+  every path of the network step makes exactly one optimizer step;
 * replay skips instructions the loss does not read (DeR-CFR's propensity);
 * a fitted trainer is freed by reference counting (no trainer <-> replay
   cycle), a finished fit keeps no program (deep copies copy none), and a
@@ -360,6 +365,125 @@ class TestInvalidation:
             # ... and the re-recorded program replays again.
             trainer._network_step(covariates, treatment, outcome, None)
             assert trainer.last_step_stats["replay_hit"] is True
+
+
+def _dfs_order(program):
+    """A depth-first topological order with ``Tensor.backward``'s pop-time
+    visited marking, rebuilt from a program's instructions: the reference
+    for the order the program takes from the recorded backward."""
+    instr_by_out = {instr.out: instr for instr in program.instructions}
+    visited, topo, stack = set(), [], [(program.root, False)]
+    while stack:
+        sid, processed = stack.pop()
+        if processed:
+            topo.append(sid)
+            continue
+        if sid in visited:
+            continue
+        visited.add(sid)
+        stack.append((sid, True))
+        instr = instr_by_out.get(sid)
+        if instr is not None and program.slots[sid].requires_grad:
+            stack.extend((parent, False) for parent in instr.parents if parent not in visited)
+    return topo
+
+
+class TestRecordedStep:
+    """The program takes its backward order and the sample weights from the
+    eager step it recorded, and the trainer makes each step's optimizer step."""
+
+    def test_schedule_runs_the_vjps_in_the_order_the_eager_backward_ran_them(self, monkeypatch):
+        ran = []
+        for name in ("mul", "add", "exp", "tanh", "sum"):
+            kernel = KERNELS[name]
+
+            def vjp(grad, ins, out, attrs, ctx, needs, _vjp=kernel.vjp):
+                ran.append(id(out))
+                return _vjp(grad, ins, out, attrs, ctx, needs)
+
+            monkeypatch.setitem(KERNELS, name, Kernel(name, kernel.fwd, vjp))
+        x = Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+        with TapeRecorder() as recorder:
+            # y, u and v fan out.  The last product is popped first and reaches
+            # y before u does, where a sort that marks nodes when it pushes
+            # them would order y's VJP before u's.
+            y = x * 2.0
+            u, v = y.exp(), y.tanh()
+            loss = (u * v + v + y * u).sum()
+            loss.backward()
+        by_buffer = {id(slot.buffer): slot.index for slot in recorder.slots}
+        eager = [by_buffer[key] for key in ran]
+        program = recorder.finalize(loss)
+        scheduled = [item.out for tag, item in program._schedule if tag == 1]
+        assert len(eager) == 8 and scheduled == eager
+        assert program.topo == _dfs_order(program)
+
+    def _pair(self, protocol, **fit):
+        """A fitted trainer, a deep copy of it that steps eagerly, and the
+        full-batch arrays the fit ran on."""
+        replayed = _fit(protocol, _config(iterations=6), **fit).trainer
+        eager = copy.deepcopy(replayed)
+        eager._replay = None
+        train_std = protocol["train"].standardize()[0]
+        return replayed, eager, (train_std.covariates, train_std.treatment, train_std.outcome)
+
+    def test_weights_in_another_dtype_updated_in_place_give_the_eager_loss(self, protocol):
+        """A float32 weight array in a float64 fit reaches the loss through a
+        float64 copy, which no replay may bake: the step runs eagerly."""
+        replayed, eager, arrays = self._pair(protocol)
+        losses = []
+        for trainer in (replayed, eager):
+            with dtype_scope("float64"):
+                weights = trainer.sample_weights.tensor
+                weights.data = weights.data.astype(np.float32)
+                first = trainer._network_step(*arrays)
+                weights.data *= 1.5
+                losses.append((first, trainer._network_step(*arrays)))
+        assert losses[0] == losses[1]
+        assert replayed._replay.stats["fallbacks"] == 1
+
+    def test_a_replaced_weight_array_records_again(self, protocol):
+        replayed, eager, arrays = self._pair(protocol)
+
+        def steps(trainer):
+            with dtype_scope("float64"):
+                losses = [trainer._network_step(*arrays) for _ in range(2)]
+                weights = trainer.sample_weights.tensor
+                weights.data = weights.data * 1.5
+                return losses + [trainer._network_step(*arrays) for _ in range(2)]
+
+        misses = replayed._replay.stats["misses"]
+        assert steps(replayed) == steps(eager)
+        # The first step records, and so does the first after the replacement.
+        assert replayed._replay.stats["misses"] == misses + 2
+        assert replayed.last_step_stats["replay_hit"] is True
+
+    def test_every_path_makes_one_optimizer_step(self, protocol, monkeypatch):
+        trainer, _, arrays = self._pair(protocol, backbone="tarnet", framework="vanilla")
+        replay, optimizer = trainer._replay, trainer._optimizer
+        step = optimizer.step
+        steps = []
+        monkeypatch.setattr(optimizer, "step", lambda: (steps.append(1), step()))
+
+        def one_step(**stats):
+            before = dict(replay.stats)
+            del steps[:]
+            with dtype_scope("float64"):
+                trainer._network_step(*arrays)
+            assert len(steps) == 1
+            assert {key: replay.stats[key] - before[key] for key in stats} == stats
+
+        one_step(records=1, misses=1)
+        one_step(hits=1)
+        with TapeRecorder():
+            one_step(hits=0, misses=0)  # a recording already active
+        trainer._replay = None
+        one_step()
+        trainer._replay = replay
+        replay.release()
+        monkeypatch.setattr(Tensor, "elu", _closure_elu)
+        one_step(fallbacks=1, records=0)  # the recording aborts
+        one_step(hits=0, misses=0)  # replay is off
 
 
 class TestDeadInstructions:

@@ -265,6 +265,9 @@ def test_concurrent_turns_each_lend_their_own_pool(monkeypatch):
     features, probs = _inputs()
     expected = _node(features, probs)
     taken, workspaces, steady, results = [], {}, set(), []
+    # All four are alive before any takes a turn, so no thread reuses the
+    # ident of one that has finished.
+    started = threading.Barrier(4)
     tmp = kernels._tmp
 
     def spy(key, shape, dtype):
@@ -274,6 +277,7 @@ def test_concurrent_turns_each_lend_their_own_pool(monkeypatch):
         return block
 
     def run():
+        started.wait(timeout=60)
         workspace = workspaces[threading.get_ident()] = Workspace(Pool())
         with workspace.turn():  # lays the blocks out, in mappings of their own
             _node(features, probs)

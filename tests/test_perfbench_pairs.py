@@ -70,6 +70,43 @@ def test_one_pair_has_every_quartile_at_its_value(pairs):
     assert "wall_s" in text and "1/0/0" in text
 
 
+def _verdicts(pairs, rows):
+    """The verdict ``format_summary`` prints on each metric's line."""
+    lines = pairs.format_summary(rows, 5).splitlines()[2:]
+    return {line.split()[0]: line.split("  ")[-1].strip() for line in lines}
+
+
+def test_a_median_worse_by_more_than_its_bound_is_past_bound(pairs):
+    parent = _runs(wall_s=[2.0] * 5, throughput=[10.0] * 5, setup_s=[1.0] * 5)
+    # wall_s 2.0 -> 2.6 is 0.30 worse (bound 0.24); throughput 10 -> 8.5 is
+    # 0.15 worse (bound 0.1); setup_s 1.0 -> 1.2 is within its 0.25.
+    change = _runs(wall_s=[2.6] * 5, throughput=[8.5] * 5, setup_s=[1.2] * 5)
+    rows = {row["metric"]: row for row in pairs.summarize(END_TO_END, parent, change)}
+    assert rows["wall_s"]["bound"] == 0.24
+    assert rows["wall_s"]["past_bound"] and rows["throughput"]["past_bound"]
+    assert not rows["setup_s"]["past_bound"]
+    assert not any(row["unresolved"] for row in rows.values())
+    assert _verdicts(pairs, list(rows.values())) == {
+        "wall_s": "PAST BOUND", "throughput": "PAST BOUND", "setup_s": "ok",
+    }
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(pairs):
+    # Both parents' quartiles span more than bound x median (0.48 s, 24 MB).
+    parent = _runs(
+        wall_s=[1.0, 1.5, 2.0, 2.5, 3.0], peak_rss_mb=[100.0, 130.0, 160.0, 190.0, 220.0]
+    )
+    # wall_s's median moves less than its bound, but the runs overlap;
+    # every peak_rss_mb run of the change beats every run of the parent.
+    change = _runs(
+        wall_s=[1.1, 1.6, 2.1, 2.6, 3.1], peak_rss_mb=[90.0, 91.0, 92.0, 93.0, 94.0]
+    )
+    rows = {row["metric"]: row for row in pairs.summarize(END_TO_END, parent, change)}
+    assert rows["wall_s"]["unresolved"] and not rows["wall_s"]["past_bound"]
+    assert not rows["peak_rss_mb"]["unresolved"] and not rows["peak_rss_mb"]["past_bound"]
+    assert _verdicts(pairs, list(rows.values())) == {"wall_s": "unresolved", "peak_rss_mb": "ok"}
+
+
 def _stub_runs(pairs, monkeypatch, results):
     """Each call of ``run_once`` returns the next canned result (None: failed)."""
     calls = []

@@ -71,6 +71,19 @@ class TestRoundTrip:
             fitted_sbrl_hap.sample_weights(), reloaded.sample_weights()
         )
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sample_weights_keep_their_training_dtype(self, fast_config, small_train, tmp_path, dtype):
+        fast_config.training.dtype = dtype
+        estimator = HTEEstimator(
+            backbone="cfr", framework="sbrl-hap", config=fast_config, seed=1
+        ).fit(small_train)
+        estimator.save(tmp_path / "model")
+        reloaded = HTEEstimator.load(tmp_path / "model")
+        assert estimator.sample_weights().dtype == np.dtype(dtype)
+        assert reloaded.sample_weights().dtype == np.dtype(dtype)
+        assert reloaded.fitted_dtype == estimator.fitted_dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(estimator.sample_weights(), reloaded.sample_weights())
+
     def test_evaluate_works_after_reload(self, fitted_sbrl_hap, small_ood, tmp_path):
         fitted_sbrl_hap.save(tmp_path / "model")
         reloaded = load_estimator(tmp_path / "model")
