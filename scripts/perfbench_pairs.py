@@ -10,11 +10,14 @@ how a tree was laid out, not only with the code.  Run from anywhere::
         --workload fit-fullbatch --pairs 10 --first-seed 101
 
 Both sides run for the parent's ``BENCHMARK.json`` ``run_seconds``, the
-length the benchmark itself uses.  For every end-to-end metric of that
-file that both sides report, it prints each side's median and quartiles,
-the parent's interquartile range, the ratio of the medians, the change's
-wins, ties and losses under the metric's ``better``, and a verdict against
-the metric's ``bound``, a fraction of the parent's median:
+length the benchmark itself uses.  Each pair's line prints both sides'
+values to six significant digits, and in full (``repr``) where the sides
+differ but read the same at six digits, so a last-bit difference (a PEHE
+that is not bitwise equal) can be read back.  For every end-to-end metric
+of that file that both sides report, it prints each side's median and
+quartiles, the parent's interquartile range, the ratio of the medians, the
+change's wins, ties and losses under the metric's ``better``, and a verdict
+against the metric's ``bound``, a fraction of the parent's median:
 
 * ``PAST BOUND``: the change's median is worse than the parent's by more
   than ``bound`` times the parent's median;
@@ -116,6 +119,24 @@ def format_summary(rows: Sequence[dict], pairs: int) -> str:
     return "\n".join(lines)
 
 
+def format_pair(parent: dict, change: dict) -> str:
+    """``name old -> new`` for each metric both runs of a pair report.
+
+    Six significant digits, or ``repr`` where the two values differ but
+    read the same at six digits.
+    """
+    parts = []
+    for name in sorted(parent):
+        if name not in change:
+            continue
+        old, new = parent[name], change[name]
+        shown = f"{old:.6g}", f"{new:.6g}"
+        if old != new and shown[0] == shown[1]:
+            shown = repr(old), repr(new)
+        parts.append(f"{name} {shown[0]} -> {shown[1]}")
+    return ", ".join(parts)
+
+
 def run_once(directory: str, workload: str, seed: int, seconds: int) -> Optional[dict]:
     """The last JSON line of one perfbench run in ``directory`` (``None`` if it failed)."""
     command = [
@@ -163,10 +184,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 print(f"pair {index + 1}: the {side} run on seed {seed} failed", file=sys.stderr)
                 return 1
             metrics[side].append({name: entry["value"] for name, entry in result["metrics"].items()})
-        print(f"pair {index + 1}/{args.pairs} (seed {seed}, {order[0]} first): " + ", ".join(
-            f"{name} {metrics['parent'][-1][name]:.6g} -> {metrics['change'][-1][name]:.6g}"
-            for name in sorted(metrics["parent"][-1]) if name in metrics["change"][-1]
-        ), flush=True)
+        print(
+            f"pair {index + 1}/{args.pairs} (seed {seed}, {order[0]} first): "
+            + format_pair(metrics["parent"][-1], metrics["change"][-1]),
+            flush=True,
+        )
     print(format_summary(summarize(end_to_end, metrics["parent"], metrics["change"]), args.pairs))
     return 0
 

@@ -109,7 +109,7 @@ def select_factual_rows(treated: Tensor, control: Tensor, treatment: np.ndarray)
     head-specific activations.  Implemented with a differentiable mask
     multiplication so gradients flow to the correct head only.
     """
-    mask = as_tensor(np.asarray(treatment, dtype=np.float64).reshape(-1, 1))
+    mask = as_tensor(np.reshape(treatment, (-1, 1)), like=treated)
     return treated * mask + control * (1.0 - mask)
 
 
@@ -122,7 +122,7 @@ def constant_factual_rows(treated: Tensor, control: Tensor, treatment: np.ndarra
     step, and replay would re-run them.  Same arithmetic, so the values
     are bitwise those of :func:`select_factual_rows`.
     """
-    mask = as_tensor(np.asarray(treatment, dtype=np.float64).reshape(-1, 1)).data
+    mask = np.asarray(treatment, dtype=treated.data.dtype).reshape(-1, 1)
     return Tensor(treated.data * mask + control.data * (1.0 - mask))
 
 
@@ -155,6 +155,12 @@ class BaseBackbone(Module):
         """Compute one forward pass (abstract; see TARNet for the contract)."""
         raise NotImplementedError
 
+    def _input(self, covariates) -> Tensor:
+        """Array ``covariates`` in the parameters' dtype, as the compiled forward casts them."""
+        if isinstance(covariates, Tensor):
+            return covariates
+        return Tensor(np.asarray(covariates, dtype=self.parameter_dtype()))
+
     def network_loss(
         self,
         forward: BackboneForward,
@@ -175,7 +181,7 @@ class BaseBackbone(Module):
         sample_weights: Optional[Tensor] = None,
     ) -> Tensor:
         """Backbone-specific penalty (zero by default; CFR adds its IPM)."""
-        return as_tensor(0.0)
+        return as_tensor(0.0, like=forward.representation)
 
     def head_parameters(self):
         """Parameters subject to the outcome-head l2 penalty."""
@@ -197,7 +203,7 @@ class BaseBackbone(Module):
         factual = select_factual_rows(
             forward.mu1.reshape(-1, 1), forward.mu0.reshape(-1, 1), treatment
         ).reshape(-1)
-        weights = sample_weights if sample_weights is not None else as_tensor(np.ones_like(outcome))
+        weights = sample_weights if sample_weights is not None else np.ones_like(outcome)
         if self.binary_outcome:
             return F.weighted_binary_cross_entropy(factual, outcome, weights)
         return F.weighted_mse_loss(factual, outcome, weights)

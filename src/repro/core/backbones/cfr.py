@@ -38,13 +38,13 @@ class CFR(TARNet):
         """IPM balance penalty between treated and control representations."""
         alpha = self.regularizers.alpha
         if alpha == 0.0:
-            return as_tensor(0.0)
+            return as_tensor(0.0, like=forward.representation)
         treatment = np.asarray(treatment, dtype=np.float64).ravel()
         treated_mask = treatment == 1.0
         control_mask = ~treated_mask
         if treated_mask.sum() == 0 or control_mask.sum() == 0:
             # A batch with a single treatment arm carries no balance signal.
-            return as_tensor(0.0)
+            return as_tensor(0.0, like=forward.representation)
         treated_idx = np.where(treated_mask)[0]
         control_idx = np.where(control_mask)[0]
         threshold = self.regularizers.subsample_threshold

@@ -118,7 +118,7 @@ class DeRCFR(BaseBackbone):
     # ------------------------------------------------------------------ #
     def forward(self, covariates, treatment: np.ndarray) -> BackboneForward:
         """Three-stream forward: instrument, confounder and adjustment blocks."""
-        covariates = as_tensor(covariates)
+        covariates = self._input(covariates)
         rep_i, hidden_i = self.instrument_net.forward_with_hidden(covariates)
         rep_c, hidden_c = self.confounder_net.forward_with_hidden(covariates)
         rep_a, hidden_a = self.adjustment_net.forward_with_hidden(covariates)
@@ -160,7 +160,7 @@ class DeRCFR(BaseBackbone):
         treated_idx = np.where(treatment == 1.0)[0]
         control_idx = np.where(treatment == 0.0)[0]
         penalties = self.penalties
-        total: Tensor = as_tensor(0.0)
+        total = as_tensor(0.0, like=forward.representation)
 
         # Treatment prediction loss: I and C must explain the assignment.
         # Fused logits formulation — stable for saturated propensities where
@@ -219,7 +219,7 @@ class DeRCFR(BaseBackbone):
             forward.extra["adjustment"],
         ]
         means = [block.mean(axis=0) for block in blocks]
-        total: Tensor = as_tensor(0.0)
+        total = as_tensor(0.0, like=forward.representation)
         for i in range(len(means)):
             for j in range(i + 1, len(means)):
                 dot = (means[i] * means[j]).sum()

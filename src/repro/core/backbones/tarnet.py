@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from ...nn.modules import RepresentationNetwork
-from ...nn.tensor import Tensor, as_tensor
 from ..config import BackboneConfig, RegularizerConfig
 from .base import BackboneForward, BaseBackbone, TwoHeadPredictor, constant_factual_rows
 
@@ -52,7 +51,7 @@ class TARNet(BaseBackbone):
 
     def forward(self, covariates, treatment: np.ndarray) -> BackboneForward:
         """Shared representation, then the per-arm outcome heads."""
-        covariates = as_tensor(covariates)
+        covariates = self._input(covariates)
         representation, rep_hidden = self.representation.forward_with_hidden(covariates)
         mu0, mu1, last0, last1, head_hidden = self.predictor(representation)
         last_layer = constant_factual_rows(last1, last0, treatment)

@@ -128,7 +128,10 @@ class TrainingConfig:
     #: default) is bit-compatible with the golden-regression suite and the
     #: finite-difference gradient checks; ``"float32"`` halves memory
     #: traffic for an opt-in speedup at the cost of ~1e-7-level numeric
-    #: drift.  Evaluation metrics are always computed in float64.
+    #: drift.  The trainer casts the backbone's parameters and the sample
+    #: weights to it; every other tensor of the fit takes its dtype from
+    #: them, so the setting holds for this fit alone.  Evaluation metrics
+    #: are always computed in float64.
     dtype: str = "float64"
     #: Graph-replay mode.  ``"auto"`` (the default) records a full-batch
     #: fit's network step forward/backward as a replayable kernel program

@@ -26,7 +26,6 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..data.dataset import CausalDataset
-from ..nn.tensor import dtype_scope
 from ..registry import backbones as BACKBONE_REGISTRY
 from ..registry import frameworks as FRAMEWORK_REGISTRY
 from .backbones import build_backbone
@@ -198,29 +197,29 @@ class HTEEstimator:
         """Construct (and attach) the trainer for ``train`` without fitting it.
 
         This is the first half of :meth:`fit`: the backbone is initialised
-        from ``self.seed`` inside the dtype scope, so the parameter draws are
-        identical to what a full ``fit`` would produce.  Callers that drive
-        training themselves use this to obtain an untrained trainer.
+        from ``self.seed`` and the trainer casts its parameters to
+        ``config.training.dtype``, so the parameters are identical to what a
+        full ``fit`` would start from.  Callers that drive training
+        themselves use this to obtain an untrained trainer.
         """
         binary = self.binary_outcome if self.binary_outcome is not None else train.binary_outcome
         rng = np.random.default_rng(self.seed)
-        with dtype_scope(self.config.training.dtype):
-            backbone = build_backbone(
-                self.backbone_name,
-                num_features=train.num_features,
-                config=self.config.backbone,
-                regularizers=self.config.regularizers,
-                binary_outcome=binary,
-                rng=rng,
-            )
-            self.trainer = SBRLTrainer(
-                backbone,
-                framework=self.framework,
-                config=self.config,
-                use_balance=self.use_balance,
-                use_independence=self.use_independence,
-                use_hierarchy=self.use_hierarchy,
-            )
+        backbone = build_backbone(
+            self.backbone_name,
+            num_features=train.num_features,
+            config=self.config.backbone,
+            regularizers=self.config.regularizers,
+            binary_outcome=binary,
+            rng=rng,
+        )
+        self.trainer = SBRLTrainer(
+            backbone,
+            framework=self.framework,
+            config=self.config,
+            use_balance=self.use_balance,
+            use_independence=self.use_independence,
+            use_hierarchy=self.use_hierarchy,
+        )
         return self.trainer
 
     def fit(
@@ -229,13 +228,13 @@ class HTEEstimator:
         """Fit the estimator on one training population.
 
         ``config.training.dtype`` selects the precision of the whole
-        training graph: the backbone parameters are *initialised* inside the
-        dtype scope, so float32 training really runs float32 end to end
-        rather than up-casting on every op.
+        training graph: the parameters are drawn in float64 and cast to it
+        once, and every tensor the fit builds takes its dtype from them, so
+        float32 training runs float32 end to end rather than up-casting on
+        every op.  The setting belongs to this fit alone: estimators in
+        different dtypes can fit side by side on threads.
         """
-        trainer = self.build_trainer(train)
-        with dtype_scope(self.config.training.dtype):
-            trainer.fit(train, validation)
+        self.build_trainer(train).fit(train, validation)
         return self
 
     def refit(
@@ -304,8 +303,7 @@ class HTEEstimator:
             use_independence=self.use_independence,
             use_hierarchy=self.use_hierarchy,
         )
-        with dtype_scope(config.training.dtype):
-            self.trainer.fit(train, validation)
+        self.trainer.fit(train, validation)
         return self
 
     def _require_fitted(self) -> SBRLTrainer:

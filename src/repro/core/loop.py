@@ -57,8 +57,9 @@ class IterationRecord:
     #: Gradient-graph size of the network step (``None`` on eager steps
     #: without a recorded program).
     graph_nodes: Optional[int] = None
-    #: Tensors allocated during this iteration (``tensor_alloc_count`` delta
-    #: over the network + weight updates); replayed steps drive this to ~0.
+    #: Tensors the fit's thread allocated during this iteration
+    #: (``tensor_alloc_count`` delta over the network + weight updates);
+    #: replayed steps drive this to ~0.
     tensor_allocs: Optional[int] = None
     #: Learning rate the network optimiser used for this iteration (the
     #: schedule evaluated at this step; ``None`` when no optimiser is wired).

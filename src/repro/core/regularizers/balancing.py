@@ -99,11 +99,11 @@ class BalancingRegularizer:
         and treatment; without it the groups are prepared here.
         """
         if self.alpha == 0.0:
-            return as_tensor(0.0)
+            return as_tensor(0.0, like=representation)
         if groups is None:
             groups = self.prepare(representation, treatment)
         if groups.inputs is None:
-            return as_tensor(0.0)
+            return as_tensor(0.0, like=representation)
         weights = as_tensor(sample_weights).reshape(-1)
         weights_control = weights[groups.control]
         weights_treated = weights[groups.treated]

@@ -176,7 +176,7 @@ class HierarchicalAttentionLoss:
         forward = prepared.forward
         cfg = self.config
         weights = as_tensor(sample_weights).reshape(-1)
-        total: Tensor = as_tensor(0.0)
+        total = as_tensor(0.0, like=weights)
         balance_value = 0.0
 
         if self.use_balance and cfg.alpha > 0:

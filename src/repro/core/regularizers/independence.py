@@ -107,7 +107,7 @@ class IndependenceRegularizer:
             raise ValueError("layer must be a 2-D activation matrix")
         num_columns = layer.shape[1]
         if num_columns < 2:
-            return as_tensor(0.0)
+            return as_tensor(0.0, like=layer)
         weights = as_tensor(sample_weights).reshape(-1)
         if features is None:
             if self.subsample_threshold is not None and layer.shape[0] > self.subsample_threshold:

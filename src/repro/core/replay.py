@@ -18,10 +18,11 @@ trainer runs those steps eagerly.
 
 Invalidation is signature-based: the signature pins the batch arrays and
 the sample-weight array by identity (and the engine holds references so
-ids cannot be recycled), plus shapes, dtypes, the training dtype policy
-and the full config repr.  A different signature, or a program gone stale
-(:class:`TapeStale`), records again in its place.  Unsupported ops abort
-the recording and permanently fall back to eager with a one-time warning.
+ids cannot be recycled), plus shapes, dtypes, the parameters' dtype (the
+fit's precision) and the full config repr.  A different signature, or a
+program gone stale (:class:`TapeStale`), records again in its place.
+Unsupported ops abort the recording and permanently fall back to eager
+with a one-time warning.
 
 The program lives for one fit: the trainer calls
 :meth:`NetworkStepReplay.release` when the fit ends, and turning taping
@@ -37,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from ..nn.tape import TapeRecorder, TapeStale
-from ..nn.tensor import _TAPE, get_default_dtype
+from ..nn.tensor import _TAPE
 
 __all__ = ["NetworkStepReplay"]
 
@@ -143,7 +144,7 @@ class NetworkStepReplay:
             treatment.shape,
             outcome.shape,
             hash(treatment.tobytes()),
-            str(get_default_dtype()),
+            str(trainer.backbone.parameter_dtype()),
             repr(trainer.config),
         )
 

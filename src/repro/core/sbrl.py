@@ -30,7 +30,7 @@ from ..data.dataset import CausalDataset, covariate_matrix
 from ..metrics.evaluation import EffectEstimates, evaluate_effect_predictions
 from ..nn.kernels import Pool, Workspace
 from ..nn.optim import Optimizer
-from ..nn.tensor import Tensor, as_tensor, dtype_scope, no_grad
+from ..nn.tensor import Tensor, as_tensor, no_grad
 from ..registry import frameworks as FRAMEWORK_REGISTRY
 from .backbones.base import BackboneForward, BaseBackbone
 from .config import SBRLConfig, build_training_optimizer
@@ -207,6 +207,19 @@ class SBRLTrainer:
         #: Metrics of the most recent network step (set by the replay engine
         #: or the eager path): ``{"replay_hit": bool, "graph_nodes": int|None}``.
         self.last_step_stats: Optional[Dict[str, object]] = None
+        self._cast_to_training_dtype()
+
+    def _cast_to_training_dtype(self) -> None:
+        """Cast the parameters and sample weights to ``TrainingConfig.dtype``.
+
+        The one place that setting is applied: every other tensor of a fit
+        takes its dtype from these.
+        """
+        dtype = np.dtype(self.config.training.dtype)
+        weights = [] if self.sample_weights is None else [self.sample_weights.tensor]
+        for tensor in [*self.backbone.parameters(), *weights]:
+            if tensor.data.dtype != dtype:
+                tensor.data = tensor.data.astype(dtype)
 
     # ------------------------------------------------------------------ #
     # Training
@@ -247,10 +260,6 @@ class SBRLTrainer:
         """
         cfg = self.config.training
         start = time.perf_counter()
-        with dtype_scope(cfg.dtype):
-            return self._fit_scoped(train, validation, callbacks, cfg, start)
-
-    def _fit_scoped(self, train, validation, callbacks, cfg, start) -> TrainingHistory:
         train_std, mean, std = train.standardize()
         self._standardize_mean, self._standardize_std = mean, std
         val_std = validation.standardize(mean, std)[0] if validation is not None else None
@@ -266,18 +275,18 @@ class SBRLTrainer:
                     "stopping signal (warning shown once per process)"
                 )
 
-        self._optimizer = build_training_optimizer(self.backbone.parameters(), cfg)
-        # Only full-batch fits can reuse a recorded step: a minibatch loader
-        # hands every step fresh arrays.
-        replays = cfg.graph_replay == "auto" and cfg.batch_size is None
-        self._replay = NetworkStepReplay() if replays else None
-
         if self.uses_weights:
             self.sample_weights = SampleWeights(
                 num_samples=len(train_std),
                 learning_rate=cfg.weight_learning_rate,
                 clip=cfg.weight_clip,
             )
+        self._cast_to_training_dtype()
+        self._optimizer = build_training_optimizer(self.backbone.parameters(), cfg)
+        # Only full-batch fits can reuse a recorded step: a minibatch loader
+        # hands every step fresh arrays.
+        replays = cfg.graph_replay == "auto" and cfg.batch_size is None
+        self._replay = NetworkStepReplay() if replays else None
 
         loader = DataLoader(train_std, batch_size=cfg.batch_size, seed=cfg.seed)
         stack: List[Callback] = [HistoryRecorder()]
@@ -471,8 +480,8 @@ class SBRLTrainer:
                 learning_rate=cfg.weight_learning_rate,
                 clip=cfg.weight_clip,
             )
-            # In the dtype the fit trained them in.
-            self.sample_weights.values.data = np.array(sample_weights, dtype=cfg.dtype)
+            self.sample_weights.values.data = np.array(sample_weights)
+            self._cast_to_training_dtype()  # the dtype the fit trained them in
 
     def _transform(self, covariates: np.ndarray) -> np.ndarray:
         if self._standardize_mean is None or self._standardize_std is None:

@@ -1,4 +1,4 @@
-"""Autodiff hot-path benchmark: fused kernels, compiled serving, dtype policy.
+"""Autodiff hot-path benchmark: fused kernels, compiled serving, training dtype.
 
 Quantifies the PR-4 engine overhaul along four axes:
 
@@ -14,7 +14,9 @@ Quantifies the PR-4 engine overhaul along four axes:
   under ``no_grad`` at request-sized batches, plus end-to-end single-row
   latency of the in-process :meth:`ModelRegistry.predict
   <repro.serve.registry.ModelRegistry.predict>` path;
-* **dtype** — float64 vs opt-in float32 training throughput.
+* **dtype** — float64 vs opt-in float32 training throughput
+  (``TrainingConfig.dtype``, which the trainer applies to the parameters;
+  every tensor of the fit takes its dtype from them).
 
 ``benchmarks/bench_autodiff.py`` wraps this module as a CI-runnable script
 (``--smoke``) that can also gate on a committed baseline
@@ -34,7 +36,7 @@ from ..data.synthetic import SyntheticConfig, SyntheticGenerator
 from ..metrics.hsic import RandomFourierFeatures, pairwise_decorrelation_loss
 from ..metrics.ipm import mmd_rbf_weighted
 from ..nn import functional as F
-from ..nn.tensor import Tensor, dtype_scope, graph_node_count, tensor_alloc_count
+from ..nn.tensor import Tensor, graph_node_count, tensor_alloc_count
 from ..serve import ModelRegistry
 from .reporting import format_table, machine_block
 from .training_benchmark import _engine_config
@@ -185,25 +187,24 @@ def _replay_step_comparison(num_samples: int, repeats: int, seed: int) -> Dict[s
         train_std.treatment,
         train_std.outcome,
     )
-    with dtype_scope(config.training.dtype):
-        replay_engine = trainer._replay
+    replay_engine = trainer._replay
 
-        def replay_step():
-            trainer._replay = replay_engine
-            trainer._network_step(covariates, treatment, outcome, None)
-
-        def eager_step():
-            trainer._replay = None
-            trainer._network_step(covariates, treatment, outcome, None)
-
-        replay_step()  # records once; subsequent calls are cache hits
-        assert trainer.last_step_stats is not None
-        allocs_before = tensor_alloc_count()
-        replay_step()
-        replay_allocs = tensor_alloc_count() - allocs_before
-        graph_nodes = trainer.last_step_stats.get("graph_nodes")
-        replay_seconds, eager_seconds = _interleaved_best(replay_step, eager_step, repeats)
+    def replay_step():
         trainer._replay = replay_engine
+        trainer._network_step(covariates, treatment, outcome, None)
+
+    def eager_step():
+        trainer._replay = None
+        trainer._network_step(covariates, treatment, outcome, None)
+
+    replay_step()  # records once; subsequent calls are cache hits
+    assert trainer.last_step_stats is not None
+    allocs_before = tensor_alloc_count()
+    replay_step()
+    replay_allocs = tensor_alloc_count() - allocs_before
+    graph_nodes = trainer.last_step_stats.get("graph_nodes")
+    replay_seconds, eager_seconds = _interleaved_best(replay_step, eager_step, repeats)
+    trainer._replay = replay_engine
     return {
         "num_samples": num_samples,
         "backbone": "cfr",

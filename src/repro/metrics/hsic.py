@@ -279,6 +279,6 @@ def pairwise_decorrelation_loss(
         raise ValueError("need one RandomFourierFeatures draw per column")
     left, right = draw_pairs(n_cols, max_pairs, rng)
     if not len(left):
-        return as_tensor(0.0)
+        return as_tensor(0.0, like=matrix)
     features = column_rff_features(matrix, features_per_dim)
     return weighted_pairs_hsic_rff(features, weights, left, right)

@@ -210,10 +210,11 @@ def mmd_linear_weighted(
     return (diff * diff).sum()
 
 
-def _normalised(weights: Optional[Tensor], count: int) -> Tensor:
-    """Weights rescaled to sum to one; uniform ``1 / count`` when ``None``."""
+def _normalised(weights: Optional[Tensor], rep: Tensor) -> Tensor:
+    """Weights rescaled to sum to one; uniform over ``rep``'s rows, in its dtype, when ``None``."""
     if weights is None:
-        return as_tensor(np.full(count, 1.0 / count))
+        count = rep.shape[0]
+        return as_tensor(np.full(count, 1.0 / count), like=rep)
     weights = as_tensor(weights)
     return weights / (weights.sum() + 1e-12)
 
@@ -239,8 +240,8 @@ def mmd_rbf_weighted(
     return F.weighted_rbf_mmd(
         rep_control,
         rep_treated,
-        _normalised(weights_control, rep_control.shape[0]),
-        _normalised(weights_treated, rep_treated.shape[0]),
+        _normalised(weights_control, rep_control),
+        _normalised(weights_treated, rep_treated),
         sigma,
     )
 

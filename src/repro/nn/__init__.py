@@ -25,12 +25,9 @@ from .tensor import (
     Tensor,
     as_tensor,
     concatenate,
-    dtype_scope,
-    get_default_dtype,
     graph_node_count,
     is_grad_enabled,
     no_grad,
-    set_default_dtype,
     stack,
     tensor_alloc_count,
 )
@@ -42,9 +39,6 @@ __all__ = [
     "stack",
     "no_grad",
     "is_grad_enabled",
-    "dtype_scope",
-    "get_default_dtype",
-    "set_default_dtype",
     "graph_node_count",
     "tensor_alloc_count",
     "functional",

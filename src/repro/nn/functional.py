@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .tensor import ArrayLike, Tensor, _apply, as_tensor, get_default_dtype, is_grad_enabled
+from .tensor import ArrayLike, Tensor, _apply, as_tensor, is_grad_enabled
 
 __all__ = [
     "elu",
@@ -99,6 +99,12 @@ def softplus(x: ArrayLike) -> Tensor:
     return as_tensor(x).softplus()
 
 
+def _with_operands(tensor: ArrayLike, *operands: ArrayLike) -> tuple:
+    """``tensor``, then each operand (a target, weights) given as an array made in its dtype."""
+    tensor = as_tensor(tensor)
+    return (tensor,) + tuple([as_tensor(operand, like=tensor) for operand in operands])
+
+
 # --------------------------------------------------------------------------- #
 # Fused affine / kernel primitives
 # --------------------------------------------------------------------------- #
@@ -106,11 +112,12 @@ def linear(x: ArrayLike, weight: Tensor, bias: Optional[Tensor] = None) -> Tenso
     """Affine map ``x @ weight + bias`` as one fused graph node.
 
     Supports the same 1-D/2-D operand ranks as :meth:`Tensor.matmul`; the
-    bias gradient is reduced over broadcast dimensions.
+    bias gradient is reduced over broadcast dimensions.  An array ``x`` is
+    made in the weight's dtype.
     """
-    if bias is None:
-        return _apply("linear", (as_tensor(x), as_tensor(weight)))
-    return _apply("linear", (as_tensor(x), as_tensor(weight), as_tensor(bias)))
+    weight = as_tensor(weight)
+    parents = (as_tensor(x, like=weight), weight)
+    return _apply("linear", parents if bias is None else parents + (as_tensor(bias),))
 
 
 def bce_with_logits(
@@ -122,10 +129,8 @@ def bce_with_logits(
     no intermediate sigmoid, no probability clipping, and the classic
     well-conditioned gradient ``w * (sigmoid(z) - t) / n``.
     """
-    parents = (as_tensor(logits), as_tensor(target))
-    if weights is not None:
-        parents += (as_tensor(weights),)
-    return _apply("bce_with_logits", parents)
+    operands = (target,) if weights is None else (target, weights)
+    return _apply("bce_with_logits", _with_operands(logits, *operands))
 
 
 # --------------------------------------------------------------------------- #
@@ -133,7 +138,7 @@ def bce_with_logits(
 # --------------------------------------------------------------------------- #
 def mse_loss(prediction: ArrayLike, target: ArrayLike) -> Tensor:
     """Mean squared error (fused single node)."""
-    return _apply("mse_loss", (as_tensor(prediction), as_tensor(target)))
+    return _apply("mse_loss", _with_operands(prediction, target))
 
 
 def weighted_mse_loss(prediction: ArrayLike, target: ArrayLike, weights: ArrayLike) -> Tensor:
@@ -142,27 +147,26 @@ def weighted_mse_loss(prediction: ArrayLike, target: ArrayLike, weights: ArrayLi
     ``weights`` are not assumed to sum to ``n``; the loss divides by ``n`` so
     the scale matches the unweighted loss when all weights are one.
     """
-    parents = (as_tensor(prediction), as_tensor(target), as_tensor(weights))
-    return _apply("weighted_mse_loss", parents)
+    return _apply("weighted_mse_loss", _with_operands(prediction, target, weights))
 
 
 def binary_cross_entropy(prediction: ArrayLike, target: ArrayLike, eps: float = 1e-7) -> Tensor:
     """Binary cross-entropy on probabilities in ``(0, 1)`` (fused node)."""
-    return _apply("bce", (as_tensor(prediction), as_tensor(target)), {"eps": eps})
+    return _apply("bce", _with_operands(prediction, target), {"eps": eps})
 
 
 def weighted_binary_cross_entropy(
     prediction: ArrayLike, target: ArrayLike, weights: ArrayLike, eps: float = 1e-7
 ) -> Tensor:
     """Sample-weighted binary cross-entropy (used for binary outcomes)."""
-    parents = (as_tensor(prediction), as_tensor(target), as_tensor(weights))
-    return _apply("bce", parents, {"eps": eps})
+    return _apply("bce", _with_operands(prediction, target, weights), {"eps": eps})
 
 
 def l2_penalty(parameters) -> Tensor:
-    """Sum of squared parameter values (the paper's ``R_l2`` term), fused."""
+    """Sum of squared parameter values (the paper's ``R_l2`` term), fused, in their dtype."""
     params = tuple([as_tensor(param) for param in parameters])
-    return _apply("l2_penalty", params, {"dtype": np.dtype(get_default_dtype())})
+    dtype = np.result_type(*[param.data for param in params]) if params else np.dtype(np.float64)
+    return _apply("l2_penalty", params, {"dtype": dtype})
 
 
 def normalize_rows(x: ArrayLike, eps: float = 1e-8) -> Tensor:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import functional as F
 from . import init
-from .tensor import ArrayLike, Tensor, as_tensor, get_default_dtype
+from .tensor import ArrayLike, Tensor, as_tensor
 
 __all__ = ["Module", "Linear", "Sequential", "MLP", "RepresentationNetwork"]
 
@@ -104,10 +104,10 @@ class Module:
         return sum(p.size for p in self.parameters())
 
     def parameter_dtype(self) -> np.dtype:
-        """Dtype of this module's parameters (the default dtype if it has none)."""
+        """Dtype of this module's parameters (float64 if it has none)."""
         for param in self.parameters():
             return np.dtype(param.data.dtype)
-        return np.dtype(get_default_dtype())
+        return np.dtype(np.float64)
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Copy all parameter values keyed by qualified name."""

@@ -25,18 +25,21 @@ replay cannot record those.
 
 The engine is tuned for the training hot path:
 
-* **dtype policy** — tensors are created in the process-wide default dtype
-  (:func:`set_default_dtype` / :class:`dtype_scope`).  ``float64`` is the
-  default for bit-compatibility with the finite-difference gradient checks
-  and the golden-regression suite; ``float32`` halves memory traffic for
-  opt-in fast training (``TrainingConfig.dtype``).
+* **dtype from the data** — there is no process-wide dtype.  A tensor keeps
+  the dtype of a ``float32`` or ``float64`` array (anything else becomes
+  ``float64``), and an op's non-Tensor operand is made in the dtype of the
+  tensor it meets (``x * alpha``, ``1.0 - mask``, the divisor of
+  :meth:`Tensor.mean`), so a float32 graph stays float32 and fits in
+  different dtypes can run side by side on threads.  A fit's precision is
+  its parameters' (``TrainingConfig.dtype``, applied by the trainer).
 * **zero-copy backprop** — gradient buffers are allocated once per graph
   edge fan-in and then accumulated in place (``np.add(..., out=...)``)
   whenever the buffer is owned by the backward pass; no defensive
   ``asarray``/``copy`` per hop.
-* **graph release** — after :meth:`Tensor.backward` the nodes' op state
-  and parent links are dropped (unless ``retain_graph=True``), so step N's
-  activations are freed before step N+1 allocates.
+* **graph release** — :meth:`Tensor.backward` drops each node's op state
+  and parent links right after its own VJP (unless ``retain_graph=True``),
+  so each VJP's ``ctx`` buffers are freed while the backward runs, not
+  when it ends, and step N's activations before step N+1 allocates.
 
 Gradients are validated against central finite differences in
 ``tests/test_nn_tensor.py`` and the hypothesis suite.
@@ -61,9 +64,6 @@ __all__ = [
     "is_grad_enabled",
     "concatenate",
     "stack",
-    "get_default_dtype",
-    "set_default_dtype",
-    "dtype_scope",
     "tensor_alloc_count",
     "graph_node_count",
 ]
@@ -101,80 +101,30 @@ def is_grad_enabled() -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# Dtype policy
-# --------------------------------------------------------------------------- #
-class _DtypePolicy:
-    """Process-wide default dtype for newly constructed tensors."""
-
-    dtype = np.float64
-
-
-_ALLOWED_DTYPES = {
-    "float32": np.float32,
-    "float64": np.float64,
-}
-
-
-def _coerce_dtype(dtype) -> type:
-    if isinstance(dtype, str):
-        try:
-            return _ALLOWED_DTYPES[dtype]
-        except KeyError as exc:
-            raise ValueError(
-                f"unsupported dtype {dtype!r}; expected one of {sorted(_ALLOWED_DTYPES)}"
-            ) from exc
-    resolved = np.dtype(dtype).type
-    if resolved not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}; expected float32 or float64")
-    return resolved
-
-
-def get_default_dtype():
-    """The dtype new tensors are created with (``np.float64`` by default)."""
-    return _DtypePolicy.dtype
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the process-wide tensor dtype (``"float32"`` or ``"float64"``)."""
-    _DtypePolicy.dtype = _coerce_dtype(dtype)
-
-
-class dtype_scope:
-    """Context manager temporarily switching the default tensor dtype.
-
-    Used by the training engine to honour ``TrainingConfig.dtype`` without
-    leaking the policy into evaluation code, which always runs in float64.
-    """
-
-    def __init__(self, dtype) -> None:
-        self._dtype = _coerce_dtype(dtype)
-
-    def __enter__(self) -> "dtype_scope":
-        self._previous = _DtypePolicy.dtype
-        _DtypePolicy.dtype = self._dtype
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        _DtypePolicy.dtype = self._previous
-
-
-# --------------------------------------------------------------------------- #
 # Instrumentation (used by benchmarks/bench_autodiff.py)
 # --------------------------------------------------------------------------- #
-class _AllocStats:
-    """Process-wide counter of Tensor constructions (one per recorded op)."""
+class _AllocStats(threading.local):
+    """Per-thread counter of Tensor constructions (one per recorded op).
 
-    tensors = 0
+    Thread-local like :func:`no_grad`: a fit reading it counts its own
+    tensors, not those of a fit or a server running on another thread.
+    """
+
+    def __init__(self) -> None:
+        self.tensors = 0
+
+
+_ALLOCS = _AllocStats()
 
 
 def tensor_alloc_count() -> int:
-    """Monotonic count of :class:`Tensor` objects constructed so far.
+    """Monotonic count of :class:`Tensor` objects constructed so far on this thread.
 
     The difference of two readings brackets the allocation cost of a code
     region — every NumPy op on tensors allocates exactly one node, so this
     is the graph-size metric the fused-kernel benchmarks report.
     """
-    return _AllocStats.tensors
+    return _ALLOCS.tensors
 
 
 def graph_node_count(root: "Tensor") -> int:
@@ -232,6 +182,21 @@ def _send(state: _BackwardState, parent: "Tensor", grad: np.ndarray) -> None:
         state.owned.add(key)
 
 
+def _vjp(state: _BackwardState, node: "Tensor", grad: np.ndarray, kernel, attrs, ctx) -> None:
+    """Run ``node``'s kernel VJP and send each parent its gradient.
+
+    A function of its own so that nothing of the VJP (its ``ctx``, the
+    gradients it returned) outlives the call in a local of the backward.
+    """
+    parents = node._parents
+    grads = kernel.vjp(
+        grad, [p.data for p in parents], node.data, attrs, ctx, [p.requires_grad for p in parents]
+    )
+    for parent, parent_grad in zip(parents, grads):
+        if parent_grad is not None:
+            _send(state, parent, parent_grad)
+
+
 def _released_backward(grad: np.ndarray) -> None:
     raise RuntimeError(
         "backward() through a graph that has already been freed; pass "
@@ -283,15 +248,18 @@ def _apply(op: str, parents: Tuple["Tensor", ...], attrs: Optional[dict] = None)
     return out
 
 
+#: The dtypes a tensor keeps; any other data is stored as float64.
+_FLOATS = (np.dtype(np.float64), np.dtype(np.float32))
+
+
 class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff.
 
     Parameters
     ----------
     data:
-        Any array-like value.  Stored in the process-wide default dtype
-        (``float64`` unless a :class:`dtype_scope` is active) for numerical
-        fidelity with the finite-difference gradient checks.
+        Any array-like value.  A ``float32`` or ``float64`` array keeps its
+        dtype (and is not copied); anything else is stored as ``float64``.
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` when
         :meth:`backward` is called on a downstream scalar.
@@ -315,7 +283,10 @@ class Tensor:
     ) -> None:
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DtypePolicy.dtype)
+        data = np.asarray(data)
+        if data.dtype not in _FLOATS:
+            data = data.astype(np.float64)
+        self.data = data
         self.requires_grad = bool(requires_grad) and _GRAD.enabled
         self.grad: Optional[np.ndarray] = None
         self._backward = None
@@ -323,7 +294,7 @@ class Tensor:
         # alive under no_grad(); only record them when gradients can flow.
         self._parents: Tuple[Tensor, ...] = _parents if self.requires_grad else ()
         self.name = name
-        _AllocStats.tensors += 1
+        _ALLOCS.tensors += 1
 
     # ------------------------------------------------------------------ #
     # Basic introspection
@@ -412,10 +383,12 @@ class Tensor:
         the ``grad`` attribute of every reachable tensor that has
         ``requires_grad=True``.
 
-        Unless ``retain_graph`` is set, the traversed graph is *released*
-        afterwards: op state and parent links are dropped so the forward
-        activations they hold can be freed immediately.  A second
-        ``backward()`` through a released graph raises ``RuntimeError``.
+        Unless ``retain_graph`` is set, the traversed graph is *released*:
+        each node's op state and parent links are dropped right after its
+        own VJP, so its ``ctx`` buffers are freed before the next VJP runs;
+        a node the backward did not reach (no gradient, or an exception) is
+        released when it ends.  A second ``backward()`` through a released
+        graph raises ``RuntimeError``.
         """
         if not self.requires_grad:
             raise RuntimeError("backward() called on a tensor that does not require grad")
@@ -469,21 +442,16 @@ class Tensor:
                         node._accumulate(node_grad, owned=owned)
                     continue
                 if type(step) is tuple:
-                    kernel, attrs, ctx = step
-                    parents = node._parents
-                    grads = kernel.vjp(
-                        node_grad, [p.data for p in parents], node.data, attrs, ctx,
-                        [p.requires_grad for p in parents],
-                    )
-                    for parent, parent_grad in zip(parents, grads):
-                        if parent_grad is not None:
-                            _send(state, parent, parent_grad)
+                    _vjp(state, node, node_grad, *step)
                 else:
                     node._route = state
                     try:
                         step(node_grad)
                     finally:
                         del node._route
+                if not retain_graph:
+                    node._backward = _released_backward
+                    node._parents = ()
         finally:
             if not retain_graph:
                 for node in topo:
@@ -499,7 +467,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
-        return _apply("add", (self, as_tensor(other)))
+        return _apply("add", (self, as_tensor(other, like=self)))
 
     __radd__ = __add__
 
@@ -507,21 +475,21 @@ class Tensor:
         return _apply("neg", (self,))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return self + (-as_tensor(other))
+        return self + (-as_tensor(other, like=self))
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) + (-self)
+        return as_tensor(other, like=self) + (-self)
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        return _apply("mul", (self, as_tensor(other)))
+        return _apply("mul", (self, as_tensor(other, like=self)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
-        return _apply("div", (self, as_tensor(other)))
+        return _apply("div", (self, as_tensor(other, like=self)))
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
-        return as_tensor(other) / self
+        return as_tensor(other, like=self) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
@@ -533,7 +501,7 @@ class Tensor:
 
     def matmul(self, other: ArrayLike) -> "Tensor":
         """Matrix multiplication with gradient support for 1-D and 2-D operands."""
-        return _apply("matmul", (self, as_tensor(other)))
+        return _apply("matmul", (self, as_tensor(other, like=self)))
 
     # ------------------------------------------------------------------ #
     # Reductions
@@ -620,7 +588,7 @@ class Tensor:
 
     def maximum(self, other: ArrayLike) -> "Tensor":
         """Elementwise maximum with ``other``."""
-        return _apply("maximum", (self, as_tensor(other)))
+        return _apply("maximum", (self, as_tensor(other, like=self)))
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -639,10 +607,20 @@ class Tensor:
         return _apply("getitem", (self,), {"index": index})
 
 
-def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Coerce ``value`` into a :class:`Tensor` (no copy when already one)."""
+def as_tensor(
+    value: ArrayLike, requires_grad: bool = False, like: Optional[Tensor] = None
+) -> Tensor:
+    """Coerce ``value`` into a :class:`Tensor` (no copy when already one).
+
+    With ``like``, a value that is not a Tensor is made in ``like``'s dtype:
+    an op's constant operand (``x * alpha``, a loss target, the start of a
+    sum) takes the precision of the tensor it meets, which NumPy would
+    otherwise promote to float64 without a word.
+    """
     if isinstance(value, Tensor):
         return value
+    if like is not None:
+        value = np.asarray(value, dtype=like.data.dtype)
     return Tensor(value, requires_grad=requires_grad)
 
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core.backbones import BACKBONE_REGISTRY, CFR, DeRCFR, TARNet, build_backbone
 from repro.core.backbones.base import select_factual_rows
 from repro.core.config import BackboneConfig, RegularizerConfig
-from repro.nn.tensor import Tensor, as_tensor, dtype_scope
+from repro.nn.tensor import Tensor, as_tensor
 
 
 @pytest.fixture()
@@ -188,15 +188,21 @@ def _assert_served_equals_eager(served, eager):
         np.testing.assert_array_equal(served[key], eager[key])
 
 
-def _compiled_backbone(name, *, normalize=False, binary=True, activation="elu", seed=11):
+def _compiled_backbone(
+    name, *, normalize=False, binary=True, activation="elu", seed=11, dtype="float64"
+):
+    """A stock backbone whose parameters hold ``dtype`` data."""
     config = BackboneConfig(
         rep_layers=2, rep_units=8, head_layers=2, head_units=6,
         rep_normalization=normalize, activation=activation,
     )
-    return build_backbone(
+    backbone = build_backbone(
         name, num_features=7, config=config, regularizers=RegularizerConfig(),
         binary_outcome=binary, rng=np.random.default_rng(seed),
     )
+    for param in backbone.parameters():
+        param.data = param.data.astype(dtype)
+    return backbone
 
 
 class TestCompiledInference:
@@ -223,13 +229,12 @@ class TestCompiledInference:
         self, name, normalize, binary, activation, dtype
     ):
         """Every stock architecture, activation and dtype, at 1, 5 and 300 rows."""
-        with dtype_scope(dtype):
-            backbone = _compiled_backbone(
-                name, normalize=normalize, binary=binary, activation=activation
-            )
-            for rows in (1, 5, 300):
-                x = np.random.default_rng(rows).normal(size=(rows, 7))
-                _assert_served_equals_eager(backbone.predict(x), backbone._predict_eager(x))
+        backbone = _compiled_backbone(
+            name, normalize=normalize, binary=binary, activation=activation, dtype=dtype
+        )
+        for rows in (1, 5, 300):
+            x = np.random.default_rng(rows).normal(size=(rows, 7))
+            _assert_served_equals_eager(backbone.predict(x), backbone._predict_eager(x))
         assert backbone._compiled_inference() is not None
 
     @pytest.mark.parametrize("name", ["tarnet", "cfr", "dercfr"])
@@ -247,13 +252,12 @@ class TestCompiledInference:
         assert np.isnan(served["mu0"]).tolist() == [False, True, False, False, True, False]
         _assert_served_equals_eager(served, backbone._predict_eager(x))
 
-        with dtype_scope("float32"):
-            narrow = _compiled_backbone(name)
+        narrow = _compiled_backbone(name, dtype="float32")
         x64 = np.random.default_rng(3).normal(size=(5, 7))
-        served = narrow.predict(x64)  # outside the scope: float64 input
+        served = narrow.predict(x64)
         assert served["mu0"].dtype == np.float32
-        with dtype_scope("float32"):  # the forward the float32 model trains with
-            _assert_served_equals_eager(served, narrow._predict_eager(x64))
+        # The autodiff forward casts float64 input to the parameters' dtype too.
+        _assert_served_equals_eager(served, narrow._predict_eager(x64))
 
     def test_compiled_invalidated_by_parameter_updates(self):
         backbone = build_backbone(

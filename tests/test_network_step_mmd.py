@@ -32,7 +32,7 @@ from repro.metrics.ipm import mmd_rbf_weighted
 from repro.nn import functional as F
 from repro.nn import kernels
 from repro.nn.tape import TapeRecorder
-from repro.nn.tensor import Tensor, as_tensor, dtype_scope, no_grad
+from repro.nn.tensor import Tensor, as_tensor, no_grad
 
 RTOL = 1e-12
 SIGMA = 1.7
@@ -264,24 +264,23 @@ def test_float32_network_step_node_keeps_its_gradients_float32():
     would be cast back to float32 silently, so only the node's own outputs
     can show a promotion.
     """
-    arrays = _groups(23, 17)
-    with dtype_scope("float32"):
+    arrays = [array.astype(np.float32) for array in _groups(23, 17)]
 
-        def step():
-            leaves = [Tensor(array, requires_grad=True) for array in arrays]
-            loss = F.weighted_rbf_mmd(*leaves, SIGMA)
-            loss.backward()
-            return leaves, loss
+    def step():
+        leaves = [Tensor(array, requires_grad=True) for array in arrays]
+        loss = F.weighted_rbf_mmd(*leaves, SIGMA)
+        loss.backward()
+        return leaves, loss
 
+    leaves, loss = step()
+    assert loss.data.dtype == np.float32
+    assert [leaf.grad.dtype for leaf in leaves] == [np.float32] * 4
+    with TapeRecorder() as recorder:
         leaves, loss = step()
-        assert loss.data.dtype == np.float32
-        assert [leaf.grad.dtype for leaf in leaves] == [np.float32] * 4
-        with TapeRecorder() as recorder:
-            leaves, loss = step()
-        program = recorder.finalize(loss)
-        assert program is not None, recorder.aborted
-        program.run()
-        assert [leaf.grad.dtype for leaf in leaves] == [np.float32] * 4
+    program = recorder.finalize(loss)
+    assert program is not None, recorder.aborted
+    program.run()
+    assert [leaf.grad.dtype for leaf in leaves] == [np.float32] * 4
 
 
 def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
@@ -304,9 +303,8 @@ def test_recorded_network_step_runs_one_fused_node_and_no_n_by_m_temporaries():
     # it twice, so the program has planned its memory and run planned.
     trainer = estimator.trainer
     train_std = train.standardize()[0]
-    with dtype_scope("float64"):
-        for _ in range(3):
-            trainer._network_step(train_std.covariates, train_std.treatment, train_std.outcome)
+    for _ in range(3):
+        trainer._network_step(train_std.covariates, train_std.treatment, train_std.outcome)
     assert trainer.last_step_stats["replay_hit"] is True
     program = trainer._replay.program
     # A run's turn ends with no view of the pool: bind the pool's bytes and

@@ -1,8 +1,9 @@
 """Engine-level tests for the autodiff hot-path overhaul.
 
-Covers the process-wide dtype policy, zero-copy gradient accumulation,
+Covers dtypes taken from the data, zero-copy gradient accumulation,
 graph retention/release semantics, the ``no_grad`` parent-retention fix,
-the per-thread ``no_grad`` switch and the ``__pow__`` zero-gradient guard.
+the per-thread ``no_grad`` switch and allocation counter, and the
+``__pow__`` zero-gradient guard.
 """
 
 from __future__ import annotations
@@ -18,52 +19,68 @@ from repro.core.backbones import build_backbone
 from repro.core.config import BackboneConfig, RegularizerConfig, SBRLConfig, TrainingConfig
 from repro.core.estimator import HTEEstimator
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
+from repro.nn import functional as F
+from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.tensor import (
     Tensor,
-    dtype_scope,
-    get_default_dtype,
+    _released_backward,
+    as_tensor,
     graph_node_count,
     is_grad_enabled,
     no_grad,
-    set_default_dtype,
     tensor_alloc_count,
 )
 
 
-class TestDtypePolicy:
-    def test_default_is_float64(self):
-        assert get_default_dtype() is np.float64
-        assert Tensor([1.0, 2.0]).data.dtype == np.float64
+class TestDtypeFromData:
+    def test_float_arrays_keep_their_dtype_and_anything_else_is_float64(self):
+        for dtype in (np.float32, np.float64):
+            array = np.arange(3, dtype=dtype)
+            assert Tensor(array).data is array  # kept, not copied
+        others = ([1.0, 2.0], 2.0, 3, np.arange(3), np.ones(2, dtype=bool), np.ones(2, np.float16))
+        assert [Tensor(value).data.dtype for value in others] == [np.float64] * len(others)
 
-    def test_scope_switches_and_restores(self):
-        with dtype_scope("float32"):
-            assert get_default_dtype() is np.float32
-            t = Tensor([1.0, 2.0], requires_grad=True)
-            assert t.data.dtype == np.float32
-            (t * t).sum().backward()
-            assert t.grad.dtype == np.float32
-        assert get_default_dtype() is np.float64
+    def test_a_float32_tensor_trains_in_float32(self):
+        t = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+        (t * t).sum().backward()
+        assert t.grad.dtype == np.float32
 
-    def test_scope_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with dtype_scope(np.float32):
-                raise RuntimeError("boom")
-        assert get_default_dtype() is np.float64
+    def test_non_tensor_operands_take_the_tensors_dtype(self):
+        """NumPy 2 would promote a float32 array meeting a float64 0-d array."""
+        x = Tensor(np.array([[1.0, -2.0, 3.0]], dtype=np.float32), requires_grad=True)
+        mask = np.array([[1.0, 0.0, 1.0]])  # float64, like a treatment vector
+        outputs = [
+            x * 0.5, 0.5 * x, x * np.float64(2.0), x + 1.0, 1.0 + x, x - 1.0, 1.0 - x,
+            x / 2.0, 2.0 / x, x * mask, x.mean(), x.mean(axis=1), x.var(), x.maximum(0.0),
+            x @ np.ones((3, 2)),
+        ]
+        assert [out.data.dtype for out in outputs] == [np.float32] * len(outputs)
+        sum(out.sum() for out in outputs).backward()
+        assert x.grad.dtype == np.float32
+        # A float64 tensor meeting a float32 array stays float64.
+        assert (Tensor([1.0, 2.0]) * np.ones(2, np.float32)).data.dtype == np.float64
 
-    def test_set_default_dtype_accepts_strings_and_types(self):
-        try:
-            set_default_dtype("float32")
-            assert get_default_dtype() is np.float32
-            set_default_dtype(np.float64)
-            assert get_default_dtype() is np.float64
-        finally:
-            set_default_dtype("float64")
+    def test_as_tensor_like_makes_only_non_tensors_in_its_dtype(self):
+        narrow = Tensor(np.zeros(2, dtype=np.float32))
+        assert as_tensor(0.0, like=narrow).data.dtype == np.float32
+        assert as_tensor(np.ones(2), like=narrow).data.dtype == np.float32
+        wide = Tensor(np.zeros(2))
+        assert as_tensor(wide, like=narrow) is wide
 
-    def test_invalid_dtype_rejected(self):
-        with pytest.raises(ValueError, match="float32"):
-            set_default_dtype("int32")
-        with pytest.raises(ValueError):
-            dtype_scope("float16")
+    def test_losses_of_a_float32_prediction_stay_float32(self):
+        prediction = Tensor(np.array([0.2, 0.7, 0.9], dtype=np.float32), requires_grad=True)
+        target, weights = np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 0.5])
+        losses = [
+            F.mse_loss(prediction, target),
+            F.weighted_mse_loss(prediction, target, weights),
+            F.binary_cross_entropy(prediction, target),
+            F.weighted_binary_cross_entropy(prediction, target, weights),
+            F.bce_with_logits(prediction, target, weights),
+            F.linear(np.ones((2, 3)), prediction.reshape(3, 1)),
+            F.l2_penalty([prediction]),
+        ]
+        assert [loss.data.dtype for loss in losses] == [np.float32] * len(losses)
+        assert F.l2_penalty([]).data.dtype == np.float64
 
     def test_float32_training_end_to_end(self):
         """Opt-in float32 training runs the whole stack and lands close to float64."""
@@ -86,7 +103,7 @@ class TestDtypePolicy:
 
         est32 = fit("float32")
         est64 = fit("float64")
-        assert get_default_dtype() is np.float64  # scope did not leak
+        assert all(p.data.dtype == np.float64 for p in est64.trainer.backbone.parameters())
         params32 = list(est32.trainer.backbone.parameters())
         assert all(p.data.dtype == np.float32 for p in params32)
         m32 = est32.evaluate(protocol["test_environments"][2.5])
@@ -186,6 +203,45 @@ class TestGraphRetention:
             assert ref() is None, "last_layer outlived its network step without gc.collect()"
         finally:
             gc.enable()
+
+    def test_backward_frees_a_vjps_ctx_before_its_parents_vjp(self, monkeypatch):
+        """Each node is released right after its own VJP, not when the backward ends."""
+        softplus, tanh = KERNELS["softplus"], KERNELS["tanh"]
+        scratch, seen = [], []
+
+        def softplus_vjp(grad, ins, out, attrs, ctx, needs):
+            grads = softplus.vjp(grad, ins, out, attrs, ctx, needs)
+            scratch.extend(
+                weakref.ref(array) for array in ctx.values()
+                if isinstance(array, np.ndarray) and all(array is not g for g in grads)
+            )
+            return grads
+
+        def tanh_vjp(*args):
+            seen.append([ref() is None for ref in scratch])
+            return tanh.vjp(*args)
+
+        monkeypatch.setitem(KERNELS, "softplus", Kernel("softplus", softplus.fwd, softplus_vjp))
+        monkeypatch.setitem(KERNELS, "tanh", Kernel("tanh", tanh.fwd, tanh_vjp))
+        x = Tensor(np.linspace(-2.0, 2.0, 12).reshape(4, 3), requires_grad=True)
+        x.tanh().softplus().sum().backward()
+        assert scratch and seen == [[True] * len(scratch)]
+        np.testing.assert_allclose(
+            x.grad, (1.0 - np.tanh(x.data) ** 2) / (1.0 + np.exp(-np.tanh(x.data)))
+        )
+
+    def test_a_backward_that_raises_releases_the_graph(self, monkeypatch):
+        def failing_vjp(*args):
+            raise FloatingPointError("vjp")
+
+        monkeypatch.setitem(KERNELS, "tanh", Kernel("tanh", KERNELS["tanh"].fwd, failing_vjp))
+        x = Tensor(np.ones(3), requires_grad=True)
+        hidden = x.tanh()
+        loss = (hidden * 2.0).sum()
+        with pytest.raises(FloatingPointError):
+            loss.backward()
+        for node in (loss, hidden):
+            assert node._backward is _released_backward and node._parents == ()
 
     def test_second_backward_through_released_graph_raises(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -293,6 +349,28 @@ class TestInstrumentation:
         before = tensor_alloc_count()
         t = Tensor([1.0]) * 2.0 + 1.0
         assert tensor_alloc_count() - before >= 3
+
+    def test_tensor_alloc_count_counts_the_calling_threads_tensors(self):
+        """Both threads build while the other reads: each still reads its own count."""
+        count, started, built = 2000, threading.Barrier(2), threading.Barrier(2)
+        deltas = {}
+
+        def build(name):
+            started.wait(10)
+            before = tensor_alloc_count()
+            for _ in range(count):
+                Tensor([1.0])
+            built.wait(10)  # the other thread has built all its tensors too
+            deltas[name] = tensor_alloc_count() - before
+
+        main_before = tensor_alloc_count()
+        workers = [threading.Thread(target=build, args=(name,)) for name in ("a", "b")]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(30)
+        assert deltas == {"a": count, "b": count}
+        assert tensor_alloc_count() == main_before
 
     def test_graph_node_count(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -53,7 +53,7 @@ from repro.nn import kernels
 from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
 from repro.nn.tape import GraphReplayError, ReplayProgram, TapeRecorder
-from repro.nn.tensor import Tensor, dtype_scope, tensor_alloc_count
+from repro.nn.tensor import Tensor, tensor_alloc_count
 
 
 def _config(batch_size=None, iterations=12, graph_replay="auto", **overrides):
@@ -318,53 +318,47 @@ class TestInvalidation:
         estimator = _fit(protocol, _config(), backbone="tarnet", framework="vanilla")
         trainer = estimator.trainer
         covariates, treatment, outcome = self._step_arrays(protocol)
-        with dtype_scope("float64"):
-            trainer._network_step(covariates, treatment, outcome, None)
-            records = trainer._replay.stats["records"]
-            trainer._network_step(covariates, treatment, outcome, None)
-            assert trainer._replay.stats["records"] == records  # hit
-            trainer._network_step(covariates[:100], treatment[:100], outcome[:100], None)
-            assert trainer._replay.stats["records"] == records + 1
+        trainer._network_step(covariates, treatment, outcome, None)
+        records = trainer._replay.stats["records"]
+        trainer._network_step(covariates, treatment, outcome, None)
+        assert trainer._replay.stats["records"] == records  # hit
+        trainer._network_step(covariates[:100], treatment[:100], outcome[:100], None)
+        assert trainer._replay.stats["records"] == records + 1
 
     def test_dtype_change_re_records(self, protocol):
         estimator = _fit(protocol, _config(), backbone="tarnet", framework="vanilla")
         trainer = estimator.trainer
         covariates, treatment, outcome = self._step_arrays(protocol)
-        with dtype_scope("float64"):
-            trainer._network_step(covariates, treatment, outcome, None)
-            records = trainer._replay.stats["records"]
-            trainer._network_step(
-                covariates.astype(np.float32), treatment, outcome, None
-            )
-            assert trainer._replay.stats["records"] == records + 1
+        trainer._network_step(covariates, treatment, outcome, None)
+        records = trainer._replay.stats["records"]
+        trainer._network_step(covariates.astype(np.float32), treatment, outcome, None)
+        assert trainer._replay.stats["records"] == records + 1
 
     def test_config_change_re_records(self, protocol):
         estimator = _fit(protocol, _config())
         trainer = estimator.trainer
         covariates, treatment, outcome = self._step_arrays(protocol)
-        with dtype_scope("float64"):
-            trainer._network_step(covariates, treatment, outcome, None)
-            records = trainer._replay.stats["records"]
-            trainer._network_step(covariates, treatment, outcome, None)
-            assert trainer._replay.stats["records"] == records
-            trainer.config.regularizers.alpha *= 2.0  # enters the signature
-            trainer._network_step(covariates, treatment, outcome, None)
-            assert trainer._replay.stats["records"] == records + 1
+        trainer._network_step(covariates, treatment, outcome, None)
+        records = trainer._replay.stats["records"]
+        trainer._network_step(covariates, treatment, outcome, None)
+        assert trainer._replay.stats["records"] == records
+        trainer.config.regularizers.alpha *= 2.0  # enters the signature
+        trainer._network_step(covariates, treatment, outcome, None)
+        assert trainer._replay.stats["records"] == records + 1
 
     def test_parameter_buffer_replacement_invalidates(self, protocol):
         estimator = _fit(protocol, _config(), backbone="tarnet", framework="vanilla")
         trainer = estimator.trainer
         covariates, treatment, outcome = self._step_arrays(protocol)
-        with dtype_scope("float64"):
-            trainer._network_step(covariates, treatment, outcome, None)
-            invalidations = trainer._replay.stats["invalidations"]
-            # load_state_dict assigns fresh buffers: the pinned program is stale.
-            trainer.backbone.load_state_dict(trainer.backbone.state_dict())
-            trainer._network_step(covariates, treatment, outcome, None)
-            assert trainer._replay.stats["invalidations"] == invalidations + 1
-            # ... and the re-recorded program replays again.
-            trainer._network_step(covariates, treatment, outcome, None)
-            assert trainer.last_step_stats["replay_hit"] is True
+        trainer._network_step(covariates, treatment, outcome, None)
+        invalidations = trainer._replay.stats["invalidations"]
+        # load_state_dict assigns fresh buffers: the pinned program is stale.
+        trainer.backbone.load_state_dict(trainer.backbone.state_dict())
+        trainer._network_step(covariates, treatment, outcome, None)
+        assert trainer._replay.stats["invalidations"] == invalidations + 1
+        # ... and the re-recorded program replays again.
+        trainer._network_step(covariates, treatment, outcome, None)
+        assert trainer.last_step_stats["replay_hit"] is True
 
 
 def _dfs_order(program):
@@ -427,30 +421,33 @@ class TestRecordedStep:
         train_std = protocol["train"].standardize()[0]
         return replayed, eager, (train_std.covariates, train_std.treatment, train_std.outcome)
 
-    def test_weights_in_another_dtype_updated_in_place_give_the_eager_loss(self, protocol):
-        """A float32 weight array in a float64 fit reaches the loss through a
-        float64 copy, which no replay may bake: the step runs eagerly."""
+    @pytest.mark.parametrize("dtype, fallbacks", [("float32", 0), ("float16", 1)])
+    def test_weights_in_another_dtype_updated_in_place_give_the_eager_loss(
+        self, protocol, dtype, fallbacks
+    ):
+        """In a float64 fit, a float32 weight array is a tensor's data as it
+        is, so the program reads it in place; a float16 one reaches the loss
+        through a float64 copy, which no replay may bake: the step runs
+        eagerly."""
         replayed, eager, arrays = self._pair(protocol)
         losses = []
         for trainer in (replayed, eager):
-            with dtype_scope("float64"):
-                weights = trainer.sample_weights.tensor
-                weights.data = weights.data.astype(np.float32)
-                first = trainer._network_step(*arrays)
-                weights.data *= 1.5
-                losses.append((first, trainer._network_step(*arrays)))
+            weights = trainer.sample_weights.tensor
+            weights.data = weights.data.astype(dtype)
+            first = trainer._network_step(*arrays)
+            weights.data *= 1.5
+            losses.append((first, trainer._network_step(*arrays)))
         assert losses[0] == losses[1]
-        assert replayed._replay.stats["fallbacks"] == 1
+        assert replayed._replay.stats["fallbacks"] == fallbacks
 
     def test_a_replaced_weight_array_records_again(self, protocol):
         replayed, eager, arrays = self._pair(protocol)
 
         def steps(trainer):
-            with dtype_scope("float64"):
-                losses = [trainer._network_step(*arrays) for _ in range(2)]
-                weights = trainer.sample_weights.tensor
-                weights.data = weights.data * 1.5
-                return losses + [trainer._network_step(*arrays) for _ in range(2)]
+            losses = [trainer._network_step(*arrays) for _ in range(2)]
+            weights = trainer.sample_weights.tensor
+            weights.data = weights.data * 1.5
+            return losses + [trainer._network_step(*arrays) for _ in range(2)]
 
         misses = replayed._replay.stats["misses"]
         assert steps(replayed) == steps(eager)
@@ -468,8 +465,7 @@ class TestRecordedStep:
         def one_step(**stats):
             before = dict(replay.stats)
             del steps[:]
-            with dtype_scope("float64"):
-                trainer._network_step(*arrays)
+            trainer._network_step(*arrays)
             assert len(steps) == 1
             assert {key: replay.stats[key] - before[key] for key in stats} == stats
 
@@ -501,10 +497,9 @@ class TestDeadInstructions:
         trainer = estimator.trainer
         train_std = protocol["train"].standardize()[0]
         arrays = (train_std.covariates, train_std.treatment, train_std.outcome)
-        with dtype_scope("float64"):
-            trainer._network_step(*arrays, None)  # records these arrays
-            del calls[:]
-            trainer._network_step(*arrays, None)
+        trainer._network_step(*arrays, None)  # records these arrays
+        del calls[:]
+        trainer._network_step(*arrays, None)
         assert trainer.last_step_stats["replay_hit"] is True
         assert calls == [False, False]
         program = trainer._replay.program
@@ -673,9 +668,8 @@ class TestMemoryPlan:
         estimator = HTEEstimator(backbone="cfr", framework="sbrl-hap", config=config, seed=3)
         estimator.fit(train)
         trainer = estimator.trainer
-        with dtype_scope("float64"):
-            for _ in range(4):  # one recording, three runs
-                trainer._network_step(*arrays, None)
+        for _ in range(4):  # one recording, three runs
+            trainer._network_step(*arrays, None)
         program = trainer._replay.program
         end_to_end = sum(
             kernels.aligned(math.prod(shape) * np.dtype(dtype).itemsize)

@@ -146,6 +146,28 @@ def test_pairs_alternate_the_first_side_and_take_one_seed_each(pairs, monkeypatc
     ]
 
 
+def test_a_difference_hidden_at_six_digits_is_printed_in_full(
+    pairs, monkeypatch, tmp_path, capsys
+):
+    def run(stability, wall):
+        metrics = {"pehe_stability": stability, "wall_s": wall, "peak_rss_mb": 124.0}
+        return {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+    # Pair 1: pehe_stability differs in its last bit; pair 2: equal bits.
+    _stub_runs(pairs, monkeypatch, [
+        run(0.04091038075401894, 1.0), run(0.04091038075401895, 2.0),
+        run(0.04091038075401894, 1.25), run(0.04091038075401894, 1.5),
+    ])
+    argv = _trees(tmp_path) + ["--workload", "serve-drift", "--pairs", "2"]
+    assert pairs.main(argv) == 0
+    first, second = [line for line in capsys.readouterr().out.splitlines() if line.startswith("pair")]
+    assert "pehe_stability 0.04091038075401894 -> 0.04091038075401895" in first
+    assert "wall_s 1 -> 2" in first and "peak_rss_mb 124 -> 124" in first
+    # Pair 2 ran the change first; the line still reads parent -> change.
+    assert "pehe_stability 0.0409104 -> 0.0409104" in second
+    assert "wall_s 1.5 -> 1.25" in second
+
+
 def test_a_failed_run_exits_non_zero(pairs, monkeypatch, tmp_path, capsys):
     ok = {"correct": True, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
     _stub_runs(pairs, monkeypatch, [ok, ok, None])

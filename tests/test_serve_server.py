@@ -14,7 +14,6 @@ from repro.data.dataset import CausalDataset
 from repro.serve import ModelRegistry, ServingFrontend
 from repro.serve.registry import as_request_matrix
 from repro.serve.server import _Request
-from repro.nn.tensor import dtype_scope
 
 
 def _fit(small_train, seed: int, dtype: str = "float64") -> HTEEstimator:
@@ -136,9 +135,9 @@ class TestServedEqualsEager:
 
     @staticmethod
     def _eager(estimator, covariates):
+        # The forward runs in the parameters' dtype, the model's training dtype.
         trainer = estimator.trainer
-        with dtype_scope(estimator.fitted_dtype):  # the model's training dtype
-            return trainer.backbone._predict_eager(trainer._transform(covariates))
+        return trainer.backbone._predict_eager(trainer._transform(covariates))
 
     @staticmethod
     def _assert_equal(served, eager):
