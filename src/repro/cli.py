@@ -154,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="content-addressed result cache directory; unchanged cells are "
-        "served from it across invocations and machines, and re-running "
-        "with the same directory resumes an interrupted grid",
+        "served from it across invocations and machines (bitwise a recompute "
+        "only where both hosts' BLAS run the same kernels, else within "
+        "rounding), and re-running with the same directory resumes an "
+        "interrupted grid",
     )
     scenarios.add_argument(
         "--shard",

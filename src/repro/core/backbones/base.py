@@ -147,6 +147,10 @@ class BaseBackbone(Module):
         self.regularizers = regularizers if regularizers is not None else RegularizerConfig()
         self.binary_outcome = binary_outcome
         self.rng = rng if rng is not None else np.random.default_rng()
+        from ..regularizers.balancing import BalancingRegularizer  # a cycle at module level
+
+        #: ``alpha * L_B`` for CFR and DeR-CFR; its anchors never draw from ``self.rng``.
+        self.balancing = BalancingRegularizer.from_config(self.regularizers)
 
     # ------------------------------------------------------------------ #
     # Interface

@@ -21,11 +21,10 @@ the SBRL-HAP paper).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from ...metrics.ipm import weighted_ipm
 from ...nn import functional as F
 from ...nn.modules import MLP, RepresentationNetwork
 from ...nn.tensor import Tensor, as_tensor, concatenate
@@ -155,10 +154,13 @@ class DeRCFR(BaseBackbone):
         treatment: np.ndarray,
         sample_weights: Optional[Tensor] = None,
     ) -> Tensor:
-        """Decomposition penalties over the three representation blocks."""
+        """Decomposition penalties over the three representation blocks.
+
+        Its three balance terms share one split of the treatment arms (one
+        anchor draw above ``subsample_threshold`` rows).
+        """
         treatment = np.asarray(treatment, dtype=np.float64).ravel()
-        treated_idx = np.where(treatment == 1.0)[0]
-        control_idx = np.where(treatment == 0.0)[0]
+        groups = self.balancing.split(treatment)
         penalties = self.penalties
         total = as_tensor(0.0, like=forward.representation)
 
@@ -168,26 +170,13 @@ class DeRCFR(BaseBackbone):
         logits = forward.extra["treatment_logits"]
         total = total + penalties.treatment_prediction * F.bce_with_logits(logits, treatment)
 
-        if len(treated_idx) > 0 and len(control_idx) > 0:
-            weights = as_tensor(sample_weights).reshape(-1) if sample_weights is not None else None
-
-            def group_ipm(rep: Tensor, weighted: bool) -> Tensor:
-                w_t = w_c = None
-                if weighted and weights is not None:
-                    w_t = weights[treated_idx]
-                    w_c = weights[control_idx]
-                return weighted_ipm(
-                    rep[control_idx],
-                    rep[treated_idx],
-                    weights_control=w_c,
-                    weights_treated=w_t,
-                    kind=self.regularizers.ipm_kind,
-                )
-
+        if groups is not None:
             # Adjustment block must be treatment-agnostic (A ⟂ T).
-            total = total + penalties.adjustment_balance * group_ipm(forward.extra["adjustment"], False)
+            adjustment = self.balancing.ipm(forward.extra["adjustment"], groups)
+            total = total + penalties.adjustment_balance * adjustment
             # Confounder block is balanced through the (learned) sample weights.
-            total = total + penalties.confounder_balance * group_ipm(forward.representation, True)
+            confounder = self.balancing.ipm(forward.representation, groups, sample_weights)
+            total = total + penalties.confounder_balance * confounder
 
         # Instrument block should not predict the outcome directly: penalise
         # the correlation between the instrument representation mean response
@@ -204,11 +193,8 @@ class DeRCFR(BaseBackbone):
 
         # CFR-style alpha penalty on the confounder block (uses the shared
         # alpha hyper-parameter so the frameworks can switch it off).
-        if self.regularizers.alpha > 0 and len(treated_idx) > 0 and len(control_idx) > 0:
-            rep = forward.representation
-            total = total + self.regularizers.alpha * weighted_ipm(
-                rep[control_idx], rep[treated_idx], kind=self.regularizers.ipm_kind
-            )
+        if groups is not None and self.balancing.alpha > 0:
+            total = total + self.balancing.loss(forward.representation, treatment, groups=groups)
         return total
 
     def _orthogonality(self, forward: BackboneForward) -> Tensor:

@@ -85,8 +85,10 @@ class RegularizerConfig:
     num_rff_features: int = 5
     max_pairs_per_layer: Optional[int] = 64
     #: Above this many samples the training-time IPM / HSIC losses switch to
-    #: seeded anchor subsampling (``None`` disables; evaluation metrics
-    #: always use the exact estimators).
+    #: seeded anchor subsampling: CFR's balance penalty, DeR-CFR's three
+    #: balance terms and the weight objective's ``L_B`` and ``L_D`` terms
+    #: (``None`` disables; evaluation metrics always use the exact
+    #: estimators).
     subsample_threshold: Optional[int] = 2048
     #: Number of anchor rows the subsampled regularizers keep per group.
     num_anchors: int = 256

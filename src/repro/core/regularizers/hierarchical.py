@@ -102,13 +102,7 @@ class HierarchicalAttentionLoss:
         self.use_balance = use_balance
         self.use_independence = use_independence
         self.use_hierarchy = use_hierarchy and mode == "sbrl-hap"
-        self.balancing = BalancingRegularizer(
-            kind=self.config.ipm_kind,
-            alpha=1.0,
-            subsample_threshold=self.config.subsample_threshold,
-            num_anchors=self.config.num_anchors,
-            seed=seed,
-        )
+        self.balancing = BalancingRegularizer.from_config(self.config, seed=seed)
         self.independence = IndependenceRegularizer(
             num_rff_features=self.config.num_rff_features,
             max_pairs=self.config.max_pairs_per_layer,
@@ -149,7 +143,7 @@ class HierarchicalAttentionLoss:
         threshold = self.config.subsample_threshold
         if threshold is not None and len(np.ravel(treatment)) > threshold:
             return prepared
-        if self.use_balance and self.config.alpha > 0:
+        if self.use_balance and self.balancing.alpha > 0:
             prepared.groups = self.balancing.prepare(forward.representation, treatment)
         for key, layer in self._decorrelated_layers(forward):
             if layer.ndim == 2 and layer.shape[1] >= 2:
@@ -179,11 +173,8 @@ class HierarchicalAttentionLoss:
         total = as_tensor(0.0, like=weights)
         balance_value = 0.0
 
-        if self.use_balance and cfg.alpha > 0:
-            balance = (
-                self.balancing(forward.representation, treatment, weights, groups=prepared.groups)
-                * cfg.alpha
-            )
+        if self.use_balance and self.balancing.alpha > 0:
+            balance = self.balancing(forward.representation, treatment, weights, groups=prepared.groups)
             total = total + balance
             balance_value = balance.item()
 

@@ -4,7 +4,11 @@ Every work unit of the cross-cell scheduler is a pure function of
 ``(method spec, scenario, severity, dataset seed, sample count, dims)`` —
 the same purity that makes parallel == serial bit-for-bit also means a
 unit's outcome can be *cached* and reused across processes, invocations
-and machines.  This module provides the two halves of that contract:
+and machines.  Bit for bit, a reused outcome equals a recompute only on
+hosts whose BLAS runs the same kernels: OpenBLAS picks its kernels by CPU,
+and an entry from a host where it picked others agrees with a local
+recompute within rounding, not bitwise.  This module provides the two
+halves of that contract:
 
 * :func:`unit_cache_key` — a blake2b digest over the full
   :class:`~repro.experiments.runner.MethodSpec` repr, the scenario name,
@@ -27,8 +31,9 @@ keys are content hashes, so a union cannot conflict.  The cached payload
 is :func:`~repro.experiments.scheduler.serialize_method_result` of the
 unit's :class:`~repro.experiments.runner.MethodResult` (Python's ``json``
 round-trips floats via shortest repr), so a cache hit aggregates to the
-bit-identical suite record a recomputation would produce — pinned by
-``tests/test_result_cache.py`` and the CI cache-smoke gate.
+bit-identical suite record a recomputation with the same BLAS kernels
+would produce — pinned by ``tests/test_result_cache.py`` and the CI
+cache-smoke gate.
 """
 
 from __future__ import annotations

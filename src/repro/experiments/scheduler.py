@@ -19,7 +19,9 @@ so a full-severity grid keeps every worker busy:
   ResultCache`, every unit's outcome is stored under a blake2b digest of
   its inputs (:func:`~repro.experiments.cache.unit_cache_key`) as soon as
   it completes, so unchanged units are served from the cache across
-  invocations, grids and machines.  The cache is the one store of unit
+  invocations, grids and machines (bitwise what a recompute gives only
+  where both ran the same BLAS kernels; see
+  :mod:`~repro.experiments.cache`).  The cache is the one store of unit
   outcomes: re-running with the same cache resumes an interrupted grid
   (failed units are retried), and only dirty, failed or missing units
   reach the pool.
@@ -28,7 +30,8 @@ so a full-severity grid keeps every worker busy:
   machines can split one grid.  Each shard writes into a cache (one shared
   directory, or per-host directories whose entries are copied into one);
   the same run without a shard then assembles the full record from cache
-  hits.
+  hits.  Shards from hosts whose BLAS picks other kernels agree with an
+  unsharded run within rounding, not bitwise.
 
 Workers rebuild scenarios from :data:`repro.registry.scenarios` by name, so
 custom scenarios must be registered at import time of a module the workers

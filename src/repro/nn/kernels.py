@@ -332,17 +332,26 @@ def _assign(out, value):
     return out
 
 
-def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """Sum ``grad`` over broadcast dimensions so it matches ``shape``."""
+def _unbroadcast(
+    grad: np.ndarray, shape: Tuple[int, ...], ctx: Optional[dict] = None, key=None
+) -> np.ndarray:
+    """Sum ``grad`` over broadcast dimensions so it matches ``shape``.
+
+    A replay program passes the instruction's ``ctx``: each sum then goes
+    into a buffer kept there under ``(key, i)`` (see :func:`_scratch`),
+    which the plan places.  Eager mode passes none and gets fresh sums.
+    """
     if grad.shape == shape:
         return grad
-    # Sum over leading dimensions added by broadcasting.
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    # Sum over dimensions that were of size 1 in the original shape.
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+    # The leading dimensions broadcasting added, then those of size 1 in shape.
+    lead = grad.ndim - len(shape)
+    sums = [(0, False)] * lead + [
+        (axis, True) for axis, size in enumerate(shape) if size == 1 and grad.shape[lead + axis] != 1
+    ]
+    for i, (axis, keepdims) in enumerate(sums):
+        reduced = grad.shape[:axis] + (1,) * keepdims + grad.shape[axis + 1:]
+        out = None if ctx is None else _scratch(ctx, (key, i), reduced, grad.dtype)
+        grad = grad.sum(axis=axis, keepdims=keepdims, out=out)
     return grad.reshape(shape)
 
 
@@ -1076,11 +1085,19 @@ def _k_normalize_rows():
         return np.divide(x, norms, out=out)
 
     def vjp(grad, ins, out, attrs, ctx, needs):
+        # grad / norms + (2.0 * grad_sq) * x, where grad_sq is (-grad * x /
+        # norms ** 2).sum(axis=1, keepdims=True) * (0.5 / np.maximum(roots,
+        # 1e-12)), evaluated left to right in buffers kept in ctx
         x = ins[0]
         roots, norms = ctx["roots"], ctx["norms"]
-        grad_norm = (-grad * x / (norms ** 2)).sum(axis=1, keepdims=True)
-        grad_sq = grad_norm * (0.5 / np.maximum(roots, 1e-12))
-        return (grad / norms + (2.0 * grad_sq) * x,)
+        g, t = (_scratch(ctx, key, x.shape, x.dtype) for key in ("g", "t"))
+        col, grad_sq = (_scratch(ctx, key, norms.shape, x.dtype) for key in ("col", "grad_sq"))
+        np.divide(np.multiply(np.negative(grad, out=t), x, out=t), np.square(norms, out=col), out=t)
+        t.sum(axis=1, keepdims=True, out=grad_sq)
+        np.divide(0.5, np.maximum(roots, 1e-12, out=col), out=col)
+        np.multiply(2.0, np.multiply(grad_sq, col, out=grad_sq), out=grad_sq)
+        np.multiply(grad_sq, x, out=t)
+        return (np.add(np.divide(grad, norms, out=g), t, out=g),)
 
     return fwd, vjp
 

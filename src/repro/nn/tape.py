@@ -654,10 +654,10 @@ class ReplayProgram:
                     if single:
                         # Sole contribution: store by reference, like eager
                         # ``_send`` does for a node's first gradient.
-                        pending[psid] = g if g.shape == shape else _unbroadcast(g, shape)
+                        pending[psid] = g if g.shape == shape else _unbroadcast(g, shape, instr.ctx, pos)
                     else:
                         buf = pending[psid]
-                        ub = _unbroadcast(g, shape)
+                        ub = _unbroadcast(g, shape, instr.ctx, pos)
                         if received[psid]:
                             np.add(buf, ub, out=buf)
                         else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -114,7 +116,7 @@ class TestCommands:
         ]) == 0
         out = capsys.readouterr().out
         assert "Scenario: overlap" in out and "degradation" in out and "wrote" in out
-        record = json.loads(open(output).read())
+        record = json.loads(Path(output).read_text())
         assert record["benchmark"] == "scenario-matrix"
         assert record["scenarios"]["overlap"]["severities"] == [0.0, 1.0]
         assert set(record["scenarios"]["overlap"]["degradation"]) == {"CFR", "CFR+SBRL-HAP"}
@@ -153,10 +155,10 @@ class TestCommands:
             "--num-samples", "120", "--cache-dir", cache_dir, "--output", output,
         ]
         assert main(base) == 0
-        cold = json.loads(open(output).read())
+        cold = json.loads(Path(output).read_text())
         assert cold["cache"] == dict(cold["cache"], enabled=True, hits=0, misses=4)
         assert main(base) == 0
-        warm = json.loads(open(output).read())
+        warm = json.loads(Path(output).read_text())
         assert warm["cache"] == dict(warm["cache"], hits=4, misses=0, hit_rate=1.0)
         out = capsys.readouterr().out
         assert "cache: 4 hits / 0 misses (100% hit rate)" in out
@@ -172,7 +174,7 @@ class TestCommands:
         output = str(tmp_path / "record.json")
         base = ["scenarios", "--smoke", "--scenario", "overlap", "--num-samples", "120"]
         assert main(base + ["--output", output]) == 0
-        unsharded = json.loads(open(output).read())
+        unsharded = json.loads(Path(output).read_text())
 
         # Each host writes its shard into its own cache; copying the
         # entries into one directory unions them.
@@ -187,7 +189,7 @@ class TestCommands:
 
         assert main(base + ["--cache-dir", str(union), "--output", output]) == 0
         assert "cache: 4 hits / 0 misses (100% hit rate)" in capsys.readouterr().out
-        assembled = json.loads(open(output).read())
+        assembled = json.loads(Path(output).read_text())
         assert compare_scenario_records(unsharded, assembled) == []
 
     def test_scenarios_resume_from_a_partial_cache(self, capsys, tmp_path):
@@ -203,7 +205,7 @@ class TestCommands:
             "--cache-dir", str(cache_dir), "--output", output,
         ]
         assert main(base) == 0
-        uninterrupted = json.loads(open(output).read())
+        uninterrupted = json.loads(Path(output).read_text())
         # An interrupted run left two of its four entries behind.
         for entry in sorted(os.listdir(str(cache_dir)))[2:]:
             os.unlink(str(cache_dir / entry))
@@ -211,7 +213,7 @@ class TestCommands:
 
         assert main(base) == 0
         assert "cache: 2 hits / 2 misses (50% hit rate)" in capsys.readouterr().out
-        resumed = json.loads(open(output).read())
+        resumed = json.loads(Path(output).read_text())
         assert compare_scenario_records(uninterrupted, resumed) == []
 
     def test_scenarios_assembly_computes_what_no_shard_cached(self, capsys, tmp_path):
@@ -269,7 +271,7 @@ class TestCommands:
         assert script.main(["--smoke", "--output", output]) == 0
         out = capsys.readouterr().out
         assert "Minibatch engine" in out and "wrote" in out
-        record = json.loads(open(output).read())
+        record = json.loads(Path(output).read_text())
         assert record["mode"] == "smoke"
         assert record["minibatch"]["full_batch"]["seconds"] > 0
 
@@ -294,7 +296,7 @@ class TestCommands:
             "predict", "--model", artifact, "--benchmark", "syn_8_8_8_2",
             "--num-samples", "200", "--seed", "2", "--output", out_csv,
         ]) == 0
-        header = open(out_csv).readline().strip()
+        header = Path(out_csv).read_text().splitlines()[0].strip()
         assert header == "mu0,mu1,ite"
 
         assert main([

@@ -29,16 +29,20 @@ Covers the contract of ``TrainingConfig.graph_replay``:
 * planned runs (the second onward) equal eager, also with every dead arena
   range, the workspace and the whole pool at each change of tenant
   poisoned with NaN; a warm run's VJPs return no gradient outside planned
-  memory; and a program's gradient arena holds at most 0.18x the bytes of
-  its buffers laid end to end.
+  memory, and a warm CFR run over normalised representations allocates
+  no array in ``_unbroadcast`` or the ``normalize_rows`` VJP; and a
+  program's gradient arena holds at most 0.18x the bytes of its buffers
+  laid end to end.
 """
 
 from __future__ import annotations
 
 import copy
 import gc
+import inspect
 import logging
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -49,7 +53,7 @@ from repro.core.estimator import HTEEstimator
 from repro.core.loop import Callback
 from repro.data.synthetic import SyntheticConfig, SyntheticGenerator
 from repro.nn import functional as F
-from repro.nn import kernels
+from repro.nn import kernels, tape, tensor
 from repro.nn.kernels import KERNELS, Kernel
 from repro.nn.optim import SGD, Adam, AdamW, RMSprop
 from repro.nn.tape import GraphReplayError, ReplayProgram, TapeRecorder
@@ -645,6 +649,77 @@ class TestMemoryPlan:
         assert returned
         for grad in returned:
             assert any(np.may_share_memory(grad, memory) for memory in kept), grad.shape
+
+    def test_a_warm_run_reduces_and_normalises_in_planned_memory(self, protocol, monkeypatch):
+        """After planning, warm runs of a CFR program over normalised
+        representations allocate nothing in ``_unbroadcast`` (every bias
+        gradient goes through it) or in the ``normalize_rows`` VJP, and
+        equal the eager step bitwise.
+
+        Each call is followed by a tracemalloc snapshot of NumPy's array
+        data, grouped by traceback, while its result is alive: a fresh
+        array it returned shows there.  The eager step's fresh reductions
+        show, so the spy sees what it looks for.
+        """
+        config = _config(iterations=6)
+        config.backbone.rep_normalization = True
+        replayed = _fit(protocol, config).trainer
+        eager = copy.deepcopy(replayed)
+        eager._replay = None
+        train_std = protocol["train"].standardize()[0]
+        arrays = (train_std.covariates, train_std.treatment, train_std.outcome)
+        for _ in range(2):  # records, then plans
+            replayed._network_step(*arrays)
+            eager._network_step(*arrays)
+
+        watched = []
+        for function in (kernels._unbroadcast, KERNELS["normalize_rows"].vjp):
+            lines, first = inspect.getsourcelines(function)
+            watched.append((function.__code__.co_filename, first, first + len(lines)))
+        array_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        found = []
+
+        def spy(function):
+            def call(*args, **kwargs):
+                result = function(*args, **kwargs)
+                if result is args[0]:
+                    return result  # a gradient already of its parent's shape
+                snapshot = tracemalloc.take_snapshot().filter_traces(array_data)
+                for stat in snapshot.statistics("traceback"):
+                    if any(
+                        frame.filename == name and start <= frame.lineno < stop
+                        for frame in stat.traceback
+                        for name, start, stop in watched
+                    ):
+                        found.append(stat)
+                return result
+
+            return call
+
+        normalize = KERNELS["normalize_rows"]
+        monkeypatch.setattr(tape, "_unbroadcast", spy(kernels._unbroadcast))
+        monkeypatch.setattr(tensor, "_unbroadcast", spy(kernels._unbroadcast))
+        for instr in replayed._replay.program.instructions:
+            if instr.op == "normalize_rows":
+                instr.vjp = spy(instr.vjp)
+        monkeypatch.setitem(
+            KERNELS, "normalize_rows", Kernel("normalize_rows", normalize.fwd, spy(normalize.vjp))
+        )
+        tracemalloc.start(16)
+        try:
+            for _ in range(3):
+                del found[:]
+                tracemalloc.clear_traces()  # the eager gradients still alive
+                loss = replayed._network_step(*arrays)
+                assert replayed.last_step_stats["replay_hit"] is True
+                assert found == [], [str(stat) for stat in found]
+                assert eager._network_step(*arrays) == loss
+                assert found, "the eager step's fresh reductions went unseen"
+                for ours, theirs in zip(replayed.backbone.parameters(), eager.backbone.parameters()):
+                    np.testing.assert_array_equal(ours.grad, theirs.grad)
+                    np.testing.assert_array_equal(ours.data, theirs.data)
+        finally:
+            tracemalloc.stop()
 
     def test_planned_arena_holds_at_most_018_of_its_buffers_laid_end_to_end(self):
         """The gradient arena of an n = 400 CFR+SBRL-HAP program after 3 runs,
